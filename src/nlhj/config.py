@@ -344,14 +344,11 @@ def _gating(cfg: RunConfig, certs: dict):
 def execute(cfg: RunConfig) -> int:
     """Run certificates then the experiment; write artifacts; return the exit
     status (0 pass, 1 experiment failure, 2 precondition/certificate failure)."""
-    from ._accel import NUMBA_ENABLED
-
     t_wall = time.time()
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": __version__,
         "numpy": np.__version__,
-        "numba_path": bool(NUMBA_ENABLED),
         "experiment": cfg.experiment,
         "config": cfg.source,
         "h": cfg.scheme.h,

@@ -106,7 +106,8 @@ class QuadratureTable:
     ``nf_axis`` holds, per axis, the exact integral of z_axis^2 K^alpha over
     the near region (zero for alpha < 1, where the near field is dropped).
     ``tail_mass`` over-estimates the kernel mass beyond the covered region
-    (``tail_sides`` splits it per direction in 1-D).
+    (``tail_sides`` splits it per direction in 1-D).  ``plan`` weakly
+    references the last ``operators.SweepPlan`` built on this table.
     """
 
     kernel: Kernel
@@ -122,6 +123,7 @@ class QuadratureTable:
     tail_sides: np.ndarray
     sum_w: float = field(init=False)
     m1: np.ndarray = field(init=False)
+    plan: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.sum_w = float(self.weights.sum())
@@ -284,8 +286,29 @@ def exterior_mass(k: Kernel, dom: Domain, x, qt: QuadratureTable) -> float:
 
 def exterior_mass_many(k: Kernel, dom: Domain, pts: np.ndarray,
                        qt: QuadratureTable) -> np.ndarray:
+    """:func:`exterior_mass` at every row of ``pts``, vectorized in chunks.
+
+    On a box, x + z*h is inside iff lo_a < x_a + z_a*h < hi_a on each axis,
+    the float test of :func:`exterior_mass`.  With per-axis indicators and
+    the dense weight table W the mass sums nonnegative terms only:
+    W out_0 in 1-D, W out_0 + W in_0 out_1 in 2-D.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    J = int(np.abs(qt.offsets).max(initial=0))
+    zh = np.arange(-J, J + 1) * qt.h
+    W = np.zeros((2 * J + 1,) * qt.dim)
+    W[tuple((qt.offsets + J).T)] = qt.weights
+    W0 = W.reshape(2 * J + 1, -1).sum(axis=1)
+    lo, hi = dom.lower, dom.upper
     out = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        out[i] = exterior_mass(k, dom, x, qt)
+    chunk = max(1, 2 ** 14 // (2 * J + 1))
+    for s in range(0, pts.shape[0], chunk):
+        x = pts[s:s + chunk]
+        p = x[:, 0:1] + zh
+        in0 = ((lo[0] < p) & (p < hi[0])).astype(float)
+        mass = (1.0 - in0) @ W0
+        if qt.dim == 2:
+            q = x[:, 1:2] + zh
+            mass += ((in0 @ W) * (1.0 - ((lo[1] < q) & (q < hi[1])))).sum(axis=1)
+        out[s:s + chunk] = mass + qt.tail_mass
     return out

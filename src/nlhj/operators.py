@@ -6,18 +6,20 @@ Dirichlet datum; exterior nodes always carry the datum at the field's time,
 and boundary-trace nodes carry the upper (max) or lower (min) envelope of the
 stored value and the datum, per the field's policy.
 
-The full-grid sweep used by the time stepper is the hot path: an explicit
-loop version is compiled with numba and a vectorized numpy twin is selected
-by the ``NLHJ_DISABLE_NUMBA`` environment flag (see ``_accel``).
+The full-grid sweep used by the time stepper is the hot path: a
+:class:`SweepPlan` evaluates the operator at every core node as one FFT
+correlation of the core block plus a cached exterior load.
+:func:`eval_operator` is the independent single-node evaluation.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dfield
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit, prange
 from .errors import NodeOutsideGrid, UnsupportedOrder
 from .geometry import Domain, Grid, signed_distance_many
 from .kernels import QuadratureTable
@@ -106,164 +108,179 @@ class Field:
         1-D: the two outermost stored nodes (left, right).  2-D: the mean of
         the outermost shell, returned as a single entry.
         """
-        g = self.grid
-        if g.dim == 1:
-            return np.array([self.values[0], self.values[-1]])
-        v = self.values.reshape(g.shape)
-        shell = np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
-        return np.array([shell.mean()])
+        return _tail_values(self.grid, self.values)
+
+
+def _tail_values(g: Grid, values: np.ndarray) -> np.ndarray:
+    if g.dim == 1:
+        return np.array([values[0], values[-1]])
+    v = values.reshape(g.shape)
+    shell = np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
+    return np.array([shell.mean()])
 
 
 def save_field(f: Field, path, alpha: float):
     """Write coordinates and values as a text table with a metadata header."""
     pts = f.grid.points()
     cols = [pts[:, a] for a in range(f.grid.dim)] + [f.values]
+    row = "\t".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# t={f.t:.17g} h={f.grid.h:.17g} alpha={alpha:.17g}\n")
-        for row in zip(*cols):
-            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
 
 
 # ---------------------------------------------------------------------------
 # full-grid sweep (hot path)
 # ---------------------------------------------------------------------------
 
-def _sweep_loops_py(E, centers, core, off, w, sum_w, strides, nf_coeffs,
-                    use_comp, m1, h, out):
-    # explicit loops; compiled by numba when enabled (each node owns one
-    # fixed-order accumulation, so the parallel schedule cannot change bits)
-    for i in prange(core.shape[0]):
-        base = core[i]
-        acc = 0.0
-        for k in range(off.shape[0]):
-            acc += w[k] * E[base + off[k]]
-        acc -= sum_w * centers[i]
-        for a in range(strides.shape[0]):
-            c = nf_coeffs[a]
-            if c != 0.0:
-                s = strides[a]
-                acc += c * (E[base + s] - 2.0 * centers[i] + E[base - s])
-        if use_comp:
-            for a in range(strides.shape[0]):
-                s = strides[a]
-                pbar = (E[base + s] - E[base - s]) / (2.0 * h)
-                acc -= pbar * m1[a]
-        out[i] = acc
-    return out
+@lru_cache(maxsize=None)
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n: FFT lengths with only the factors
+    2, 3 and 5 run several times faster than lengths with a large prime."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
-_sweep_loops = maybe_njit(_sweep_loops_py, parallel=True)
+# numpy's 1-D transforms skip the n-D wrappers' per-call overhead
+def _rfft(a: np.ndarray, shape: tuple) -> np.ndarray:
+    return np.fft.rfft(a, shape[0]) if len(shape) == 1 else np.fft.rfft2(a, shape)
 
 
-def dense_taps_1d(qt: QuadratureTable, nf_coeffs, use_comp: bool):
-    """Dense tap vector for the 1-D correlate fallback: every E-linear term
-    (weights, near-field neighbors, compensator moment) in one stencil."""
-    C = max(int(np.abs(qt.offsets).max(initial=0)), 1)
-    taps = np.zeros(2 * C + 1)
-    if len(qt.offsets):
-        np.add.at(taps, C + qt.offsets[:, 0], qt.weights)
-    c = nf_coeffs[0]
-    taps[C + 1] += c
-    taps[C - 1] += c
-    if use_comp:
-        taps[C + 1] -= qt.m1[0] / (2.0 * qt.h)
-        taps[C - 1] += qt.m1[0] / (2.0 * qt.h)
-    diag = qt.sum_w + 2.0 * c
-    return taps, C, diag
+def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple):
+    """The correlation with spectrum ``spec`` of ``a`` zero-padded to
+    ``shape``, at the nodes selected by ``keep``, flattened."""
+    prod = _rfft(a, shape) * spec
+    if len(shape) == 1:
+        return np.fft.irfft(prod, shape[0])[keep].ravel()
+    return np.fft.irfft2(prod, shape)[keep].ravel()
 
 
-def _sweep_numpy(E, centers, core, off, w, sum_w, strides, nf_coeffs,
-                 use_comp, m1, h, out, taps=None, tap_center=0, diag=0.0):
-    if taps is not None:
-        # 1-D: dense correlation carries every E-linear term
-        conv = np.correlate(E, taps, mode="valid")
-        np.subtract(conv[core - tap_center], diag * centers, out=out)
-        return out
-    # chunked gather keeps the temporary index matrix cache-sized
-    chunk = max(1, 2_000_000 // max(off.shape[0], 1))
-    for s in range(0, core.shape[0], chunk):
-        blk = core[s:s + chunk]
-        out[s:s + chunk] = E[blk[:, None] + off[None, :]] @ w
-    out -= sum_w * centers
-    for a in range(strides.shape[0]):
-        c = nf_coeffs[a]
-        if c != 0.0:
-            s = strides[a]
-            out += c * (E[core + s] - 2.0 * centers + E[core - s])
-    if use_comp:
-        for a in range(strides.shape[0]):
-            s = strides[a]
-            out -= (E[core + s] - E[core - s]) / (2.0 * h) * m1[a]
-    return out
+def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
+    """``spec`` for which :func:`_correlate` gives sum_z taps[z] a[x + z];
+    ``taps`` is centred (odd length per axis)."""
+    padded = np.zeros(shape)
+    idx = [np.arange(-(m // 2), m // 2 + 1) % n for m, n in zip(taps.shape, shape)]
+    padded[np.ix_(*idx)] = taps
+    return np.conj(_rfft(padded, shape))
 
 
 @dataclass
 class SweepPlan:
-    """Precomputed index data binding a grid to a quadrature table."""
+    """The scheme's operator on one grid and quadrature table, evaluated as
+    one translation-invariant lattice stencil.
+
+    Every term linear in the extension array E (far weights, near-field
+    second differences, compensator) is a dense stencil S on offsets
+    ``|z_a| <= J``.  Split E into the core block (interior and trace nodes,
+    a box of ``n_core + 1`` nodes per axis) and the exterior datum; then at
+    each core node
+
+        out = corr(E_core, S) + load - (sum_w + 2 sum_a c_a + tail_mass) * center
+
+    where corr is a zero-padded FFT correlation whose kernel spectrum is
+    built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
+    that leave the core, tail included.
+    """
 
     grid: Grid
     qt: QuadratureTable
-    off_flat: np.ndarray = dfield(init=False)
-    strides: np.ndarray = dfield(init=False)
-    nf_coeffs: np.ndarray = dfield(init=False)
-    use_comp: bool = dfield(init=False)
-    taps: np.ndarray | None = dfield(init=False, default=None, repr=False)
-    tap_center: int = dfield(init=False, default=0)
-    diag: float = dfield(init=False, default=0.0)
+    diag: float = dfield(init=False)
+    exit_mass: np.ndarray = dfield(init=False, repr=False)
+    core_box: tuple = dfield(init=False, repr=False)
+    _stencil: np.ndarray = dfield(init=False, repr=False)
+    _box_start: tuple = dfield(init=False, repr=False)
+    _core_fft: tuple = dfield(init=False, repr=False)
+    _core_spec: np.ndarray = dfield(init=False, repr=False)
+    _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
         g, qt = self.grid, self.qt
         if qt.dim != g.dim:
             raise ValueError("quadrature dimension does not match the grid")
-        J = int(np.abs(qt.offsets).max(initial=0))
-        need = max(J, 1)
-        if g.halo < need:
-            raise ValueError(f"grid halo {g.halo} too small for offsets (need {need})")
-        self.off_flat = g.offset_to_flat(qt.offsets)
-        self.strides = np.asarray(g.strides, dtype=np.int64)
-        self.nf_coeffs = qt.nf_axis / (2.0 * qt.h ** 2)
-        self.use_comp = bool(qt.alpha >= 1 and np.abs(qt.m1).max(initial=0) > 1e-15)
-        if g.dim == 1:
-            # dense contiguous stencil: faster for both backends in 1-D
-            self.taps, self.tap_center, self.diag = dense_taps_1d(
-                qt, self.nf_coeffs, self.use_comp)
-            self._off_dense = np.arange(-self.tap_center, self.tap_center + 1,
-                                        dtype=np.int64)
-            self._zeros1 = np.zeros(1)
+        J = max(int(np.abs(qt.offsets).max(initial=0)), 1)
+        if g.halo < J:
+            raise ValueError(f"grid halo {g.halo} too small for offsets (need {J})")
+        box = tuple(n + 1 for n in g.n_core)
+        self.core_box = tuple(slice(g.halo, g.halo + m) for m in box)
+        box_flat = np.arange(g.size).reshape(g.shape)[self.core_box].ravel()
+        if not np.array_equal(box_flat, g.core_flat):
+            raise ValueError("core nodes do not form the box of interior and trace nodes")
+
+        S = np.zeros((2 * J + 1,) * g.dim)
+        S[tuple((qt.offsets + J).T)] = qt.weights
+        c = qt.nf_axis / (2.0 * qt.h ** 2)
+        use_comp = qt.alpha >= 1 and np.abs(qt.m1).max(initial=0) > 1e-15
+        comp = qt.m1 / (2.0 * qt.h) if use_comp else np.zeros(g.dim)
+        for a, e in enumerate(np.eye(g.dim, dtype=int)):
+            S[tuple(J + e)] += c[a] - comp[a]
+            S[tuple(J - e)] += c[a] + comp[a]
+        self._stencil = S
+        self.diag = qt.sum_w + 2.0 * float(c.sum()) + qt.tail_mass
+
+        # inside the core a jump spans at most n_core per axis: truncate the
+        # stencil there and pad so the circular wrap never reaches the box
+        K = tuple(min(J, n) for n in g.n_core)
+        self._box_start = tuple(slice(0, m) for m in box)
+        self._core_fft = tuple(_fft_length(m + k) for m, k in zip(box, K))
+        self._core_spec = _correlation_spectrum(
+            S[tuple(slice(J - k, J + k + 1) for k in K)], self._core_fft)
+        # the halo holds every landing point of a jump from the core
+        self._full_fft = tuple(_fft_length(n) for n in g.shape)
+        # stencil mass of the jumps that leave the core, tail included: the
+        # load of a unit constant datum
+        inside = _correlate(np.ones(box), self._core_spec, self._core_fft,
+                            self._box_start)
+        self.exit_mass = S.sum() - inside + qt.tail_mass
+
+    @cached_property
+    def _full_spec(self) -> np.ndarray:
+        return _correlation_spectrum(self._stencil, self._full_fft)
+
+    def exterior_load(self, E: np.ndarray) -> np.ndarray:
+        """Per core node, the stencil terms whose jump leaves the core, plus
+        the tail against the constant continuation.  Reads only exterior
+        values of E, so it changes only when the datum does."""
+        g = self.grid
+        ext = E[g.exterior_flat]
+        if np.all(ext == ext[0]):
+            # a constant datum needs no transform (the common case)
+            return ext[0] * self.exit_mass
+        padded = E.reshape(g.shape).copy()
+        padded[self.core_box] = 0.0
+        load = _correlate(padded, self._full_spec, self._full_fft, self.core_box)
+        return load + self.qt.tail_sides @ _tail_values(g, E)
 
     def apply(self, E: np.ndarray, centers: np.ndarray,
-              tail_vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Operator values at every core node (interior + trace).
+              load: np.ndarray) -> np.ndarray:
+        """Operator values at every core node (interior + trace), in
+        ``core_flat`` order.
 
         ``centers`` supplies the value subtracted at the evaluated node (the
-        solver passes the raw solution there; the Field API passes the stored
-        envelope).  ``tail_vals`` per `Field.tail_values`.
+        solver passes the raw solution there); ``load`` is
+        :meth:`exterior_load` of an array with the same exterior values.
         """
-        g, qt = self.grid, self.qt
-        core = g.core_flat
-        if out is None:
-            out = np.empty(core.shape[0])
-        if g.dim == 1:
-            # taps absorb the near field and compensator moment
-            args = (E, centers, core, self._off_dense, self.taps, self.diag,
-                    self.strides, self._zeros1, False, self._zeros1, qt.h, out)
-        else:
-            args = (E, centers, core, self.off_flat, qt.weights, qt.sum_w,
-                    self.strides, self.nf_coeffs, self.use_comp, qt.m1, qt.h, out)
-        if NUMBA_ENABLED:
-            _sweep_loops(*args)
-        elif g.dim == 1:
-            _sweep_numpy(*args, taps=self.taps, tap_center=self.tap_center,
-                         diag=self.diag)
-        else:
-            _sweep_numpy(*args)
-        if qt.tail_mass > 0.0:
-            if g.dim == 1:
-                out += qt.tail_sides[0] * (tail_vals[0] - centers)
-                out += qt.tail_sides[1] * (tail_vals[1] - centers)
-            else:
-                out += qt.tail_mass * (tail_vals[0] - centers)
+        core = E.reshape(self.grid.shape)[self.core_box]
+        out = _correlate(core, self._core_spec, self._core_fft, self._box_start)
+        out += load
+        out -= self.diag * centers
         return out
+
+
+def plan_for(grid: Grid, qt: QuadratureTable) -> SweepPlan:
+    """The plan binding ``grid`` to ``qt``, shared by every live state on the
+    pair so the spectra are built once.  The table holds it weakly: a strong
+    reference would close the cycle table -> plan -> table."""
+    plan = qt.plan() if qt.plan is not None else None
+    if plan is None or plan.grid is not grid:
+        plan = SweepPlan(grid, qt)
+        qt.plan = weakref.ref(plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .geometry import Grid
 from .hamiltonians import (CoefficientField, lf_viscosity_bound,
                            numerical_hamiltonian_many)
 from .kernels import QuadratureTable
-from .operators import Field, SweepPlan
+from .operators import Field, SweepPlan, plan_for
 
 
 @dataclass
@@ -64,6 +64,7 @@ class SolveState:
     sup_norm: float = 0.0
     sigma_growth: int = 0
     last_dt: float = 0.0
+    load: np.ndarray | None = None   # plan.exterior_load at time t
     _core_pts: np.ndarray = dfield(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -100,8 +101,9 @@ def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
     raw[grid.core_flat] = eval_initial(u0, core_pts)
     ext_pts = grid.points_at(grid.exterior_flat)
     raw[grid.exterior_flat] = phi(ext_pts, t0)
-    plan = SweepPlan(grid, qt)
-    st = SolveState(grid, plan, spec, phi, raw, t=t0)
+    plan = plan_for(grid, qt)
+    st = SolveState(grid, plan, spec, phi, raw, t=t0,
+                    load=plan.exterior_load(raw))
     sup_u = st.sup_norm
     sup_phi = float(np.abs(raw[grid.exterior_flat]).max(initial=0.0))
     st.m_cap = cfg.m_cap if cfg.m_cap is not None else 1e3 * (1.0 + sup_u + sup_phi)
@@ -139,15 +141,6 @@ def _one_sided_gradients(st: SolveState, E: np.ndarray):
     return pm, pp
 
 
-def _tail_values(st: SolveState, E: np.ndarray) -> np.ndarray:
-    g = st.grid
-    if g.dim == 1:
-        return np.array([E[0], E[-1]])
-    v = E.reshape(g.shape)
-    shell = np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
-    return np.array([shell.mean()])
-
-
 def cfl_denominator(st: SolveState, t: float) -> float:
     qt = st.qt
     pts = st._core_pts
@@ -181,7 +174,7 @@ def _rhs(st: SolveState, t: float) -> np.ndarray:
     E = _envelope(st)
     core = st.grid.core_flat
     centers = st.raw[core]
-    op = st.plan.apply(E, centers, _tail_values(st, E))
+    op = st.plan.apply(E, centers, st.load)
     pm, pp = _one_sided_gradients(st, E)
     hvals = numerical_hamiltonian_many(st.spec, st._core_pts, t, centers,
                                        pm, pp, st.sigma)
@@ -227,6 +220,8 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     st.last_dt = use
     ext = st.grid.exterior_flat
     st.raw[ext] = st.phi(st.grid.points_at(ext), st.t)
+    if st.phi.time_dependent:
+        st.load = st.plan.exterior_load(st.raw)
     st.steps += 1
     st.sup_norm = float(np.abs(st.raw[core]).max())
     if not np.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:

@@ -180,6 +180,23 @@ def test_holder_quotient_zero_field(dom1, k05):
     assert q == 0.0
 
 
+@pytest.mark.parametrize("lower, upper, h", [
+    ((-1.0,), (1.0,), 2.0 ** -5), ((-0.3,), (0.7,), 0.05),
+    ((-1.0, -0.5), (1.0, 0.5), 0.1), ((0.1, -1.0), (0.6, 1.3), 0.05)])
+@pytest.mark.parametrize("max_sep", [0.01, 0.13, 0.25, 5.0])
+def test_holder_quotient_matches_all_pairs(lower, upper, h, max_sep):
+    # bit-identical to the all-pairs form it replaced
+    from nlhj.geometry import Grid
+    g = Grid(Domain(lower, upper), h, halo=1)
+    u = np.random.default_rng(5).standard_normal(len(g.core_flat))
+    pts = g.points_at(g.core_flat)
+    diff = np.abs(u[:, None] - u[None, :])
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    mask = (d > 1e-12) & (d <= max_sep)
+    ref = float((diff[mask] / d[mask] ** 0.75).max()) if mask.any() else 0.0
+    assert holder_quotient(g, u, 0.75, max_sep) == ref
+
+
 def test_coercive_loss_gate(dom1):
     k = fractional_laplacian_kernel(1.5, 1)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=1.0)  # m < alpha

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nlhj.errors import InvalidResolution, OriginSingularity
-from nlhj.geometry import Domain
+from nlhj.geometry import Domain, Grid
 from nlhj.kernels import (build_quadrature, custom_radial_kernel,
-                          exterior_mass, fractional_laplacian_kernel,
-                          indicator_kernel, kernel_density, zero_kernel)
+                          exterior_mass, exterior_mass_many,
+                          fractional_laplacian_kernel, indicator_kernel,
+                          kernel_density, zero_kernel)
 from nlhj.oracles import exterior_mass_closed_form, tail_mass_closed_form
 
 
@@ -140,6 +141,22 @@ def test_exterior_mass_monotone_toward_boundary(dom1, k05):
     xs = [0.0, 0.5, 0.75, 0.875, 0.9375]
     vals = [exterior_mass(k05, dom1, x, qt) for x in xs]
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("dim, alpha, h, r_max", [
+    (1, 0.5, 2.0 ** -6, 4.0), (1, 1.5, 0.1, 1.0),
+    (2, 0.5, 0.125, 4.0), (2, 1.5, 0.1, 1.0)])
+def test_exterior_mass_many_matches_single_node(dim, alpha, h, r_max):
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    k = fractional_laplacian_kernel(alpha, dim)
+    qt = build_quadrature(k, h, r_max)
+    g = Grid(dom, h, halo=1)
+    rng = np.random.default_rng(11)
+    pts = np.vstack([g.points_at(g.core_flat),
+                     rng.uniform(-1.0, 1.0, size=(50, dim))])
+    got = exterior_mass_many(k, dom, pts, qt)
+    ref = np.array([exterior_mass(k, dom, x, qt) for x in pts])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_exterior_mass_zero_kernel(dom1):

@@ -8,6 +8,7 @@ from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
 from nlhj.operators import (ALL, Field, Region, eval_censored, eval_operator,
                             scheme_evaluation)
 from nlhj.oracles import censored_oracle_1d, operator_oracle_1d
+from nlhj.solver import SchemeConfig, init_state, step
 
 from conftest import grid_for
 
@@ -179,6 +180,9 @@ def test_field_serialization_header(tmp_path, dom1):
     assert lines[0].startswith("# t=0.5 h=0.25 alpha=0.5")
     assert len(lines) == 1 + g.size
     assert len(lines[1].split("\t")) == 2  # coordinate, value
+    # one "%.17g" per column, as formatting each value on its own gives
+    rows = zip(g.points()[:, 0], f.values)
+    assert lines[1:] == ["\t".join(f"{v:.17g}" for v in row) for row in rows]
 
 
 def test_scheme_evaluation_trivial(dom1, k05):
@@ -207,3 +211,44 @@ def test_operator_2d_radial_oracle(dom2):
     ref = operator_oracle_2d_radial(lambda r: max(0.0, 1.0 - r * r), k,
                                     points=[1.0])
     assert v == pytest.approx(ref, rel=5e-2)
+
+
+@pytest.mark.parametrize("dim, alpha, h, r_max", [
+    (1, 0.5, 0.1, 1.0),        # J = 10 < n_core = 20
+    (1, 1.5, 2.0 ** -5, 4.0),  # J = 128 > n_core = 64
+    (2, 0.5, 0.125, 2.0),      # J = n_core = 16
+    (2, 1.5, 0.1, 1.0),        # J = 10 < n_core = 20
+])
+@pytest.mark.parametrize("varying", [True, False])
+def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
+    # the solver's sweep against the single-node reference at every core
+    # node, over steps with a t-dependent datum (exterior load refreshed),
+    # varying in space or constant (the load's transform-free case)
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    g = grid_for(dom, h, r_max)
+    qt = build_quadrature(fractional_laplacian_kernel(alpha, dim), h, r_max)
+    if varying:
+        phi = lambda p, t: 0.3 * np.sin(2.0 * p.sum(axis=1)) + 0.5 * t
+    else:
+        phi = lambda p, t: np.full(p.shape[0], 0.5 * np.exp(-t))
+    u0 = lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1))
+    spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
+                       dim=dim)
+    cfg = SchemeConfig(h=h)
+    st = init_state(g, qt, spec, phi, u0, cfg)
+    box = np.arange(g.size).reshape(g.shape)[st.plan.core_box].ravel()
+    assert np.array_equal(box, g.core_flat)
+    strides = np.asarray(g.strides)
+    for _ in range(3):
+        f = Field(g, st.raw.copy(), phi, st.t)
+        E = f.values
+        centers = st.raw[g.core_flat]
+        got = st.plan.apply(E, centers, st.load)
+        ref = np.empty_like(got)
+        for i, (flat, x) in enumerate(zip(g.core_flat, g.points_at(g.core_flat))):
+            p = (E[flat + strides] - E[flat - strides]) / (2.0 * h)
+            # shifted to the raw centre as in scheme_evaluation
+            ref[i] = (eval_operator(f, x, p, qt, ALL)
+                      + qt.lam * (E[flat] - centers[i]))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        step(st, cfg)
