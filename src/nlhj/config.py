@@ -21,15 +21,16 @@ from .boundary import check_sigma
 from .errors import (BlowUp, BoundViolated, CflViolation, NonConvergence,
                      ParseError, PreconditionError, ValidationError)
 from .expressions import Expression
-from .geometry import Domain, Grid
+from .geometry import Domain
 from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
                            CoerciveSpec, check_compatibility, check_H1,
                            check_H2, check_H2prime, check_superfractional,
                            check_UE)
-from .kernels import (Kernel, build_quadrature, custom_radial_kernel,
+from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
 from .operators import Field, save_field
-from .solver import SchemeConfig, init_state, run_to_steady, run_to_time
+from .solver import (SchemeConfig, eval_initial, init_state, run_to_steady,
+                     run_to_time)
 from . import harness
 
 EXPERIMENTS = ("run", "comparison", "boundary_behavior", "coercive_loss",
@@ -47,7 +48,6 @@ class RunConfig:
     scheme: SchemeConfig
     steady: bool
     r_max: float
-    r_cut: float | None
     experiment: str
     params: dict
     outdir: Path
@@ -218,7 +218,9 @@ def parse_config(path) -> RunConfig:
     m_cap = _parse_float(cp, "scheme", "m_cap", errors, None)
     max_steps = int(_parse_float(cp, "scheme", "max_steps", errors, 2e6) or 2e6)
     r_max = _parse_float(cp, "scheme", "r_max", errors, None)
-    r_cut = _parse_float(cp, "scheme", "r_cut", errors, None)
+    if cp.has_option("scheme", "r_cut"):
+        errors.append("[scheme] r_cut is not a setting: the near-field radius "
+                      "follows from h and alpha")
     scheme = None
     if h is not None:
         try:
@@ -286,7 +288,7 @@ def parse_config(path) -> RunConfig:
         raise ValidationError(errors)
     return RunConfig(domain=dom, kernel=kern, spec=spec, u0=u0, phi=phi,
                      phi_limit=phi_limit, scheme=scheme, steady=steady,
-                     r_max=r_max, r_cut=r_cut, experiment=exp, params=params,
+                     r_max=r_max, experiment=exp, params=params,
                      outdir=outdir, source=text)
 
 
@@ -304,13 +306,13 @@ def _write_tsv(path: Path, header, rows):
 
 def run_certificates(cfg: RunConfig) -> dict:
     """Certificates scheduled for the chosen experiment."""
-    qt = build_quadrature(cfg.kernel, cfg.scheme.h, cfg.r_max, cfg.r_cut)
-    grid = Grid(cfg.domain, cfg.scheme.h,
-                halo=harness.default_halo(cfg.r_max, cfg.scheme.h))
-    pts = grid.points_at(grid.core_flat)
+    plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
+    grid, qt = plan.grid, plan.qt
+    pts = grid.core_points
     certs = {}
     certs["H1"] = check_H1(cfg.spec, pts)
-    f0 = Field.from_function(grid, lambda p: _u0_values(cfg, p), cfg.phi, 0.0)
+    f0 = Field.from_function(grid, lambda p: eval_initial(cfg.u0, p), cfg.phi,
+                             0.0)
     certs["H0"] = check_compatibility(f0)
     certs["H2"] = check_H2(cfg.spec, cfg.domain, cfg.kernel, qt, pts)
     if cfg.experiment in ("rate", "large_time"):
@@ -324,11 +326,6 @@ def run_certificates(cfg: RunConfig) -> dict:
     if cfg.experiment == "coercive_loss":
         certs["A1"] = check_superfractional(cfg.spec, cfg.kernel, pts)
     return certs
-
-
-def _u0_values(cfg: RunConfig, pts):
-    from .solver import eval_initial
-    return eval_initial(cfg.u0, pts)
 
 
 def _gating(cfg: RunConfig, certs: dict):
@@ -357,8 +354,11 @@ def execute(cfg: RunConfig) -> int:
     status = 0
     result = None
     try:
-        qt = build_quadrature(cfg.kernel, cfg.scheme.h, cfg.r_max, cfg.r_cut)
-        manifest["cfl"] = {"lambda": qt.lam, "theta": cfg.scheme.theta,
+        # held until the run ends: the certificates and the experiment
+        # share this discretization instead of building their own
+        plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
+                                  cfg.r_max)
+        manifest["cfl"] = {"lambda": plan.qt.lam, "theta": cfg.scheme.theta,
                            "dt": cfg.scheme.dt}
         certs = run_certificates(cfg)
         manifest["certificates"] = {k: v.as_dict() for k, v in certs.items()}
@@ -399,9 +399,9 @@ def _plain(obj):
 def _dispatch(cfg: RunConfig, manifest: dict):
     dom, kern, spec, scheme = cfg.domain, cfg.kernel, cfg.spec, cfg.scheme
     if cfg.experiment == "run":
-        qt = build_quadrature(kern, scheme.h, cfg.r_max, cfg.r_cut)
-        grid = Grid(dom, scheme.h, halo=harness.default_halo(cfg.r_max, scheme.h))
-        st = init_state(grid, qt, spec, cfg.phi, cfg.u0, scheme)
+        plan = harness.discretize(dom, kern, scheme.h, cfg.r_max)
+        grid = plan.grid
+        st = init_state(grid, plan.qt, spec, cfg.phi, cfg.u0, scheme)
         if cfg.steady:
             st, rep = run_to_steady(st, scheme)
             rows = [(i, r) for i, r in enumerate(rep.residuals)]
@@ -414,9 +414,8 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             f = Field(grid, raw, cfg.phi, t)
             save_field(f, cfg.outdir / f"field_t{i:04d}.tsv", kern.alpha)
         gap_rows = []
-        tr_pts = grid.points_at(grid.trace_flat)
         for t, gaps in rep.trace_gap_series:
-            for p, gval in zip(tr_pts, gaps):
+            for p, gval in zip(grid.trace_points, gaps):
                 gap_rows.append((*p, t, gval))
         _write_tsv(cfg.outdir / "trace_gaps.tsv",
                    ("x",) * grid.dim + ("t", "gap"), gap_rows)
@@ -429,7 +428,6 @@ def _dispatch(cfg: RunConfig, manifest: dict):
     if cfg.experiment == "comparison":
         seeds = cfg.params.get("seeds", 20)
         if "u0_b" in cfg.params or "phi_b" in cfg.params:
-            from .solver import eval_initial
             u0b = cfg.params.get("u0_b", cfg.u0)
             phib = CoefficientField(cfg.params.get("phi_b", cfg.phi), "phi_b")
             res = harness.comparison_experiment(

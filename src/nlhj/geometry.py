@@ -150,7 +150,9 @@ class Grid:
     Node coordinates along axis a are ``lower[a] + i*h`` for
     ``i in [-halo, n_core[a] + halo]``.  Storage is a flat float array in row
     major order; ``core_flat`` lists flat indices of nodes with d(x) > -h/2
-    (interior plus boundary trace).
+    (interior plus boundary trace).  ``core_points``, ``trace_points`` and
+    ``exterior_points`` hold the coordinates of each node set, read-only
+    because every run on the grid shares them.
     """
 
     domain: Domain
@@ -163,6 +165,9 @@ class Grid:
     trace_flat: np.ndarray = field(init=False, repr=False)
     exterior_flat: np.ndarray = field(init=False, repr=False)
     interior_flat: np.ndarray = field(init=False, repr=False)
+    core_points: np.ndarray = field(init=False, repr=False)
+    trace_points: np.ndarray = field(init=False, repr=False)
+    exterior_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -189,6 +194,10 @@ class Grid:
         self.exterior_flat = flat[cls == EXTERIOR]
         self.interior_flat = flat[cls == INTERIOR]
         self.signed_d = d
+        for name in ("core", "trace", "exterior"):
+            p = pts[getattr(self, f"{name}_flat")]
+            p.setflags(write=False)
+            setattr(self, f"{name}_points", p)
 
     @property
     def dim(self):

@@ -10,7 +10,8 @@ headline metrics, and plot-ready tables; preconditions are gated and raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dfield
+import weakref
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
                            check_H2prime, check_superfractional, check_UE)
 from .kernels import Kernel, build_quadrature
+from .operators import SweepPlan, plan_for
 from .solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
                      run_to_time, step)
 
@@ -36,24 +38,35 @@ class ExperimentResult:
         return self.metrics[key]
 
 
-def default_halo(r_max: float, h: float) -> int:
-    return int(np.floor(r_max / h + 1e-12))
+_DISCRETIZATIONS = weakref.WeakValueDictionary()
 
 
-def build_run(dom: Domain, k: Kernel, cfg: SchemeConfig, spec, phi, u0,
-              r_max: float | None = None, r_cut: float | None = None):
-    """Grid + quadrature + initial state for one run."""
+def discretize(dom: Domain, k: Kernel, h: float,
+               r_max: float | None = None) -> SweepPlan:
+    """The problem on the lattice: a grid over the domain plus an exterior
+    halo of reach r_max (default four diameters), the kernel's quadrature
+    table, and the sweep plan binding them (``.grid``, ``.qt``).
+
+    Every caller asking for the same (domain, kernel, h, r_max) gets the
+    same plan while any of them still references it, so a run that
+    certifies and then evolves discretizes once; a released plan is built
+    afresh on the next request.
+    """
     if r_max is None:
         r_max = 4.0 * dom.diameter
-    qt = build_quadrature(k, cfg.h, r_max, r_cut)
-    grid = Grid(dom, cfg.h, halo=default_halo(r_max, cfg.h))
-    return grid, qt, init_state(grid, qt, spec, phi, u0, cfg)
+    key = (dom, k, h, r_max)
+    plan = _DISCRETIZATIONS.get(key)
+    if plan is None:
+        qt = build_quadrature(k, h, r_max)
+        grid = Grid(dom, h, halo=int(np.floor(r_max / h + 1e-12)))
+        plan = _DISCRETIZATIONS[key] = plan_for(grid, qt)
+    return plan
 
 
 def trace_face_map(grid: Grid, dom: Domain) -> dict:
     """Trace-node indices grouped by the face they lie on (corners in both)."""
     names = dom.face_names()
-    pts = grid.points_at(grid.trace_flat)
+    pts = grid.trace_points
     out = {}
     lo, hi = np.array(dom.lower), np.array(dom.upper)
     tol = grid.h / 2
@@ -80,15 +93,11 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     """
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
-    if r_max is None:
-        r_max = 4.0 * dom.diameter
-    qt = build_quadrature(k, cfg.h, r_max)
-    grid = Grid(dom, cfg.h, halo=default_halo(r_max, cfg.h))
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid, qt = plan.grid, plan.qt
 
     def make_states(shared_sigma):
-        c = SchemeConfig(h=cfg.h, theta=cfg.theta, dt=cfg.dt,
-                         m_cap=cfg.m_cap, max_steps=cfg.max_steps,
-                         sigma_override=shared_sigma)
+        c = replace(cfg, sigma_override=shared_sigma)
         return (init_state(grid, qt, spec, phi_a, u0_a, c),
                 init_state(grid, qt, spec, phi_b, u0_b, c), c)
 
@@ -99,11 +108,10 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     sa, sb, cpair = make_states(shared)
 
     core = grid.core_flat
-    ext = grid.exterior_flat
     # precondition: nodewise ordering of both data sets over the window
     if np.any(sa.raw[core] > sb.raw[core] + 1e-14):
         raise PreconditionError("initial data are not ordered u0 <= v0")
-    ext_pts = grid.points_at(ext)
+    ext_pts = grid.exterior_points
     pa = CoefficientField(phi_a, "phi_a")
     pb = CoefficientField(phi_b, "phi_b")
     for t in np.linspace(0.0, T, 5):
@@ -201,14 +209,14 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
     ue = check_UE(k)
     if not ue.passed:
         raise PreconditionError(f"uniform ellipticity (UE) failed: {ue.details}")
-    grid, qt, st = build_run(dom, k, cfg, spec, phi, u0, r_max)
-    cfg_run = cfg if cfg.snapshot_dt else SchemeConfig(
-        h=cfg.h, theta=cfg.theta, dt=cfg.dt, m_cap=cfg.m_cap,
-        max_steps=cfg.max_steps, snapshot_dt=T / 20)
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid = plan.grid
+    st = init_state(grid, plan.qt, spec, phi, u0, cfg)
+    cfg_run = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 20)
     rep = run_to_time(st, cfg_run, T)
     cls = classify_boundary(spec, dom, (0.0, T))
     faces = trace_face_map(grid, dom)
-    tr_pts = grid.points_at(grid.trace_flat)
+    tr_pts = grid.trace_points
 
     tol = cfg.h * (1.0 + st.sup_norm)
     samples = []
@@ -279,7 +287,7 @@ def holder_quotient(grid: Grid, values_core: np.ndarray, exponent: float,
     in the core size; each quotient is computed as in the all-pairs form.
     """
     box = tuple(n + 1 for n in grid.n_core)
-    pts = grid.points_at(grid.core_flat).reshape(box + (grid.dim,))
+    pts = grid.core_points.reshape(box + (grid.dim,))
     u = np.asarray(values_core).reshape(box)
     reach = [min(int(max_sep / grid.h) + 1, m - 1) for m in box]
     best = 0.0
@@ -299,8 +307,9 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     """Steady solutions for constant boundary data c in phi_scales; the
     measured Holder-(m-alpha)/m quotient must respond sublinearly to a
     tenfold datum increase (interior gradient bound forcing boundary loss)."""
-    grid0 = Grid(dom, cfg.h, halo=1)
-    cert = check_superfractional(spec, k, grid0.points_at(grid0.core_flat))
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid = plan.grid
+    cert = check_superfractional(spec, k, grid.core_points)
     if not cert.passed:
         raise PreconditionError(
             f"superfractional condition (A1) failed: margin {cert.value}, "
@@ -310,7 +319,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     quotients = []
     sup_norms = []
     for c in phi_scales:
-        grid, qt, st = build_run(dom, k, cfg, spec, float(c), float(c), r_max)
+        st = init_state(grid, plan.qt, spec, float(c), float(c), cfg)
         st, rep = run_to_steady(st, cfg)
         u = st.raw[grid.core_flat]
         q = holder_quotient(grid, u, exponent)
@@ -371,12 +380,6 @@ def make_rate_bound(times, g_samples, mu0: float, dev0: float) -> RateBound:
     return RateBound(mu0, times, g, G, dev0, bound)
 
 
-def steady_reference(spec, dom, k, phi_limit, u0, cfg, r_max=None):
-    grid, qt, st = build_run(dom, k, cfg, spec, phi_limit, u0, r_max)
-    st, rep = run_to_steady(st, cfg)
-    return grid, qt, st, rep
-
-
 def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
                     T: float, cfg: SchemeConfig, eps_rate: float = 0.05,
                     r_max: float | None = None, mu_min: float = 1e-6,
@@ -390,12 +393,9 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     """
     if spec.time_dependent:
         raise PreconditionError("rate experiment requires a time-independent H")
-    if r_max is None:
-        r_max = 4.0 * dom.diameter
-    qt = build_quadrature(k, cfg.h, r_max)
-    grid = Grid(dom, cfg.h, halo=default_halo(r_max, cfg.h))
-    core_pts = grid.points_at(grid.core_flat)
-    cert = check_H2prime(spec, dom, k, qt, core_pts, mu_min=mu_min)
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid, qt = plan.grid, plan.qt
+    cert = check_H2prime(spec, dom, k, qt, grid.core_points, mu_min=mu_min)
     if not cert.passed:
         raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < {mu_min}")
     mu0 = cert.value
@@ -404,22 +404,18 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     # tolerance so the reference error stays far below the decayed bound
     st_inf = init_state(grid, qt, spec, phi_limit, u0, cfg)
     ref_tol = 1e-12 * (1.0 + st_inf.sup_norm)
-    ref_cfg = SchemeConfig(h=cfg.h, theta=cfg.theta, dt=cfg.dt,
-                           m_cap=cfg.m_cap, max_steps=cfg.max_steps,
-                           steady_tol=ref_tol)
+    ref_cfg = replace(cfg, steady_tol=ref_tol)
     st_inf, _ = run_to_steady(st_inf, ref_cfg)
     u_inf = st_inf.raw[grid.core_flat].copy()
 
     # parabolic run with snapshots
-    snap_cfg = cfg if cfg.snapshot_dt else SchemeConfig(
-        h=cfg.h, theta=cfg.theta, dt=cfg.dt, m_cap=cfg.m_cap,
-        max_steps=cfg.max_steps, snapshot_dt=T / 50)
+    snap_cfg = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 50)
     st = init_state(grid, qt, spec, phi, u0, snap_cfg)
     rep = run_to_time(st, snap_cfg, T)
 
     pl = CoefficientField(phi_limit, "phi_limit")
     ph = CoefficientField(phi, "phi")
-    ext_pts = grid.points_at(grid.exterior_flat)
+    ext_pts = grid.exterior_points
     phibar = pl(ext_pts, 0.0)
     times, devs, gs = [], [], []
     for t, raw in rep.snapshots:
@@ -472,12 +468,10 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
     T_ladder = sorted(T_ladder)
     if len(T_ladder) < 2:
         raise ValueError("need at least two horizons")
-    if r_max is None:
-        r_max = 4.0 * dom.diameter
-    qt = build_quadrature(k, cfg.h, r_max)
-    grid = Grid(dom, cfg.h, halo=default_halo(r_max, cfg.h))
-    ext_pts = grid.points_at(grid.exterior_flat)
-    core_pts = grid.points_at(grid.core_flat)
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid, qt = plan.grid, plan.qt
+    ext_pts = grid.exterior_points
+    core_pts = grid.core_points
 
     ph = CoefficientField(phi, "phi")
     pl = CoefficientField(phi_limit, "phi_limit")

@@ -200,20 +200,19 @@ def _near_second_moments(k: Kernel, h: float, near_offsets: np.ndarray) -> np.nd
     return out
 
 
-def build_quadrature(k: Kernel, h: float, r_max: float,
-                     r_cut: float | None = None) -> QuadratureTable:
+def build_quadrature(k: Kernel, h: float, r_max: float) -> QuadratureTable:
     """Precompute lattice weights for the operator of order alpha.
 
-    ``r_cut`` defaults to h for alpha < 1 (origin cell dropped) and to
-    max(h, sqrt(h)) for alpha >= 1, where the enlarged second-difference near
-    field keeps the scheme consistent of order >= 1 in h.
+    The near-field radius ``r_cut`` follows from h and alpha: h for
+    alpha < 1 (origin cell dropped) and max(h, sqrt(h)) for alpha >= 1, where
+    the enlarged second-difference near field keeps the scheme consistent of
+    order >= 1 in h.
     """
     if h <= 0:
         raise ValueError("spacing must be positive")
     if r_max < 10 * h:
         raise InvalidResolution(f"r_max = {r_max} below 10*h = {10 * h}")
-    if r_cut is None:
-        r_cut = h if k.alpha < 1 else max(h, float(np.sqrt(h)))
+    r_cut = h if k.alpha < 1 else max(h, float(np.sqrt(h)))
 
     J = int(np.floor(r_max / h + 1e-12))
     if k.dim == 1:

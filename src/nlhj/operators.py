@@ -75,11 +75,9 @@ class Field:
         self.t = float(t)
         self.policy = policy
         vals = self.raw.copy()
-        ext_pts = grid.points_at(grid.exterior_flat)
-        vals[grid.exterior_flat] = phi(ext_pts, t)
+        vals[grid.exterior_flat] = phi(grid.exterior_points, t)
         if len(grid.trace_flat):
-            tr_pts = grid.points_at(grid.trace_flat)
-            phi_tr = np.asarray(phi(tr_pts, t), dtype=float)
+            phi_tr = np.asarray(phi(grid.trace_points, t), dtype=float)
             mix = np.maximum if policy == UPPER else np.minimum
             vals[grid.trace_flat] = mix(self.raw[grid.trace_flat], phi_tr)
         if not np.all(np.isfinite(vals)):
@@ -91,16 +89,16 @@ class Field:
     def from_function(cls, grid: Grid, u0, phi, t: float = 0.0,
                       policy: str = UPPER) -> "Field":
         raw = np.zeros(grid.size)
-        core_pts = grid.points_at(grid.core_flat)
-        raw[grid.core_flat] = u0(core_pts) if not np.isscalar(u0) else float(u0)
-        ext_pts = grid.points_at(grid.exterior_flat)
-        raw[grid.exterior_flat] = phi(ext_pts, t)
+        raw[grid.core_flat] = (u0(grid.core_points) if not np.isscalar(u0)
+                               else float(u0))
+        raw[grid.exterior_flat] = phi(grid.exterior_points, t)
         return cls(grid, raw, phi, t, policy)
 
     def trace_gap(self) -> np.ndarray:
         """phi - u at trace nodes (raw trace, before the policy envelope)."""
-        tr_pts = self.grid.points_at(self.grid.trace_flat)
-        return np.asarray(self.phi(tr_pts, self.t), dtype=float) - self.raw[self.grid.trace_flat]
+        g = self.grid
+        return (np.asarray(self.phi(g.trace_points, self.t), dtype=float)
+                - self.raw[g.trace_flat])
 
     def tail_values(self) -> np.ndarray:
         """Field values representing the constant continuation beyond r_max.
@@ -369,23 +367,20 @@ def eval_censored(f: Field, x, qt: QuadratureTable,
 
 
 def scheme_evaluation(f: Field, x, t: float, dt_slot: float, p, ham_spec,
-                      qt: QuadratureTable, delta: float | None = None,
-                      p_minus=None, p_plus=None, sigma=None,
-                      center=None) -> float:
+                      qt: QuadratureTable, p_minus=None, p_plus=None,
+                      sigma=None, center=None) -> float:
     """Scheme residual dt_slot - I(f, x, p) + H(x, t, f(x), p).
 
     The continuous evaluation splits the operator at a ball of radius delta;
-    on the lattice both parts reduce to the same quadrature, so delta is kept
-    only for definition parity (asserted in tests via the ball/complement
-    split).  When the one-sided pair (p_minus, p_plus) is given the monotone
-    numerical Hamiltonian is used instead of the pointwise one (pass the
-    solver's sigma for the exact stepping residual); ``center`` overrides the
-    value subtracted/fed at the node, matching the solver's raw-center reads.
+    on the lattice both parts reduce to the same quadrature (asserted in
+    tests via the ball/complement split), so no split is made here.  When
+    the one-sided pair (p_minus, p_plus) is given the monotone numerical
+    Hamiltonian is used instead of the pointwise one (pass the solver's
+    sigma for the exact stepping residual); ``center`` overrides the value
+    subtracted/fed at the node, matching the solver's raw-center reads.
     """
     from .hamiltonians import eval_hamiltonian, numerical_hamiltonian
 
-    if delta is not None and delta < qt.h:
-        raise ValueError("delta must be at least the grid spacing")
     flat = _locate(f, x)
     op = eval_operator(f, x, p, qt, ALL)
     r = float(f.values[flat]) if center is None else float(center)

@@ -35,7 +35,6 @@ class SchemeConfig:
     dt: float | None = None
     T: float | None = None
     steady_tol: float | None = None
-    delta: float | None = None
     m_cap: float | None = None
     snapshot_dt: float | None = None
     max_steps: int = 2_000_000
@@ -65,10 +64,8 @@ class SolveState:
     sigma_growth: int = 0
     last_dt: float = 0.0
     load: np.ndarray | None = None   # plan.exterior_load at time t
-    _core_pts: np.ndarray = dfield(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self._core_pts = self.grid.points_at(self.grid.core_flat)
         self.sup_norm = float(np.abs(self.raw[self.grid.core_flat]).max())
 
     @property
@@ -79,9 +76,9 @@ class SolveState:
         return Field(self.grid, self.raw.copy(), self.phi, self.t, policy)
 
     def trace_gaps(self) -> np.ndarray:
-        pts = self.grid.points_at(self.grid.trace_flat)
-        return (np.asarray(self.phi(pts, self.t), dtype=float)
-                - self.raw[self.grid.trace_flat])
+        g = self.grid
+        return (np.asarray(self.phi(g.trace_points, self.t), dtype=float)
+                - self.raw[g.trace_flat])
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -97,10 +94,8 @@ def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
                cfg: SchemeConfig, t0: float = 0.0) -> SolveState:
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
     raw = np.zeros(grid.size)
-    core_pts = grid.points_at(grid.core_flat)
-    raw[grid.core_flat] = eval_initial(u0, core_pts)
-    ext_pts = grid.points_at(grid.exterior_flat)
-    raw[grid.exterior_flat] = phi(ext_pts, t0)
+    raw[grid.core_flat] = eval_initial(u0, grid.core_points)
+    raw[grid.exterior_flat] = phi(grid.exterior_points, t0)
     plan = plan_for(grid, qt)
     st = SolveState(grid, plan, spec, phi, raw, t=t0,
                     load=plan.exterior_load(raw))
@@ -113,7 +108,8 @@ def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
         else:
             pm, pp = _one_sided_gradients(st, _envelope(st))
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
-            st.sigma = 1.0 + lf_viscosity_bound(spec, core_pts, t0, scale)
+            st.sigma = 1.0 + lf_viscosity_bound(spec, grid.core_points,
+                                                t0, scale)
     return st
 
 
@@ -122,7 +118,7 @@ def _envelope(st: SolveState) -> np.ndarray:
     E = st.raw.copy()
     tr = st.grid.trace_flat
     if len(tr):
-        phi_tr = np.asarray(st.phi(st.grid.points_at(tr), st.t), dtype=float)
+        phi_tr = np.asarray(st.phi(st.grid.trace_points, st.t), dtype=float)
         E[tr] = np.maximum(E[tr], phi_tr)
     return E
 
@@ -143,7 +139,7 @@ def _one_sided_gradients(st: SolveState, E: np.ndarray):
 
 def cfl_denominator(st: SolveState, t: float) -> float:
     qt = st.qt
-    pts = st._core_pts
+    pts = st.grid.core_points
     lam_abs = 0.0
     if st.spec.family == "coercive":
         lam_abs = float(np.abs(st.spec.lam(pts, t)).max())
@@ -176,8 +172,8 @@ def _rhs(st: SolveState, t: float) -> np.ndarray:
     centers = st.raw[core]
     op = st.plan.apply(E, centers, st.load)
     pm, pp = _one_sided_gradients(st, E)
-    hvals = numerical_hamiltonian_many(st.spec, st._core_pts, t, centers,
-                                       pm, pp, st.sigma)
+    hvals = numerical_hamiltonian_many(st.spec, st.grid.core_points, t,
+                                       centers, pm, pp, st.sigma)
     return op - hvals
 
 
@@ -218,8 +214,7 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     st.raw[core] += use * rhs
     st.t += use
     st.last_dt = use
-    ext = st.grid.exterior_flat
-    st.raw[ext] = st.phi(st.grid.points_at(ext), st.t)
+    st.raw[st.grid.exterior_flat] = st.phi(st.grid.exterior_points, st.t)
     if st.phi.time_dependent:
         st.load = st.plan.exterior_load(st.raw)
     st.steps += 1

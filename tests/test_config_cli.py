@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nlhj import config, harness, kernels, operators, solver
 from nlhj.cli import main
 from nlhj.config import execute, parse_config
 from nlhj.errors import ParseError, ValidationError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 [domain]
@@ -142,6 +146,42 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     bad = MINIMAL.format(out=tmp_path).replace("alpha = 0.5", "alpha = oops")
     p = write(tmp_path, bad, "bad.cfg")
     assert main(["run", str(p)]) == 2
+
+
+def test_r_cut_is_refused(tmp_path, capsys):
+    bad = MINIMAL.format(out=tmp_path).replace("theta = 0.9",
+                                               "theta = 0.9\nr_cut = 0.25")
+    p = write(tmp_path, bad, "r_cut.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any("r_cut" in m for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert "r_cut" in capsys.readouterr().err
+
+
+def test_shipped_configs_parse():
+    paths = sorted(CONFIGS.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        assert parse_config(path).experiment in config.EXPERIMENTS, path.name
+
+
+def test_execute_discretizes_once(tmp_path, monkeypatch):
+    text = (CONFIGS / "rate_nonlocal.cfg").read_text().replace(
+        "directory = out_rate", f"directory = {tmp_path / 'out'}")
+    builds = []
+    real = kernels.build_quadrature
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    # every module that could look the name up, in case one imports it
+    for mod in (kernels, harness, config, operators, solver):
+        if hasattr(mod, "build_quadrature"):
+            monkeypatch.setattr(mod, "build_quadrature", counted)
+    assert execute(parse_config(write(tmp_path, text, "rate.cfg"))) == 0
+    assert len(builds) == 1
 
 
 def test_comparison_config_runs(tmp_path):

@@ -118,6 +118,19 @@ def test_grid_flat_index_roundtrip(dom2):
         g.flat_index_of((0.13, 0.0), tol_factor=0.05)  # off-node, strict
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_point_arrays_cached_and_read_only(dom1, dom2, dim):
+    g = Grid(dom1 if dim == 1 else dom2, 0.25, halo=3)
+    for name in ("core", "trace", "exterior"):
+        pts = getattr(g, f"{name}_points")
+        np.testing.assert_array_equal(
+            pts, g.points_at(getattr(g, f"{name}_flat")))
+        assert pts.shape == (len(getattr(g, f"{name}_flat")), dim)
+        assert getattr(g, f"{name}_points") is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+
+
 def test_grid_requires_aligned_spacing(dom1):
     with pytest.raises(ValueError):
         Grid(dom1, 0.3, halo=2)

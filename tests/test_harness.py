@@ -1,17 +1,42 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from nlhj import harness
 from nlhj.errors import PreconditionError
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
 from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           coercive_loss_experiment, comparison_experiment,
-                          holder_quotient, large_time_experiment,
+                          discretize, holder_quotient, large_time_experiment,
                           make_rate_bound, random_ordered_pair,
                           rate_experiment)
 from nlhj.oracles import rate_bound_trapezoid
 from nlhj.solver import SchemeConfig
+
+
+def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
+    builds = []
+    real = harness.build_quadrature
+    monkeypatch.setattr(harness, "build_quadrature",
+                        lambda *args: builds.append(args) or real(*args))
+    h = 2.0 ** -5
+    plan = discretize(dom1, k05, h, 4.0)
+    assert (plan.grid.h, plan.grid.halo, plan.qt.h, plan.qt.r_max) == \
+        (h, 128, h, 4.0)
+    assert plan.qt.plan() is plan     # init_state on (grid, qt) reuses it
+    assert discretize(dom1, k05, h, 4.0) is plan
+    assert len(builds) == 1
+    assert discretize(dom1, k05, h / 2, 4.0) is not plan
+    assert discretize(dom1, k05, h) is not plan     # r_max = 4 * diameter
+    assert len(builds) == 3
+    released = weakref.ref(plan)
+    del plan
+    assert released() is None
+    assert discretize(dom1, k05, h, 4.0).grid.h == h
+    assert len(builds) == 4
 
 
 def test_comparison_identical_data(dom1, k05):

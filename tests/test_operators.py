@@ -194,8 +194,6 @@ def test_scheme_evaluation_trivial(dom1, k05):
     zero_h = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
     # only the time slot survives
     assert scheme_evaluation(f, 0.0, 0.0, 1.0, 0.0, zero_h, qt) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        scheme_evaluation(f, 0.0, 0.0, 0.0, 0.0, ident, qt, delta=qt.h / 4)
 
 
 def test_operator_2d_radial_oracle(dom2):
