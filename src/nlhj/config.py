@@ -66,8 +66,7 @@ def _parse_expr_field(cp, section, key, errors, default=None, required=False):
     except ValueError:
         pass
     try:
-        Expression(raw)
-        return raw
+        return Expression(raw)
     except ParseError as e:
         errors.append(f"[{section}] {key}: {e}")
         return default
@@ -99,8 +98,7 @@ def _parse_drift(cp, section, key, dim, errors):
             out.append(float(p))
         except ValueError:
             try:
-                Expression(p)
-                out.append(p)
+                out.append(Expression(p))
             except ParseError as e:
                 errors.append(f"[{section}] {key}: {e}")
                 return None
@@ -370,9 +368,7 @@ def execute(cfg: RunConfig) -> int:
             if not result.passed:
                 status = 1
             for name, (header, rows) in result.tables.items():
-                fname = {"report": "report.tsv", "rate_curve": "rate_curve.tsv",
-                         "trace_gaps": "trace_gaps.tsv"}.get(name, f"{name}.tsv")
-                _write_tsv(cfg.outdir / fname, header, rows)
+                _write_tsv(cfg.outdir / f"{name}.tsv", header, rows)
     except (PreconditionError, ValidationError) as e:
         manifest["error"] = f"{type(e).__name__}: {e}"
         status = 2
@@ -452,8 +448,8 @@ def _dispatch(cfg: RunConfig, manifest: dict):
         h_list = cfg.params.get("h_list")
         if h_list:
             gaps, ratios = harness.boundary_refinement(
-                spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list,
-                theta=scheme.theta, r_max=cfg.r_max)
+                spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list, scheme,
+                r_max=cfg.r_max)
             rows = [(f, *g) for f, g in gaps.items()]
             return harness.ExperimentResult(
                 "boundary_behavior", True,

@@ -1,20 +1,23 @@
-"""Tiny arithmetic expression grammar for coefficient fields.
+"""Arithmetic expressions for coefficient fields.
 
-Grammar (all binary operators left associative except ``^`` which is right
-associative and binds tighter than unary minus):
+The grammar is Python's expression syntax restricted to these nodes:
+binary ``+ - * /`` and ``^`` (the power; ``**`` is refused), unary minus,
+decimal number literals, the variables ``x``, ``y`` (2-D only) and ``t``,
+and calls of ``abs``, ``sin``, ``cos``, ``exp`` (one argument) and ``min``,
+``max`` (two or more), without keywords.  Precedence is Python's: ``^`` is
+right associative and binds tighter than unary minus.  Numbers are float64,
+so ``(-8)^(1/3)`` is NaN and a constant ``1/0`` is inf, as in numpy.
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | VAR | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
-
-Variables: ``x``, ``y`` (2-D only), ``t``.  Functions: ``abs``, ``min``,
-``max`` (two or more arguments), ``sin``, ``cos``, ``exp``.  Compiled
-expressions evaluate vectorized over numpy arrays.
+A source is parsed with ``ast``, checked node by node against the
+whitelist, compiled once (each power as a call of ``np.power``) and
+evaluated vectorized over numpy arrays in a namespace without builtins.
 """
 
 from __future__ import annotations
+
+import ast
+import functools
+import re
 
 import numpy as np
 
@@ -25,189 +28,15 @@ _FUNCS = {
     "sin": (1, 1, np.sin),
     "cos": (1, 1, np.cos),
     "exp": (1, 1, np.exp),
-    "min": (2, None, None),
-    "max": (2, None, None),
+    "min": (2, None, lambda a, *rest: functools.reduce(np.minimum, rest, a)),
+    "max": (2, None, lambda a, *rest: functools.reduce(np.maximum, rest, a)),
 }
 
 _VARS = ("x", "y", "t")
-
-
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(src):
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^(),":
-            toks.append(_Tok(c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n and (src[j].isdigit() or src[j] == "." or
-                             (src[j] in "eE" and not seen_e) or
-                             (src[j] in "+-" and j > i and src[j - 1] in "eE")):
-                if src[j] in "eE":
-                    seen_e = True
-                j += 1
-            try:
-                float(src[i:j])
-            except ValueError:
-                raise ParseError(f"bad number {src[i:j]!r} at position {i}")
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i}")
-    toks.append(_Tok("end", "", n))
-    return toks
-
-
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None):
-        t = self.toks[self.i]
-        if kind is not None and t.kind != kind:
-            raise ParseError(f"expected {kind!r} at position {t.pos} in {self.src!r}")
-        self.i += 1
-        return t
-
-    def parse(self):
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input at position {t.pos} in {self.src!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            node = ("+", node, self.term()) if op == "+" else ("-", node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek().kind == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.take()
-            return ("num", float(t.text))
-        if t.kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if t.kind == "name":
-            self.take()
-            if t.text in _VARS and self.peek().kind != "(":
-                return ("var", t.text)
-            if t.text in _FUNCS:
-                lo, hi, _ = _FUNCS[t.text]
-                self.take("(")
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.take(")")
-                if len(args) < lo or (hi is not None and len(args) > hi):
-                    raise ParseError(
-                        f"{t.text} takes {lo}{'+' if hi is None else ''} "
-                        f"argument(s), got {len(args)} (position {t.pos})")
-                return ("call", t.text, args)
-            raise ParseError(f"unknown name {t.text!r} at position {t.pos}")
-        raise ParseError(f"unexpected token {t.text!r} at position {t.pos} in {self.src!r}")
-
-
-def _variables(node, acc):
-    if node[0] == "var":
-        acc.add(node[1])
-    elif node[0] == "call":
-        for a in node[2]:
-            _variables(a, acc)
-    elif node[0] in ("+", "-", "*", "/", "^"):
-        _variables(node[1], acc)
-        _variables(node[2], acc)
-    elif node[0] == "neg":
-        _variables(node[1], acc)
-    return acc
-
-
-def _eval(node, env):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op == "call":
-        args = [_eval(a, env) for a in node[2]]
-        if node[1] == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if node[1] == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        return _FUNCS[node[1]][2](args[0])
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    return np.power(a, b)
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+_NAMESPACE = {"__builtins__": {}, "_pow": np.power,
+              **{name: fn for name, (_, _, fn) in _FUNCS.items()}}
 
 
 class Expression:
@@ -218,8 +47,85 @@ class Expression:
 
     def __init__(self, source: str):
         self.source = source
-        self._ast = _Parser(source).parse()
-        self.variables = frozenset(_variables(self._ast, set()))
+        # one line of the same length, so columns are positions in source;
+        # eval-mode ast.parse refuses leading blanks
+        text = re.sub(r"\s", " ", source)
+        self._lead = len(text) - len(text.lstrip(" "))
+        text = text[self._lead:]
+        if "**" in text:
+            raise self._error("'**' not allowed (write '^')", text.index("**"))
+        bad = next((i for i, c in enumerate(text)
+                    if not " " <= c <= "~" or c == "#"), None)
+        if bad is not None:
+            raise self._error(f"character {text[bad]!r} not allowed", bad)
+        self._py = text.replace("^", "**")
+        try:
+            tree = ast.parse(self._py, mode="eval")
+        except SyntaxError as e:
+            col = e.offset - 1 if e.lineno == 1 and e.offset else len(self._py)
+            raise self._error(e.msg, self._col(col)) from None
+        self._namespace = dict(_NAMESPACE)
+        self._vars = set()
+        tree.body = self._check(tree.body)
+        self.variables = frozenset(self._vars)
+        self._code = compile(ast.fix_missing_locations(tree), "<expression>",
+                             "eval")
+
+    def _col(self, col):
+        """Position, after the leading blanks, of column ``col`` of the
+        rewrite with ``**``."""
+        return col - self._py.count("**", 0, col + 1)
+
+    def _error(self, what, pos):
+        return ParseError(f"{what} at position {self._lead + pos} in "
+                          f"{self.source!r}")
+
+    def _check(self, node):
+        """Refuse any node off the whitelist; bind numbers as float64 names."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            node.left = self._check(node.left)
+            node.right = self._check(node.right)
+            if isinstance(node.op, ast.Pow):
+                # np.power: a scalar ** can differ from it in the last bit
+                return ast.Call(ast.Name("_pow", ast.Load()),
+                                [node.left, node.right], [])
+            return node
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node.operand = self._check(node.operand)
+            return node
+        pos = self._col(node.col_offset)
+        if isinstance(node, ast.Constant):
+            literal = self._py[node.col_offset:node.end_col_offset]
+            if not _NUMBER.match(literal):
+                raise self._error(f"literal {literal!r} not allowed (decimal "
+                                  "numbers only)", pos)
+            name = f"_c{len(self._namespace)}"
+            self._namespace[name] = np.float64(float(literal))
+            return ast.Name(name, ast.Load())
+        if isinstance(node, ast.Name) and node.id in _VARS:
+            self._vars.add(node.id)
+            return node
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _FUNCS:
+            lo, hi, _ = _FUNCS[node.func.id]
+            if node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                raise self._error(f"keyword or starred argument to "
+                                  f"{node.func.id}()", pos)
+            if node.args and "," in self._py[node.args[-1].end_col_offset:
+                                             node.end_col_offset]:
+                raise self._error(f"trailing comma in {node.func.id}()", pos)
+            if len(node.args) < lo or (hi is not None and len(node.args) > hi):
+                raise self._error(
+                    f"{node.func.id}() takes {lo}{'+' if hi is None else ''} "
+                    f"argument(s), got {len(node.args)}", pos)
+            node.args = [self._check(a) for a in node.args]
+            return node
+        if isinstance(node, ast.Name):
+            raise self._error(f"unknown name {node.id!r}", pos)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            raise self._error(f"unknown name {node.func.id!r}", pos)
+        raise self._error(f"{type(getattr(node, 'op', node)).__name__} not allowed",
+                          pos)
 
     @property
     def time_dependent(self) -> bool:
@@ -229,13 +135,14 @@ class Expression:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        env = {"x": points[:, 0], "t": t}
+        env = {"x": points[:, 0], "t": np.float64(t)}
         if points.shape[1] > 1:
             env["y"] = points[:, 1]
         elif "y" in self.variables:
             raise ParseError(f"variable 'y' used in 1-D expression {self.source!r}")
-        return np.broadcast_to(np.asarray(_eval(self._ast, env), dtype=float),
-                               (points.shape[0],)).copy()
+        return np.broadcast_to(
+            np.asarray(eval(self._code, self._namespace, env), dtype=float),
+            (points.shape[0],)).copy()
 
     def __repr__(self):
         return f"Expression({self.source!r})"

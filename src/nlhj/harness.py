@@ -259,14 +259,17 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
     return report, result
 
 
-def boundary_refinement(spec, dom, k, phi, u0, T, h_list, theta=0.9,
+def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
+                        cfg: SchemeConfig | None = None,
                         r_max: float | None = None):
-    """Final-time gap per face across grid refinements, plus halving ratios."""
+    """Final-time gap per face across grid refinements, plus halving ratios.
+
+    Each h runs with ``cfg`` (defaults when None) at that spacing."""
     gaps = {}
     for h in h_list:
-        cfg = SchemeConfig(h=h, theta=theta)
-        report, _ = boundary_behavior_experiment(spec, dom, k, phi, u0, T, cfg,
-                                                 r_max=r_max)
+        cfg_h = SchemeConfig(h=h) if cfg is None else replace(cfg, h=h)
+        report, _ = boundary_behavior_experiment(spec, dom, k, phi, u0, T,
+                                                 cfg_h, r_max=r_max)
         for face, d in report.per_face.items():
             gaps.setdefault(face, []).append(d["final_gap"])
     ratios = {f: [b / a if abs(a) > 1e-300 else np.inf

@@ -34,7 +34,6 @@ class Kernel:
     dim: int
     profile: object
     kmax: float
-    symmetric: bool = True
     const_value: float | None = None
     support_radius: float | None = None
     c1: float | None = None

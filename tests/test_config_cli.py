@@ -184,6 +184,16 @@ def test_execute_discretizes_once(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_boundary_refinement_keeps_scheme_settings(tmp_path):
+    # every refinement runs with the [scheme] settings, max_steps included
+    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
+        "directory = out_boundary", f"directory = {tmp_path / 'out'}")
+    text = text.replace("snapshot_dt = 0.5", "snapshot_dt = 0.5\nmax_steps = 3")
+    assert execute(parse_config(write(tmp_path, text, "steps.cfg"))) == 1
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "NonConvergence" in m["error"]
+
+
 def test_comparison_config_runs(tmp_path):
     text = MINIMAL.format(out=tmp_path / "cmp_out")
     text = text.replace("name = run", "name = comparison\nseeds = 2")

@@ -52,10 +52,58 @@ def test_constant_broadcast():
 
 @pytest.mark.parametrize("bad", [
     "1 +", "sin()", "foo(2)", "1 2", "min(1)", "(1", "x @ 2", "1..2",
+    # Python syntax outside the whitelist
+    "2**3", "+x", "0x10", "1_0", "1j", "True", "'a'", "x.real", "x[0]",
+    "x < 1", "x if t else 1", "lambda: 1", "sin(x=1)", "abs(*x)", "sin(x,)",
+    "(x, 1)", "__import__('os')", "x) * (x", "",
 ])
 def test_parse_errors_carry_position(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="position"):
         Expression(bad)
+
+
+# the expressions of configs/ and perfbench/workloads.py, each beside the
+# same formula in numpy
+SHIPPED = [
+    ("-x", lambda x, y, t: -x),
+    ("0.5*x", lambda x, y, t: 0.5 * x),
+    ("1 - x^2", lambda x, y, t: 1 - x ** 2),
+    ("0.2*cos(3*x)", lambda x, y, t: 0.2 * np.cos(3 * x)),
+    ("0.1*sin(2*x)", lambda x, y, t: 0.1 * np.sin(2 * x)),
+    ("0.5*exp(-t)", lambda x, y, t: 0.5 * np.exp(-t)),
+    ("0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)",
+     lambda x, y, t: 0.2 * np.cos(3 * x) + 0.5 * np.exp(-t) * np.sin(2 * x)),
+    ("0.5 + 0.31415926535897931*(1 - x^2)*cos(2.7182818284590451*x + 1.5)",
+     lambda x, y, t: 0.5 + 0.31415926535897931 * (1 - x ** 2)
+     * np.cos(2.7182818284590451 * x + 1.5)),
+    ("-y", lambda x, y, t: -y),
+    ("0.5*y", lambda x, y, t: 0.5 * y),
+    ("1 + 0.25*(1 - x^2)*(1 - y^2)*cos(1.25*x + 1.75*y + 4.5)",
+     lambda x, y, t: 1 + 0.25 * (1 - x ** 2) * (1 - y ** 2)
+     * np.cos(1.25 * x + 1.75 * y + 4.5)),
+]
+
+
+@pytest.mark.parametrize("src,fn", SHIPPED)
+def test_values_match_numpy_bit_for_bit(src, fn):
+    rng = np.random.default_rng(0)
+    pts2 = rng.uniform(-1.0, 1.0, (64, 2))
+    e = Expression(src)
+    for t in (0.0, 0.3, 2.5):
+        for pts in ((pts2,) if "y" in e.variables else (pts2[:, :1], pts2)):
+            want = np.broadcast_to(fn(pts[:, 0], pts2[:, 1], t), len(pts))
+            assert np.array_equal(e(pts, t), want), (src, t, pts.shape)
+
+
+def test_float64_semantics_and_whitespace():
+    pts = np.zeros((3, 1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.isnan(Expression("(-8)^(1/3)")(pts)).all()
+        assert np.isinf(Expression("1/0 + x")(pts)).all()
+    assert np.array_equal(Expression("  x")(pts + 2.0), [2.0] * 3)
+    assert np.array_equal(Expression("x\n + 1")(pts + 2.0), [3.0] * 3)
+    # powers are np.power, whose last bit a scalar ** does not always match
+    assert Expression("t^t")(pts, 2.5)[0] == np.power(2.5, 2.5)
 
 
 def test_error_message_names_position():
@@ -65,3 +113,8 @@ def test_error_message_names_position():
         assert "position 4" in str(e)
     else:
         raise AssertionError("expected ParseError")
+    # blanks before the expression and each '^' count in source positions
+    for src, pos in (("  1 + $", 6), ("x^2^ + 1", 5), ("x^2^3 $", 6),
+                     ("\n\tx^2 $", 6)):
+        with pytest.raises(ParseError, match=f"position {pos} "):
+            Expression(src)
