@@ -29,8 +29,8 @@ from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
 from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
 from .operators import Field, save_field
-from .solver import (SchemeConfig, eval_initial, init_state, run_to_steady,
-                     run_to_time)
+from .solver import (SchemeConfig, envelope, eval_initial, init_state,
+                     run_to_steady, run_to_time)
 from . import harness
 
 EXPERIMENTS = ("run", "comparison", "boundary_behavior", "coercive_loss",
@@ -54,22 +54,44 @@ class RunConfig:
     source: str = ""
 
 
-def _parse_expr_field(cp, section, key, errors, default=None, required=False):
+def _finite(text, section, key, errors):
+    """``text`` as a finite float, or None with the error recorded; raises
+    ValueError when it is not a number at all."""
+    v = float(text)
+    if np.isfinite(v):
+        return v
+    errors.append(f"[{section}] {key}: not a finite number: {text!r}")
+    return None
+
+
+def _number_or_expression(text, section, key, dim, errors):
+    """A finite number, or an expression in the variables of ``dim``; None
+    with the error recorded otherwise."""
+    try:
+        return _finite(text, section, key, errors)
+    except ValueError:
+        pass
+    try:
+        expr = Expression(text)
+    except ParseError as e:
+        errors.append(f"[{section}] {key}: {e}")
+        return None
+    if dim == 1 and "y" in expr.variables:
+        errors.append(f"[{section}] {key}: variable 'y' used in the 1-D "
+                      f"expression {text!r}")
+        return None
+    return expr
+
+
+def _parse_expr_field(cp, section, key, dim, errors, default=None,
+                      required=False):
     if not cp.has_option(section, key):
         if required:
             errors.append(f"[{section}] missing required key '{key}'")
         return default
-    raw = cp.get(section, key).strip()
-    try:
-        float(raw)
-        return float(raw)
-    except ValueError:
-        pass
-    try:
-        return Expression(raw)
-    except ParseError as e:
-        errors.append(f"[{section}] {key}: {e}")
-        return default
+    v = _number_or_expression(cp.get(section, key).strip(), section, key, dim,
+                              errors)
+    return default if v is None else v
 
 
 def _parse_float(cp, section, key, errors, default=None, required=False):
@@ -78,10 +100,11 @@ def _parse_float(cp, section, key, errors, default=None, required=False):
             errors.append(f"[{section}] missing required key '{key}'")
         return default
     try:
-        return cp.getfloat(section, key)
+        v = _finite(cp.get(section, key).strip(), section, key, errors)
     except ValueError:
         errors.append(f"[{section}] {key}: not a number: {cp.get(section, key)!r}")
         return default
+    return default if v is None else v
 
 
 def _parse_drift(cp, section, key, dim, errors):
@@ -92,16 +115,9 @@ def _parse_drift(cp, section, key, dim, errors):
         errors.append(f"[{section}] {key}: expected {dim} component(s) "
                       f"separated by ';', got {len(parts)}")
         return None
-    out = []
-    for p in parts:
-        try:
-            out.append(float(p))
-        except ValueError:
-            try:
-                out.append(Expression(p))
-            except ParseError as e:
-                errors.append(f"[{section}] {key}: {e}")
-                return None
+    out = [_number_or_expression(p, section, key, dim, errors) for p in parts]
+    if any(v is None for v in out):
+        return None
     return out if dim > 1 else out[0]
 
 
@@ -127,11 +143,12 @@ def parse_config(path) -> RunConfig:
     dim = int(_parse_float(cp, "domain", "dimension", errors, 1.0) or 1)
     dom = None
     try:
-        lower = tuple(float(v) for v in cp.get("domain", "lower").split())
-        upper = tuple(float(v) for v in cp.get("domain", "upper").split())
+        lower, upper = (tuple(_finite(v, "domain", key, errors)
+                              for v in cp.get("domain", key).split())
+                        for key in ("lower", "upper"))
         if len(lower) != dim or len(upper) != dim:
             errors.append("[domain] lower/upper must match the dimension")
-        else:
+        elif None not in lower + upper:
             collar = _parse_float(cp, "domain", "collar", errors, 0.0)
             excl = _parse_float(cp, "domain", "corner_exclusion", errors, 0.0)
             dom = Domain(lower, upper, collar=collar, corner_exclusion=excl)
@@ -171,10 +188,10 @@ def parse_config(path) -> RunConfig:
     if family == "coercive":
         m = _parse_float(cp, "hamiltonian", "m", errors, required=True)
         l = _parse_float(cp, "hamiltonian", "l", errors, 0.0)
-        a1 = _parse_expr_field(cp, "hamiltonian", "a1", errors, 1.0)
-        a2 = _parse_expr_field(cp, "hamiltonian", "a2", errors, 0.0)
-        lam = _parse_expr_field(cp, "hamiltonian", "lam", errors, 0.0)
-        fsrc = _parse_expr_field(cp, "hamiltonian", "f", errors, 0.0)
+        a1 = _parse_expr_field(cp, "hamiltonian", "a1", dim, errors, 1.0)
+        a2 = _parse_expr_field(cp, "hamiltonian", "a2", dim, errors, 0.0)
+        lam = _parse_expr_field(cp, "hamiltonian", "lam", dim, errors, 0.0)
+        fsrc = _parse_expr_field(cp, "hamiltonian", "f", dim, errors, 0.0)
         b = _parse_drift(cp, "hamiltonian", "b", dim, errors)
         if m is not None:
             try:
@@ -186,8 +203,10 @@ def parse_config(path) -> RunConfig:
         ncontrols = int(_parse_float(cp, "hamiltonian", "controls", errors, 1.0) or 1)
         controls = []
         for i in range(1, ncontrols + 1):
-            lam = _parse_expr_field(cp, "hamiltonian", f"lam_{i}", errors, 0.0)
-            fsrc = _parse_expr_field(cp, "hamiltonian", f"f_{i}", errors, 0.0)
+            lam = _parse_expr_field(cp, "hamiltonian", f"lam_{i}", dim, errors,
+                                    0.0)
+            fsrc = _parse_expr_field(cp, "hamiltonian", f"f_{i}", dim, errors,
+                                     0.0)
             b = _parse_drift(cp, "hamiltonian", f"b_{i}", dim, errors)
             controls.append(ControlLaw(lam=lam, b=b if b is not None else 0.0,
                                        f=fsrc, dim=dim))
@@ -200,9 +219,9 @@ def parse_config(path) -> RunConfig:
         errors.append(f"[hamiltonian] unknown family {family!r}")
 
     # data
-    u0 = _parse_expr_field(cp, "data", "u0", errors, required=True)
-    phi_src = _parse_expr_field(cp, "data", "phi", errors, required=True)
-    phi_limit = _parse_expr_field(cp, "data", "phi_limit", errors, None)
+    u0 = _parse_expr_field(cp, "data", "u0", dim, errors, required=True)
+    phi_src = _parse_expr_field(cp, "data", "phi", dim, errors, required=True)
+    phi_limit = _parse_expr_field(cp, "data", "phi_limit", dim, errors, None)
     phi = CoefficientField(phi_src, "phi") if phi_src is not None else None
 
     # scheme
@@ -249,15 +268,15 @@ def parse_config(path) -> RunConfig:
         v = _parse_float(cp, "experiment", key, errors, None)
         if v is not None:
             params[key] = v
-    for key, cast in (("phi_scales", float), ("t_ladder", float),
-                      ("h_list", float)):
+    for key in ("phi_scales", "t_ladder", "h_list"):
         if cp.has_option("experiment", key):
             try:
-                params[key] = [cast(v) for v in cp.get("experiment", key).split()]
+                params[key] = [_finite(v, "experiment", key, errors)
+                               for v in cp.get("experiment", key).split()]
             except ValueError:
                 errors.append(f"[experiment] {key}: expected numbers")
     for key in ("u0_b", "phi_b", "f_limit"):
-        v = _parse_expr_field(cp, "experiment", key, errors, None)
+        v = _parse_expr_field(cp, "experiment", key, dim, errors, None)
         if v is not None:
             params[key] = v
     if exp in ("run", "comparison", "boundary_behavior", "large_time") and \
@@ -406,9 +425,9 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             rep = run_to_time(st, scheme, scheme.T)
             rows = list(zip(rep.times, rep.sup_norms))
             header = ("t", "sup_norm")
-        for i, (t, raw) in enumerate(rep.snapshots):
-            f = Field(grid, raw, cfg.phi, t)
-            save_field(f, cfg.outdir / f"field_t{i:04d}.tsv", kern.alpha)
+        for i, (t, u) in enumerate(rep.snapshots):
+            save_field(grid, envelope(plan, u, st.phi, t), t,
+                       cfg.outdir / f"field_t{i:04d}.tsv", kern.alpha)
         gap_rows = []
         for t, gaps in rep.trace_gap_series:
             for p, gval in zip(grid.trace_points, gaps):

@@ -12,10 +12,6 @@ class CornerAmbiguity(NlhjError):
 
 
 # kernels
-class OriginSingularity(NlhjError):
-    """Kernel density requested at z = 0."""
-
-
 class InvalidResolution(NlhjError):
     """Truncation radius too small relative to the grid spacing."""
 
@@ -23,10 +19,6 @@ class InvalidResolution(NlhjError):
 # operators
 class NodeOutsideGrid(NlhjError):
     """Evaluation point does not correspond to a stored lattice node."""
-
-
-class UnsupportedOrder(NlhjError):
-    """Operation only defined for a restricted range of the order alpha."""
 
 
 # hamiltonians

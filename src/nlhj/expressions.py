@@ -2,9 +2,9 @@
 
 The grammar is Python's expression syntax restricted to these nodes:
 binary ``+ - * /`` and ``^`` (the power; ``**`` is refused), unary minus,
-decimal number literals, the variables ``x``, ``y`` (2-D only) and ``t``,
-and calls of ``abs``, ``sin``, ``cos``, ``exp`` (one argument) and ``min``,
-``max`` (two or more), without keywords.  Precedence is Python's: ``^`` is
+finite decimal number literals, the variables ``x``, ``y`` (2-D only) and
+``t``, and calls of ``abs``, ``sin``, ``cos``, ``exp`` (one argument) and
+``min``, ``max`` (two or more), without keywords.  Precedence is Python's: ``^`` is
 right associative and binds tighter than unary minus.  Numbers are float64,
 so ``(-8)^(1/3)`` is NaN and a constant ``1/0`` is inf, as in numpy.
 
@@ -99,6 +99,8 @@ class Expression:
             if not _NUMBER.match(literal):
                 raise self._error(f"literal {literal!r} not allowed (decimal "
                                   "numbers only)", pos)
+            if not np.isfinite(float(literal)):
+                raise self._error(f"literal {literal!r} overflows float64", pos)
             name = f"_c{len(self._namespace)}"
             self._namespace[name] = np.float64(float(literal))
             return ast.Name(name, ast.Load())

@@ -136,13 +136,6 @@ def distance_gradient(dom: Domain, x, tol: float = 1e-12) -> np.ndarray:
     return normals[best].astype(float)
 
 
-def shifted_complement_indicator(dom: Domain, x, z) -> bool:
-    """True iff x + z lies outside the open domain (membership in Omega^c - x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return bool(signed_distance(dom, x + z) <= 0.0)
-
-
 @dataclass
 class Grid:
     """Uniform lattice covering the closed domain plus an exterior halo.
@@ -193,7 +186,6 @@ class Grid:
         self.trace_flat = flat[cls == TRACE]
         self.exterior_flat = flat[cls == EXTERIOR]
         self.interior_flat = flat[cls == INTERIOR]
-        self.signed_d = d
         for name in ("core", "trace", "exterior"):
             p = pts[getattr(self, f"{name}_flat")]
             p.setflags(write=False)

@@ -355,20 +355,6 @@ def properness_floor(spec, pts: np.ndarray, t_window=(0.0, 1.0),
     return out
 
 
-@dataclass
-class PropernessData:
-    """Floor h, per-R monotonicity functions h_R, and the margin mu0."""
-
-    floor: np.ndarray
-    h_r: dict = dfield(default_factory=dict)
-    mu0: float = 0.0
-
-    def register(self, R: float, values: np.ndarray):
-        if np.any(values < self.floor - 1e-12):
-            raise ValueError("h_R must dominate the floor pointwise")
-        self.h_r[float(R)] = values
-
-
 def check_H2(spec, dom: Domain, k: Kernel, qt: QuadratureTable, pts,
              R: float = 1.0, tol: float = 1e-9, h_r=None) -> Certificate:
     """min over grid of h_R(x) + exterior kernel mass; pass iff >= -tol."""

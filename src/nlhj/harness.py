@@ -107,9 +107,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
         shared = 2.0 * np.maximum(sa.sigma, sb.sigma)
     sa, sb, cpair = make_states(shared)
 
-    core = grid.core_flat
     # precondition: nodewise ordering of both data sets over the window
-    if np.any(sa.raw[core] > sb.raw[core] + 1e-14):
+    if np.any(sa.u > sb.u + 1e-14):
         raise PreconditionError("initial data are not ordered u0 <= v0")
     ext_pts = grid.exterior_points
     pa = CoefficientField(phi_a, "phi_a")
@@ -126,7 +125,7 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
                 dt = min(auto_dt(sa, cpair), auto_dt(sb, cpair), T - sa.t)
                 step(sa, cpair, dt)
                 step(sb, cpair, dt)
-                v = float((sa.raw[core] - sb.raw[core]).max())
+                v = float((sa.u - sb.u).max())
                 worst = max(worst, v)
                 rows.append((sa.t, v))
             break
@@ -324,7 +323,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     for c in phi_scales:
         st = init_state(grid, plan.qt, spec, float(c), float(c), cfg)
         st, rep = run_to_steady(st, cfg)
-        u = st.raw[grid.core_flat]
+        u = st.u
         q = holder_quotient(grid, u, exponent)
         quotients.append(q)
         sup_norms.append(float(np.abs(u).max()))
@@ -409,7 +408,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     ref_tol = 1e-12 * (1.0 + st_inf.sup_norm)
     ref_cfg = replace(cfg, steady_tol=ref_tol)
     st_inf, _ = run_to_steady(st_inf, ref_cfg)
-    u_inf = st_inf.raw[grid.core_flat].copy()
+    u_inf = st_inf.u.copy()
 
     # parabolic run with snapshots
     snap_cfg = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 50)
@@ -421,9 +420,9 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     ext_pts = grid.exterior_points
     phibar = pl(ext_pts, 0.0)
     times, devs, gs = [], [], []
-    for t, raw in rep.snapshots:
+    for t, u in rep.snapshots:
         times.append(t)
-        devs.append(float(np.abs(raw[grid.core_flat] - u_inf).max()))
+        devs.append(float(np.abs(u - u_inf).max()))
         gs.append(float(np.abs(ph(ext_pts, t) - phibar).max(initial=0.0)))
     times = np.array(times)
     devs = np.array(devs)
@@ -502,13 +501,13 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
 
     st_inf = init_state(grid, qt, spec_limit, phi_limit, u0, cfg)
     st_inf, _ = run_to_steady(st_inf, cfg)
-    u_inf = st_inf.raw[grid.core_flat].copy()
+    u_inf = st_inf.u.copy()
 
     st = init_state(grid, qt, spec, phi, u0, cfg)
     devs = []
     for T in T_ladder:
         run_to_time(st, cfg, T)
-        devs.append(float(np.abs(st.raw[grid.core_flat] - u_inf).max()))
+        devs.append(float(np.abs(st.u - u_inf).max()))
     monotone = all(b <= a * (1 + 0.05) + 1e-12 for a, b in zip(devs[:-1], devs[1:]))
     passed = monotone and devs[-1] < eps_conv
     return ExperimentResult(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidResolution, OriginSingularity
+from .errors import InvalidResolution
 from .geometry import Domain, signed_distance_many
 
 
@@ -85,15 +85,6 @@ def custom_radial_kernel(alpha: float, dim: int, radii, values) -> Kernel:
         raise ValueError("kernel density must be nonnegative")
     prof = lambda r: np.interp(r, radii, values)
     return Kernel(alpha, dim, prof, kmax=float(values.max()), name="custom_radial")
-
-
-def kernel_density(k: Kernel, z) -> float:
-    """K^alpha(z) = K(z)|z|^{-(n+alpha)} for z != 0."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = float(np.linalg.norm(z))
-    if r == 0.0:
-        raise OriginSingularity("kernel density is singular at z = 0")
-    return float(k.density_values(z[None, :])[0]) * r ** (-(k.dim + k.alpha))
 
 
 @dataclass

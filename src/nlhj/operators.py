@@ -1,15 +1,17 @@
-"""Nonlocal operator evaluation: full, truncated, censored, and the scheme
-residual.
+"""Nonlocal operator evaluation: the scheme's sweep, the single-node
+reference, and the scheme residual.
 
 A :class:`Field` pairs grid values on the closed domain with the exterior
 Dirichlet datum; exterior nodes always carry the datum at the field's time,
 and boundary-trace nodes carry the upper (max) or lower (min) envelope of the
-stored value and the datum, per the field's policy.
+stored value and the datum, per the field's policy.  It backs the
+single-node references.
 
-The full-grid sweep used by the time stepper is the hot path: a
-:class:`SweepPlan` evaluates the operator at every core node as one FFT
-correlation of the core block plus a cached exterior load.
-:func:`eval_operator` is the independent single-node evaluation.
+The time stepper's hot path is a :class:`SweepPlan`: it evaluates the
+operator at every core node as one FFT correlation of the core block plus a
+cached exterior load, and it is the only place that samples the datum
+beyond the one-node ring around the core.  :func:`eval_operator` is the
+independent single-node evaluation.
 """
 
 from __future__ import annotations
@@ -20,38 +22,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NodeOutsideGrid, UnsupportedOrder
-from .geometry import Domain, Grid, signed_distance_many
+from .errors import NodeOutsideGrid
+from .geometry import Grid
 from .kernels import QuadratureTable
 
 UPPER, LOWER = "upper", "lower"
-
-
-@dataclass
-class Region:
-    """Offset-set selector for the truncated operator I[A]."""
-
-    kind: str
-    delta: float | None = None
-
-    @staticmethod
-    def all():
-        return Region("all")
-
-    @staticmethod
-    def ball(delta: float):
-        return Region("ball", float(delta))
-
-    @staticmethod
-    def ball_complement(delta: float):
-        return Region("ball_c", float(delta))
-
-    @staticmethod
-    def censored():
-        return Region("censored")
-
-
-ALL = Region.all()
 
 
 class Field:
@@ -91,7 +66,6 @@ class Field:
         raw = np.zeros(grid.size)
         raw[grid.core_flat] = (u0(grid.core_points) if not np.isscalar(u0)
                                else float(u0))
-        raw[grid.exterior_flat] = phi(grid.exterior_points, t)
         return cls(grid, raw, phi, t, policy)
 
     def trace_gap(self) -> np.ndarray:
@@ -117,13 +91,14 @@ def _tail_values(g: Grid, values: np.ndarray) -> np.ndarray:
     return np.array([shell.mean()])
 
 
-def save_field(f: Field, path, alpha: float):
-    """Write coordinates and values as a text table with a metadata header."""
-    pts = f.grid.points()
-    cols = [pts[:, a] for a in range(f.grid.dim)] + [f.values]
+def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float):
+    """Write core node coordinates and ``values`` (in ``core_flat`` order)
+    as a text table with a metadata header."""
+    pts = grid.core_points
+    cols = [pts[:, a] for a in range(grid.dim)] + [values]
     row = "\t".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# t={f.t:.17g} h={f.grid.h:.17g} alpha={alpha:.17g}\n")
+        fh.write(f"# t={float(t):.17g} h={grid.h:.17g} alpha={alpha:.17g}\n")
         fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
 
 
@@ -171,7 +146,8 @@ def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
 @dataclass
 class SweepPlan:
     """The scheme's operator on one grid and quadrature table, evaluated as
-    one translation-invariant lattice stencil.
+    one translation-invariant lattice stencil, plus the layout of what the
+    solver reads beyond the unknowns.
 
     Every term linear in the extension array E (far weights, near-field
     second differences, compensator) is a dense stencil S on offsets
@@ -184,13 +160,22 @@ class SweepPlan:
     where corr is a zero-padded FFT correlation whose kernel spectrum is
     built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
     that leave the core, tail included.
+
+    The one-sided differences read one node beyond the core: ``ring_points``
+    are the nodes of the core block padded by one node per side that are
+    not core nodes, and ``ring_pos`` their flat positions in that padded
+    block.  ``trace_pos`` locates the trace nodes in ``core_flat`` order.
     """
 
     grid: Grid
     qt: QuadratureTable
     diag: float = dfield(init=False)
     exit_mass: np.ndarray = dfield(init=False, repr=False)
+    core_shape: tuple = dfield(init=False)
     core_box: tuple = dfield(init=False, repr=False)
+    ring_points: np.ndarray = dfield(init=False, repr=False)
+    ring_pos: np.ndarray = dfield(init=False, repr=False)
+    trace_pos: np.ndarray = dfield(init=False, repr=False)
     _stencil: np.ndarray = dfield(init=False, repr=False)
     _box_start: tuple = dfield(init=False, repr=False)
     _core_fft: tuple = dfield(init=False, repr=False)
@@ -204,11 +189,18 @@ class SweepPlan:
         J = max(int(np.abs(qt.offsets).max(initial=0)), 1)
         if g.halo < J:
             raise ValueError(f"grid halo {g.halo} too small for offsets (need {J})")
-        box = tuple(n + 1 for n in g.n_core)
+        box = self.core_shape = tuple(n + 1 for n in g.n_core)
         self.core_box = tuple(slice(g.halo, g.halo + m) for m in box)
-        box_flat = np.arange(g.size).reshape(g.shape)[self.core_box].ravel()
-        if not np.array_equal(box_flat, g.core_flat):
+        flat = np.arange(g.size).reshape(g.shape)
+        if not np.array_equal(flat[self.core_box].ravel(), g.core_flat):
             raise ValueError("core nodes do not form the box of interior and trace nodes")
+        padded = flat[tuple(slice(g.halo - 1, g.halo + m + 1) for m in box)]
+        ring = np.ones(padded.shape, dtype=bool)
+        ring[(slice(1, -1),) * g.dim] = False
+        self.ring_pos = np.flatnonzero(ring)
+        self.ring_points = g.points_at(padded.ravel()[self.ring_pos])
+        self.ring_points.setflags(write=False)
+        self.trace_pos = np.searchsorted(g.core_flat, g.trace_flat)
 
         S = np.zeros((2 * J + 1,) * g.dim)
         S[tuple((qt.offsets + J).T)] = qt.weights
@@ -240,31 +232,33 @@ class SweepPlan:
     def _full_spec(self) -> np.ndarray:
         return _correlation_spectrum(self._stencil, self._full_fft)
 
-    def exterior_load(self, E: np.ndarray) -> np.ndarray:
+    def exterior_load(self, phi, t: float) -> np.ndarray:
         """Per core node, the stencil terms whose jump leaves the core, plus
-        the tail against the constant continuation.  Reads only exterior
-        values of E, so it changes only when the datum does."""
+        the tail against the constant continuation, for the datum ``phi`` at
+        time t.  It changes only when the datum does."""
         g = self.grid
-        ext = E[g.exterior_flat]
+        ext = phi(g.exterior_points, t)
         if np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
             return ext[0] * self.exit_mass
-        padded = E.reshape(g.shape).copy()
-        padded[self.core_box] = 0.0
-        load = _correlate(padded, self._full_spec, self._full_fft, self.core_box)
+        # the datum on the full grid with a zero core, only while it is read
+        E = np.zeros(g.size)
+        E[g.exterior_flat] = ext
+        load = _correlate(E.reshape(g.shape), self._full_spec, self._full_fft,
+                          self.core_box)
         return load + self.qt.tail_sides @ _tail_values(g, E)
 
     def apply(self, E: np.ndarray, centers: np.ndarray,
               load: np.ndarray) -> np.ndarray:
         """Operator values at every core node (interior + trace), in
-        ``core_flat`` order.
+        ``core_flat`` order, for the core values ``E`` in that order.
 
         ``centers`` supplies the value subtracted at the evaluated node (the
         solver passes the raw solution there); ``load`` is
-        :meth:`exterior_load` of an array with the same exterior values.
+        :meth:`exterior_load` of the datum.
         """
-        core = E.reshape(self.grid.shape)[self.core_box]
-        out = _correlate(core, self._core_spec, self._core_fft, self._box_start)
+        out = _correlate(E.reshape(self.core_shape), self._core_spec,
+                         self._core_fft, self._box_start)
         out += load
         out -= self.diag * centers
         return out
@@ -282,7 +276,7 @@ def plan_for(grid: Grid, qt: QuadratureTable) -> SweepPlan:
 
 
 # ---------------------------------------------------------------------------
-# single-node evaluation (general regions)
+# single-node evaluation
 # ---------------------------------------------------------------------------
 
 def _locate(f: Field, x) -> int:
@@ -292,14 +286,12 @@ def _locate(f: Field, x) -> int:
         raise NodeOutsideGrid(str(e))
 
 
-def eval_operator(f: Field, x, p, qt: QuadratureTable,
-                  region: Region = ALL, dom: Domain | None = None) -> float:
-    """Truncated operator I[A](f, x, p) on the lattice.
+def eval_operator(f: Field, x, p, qt: QuadratureTable) -> float:
+    """The truncated operator I(f, x, p) on the lattice, over all offsets.
 
     The compensator <p, z> acts on offsets inside the unit ball and only for
     alpha >= 1; for alpha < 1 it is omitted and p has no effect.  The near
-    field (second-difference form, alpha >= 1) belongs to the ball side of
-    any split; the tail belongs to the complement side.
+    field (second-difference form) and the tail complete the sum.
     """
     g = f.grid
     flat = _locate(f, x)
@@ -312,43 +304,20 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable,
     E = f.values
     center = float(E[flat])
 
-    norms = qt.offset_norms
-    if region.kind == "all":
-        sel = np.ones(norms.shape, dtype=bool)
-        include_near, include_tail = True, True
-    elif region.kind == "ball":
-        sel = norms < region.delta
-        include_near, include_tail = True, False
-    elif region.kind == "ball_c":
-        sel = norms >= region.delta
-        include_near, include_tail = False, True
-    elif region.kind == "censored":
-        if qt.alpha >= 1:
-            raise UnsupportedOrder("censored operator requires alpha < 1")
-        if dom is None:
-            dom = g.domain
-        pts = g.points_at(np.full(1, flat))[0][None, :] + qt.offsets * qt.h
-        sel = signed_distance_many(dom, pts) > 0.0
-        include_near, include_tail = False, False
-    else:
-        raise ValueError(f"unknown region kind {region.kind!r}")
-
-    off_flat = g.offset_to_flat(qt.offsets[sel])
-    w = qt.weights[sel]
-    acc = float(np.dot(w, E[flat + off_flat]) - w.sum() * center)
+    w = qt.weights
+    acc = float(np.dot(w, E[flat + g.offset_to_flat(qt.offsets)]) - w.sum() * center)
     if qt.alpha >= 1:
-        zsel = qt.offsets[sel] * qt.h
-        in_ball = norms[sel] <= 1.0 + 1e-14
+        in_ball = qt.offset_norms <= 1.0 + 1e-14
         if np.any(in_ball):
-            acc -= float((w[in_ball, None] * zsel[in_ball]).sum(axis=0) @ p)
-        if include_near:
-            strides = np.asarray(g.strides, dtype=np.int64)
-            for a in range(g.dim):
-                c = qt.nf_axis[a] / (2.0 * qt.h ** 2)
-                if c != 0.0:
-                    s = strides[a]
-                    acc += c * (E[flat + s] - 2.0 * center + E[flat - s])
-    if include_tail and qt.tail_mass > 0.0:
+            z = qt.offsets[in_ball] * qt.h
+            acc -= float((w[in_ball, None] * z).sum(axis=0) @ p)
+        strides = np.asarray(g.strides, dtype=np.int64)
+        for a in range(g.dim):
+            c = qt.nf_axis[a] / (2.0 * qt.h ** 2)
+            if c != 0.0:
+                s = strides[a]
+                acc += c * (E[flat + s] - 2.0 * center + E[flat - s])
+    if qt.tail_mass > 0.0:
         tv = f.tail_values()
         if g.dim == 1:
             acc += qt.tail_sides[0] * (tv[0] - center)
@@ -358,23 +327,14 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable,
     return acc
 
 
-def eval_censored(f: Field, x, qt: QuadratureTable,
-                  dom: Domain | None = None) -> float:
-    """Censored operator: jumps restricted to land inside Omega (alpha < 1)."""
-    if qt.alpha >= 1:
-        raise UnsupportedOrder("censored operator requires alpha < 1")
-    return eval_operator(f, x, None, qt, Region.censored(), dom=dom)
-
-
 def scheme_evaluation(f: Field, x, t: float, dt_slot: float, p, ham_spec,
                       qt: QuadratureTable, p_minus=None, p_plus=None,
                       sigma=None, center=None) -> float:
     """Scheme residual dt_slot - I(f, x, p) + H(x, t, f(x), p).
 
     The continuous evaluation splits the operator at a ball of radius delta;
-    on the lattice both parts reduce to the same quadrature (asserted in
-    tests via the ball/complement split), so no split is made here.  When
-    the one-sided pair (p_minus, p_plus) is given the monotone numerical
+    on the lattice both parts reduce to the same quadrature, so no split is
+    made here.  When the one-sided pair (p_minus, p_plus) is given the monotone numerical
     Hamiltonian is used instead of the pointwise one (pass the solver's
     sigma for the exact stepping residual); ``center`` overrides the value
     subtracted/fed at the node, matching the solver's raw-center reads.
@@ -382,7 +342,7 @@ def scheme_evaluation(f: Field, x, t: float, dt_slot: float, p, ham_spec,
     from .hamiltonians import eval_hamiltonian, numerical_hamiltonian
 
     flat = _locate(f, x)
-    op = eval_operator(f, x, p, qt, ALL)
+    op = eval_operator(f, x, p, qt)
     r = float(f.values[flat]) if center is None else float(center)
     if center is not None:
         # the operator subtracted the envelope value at the node; shift the

@@ -1,8 +1,9 @@
 """Independent references used to verify the discrete operators and schemes.
 
 Everything here bypasses the lattice quadrature: adaptive quadrature for the
-nonlocal operator, closed forms for exterior masses and decay envelopes, and
-a hand-rolled first-order upwind advection stepper.
+nonlocal operator (full and censored), closed forms for exterior and tail
+masses, a trapezoid evaluation of the rate bound, and a hand-rolled
+first-order upwind advection stepper.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ def upwind_advection_steps(values: np.ndarray, c: float, h: float, dt: float,
             vn[core] = v[core] + dt * c * (v[core] - v[core - 1]) / h
         v = vn
     return v
-
-
-def decay_envelope(dev0: float, mu0: float, times: np.ndarray) -> np.ndarray:
-    """Closed-form rate bound with static exterior data (g identically 0)."""
-    return dev0 * np.exp(-mu0 * np.asarray(times))
 
 
 def rate_bound_trapezoid(times: np.ndarray, g_samples: np.ndarray, mu0: float,

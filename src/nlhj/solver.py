@@ -1,15 +1,18 @@
 """Explicit monotone time stepper and steady-state driver.
 
-Exterior nodes are hard-set to the datum at the current time; interior and
-boundary-trace nodes advance by the same explicit update
+The state holds the unknowns only: the values at the core nodes (interior
+and boundary trace), which all advance by the same explicit update
 
     u_i <- u_i + dt * [ I(u, x_i) - H_num(x_i, t, u_i, p-, p+) ]
 
 so the generalized Dirichlet condition emerges: a persistent trace gap
-phi - u > 0 on the boundary signals loss of the boundary condition.  Operator
-neighbor reads use the upper phi-envelope at trace nodes; the evaluated node
-always contributes its raw value (required for the exact discrete comparison
-property when exterior data differ).
+phi - u > 0 on the boundary signals loss of the boundary condition.  The
+exterior datum enters through the sweep plan's exterior load (the jumps
+that leave the domain), through the one-node ring the one-sided differences
+read, and through the upper phi-envelope that operator neighbor reads use
+at trace nodes; the evaluated node always contributes its raw value
+(required for the exact discrete comparison property when exterior data
+differ).
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ class SchemeConfig:
 
 @dataclass
 class SolveState:
-    grid: Grid
     plan: SweepPlan
     spec: object
     phi: CoefficientField
-    raw: np.ndarray
+    u: np.ndarray                    # core values, in grid.core_flat order
     t: float = 0.0
     steps: int = 0
     sigma: np.ndarray | None = None
@@ -66,19 +68,26 @@ class SolveState:
     load: np.ndarray | None = None   # plan.exterior_load at time t
 
     def __post_init__(self):
-        self.sup_norm = float(np.abs(self.raw[self.grid.core_flat]).max())
+        self.sup_norm = float(np.abs(self.u).max())
+
+    @property
+    def grid(self) -> Grid:
+        return self.plan.grid
 
     @property
     def qt(self) -> QuadratureTable:
         return self.plan.qt
 
     def field(self, policy: str = "upper") -> Field:
-        return Field(self.grid, self.raw.copy(), self.phi, self.t, policy)
+        """The state on the full grid, exterior datum included, for the
+        single-node references."""
+        raw = np.zeros(self.grid.size)
+        raw[self.grid.core_flat] = self.u
+        return Field(self.grid, raw, self.phi, self.t, policy)
 
     def trace_gaps(self) -> np.ndarray:
-        g = self.grid
-        return (np.asarray(self.phi(g.trace_points, self.t), dtype=float)
-                - self.raw[g.trace_flat])
+        return (self.phi(self.grid.trace_points, self.t)
+                - self.u[self.plan.trace_pos])
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -93,47 +102,50 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
 def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
                cfg: SchemeConfig, t0: float = 0.0) -> SolveState:
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
-    raw = np.zeros(grid.size)
-    raw[grid.core_flat] = eval_initial(u0, grid.core_points)
-    raw[grid.exterior_flat] = phi(grid.exterior_points, t0)
     plan = plan_for(grid, qt)
-    st = SolveState(grid, plan, spec, phi, raw, t=t0,
-                    load=plan.exterior_load(raw))
-    sup_u = st.sup_norm
-    sup_phi = float(np.abs(raw[grid.exterior_flat]).max(initial=0.0))
-    st.m_cap = cfg.m_cap if cfg.m_cap is not None else 1e3 * (1.0 + sup_u + sup_phi)
+    st = SolveState(plan, spec, phi, eval_initial(u0, grid.core_points), t=t0,
+                    load=plan.exterior_load(phi, t0))
+    sup_phi = float(np.abs(phi(grid.exterior_points, t0)).max(initial=0.0))
+    st.m_cap = (cfg.m_cap if cfg.m_cap is not None
+                else 1e3 * (1.0 + st.sup_norm + sup_phi))
     if spec.family == "coercive":
         if cfg.sigma_override is not None:
             st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
         else:
-            pm, pp = _one_sided_gradients(st, _envelope(st))
+            pm, pp = _one_sided_gradients(st, envelope(plan, st.u, phi, t0), t0)
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
             st.sigma = 1.0 + lf_viscosity_bound(spec, grid.core_points,
                                                 t0, scale)
     return st
 
 
-def _envelope(st: SolveState) -> np.ndarray:
-    """Extension array: raw values with the upper envelope at trace nodes."""
-    E = st.raw.copy()
-    tr = st.grid.trace_flat
+def envelope(plan: SweepPlan, u: np.ndarray, phi, t: float) -> np.ndarray:
+    """Core values with the upper envelope max(u, phi) at trace nodes: what
+    the operator and the difference quotients read, and what snapshots
+    record."""
+    E = u.copy()
+    tr = plan.trace_pos
     if len(tr):
-        phi_tr = np.asarray(st.phi(st.grid.trace_points, st.t), dtype=float)
-        E[tr] = np.maximum(E[tr], phi_tr)
+        E[tr] = np.maximum(E[tr], phi(plan.grid.trace_points, t))
     return E
 
 
-def _one_sided_gradients(st: SolveState, E: np.ndarray):
-    g = st.grid
-    core = g.core_flat
-    centers = st.raw[core]
-    h = g.h
-    dim = g.dim
-    pm = np.empty((len(core), dim))
-    pp = np.empty((len(core), dim))
-    for a, s in enumerate(g.strides):
-        pp[:, a] = (E[core + s] - centers) / h
-        pm[:, a] = (centers - E[core - s]) / h
+def _one_sided_gradients(st: SolveState, E: np.ndarray, t: float):
+    """Backward and forward differences at the core nodes, reading the
+    envelope ``E`` inside and the datum at time t on the ring."""
+    plan = st.plan
+    n, dim, h = len(st.u), st.grid.dim, st.grid.h
+    padded = np.empty(tuple(m + 2 for m in plan.core_shape))
+    padded[(slice(1, -1),) * dim] = E.reshape(plan.core_shape)
+    padded.reshape(-1)[plan.ring_pos] = st.phi(plan.ring_points, t)
+    pm = np.empty((n, dim))
+    pp = np.empty((n, dim))
+    for a in range(dim):
+        fwd = [slice(1, -1)] * dim
+        bwd = [slice(1, -1)] * dim
+        fwd[a], bwd[a] = slice(2, None), slice(None, -2)
+        pp[:, a] = (padded[tuple(fwd)].ravel() - st.u) / h
+        pm[:, a] = (st.u - padded[tuple(bwd)].ravel()) / h
     return pm, pp
 
 
@@ -167,13 +179,11 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 
 
 def _rhs(st: SolveState, t: float) -> np.ndarray:
-    E = _envelope(st)
-    core = st.grid.core_flat
-    centers = st.raw[core]
-    op = st.plan.apply(E, centers, st.load)
-    pm, pp = _one_sided_gradients(st, E)
+    E = envelope(st.plan, st.u, st.phi, t)
+    op = st.plan.apply(E, st.u, st.load)
+    pm, pp = _one_sided_gradients(st, E, t)
     hvals = numerical_hamiltonian_many(st.spec, st.grid.core_points, t,
-                                       centers, pm, pp, st.sigma)
+                                       st.u, pm, pp, st.sigma)
     return op - hvals
 
 
@@ -210,15 +220,13 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
             st.sigma = grown
             st.sigma_growth += 1
             attempt += 1
-    core = st.grid.core_flat
-    st.raw[core] += use * rhs
+    st.u += use * rhs
     st.t += use
     st.last_dt = use
-    st.raw[st.grid.exterior_flat] = st.phi(st.grid.exterior_points, st.t)
     if st.phi.time_dependent:
-        st.load = st.plan.exterior_load(st.raw)
+        st.load = st.plan.exterior_load(st.phi, st.t)
     st.steps += 1
-    st.sup_norm = float(np.abs(st.raw[core]).max())
+    st.sup_norm = float(np.abs(st.u).max())
     if not np.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
         raise BlowUp(f"sup-norm {st.sup_norm} exceeded cap {st.m_cap} at t = {st.t}")
     return st
@@ -230,7 +238,7 @@ class RunReport:
 
     times: list = dfield(default_factory=list)
     sup_norms: list = dfield(default_factory=list)
-    snapshots: list = dfield(default_factory=list)       # (t, raw copy)
+    snapshots: list = dfield(default_factory=list)       # (t, u copy)
     trace_gap_series: list = dfield(default_factory=list)  # (t, gaps array)
     residuals: list = dfield(default_factory=list)
     certificates: dict = dfield(default_factory=dict)
@@ -240,7 +248,7 @@ class RunReport:
         self.times.append(st.t)
         self.sup_norms.append(st.sup_norm)
         if snapshot:
-            self.snapshots.append((st.t, st.raw.copy()))
+            self.snapshots.append((st.t, st.u.copy()))
             self.trace_gap_series.append((st.t, st.trace_gaps()))
 
 
@@ -288,13 +296,12 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig,
     tol = cfg.steady_tol
     if tol is None:
         tol = 1e-8 * (1.0 + st.sup_norm)
-    core = st.grid.core_flat
     t_frozen = st.t
     for _ in range(cfg.max_steps):
-        prev = st.raw[core].copy()
+        prev = st.u.copy()
         step(st, cfg)
         st.t = t_frozen  # explicit pseudo-time marching with frozen data
-        res = float(np.abs(st.raw[core] - prev).max()) / st.last_dt
+        res = float(np.abs(st.u - prev).max()) / st.last_dt
         rep.residuals.append(res)
         rep.sup_norms.append(st.sup_norm)
         if res <= tol:

@@ -15,7 +15,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoerciveSpec, ControlLaw,
                                check_H2prime)
 from nlhj.kernels import (build_quadrature, exterior_mass,
                           fractional_laplacian_kernel, zero_kernel)
-from nlhj.operators import ALL, Field, eval_operator
+from nlhj.operators import Field, eval_operator
 from nlhj.oracles import exterior_mass_closed_form, operator_oracle_1d
 from nlhj.harness import (boundary_refinement, coercive_loss_experiment,
                           comparison_experiment, random_ordered_pair,
@@ -47,7 +47,7 @@ def test_criterion_1_operator_consistency():
             f = Field.from_function(
                 g, lambda p: np.maximum(0.0, 1 - p[:, 0] ** 2),
                 lambda p, t: np.zeros(p.shape[0]))
-            v = eval_operator(f, 0.0, 0.0, qt, ALL)
+            v = eval_operator(f, 0.0, 0.0, qt)
             errs.append(abs(v - ref) / abs(ref))
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         ok &= errs[-1] <= 1e-2 and order >= 1.0
@@ -196,7 +196,7 @@ def test_criterion_7_uniqueness():
     for u0 in (0.0, lambda p: 2.0 * np.cos(p[:, 0])):
         st = init_state(grid, qt, spec, 0.0, u0, cfg)
         st, rep = run_to_steady(st, cfg)
-        runs.append((st.raw[grid.core_flat].copy(),
+        runs.append((st.u.copy(),
                      rep.certificates["steady_tol"]))
     diff = float(np.abs(runs[0][0] - runs[1][0]).max())
     allowed = 2.0 * max(runs[0][1], runs[1][1]) / mu0

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +228,79 @@ def test_2d_config(tmp_path):
     cfg = parse_config(write(tmp_path, text, "run2d.cfg"))
     assert cfg.domain.dim == 2
     assert execute(cfg) == 0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hamiltonian", "f", "nan"),
+    ("hamiltonian", "f", "1e400*x"),
+    ("hamiltonian", "b", "-inf"),
+    ("data", "phi", "inf"),
+    ("data", "u0", "1e400"),
+    ("scheme", "T", "inf"),
+    ("scheme", "h", "nan"),
+    ("scheme", "dt", "-inf"),
+    ("domain", "lower", "nan"),
+    ("domain", "upper", "1e400"),
+    ("experiment", "phi_scales", "1 inf"),
+])
+def test_non_finite_numbers_refused(tmp_path, capsys, section, key, value):
+    out = tmp_path / "out"
+    text = re.sub(rf"(?m)^{key} = .*\n", "", MINIMAL.format(out=out))
+    text = text.replace(f"[{section}]", f"[{section}]\n{key} = {value}", 1)
+    p = write(tmp_path, text, "bad.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any(f"[{section}] {key}" in m for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hamiltonian", "f", "y"),
+    ("hamiltonian", "b", "0.5*y"),
+    ("data", "u0", "1 - y^2"),
+    ("data", "phi", "sin(x + y)"),
+    ("data", "phi_limit", "y"),
+    ("experiment", "f_limit", "x*y"),
+])
+def test_y_refused_in_1d_expression(tmp_path, capsys, section, key, value):
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out)
+    text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    text = text.replace(f"[{section}]", f"[{section}]\n{key} = {value}", 1)
+    p = write(tmp_path, text, "y.cfg")
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}" in err and "'y'" in err
+    assert not out.exists()
+
+
+def test_run_snapshots_hold_core_rows(tmp_path):
+    # one row per core node: coordinates and the upper envelope of the
+    # state and a t-dependent datum, as the full-grid field gives them
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out)
+    text = text.replace("dimension = 1", "dimension = 2")
+    text = text.replace("lower = -1", "lower = -1 -1")
+    text = text.replace("upper = 1", "upper = 1 1")
+    text = text.replace("h = 0.03125", "h = 0.125\nr_max = 2.0")
+    text = text.replace("u0 = 1 - x^2", "u0 = (1 - x^2)*(1 - y^2)")
+    text = text.replace("phi = 0", "phi = 1 + 0.2*sin(x - y)*exp(-t)")
+    cfg = parse_config(write(tmp_path, text, "snap.cfg"))
+    assert execute(cfg) == 0
+    plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
+    grid = plan.grid
+    st = solver.init_state(grid, plan.qt, cfg.spec, cfg.phi, cfg.u0, cfg.scheme)
+    rep = solver.run_to_time(st, cfg.scheme, cfg.scheme.T)
+    files = sorted(out.glob("field_t*.tsv"))
+    assert len(files) == len(rep.snapshots) == 3
+    for path, (t, u) in zip(files, rep.snapshots):
+        raw = np.zeros(grid.size)
+        raw[grid.core_flat] = u
+        values = operators.Field(grid, raw, cfg.phi, t).values[grid.core_flat]
+        rows = ["\t".join(f"{v:.17g}" for v in (*p, v))
+                for p, v in zip(grid.core_points, values)]
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith(f"# t={t:.17g} h=0.125")
+        assert lines[1:] == rows

@@ -56,6 +56,8 @@ def test_constant_broadcast():
     "2**3", "+x", "0x10", "1_0", "1j", "True", "'a'", "x.real", "x[0]",
     "x < 1", "x if t else 1", "lambda: 1", "sin(x=1)", "abs(*x)", "sin(x,)",
     "(x, 1)", "__import__('os')", "x) * (x", "",
+    # a literal that overflows float64
+    "x + 1e400",
 ])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError, match="position"):

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from nlhj.errors import CornerAmbiguity
 from nlhj.geometry import (Domain, Grid, EXTERIOR, INTERIOR, TRACE,
-                           distance_gradient, shifted_complement_indicator,
-                           signed_distance, signed_distance_many)
+                           distance_gradient, signed_distance,
+                           signed_distance_many)
 
 
 def test_signed_distance_interval(dom1):
@@ -37,12 +37,6 @@ def test_corner_exclusion_zone():
     dom = Domain((-1, -1), (1, 1), corner_exclusion=0.2)
     with pytest.raises(CornerAmbiguity):
         distance_gradient(dom, (0.95, 0.9))
-
-
-def test_shifted_complement_indicator(dom1):
-    assert shifted_complement_indicator(dom1, 0.0, 2.0)
-    assert not shifted_complement_indicator(dom1, 0.0, 0.5)
-    assert shifted_complement_indicator(dom1, 0.9, 0.2)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3))

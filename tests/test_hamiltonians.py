@@ -219,14 +219,3 @@ def test_tabulated_coefficient(dom1):
     assert not lam.time_dependent
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=lam)
     assert eval_hamiltonian(spec, 0.5, 0.0, 2.0, 0.0) == pytest.approx(2.5, abs=0.02)
-
-
-def test_properness_data_registry(dom1, k05):
-    from nlhj.hamiltonians import PropernessData
-    pts = core_pts(dom1)
-    floor = np.zeros(pts.shape[0])
-    pd = PropernessData(floor=floor, mu0=4.0)
-    pd.register(1.0, floor + 0.5)     # h_R >= h pointwise
-    assert 1.0 in pd.h_r
-    with pytest.raises(ValueError):
-        pd.register(2.0, floor - 0.1)

@@ -1,25 +1,13 @@
 import numpy as np
 import pytest
 
-from nlhj.errors import InvalidResolution, OriginSingularity
+from nlhj.errors import InvalidResolution
 from nlhj.geometry import Domain, Grid
 from nlhj.kernels import (build_quadrature, custom_radial_kernel,
                           exterior_mass, exterior_mass_many,
                           fractional_laplacian_kernel, indicator_kernel,
-                          kernel_density, zero_kernel)
+                          zero_kernel)
 from nlhj.oracles import exterior_mass_closed_form, tail_mass_closed_form
-
-
-def test_kernel_density_values(k05, k15):
-    assert kernel_density(k05, 1.0) == 1.0
-    assert kernel_density(k05, 4.0) == pytest.approx(0.125)
-    # direct power evaluation oracle
-    assert kernel_density(k15, 0.5) == pytest.approx(0.5 ** -2.5)
-
-
-def test_kernel_density_origin(k05):
-    with pytest.raises(OriginSingularity):
-        kernel_density(k05, 0.0)
 
 
 def test_invalid_resolution(k05):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from nlhj.errors import NodeOutsideGrid, UnsupportedOrder
+from nlhj.errors import NodeOutsideGrid
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
-from nlhj.operators import (ALL, Field, Region, eval_censored, eval_operator,
-                            scheme_evaluation)
-from nlhj.oracles import censored_oracle_1d, operator_oracle_1d
+from nlhj.operators import Field, eval_operator, save_field, scheme_evaluation
+from nlhj.oracles import operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
 from conftest import grid_for
@@ -26,12 +25,7 @@ def test_constant_field_vanishes(dom1, k05, k15):
         qt = build_quadrature(k, 2.0 ** -6, 8.0)
         f = make_field(dom1, 2.0 ** -6, 8.0, lambda p: np.full(p.shape[0], 3.0),
                        lambda p, t: np.full(p.shape[0], 3.0))
-        for region in (ALL, Region.ball(0.5), Region.ball_complement(0.5)):
-            assert eval_operator(f, 0.0, 0.7, qt, region) == pytest.approx(0.0, abs=1e-12)
-    qt = build_quadrature(k05, 2.0 ** -6, 8.0)
-    f = make_field(dom1, 2.0 ** -6, 8.0, lambda p: np.full(p.shape[0], 3.0),
-                   lambda p, t: np.full(p.shape[0], 3.0))
-    assert eval_censored(f, 0.0, qt) == pytest.approx(0.0, abs=1e-12)
+        assert eval_operator(f, 0.0, 0.7, qt) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_affine_field_symmetric_kernel(dom1, k15):
@@ -41,7 +35,7 @@ def test_affine_field_symmetric_kernel(dom1, k15):
     slope = 0.7
     f = make_field(dom1, 2.0 ** -6, 8.0, lambda p: slope * p[:, 0],
                    lambda p, t: slope * p[:, 0])
-    v = eval_operator(f, 0.0, slope, qt, ALL)
+    v = eval_operator(f, 0.0, slope, qt)
     assert v == pytest.approx(0.0, abs=1e-10)
 
 
@@ -51,28 +45,17 @@ def test_matches_adaptive_quadrature(dom1, alpha):
     h = 2.0 ** -8
     qt = build_quadrature(k, h, 8.0)
     f = make_field(dom1, h, 8.0, BUMP)
-    v = eval_operator(f, 0.0, 0.0, qt, ALL)
+    v = eval_operator(f, 0.0, 0.0, qt)
     fn = lambda x: max(0.0, 1.0 - x * x)
     ref = operator_oracle_1d(fn, 0.0, k, points=[-1.0, 1.0], grad=0.0)
     assert v == pytest.approx(ref, rel=1e-2)
 
 
-def test_partition_ball_plus_complement(dom1, k05, k15):
-    for k in (k05, k15):
-        qt = build_quadrature(k, 2.0 ** -6, 8.0)
-        f = make_field(dom1, 2.0 ** -6, 8.0, BUMP)
-        for delta in (0.25, 1.0):
-            tot = eval_operator(f, 0.25, 0.3, qt, ALL)
-            a = eval_operator(f, 0.25, 0.3, qt, Region.ball(delta))
-            b = eval_operator(f, 0.25, 0.3, qt, Region.ball_complement(delta))
-            assert a + b == pytest.approx(tot, rel=1e-12, abs=1e-12)
-
-
 def test_compensator_ignored_below_one(dom1, k05):
     qt = build_quadrature(k05, 2.0 ** -6, 8.0)
     f = make_field(dom1, 2.0 ** -6, 8.0, BUMP)
-    v1 = eval_operator(f, 0.25, 0.0, qt, ALL)
-    v2 = eval_operator(f, 0.25, 123.0, qt, ALL)
+    v1 = eval_operator(f, 0.25, 0.0, qt)
+    v2 = eval_operator(f, 0.25, 123.0, qt)
     assert v1 == v2
 
 
@@ -87,8 +70,8 @@ def test_monotonicity_in_field_values(dom1, k05):
     fa = Field(g, base, ZERO_PHI)
     fb = Field(g, other, ZERO_PHI)
     # exterior/trace slots are overwritten identically by the datum
-    va = eval_operator(fa, 0.25, 0.0, qt, ALL)
-    vb = eval_operator(fb, 0.25, 0.0, qt, ALL)
+    va = eval_operator(fa, 0.25, 0.0, qt)
+    vb = eval_operator(fb, 0.25, 0.0, qt)
     assert va <= vb + 1e-13
 
 
@@ -101,61 +84,19 @@ def test_translation_covariance_bitwise(k05):
     s = 8 * h
     f1 = Field.from_function(g, bump(0.0), ZERO_PHI)
     f2 = Field.from_function(g, bump(s), ZERO_PHI)
-    v1 = eval_operator(f1, 0.25, 0.0, qt, ALL)
-    v2 = eval_operator(f2, 0.25 + s, 0.0, qt, ALL)
+    v1 = eval_operator(f1, 0.25, 0.0, qt)
+    v2 = eval_operator(f2, 0.25 + s, 0.0, qt)
     assert v1 == v2  # identical summands in identical order
-
-
-def test_censored_operator(dom1, k05):
-    h = 2.0 ** -10
-    qt = build_quadrature(k05, h, 8.0)
-    g = grid_for(dom1, h, 8.0)
-    lin = lambda p: p[:, 0]
-    f = Field.from_function(g, lin, lambda p, t: p[:, 0])
-    x = g.points_at(np.array([g.flat_index_of(0.99)]))[0][0]
-    v = eval_censored(f, x, qt)
-    ref = censored_oracle_1d(lambda y: y, float(x), k05, dom1)
-    assert v == pytest.approx(ref, rel=3e-2)
-
-
-def test_censored_requires_small_alpha(dom1, k15):
-    qt = build_quadrature(k15, 2.0 ** -6, 8.0)
-    f = make_field(dom1, 2.0 ** -6, 8.0, BUMP)
-    with pytest.raises(UnsupportedOrder):
-        eval_censored(f, 0.0, qt)
-
-
-def test_censored_partition_identity(dom1, k05):
-    # full minus censored equals the exterior part plus the tail
-    h = 2.0 ** -6
-    qt = build_quadrature(k05, h, 8.0)
-    g = grid_for(dom1, h, 8.0)
-    f = Field.from_function(g, BUMP, ZERO_PHI)
-    x = 0.25
-    full = eval_operator(f, x, 0.0, qt, ALL)
-    cen = eval_censored(f, x, qt)
-    flat = g.flat_index_of(x)
-    E = f.values
-    center = E[flat]
-    pts = np.array([x]) + qt.offsets[:, 0] * qt.h
-    outside = np.array([not (-1 < p < 1) for p in pts])
-    ext_part = float(np.dot(qt.weights[outside],
-                            E[flat + g.offset_to_flat(qt.offsets[outside])])
-                     - qt.weights[outside].sum() * center)
-    tv = f.tail_values()
-    ext_part += qt.tail_sides[0] * (tv[0] - center)
-    ext_part += qt.tail_sides[1] * (tv[1] - center)
-    assert full - cen == pytest.approx(ext_part, rel=1e-12, abs=1e-12)
 
 
 def test_node_outside_grid(dom1, k05):
     qt = build_quadrature(k05, 2.0 ** -6, 8.0)
     f = make_field(dom1, 2.0 ** -6, 8.0, BUMP)
     with pytest.raises(NodeOutsideGrid):
-        eval_operator(f, 50.0, 0.0, qt, ALL)
+        eval_operator(f, 50.0, 0.0, qt)
     with pytest.raises(NodeOutsideGrid):
         # stored node, but its stencil leaves the storage block
-        eval_operator(f, 8.5, 0.0, qt, ALL)
+        eval_operator(f, 8.5, 0.0, qt)
 
 
 def test_field_envelope_policies(dom1):
@@ -171,17 +112,16 @@ def test_field_envelope_policies(dom1):
 
 
 def test_field_serialization_header(tmp_path, dom1):
-    from nlhj.operators import save_field
     g = grid_for(dom1, 0.25, 4)
-    f = Field.from_function(g, BUMP, ZERO_PHI, t=0.5)
+    values = Field.from_function(g, BUMP, ZERO_PHI, t=0.5).values[g.core_flat]
     out = tmp_path / "field.tsv"
-    save_field(f, out, alpha=0.5)
+    save_field(g, values, 0.5, out, alpha=0.5)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# t=0.5 h=0.25 alpha=0.5")
-    assert len(lines) == 1 + g.size
+    assert len(lines) == 1 + len(g.core_flat)  # core nodes only
     assert len(lines[1].split("\t")) == 2  # coordinate, value
     # one "%.17g" per column, as formatting each value on its own gives
-    rows = zip(g.points()[:, 0], f.values)
+    rows = zip(g.core_points[:, 0], values)
     assert lines[1:] == ["\t".join(f"{v:.17g}" for v in row) for row in rows]
 
 
@@ -205,7 +145,7 @@ def test_operator_2d_radial_oracle(dom2):
     g = grid_for(dom2, h, 2.0)
     u0 = lambda p: np.maximum(0.0, 1.0 - (p ** 2).sum(axis=1))
     f = Field.from_function(g, u0, ZERO_PHI)
-    v = eval_operator(f, (0.0, 0.0), (0.0, 0.0), qt, ALL)
+    v = eval_operator(f, (0.0, 0.0), (0.0, 0.0), qt)
     ref = operator_oracle_2d_radial(lambda r: max(0.0, 1.0 - r * r), k,
                                     points=[1.0])
     assert v == pytest.approx(ref, rel=5e-2)
@@ -238,15 +178,15 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)
     for _ in range(3):
-        f = Field(g, st.raw.copy(), phi, st.t)
+        f = st.field()
         E = f.values
-        centers = st.raw[g.core_flat]
-        got = st.plan.apply(E, centers, st.load)
+        centers = st.u
+        got = st.plan.apply(E[g.core_flat], centers, st.load)
         ref = np.empty_like(got)
         for i, (flat, x) in enumerate(zip(g.core_flat, g.points_at(g.core_flat))):
             p = (E[flat + strides] - E[flat - strides]) / (2.0 * h)
             # shifted to the raw centre as in scheme_evaluation
-            ref[i] = (eval_operator(f, x, p, qt, ALL)
+            ref[i] = (eval_operator(f, x, p, qt)
                       + qt.lam * (E[flat] - centers[i]))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         step(st, cfg)
