@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, distance_gradient
-from .hamiltonians import BellmanSpec, Certificate, eval_vector
+from .hamiltonians import (BellmanSpec, Certificate, Coefficients,
+                           eval_vector)
 
 IN, OUT, MIXED = "in", "out", "mixed"
 
@@ -23,7 +24,7 @@ def classification_tolerance(spec: BellmanSpec, dom: Domain,
     pts = dom.face_midpoints()
     bmax = 0.0
     for t in np.linspace(t_window[0], t_window[1], 5):
-        bmax = max(bmax, float(spec.drift_bound(pts, t).max()))
+        bmax = max(bmax, float(Coefficients(spec, pts, t).b_max.max()))
     return 1e-8 * (1.0 + bmax)
 
 

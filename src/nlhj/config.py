@@ -29,8 +29,8 @@ from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
 from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
 from .operators import Field, save_field
-from .solver import (SchemeConfig, envelope, eval_initial, init_state,
-                     run_to_steady, run_to_time)
+from .solver import (SchemeConfig, cfl_denominator, envelope, eval_initial,
+                     init_state, run_to_steady, run_to_time)
 from . import harness
 
 EXPERIMENTS = ("run", "comparison", "boundary_behavior", "coercive_loss",
@@ -426,8 +426,9 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             rows = list(zip(rep.times, rep.sup_norms))
             header = ("t", "sup_norm")
         for i, (t, u) in enumerate(rep.snapshots):
-            save_field(grid, envelope(plan, u, st.phi, t), t,
-                       cfg.outdir / f"field_t{i:04d}.tsv", kern.alpha)
+            E = envelope(plan, u, st.phi(grid.trace_points, t))
+            save_field(grid, E, t, cfg.outdir / f"field_t{i:04d}.tsv",
+                       kern.alpha)
         gap_rows = []
         for t, gaps in rep.trace_gap_series:
             for p, gval in zip(grid.trace_points, gaps):
@@ -437,6 +438,13 @@ def _dispatch(cfg: RunConfig, manifest: dict):
         _write_tsv(cfg.outdir / "report.tsv", header, rows)
         manifest["steps"] = st.steps
         manifest["final_sup_norm"] = st.sup_norm
+        dts = np.diff(rep.times)
+        manifest["telemetry"] = {
+            "steps": st.steps,
+            "dt_min": float(dts.min()) if len(dts) else None,
+            "dt_max": float(dts.max()) if len(dts) else None,
+            "cfl_denominator": cfl_denominator(st),
+            "sigma_growth": st.sigma_growth}
         return harness.ExperimentResult("run", True,
                                         metrics={"steps": st.steps,
                                                  "sup_norm": st.sup_norm})
@@ -501,15 +509,13 @@ def _limit_spec(cfg: RunConfig):
     """Time-frozen Hamiltonian limit for the large-time experiment."""
     spec = cfg.spec
     f_limit = cfg.params.get("f_limit")
-    if spec.family == "coercive":
-        if f_limit is None and not spec.time_dependent:
-            return spec
-        return CoerciveSpec(m=spec.m, l=spec.l, a1=spec.a1, a2=spec.a2,
-                            b=None if spec.b is None else spec.b,
-                            lam=spec.lam, f=f_limit if f_limit is not None else spec.f,
+    if spec.family == "coercive" and (f_limit is not None or spec.time_dependent):
+        spec = CoerciveSpec(m=spec.m, l=spec.l, a1=spec.a1, a2=spec.a2,
+                            b=spec.b, lam=spec.lam,
+                            f=f_limit if f_limit is not None else spec.f,
                             dim=spec.dim)
-    if not spec.time_dependent:
-        return spec
-    raise ValidationError(["large_time with a time-dependent Bellman form "
-                           "needs an explicit limit (f_limit supports the "
-                           "coercive family only)"])
+    if spec.time_dependent:
+        raise ValidationError(["large_time with a time-dependent Hamiltonian "
+                               "needs a time-independent limit (f_limit sets "
+                               "the limit of the coercive f only)"])
+    return spec

@@ -142,9 +142,9 @@ class Expression:
             env["y"] = points[:, 1]
         elif "y" in self.variables:
             raise ParseError(f"variable 'y' used in 1-D expression {self.source!r}")
-        return np.broadcast_to(
-            np.asarray(eval(self._code, self._namespace, env), dtype=float),
-            (points.shape[0],)).copy()
+        out = np.empty(points.shape[0])
+        out[:] = eval(self._code, self._namespace, env)  # broadcasts a scalar
+        return out
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -7,7 +7,9 @@ or callables ``f(points, t) -> values`` with ``points`` of shape (N, dim).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field as dfield
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,35 +20,40 @@ from .kernels import Kernel, QuadratureTable, exterior_mass_many
 
 
 class CoefficientField:
-    """Scalar coefficient on (closed domain) x time, vectorized over points."""
+    """Scalar coefficient on (closed domain) x time, vectorized over points.
+
+    ``time_dependent`` and ``varies_in_space`` say which variables the field
+    reads; a callable without ``time_dependent`` counts as depending on t,
+    and one without ``variables`` as varying in space.
+    """
 
     def __init__(self, value, name: str = ""):
         self.name = name
         if isinstance(value, CoefficientField):
             self._fn = value._fn
             self.time_dependent = value.time_dependent
-            self.constant = value.constant
-        elif np.isscalar(value) and not isinstance(value, str):
+            self.varies_in_space = value.varies_in_space
+            return
+        if isinstance(value, str):
+            value = Expression(value)
+        if np.isscalar(value):
             v = float(value)
             self._fn = lambda pts, t: np.full(pts.shape[0], v)
             self.time_dependent = False
-            self.constant = v
-        elif isinstance(value, str):
-            expr = Expression(value)
-            self._fn = expr
-            self.time_dependent = expr.time_dependent
-            self.constant = None
+            self.varies_in_space = False
         elif callable(value):
             self._fn = value
             self.time_dependent = getattr(value, "time_dependent", True)
-            self.constant = None
+            variables = getattr(value, "variables", None)
+            self.varies_in_space = variables is None or not variables <= {"t"}
         else:
             raise TypeError(f"cannot build coefficient from {value!r}")
 
     def __call__(self, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.broadcast_to(np.asarray(self._fn(pts, t), dtype=float),
-                               (pts.shape[0],)).copy()
+        out = np.empty(pts.shape[0])
+        out[:] = self._fn(pts, t)  # broadcasts a scalar result
+        return out
 
 
 def tabulated_coefficient(points, values, name: str = "") -> CoefficientField:
@@ -117,7 +124,8 @@ class CoerciveSpec:
 
     @property
     def time_dependent(self) -> bool:
-        return self.f.time_dependent
+        return any(c.time_dependent for c in
+                   (self.a1, self.a2, self.lam, self.f, *(self.b or ())))
 
     def validate(self, pts: np.ndarray, c0_min: float = 1e-12):
         a1 = self.a1(pts, 0.0)
@@ -170,14 +178,6 @@ class BellmanSpec:
         return any(c.lam.time_dependent or c.f.time_dependent or
                    any(bc.time_dependent for bc in c.b) for c in self.controls)
 
-    def drift_bound(self, pts: np.ndarray, t: float) -> np.ndarray:
-        """Per-axis max |b| over controls and points, at time t."""
-        out = np.zeros(self.dim)
-        for c in self.controls:
-            bv = np.abs(eval_vector(c.b, pts, t))
-            out = np.maximum(out, bv.max(axis=0))
-        return out
-
     def check_lipschitz(self, dom: Domain, t_window=(0.0, 1.0), n: int = 200,
                         seed: int = 0):
         """Sampled space-time Lipschitz quotients of each drift vs (L)."""
@@ -204,117 +204,191 @@ class BellmanSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _coercive_values(spec: CoerciveSpec, pts, t, r, p) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    p = np.atleast_2d(p)
-    pn = np.linalg.norm(p, axis=1)
-    out = spec.a1(pts, t) * pn ** spec.m
-    a2 = spec.a2(pts, t)
-    if np.any(a2 != 0.0):
-        out = out + a2 * pn ** spec.l
-    if spec.b is not None:
-        out = out + np.einsum("ij,ij->i", eval_vector(spec.b, pts, t), p)
-    return out + spec.lam(pts, t) * np.asarray(r) - spec.f(pts, t)
+_TERMS = {"coercive": ("a1", "a2", "lam", "f", "b"), "bellman": ("lam", "b", "f")}
 
 
-def _bellman_values(spec: BellmanSpec, pts, t, r, p) -> np.ndarray:
-    pts = np.atleast_2d(pts)
+class Coefficients:
+    """A Hamiltonian's coefficients evaluated on fixed points at time ``t``,
+    with the bounds that the viscosity and the CFL limit take maxima of.
+
+    ``terms`` holds one namespace per control (Bellman) or a single one
+    (coercive), with an array per coefficient: shape (N,) for a scalar and
+    (N, dim) for the drift ``b`` (None for a coercive form without drift).
+    Construction evaluates every field once; :meth:`at` re-evaluates only
+    the fields whose own ``time_dependent`` flag is set, and ``moving`` names
+    them.  Bounds, over points and terms: ``a1_max`` = max a1, ``a2_max`` =
+    max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max |b|
+    per axis.
+    """
+
+    def __init__(self, spec, pts: np.ndarray, t: float = 0.0):
+        self.spec = spec
+        self.pts = pts
+        self.t = t
+        owners = [spec] if spec.family == "coercive" else spec.controls
+        self.terms = []
+        self._moving = []  # (term index, name, axis or None, field)
+        for k, owner in enumerate(owners):
+            term = SimpleNamespace()
+            for name in _TERMS[spec.family]:
+                src = getattr(owner, name)
+                if isinstance(src, list):
+                    setattr(term, name, eval_vector(src, pts, t))
+                    self._moving += [(k, name, a, c) for a, c in enumerate(src)
+                                     if c.time_dependent]
+                else:
+                    setattr(term, name, None if src is None else src(pts, t))
+                    if src is not None and src.time_dependent:
+                        self._moving.append((k, name, None, src))
+            self.terms.append(term)
+        self.moving = frozenset(name for _, name, _, _ in self._moving)
+        self._bound()
+
+    def _bound(self):
+        terms = self.terms
+        if self.spec.family == "coercive":
+            a2 = terms[0].a2
+            self.a1_max = float(terms[0].a1.max())
+            self.a2_max = float(np.abs(a2).max())
+            self.a2_active = bool(np.any(a2 != 0.0))
+        self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
+        self.b_max = np.zeros(self.spec.dim)
+        for v in terms:
+            if v.b is not None:
+                self.b_max = np.maximum(self.b_max, np.abs(v.b).max(axis=0))
+
+    def at(self, t: float) -> "Coefficients":
+        """The bundle at time t: re-evaluates the fields that depend on t."""
+        if t != self.t:
+            for k, name, axis, field in self._moving:
+                vals = field(self.pts, t)
+                if axis is not None:
+                    vals, column = getattr(self.terms[k], name).copy(), vals
+                    vals[:, axis] = column
+                setattr(self.terms[k], name, vals)
+            if self.moving - {"f"}:
+                self._bound()
+        self.t = t
+        return self
+
+    def take(self, i: int) -> "Coefficients":
+        """The bundle at the single point ``pts[i]``, at the same time."""
+        out = copy.copy(self)
+        out.pts = self.pts[i:i + 1]
+        out.terms = [SimpleNamespace(**{name: None if v is None else v[i:i + 1]
+                                        for name, v in vars(term).items()})
+                     for term in self.terms]
+        out._bound()
+        return out
+
+
+def _at_point(spec, x, t: float) -> Coefficients:
+    return Coefficients(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :],
+                        t)
+
+
+def _norms(p: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of p, as np.linalg.norm(p, axis=1)."""
+    return np.sqrt((p * p).sum(axis=1))
+
+
+def _coercive_values(c: Coefficients, r, p) -> np.ndarray:
+    v, spec = c.terms[0], c.spec
+    pn = _norms(p)
+    out = v.a1 * pn ** spec.m
+    if c.a2_active:
+        out = out + v.a2 * pn ** spec.l
+    if v.b is not None:
+        out = out + np.einsum("ij,ij->i", v.b, p)
+    return out + v.lam * np.asarray(r) - v.f
+
+
+def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
+    """H(x, t, r, p) at the bundle's points and time, over rows of p."""
     p = np.atleast_2d(p)
+    if c.spec.family == "coercive":
+        return _coercive_values(c, r, p)
     best = None
-    for c in spec.controls:
-        val = (c.lam(pts, t) * np.asarray(r)
-               - np.einsum("ij,ij->i", eval_vector(c.b, pts, t), p)
-               - c.f(pts, t))
+    for v in c.terms:
+        val = v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p) - v.f
         best = val if best is None else np.maximum(best, val)
     return best
-
-
-def hamiltonian_values(spec, pts, t, r, p) -> np.ndarray:
-    """Vectorized H(x, t, r, p) over rows of pts/p."""
-    if spec.family == "coercive":
-        return _coercive_values(spec, pts, t, r, p)
-    return _bellman_values(spec, pts, t, r, p)
 
 
 def eval_hamiltonian(spec, x, t: float, r: float, p) -> float:
     """Pointwise Hamiltonian value; the Bellman sup is a max over the finite
     control set."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     p = np.atleast_1d(np.asarray(p, dtype=float))[None, :]
-    return float(hamiltonian_values(spec, x, t, np.array([r]), p)[0])
+    return float(hamiltonian_values(_at_point(spec, x, t), np.array([r]), p)[0])
 
 
-def lf_viscosity_bound(spec: CoerciveSpec, pts, t, p_scale: float) -> np.ndarray:
-    """Per-axis upper bound for |dH/dp| over gradients up to p_scale.
+def lf_viscosity_bound(c: Coefficients, p_scale: float) -> np.ndarray:
+    """Per-axis upper bound for |dH/dp| over gradients up to p_scale, for
+    the coercive coefficients ``c``.
 
     Exponents below 1 have unbounded derivative at p = 0; the bound then uses
     the configured gradient floor, so strict monotonicity is certified only
     for m, l >= 1 (or vanishing a2).
     """
-    pts = np.atleast_2d(pts)
+    spec = c.spec
 
     def pow_bound(e):
         if e >= 0:
             return p_scale ** e
         return max(p_scale, spec.grad_floor) ** e if p_scale > 0 else spec.grad_floor ** e
 
-    s = float(spec.a1(pts, t).max()) * spec.m * pow_bound(spec.m - 1)
-    a2max = float(np.abs(spec.a2(pts, t)).max())
-    if a2max > 0 and spec.l > 0:
-        s += a2max * spec.l * pow_bound(spec.l - 1)
+    s = c.a1_max * spec.m * pow_bound(spec.m - 1)
+    if c.a2_max > 0 and spec.l > 0:
+        s += c.a2_max * spec.l * pow_bound(spec.l - 1)
     out = np.full(spec.dim, s)
     if spec.b is not None:
-        out += np.abs(eval_vector(spec.b, pts, t)).max(axis=0)
+        out += c.b_max
     return out
 
 
-def numerical_hamiltonian_many(spec, pts, t, r, p_minus, p_plus,
+def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
                                sigma=None) -> np.ndarray:
-    """Monotone flux, vectorized: Lax-Friedrichs (coercive) or exact
-    upwinding (Bellman).
+    """Monotone flux at the points of ``c``, vectorized: Lax-Friedrichs
+    (coercive) or exact upwinding (Bellman).
 
     Nonincreasing in every p_plus component and nondecreasing in every
     p_minus component; equals the pointwise Hamiltonian when the two one-sided
     gradients coincide.
     """
-    pts = np.atleast_2d(pts)
-    pm = np.atleast_2d(p_minus).astype(float)
-    pp = np.atleast_2d(p_plus).astype(float)
-    if spec.family == "bellman":
+    pm = np.atleast_2d(np.asarray(p_minus, dtype=float))
+    pp = np.atleast_2d(np.asarray(p_plus, dtype=float))
+    if c.spec.family == "bellman":
         best = None
-        for c in spec.controls:
-            bv = eval_vector(c.b, pts, t)
+        for v in c.terms:
             # -b.p advects against the drift: information comes from the +b
             # side, so positive components read the forward difference
-            p_sel = np.where(bv > 0, pp, pm)
-            val = (c.lam(pts, t) * np.asarray(r)
-                   - np.einsum("ij,ij->i", bv, p_sel) - c.f(pts, t))
+            p_sel = np.where(v.b > 0, pp, pm)
+            val = (v.lam * np.asarray(r)
+                   - np.einsum("ij,ij->i", v.b, p_sel) - v.f)
             best = val if best is None else np.maximum(best, val)
         return best
     mid = 0.5 * (pm + pp)
-    scale = float(np.linalg.norm(mid, axis=1).max(initial=0.0))
-    required = lf_viscosity_bound(spec, pts, t, scale)
+    scale = float(_norms(mid).max(initial=0.0))
+    required = lf_viscosity_bound(c, scale)
     if sigma is None:
         sigma = required + 1.0
     else:
-        sigma = np.broadcast_to(np.atleast_1d(np.asarray(sigma, dtype=float)),
-                                (spec.dim,))
+        sigma = np.full(c.spec.dim, sigma, dtype=float)
         if np.any(sigma < required - 1e-12):
             raise ViscosityUnderflow(
                 f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
                 required=required)
-    out = _coercive_values(spec, pts, t, r, mid)
+    out = _coercive_values(c, r, mid)
     out = out - 0.5 * ((pp - pm) * sigma[None, :]).sum(axis=1)
     return out
 
 
 def numerical_hamiltonian(spec, x, t: float, r: float, p_minus, p_plus,
                           sigma=None) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     pm = np.atleast_1d(np.asarray(p_minus, dtype=float))[None, :]
     pp = np.atleast_1d(np.asarray(p_plus, dtype=float))[None, :]
-    return float(numerical_hamiltonian_many(spec, x, t, np.array([r]),
-                                            pm, pp, sigma)[0])
+    return float(numerical_hamiltonian_many(_at_point(spec, x, t),
+                                            np.array([r]), pm, pp, sigma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +423,7 @@ def properness_floor(spec, pts: np.ndarray, t_window=(0.0, 1.0),
     ts = np.linspace(t_window[0], t_window[1], n_times)
     out = None
     for c in spec.controls:
-        for t in ts:
+        for t in ts if c.lam.time_dependent else ts[:1]:
             v = c.lam(pts, t)
             out = v if out is None else np.minimum(out, v)
     return out
@@ -424,14 +498,16 @@ def check_H1(spec, pts, R: float = 1.0, n_samples: int = 200,
     rng = np.random.default_rng(seed)
     worst = np.inf
     floor = properness_floor(spec, pts, (0.0, R))
+    frozen = Coefficients(spec, pts, 0.0)
     for _ in range(n_samples):
         i = rng.integers(0, pts.shape[0])
         t = rng.random() * R
         u = rng.normal()
         v = u - abs(rng.normal())  # u >= v
         p = rng.normal(size=spec.dim)
-        hu = eval_hamiltonian(spec, pts[i], t, u, p)
-        hv = eval_hamiltonian(spec, pts[i], t, v, p)
+        c = frozen.take(i).at(t)
+        hu = float(hamiltonian_values(c, np.array([u]), p)[0])
+        hv = float(hamiltonian_values(c, np.array([v]), p)[0])
         if u > v:
             worst = min(worst, (hu - hv) / (u - v) - floor[i])
     return Certificate("H1", worst >= -1e-9, float(worst), {"exact": False})

@@ -102,10 +102,12 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
                 init_state(grid, qt, spec, phi_b, u0_b, c), c)
 
     shared = None
+    sa, sb, cpair = make_states(None)
     if spec.family == "coercive":
-        sa, sb, _ = make_states(None)
+        # the states of an override differ only in sigma: keep these two
         shared = 2.0 * np.maximum(sa.sigma, sb.sigma)
-    sa, sb, cpair = make_states(shared)
+        cpair = replace(cfg, sigma_override=shared)
+        sa.sigma = sb.sigma = shared
 
     # precondition: nodewise ordering of both data sets over the window
     if np.any(sa.u > sb.u + 1e-14):
@@ -113,7 +115,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     ext_pts = grid.exterior_points
     pa = CoefficientField(phi_a, "phi_a")
     pb = CoefficientField(phi_b, "phi_b")
-    for t in np.linspace(0.0, T, 5):
+    times = np.linspace(0.0, T, 5)
+    for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
         if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
             raise PreconditionError("exterior data are not ordered phi_u <= phi_v")
 

@@ -232,16 +232,16 @@ class SweepPlan:
     def _full_spec(self) -> np.ndarray:
         return _correlation_spectrum(self._stencil, self._full_fft)
 
-    def exterior_load(self, phi, t: float) -> np.ndarray:
+    def exterior_load(self, ext: np.ndarray) -> np.ndarray:
         """Per core node, the stencil terms whose jump leaves the core, plus
-        the tail against the constant continuation, for the datum ``phi`` at
-        time t.  It changes only when the datum does."""
-        g = self.grid
-        ext = phi(g.exterior_points, t)
+        the tail against the constant continuation, for the datum values
+        ``ext`` at ``grid.exterior_points`` (or one value, for a datum
+        constant in space).  It changes only when the datum does."""
         if np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
             return ext[0] * self.exit_mass
         # the datum on the full grid with a zero core, only while it is read
+        g = self.grid
         E = np.zeros(g.size)
         E[g.exterior_flat] = ext
         load = _correlate(E.reshape(g.shape), self._full_spec, self._full_fft,

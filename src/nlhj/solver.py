@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BlowUp, CflViolation, NonConvergence, ViscosityUnderflow
 from .geometry import Grid
-from .hamiltonians import (CoefficientField, lf_viscosity_bound,
-                           numerical_hamiltonian_many)
+from .hamiltonians import (CoefficientField, Coefficients,
+                           lf_viscosity_bound, numerical_hamiltonian_many)
 from .kernels import QuadratureTable
 from .operators import Field, SweepPlan, plan_for
 
@@ -54,21 +54,42 @@ class SchemeConfig:
 
 @dataclass
 class SolveState:
+    """The unknowns at time t plus the data a step reads, held at time t:
+    the Hamiltonian's coefficients on the core nodes (``coeffs``), the datum
+    at the trace nodes (``phi_trace``) and on the plan's ring
+    (``phi_ring``), and its exterior load.  Data that do not depend on t
+    are evaluated once, by :func:`init_state`; a step re-evaluates the rest
+    at the new time.  Setting ``sigma`` drops the cached CFL denominator."""
+
     plan: SweepPlan
     spec: object
     phi: CoefficientField
     u: np.ndarray                    # core values, in grid.core_flat order
+    coeffs: Coefficients
     t: float = 0.0
     steps: int = 0
-    sigma: np.ndarray | None = None
     m_cap: float = np.inf
     sup_norm: float = 0.0
     sigma_growth: int = 0
     last_dt: float = 0.0
+    phi_trace: np.ndarray | None = None
+    phi_ring: np.ndarray | None = None
     load: np.ndarray | None = None   # plan.exterior_load at time t
+    _sigma: np.ndarray | None = dfield(default=None, repr=False)
+    _den: float | None = dfield(default=None, repr=False)
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
+
+    @property
+    def sigma(self) -> np.ndarray | None:
+        """Lax-Friedrichs viscosity per axis (coercive forms only)."""
+        return self._sigma
+
+    @sigma.setter
+    def sigma(self, value):
+        self._sigma = value
+        self._den = None
 
     @property
     def grid(self) -> Grid:
@@ -86,8 +107,7 @@ class SolveState:
         return Field(self.grid, raw, self.phi, self.t, policy)
 
     def trace_gaps(self) -> np.ndarray:
-        return (self.phi(self.grid.trace_points, self.t)
-                - self.u[self.plan.trace_pos])
+        return self.phi_trace - self.u[self.plan.trace_pos]
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -99,45 +119,62 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(u0(pts), dtype=float), (pts.shape[0],)).copy()
 
 
+def _read_datum(st: SolveState) -> np.ndarray:
+    """Hold the datum at the state's time at the trace nodes, on the ring
+    and as the exterior load; returns its exterior values.  A datum
+    constant in space is evaluated at one point, whose value stands for
+    every node."""
+    phi, plan, t = st.phi, st.plan, st.t
+    if phi.varies_in_space:
+        st.phi_trace = phi(plan.grid.trace_points, t)
+        st.phi_ring = phi(plan.ring_points, t)
+        ext = phi(plan.grid.exterior_points, t)
+    else:
+        ext = phi(plan.ring_points[:1], t)
+        st.phi_trace = np.broadcast_to(ext, (len(plan.trace_pos),))
+        st.phi_ring = np.broadcast_to(ext, (len(plan.ring_pos),))
+    st.load = plan.exterior_load(ext)
+    return ext
+
+
 def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
                cfg: SchemeConfig, t0: float = 0.0) -> SolveState:
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
     plan = plan_for(grid, qt)
-    st = SolveState(plan, spec, phi, eval_initial(u0, grid.core_points), t=t0,
-                    load=plan.exterior_load(phi, t0))
-    sup_phi = float(np.abs(phi(grid.exterior_points, t0)).max(initial=0.0))
+    st = SolveState(plan, spec, phi, eval_initial(u0, grid.core_points),
+                    Coefficients(spec, grid.core_points, t0), t=t0)
+    sup_phi = float(np.abs(_read_datum(st)).max(initial=0.0))
     st.m_cap = (cfg.m_cap if cfg.m_cap is not None
                 else 1e3 * (1.0 + st.sup_norm + sup_phi))
     if spec.family == "coercive":
         if cfg.sigma_override is not None:
             st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
         else:
-            pm, pp = _one_sided_gradients(st, envelope(plan, st.u, phi, t0), t0)
+            pm, pp = _one_sided_gradients(st, envelope(plan, st.u, st.phi_trace))
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
-            st.sigma = 1.0 + lf_viscosity_bound(spec, grid.core_points,
-                                                t0, scale)
+            st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
     return st
 
 
-def envelope(plan: SweepPlan, u: np.ndarray, phi, t: float) -> np.ndarray:
-    """Core values with the upper envelope max(u, phi) at trace nodes: what
-    the operator and the difference quotients read, and what snapshots
-    record."""
+def envelope(plan: SweepPlan, u: np.ndarray, phi_trace) -> np.ndarray:
+    """Core values with the upper envelope max(u, phi) at trace nodes, for
+    the datum ``phi_trace`` there: what the operator and the difference
+    quotients read, and what snapshots record."""
     E = u.copy()
     tr = plan.trace_pos
     if len(tr):
-        E[tr] = np.maximum(E[tr], phi(plan.grid.trace_points, t))
+        E[tr] = np.maximum(E[tr], phi_trace)
     return E
 
 
-def _one_sided_gradients(st: SolveState, E: np.ndarray, t: float):
+def _one_sided_gradients(st: SolveState, E: np.ndarray):
     """Backward and forward differences at the core nodes, reading the
-    envelope ``E`` inside and the datum at time t on the ring."""
+    envelope ``E`` inside and the held datum on the ring."""
     plan = st.plan
     n, dim, h = len(st.u), st.grid.dim, st.grid.h
     padded = np.empty(tuple(m + 2 for m in plan.core_shape))
     padded[(slice(1, -1),) * dim] = E.reshape(plan.core_shape)
-    padded.reshape(-1)[plan.ring_pos] = st.phi(plan.ring_points, t)
+    padded.reshape(-1)[plan.ring_pos] = st.phi_ring
     pm = np.empty((n, dim))
     pp = np.empty((n, dim))
     for a in range(dim):
@@ -149,22 +186,19 @@ def _one_sided_gradients(st: SolveState, E: np.ndarray, t: float):
     return pm, pp
 
 
-def cfl_denominator(st: SolveState, t: float) -> float:
-    qt = st.qt
-    pts = st.grid.core_points
-    lam_abs = 0.0
-    if st.spec.family == "coercive":
-        lam_abs = float(np.abs(st.spec.lam(pts, t)).max())
-        drift = st.sigma
-    else:
-        lam_abs = max(float(np.abs(c.lam(pts, t)).max())
-                      for c in st.spec.controls)
-        drift = st.spec.drift_bound(pts, t)
-    return qt.lam + float(np.sum(drift)) / st.grid.h + lam_abs
+def cfl_denominator(st: SolveState) -> float:
+    """Lambda + sum(drift)/h + max|lam| at the state's time, where the drift
+    bound is the viscosity (coercive) or max |b| per axis (Bellman).
+    Cached until the viscosity or a t-dependent lam or drift changes."""
+    if st._den is None:
+        c = st.coeffs
+        drift = st.sigma if st.spec.family == "coercive" else c.b_max
+        st._den = st.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
+    return st._den
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
-    den = cfl_denominator(st, st.t)
+    den = cfl_denominator(st)
     if den <= 0.0:
         fallback = cfg.T / 100.0 if cfg.T else 0.01
         return cfg.dt if cfg.dt is not None else fallback
@@ -178,38 +212,39 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
     return dt
 
 
-def _rhs(st: SolveState, t: float) -> np.ndarray:
-    E = envelope(st.plan, st.u, st.phi, t)
+def _rhs(st: SolveState) -> np.ndarray:
+    E = envelope(st.plan, st.u, st.phi_trace)
     op = st.plan.apply(E, st.u, st.load)
-    pm, pp = _one_sided_gradients(st, E, t)
-    hvals = numerical_hamiltonian_many(st.spec, st.grid.core_points, t,
-                                       st.u, pm, pp, st.sigma)
+    pm, pp = _one_sided_gradients(st, E)
+    hvals = numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma)
     return op - hvals
 
 
 def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveState:
     """Advance one explicit step (in place) and return the state.
 
-    On a Lax-Friedrichs viscosity underflow the viscosity is enlarged and the
+    Without ``dt`` the step takes :func:`auto_dt`; a given ``dt`` is checked
+    against the CFL limit theta / :func:`cfl_denominator`.  On a
+    Lax-Friedrichs viscosity underflow the viscosity is enlarged and the
     step retried with the tightened CFL limit, unless a shared sigma override
     pins it (paired comparison runs must restart jointly).  The applied step
     size is stored in ``st.last_dt``.
     """
-    requested = dt
     attempt = 0
     while True:
-        cfl_dt = auto_dt(st, cfg)
-        if requested is None:
-            use = cfl_dt
-        elif requested > cfl_dt * (1 + 1e-9):
-            if attempt == 0:
-                raise CflViolation(
-                    f"dt = {requested} exceeds the CFL-limited step {cfl_dt}")
-            use = cfl_dt  # viscosity grew mid-step; tighten silently
+        if dt is None:
+            use = auto_dt(st, cfg)
         else:
-            use = requested
+            den = cfl_denominator(st)
+            limit = cfg.theta / den if den > 0.0 else np.inf
+            use = dt
+            if dt > limit * (1 + 1e-9):
+                if attempt == 0:
+                    raise CflViolation(
+                        f"dt = {dt} exceeds the CFL-limited step {limit}")
+                use = auto_dt(st, cfg)  # viscosity grew mid-step; tighten
         try:
-            rhs = _rhs(st, st.t)
+            rhs = _rhs(st)
             break
         except ViscosityUnderflow as e:
             if cfg.sigma_override is not None:
@@ -224,7 +259,10 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     st.t += use
     st.last_dt = use
     if st.phi.time_dependent:
-        st.load = st.plan.exterior_load(st.phi, st.t)
+        _read_datum(st)
+    st.coeffs.at(st.t)
+    if st.coeffs.moving & {"lam", "b"}:
+        st._den = None
     st.steps += 1
     st.sup_norm = float(np.abs(st.u).max())
     if not np.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
@@ -242,7 +280,6 @@ class RunReport:
     trace_gap_series: list = dfield(default_factory=list)  # (t, gaps array)
     residuals: list = dfield(default_factory=list)
     certificates: dict = dfield(default_factory=dict)
-    cfl: dict = dfield(default_factory=dict)
 
     def record(self, st: SolveState, snapshot: bool = False):
         self.times.append(st.t)

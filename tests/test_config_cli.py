@@ -304,3 +304,34 @@ def test_run_snapshots_hold_core_rows(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0].startswith(f"# t={t:.17g} h=0.125")
         assert lines[1:] == rows
+
+
+def test_run_manifest_reports_solver_telemetry(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(write(tmp_path, MINIMAL.format(out=out)))
+    assert execute(cfg) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    tel = m["telemetry"]
+    assert set(tel) == {"steps", "dt_min", "dt_max", "cfl_denominator",
+                        "sigma_growth"}
+    assert tel["steps"] == m["steps"] > 0
+    assert tel["sigma_growth"] == 0
+    # time-independent data: every full step takes theta / denominator, and
+    # steps shortened to land on a snapshot time are shorter
+    assert tel["dt_max"] == pytest.approx(cfg.scheme.theta / tel["cfl_denominator"])
+    assert 0.0 < tel["dt_min"] <= tel["dt_max"]
+    header = (out / "report.tsv").read_text().splitlines()[0]
+    assert header == "t\tsup_norm"
+
+
+def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path):
+    # f_limit freezes f only: a t-dependent lam leaves no steady limit
+    text = MINIMAL.format(out=tmp_path / "out")
+    text = text.replace("name = run", "name = large_time\nt_ladder = 1 2\n"
+                        "f_limit = 0")
+    text = text.replace("lam = 1", "lam = 1 + exp(-t)")
+    text = text.replace("phi = 0", "phi = 0\nphi_limit = 0")
+    cfg = parse_config(write(tmp_path, text, "lt.cfg"))
+    with pytest.raises(ValidationError):
+        config._limit_spec(cfg)
+    assert execute(cfg) == 2

@@ -14,7 +14,7 @@ from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           make_rate_bound, random_ordered_pair,
                           rate_experiment)
 from nlhj.oracles import rate_bound_trapezoid
-from nlhj.solver import SchemeConfig
+from nlhj.solver import SchemeConfig, init_state, run_to_steady
 
 
 def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
@@ -262,3 +262,22 @@ def test_large_time_refuses_oscillation(dom1, k05):
         large_time_experiment(spec, spec, dom1, k05, "sin(t)", 0.0,
                               [1.0, 2.0, 4.0], SchemeConfig(h=2.0 ** -5),
                               u0=0.0, r_max=4.0)
+
+
+def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
+    # a t-dependent lam with a constant f is a t-dependent Hamiltonian: the
+    # steady solve and the rate experiment refuse it
+    assert CoerciveSpec(m=2, a1="1+exp(-t)", lam="0.5+0.5*exp(-t)",
+                        b="exp(-t)*x").time_dependent
+    for key in ("a1", "a2", "lam", "b", "f"):
+        assert CoerciveSpec(m=2.0, l=1.0, **{key: "1 + t"}).time_dependent
+    assert not CoerciveSpec(m=2.0, a1="1 + x^2", b="x").time_dependent
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam="0.5 + 0.5*exp(-t)", f=0.0)
+    cfg = SchemeConfig(h=2.0 ** -5)
+    plan = discretize(dom1, k05, cfg.h, 4.0)
+    st = init_state(plan.grid, plan.qt, spec, 0.0, 0.0, cfg)
+    with pytest.raises(ValueError):
+        run_to_steady(st, cfg)
+    with pytest.raises(PreconditionError):
+        rate_experiment(spec, dom1, k05, 0.0, 0.0, 0.0, T=1.0, cfg=cfg,
+                        r_max=4.0)

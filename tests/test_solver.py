@@ -4,7 +4,8 @@ import pytest
 from nlhj import solver
 from nlhj.errors import BlowUp, CflViolation, NonConvergence
 from nlhj.geometry import Domain, Grid
-from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
+from nlhj.hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
+                               ControlLaw, numerical_hamiltonian)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
 from nlhj.operators import Field, scheme_evaluation
@@ -248,9 +249,9 @@ def test_one_sided_differences_read_the_datum_at_t(monkeypatch, dim, h, r_max):
     seen = []
     real = solver.numerical_hamiltonian_many
 
-    def spy(spec, pts, t, u, pm, pp, sigma):
+    def spy(coeffs, u, pm, pp, sigma):
         seen.append((pm.copy(), pp.copy()))
-        return real(spec, pts, t, u, pm, pp, sigma)
+        return real(coeffs, u, pm, pp, sigma)
 
     monkeypatch.setattr(solver, "numerical_hamiltonian_many", spy)
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
@@ -288,3 +289,134 @@ def test_state_holds_core_values_only(dom2):
         assert [u.size for _, u in rep.snapshots] == [st.u.size] * 3
         sizes.append((st.u.size, g.size))
     assert sizes[0][0] == sizes[1][0] and sizes[0][1] < sizes[1][1]
+
+
+def _fresh_rhs(st, spec):
+    """The state's values and the right-hand side of its next step, rebuilt
+    from the full-grid field, the plan's sweep and the pointwise flux, with
+    every datum and coefficient evaluated afresh at ``st.t``."""
+    g, plan, t = st.grid, st.plan, st.t
+    f = st.field()
+    core, u = g.core_flat, st.u.copy()
+    load = plan.exterior_load(st.phi(g.exterior_points, t))
+    op = plan.apply(f.values[core], u, load)
+    pm = np.column_stack([(u - f.values[core - s]) / g.h for s in g.strides])
+    pp = np.column_stack([(f.values[core + s] - u) / g.h for s in g.strides])
+    H = np.array([numerical_hamiltonian(spec, x, t, r, a, b, sigma=st.sigma)
+                  for x, r, a, b in zip(g.core_points, u, pm, pp)])
+    return u, op - H
+
+
+def _fresh_cfl_denominator(st, spec, t):
+    """Lambda + sum(drift)/h + max|lam| from the coefficients at t; the
+    coercive drift is the state's viscosity."""
+    pts = st.grid.core_points
+    if spec.family == "coercive":
+        drift, lams = st.sigma, [spec.lam]
+    else:
+        drift = np.max([np.abs(np.column_stack([b(pts, t) for b in c.b]))
+                        .max(axis=0) for c in spec.controls], axis=0)
+        lams = [c.lam for c in spec.controls]
+    lam = max(float(np.abs(f(pts, t)).max()) for f in lams)
+    return st.qt.lam + float(np.sum(drift)) / st.grid.h + lam
+
+
+@pytest.mark.parametrize("case", ["coercive-1d", "bellman-2d"])
+def test_step_reads_its_data_at_the_state_time(case):
+    # held coefficients and datum equal a fresh evaluation at st.t after
+    # every step: a t-dependent field that stays frozen fails this
+    if case == "coercive-1d":
+        dom = Domain((-1.0,), (1.0,))
+        spec = CoerciveSpec(m=2.0, a1="1 + 0.5*exp(-t)", lam=0.5,
+                            b="exp(-t)*x", f="0.2*cos(3*x) + 0.3*t")
+        h, r_max, phi = 2.0 ** -5, 2.0, "0.3*sin(2*x) + t"
+    else:
+        dom = Domain((-1.0, -1.0), (1.0, 1.0))
+        spec = BellmanSpec([ControlLaw(lam=1.0, b=["-x*exp(-t)", "-y"],
+                                       f="0.2*t", dim=2),
+                            ControlLaw(lam="0.5 + 0.5*t", b=["0.5*x", 0.5],
+                                       f=0.0, dim=2)], dim=2)
+        h, r_max, phi = 0.125, 2.0, "1 + 0.2*sin(x - y)*exp(-t)"
+    k = fractional_laplacian_kernel(0.5, dom.dim)
+    g, qt, cfg, st = make(dom, h, r_max, spec, phi,
+                          lambda p: 0.5 * np.cos(2.0 * p.sum(axis=1)), kernel=k)
+    for _ in range(4):
+        t = st.t
+        u, rhs = _fresh_rhs(st, spec)
+        step(st, cfg)
+        assert st.last_dt == cfg.theta / _fresh_cfl_denominator(st, spec, t)
+        assert np.array_equal(st.u, u + st.last_dt * rhs)
+
+
+def _count_coefficient_calls(monkeypatch):
+    calls = []
+    real = CoefficientField.__call__
+
+    def counted(self, pts, t=0.0):
+        calls.append(self.name)
+        return real(self, pts, t)
+
+    monkeypatch.setattr(CoefficientField, "__call__", counted)
+    return calls
+
+
+def test_constant_coefficients_are_evaluated_once(dom1, dom2, monkeypatch):
+    from nlhj import harness
+    calls = _count_coefficient_calls(monkeypatch)
+    after_init = []
+    real_init = harness.init_state
+
+    def init_state(*args, **kwargs):
+        st = real_init(*args, **kwargs)
+        after_init.append(len(calls))
+        return st
+
+    monkeypatch.setattr(harness, "init_state", init_state)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
+    u0, v0, pu, pv = harness.random_ordered_pair(0, dom1)
+    res = harness.comparison_experiment(
+        spec, dom1, fractional_laplacian_kernel(0.5, 1), (u0, v0), (pu, pv),
+        T=0.25, cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    steps = 2 * res.metrics["steps"]
+    assert steps > 40
+    assert len(calls) - after_init[-1] <= steps
+
+    spec2 = BellmanSpec([ControlLaw(lam=1.0, b=["-x", "-y"], f=0.0, dim=2),
+                         ControlLaw(lam=0.5, b=["0.5*x", "0.5*y"], f=0.0,
+                                    dim=2)], dim=2)
+    g, qt, cfg, st = make(dom2, 0.125, 2.0, spec2, 1.0,
+                          "1 + 0.3*cos(x)*cos(y)",
+                          kernel=fractional_laplacian_kernel(0.5, 2),
+                          snapshot_dt=0.25)
+    before = len(calls)
+    rep = run_to_time(st, cfg, 1.0)
+    assert len(rep.snapshots) == 5
+    assert len(calls) - before <= st.steps
+
+
+def test_datum_constant_in_space_is_evaluated_once_per_step(dom1, monkeypatch):
+    calls = _count_coefficient_calls(monkeypatch)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, "0.5*exp(-t)",
+                          "1 - x^2", kernel=fractional_laplacian_kernel(0.5, 1))
+    assert not st.phi.varies_in_space
+    for _ in range(3):
+        calls.clear()
+        step(st, cfg)
+        assert calls == ["phi"]
+        ext = st.phi(g.exterior_points, st.t)
+        assert np.array_equal(st.load, st.plan.exterior_load(ext))
+        assert np.array_equal(st.phi_trace, st.phi(g.trace_points, st.t))
+
+
+def test_cfl_denominator_follows_a_viscosity_retry(dom1):
+    spec = CoerciveSpec(m=2.0, a1=1.0, lam="0.5 + 0.5*cos(x)", f=0.0)
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
+    step(st, cfg)                   # caches the denominator
+    st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+    step(st, cfg)
+    assert st.sigma_growth == 1
+    lam = float(np.abs(spec.lam(g.core_points, 0.0)).max())
+    den = qt.lam + float(np.sum(st.sigma)) / g.h + lam
+    assert st.last_dt == cfg.theta / den
