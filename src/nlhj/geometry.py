@@ -143,7 +143,8 @@ class Grid:
     Node coordinates along axis a are ``lower[a] + i*h`` for
     ``i in [-halo, n_core[a] + halo]``.  Storage is a flat float array in row
     major order; ``core_flat`` lists flat indices of nodes with d(x) > -h/2
-    (interior plus boundary trace).  ``core_points``, ``trace_points`` and
+    (interior plus boundary trace) and ``trace_pos`` the positions of the
+    trace nodes in that order.  ``core_points``, ``trace_points`` and
     ``exterior_points`` hold the coordinates of each node set, read-only
     because every run on the grid shares them.
     """
@@ -158,6 +159,7 @@ class Grid:
     trace_flat: np.ndarray = field(init=False, repr=False)
     exterior_flat: np.ndarray = field(init=False, repr=False)
     interior_flat: np.ndarray = field(init=False, repr=False)
+    trace_pos: np.ndarray = field(init=False, repr=False)
     core_points: np.ndarray = field(init=False, repr=False)
     trace_points: np.ndarray = field(init=False, repr=False)
     exterior_points: np.ndarray = field(init=False, repr=False)
@@ -186,6 +188,7 @@ class Grid:
         self.trace_flat = flat[cls == TRACE]
         self.exterior_flat = flat[cls == EXTERIOR]
         self.interior_flat = flat[cls == INTERIOR]
+        self.trace_pos = np.searchsorted(self.core_flat, self.trace_flat)
         for name in ("core", "trace", "exterior"):
             p = pts[getattr(self, f"{name}_flat")]
             p.setflags(write=False)

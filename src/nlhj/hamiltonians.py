@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import ViscosityUnderflow
 from .expressions import Expression
-from .geometry import Domain
-from .kernels import Kernel, QuadratureTable, exterior_mass_many
+from .geometry import Domain, Grid
+from .kernels import Kernel
+from .operators import SweepPlan
 
 
 class CoefficientField:
@@ -94,7 +95,8 @@ class CoerciveSpec:
     """H = a1(x)|p|^m + a2(x)|p|^l + b(x).p + lam(x) r - f(x, t), l < m.
 
     The drift b is only admitted in the superlinear case m > 1; a1 must be
-    bounded below by a positive constant (checked on grid samples).
+    bounded below by a positive constant (``solver.init_state`` refuses it
+    otherwise).
     """
 
     m: float
@@ -126,16 +128,6 @@ class CoerciveSpec:
     def time_dependent(self) -> bool:
         return any(c.time_dependent for c in
                    (self.a1, self.a2, self.lam, self.f, *(self.b or ())))
-
-    def validate(self, pts: np.ndarray, c0_min: float = 1e-12):
-        a1 = self.a1(pts, 0.0)
-        lam = self.lam(pts, 0.0)
-        problems = []
-        if a1.min() < c0_min:
-            problems.append(f"a1 not bounded below by a positive constant (min {a1.min()})")
-        if lam.min() < 0:
-            problems.append(f"lam must be nonnegative (min {lam.min()})")
-        return problems
 
     def c0(self, pts: np.ndarray) -> float:
         return float(self.a1(pts, 0.0).min())
@@ -216,7 +208,7 @@ class Coefficients:
     (N, dim) for the drift ``b`` (None for a coercive form without drift).
     Construction evaluates every field once; :meth:`at` re-evaluates only
     the fields whose own ``time_dependent`` flag is set, and ``moving`` names
-    them.  Bounds, over points and terms: ``a1_max`` = max a1, ``a2_max`` =
+    them.  Bounds, over points and terms: ``a1_max`` = max |a1|, ``a2_max`` =
     max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max |b|
     per axis.
     """
@@ -248,7 +240,7 @@ class Coefficients:
         terms = self.terms
         if self.spec.family == "coercive":
             a2 = terms[0].a2
-            self.a1_max = float(terms[0].a1.max())
+            self.a1_max = float(np.abs(terms[0].a1).max())
             self.a2_max = float(np.abs(a2).max())
             self.a2_active = bool(np.any(a2 != 0.0))
         self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
@@ -429,26 +421,25 @@ def properness_floor(spec, pts: np.ndarray, t_window=(0.0, 1.0),
     return out
 
 
-def check_H2(spec, dom: Domain, k: Kernel, qt: QuadratureTable, pts,
-             R: float = 1.0, tol: float = 1e-9, h_r=None) -> Certificate:
-    """min over grid of h_R(x) + exterior kernel mass; pass iff >= -tol."""
-    pts = np.atleast_2d(pts)
+def check_H2(spec, plan: SweepPlan, R: float = 1.0, tol: float = 1e-9,
+             h_r=None) -> Certificate:
+    """min over the plan's core nodes of h_R(x) + exterior kernel mass;
+    pass iff >= -tol."""
+    pts = plan.grid.core_points
     hr = np.asarray(h_r(pts, 0.0) if callable(h_r) else h_r) if h_r is not None \
         else properness_floor(spec, pts, (0.0, R))
-    mass = exterior_mass_many(k, dom, pts, qt)
-    value = float((hr + mass).min())
+    value = float((hr + plan.exterior_mass).min())
     return Certificate("H2", value >= -tol, value, {"R": R})
 
 
-def check_H2prime(spec, dom: Domain, k: Kernel, qt: QuadratureTable, pts,
-                  mu_min: float = 1e-6, floor=None) -> Certificate:
-    """Nondegeneracy margin mu0 = min of h(x) + exterior mass; pass iff
-    mu0 >= mu_min > 0."""
-    pts = np.atleast_2d(pts)
+def check_H2prime(spec, plan: SweepPlan, mu_min: float = 1e-6,
+                  floor=None) -> Certificate:
+    """Nondegeneracy margin mu0 = min over the plan's core nodes of h(x) +
+    exterior mass; pass iff mu0 >= mu_min > 0."""
+    pts = plan.grid.core_points
     h = np.asarray(floor(pts, 0.0) if callable(floor) else floor) if floor is not None \
         else properness_floor(spec, pts)
-    mass = exterior_mass_many(k, dom, pts, qt)
-    mu0 = float((h + mass).min())
+    mu0 = float((h + plan.exterior_mass).min())
     return Certificate("H2prime", mu0 >= mu_min, mu0, {"mu_min": mu_min})
 
 
@@ -460,15 +451,17 @@ def check_superfractional(spec: CoerciveSpec, k: Kernel, pts) -> Certificate:
     return Certificate("superfractional_A1", passed, margin, {"c0": c0})
 
 
-def check_compatibility(u0_field, tol: float | None = None) -> Certificate:
-    """(H0): initial values match the datum on the boundary trace."""
-    f = u0_field
-    gap = f.trace_gap()
-    sup_u = float(np.abs(f.raw[f.grid.core_flat]).max(initial=0.0))
+def check_compatibility(grid: Grid, u0: np.ndarray, phi_trace: np.ndarray,
+                        tol: float | None = None) -> Certificate:
+    """(H0): the initial values ``u0`` at the core nodes (in ``core_flat``
+    order) match the datum ``phi_trace`` at the trace nodes.  Non-finite
+    values fail."""
+    sup_u = float(np.abs(u0).max(initial=0.0))
     if tol is None:
         tol = 1e-12 * (1.0 + sup_u)
-    worst = float(np.abs(gap).max(initial=0.0))
-    return Certificate("compatibility_H0", worst <= tol, worst, {"tol": tol})
+    worst = float(np.abs(phi_trace - u0[grid.trace_pos]).max(initial=0.0))
+    passed = bool(np.isfinite(sup_u) and worst <= tol)
+    return Certificate("compatibility_H0", passed, worst, {"tol": tol})
 
 
 def check_UE(k: Kernel, n_samples: int = 64) -> Certificate:

@@ -21,7 +21,7 @@ from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
                            check_H2prime, check_superfractional, check_UE)
 from .kernels import Kernel, build_quadrature
-from .operators import SweepPlan, plan_for
+from .operators import SweepPlan
 from .solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
                      run_to_time, step)
 
@@ -59,7 +59,7 @@ def discretize(dom: Domain, k: Kernel, h: float,
     if plan is None:
         qt = build_quadrature(k, h, r_max)
         grid = Grid(dom, h, halo=int(np.floor(r_max / h + 1e-12)))
-        plan = _DISCRETIZATIONS[key] = plan_for(grid, qt)
+        plan = _DISCRETIZATIONS[key] = SweepPlan(grid, qt)
     return plan
 
 
@@ -94,12 +94,12 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    grid, qt = plan.grid, plan.qt
+    grid = plan.grid
 
     def make_states(shared_sigma):
         c = replace(cfg, sigma_override=shared_sigma)
-        return (init_state(grid, qt, spec, phi_a, u0_a, c),
-                init_state(grid, qt, spec, phi_b, u0_b, c), c)
+        return (init_state(plan, spec, phi_a, u0_a, c),
+                init_state(plan, spec, phi_b, u0_b, c), c)
 
     shared = None
     sa, sb, cpair = make_states(None)
@@ -213,7 +213,7 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
         raise PreconditionError(f"uniform ellipticity (UE) failed: {ue.details}")
     plan = discretize(dom, k, cfg.h, r_max)
     grid = plan.grid
-    st = init_state(grid, plan.qt, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0, cfg)
     cfg_run = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 20)
     rep = run_to_time(st, cfg_run, T)
     cls = classify_boundary(spec, dom, (0.0, T))
@@ -324,7 +324,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     quotients = []
     sup_norms = []
     for c in phi_scales:
-        st = init_state(grid, plan.qt, spec, float(c), float(c), cfg)
+        st = init_state(plan, spec, float(c), float(c), cfg)
         st, rep = run_to_steady(st, cfg)
         u = st.u
         q = holder_quotient(grid, u, exponent)
@@ -399,15 +399,14 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     if spec.time_dependent:
         raise PreconditionError("rate experiment requires a time-independent H")
     plan = discretize(dom, k, cfg.h, r_max)
-    grid, qt = plan.grid, plan.qt
-    cert = check_H2prime(spec, dom, k, qt, grid.core_points, mu_min=mu_min)
+    cert = check_H2prime(spec, plan, mu_min=mu_min)
     if not cert.passed:
         raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < {mu_min}")
     mu0 = cert.value
 
     # steady reference for the limit datum; much tighter than the run
     # tolerance so the reference error stays far below the decayed bound
-    st_inf = init_state(grid, qt, spec, phi_limit, u0, cfg)
+    st_inf = init_state(plan, spec, phi_limit, u0, cfg)
     ref_tol = 1e-12 * (1.0 + st_inf.sup_norm)
     ref_cfg = replace(cfg, steady_tol=ref_tol)
     st_inf, _ = run_to_steady(st_inf, ref_cfg)
@@ -415,12 +414,12 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
 
     # parabolic run with snapshots
     snap_cfg = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 50)
-    st = init_state(grid, qt, spec, phi, u0, snap_cfg)
+    st = init_state(plan, spec, phi, u0, snap_cfg)
     rep = run_to_time(st, snap_cfg, T)
 
     pl = CoefficientField(phi_limit, "phi_limit")
     ph = CoefficientField(phi, "phi")
-    ext_pts = grid.exterior_points
+    ext_pts = plan.grid.exterior_points
     phibar = pl(ext_pts, 0.0)
     times, devs, gs = [], [], []
     for t, u in rep.snapshots:
@@ -466,15 +465,19 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
                           r_max: float | None = None) -> ExperimentResult:
     """Uniform convergence along a ladder of horizons T1 < T2 < T3.
 
-    Refuses (precondition) when the data do not converge: the sampled sup
-    deviations of phi and of the Hamiltonian coefficients along the ladder
-    must decrease toward zero.
+    Refuses (precondition) when (H2') fails or the data do not converge:
+    the sampled sup deviations of phi and of the Hamiltonian coefficients
+    along the ladder must decrease toward zero.
     """
     T_ladder = sorted(T_ladder)
     if len(T_ladder) < 2:
         raise ValueError("need at least two horizons")
     plan = discretize(dom, k, cfg.h, r_max)
-    grid, qt = plan.grid, plan.qt
+    cert = check_H2prime(spec, plan)
+    if not cert.passed:
+        raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < "
+                                f"{cert.details['mu_min']}")
+    grid = plan.grid
     ext_pts = grid.exterior_points
     core_pts = grid.core_points
 
@@ -502,11 +505,11 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
         raise PreconditionError(
             f"data do not converge along the ladder: gaps {gaps}")
 
-    st_inf = init_state(grid, qt, spec_limit, phi_limit, u0, cfg)
+    st_inf = init_state(plan, spec_limit, phi_limit, u0, cfg)
     st_inf, _ = run_to_steady(st_inf, cfg)
     u_inf = st_inf.u.copy()
 
-    st = init_state(grid, qt, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0, cfg)
     devs = []
     for T in T_ladder:
         run_to_time(st, cfg, T)

@@ -96,8 +96,7 @@ class QuadratureTable:
     ``nf_axis`` holds, per axis, the exact integral of z_axis^2 K^alpha over
     the near region (zero for alpha < 1, where the near field is dropped).
     ``tail_mass`` over-estimates the kernel mass beyond the covered region
-    (``tail_sides`` splits it per direction in 1-D).  ``plan`` weakly
-    references the last ``operators.SweepPlan`` built on this table.
+    (``tail_sides`` splits it per direction in 1-D).
     """
 
     kernel: Kernel
@@ -113,7 +112,6 @@ class QuadratureTable:
     tail_sides: np.ndarray
     sum_w: float = field(init=False)
     m1: np.ndarray = field(init=False)
-    plan: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.sum_w = float(self.weights.sum())

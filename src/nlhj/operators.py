@@ -1,11 +1,12 @@
 """Nonlocal operator evaluation: the scheme's sweep, the single-node
 reference, and the scheme residual.
 
-A :class:`Field` pairs grid values on the closed domain with the exterior
-Dirichlet datum; exterior nodes always carry the datum at the field's time,
-and boundary-trace nodes carry the upper (max) or lower (min) envelope of the
-stored value and the datum, per the field's policy.  It backs the
-single-node references.
+The generalized Dirichlet condition enters through one rule,
+:func:`envelope`: a neighbour read at a boundary-trace node sees the upper
+envelope max(u, phi) of the core value and the datum.  A :class:`Field`
+spreads core values over the full grid by that rule, with the exterior
+datum at the field's time beyond the domain; it backs the single-node
+references.
 
 The time stepper's hot path is a :class:`SweepPlan`: it evaluates the
 operator at every core node as one FFT correlation of the core block plus a
@@ -16,63 +17,42 @@ independent single-node evaluation.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import NodeOutsideGrid
 from .geometry import Grid
 from .kernels import QuadratureTable
 
-UPPER, LOWER = "upper", "lower"
+
+def envelope(grid: Grid, u: np.ndarray, phi_trace) -> np.ndarray:
+    """Core values ``u`` (in ``core_flat`` order) with the upper envelope
+    max(u, phi) at the trace nodes, for the datum ``phi_trace`` there: what
+    the operator, the difference quotients, snapshots and :class:`Field`
+    read."""
+    E = u.copy()
+    tr = grid.trace_pos
+    E[tr] = np.maximum(E[tr], phi_trace)
+    return E
 
 
 class Field:
-    """Grid values plus exterior datum, with a boundary-trace policy.
+    """Core values ``u`` on the full grid at time ``t``: ``values`` holds
+    them at interior nodes, their :func:`envelope` with the datum ``phi`` at
+    trace nodes, and the datum at exterior nodes."""
 
-    The stored value array (``values``) equals the raw solution values at
-    interior nodes, the datum at exterior nodes, and max(u, phi) (upper
-    policy) or min(u, phi) (lower policy) at trace nodes.  ``raw`` keeps the
-    un-enveloped trace values for reporting.
-    """
-
-    def __init__(self, grid: Grid, raw: np.ndarray, phi, t: float = 0.0,
-                 policy: str = UPPER):
-        if policy not in (UPPER, LOWER):
-            raise ValueError("policy must be 'upper' or 'lower'")
+    def __init__(self, grid: Grid, u: np.ndarray, phi, t: float = 0.0):
         self.grid = grid
-        self.raw = np.asarray(raw, dtype=float)
-        if self.raw.shape != (grid.size,):
-            raise ValueError("raw values must be flat over the full grid")
-        self.phi = phi
-        self.t = float(t)
-        self.policy = policy
-        vals = self.raw.copy()
+        vals = np.empty(grid.size)
+        vals[grid.core_flat] = envelope(grid, np.asarray(u, dtype=float),
+                                        phi(grid.trace_points, t))
         vals[grid.exterior_flat] = phi(grid.exterior_points, t)
-        if len(grid.trace_flat):
-            phi_tr = np.asarray(phi(grid.trace_points, t), dtype=float)
-            mix = np.maximum if policy == UPPER else np.minimum
-            vals[grid.trace_flat] = mix(self.raw[grid.trace_flat], phi_tr)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
         self.values = vals
-        self.bound = float(np.abs(vals).max())
-
-    @classmethod
-    def from_function(cls, grid: Grid, u0, phi, t: float = 0.0,
-                      policy: str = UPPER) -> "Field":
-        raw = np.zeros(grid.size)
-        raw[grid.core_flat] = (u0(grid.core_points) if not np.isscalar(u0)
-                               else float(u0))
-        return cls(grid, raw, phi, t, policy)
-
-    def trace_gap(self) -> np.ndarray:
-        """phi - u at trace nodes (raw trace, before the policy envelope)."""
-        g = self.grid
-        return (np.asarray(self.phi(g.trace_points, self.t), dtype=float)
-                - self.raw[g.trace_flat])
 
     def tail_values(self) -> np.ndarray:
         """Field values representing the constant continuation beyond r_max.
@@ -164,7 +144,7 @@ class SweepPlan:
     The one-sided differences read one node beyond the core: ``ring_points``
     are the nodes of the core block padded by one node per side that are
     not core nodes, and ``ring_pos`` their flat positions in that padded
-    block.  ``trace_pos`` locates the trace nodes in ``core_flat`` order.
+    block.
     """
 
     grid: Grid
@@ -175,7 +155,6 @@ class SweepPlan:
     core_box: tuple = dfield(init=False, repr=False)
     ring_points: np.ndarray = dfield(init=False, repr=False)
     ring_pos: np.ndarray = dfield(init=False, repr=False)
-    trace_pos: np.ndarray = dfield(init=False, repr=False)
     _stencil: np.ndarray = dfield(init=False, repr=False)
     _box_start: tuple = dfield(init=False, repr=False)
     _core_fft: tuple = dfield(init=False, repr=False)
@@ -200,7 +179,6 @@ class SweepPlan:
         self.ring_pos = np.flatnonzero(ring)
         self.ring_points = g.points_at(padded.ravel()[self.ring_pos])
         self.ring_points.setflags(write=False)
-        self.trace_pos = np.searchsorted(g.core_flat, g.trace_flat)
 
         S = np.zeros((2 * J + 1,) * g.dim)
         S[tuple((qt.offsets + J).T)] = qt.weights
@@ -227,6 +205,15 @@ class SweepPlan:
         inside = _correlate(np.ones(box), self._core_spec, self._core_fft,
                             self._box_start)
         self.exit_mass = S.sum() - inside + qt.tail_mass
+
+    @cached_property
+    def exterior_mass(self) -> np.ndarray:
+        """Per core node, the kernel mass over the complement of the domain
+        (:func:`kernels.exterior_mass_many`), which the (H2) and (H2')
+        certificates read."""
+        g = self.grid
+        return kernels.exterior_mass_many(self.qt.kernel, g.domain,
+                                          g.core_points, self.qt)
 
     @cached_property
     def _full_spec(self) -> np.ndarray:
@@ -262,17 +249,6 @@ class SweepPlan:
         out += load
         out -= self.diag * centers
         return out
-
-
-def plan_for(grid: Grid, qt: QuadratureTable) -> SweepPlan:
-    """The plan binding ``grid`` to ``qt``, shared by every live state on the
-    pair so the spectra are built once.  The table holds it weakly: a strong
-    reference would close the cycle table -> plan -> table."""
-    plan = qt.plan() if qt.plan is not None else None
-    if plan is None or plan.grid is not grid:
-        plan = SweepPlan(grid, qt)
-        qt.plan = weakref.ref(plan)
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ so the generalized Dirichlet condition emerges: a persistent trace gap
 phi - u > 0 on the boundary signals loss of the boundary condition.  The
 exterior datum enters through the sweep plan's exterior load (the jumps
 that leave the domain), through the one-node ring the one-sided differences
-read, and through the upper phi-envelope that operator neighbor reads use
-at trace nodes; the evaluated node always contributes its raw value
-(required for the exact discrete comparison property when exterior data
-differ).
+read, and through ``operators.envelope``, the upper envelope max(u, phi)
+that neighbour reads see at trace nodes; the evaluated node always
+contributes its raw value (required for the exact discrete comparison
+property when exterior data differ).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .errors import BlowUp, CflViolation, NonConvergence, ViscosityUnderflow
+from .errors import (BlowUp, CflViolation, NonConvergence, PreconditionError,
+                     ValidationError, ViscosityUnderflow)
 from .geometry import Grid
 from .hamiltonians import (CoefficientField, Coefficients,
                            lf_viscosity_bound, numerical_hamiltonian_many)
-from .kernels import QuadratureTable
-from .operators import Field, SweepPlan, plan_for
+from .operators import Field, SweepPlan, envelope
 
 
 @dataclass
@@ -95,19 +95,12 @@ class SolveState:
     def grid(self) -> Grid:
         return self.plan.grid
 
-    @property
-    def qt(self) -> QuadratureTable:
-        return self.plan.qt
-
-    def field(self, policy: str = "upper") -> Field:
-        """The state on the full grid, exterior datum included, for the
-        single-node references."""
-        raw = np.zeros(self.grid.size)
-        raw[self.grid.core_flat] = self.u
-        return Field(self.grid, raw, self.phi, self.t, policy)
+    def field(self) -> Field:
+        """The state on the full grid, for the single-node references."""
+        return Field(self.grid, self.u, self.phi, self.t)
 
     def trace_gaps(self) -> np.ndarray:
-        return self.phi_trace - self.u[self.plan.trace_pos]
+        return self.phi_trace - self.u[self.grid.trace_pos]
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -131,40 +124,43 @@ def _read_datum(st: SolveState) -> np.ndarray:
         ext = phi(plan.grid.exterior_points, t)
     else:
         ext = phi(plan.ring_points[:1], t)
-        st.phi_trace = np.broadcast_to(ext, (len(plan.trace_pos),))
+        st.phi_trace = np.broadcast_to(ext, (len(plan.grid.trace_pos),))
         st.phi_ring = np.broadcast_to(ext, (len(plan.ring_pos),))
     st.load = plan.exterior_load(ext)
     return ext
 
 
-def init_state(grid: Grid, qt: QuadratureTable, spec, phi, u0,
-               cfg: SchemeConfig, t0: float = 0.0) -> SolveState:
+def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
+               t0: float = 0.0) -> SolveState:
+    """The state at t0 on the plan's grid.  Refuses data that are not
+    finite where a step reads them (ValidationError) and a coercive a1 not
+    bounded below by a positive constant (PreconditionError)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
-    plan = plan_for(grid, qt)
-    st = SolveState(plan, spec, phi, eval_initial(u0, grid.core_points),
-                    Coefficients(spec, grid.core_points, t0), t=t0)
+    pts = plan.grid.core_points
+    st = SolveState(plan, spec, phi, eval_initial(u0, pts),
+                    Coefficients(spec, pts, t0), t=t0)
+    a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
+    if a1_min < 1e-12:
+        raise PreconditionError(f"a1 is not bounded below by a positive "
+                                f"constant (min {a1_min})")
     sup_phi = float(np.abs(_read_datum(st)).max(initial=0.0))
+    held = {"u0": (st.u,), "phi": (st.phi_trace, st.phi_ring, st.load)}
+    bad = [f"[data] {name}: not finite at every node at t = {t0}"
+           for name, vals in held.items()
+           if not all(np.isfinite(v).all() for v in vals)]
+    if bad:
+        raise ValidationError(bad)
     st.m_cap = (cfg.m_cap if cfg.m_cap is not None
                 else 1e3 * (1.0 + st.sup_norm + sup_phi))
     if spec.family == "coercive":
         if cfg.sigma_override is not None:
             st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
         else:
-            pm, pp = _one_sided_gradients(st, envelope(plan, st.u, st.phi_trace))
+            pm, pp = _one_sided_gradients(st, envelope(plan.grid, st.u,
+                                                       st.phi_trace))
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
             st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
     return st
-
-
-def envelope(plan: SweepPlan, u: np.ndarray, phi_trace) -> np.ndarray:
-    """Core values with the upper envelope max(u, phi) at trace nodes, for
-    the datum ``phi_trace`` there: what the operator and the difference
-    quotients read, and what snapshots record."""
-    E = u.copy()
-    tr = plan.trace_pos
-    if len(tr):
-        E[tr] = np.maximum(E[tr], phi_trace)
-    return E
 
 
 def _one_sided_gradients(st: SolveState, E: np.ndarray):
@@ -193,7 +189,7 @@ def cfl_denominator(st: SolveState) -> float:
     if st._den is None:
         c = st.coeffs
         drift = st.sigma if st.spec.family == "coercive" else c.b_max
-        st._den = st.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
+        st._den = st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
     return st._den
 
 
@@ -213,7 +209,7 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 
 
 def _rhs(st: SolveState) -> np.ndarray:
-    E = envelope(st.plan, st.u, st.phi_trace)
+    E = envelope(st.grid, st.u, st.phi_trace)
     op = st.plan.apply(E, st.u, st.load)
     pm, pp = _one_sided_gradients(st, E)
     hvals = numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma)

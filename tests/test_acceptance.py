@@ -15,7 +15,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoerciveSpec, ControlLaw,
                                check_H2prime)
 from nlhj.kernels import (build_quadrature, exterior_mass,
                           fractional_laplacian_kernel, zero_kernel)
-from nlhj.operators import Field, eval_operator
+from nlhj.operators import Field, SweepPlan, eval_operator
 from nlhj.oracles import exterior_mass_closed_form, operator_oracle_1d
 from nlhj.harness import (boundary_refinement, coercive_loss_experiment,
                           comparison_experiment, random_ordered_pair,
@@ -44,8 +44,8 @@ def test_criterion_1_operator_consistency():
         for h in hs:
             qt = build_quadrature(k, h, 8.0)
             g = Grid(DOM, h, halo=int(round(8.0 / h)))
-            f = Field.from_function(
-                g, lambda p: np.maximum(0.0, 1 - p[:, 0] ** 2),
+            f = Field(
+                g, np.maximum(0.0, 1 - g.core_points[:, 0] ** 2),
                 lambda p, t: np.zeros(p.shape[0]))
             v = eval_operator(f, 0.0, 0.0, qt)
             errs.append(abs(v - ref) / abs(ref))
@@ -189,12 +189,12 @@ def test_criterion_7_uniqueness():
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=1.0)
     qt = build_quadrature(k, h, 8.0)
     grid = Grid(DOM, h, halo=int(round(8.0 / h)))
-    pts = grid.points_at(grid.core_flat)
-    mu0 = check_H2prime(spec, DOM, k, qt, pts).value
+    plan = SweepPlan(grid, qt)
+    mu0 = check_H2prime(spec, plan).value
     cfg = SchemeConfig(h=h)
     runs = []
     for u0 in (0.0, lambda p: 2.0 * np.cos(p[:, 0])):
-        st = init_state(grid, qt, spec, 0.0, u0, cfg)
+        st = init_state(plan, spec, 0.0, u0, cfg)
         st, rep = run_to_steady(st, cfg)
         runs.append((st.u.copy(),
                      rep.certificates["steady_tol"]))

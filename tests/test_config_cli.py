@@ -107,14 +107,30 @@ def test_execute_run_writes_artifacts(tmp_path):
 
 
 def test_execute_certificate_failure_exits_2(tmp_path):
-    text = MINIMAL.format(out=tmp_path / "out2")
-    text = text.replace("name = run", "name = rate")
-    text = text.replace("lam = 1", "lam = -20")  # (H2') fails
-    text = text.replace("phi = 0", "phi = 0\nphi_limit = 0")
-    cfg = parse_config(write(tmp_path, text, "rate.cfg"))
-    assert execute(cfg) == 2
-    m = json.loads((tmp_path / "out2" / "manifest.json").read_text())
-    assert "PreconditionError" in m["error"]
+    for name in ("rate", "large_time"):
+        text = MINIMAL.format(out=tmp_path / name)
+        text = text.replace("name = run", f"name = {name}")
+        text = text.replace("lam = 1", "lam = -20")  # (H2') fails
+        text = text.replace("phi = 0", "phi = 0\nphi_limit = 0")
+        cfg = parse_config(write(tmp_path, text, f"{name}.cfg"))
+        assert execute(cfg) == 2
+        m = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert "PreconditionError" in m["error"]
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("u0", "1/x", "ValidationError"),        # inf at the core node x = 0
+    ("phi", "1/(x - 2)", "ValidationError"),  # inf at the exterior node x = 2
+    ("a1", "-1", "PreconditionError"),        # no positive lower bound
+])
+def test_refused_data_exit_2(tmp_path, key, value, error):
+    out = tmp_path / "out"
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                  MINIMAL.format(out=out))
+    text = text.replace("h = 0.03125", "h = 0.0625\nr_max = 4")
+    assert main(["run", str(write(tmp_path, text))]) == 2
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["error"].startswith(error) and key in m["error"]
 
 
 def test_execute_blowup_exits_1(tmp_path):
@@ -181,8 +197,17 @@ def test_execute_discretizes_once(tmp_path, monkeypatch):
     for mod in (kernels, harness, config, operators, solver):
         if hasattr(mod, "build_quadrature"):
             monkeypatch.setattr(mod, "build_quadrature", counted)
+    plans = []
+    real_init = operators.SweepPlan.__init__
+
+    def counted_init(self, *args, **kwargs):
+        plans.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators.SweepPlan, "__init__", counted_init)
     assert execute(parse_config(write(tmp_path, text, "rate.cfg"))) == 0
     assert len(builds) == 1
+    assert len(plans) == 1
 
 
 def test_boundary_refinement_keeps_scheme_settings(tmp_path):
@@ -291,14 +316,12 @@ def test_run_snapshots_hold_core_rows(tmp_path):
     assert execute(cfg) == 0
     plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
     grid = plan.grid
-    st = solver.init_state(grid, plan.qt, cfg.spec, cfg.phi, cfg.u0, cfg.scheme)
+    st = solver.init_state(plan, cfg.spec, cfg.phi, cfg.u0, cfg.scheme)
     rep = solver.run_to_time(st, cfg.scheme, cfg.scheme.T)
     files = sorted(out.glob("field_t*.tsv"))
     assert len(files) == len(rep.snapshots) == 3
     for path, (t, u) in zip(files, rep.snapshots):
-        raw = np.zeros(grid.size)
-        raw[grid.core_flat] = u
-        values = operators.Field(grid, raw, cfg.phi, t).values[grid.core_flat]
+        values = operators.Field(grid, u, cfg.phi, t).values[grid.core_flat]
         rows = ["\t".join(f"{v:.17g}" for v in (*p, v))
                 for p, v in zip(grid.core_points, values)]
         lines = path.read_text().splitlines()

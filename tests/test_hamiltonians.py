@@ -4,14 +4,15 @@ from hypothesis import given, strategies as st
 
 from nlhj.errors import ViscosityUnderflow
 from nlhj.geometry import Domain, Grid
-from nlhj.hamiltonians import (BellmanSpec, CoerciveSpec, ControlLaw,
-                               check_compatibility, check_H1, check_H2,
-                               check_H2prime, check_superfractional, check_UE,
-                               eval_hamiltonian, numerical_hamiltonian,
-                               properness_floor)
+from nlhj.hamiltonians import (BellmanSpec, Coefficients, CoerciveSpec,
+                               ControlLaw, check_compatibility, check_H1,
+                               check_H2, check_H2prime, check_superfractional,
+                               check_UE, eval_hamiltonian, lf_viscosity_bound,
+                               numerical_hamiltonian,
+                               numerical_hamiltonian_many, properness_floor)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
-from nlhj.operators import Field
+from nlhj.operators import SweepPlan
 
 from conftest import grid_for
 
@@ -84,6 +85,26 @@ def test_monotone_flux_coercive(pm, pp, eps):
     assert dn >= base - 1e-12   # nondecreasing in p-
 
 
+def test_monotone_flux_for_negative_a1(dom1):
+    # the viscosity bounds |dH/dp| = m |a1| |p|^(m-1) whatever the sign of a1
+    spec = CoerciveSpec(m=2.0, a1="-1 - x^2")
+    pts = core_pts(dom1, 2.0 ** -3)
+    c = Coefficients(spec, pts)
+    sigma = 1.0 + lf_viscosity_bound(c, 1.0)
+    r = np.zeros(len(pts))
+
+    def flux(pm, pp):
+        return numerical_hamiltonian_many(c, r, np.full((len(pts), 1), pm),
+                                          np.full((len(pts), 1), pp), sigma)
+
+    ps = np.linspace(-1.0, 0.9, 20)
+    for pm in ps:
+        for pp in ps:
+            base = flux(pm, pp)
+            assert np.all(flux(pm, pp + 0.1) <= base + 1e-12)   # in p+
+            assert np.all(flux(pm + 0.1, pp) >= base - 1e-12)   # in p-
+
+
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 2.0))
 def test_monotone_flux_bellman(pm, pp, eps):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=1.3, f=0.0),
@@ -122,38 +143,37 @@ def test_properness_floor_bellman(dom1):
 
 def test_check_h2(dom1, k05):
     h = 2.0 ** -7
-    qt = build_quadrature(k05, h, 8.0)
-    pts = core_pts(dom1, h)
+    g = grid_for(dom1, h, 8.0)
+    plan = SweepPlan(g, build_quadrature(k05, h, 8.0))
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.0)
-    cert = check_H2(spec, dom1, k05, qt, pts)
+    cert = check_H2(spec, plan)
     assert cert.passed
     assert cert.value == pytest.approx(4.0, rel=2e-2)
-    cert2 = check_H2(spec, dom1, k05, qt, pts, h_r=lambda p, t: np.full(p.shape[0], -10.0))
+    cert2 = check_H2(spec, plan, h_r=lambda p, t: np.full(p.shape[0], -10.0))
     assert not cert2.passed
     assert cert2.value == pytest.approx(-6.0, abs=0.1)
     kz = zero_kernel(0.5, 1)
-    qtz = build_quadrature(kz, h, 8.0)
-    cert3 = check_H2(spec, dom1, kz, qtz, pts)
+    cert3 = check_H2(spec, SweepPlan(g, build_quadrature(kz, h, 8.0)))
     assert cert3.passed and cert3.value == 0.0
 
 
 def test_check_h2prime(dom1, k05):
     h = 2.0 ** -7
+    g = grid_for(dom1, h, 8.0)
     qt = build_quadrature(k05, h, 8.0)
-    pts = core_pts(dom1, h)
+    plan = SweepPlan(g, qt)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.0)
-    cert = check_H2prime(spec, dom1, k05, qt, pts)
+    cert = check_H2prime(spec, plan)
     assert cert.passed
     assert cert.value == pytest.approx(4.0, rel=2e-2)
     kz = zero_kernel(0.5, 1)
-    qtz = build_quadrature(kz, h, 8.0)
     spec1 = CoerciveSpec(m=1.0, a1=1.0, lam=1.0)
-    cert2 = check_H2prime(spec1, dom1, kz, qtz, pts)
+    cert2 = check_H2prime(spec1, SweepPlan(g, build_quadrature(kz, h, 8.0)))
     assert cert2.passed and cert2.value == pytest.approx(1.0)
     # adversarial floor cancels the mass exactly
     from nlhj.kernels import exterior_mass_many
     adv = lambda p, t: -exterior_mass_many(k05, dom1, p, qt)
-    cert3 = check_H2prime(spec, dom1, k05, qt, pts, floor=adv)
+    cert3 = check_H2prime(spec, plan, floor=adv)
     assert not cert3.passed
     assert cert3.value == pytest.approx(0.0, abs=1e-12)
 
@@ -170,16 +190,16 @@ def test_check_superfractional(dom1, k05):
 
 def test_check_compatibility(dom1):
     g = Grid(dom1, 0.25, halo=2)
-    phi0 = lambda p, t: np.zeros(p.shape[0])
-    f_ok = Field.from_function(g, lambda p: 1 - p[:, 0] ** 2, phi0)
-    assert check_compatibility(f_ok).passed
-    f_bad = Field.from_function(g, lambda p: np.ones(p.shape[0]),
-                                phi0, policy="lower")
-    cert = check_compatibility(f_bad)
+    x = g.core_points[:, 0]
+    phi0 = np.zeros(len(g.trace_flat))
+    assert check_compatibility(g, 1 - x ** 2, phi0).passed
+    cert = check_compatibility(g, np.ones(len(x)), phi0)
     assert not cert.passed and cert.value == pytest.approx(1.0)
-    tiny = lambda p: np.full(p.shape[0], 1e-15)
-    f_tiny = Field.from_function(g, tiny, phi0)
-    assert check_compatibility(f_tiny).passed
+    assert check_compatibility(g, np.full(len(x), 1e-15), phi0).passed
+    # a non-finite value fails, inside the domain or in the datum
+    assert not check_compatibility(g, np.where(x == 0.0, np.inf, 1 - x ** 2),
+                                   phi0).passed
+    assert not check_compatibility(g, 1 - x ** 2, phi0 + np.nan).passed
 
 
 def test_check_ue(k05):
@@ -197,10 +217,9 @@ def test_spec_invariants(dom1):
     with pytest.raises(ValueError):
         BellmanSpec([])                   # nonempty control set
     spec = CoerciveSpec(m=2.0, a1="0.5 + x^2", lam="-1")
-    problems = spec.validate(core_pts(dom1))
-    assert any("lam" in p for p in problems)
+    assert not check_H1(spec, core_pts(dom1)).passed
     good = CoerciveSpec(m=2.0, a1="0.5 + x^2", lam=0.0)
-    assert good.validate(core_pts(dom1)) == []
+    assert check_H1(good, core_pts(dom1)).passed
 
 
 def test_bellman_lipschitz_certificate(dom1):

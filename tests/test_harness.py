@@ -26,7 +26,6 @@ def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
     plan = discretize(dom1, k05, h, 4.0)
     assert (plan.grid.h, plan.grid.halo, plan.qt.h, plan.qt.r_max) == \
         (h, 128, h, 4.0)
-    assert plan.qt.plan() is plan     # init_state on (grid, qt) reuses it
     assert discretize(dom1, k05, h, 4.0) is plan
     assert len(builds) == 1
     assert discretize(dom1, k05, h / 2, 4.0) is not plan
@@ -264,6 +263,14 @@ def test_large_time_refuses_oscillation(dom1, k05):
                               u0=0.0, r_max=4.0)
 
 
+def test_large_time_requires_h2prime(dom1, k05):
+    # lam = -20 outweighs the exterior mass: mu0 < 0, as rate refuses it
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=-20.0, f=0.0)
+    with pytest.raises(PreconditionError, match="H2'"):
+        large_time_experiment(spec, spec, dom1, k05, 0.0, 0.0, [1.0, 2.0],
+                              SchemeConfig(h=2.0 ** -5), u0=0.0, r_max=4.0)
+
+
 def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
     # a t-dependent lam with a constant f is a t-dependent Hamiltonian: the
     # steady solve and the rate experiment refuse it
@@ -275,7 +282,7 @@ def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
     spec = CoerciveSpec(m=1.0, a1=1.0, lam="0.5 + 0.5*exp(-t)", f=0.0)
     cfg = SchemeConfig(h=2.0 ** -5)
     plan = discretize(dom1, k05, cfg.h, 4.0)
-    st = init_state(plan.grid, plan.qt, spec, 0.0, 0.0, cfg)
+    st = init_state(plan, spec, 0.0, 0.0, cfg)
     with pytest.raises(ValueError):
         run_to_steady(st, cfg)
     with pytest.raises(PreconditionError):

@@ -5,7 +5,8 @@ from nlhj.errors import NodeOutsideGrid
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
-from nlhj.operators import Field, eval_operator, save_field, scheme_evaluation
+from nlhj.operators import (Field, SweepPlan, envelope, eval_operator,
+                            save_field, scheme_evaluation)
 from nlhj.oracles import operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
@@ -15,9 +16,9 @@ ZERO_PHI = lambda p, t: np.zeros(p.shape[0])
 BUMP = lambda p: np.maximum(0.0, 1.0 - p[:, 0] ** 2)
 
 
-def make_field(dom, h, r_max, u0, phi=ZERO_PHI, policy="upper"):
+def make_field(dom, h, r_max, u0, phi=ZERO_PHI):
     g = grid_for(dom, h, r_max)
-    return Field.from_function(g, u0, phi, 0.0, policy)
+    return Field(g, u0(g.core_points), phi)
 
 
 def test_constant_field_vanishes(dom1, k05, k15):
@@ -67,8 +68,8 @@ def test_monotonicity_in_field_values(dom1, k05):
     other = base + np.abs(rng.standard_normal(g.size)) * 0.1
     x0 = g.flat_index_of(0.25)
     other[x0] = base[x0]  # equality at the evaluated node
-    fa = Field(g, base, ZERO_PHI)
-    fb = Field(g, other, ZERO_PHI)
+    fa = Field(g, base[g.core_flat], ZERO_PHI)
+    fb = Field(g, other[g.core_flat], ZERO_PHI)
     # exterior/trace slots are overwritten identically by the datum
     va = eval_operator(fa, 0.25, 0.0, qt)
     vb = eval_operator(fb, 0.25, 0.0, qt)
@@ -82,8 +83,8 @@ def test_translation_covariance_bitwise(k05):
     g = grid_for(dom, h, 2.0)
     bump = lambda c: (lambda p: np.maximum(0.0, 0.25 - (p[:, 0] - c) ** 2))
     s = 8 * h
-    f1 = Field.from_function(g, bump(0.0), ZERO_PHI)
-    f2 = Field.from_function(g, bump(s), ZERO_PHI)
+    f1 = Field(g, bump(0.0)(g.core_points), ZERO_PHI)
+    f2 = Field(g, bump(s)(g.core_points), ZERO_PHI)
     v1 = eval_operator(f1, 0.25, 0.0, qt)
     v2 = eval_operator(f2, 0.25 + s, 0.0, qt)
     assert v1 == v2  # identical summands in identical order
@@ -99,21 +100,41 @@ def test_node_outside_grid(dom1, k05):
         eval_operator(f, 8.5, 0.0, qt)
 
 
-def test_field_envelope_policies(dom1):
-    g = grid_for(dom1, 0.25, 4)
-    phi = lambda p, t: np.full(p.shape[0], 2.0)
-    raw = np.zeros(g.size)
-    up = Field(g, raw, phi, policy="upper")
-    lo = Field(g, raw, phi, policy="lower")
-    assert np.all(up.values[g.trace_flat] == 2.0)   # max(0, 2)
-    assert np.all(lo.values[g.trace_flat] == 0.0)   # min(0, 2)
-    assert np.all(up.values[g.exterior_flat] == 2.0)
-    assert np.all(up.trace_gap() == 2.0)  # phi - raw
+def test_field_envelope_policies(dom1, dom2):
+    # the one envelope rule: a trace node reads max(u, phi), an interior
+    # node its own value and an exterior node the datum, for a field built
+    # from core values and for a solver state alike
+    u0 = lambda p: p[:, 0]
+    phi = lambda p, t: 0.25 * p[:, -1] + t
+    t, h, r_max = 0.25, 0.125, 2.0
+    for dom in (dom1, dom2):
+        g = grid_for(dom, h, r_max)
+        u = u0(g.core_points)
+        phi_trace = phi(g.trace_points, t)
+        below = u[g.trace_pos] < phi_trace
+        assert below.any() and (u[g.trace_pos] > phi_trace).any()
+        values = Field(g, u, phi, t).values
+        assert np.array_equal(values[g.trace_flat],
+                              np.where(below, phi_trace, u[g.trace_pos]))
+        assert np.array_equal(values[g.interior_flat],
+                              np.delete(u, g.trace_pos))
+        assert np.array_equal(values[g.exterior_flat],
+                              phi(g.exterior_points, t))
+        assert np.array_equal(values[g.core_flat], envelope(g, u, phi_trace))
+
+        qt = build_quadrature(fractional_laplacian_kernel(0.5, dom.dim), h,
+                              r_max)
+        spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dom.dim, f=0.0,
+                                       dim=dom.dim)], dim=dom.dim)
+        st = init_state(SweepPlan(g, qt), spec, phi, u0, SchemeConfig(h=h),
+                        t0=t)
+        assert np.array_equal(st.field().values[g.core_flat],
+                              envelope(g, st.u, st.phi_trace))
 
 
 def test_field_serialization_header(tmp_path, dom1):
     g = grid_for(dom1, 0.25, 4)
-    values = Field.from_function(g, BUMP, ZERO_PHI, t=0.5).values[g.core_flat]
+    values = Field(g, BUMP(g.core_points), ZERO_PHI, t=0.5).values[g.core_flat]
     out = tmp_path / "field.tsv"
     save_field(g, values, 0.5, out, alpha=0.5)
     lines = out.read_text().splitlines()
@@ -144,7 +165,7 @@ def test_operator_2d_radial_oracle(dom2):
     qt = build_quadrature(k, h, 2.0)
     g = grid_for(dom2, h, 2.0)
     u0 = lambda p: np.maximum(0.0, 1.0 - (p ** 2).sum(axis=1))
-    f = Field.from_function(g, u0, ZERO_PHI)
+    f = Field(g, u0(g.core_points), ZERO_PHI)
     v = eval_operator(f, (0.0, 0.0), (0.0, 0.0), qt)
     ref = operator_oracle_2d_radial(lambda r: max(0.0, 1.0 - r * r), k,
                                     points=[1.0])
@@ -173,7 +194,7 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
                        dim=dim)
     cfg = SchemeConfig(h=h)
-    st = init_state(g, qt, spec, phi, u0, cfg)
+    st = init_state(SweepPlan(g, qt), spec, phi, u0, cfg)
     box = np.arange(g.size).reshape(g.shape)[st.plan.core_box].ravel()
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)

@@ -8,7 +8,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
                                ControlLaw, numerical_hamiltonian)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
-from nlhj.operators import Field, scheme_evaluation
+from nlhj.operators import SweepPlan, scheme_evaluation
 from nlhj.oracles import upwind_advection_steps
 from nlhj.solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
                          run_to_time, step)
@@ -23,7 +23,7 @@ def make(dom, h, r_max, spec, phi, u0, **kw):
     qt = build_quadrature(k, h, r_max)
     g = grid_for(dom, h, r_max)
     cfg = SchemeConfig(h=h, **kw)
-    return g, qt, cfg, init_state(g, qt, spec, phi, u0, cfg)
+    return g, qt, cfg, init_state(SweepPlan(g, qt), spec, phi, u0, cfg)
 
 
 def test_no_dynamics_identity(dom1):
@@ -103,19 +103,19 @@ def test_steady_regression_and_residual(dom1):
     # frozen after the first verified run (both acceleration paths agree
     # to reassociation error)
     f = st.field()
-    assert f.raw[g.flat_index_of(0.0)] == pytest.approx(0.17414693702, abs=1e-6)
+    assert f.values[g.flat_index_of(0.0)] == pytest.approx(0.17414693702, abs=1e-6)
     # scheme_evaluation with the solver's upwind pair and viscosity
     # reproduces the stepping residual
     E = f.values
     worst = 0.0
     for x in (-0.5, 0.0, 0.25, 0.75):
         flat = g.flat_index_of(x)
-        pm = (f.raw[flat] - E[flat - 1]) / h
-        pp = (E[flat + 1] - f.raw[flat]) / h
+        pm = (E[flat] - E[flat - 1]) / h
+        pp = (E[flat + 1] - E[flat]) / h
         pbar = (E[flat + 1] - E[flat - 1]) / (2 * h)
         r = scheme_evaluation(f, x, 0.0, 0.0, pbar, spec, qt,
                               p_minus=pm, p_plus=pp, sigma=st.sigma,
-                              center=f.raw[flat])
+                              center=E[flat])
         worst = max(worst, abs(r))
     assert worst <= 2.0 * tol
 
@@ -318,7 +318,7 @@ def _fresh_cfl_denominator(st, spec, t):
                         .max(axis=0) for c in spec.controls], axis=0)
         lams = [c.lam for c in spec.controls]
     lam = max(float(np.abs(f(pts, t)).max()) for f in lams)
-    return st.qt.lam + float(np.sum(drift)) / st.grid.h + lam
+    return st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + lam
 
 
 @pytest.mark.parametrize("case", ["coercive-1d", "bellman-2d"])
