@@ -143,10 +143,10 @@ class Grid:
     Node coordinates along axis a are ``lower[a] + i*h`` for
     ``i in [-halo, n_core[a] + halo]``.  Storage is a flat float array in row
     major order; ``core_flat`` lists flat indices of nodes with d(x) > -h/2
-    (interior plus boundary trace) and ``trace_pos`` the positions of the
-    trace nodes in that order.  ``core_points``, ``trace_points`` and
-    ``exterior_points`` hold the coordinates of each node set, read-only
-    because every run on the grid shares them.
+    (interior plus boundary trace), ``trace_pos`` the positions of the trace
+    nodes in that order and ``trace_index`` their indices in the core box.
+    ``core_points``, ``trace_points`` and ``exterior_points`` hold the
+    coordinates of each node set, read-only as every run shares them.
     """
 
     domain: Domain
@@ -189,6 +189,8 @@ class Grid:
         self.exterior_flat = flat[cls == EXTERIOR]
         self.interior_flat = flat[cls == INTERIOR]
         self.trace_pos = np.searchsorted(self.core_flat, self.trace_flat)
+        self.trace_index = np.unravel_index(self.trace_pos,
+                                            tuple(n + 1 for n in self.n_core))
         for name in ("core", "trace", "exterior"):
             p = pts[getattr(self, f"{name}_flat")]
             p.setflags(write=False)

@@ -284,14 +284,14 @@ def _norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt((p * p).sum(axis=1))
 
 
-def _coercive_values(c: Coefficients, r, p) -> np.ndarray:
+def _coercive_values(c: Coefficients, r, p, pn) -> np.ndarray:
+    """The coercive H over rows of p, whose norms ``pn`` the caller took."""
     v, spec = c.terms[0], c.spec
-    pn = _norms(p)
     out = v.a1 * pn ** spec.m
     if c.a2_active:
-        out = out + v.a2 * pn ** spec.l
+        out += v.a2 * pn ** spec.l
     if v.b is not None:
-        out = out + np.einsum("ij,ij->i", v.b, p)
+        out += np.einsum("ij,ij->i", v.b, p)
     return out + v.lam * np.asarray(r) - v.f
 
 
@@ -299,7 +299,7 @@ def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
     """H(x, t, r, p) at the bundle's points and time, over rows of p."""
     p = np.atleast_2d(p)
     if c.spec.family == "coercive":
-        return _coercive_values(c, r, p)
+        return _coercive_values(c, r, p, _norms(p))
     best = None
     for v in c.terms:
         val = v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p) - v.f
@@ -345,10 +345,10 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
 
     Nonincreasing in every p_plus component and nondecreasing in every
     p_minus component; equals the pointwise Hamiltonian when the two one-sided
-    gradients coincide.
+    gradients coincide.  The gradients are float arrays of shape (N, dim);
+    ``sigma`` is a number or per-axis values.
     """
-    pm = np.atleast_2d(np.asarray(p_minus, dtype=float))
-    pp = np.atleast_2d(np.asarray(p_plus, dtype=float))
+    pm, pp = p_minus, p_plus
     if c.spec.family == "bellman":
         best = None
         for v in c.terms:
@@ -357,21 +357,21 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
             p_sel = np.where(v.b > 0, pp, pm)
             val = (v.lam * np.asarray(r)
                    - np.einsum("ij,ij->i", v.b, p_sel) - v.f)
-            best = val if best is None else np.maximum(best, val)
+            best = val if best is None else np.maximum(best, val, out=best)
         return best
     mid = 0.5 * (pm + pp)
-    scale = float(_norms(mid).max(initial=0.0))
-    required = lf_viscosity_bound(c, scale)
+    pn = _norms(mid)
+    required = lf_viscosity_bound(c, float(pn.max(initial=0.0)))
     if sigma is None:
         sigma = required + 1.0
-    else:
+    elif not (isinstance(sigma, np.ndarray) and sigma.shape == required.shape):
         sigma = np.full(c.spec.dim, sigma, dtype=float)
-        if np.any(sigma < required - 1e-12):
-            raise ViscosityUnderflow(
-                f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
-                required=required)
-    out = _coercive_values(c, r, mid)
-    out = out - 0.5 * ((pp - pm) * sigma[None, :]).sum(axis=1)
+    if (sigma < required - 1e-12).any():
+        raise ViscosityUnderflow(
+            f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
+            required=required)
+    out = _coercive_values(c, r, mid, pn)
+    out -= 0.5 * ((pp - pm) * sigma).sum(axis=1)
     return out
 
 

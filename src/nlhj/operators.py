@@ -28,14 +28,18 @@ from .geometry import Grid
 from .kernels import QuadratureTable
 
 
-def envelope(grid: Grid, u: np.ndarray, phi_trace) -> np.ndarray:
+def envelope(grid: Grid, u: np.ndarray, phi_trace, out=None) -> np.ndarray:
     """Core values ``u`` (in ``core_flat`` order) with the upper envelope
     max(u, phi) at the trace nodes, for the datum ``phi_trace`` there: what
     the operator, the difference quotients, snapshots and :class:`Field`
-    read."""
-    E = u.copy()
-    tr = grid.trace_pos
-    E[tr] = np.maximum(E[tr], phi_trace)
+    read.  Returns a copy of ``u``, or fills ``out``, an array of the core
+    block's shape such as the interior of a solver state's padded block."""
+    if out is None:
+        E, at = u.copy(), grid.trace_pos
+    else:
+        E, at = out, grid.trace_index
+        E[...] = u.reshape(E.shape)
+    E[at] = np.maximum(u[grid.trace_pos], phi_trace)
     return E
 
 
@@ -100,18 +104,24 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-# numpy's 1-D transforms skip the n-D wrappers' per-call overhead
-def _rfft(a: np.ndarray, shape: tuple) -> np.ndarray:
-    return np.fft.rfft(a, shape[0]) if len(shape) == 1 else np.fft.rfft2(a, shape)
-
-
-def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple):
-    """The correlation with spectrum ``spec`` of ``a`` zero-padded to
-    ``shape``, at the nodes selected by ``keep``, flattened."""
-    prod = _rfft(a, shape) * spec
+# numpy's 1-D transforms skip the n-D wrappers' per-call overhead; the 2-D
+# one pads axis by axis, so it cannot write into a given array
+def _rfft(a: np.ndarray, shape: tuple, out=None) -> np.ndarray:
     if len(shape) == 1:
-        return np.fft.irfft(prod, shape[0])[keep].ravel()
-    return np.fft.irfft2(prod, shape)[keep].ravel()
+        return np.fft.rfft(a, shape[0], out=out)
+    return np.fft.rfft2(a, shape)
+
+
+def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple,
+               out=(None, None)):
+    """The correlation with spectrum ``spec`` of ``a`` zero-padded to
+    ``shape``, at the nodes selected by ``keep``, flattened; ``out`` holds
+    arrays for the transforms' output, of which the result may be a view."""
+    prod = _rfft(a, shape, out[0])
+    prod *= spec
+    if len(shape) == 1:
+        return np.fft.irfft(prod, shape[0], out=out[1])[keep].ravel()
+    return np.fft.irfft2(prod, shape, out=out[1])[keep].ravel()
 
 
 def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
@@ -141,10 +151,10 @@ class SweepPlan:
     built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
     that leave the core, tail included.
 
-    The one-sided differences read one node beyond the core: ``ring_points``
-    are the nodes of the core block padded by one node per side that are
-    not core nodes, and ``ring_pos`` their flat positions in that padded
-    block.
+    The one-sided differences read a state's block: the core block
+    (``inner`` in it) padded by one node per side, the ring (``ring_points``,
+    at flat positions ``ring_pos``).  ``shifts[a]`` holds the backward and
+    forward neighbours along axis a of the core nodes.
     """
 
     grid: Grid
@@ -155,10 +165,13 @@ class SweepPlan:
     core_box: tuple = dfield(init=False, repr=False)
     ring_points: np.ndarray = dfield(init=False, repr=False)
     ring_pos: np.ndarray = dfield(init=False, repr=False)
+    inner: tuple = dfield(init=False, repr=False)
+    shifts: tuple = dfield(init=False, repr=False)
     _stencil: np.ndarray = dfield(init=False, repr=False)
     _box_start: tuple = dfield(init=False, repr=False)
     _core_fft: tuple = dfield(init=False, repr=False)
     _core_spec: np.ndarray = dfield(init=False, repr=False)
+    _scratch: tuple = dfield(init=False, repr=False)
     _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -179,6 +192,10 @@ class SweepPlan:
         self.ring_pos = np.flatnonzero(ring)
         self.ring_points = g.points_at(padded.ravel()[self.ring_pos])
         self.ring_points.setflags(write=False)
+        inner = self.inner = (slice(1, -1),) * g.dim
+        self.shifts = tuple(tuple(inner[:a] + (s,) + inner[a + 1:]
+                                  for s in (slice(None, -2), slice(2, None)))
+                            for a in range(g.dim))
 
         S = np.zeros((2 * J + 1,) * g.dim)
         S[tuple((qt.offsets + J).T)] = qt.weights
@@ -198,6 +215,9 @@ class SweepPlan:
         self._core_fft = tuple(_fft_length(m + k) for m, k in zip(box, K))
         self._core_spec = _correlation_spectrum(
             S[tuple(slice(J - k, J + k + 1) for k in K)], self._core_fft)
+        # apply's transform output (see _rfft for 2-D), shared by its states
+        self._scratch = (np.empty_like(self._core_spec) if g.dim == 1 else None,
+                         np.empty(self._core_fft))
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
@@ -240,13 +260,13 @@ class SweepPlan:
         """Operator values at every core node (interior + trace), in
         ``core_flat`` order, for the core values ``E`` in that order.
 
-        ``centers`` supplies the value subtracted at the evaluated node (the
-        solver passes the raw solution there); ``load`` is
-        :meth:`exterior_load` of the datum.
+        ``E`` may have the core block's shape instead.  ``centers`` supplies
+        the value subtracted at the evaluated node (the solver passes the raw
+        solution there); ``load`` is :meth:`exterior_load` of the datum.  The
+        result is a new array, never a view of the plan's scratch.
         """
         out = _correlate(E.reshape(self.core_shape), self._core_spec,
-                         self._core_fft, self._box_start)
-        out += load
+                         self._core_fft, self._box_start, self._scratch) + load
         out -= self.diag * centers
         return out
 

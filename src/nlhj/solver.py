@@ -13,10 +13,16 @@ read, and through ``operators.envelope``, the upper envelope max(u, phi)
 that neighbour reads see at trace nodes; the evaluated node always
 contributes its raw value (required for the exact discrete comparison
 property when exterior data differ).
+
+A state holds one padded block: the core block plus that ring, written only
+when the datum is read (at t0, and per step for a t-dependent datum).  A
+step writes the envelope into the interior once; the sweep reads the
+interior and the one-sided differences shifted views of the block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -56,10 +62,11 @@ class SchemeConfig:
 class SolveState:
     """The unknowns at time t plus the data a step reads, held at time t:
     the Hamiltonian's coefficients on the core nodes (``coeffs``), the datum
-    at the trace nodes (``phi_trace``) and on the plan's ring
-    (``phi_ring``), and its exterior load.  Data that do not depend on t
-    are evaluated once, by :func:`init_state`; a step re-evaluates the rest
-    at the new time.  Setting ``sigma`` drops the cached CFL denominator."""
+    at the trace nodes (``phi_trace``) and its exterior load, and the padded
+    ``block`` (see the module docstring) with the datum on its ring.  Data
+    that do not depend on t are evaluated once, by :func:`init_state`; a
+    step re-evaluates the rest at the new time.  Setting ``sigma`` drops
+    the cached CFL denominator."""
 
     plan: SweepPlan
     spec: object
@@ -72,14 +79,16 @@ class SolveState:
     sup_norm: float = 0.0
     sigma_growth: int = 0
     last_dt: float = 0.0
-    phi_trace: np.ndarray | None = None
-    phi_ring: np.ndarray | None = None
     load: np.ndarray | None = None   # plan.exterior_load at time t
+    phi_trace: np.ndarray = dfield(init=False, repr=False)
+    block: np.ndarray = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     _den: float | None = dfield(default=None, repr=False)
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
+        self.phi_trace = np.empty(len(self.grid.trace_pos))
+        self.block = np.zeros([m + 2 for m in self.plan.core_shape])
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -113,20 +122,18 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
 
 
 def _read_datum(st: SolveState) -> np.ndarray:
-    """Hold the datum at the state's time at the trace nodes, on the ring
-    and as the exterior load; returns its exterior values.  A datum
-    constant in space is evaluated at one point, whose value stands for
-    every node."""
+    """Hold the datum at the state's time at the trace nodes and on the
+    block's ring; returns its exterior values, of which the caller takes
+    the exterior load.  A datum constant in space is evaluated at one
+    point, whose value stands for every node."""
     phi, plan, t = st.phi, st.plan, st.t
     if phi.varies_in_space:
-        st.phi_trace = phi(plan.grid.trace_points, t)
-        st.phi_ring = phi(plan.ring_points, t)
+        st.phi_trace[:] = phi(plan.grid.trace_points, t)
+        ring = phi(plan.ring_points, t)
         ext = phi(plan.grid.exterior_points, t)
     else:
-        ext = phi(plan.ring_points[:1], t)
-        st.phi_trace = np.broadcast_to(ext, (len(plan.grid.trace_pos),))
-        st.phi_ring = np.broadcast_to(ext, (len(plan.ring_pos),))
-    st.load = plan.exterior_load(ext)
+        st.phi_trace[:] = ring = ext = phi(plan.ring_points[:1], t)
+    st.block.reshape(-1)[plan.ring_pos] = ring
     return ext
 
 
@@ -143,43 +150,41 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
                                 f"constant (min {a1_min})")
-    sup_phi = float(np.abs(_read_datum(st)).max(initial=0.0))
-    held = {"u0": (st.u,), "phi": (st.phi_trace, st.phi_ring, st.load)}
+    ext = _read_datum(st)
+    # refused before the load's transform; the block holds only its ring yet
+    held = {"u0": (st.u,), "phi": (st.phi_trace, st.block, ext)}
     bad = [f"[data] {name}: not finite at every node at t = {t0}"
            for name, vals in held.items()
            if not all(np.isfinite(v).all() for v in vals)]
     if bad:
         raise ValidationError(bad)
+    st.load = plan.exterior_load(ext)
+    sup_phi = float(np.abs(ext).max(initial=0.0))
     st.m_cap = (cfg.m_cap if cfg.m_cap is not None
                 else 1e3 * (1.0 + st.sup_norm + sup_phi))
     if spec.family == "coercive":
         if cfg.sigma_override is not None:
             st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
         else:
-            pm, pp = _one_sided_gradients(st, envelope(plan.grid, st.u,
-                                                       st.phi_trace))
+            envelope(plan.grid, st.u, st.phi_trace, out=st.block[plan.inner])
+            pm, pp = _one_sided_gradients(st)
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
             st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
     return st
 
 
-def _one_sided_gradients(st: SolveState, E: np.ndarray):
-    """Backward and forward differences at the core nodes, reading the
-    envelope ``E`` inside and the held datum on the ring."""
-    plan = st.plan
-    n, dim, h = len(st.u), st.grid.dim, st.grid.h
-    padded = np.empty(tuple(m + 2 for m in plan.core_shape))
-    padded[(slice(1, -1),) * dim] = E.reshape(plan.core_shape)
-    padded.reshape(-1)[plan.ring_pos] = st.phi_ring
-    pm = np.empty((n, dim))
-    pp = np.empty((n, dim))
-    for a in range(dim):
-        fwd = [slice(1, -1)] * dim
-        bwd = [slice(1, -1)] * dim
-        fwd[a], bwd[a] = slice(2, None), slice(None, -2)
-        pp[:, a] = (padded[tuple(fwd)].ravel() - st.u) / h
-        pm[:, a] = (st.u - padded[tuple(bwd)].ravel()) / h
-    return pm, pp
+def _one_sided_gradients(st: SolveState):
+    """Backward and forward differences at the core nodes, shape (N, dim),
+    reading the state's block: the envelope inside and the held datum on
+    the ring."""
+    plan, dim = st.plan, st.grid.dim
+    u = st.u.reshape(plan.core_shape)
+    diffs = np.empty((2,) + plan.core_shape + (dim,))
+    for a, (bwd, fwd) in enumerate(plan.shifts):
+        np.subtract(u, st.block[bwd], out=diffs[0, ..., a])
+        np.subtract(st.block[fwd], u, out=diffs[1, ..., a])
+    diffs /= st.grid.h
+    return diffs[0].reshape(-1, dim), diffs[1].reshape(-1, dim)
 
 
 def cfl_denominator(st: SolveState) -> float:
@@ -209,11 +214,11 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 
 
 def _rhs(st: SolveState) -> np.ndarray:
-    E = envelope(st.grid, st.u, st.phi_trace)
+    E = envelope(st.grid, st.u, st.phi_trace, out=st.block[st.plan.inner])
     op = st.plan.apply(E, st.u, st.load)
-    pm, pp = _one_sided_gradients(st, E)
-    hvals = numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma)
-    return op - hvals
+    pm, pp = _one_sided_gradients(st)
+    op -= numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma)
+    return op
 
 
 def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveState:
@@ -251,17 +256,19 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
             st.sigma = grown
             st.sigma_growth += 1
             attempt += 1
-    st.u += use * rhs
+    rhs *= use
+    st.u += rhs
     st.t += use
     st.last_dt = use
     if st.phi.time_dependent:
-        _read_datum(st)
-    st.coeffs.at(st.t)
-    if st.coeffs.moving & {"lam", "b"}:
-        st._den = None
+        st.load = st.plan.exterior_load(_read_datum(st))
+    if st.coeffs.moving:
+        st.coeffs.at(st.t)
+        if st.coeffs.moving & {"lam", "b"}:
+            st._den = None
     st.steps += 1
-    st.sup_norm = float(np.abs(st.u).max())
-    if not np.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
+    st.sup_norm = float(np.abs(st.u, out=rhs).max())  # rhs is spent
+    if not math.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
         raise BlowUp(f"sup-norm {st.sup_norm} exceeded cap {st.m_cap} at t = {st.t}")
     return st
 

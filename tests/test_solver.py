@@ -161,6 +161,14 @@ def test_blowup_detected(dom1):
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0, m_cap=5.0)
     with pytest.raises(BlowUp):
         run_to_time(st, cfg, 10.0)
+    # a source that turns NaN (0 * inf once exp overflows) poisons u: the
+    # sup-norm is NaN, which no cap comparison catches
+    f = "0*exp(800*t)"
+    for spec in (BellmanSpec([ControlLaw(lam=1.0, b=0.5, f=f)]),
+                 CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=f)):
+        g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0)
+        with pytest.raises(BlowUp, match="sup-norm nan"):
+            run_to_time(st, cfg, 2.0)
 
 
 def test_nonconvergence_raised(dom1):
@@ -420,3 +428,43 @@ def test_cfl_denominator_follows_a_viscosity_retry(dom1):
     lam = float(np.abs(spec.lam(g.core_points, 0.0)).max())
     den = qt.lam + float(np.sum(st.sigma)) / g.h + lam
     assert st.last_dt == cfg.theta / den
+
+
+@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
+def test_states_sharing_a_plan_step_as_if_alone(case):
+    # two states on one plan share its transform scratch: stepped
+    # alternately, each takes the same values as when stepped alone, and
+    # an operator value already returned survives a later sweep
+    dim = 2 if case.endswith("2d") else 1
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    if case.startswith("coercive"):
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
+    else:
+        spec = BellmanSpec([ControlLaw(lam=0.5, b=(-0.5,) * dim, f=0.1,
+                                       dim=dim),
+                            ControlLaw(lam=0.3, b=(0.5,) * dim, f=0.0,
+                                       dim=dim)], dim=dim)
+    h = 2.0 ** -5 if dim == 1 else 0.125
+    k = fractional_laplacian_kernel(0.5, dim)
+    plan = SweepPlan(grid_for(dom, h, 2.0), build_quadrature(k, h, 2.0))
+    cfg = SchemeConfig(h=h)
+    data = [("0.2*x", lambda p: 0.5 * np.cos(2.0 * p.sum(axis=1))),
+            ("1 + 0.3*x^2", lambda p: 1.0 - 0.4 * p[:, 0] ** 2)]
+
+    alone = []
+    for phi, u0 in data:
+        alone.append(init_state(plan, spec, phi, u0, cfg))
+        for _ in range(20):
+            step(alone[-1], cfg)
+    paired = [init_state(plan, spec, phi, u0, cfg) for phi, u0 in data]
+    for _ in range(20):
+        for st in paired:
+            step(st, cfg)
+    for a, b in zip(alone, paired):
+        assert np.array_equal(a.u, b.u) and a.t == b.t
+
+    sa, sb = paired
+    first = plan.apply(sa.field().values[plan.grid.core_flat], sa.u, sa.load)
+    kept = first.copy()
+    plan.apply(sb.field().values[plan.grid.core_flat], sb.u, sb.load)
+    assert np.array_equal(first, kept)
