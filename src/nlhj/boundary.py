@@ -62,9 +62,6 @@ class BoundaryClassification:
         uniq = set(t.ravel())
         return t.ravel()[0] if len(uniq) == 1 else MIXED
 
-    def uniform(self) -> bool:
-        return all(len(set(self.tags[f].ravel())) == 1 for f in self.faces)
-
 
 def _face_samples(dom: Domain, face_idx: int, resolution: int) -> np.ndarray:
     """Sample points along one face, excluding corner exclusion zones (2-D)."""

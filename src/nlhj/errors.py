@@ -48,14 +48,6 @@ class PreconditionError(NlhjError):
     """An experiment's gating assumption check failed."""
 
 
-class BoundViolated(NlhjError):
-    """Measured deviation exceeded the certified rate bound."""
-
-    def __init__(self, msg, t=None):
-        super().__init__(msg)
-        self.t = t
-
-
 # config / cli
 class ParseError(NlhjError):
     """Configuration or expression text could not be parsed."""

@@ -14,23 +14,18 @@ import numpy as np
 
 from .errors import CornerAmbiguity
 
-INTERIOR, TRACE, EXTERIOR = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class Domain:
     """Open interval or axis-aligned open box.
 
-    ``collar`` is the width delta_0 of the band around the boundary on which
-    the distance function is treated as smooth (away from corners); it
-    defaults to a quarter of the smallest side.  ``corner_exclusion`` is the
-    radius around each corner (2-D) inside which gradient evaluation is
-    refused; boundary experiments sample face midpoints only.
+    ``corner_exclusion`` is the radius around each corner (2-D) inside which
+    gradient evaluation is refused; boundary experiments sample face
+    midpoints only.
     """
 
     lower: tuple
     upper: tuple
-    collar: float = 0.0
     corner_exclusion: float = 0.0
 
     def __post_init__(self):
@@ -42,11 +37,6 @@ class Domain:
             raise ValueError("domain must be a 1-D interval or 2-D box")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("domain lower corner must be below upper corner")
-        smallest = min(b - a for a, b in zip(lo, hi))
-        if self.collar <= 0.0:
-            object.__setattr__(self, "collar", smallest / 4.0)
-        if self.collar > smallest / 2.0:
-            raise ValueError("collar exceeds half the smallest side")
 
     @property
     def dim(self) -> int:
@@ -143,8 +133,9 @@ class Grid:
     Node coordinates along axis a are ``lower[a] + i*h`` for
     ``i in [-halo, n_core[a] + halo]``.  Storage is a flat float array in row
     major order; ``core_flat`` lists flat indices of nodes with d(x) > -h/2
-    (interior plus boundary trace), ``trace_pos`` the positions of the trace
-    nodes in that order and ``trace_index`` their indices in the core box.
+    (interior plus boundary trace), ``trace_flat`` those with |d(x)| < h/2,
+    ``exterior_flat`` the rest, ``trace_pos`` the positions of the trace
+    nodes in core order and ``trace_index`` their indices in the core box.
     ``core_points``, ``trace_points`` and ``exterior_points`` hold the
     coordinates of each node set, read-only as every run shares them.
     """
@@ -154,11 +145,9 @@ class Grid:
     halo: int
 
     shape: tuple = field(init=False)
-    node_class: np.ndarray = field(init=False, repr=False)
     core_flat: np.ndarray = field(init=False, repr=False)
     trace_flat: np.ndarray = field(init=False, repr=False)
     exterior_flat: np.ndarray = field(init=False, repr=False)
-    interior_flat: np.ndarray = field(init=False, repr=False)
     trace_pos: np.ndarray = field(init=False, repr=False)
     core_points: np.ndarray = field(init=False, repr=False)
     trace_points: np.ndarray = field(init=False, repr=False)
@@ -179,15 +168,10 @@ class Grid:
         d = signed_distance_many(self.domain, pts)
         # boundary-aligned lattices give d in {0, +-h, ...} at nodes; the h/2
         # tolerance also classifies straddling nodes of unaligned lattices
-        cls = np.full(d.shape, EXTERIOR, dtype=np.int8)
-        cls[d >= 0.5 * self.h] = INTERIOR
-        cls[np.abs(d) < 0.5 * self.h] = TRACE
-        self.node_class = cls
-        flat = np.arange(pts.shape[0])
-        self.core_flat = flat[cls != EXTERIOR]
-        self.trace_flat = flat[cls == TRACE]
-        self.exterior_flat = flat[cls == EXTERIOR]
-        self.interior_flat = flat[cls == INTERIOR]
+        core = d > -0.5 * self.h
+        self.core_flat = np.flatnonzero(core)
+        self.trace_flat = np.flatnonzero(np.abs(d) < 0.5 * self.h)
+        self.exterior_flat = np.flatnonzero(~core)
         self.trace_pos = np.searchsorted(self.core_flat, self.trace_flat)
         self.trace_index = np.unravel_index(self.trace_pos,
                                             tuple(n + 1 for n in self.n_core))

@@ -19,6 +19,9 @@ from .geometry import Domain, Grid
 from .kernels import Kernel
 from .operators import SweepPlan
 
+# caps the |p|^(e-1) bounds of sublinear exponents (see lf_viscosity_bound)
+GRAD_FLOOR = 1e-2
+
 
 class CoefficientField:
     """Scalar coefficient on (closed domain) x time, vectorized over points.
@@ -57,23 +60,6 @@ class CoefficientField:
         return out
 
 
-def tabulated_coefficient(points, values, name: str = "") -> CoefficientField:
-    """Coefficient from a tabulated grid, linearly interpolated (1-D only),
-    constant in time."""
-    xs = np.asarray(points, dtype=float).ravel()
-    vals = np.asarray(values, dtype=float).ravel()
-    if xs.shape != vals.shape or len(xs) < 2:
-        raise ValueError("tabulated coefficient needs matching 1-D arrays")
-    order = np.argsort(xs)
-    xs, vals = xs[order], vals[order]
-
-    def fn(pts, t):
-        return np.interp(np.atleast_2d(pts)[:, 0], xs, vals)
-
-    fn.time_dependent = False
-    return CoefficientField(fn, name)
-
-
 def vector_coefficient(value, dim: int, name: str = ""):
     """Per-axis list of coefficient fields for a drift term."""
     if value is None:
@@ -107,7 +93,6 @@ class CoerciveSpec:
     lam: object = 0.0
     f: object = 0.0
     dim: int = 1
-    grad_floor: float = 1e-2  # caps |p|^(e-1) bounds for sublinear exponents
 
     def __post_init__(self):
         if self.m <= 0 or self.l < 0 or self.l >= self.m:
@@ -128,9 +113,6 @@ class CoerciveSpec:
     def time_dependent(self) -> bool:
         return any(c.time_dependent for c in
                    (self.a1, self.a2, self.lam, self.f, *(self.b or ())))
-
-    def c0(self, pts: np.ndarray) -> float:
-        return float(self.a1(pts, 0.0).min())
 
 
 @dataclass
@@ -170,15 +152,16 @@ class BellmanSpec:
         return any(c.lam.time_dependent or c.f.time_dependent or
                    any(bc.time_dependent for bc in c.b) for c in self.controls)
 
-    def check_lipschitz(self, dom: Domain, t_window=(0.0, 1.0), n: int = 200,
-                        seed: int = 0):
-        """Sampled space-time Lipschitz quotients of each drift vs (L)."""
-        rng = np.random.default_rng(seed)
+    def check_lipschitz(self, dom: Domain):
+        """Sampled space-time Lipschitz quotients of each drift vs (L), on
+        200 pairs of points of the domain and times in [0, 1]."""
+        n = 200
+        rng = np.random.default_rng(0)
         lo, hi = np.array(dom.lower), np.array(dom.upper)
         xs = lo + rng.random((n, dom.dim)) * (hi - lo)
         ys = lo + rng.random((n, dom.dim)) * (hi - lo)
-        ts = t_window[0] + rng.random(n) * (t_window[1] - t_window[0])
-        ss = t_window[0] + rng.random(n) * (t_window[1] - t_window[0])
+        ts = rng.random(n)
+        ss = rng.random(n)
         worst = 0.0
         for c in self.controls:
             for i in range(n):
@@ -319,15 +302,15 @@ def lf_viscosity_bound(c: Coefficients, p_scale: float) -> np.ndarray:
     the coercive coefficients ``c``.
 
     Exponents below 1 have unbounded derivative at p = 0; the bound then uses
-    the configured gradient floor, so strict monotonicity is certified only
-    for m, l >= 1 (or vanishing a2).
+    the gradient floor ``GRAD_FLOOR``, so strict monotonicity is certified
+    only for m, l >= 1 (or vanishing a2).
     """
     spec = c.spec
 
     def pow_bound(e):
         if e >= 0:
             return p_scale ** e
-        return max(p_scale, spec.grad_floor) ** e if p_scale > 0 else spec.grad_floor ** e
+        return max(p_scale, GRAD_FLOOR) ** e if p_scale > 0 else GRAD_FLOOR ** e
 
     s = c.a1_max * spec.m * pow_bound(spec.m - 1)
     if c.a2_max > 0 and spec.l > 0:
@@ -401,18 +384,16 @@ class Certificate:
         return d
 
 
-def properness_floor(spec, pts: np.ndarray, t_window=(0.0, 1.0),
-                     n_times: int = 9) -> np.ndarray:
+def properness_floor(spec, pts: np.ndarray) -> np.ndarray:
     """Floor function h(x) for the built-in families.
 
     Coercive: exactly lam(x).  Bellman: min over controls of lam_b(x, t)
-    sampled on the time window.  User-supplied Hamiltonians must provide a
-    floor explicitly.
+    sampled at 9 times on the window [0, R] = [0, 1].
     """
     pts = np.atleast_2d(pts)
     if spec.family == "coercive":
         return spec.lam(pts, 0.0)
-    ts = np.linspace(t_window[0], t_window[1], n_times)
+    ts = np.linspace(0.0, 1.0, 9)
     out = None
     for c in spec.controls:
         for t in ts if c.lam.time_dependent else ts[:1]:
@@ -421,80 +402,76 @@ def properness_floor(spec, pts: np.ndarray, t_window=(0.0, 1.0),
     return out
 
 
-def check_H2(spec, plan: SweepPlan, R: float = 1.0, tol: float = 1e-9,
-             h_r=None) -> Certificate:
-    """min over the plan's core nodes of h_R(x) + exterior kernel mass;
-    pass iff >= -tol."""
-    pts = plan.grid.core_points
-    hr = np.asarray(h_r(pts, 0.0) if callable(h_r) else h_r) if h_r is not None \
-        else properness_floor(spec, pts, (0.0, R))
-    value = float((hr + plan.exterior_mass).min())
-    return Certificate("H2", value >= -tol, value, {"R": R})
+def _properness_margin(spec, plan: SweepPlan) -> float:
+    """min over the plan's core nodes of the properness floor h(x) plus the
+    exterior kernel mass: (H2) and (H2') read the same margin."""
+    floor = properness_floor(spec, plan.grid.core_points)
+    return float((floor + plan.exterior_mass).min())
 
 
-def check_H2prime(spec, plan: SweepPlan, mu_min: float = 1e-6,
-                  floor=None) -> Certificate:
-    """Nondegeneracy margin mu0 = min over the plan's core nodes of h(x) +
-    exterior mass; pass iff mu0 >= mu_min > 0."""
-    pts = plan.grid.core_points
-    h = np.asarray(floor(pts, 0.0) if callable(floor) else floor) if floor is not None \
-        else properness_floor(spec, pts)
-    mu0 = float((h + plan.exterior_mass).min())
-    return Certificate("H2prime", mu0 >= mu_min, mu0, {"mu_min": mu_min})
+def check_H2(spec, plan: SweepPlan) -> Certificate:
+    """(H2) at R = 1: the properness margin is >= 0 (to 1e-9)."""
+    value = _properness_margin(spec, plan)
+    return Certificate("H2", value >= -1e-9, value, {"R": 1.0})
+
+
+def check_H2prime(spec, plan: SweepPlan) -> Certificate:
+    """(H2'): the nondegeneracy margin mu0, the properness margin, is at
+    least mu_min = 1e-6 > 0."""
+    mu0 = _properness_margin(spec, plan)
+    return Certificate("H2prime", mu0 >= 1e-6, mu0, {"mu_min": 1e-6})
 
 
 def check_superfractional(spec: CoerciveSpec, k: Kernel, pts) -> Certificate:
     """(A1): m > alpha strictly and a1 bounded below by a positive constant."""
-    c0 = spec.c0(np.atleast_2d(pts))
+    c0 = float(spec.a1(np.atleast_2d(pts), 0.0).min())
     margin = spec.m - k.alpha
     passed = margin > 0 and c0 > 0
     return Certificate("superfractional_A1", passed, margin, {"c0": c0})
 
 
-def check_compatibility(grid: Grid, u0: np.ndarray, phi_trace: np.ndarray,
-                        tol: float | None = None) -> Certificate:
+def check_compatibility(grid: Grid, u0: np.ndarray,
+                        phi_trace: np.ndarray) -> Certificate:
     """(H0): the initial values ``u0`` at the core nodes (in ``core_flat``
-    order) match the datum ``phi_trace`` at the trace nodes.  Non-finite
-    values fail."""
+    order) match the datum ``phi_trace`` at the trace nodes, to 1e-12 (1 +
+    sup |u0|).  Non-finite values fail."""
     sup_u = float(np.abs(u0).max(initial=0.0))
-    if tol is None:
-        tol = 1e-12 * (1.0 + sup_u)
+    tol = 1e-12 * (1.0 + sup_u)
     worst = float(np.abs(phi_trace - u0[grid.trace_pos]).max(initial=0.0))
     passed = bool(np.isfinite(sup_u) and worst <= tol)
     return Certificate("compatibility_H0", passed, worst, {"tol": tol})
 
 
-def check_UE(k: Kernel, n_samples: int = 64) -> Certificate:
-    """Uniform ellipticity: K >= c2 on |z| <= c1, spot-checked on samples."""
+def check_UE(k: Kernel) -> Certificate:
+    """Uniform ellipticity: K >= c2 on |z| <= c1, spot-checked at 64 radii."""
     if k.c1 is None or k.c2 is None or k.c1 <= 0 or k.c2 <= 0:
         return Certificate("UE", False, 0.0, {"reason": "no ellipticity constants"})
-    r = np.linspace(k.c1 / n_samples, k.c1, n_samples)
+    r = np.linspace(k.c1 / 64, k.c1, 64)
     vals = np.asarray(k.profile(r), dtype=float)
     worst = float(vals.min())
     return Certificate("UE", worst >= k.c2 - 1e-12, worst,
                        {"c1": k.c1, "c2": k.c2})
 
 
-def check_H1(spec, pts, R: float = 1.0, n_samples: int = 200,
-             seed: int = 0) -> Certificate:
-    """(H1) for the built-in families.
+def check_H1(spec, pts) -> Certificate:
+    """(H1) for the built-in families, at R = 1.
 
     Coercive: H(u) - H(v) = lam(x)(u - v) holds identically, so the check is
-    exact with h_R = lam.  Bellman: verified on random samples against
-    h_R = min over controls of lam_b.
+    exact with h_R = lam.  Bellman: verified on 200 random samples (x, t in
+    [0, R], u >= v, p) against h_R = min over controls of lam_b.
     """
     pts = np.atleast_2d(pts)
     if spec.family == "coercive":
         lam = spec.lam(pts, 0.0)
         return Certificate("H1", bool(lam.min() >= 0), float(lam.min()),
                            {"exact": True})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = np.inf
-    floor = properness_floor(spec, pts, (0.0, R))
+    floor = properness_floor(spec, pts)
     frozen = Coefficients(spec, pts, 0.0)
-    for _ in range(n_samples):
+    for _ in range(200):
         i = rng.integers(0, pts.shape[0])
-        t = rng.random() * R
+        t = rng.random()
         u = rng.normal()
         v = u - abs(rng.normal())  # u >= v
         p = rng.normal(size=spec.dim)

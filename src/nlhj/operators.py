@@ -58,16 +58,13 @@ class Field:
             raise ValueError("field contains non-finite values")
         self.values = vals
 
-    def tail_values(self) -> np.ndarray:
-        """Field values representing the constant continuation beyond r_max.
-
-        1-D: the two outermost stored nodes (left, right).  2-D: the mean of
-        the outermost shell, returned as a single entry.
-        """
-        return _tail_values(self.grid, self.values)
-
 
 def _tail_values(g: Grid, values: np.ndarray) -> np.ndarray:
+    """Field values representing the constant continuation beyond r_max.
+
+    1-D: the two outermost stored nodes (left, right).  2-D: the mean of the
+    outermost shell, returned as a single entry.
+    """
     if g.dim == 1:
         return np.array([values[0], values[-1]])
     v = values.reshape(g.shape)
@@ -314,7 +311,7 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable) -> float:
                 s = strides[a]
                 acc += c * (E[flat + s] - 2.0 * center + E[flat - s])
     if qt.tail_mass > 0.0:
-        tv = f.tail_values()
+        tv = _tail_values(g, f.values)
         if g.dim == 1:
             acc += qt.tail_sides[0] * (tv[0] - center)
             acc += qt.tail_sides[1] * (tv[1] - center)

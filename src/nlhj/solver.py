@@ -144,13 +144,16 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
     bounded below by a positive constant (PreconditionError)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
     pts = plan.grid.core_points
-    st = SolveState(plan, spec, phi, eval_initial(u0, pts),
-                    Coefficients(spec, pts, t0), t=t0)
+    # data that are not finite somewhere are refused below, without warnings
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = eval_initial(u0, pts)
+    st = SolveState(plan, spec, phi, u, Coefficients(spec, pts, t0), t=t0)
     a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
                                 f"constant (min {a1_min})")
-    ext = _read_datum(st)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ext = _read_datum(st)
     # refused before the load's transform; the block holds only its ring yet
     held = {"u0": (st.u,), "phi": (st.phi_trace, st.block, ext)}
     bad = [f"[data] {name}: not finite at every node at t = {t0}"
@@ -292,8 +295,7 @@ class RunReport:
             self.trace_gap_series.append((st.t, st.trace_gaps()))
 
 
-def run_to_time(st: SolveState, cfg: SchemeConfig, T: float,
-                report: RunReport | None = None) -> RunReport:
+def run_to_time(st: SolveState, cfg: SchemeConfig, T: float) -> RunReport:
     """March to t = T with snapshots at the configured cadence.
 
     The initial condition is enforced classically at t = 0; the final step is
@@ -301,9 +303,8 @@ def run_to_time(st: SolveState, cfg: SchemeConfig, T: float,
     """
     if T < st.t:
         raise ValueError("target time lies in the past")
-    rep = report if report is not None else RunReport()
-    if not rep.times:
-        rep.record(st, snapshot=True)
+    rep = RunReport()
+    rep.record(st, snapshot=True)
     if T == st.t:
         return rep
     cadence = cfg.snapshot_dt
@@ -323,8 +324,7 @@ def run_to_time(st: SolveState, cfg: SchemeConfig, T: float,
     return rep
 
 
-def run_to_steady(st: SolveState, cfg: SchemeConfig,
-                  report: RunReport | None = None) -> tuple:
+def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
     """Freeze time and iterate until sup |u_new - u| / dt <= steady_tol.
 
     Requires time-independent data; returns (state, report) with the residual
@@ -332,7 +332,7 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig,
     """
     if st.spec.time_dependent or getattr(st.phi, "time_dependent", False):
         raise ValueError("steady driver requires time-independent data")
-    rep = report if report is not None else RunReport()
+    rep = RunReport()
     tol = cfg.steady_tol
     if tol is None:
         tol = 1e-8 * (1.0 + st.sup_norm)

@@ -119,11 +119,12 @@ def test_execute_certificate_failure_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, error", [
-    ("u0", "1/x", "ValidationError"),        # inf at the core node x = 0
+    # inf at the core node x = 0, refused without a RuntimeWarning
+    pytest.param("u0", "1/x", "ValidationError",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     # inf at the exterior node x = 2, refused before the load's transform
-    pytest.param("phi", "1/(x - 2)", "ValidationError", marks=[
-        pytest.mark.filterwarnings("error::RuntimeWarning:numpy.fft"),
-        pytest.mark.filterwarnings("error::RuntimeWarning:nlhj.operators")]),
+    pytest.param("phi", "1/(x - 2)", "ValidationError",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("a1", "-1", "PreconditionError"),        # no positive lower bound
 ])
 def test_refused_data_exit_2(tmp_path, key, value, error):
@@ -221,6 +222,20 @@ def test_boundary_refinement_keeps_scheme_settings(tmp_path):
     assert execute(parse_config(write(tmp_path, text, "steps.cfg"))) == 1
     m = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "NonConvergence" in m["error"]
+
+
+def test_boundary_behavior_single_run(tmp_path):
+    # without h_list: one run at the [scheme] spacing, whose tables are the
+    # trace gaps and the boundary classification
+    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
+        "directory = out_boundary", f"directory = {tmp_path / 'out'}")
+    text = re.sub(r"(?m)^h_list = .*\n", "", text)
+    assert execute(parse_config(write(tmp_path, text, "single.cfg"))) == 0
+    out = tmp_path / "out"
+    assert (out / "trace_gaps.tsv").exists()
+    assert (out / "classification.tsv").exists()
+    m = json.loads((out / "manifest.json").read_text())
+    assert {"UE", "Sigma", "L"} <= set(m["certificates"])
 
 
 def test_comparison_config_runs(tmp_path):
@@ -361,3 +376,13 @@ def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path):
     with pytest.raises(ValidationError):
         config._limit_spec(cfg)
     assert execute(cfg) == 2
+
+
+def test_large_time_runs_without_T(tmp_path):
+    # the ladder sets the horizons, so [scheme] T is not required
+    text = MINIMAL.format(out=tmp_path / "out").replace("T = 0.25\n", "")
+    text = text.replace("name = run", "name = large_time\nt_ladder = 1 2")
+    text = text.replace("phi = 0", "phi = 0\nphi_limit = 0")
+    cfg = parse_config(write(tmp_path, text, "lt.cfg"))
+    assert cfg.scheme.T is None
+    assert execute(cfg) == 0

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nlhj.errors import CornerAmbiguity
-from nlhj.geometry import (Domain, Grid, EXTERIOR, INTERIOR, TRACE,
-                           distance_gradient, signed_distance,
+from nlhj.geometry import (Domain, Grid, distance_gradient, signed_distance,
                            signed_distance_many)
 
 
@@ -70,7 +69,7 @@ def test_gradient_is_unit_and_matches_fd(dom2):
             g = distance_gradient(dom2, x)
         except CornerAmbiguity:
             continue
-        if abs(signed_distance(dom2, x)) > dom2.collar:
+        if abs(signed_distance(dom2, x)) > 0.25 * min(dom2.sides):
             continue
         assert np.isclose(np.linalg.norm(g), 1.0)
         fd = np.array([
@@ -82,10 +81,6 @@ def test_gradient_is_unit_and_matches_fd(dom2):
 def test_domain_invariants():
     with pytest.raises(ValueError):
         Domain((1,), (-1,))
-    with pytest.raises(ValueError):
-        Domain((-1,), (1,), collar=1.5)
-    d = Domain((-1,), (3,))
-    assert d.collar == 1.0  # quarter of the smallest side
 
 
 def test_grid_classification(dom1):
@@ -93,12 +88,14 @@ def test_grid_classification(dom1):
     g = Grid(dom1, h, halo=4)
     pts = g.points()[:, 0]
     d = signed_distance_many(dom1, g.points())
-    assert np.all(g.node_class[np.abs(d) < h / 2] == TRACE)
-    assert np.all(g.node_class[d >= h / 2] == INTERIOR)
-    assert np.all(g.node_class[d <= -h / 2] == EXTERIOR)
-    # trace nodes sit exactly on the boundary for an aligned lattice
-    assert sorted(pts[g.node_class == TRACE].tolist()) == [-1.0, 1.0]
-    assert len(g.core_flat) == len(g.interior_flat) + len(g.trace_flat)
+    flat = np.arange(g.size)
+    np.testing.assert_array_equal(g.trace_flat, flat[np.abs(d) < h / 2])
+    np.testing.assert_array_equal(g.core_flat, flat[d > -h / 2])
+    np.testing.assert_array_equal(g.exterior_flat, flat[d <= -h / 2])
+    # trace nodes sit exactly on the boundary for an aligned lattice, and
+    # are core nodes
+    assert sorted(pts[g.trace_flat].tolist()) == [-1.0, 1.0]
+    assert np.isin(g.trace_flat, g.core_flat).all()
 
 
 def test_grid_flat_index_roundtrip(dom2):

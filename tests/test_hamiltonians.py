@@ -137,7 +137,7 @@ def test_h1_bellman_sampled(dom1):
 def test_properness_floor_bellman(dom1):
     spec = BellmanSpec([ControlLaw(lam="2 + t", b=0.0, f=0.0),
                         ControlLaw(lam=3.0, b=0.0, f=0.0)])
-    floor = properness_floor(spec, core_pts(dom1), (0.0, 1.0))
+    floor = properness_floor(spec, core_pts(dom1))
     assert np.all(floor == 2.0)  # min over controls and sampled times
 
 
@@ -149,7 +149,7 @@ def test_check_h2(dom1, k05):
     cert = check_H2(spec, plan)
     assert cert.passed
     assert cert.value == pytest.approx(4.0, rel=2e-2)
-    cert2 = check_H2(spec, plan, h_r=lambda p, t: np.full(p.shape[0], -10.0))
+    cert2 = check_H2(CoerciveSpec(m=1.0, a1=1.0, lam=-10.0), plan)
     assert not cert2.passed
     assert cert2.value == pytest.approx(-6.0, abs=0.1)
     kz = zero_kernel(0.5, 1)
@@ -170,10 +170,10 @@ def test_check_h2prime(dom1, k05):
     spec1 = CoerciveSpec(m=1.0, a1=1.0, lam=1.0)
     cert2 = check_H2prime(spec1, SweepPlan(g, build_quadrature(kz, h, 8.0)))
     assert cert2.passed and cert2.value == pytest.approx(1.0)
-    # adversarial floor cancels the mass exactly
+    # an adversarial floor lam cancels the mass exactly
     from nlhj.kernels import exterior_mass_many
     adv = lambda p, t: -exterior_mass_many(k05, dom1, p, qt)
-    cert3 = check_H2prime(spec, plan, floor=adv)
+    cert3 = check_H2prime(CoerciveSpec(m=1.0, a1=1.0, lam=adv), plan)
     assert not cert3.passed
     assert cert3.value == pytest.approx(0.0, abs=1e-12)
 
@@ -227,14 +227,3 @@ def test_bellman_lipschitz_certificate(dom1):
     assert spec.check_lipschitz(dom1).passed
     tight = BellmanSpec([ControlLaw(lam=0.0, b="2*x", f=0.0)], lipschitz=1.0)
     assert not tight.check_lipschitz(dom1).passed
-
-
-def test_tabulated_coefficient(dom1):
-    from nlhj.hamiltonians import tabulated_coefficient
-    xs = np.linspace(-1, 1, 21)
-    lam = tabulated_coefficient(xs, 1.0 + xs ** 2)
-    pts = core_pts(dom1)
-    assert np.allclose(lam(pts, 0.0), 1.0 + pts[:, 0] ** 2, atol=5e-3)
-    assert not lam.time_dependent
-    spec = CoerciveSpec(m=2.0, a1=1.0, lam=lam)
-    assert eval_hamiltonian(spec, 0.5, 0.0, 2.0, 0.0) == pytest.approx(2.5, abs=0.02)

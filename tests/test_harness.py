@@ -188,13 +188,12 @@ def test_boundary_inflow_gap_persists(dom1, k05):
 
 def test_boundary_report_tags(dom1, k05):
     spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    report, res = boundary_behavior_experiment(
+    res = boundary_behavior_experiment(
         spec, dom1, k05, 0.0, lambda p: 0.5 * (1 - p[:, 0] ** 2), 0.5,
         SchemeConfig(h=2.0 ** -5), r_max=4.0)
-    assert report.face_tags == {"left": "out", "right": "out"}
-    assert set(report.per_face) == {"left", "right"}
-    assert not report.subsolution_violation
-    assert res.passed
+    assert res.metrics["tags"] == {"left": "out", "right": "out"}
+    assert set(res.metrics["per_face"]) == {"left", "right"}
+    assert res.passed  # no subsolution violation
 
 
 def test_holder_quotient_zero_field(dom1, k05):
