@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import parse_config, execute, run_certificates
 from .errors import ParseError, PreconditionError, ValidationError
-from . import oracles
 from .solver import eval_initial
 
 
@@ -46,6 +45,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # imported here: scipy.integrate costs every other command its start-up
+    from . import oracles
+
     cfg = parse_config(args.config)
     dom, kern = cfg.domain, cfg.kernel
     center = np.array([(a + b) / 2 for a, b in zip(dom.lower, dom.upper)])

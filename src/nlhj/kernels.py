@@ -271,31 +271,52 @@ def exterior_mass(k: Kernel, dom: Domain, x, qt: QuadratureTable) -> float:
     return float(qt.weights[outside].sum()) + qt.tail_mass
 
 
-def exterior_mass_many(k: Kernel, dom: Domain, pts: np.ndarray,
-                       qt: QuadratureTable) -> np.ndarray:
-    """:func:`exterior_mass` at every row of ``pts``, vectorized in chunks.
+def _outside(v: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per pair (start, stop), the sum of v[j] over j < start and j >= stop
+    along the first axis.  Each tail is a prefix sum accumulated from its far
+    end, so the small far weights come first."""
+    zero = np.zeros((1,) + v.shape[1:])
+    left = np.concatenate([zero, np.cumsum(v, axis=0)])
+    right = np.concatenate([np.cumsum(v[::-1], axis=0)[::-1], zero])
+    return left[start] + right[stop]
 
-    On a box, x + z*h is inside iff lo_a < x_a + z_a*h < hi_a on each axis,
-    the float test of :func:`exterior_mass`.  With per-axis indicators and
-    the dense weight table W the mass sums nonnegative terms only:
-    W out_0 in 1-D, W out_0 + W in_0 out_1 in 2-D.
+
+def exterior_mass_many(qt: QuadratureTable, n_core: tuple) -> np.ndarray:
+    """:func:`exterior_mass` at every node of a core box, in row-major order:
+    the lattice ``lower + i*h``, ``0 <= i_a <= n_core[a]``, of a box whose
+    sides are ``n_core[a]*h``.
+
+    A jump z from node i lands on a strictly interior node iff
+    ``0 < i_a + z_a < n_core[a]`` on every axis; trace nodes (d = 0) count as
+    exterior, as in :func:`exterior_mass`.  Per axis that is one interval of
+    offsets, so with the far weights W on ``|z_a| <= n_core[a]`` (no longer
+    jump from the core lands inside) the mass is the sum of W outside one
+    rectangle, plus the weights beyond it and the tail: ``sum_w - inside +
+    tail_mass``.  It is summed over the rectangle's complement instead, W
+    out_0 in 1-D and W out_0 + W in_0 out_1 in 2-D, by prefix sums from the
+    far ends, so the large near weights inside never cancel and the result
+    agrees with :func:`exterior_mass` to rounding.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    J = int(np.abs(qt.offsets).max(initial=0))
-    zh = np.arange(-J, J + 1) * qt.h
-    W = np.zeros((2 * J + 1,) * qt.dim)
-    W[tuple((qt.offsets + J).T)] = qt.weights
-    W0 = W.reshape(2 * J + 1, -1).sum(axis=1)
-    lo, hi = dom.lower, dom.upper
-    out = np.empty(pts.shape[0])
-    chunk = max(1, 2 ** 14 // (2 * J + 1))
-    for s in range(0, pts.shape[0], chunk):
-        x = pts[s:s + chunk]
-        p = x[:, 0:1] + zh
-        in0 = ((lo[0] < p) & (p < hi[0])).astype(float)
-        mass = (1.0 - in0) @ W0
-        if qt.dim == 2:
-            q = x[:, 1:2] + zh
-            mass += ((in0 @ W) * (1.0 - ((lo[1] < q) & (q < hi[1])))).sum(axis=1)
-        out[s:s + chunk] = mass + qt.tail_mass
-    return out
+    K = np.asarray(n_core)
+    near = np.ones(len(qt.weights), dtype=bool)
+    for a, n in enumerate(n_core):
+        near &= np.abs(qt.offsets[:, a]) <= n
+    W = np.zeros(tuple(2 * K + 1))
+    W[tuple((qt.offsets[near] + K).T)] = qt.weights[near]
+    # per axis, the rows [start, stop) of W, z in [1 - i, n - 1 - i], that
+    # land inside from node i
+    cuts = []
+    for n in n_core:
+        i = np.arange(n + 1)
+        cuts.append((n + 1 - i, 2 * n - i))
+    rest = float(qt.weights[~near].sum()) + qt.tail_mass
+    if qt.dim == 1:
+        (start, stop), = cuts
+        return _outside(W, start, stop) + rest
+    (s0, e0), (s1, e1) = cuts
+    out_0 = _outside(W.sum(axis=1), s0, e0)
+    out_1 = _outside(W.T, s1, e1).T  # per row z_0 and node i_1
+    # the rows inside are all rows less those outside: both sums are parts
+    # of the exterior mass, so their difference cancels nothing large
+    in_0_out_1 = out_1.sum(axis=0) - _outside(out_1, s0, e0)
+    return (out_0[:, None] + in_0_out_1).ravel() + rest

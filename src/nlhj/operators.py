@@ -225,12 +225,12 @@ class SweepPlan:
 
     @cached_property
     def exterior_mass(self) -> np.ndarray:
-        """Per core node, the kernel mass over the complement of the domain
-        (:func:`kernels.exterior_mass_many`), which the (H2) and (H2')
-        certificates read."""
-        g = self.grid
-        return kernels.exterior_mass_many(self.qt.kernel, g.domain,
-                                          g.core_points, self.qt)
+        """Per core node, the kernel mass over the complement of the domain,
+        which the (H2) and (H2') certificates read: the far weights whose
+        jump does not land on a strictly interior node (trace nodes count as
+        exterior), plus the tail, summed over the core box by prefix sums
+        (:func:`kernels.exterior_mass_many`)."""
+        return kernels.exterior_mass_many(self.qt, self.grid.n_core)
 
     @cached_property
     def _full_spec(self) -> np.ndarray:

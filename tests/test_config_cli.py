@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,3 +389,65 @@ def test_large_time_runs_without_T(tmp_path):
     cfg = parse_config(write(tmp_path, text, "lt.cfg"))
     assert cfg.scheme.T is None
     assert execute(cfg) == 0
+
+
+BELLMAN_2D = """
+[domain]
+dimension = 2
+lower = -1 -1
+upper = 1 1
+
+[kernel]
+type = fractional_laplacian
+alpha = 0.5
+
+[hamiltonian]
+family = bellman
+controls = 2
+lam_1 = 1
+b_1 = -x; -y
+f_1 = 0
+lam_2 = 0.5
+b_2 = 0.5*x; 0.5*y
+f_2 = 0
+
+[data]
+u0 = 1 + 0.5*(1 - x^2)*(1 - y^2)
+phi = 1
+
+[scheme]
+h = 0.125
+theta = 0.9
+T = 0.125
+r_max = 2
+
+[experiment]
+name = run
+
+[output]
+directory = {out}
+"""
+
+IMPORT_GUARD = """
+import sys
+from nlhj import config
+status = config.execute(config.parse_config(sys.argv[1]))
+print(status, "scipy.fft" in sys.modules, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # a run and the CLI module load neither scipy.fft nor scipy.integrate:
+    # each costs start-up time and resident memory that no run needs
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    p = write(tmp_path, BELLMAN_2D.format(out=tmp_path / "out"), "b2d.cfg")
+    run = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(p)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "False", "False"]
+    assert (tmp_path / "out" / "manifest.json").exists()
+    cli = subprocess.run(
+        [sys.executable, "-c", "import sys, nlhj.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert cli.stdout.split() == ["False"]

@@ -7,7 +7,8 @@ from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, Coefficients, CoerciveSpec,
                                ControlLaw, check_compatibility, check_H1,
                                check_H2, check_H2prime, check_superfractional,
-                               check_UE, eval_hamiltonian, lf_viscosity_bound,
+                               check_UE, eval_hamiltonian, eval_vector,
+                               lf_viscosity_bound,
                                numerical_hamiltonian,
                                numerical_hamiltonian_many, properness_floor)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
@@ -171,8 +172,7 @@ def test_check_h2prime(dom1, k05):
     cert2 = check_H2prime(spec1, SweepPlan(g, build_quadrature(kz, h, 8.0)))
     assert cert2.passed and cert2.value == pytest.approx(1.0)
     # an adversarial floor lam cancels the mass exactly
-    from nlhj.kernels import exterior_mass_many
-    adv = lambda p, t: -exterior_mass_many(k05, dom1, p, qt)
+    adv = lambda p, t: -plan.exterior_mass
     cert3 = check_H2prime(CoerciveSpec(m=1.0, a1=1.0, lam=adv), plan)
     assert not cert3.passed
     assert cert3.value == pytest.approx(0.0, abs=1e-12)
@@ -227,3 +227,70 @@ def test_bellman_lipschitz_certificate(dom1):
     assert spec.check_lipschitz(dom1).passed
     tight = BellmanSpec([ControlLaw(lam=0.0, b="2*x", f=0.0)], lipschitz=1.0)
     assert not tight.check_lipschitz(dom1).passed
+
+
+# the certificates' sampled loops as they read one sample at a time: the
+# vectorized certificates must give these values bit for bit
+
+def h1_reference(spec, pts):
+    rng = np.random.default_rng(0)
+    floor = properness_floor(spec, pts)
+    worst = np.inf
+    for _ in range(200):
+        i = rng.integers(0, pts.shape[0])
+        t = rng.random()
+        u = rng.normal()
+        v = u - abs(rng.normal())
+        p = rng.normal(size=spec.dim)
+        hu = eval_hamiltonian(spec, pts[i], t, u, p)
+        hv = eval_hamiltonian(spec, pts[i], t, v, p)
+        if u > v:
+            worst = min(worst, (hu - hv) / (u - v) - floor[i])
+    return worst
+
+
+def lipschitz_reference(spec, dom):
+    n = 200
+    rng = np.random.default_rng(0)
+    lo, hi = np.array(dom.lower), np.array(dom.upper)
+    xs = lo + rng.random((n, dom.dim)) * (hi - lo)
+    ys = lo + rng.random((n, dom.dim)) * (hi - lo)
+    ts = rng.random(n)
+    ss = rng.random(n)
+    worst = 0.0
+    for c in spec.controls:
+        for i in range(n):
+            num = np.linalg.norm(eval_vector(c.b, xs[i][None], ts[i])[0] -
+                                 eval_vector(c.b, ys[i][None], ss[i])[0])
+            den = np.linalg.norm(xs[i] - ys[i]) + abs(ts[i] - ss[i])
+            if den > 1e-12:
+                worst = max(worst, num / den)
+    return worst
+
+
+def _bellman(dim, moving):
+    t = "t" if moving else "0"
+    if dim == 1:
+        return BellmanSpec([
+            ControlLaw(lam=f"1 + 0.25*x + 0.1*{t}", b=f"x*cos({t})",
+                       f=f"exp(-{t})*sin(3*x)"),
+            ControlLaw(lam=2.0, b="-x", f=f"0.3*{t}")], lipschitz=1.5)
+    return BellmanSpec([
+        ControlLaw(lam=f"0.5 + 0.2*{t}", b=[f"-x*exp(-{t})", "-y"],
+                   f=f"sin(x + {t})*y", dim=2),
+        ControlLaw(lam="1 + 0.1*x*y", b=["0.5*x", f"0.5*y*(1 + {t})"],
+                   f=0.2, dim=2)], lipschitz=1.5, dim=2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("moving", [False, True])
+def test_sampled_certificates_match_per_sample_loop(dim, moving):
+    spec = _bellman(dim, moving)
+    assert spec.time_dependent == moving
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    pts = core_pts(dom, 2.0 ** -4)
+    h1 = check_H1(spec, pts)
+    assert h1.value == h1_reference(spec, pts)
+    lip = spec.check_lipschitz(dom)
+    assert lip.value == lipschitz_reference(spec, dom)
+    assert lip.passed and lip.value > 0.5

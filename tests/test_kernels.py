@@ -139,12 +139,31 @@ def test_exterior_mass_many_matches_single_node(dim, alpha, h, r_max):
     k = fractional_laplacian_kernel(alpha, dim)
     qt = build_quadrature(k, h, r_max)
     g = Grid(dom, h, halo=1)
-    rng = np.random.default_rng(11)
-    pts = np.vstack([g.points_at(g.core_flat),
-                     rng.uniform(-1.0, 1.0, size=(50, dim))])
-    got = exterior_mass_many(k, dom, pts, qt)
-    ref = np.array([exterior_mass(k, dom, x, qt) for x in pts])
+    got = exterior_mass_many(qt, g.n_core)
+    ref = np.array([exterior_mass(k, dom, x, qt) for x in g.core_points])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_exterior_mass_many_2d_default_r_max():
+    # jumps far longer than the box, checked at the corners, trace nodes
+    # beside them and in mid-face, and random core nodes
+    h = 2.0 ** -5
+    dom = Domain((-1.0, -1.0), (1.0, 1.0))
+    k = fractional_laplacian_kernel(0.5, 2)
+    qt = build_quadrature(k, h, 4.0 * dom.diameter)
+    g = Grid(dom, h, halo=1)
+    got = exterior_mass_many(qt, g.n_core)
+    n = g.n_core[0]
+    ij = [(0, 0), (0, n), (n, 0), (n, n), (0, 1), (1, 0), (n, n - 1),
+          (n // 2, 0), (0, n // 2), (n // 2, n), (n, n // 2),
+          (1, 1), (n // 2, n // 2)]
+    rng = np.random.default_rng(5)
+    ij += [tuple(v) for v in rng.integers(0, n + 1, size=(8, 2))]
+    at = [i * (n + 1) + j for i, j in ij]
+    ref = np.array([exterior_mass(k, dom, x, qt) for x in g.core_points[at]])
+    assert np.all(np.abs(got[at] - ref) <= 1e-12 * np.abs(ref))
+    # a corner sees more exterior mass than the centre
+    assert got[0] > got[(n // 2) * (n + 2)]
 
 
 def test_exterior_mass_zero_kernel(dom1):
