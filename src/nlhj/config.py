@@ -207,8 +207,7 @@ def parse_config(path) -> RunConfig:
             fsrc = _parse_expr_field(cp, "hamiltonian", f"f_{i}", dim, errors,
                                      0.0)
             b = _parse_drift(cp, "hamiltonian", f"b_{i}", dim, errors)
-            controls.append(ControlLaw(lam=lam, b=b if b is not None else 0.0,
-                                       f=fsrc, dim=dim))
+            controls.append(ControlLaw(lam=lam, b=b, f=fsrc, dim=dim))
         lip = _parse_float(cp, "hamiltonian", "lipschitz", errors, None)
         try:
             spec = BellmanSpec(controls, lipschitz=lip, dim=dim)

@@ -3,12 +3,14 @@
 The domain is an open interval (1-D) or open box (2-D).  The signed distance
 d(x) is positive inside, negative outside, zero on the boundary, and
 1-Lipschitz.  Its gradient is the inward unit normal of the nearest face and
-is only defined away from box corners.
+is only defined away from box corners.  A :class:`Grid` needs no distance:
+its sides are multiples of h, so its node sets are index boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,13 +133,16 @@ class Grid:
     """Uniform lattice covering the closed domain plus an exterior halo.
 
     Node coordinates along axis a are ``lower[a] + i*h`` for
-    ``i in [-halo, n_core[a] + halo]``.  Storage is a flat float array in row
-    major order; ``core_flat`` lists flat indices of nodes with d(x) > -h/2
-    (interior plus boundary trace), ``trace_flat`` those with |d(x)| < h/2,
-    ``exterior_flat`` the rest, ``trace_pos`` the positions of the trace
-    nodes in core order and ``trace_index`` their indices in the core box.
-    ``core_points``, ``trace_points`` and ``exterior_points`` hold the
-    coordinates of each node set, read-only as every run shares them.
+    ``i in [-halo, n_core[a] + halo]``; the domain's sides are multiples of
+    h, so its closure holds exactly the box ``0 <= i_a <= n_core[a]`` of
+    core nodes, and the trace nodes (on the boundary) are the box's faces.
+    Storage is a flat float array in row major order; ``core_flat`` lists
+    the flat indices of the core nodes, ``trace_flat`` those of the trace
+    nodes, ``exterior_flat`` the rest, ``trace_pos`` the positions of the
+    trace nodes in core order and ``trace_index`` their indices in the core
+    box.  ``core_points``, ``trace_points`` and ``exterior_points`` hold the
+    coordinates of each node set, read-only as every run shares them; the
+    exterior sets span the whole halo and are built on first read.
     """
 
     domain: Domain
@@ -147,11 +152,9 @@ class Grid:
     shape: tuple = field(init=False)
     core_flat: np.ndarray = field(init=False, repr=False)
     trace_flat: np.ndarray = field(init=False, repr=False)
-    exterior_flat: np.ndarray = field(init=False, repr=False)
     trace_pos: np.ndarray = field(init=False, repr=False)
     core_points: np.ndarray = field(init=False, repr=False)
     trace_points: np.ndarray = field(init=False, repr=False)
-    exterior_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -164,21 +167,30 @@ class Grid:
             self.domain.lower[a] + self.h * np.arange(-self.halo, self.n_core[a] + self.halo + 1)
             for a in range(self.domain.dim))
         self.shape = tuple(len(ax) for ax in self.axes)
-        pts = self.points()
-        d = signed_distance_many(self.domain, pts)
-        # boundary-aligned lattices give d in {0, +-h, ...} at nodes; the h/2
-        # tolerance also classifies straddling nodes of unaligned lattices
-        core = d > -0.5 * self.h
-        self.core_flat = np.flatnonzero(core)
-        self.trace_flat = np.flatnonzero(np.abs(d) < 0.5 * self.h)
-        self.exterior_flat = np.flatnonzero(~core)
-        self.trace_pos = np.searchsorted(self.core_flat, self.trace_flat)
-        self.trace_index = np.unravel_index(self.trace_pos,
-                                            tuple(n + 1 for n in self.n_core))
-        for name in ("core", "trace", "exterior"):
-            p = pts[getattr(self, f"{name}_flat")]
-            p.setflags(write=False)
-            setattr(self, f"{name}_points", p)
+        box = tuple(n + 1 for n in self.n_core)
+        self.core_flat = np.ravel_multi_index(
+            tuple(i.ravel() + self.halo for i in np.indices(box)), self.shape)
+        face = np.ones(box, dtype=bool)
+        face[(slice(1, -1),) * self.dim] = False
+        self.trace_pos = np.flatnonzero(face)
+        self.trace_index = np.unravel_index(self.trace_pos, box)
+        self.trace_flat = self.core_flat[self.trace_pos]
+        self.core_points = self.points_at(self.core_flat)
+        self.trace_points = self.core_points[self.trace_pos]
+        self.core_points.setflags(write=False)
+        self.trace_points.setflags(write=False)
+
+    @cached_property
+    def exterior_flat(self) -> np.ndarray:
+        outside = np.ones(self.shape, dtype=bool)
+        outside[tuple(slice(self.halo, self.halo + n + 1) for n in self.n_core)] = False
+        return np.flatnonzero(outside)
+
+    @cached_property
+    def exterior_points(self) -> np.ndarray:
+        p = self.points_at(self.exterior_flat)
+        p.setflags(write=False)
+        return p
 
     @property
     def dim(self):
@@ -194,18 +206,9 @@ class Grid:
             return (1,)
         return (self.shape[1], 1)
 
-    def points(self) -> np.ndarray:
-        """All node coordinates, shape (size, dim), row major."""
-        if self.dim == 1:
-            return self.axes[0][:, None]
-        gx, gy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
     def points_at(self, flat_idx) -> np.ndarray:
-        if self.dim == 1:
-            return self.axes[0][np.asarray(flat_idx)][:, None]
-        i, j = np.unravel_index(np.asarray(flat_idx), self.shape)
-        return np.column_stack([self.axes[0][i], self.axes[1][j]])
+        idx = np.unravel_index(np.asarray(flat_idx), self.shape)
+        return np.column_stack([ax[i] for ax, i in zip(self.axes, idx)])
 
     def flat_index_of(self, x, tol_factor: float = 0.5):
         """Flat index of the lattice node nearest to point x.
@@ -222,12 +225,4 @@ class Grid:
             if abs(self.axes[a][i] - x[a]) > tol_factor * self.h:
                 raise ValueError(f"point {x} is not a lattice node")
             idx.append(i)
-        if self.dim == 1:
-            return idx[0]
-        return idx[0] * self.shape[1] + idx[1]
-
-    def offset_to_flat(self, offsets: np.ndarray) -> np.ndarray:
-        """Integer lattice offsets (M, dim) -> flat index offsets (M,)."""
-        offsets = np.atleast_2d(offsets)
-        strides = np.array(self.strides)
-        return (offsets * strides).sum(axis=1).astype(np.int64)
+        return int(np.ravel_multi_index(idx, self.shape))

@@ -60,14 +60,14 @@ class CoefficientField:
 
 
 def vector_coefficient(value, dim: int, name: str = ""):
-    """Per-axis list of coefficient fields for a drift term."""
+    """Per-axis list of coefficient fields for a drift term (None for no
+    drift); a single field is a drift only in 1-D."""
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        if len(value) != dim:
-            raise ValueError(f"drift {name} needs {dim} components")
-        return [CoefficientField(v, f"{name}[{a}]") for a, v in enumerate(value)]
-    return [CoefficientField(value, name)] if dim == 1 else None
+    comps = value if isinstance(value, (list, tuple)) else [value]
+    if len(comps) != dim:
+        raise ValueError(f"drift {name} needs {dim} components")
+    return [CoefficientField(v, f"{name}[{a}]") for a, v in enumerate(comps)]
 
 
 def eval_vector(comps, pts: np.ndarray, t: float) -> np.ndarray:
@@ -116,17 +116,18 @@ class CoerciveSpec:
 
 @dataclass
 class ControlLaw:
-    """One control's coefficient triple for the Bellman supremum."""
+    """One control's coefficient triple for the Bellman supremum; the drift
+    defaults to zero on each axis."""
 
     lam: object = 0.0
-    b: object = 0.0
+    b: object = None
     f: object = 0.0
     dim: int = 1
 
     def __post_init__(self):
         self.lam = CoefficientField(self.lam, "lam")
         self.f = CoefficientField(self.f, "f")
-        b = self.b if self.b is not None else 0.0
+        b = self.b if self.b is not None else [0.0] * self.dim
         self.b = vector_coefficient(b, self.dim, "b")
 
 

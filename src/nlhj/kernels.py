@@ -1,17 +1,18 @@
 """Jump kernels K^alpha(z) = K(z)|z|^{-(n+alpha)} and lattice quadrature.
 
-The quadrature covers lattice cells out to a truncation radius.  Cells whose
-midpoint lies inside the near-field radius ``r_cut`` are excluded from the
-weight table: for alpha < 1 their contribution vanishes under refinement and
-they are dropped; for alpha >= 1 they are replaced by a symmetric
-second-difference rule carrying the exact second moment of the kernel over
-the near region.  Beyond the truncation radius the neglected mass is bounded
-from above analytically (``tail_mass``).
+The quadrature covers lattice cells out to a truncation radius r_max, in
+one dense table of per-cell kernel masses centred on the origin.  Cells
+whose midpoint lies inside the near-field radius ``r_cut`` hold 0 in it: for
+alpha < 1 their contribution vanishes under refinement and they are dropped;
+for alpha >= 1 they are replaced by a symmetric second-difference rule
+carrying the exact second moment of the kernel over the near region.  Cells
+beyond r_max hold 0 too; the mass they neglect is bounded from above
+analytically (``tail_mass``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +49,6 @@ class Kernel:
         if self.kmax < 0:
             raise ValueError("kernel bound must be nonnegative")
 
-    def density_values(self, z: np.ndarray) -> np.ndarray:
-        """K(z) at offset rows z (M, dim)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        r = np.linalg.norm(z, axis=1)
-        return np.asarray(self.profile(r), dtype=float)
-
 
 def fractional_laplacian_kernel(alpha: float, dim: int = 1) -> Kernel:
     """K identically 1 (normalization constant set to 1 by convention)."""
@@ -89,35 +84,36 @@ def custom_radial_kernel(alpha: float, dim: int, radii, values) -> Kernel:
 
 @dataclass
 class QuadratureTable:
-    """Per-offset weights for the truncated nonlocal operator.
+    """Lattice weights for the truncated nonlocal operator.
 
-    ``offsets`` are integer lattice steps (M, dim) with Euclidean length in
-    (r_cut_edge, r_max]; ``weights`` the per-cell kernel masses (>= 0).
-    ``nf_axis`` holds, per axis, the exact integral of z_axis^2 K^alpha over
-    the near region (zero for alpha < 1, where the near field is dropped).
-    ``tail_mass`` over-estimates the kernel mass beyond the covered region
-    (``tail_sides`` splits it per direction in 1-D).
+    ``weights`` is the dense, centred ``(2J+1)^dim`` table of per-cell kernel
+    masses (>= 0): the jump by the lattice offset z has the weight
+    ``weights[z + J]``, which is 0 at near-field offsets and beyond r_max.
+    ``sum_w`` is the total weight and ``m1`` the first moment of the jumps
+    inside the unit ball, each summed over the cells the table covers in
+    row-major order.  ``nf_axis`` holds, per axis, the exact integral of
+    z_axis^2 K^alpha over the near region (zero for alpha < 1, where the
+    near field is dropped).  ``tail_mass`` over-estimates the kernel mass
+    beyond the covered region (``tail_sides`` splits it per direction in
+    1-D).
     """
 
     kernel: Kernel
     h: float
     r_max: float
     r_cut: float
-    offsets: np.ndarray
     weights: np.ndarray
-    offset_norms: np.ndarray
     near_edge: float
     nf_axis: np.ndarray
     tail_mass: float
     tail_sides: np.ndarray
-    sum_w: float = field(init=False)
-    m1: np.ndarray = field(init=False)
+    sum_w: float
+    m1: np.ndarray
 
-    def __post_init__(self):
-        self.sum_w = float(self.weights.sum())
-        zs = self.offsets * self.h
-        in_ball = self.offset_norms <= 1.0 + 1e-14
-        self.m1 = (self.weights[in_ball, None] * zs[in_ball]).sum(axis=0)
+    @property
+    def J(self) -> int:
+        """Reach of the table in lattice steps per axis."""
+        return self.weights.shape[0] // 2
 
     @property
     def alpha(self) -> float:
@@ -203,32 +199,31 @@ def build_quadrature(k: Kernel, h: float, r_max: float) -> QuadratureTable:
     r_cut = h if k.alpha < 1 else max(h, float(np.sqrt(h)))
 
     J = int(np.floor(r_max / h + 1e-12))
-    if k.dim == 1:
-        j = np.arange(-J, J + 1)
-        offsets = j[:, None]
-    else:
-        j = np.arange(-J, J + 1)
-        gx, gy = np.meshgrid(j, j, indexing="ij")
-        offsets = np.column_stack([gx.ravel(), gy.ravel()])
-    norms = np.linalg.norm(offsets * h, axis=1)
+    # |z| as np.linalg.norm takes it, the square root of summed squares
+    sq = (np.arange(-J, J + 1) * h) ** 2
+    norms = np.sqrt(sq if k.dim == 1 else sq[:, None] + sq[None, :])
     keep = norms <= r_max + 1e-12
-    offsets, norms = offsets[keep], norms[keep]
-
-    near = norms < r_cut * (1 - 1e-12)
-    near = near | (norms == 0)
-    near_offsets = offsets[near]
-    far_offsets = offsets[~near]
-    far_norms = norms[~near]
+    near = keep & ((norms < r_cut * (1 - 1e-12)) | (norms == 0))
+    far = keep & ~near
+    ball = far & (norms <= 1.0 + 1e-14)
+    far_norms = norms[far]
+    del norms  # the largest temporary: free it before the weights
+    near_offsets = np.argwhere(near) - J
     near_edge = (np.abs(near_offsets).max(initial=0) + 0.5) * h
 
     if k.dim == 1:
-        a = far_norms - 0.5 * h
-        b = far_norms + 0.5 * h
-        weights = _cell_integral_1d(k, a, b)
+        w = _cell_integral_1d(k, far_norms - 0.5 * h, far_norms + 0.5 * h)
     else:
-        dens = k.density_values(far_offsets * h)
-        weights = dens * far_norms ** (-(2 + k.alpha)) * h ** 2
-    weights = np.maximum(weights, 0.0)
+        # K(|z|) |z|^-(2+alpha) h^2, multiplied in place in that order
+        w = far_norms ** (-(2 + k.alpha))
+        w *= k.profile(far_norms)
+        w *= h ** 2
+    np.maximum(w, 0.0, out=w)
+    weights = np.zeros(far.shape)
+    weights[far] = w
+    # C order, as an offset list: sum(axis=0) then adds row after row
+    zs = (np.column_stack(np.nonzero(ball)) - J) * h
+    m1 = (weights[ball][:, None] * zs).sum(axis=0)
 
     if k.alpha >= 1:
         nf_axis = _near_second_moments(k, h, near_offsets)
@@ -253,10 +248,9 @@ def build_quadrature(k: Kernel, h: float, r_max: float) -> QuadratureTable:
         tail_sides = np.array([tail])
 
     return QuadratureTable(kernel=k, h=h, r_max=r_max, r_cut=r_cut,
-                           offsets=far_offsets.astype(np.int64),
-                           weights=weights, offset_norms=far_norms,
-                           near_edge=near_edge, nf_axis=nf_axis,
-                           tail_mass=float(tail), tail_sides=tail_sides)
+                           weights=weights, near_edge=near_edge,
+                           nf_axis=nf_axis, tail_mass=float(tail),
+                           tail_sides=tail_sides, sum_w=float(w.sum()), m1=m1)
 
 
 def exterior_mass(k: Kernel, dom: Domain, x, qt: QuadratureTable) -> float:
@@ -266,9 +260,9 @@ def exterior_mass(k: Kernel, dom: Domain, x, qt: QuadratureTable) -> float:
     r_max exceeding the domain diameter (the tail is then fully exterior).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = x[None, :] + qt.offsets * qt.h
-    outside = signed_distance_many(dom, pts) <= 0.0
-    return float(qt.weights[outside].sum()) + qt.tail_mass
+    idx = np.argwhere(qt.weights)
+    outside = signed_distance_many(dom, x + (idx - qt.J) * qt.h) <= 0.0
+    return float(qt.weights[tuple(idx.T)][outside].sum()) + qt.tail_mass
 
 
 def _outside(v: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -289,27 +283,28 @@ def exterior_mass_many(qt: QuadratureTable, n_core: tuple) -> np.ndarray:
     A jump z from node i lands on a strictly interior node iff
     ``0 < i_a + z_a < n_core[a]`` on every axis; trace nodes (d = 0) count as
     exterior, as in :func:`exterior_mass`.  Per axis that is one interval of
-    offsets, so with the far weights W on ``|z_a| <= n_core[a]`` (no longer
-    jump from the core lands inside) the mass is the sum of W outside one
-    rectangle, plus the weights beyond it and the tail: ``sum_w - inside +
-    tail_mass``.  It is summed over the rectangle's complement instead, W
-    out_0 in 1-D and W out_0 + W in_0 out_1 in 2-D, by prefix sums from the
-    far ends, so the large near weights inside never cancel and the result
-    agrees with :func:`exterior_mass` to rounding.
+    offsets, so with the weights W on ``|z_a| <= n_core[a]`` (no longer jump
+    from the core lands inside; the table sliced or zero-padded to that box)
+    the mass is the sum of W outside one rectangle, plus the weights beyond
+    it and the tail: ``sum_w - inside + tail_mass``.  It is summed over the
+    rectangle's complement instead, W out_0 in 1-D and W out_0 + W in_0 out_1
+    in 2-D, by prefix sums from the far ends, so the large near weights
+    inside never cancel and the result agrees with :func:`exterior_mass` to
+    rounding.
     """
-    K = np.asarray(n_core)
-    near = np.ones(len(qt.weights), dtype=bool)
-    for a, n in enumerate(n_core):
-        near &= np.abs(qt.offsets[:, a]) <= n
-    W = np.zeros(tuple(2 * K + 1))
-    W[tuple((qt.offsets[near] + K).T)] = qt.weights[near]
+    J = qt.J
+    reach = [min(J, n) for n in n_core]
+    box = tuple(slice(J - r, J + r + 1) for r in reach)
+    W = np.pad(qt.weights[box], [(n - r, n - r) for n, r in zip(n_core, reach)])
     # per axis, the rows [start, stop) of W, z in [1 - i, n - 1 - i], that
     # land inside from node i
     cuts = []
     for n in n_core:
         i = np.arange(n + 1)
         cuts.append((n + 1 - i, 2 * n - i))
-    rest = float(qt.weights[~near].sum()) + qt.tail_mass
+    beyond = qt.weights != 0
+    beyond[box] = False
+    rest = float(qt.weights[beyond].sum()) + qt.tail_mass
     if qt.dim == 1:
         (start, stop), = cuts
         return _outside(W, start, stop) + rest

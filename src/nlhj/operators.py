@@ -11,8 +11,10 @@ references.
 The time stepper's hot path is a :class:`SweepPlan`: it evaluates the
 operator at every core node as one FFT correlation of the core block plus a
 cached exterior load, and it is the only place that samples the datum
-beyond the one-node ring around the core.  :func:`eval_operator` is the
-independent single-node evaluation.
+beyond the one-node ring around the core (only for a datum that varies in
+space).  Its stencil is the quadrature's dense weight table plus the
+near-field and compensator taps.  :func:`eval_operator` is the independent
+single-node evaluation.
 """
 
 from __future__ import annotations
@@ -175,27 +177,24 @@ class SweepPlan:
         g, qt = self.grid, self.qt
         if qt.dim != g.dim:
             raise ValueError("quadrature dimension does not match the grid")
-        J = max(int(np.abs(qt.offsets).max(initial=0)), 1)
+        J = qt.J
         if g.halo < J:
             raise ValueError(f"grid halo {g.halo} too small for offsets (need {J})")
         box = self.core_shape = tuple(n + 1 for n in g.n_core)
         self.core_box = tuple(slice(g.halo, g.halo + m) for m in box)
-        flat = np.arange(g.size).reshape(g.shape)
-        if not np.array_equal(flat[self.core_box].ravel(), g.core_flat):
-            raise ValueError("core nodes do not form the box of interior and trace nodes")
-        padded = flat[tuple(slice(g.halo - 1, g.halo + m + 1) for m in box)]
-        ring = np.ones(padded.shape, dtype=bool)
-        ring[(slice(1, -1),) * g.dim] = False
-        self.ring_pos = np.flatnonzero(ring)
-        self.ring_points = g.points_at(padded.ravel()[self.ring_pos])
-        self.ring_points.setflags(write=False)
         inner = self.inner = (slice(1, -1),) * g.dim
+        ring = np.ones(tuple(m + 2 for m in box), dtype=bool)
+        ring[inner] = False
+        self.ring_pos = np.flatnonzero(ring)
+        at = np.unravel_index(self.ring_pos, ring.shape)
+        self.ring_points = g.points_at(np.ravel_multi_index(
+            tuple(i + g.halo - 1 for i in at), g.shape))
+        self.ring_points.setflags(write=False)
         self.shifts = tuple(tuple(inner[:a] + (s,) + inner[a + 1:]
                                   for s in (slice(None, -2), slice(2, None)))
                             for a in range(g.dim))
 
-        S = np.zeros((2 * J + 1,) * g.dim)
-        S[tuple((qt.offsets + J).T)] = qt.weights
+        S = qt.weights.copy()
         c = qt.nf_axis / (2.0 * qt.h ** 2)
         use_comp = qt.alpha >= 1 and np.abs(qt.m1).max(initial=0) > 1e-15
         comp = qt.m1 / (2.0 * qt.h) if use_comp else np.zeros(g.dim)
@@ -289,7 +288,7 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable) -> float:
     g = f.grid
     flat = _locate(f, x)
     idx = np.unravel_index(flat, g.shape) if g.dim == 2 else (flat,)
-    J = int(np.abs(qt.offsets).max(initial=0))
+    J = qt.J
     for a, i in enumerate(np.atleast_1d(idx)):
         if i - J < 0 or i + J >= g.shape[a]:
             raise NodeOutsideGrid(f"offsets from {x} leave the stored block")
@@ -297,18 +296,16 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable) -> float:
     E = f.values
     center = float(E[flat])
 
-    w = qt.weights
-    acc = float(np.dot(w, E[flat + g.offset_to_flat(qt.offsets)]) - w.sum() * center)
+    nz = np.argwhere(qt.weights)
+    w, off = qt.weights[tuple(nz.T)], nz - J
+    acc = float(np.dot(w, E[flat + off @ g.strides]) - w.sum() * center)
     if qt.alpha >= 1:
-        in_ball = qt.offset_norms <= 1.0 + 1e-14
-        if np.any(in_ball):
-            z = qt.offsets[in_ball] * qt.h
-            acc -= float((w[in_ball, None] * z).sum(axis=0) @ p)
-        strides = np.asarray(g.strides, dtype=np.int64)
-        for a in range(g.dim):
+        z = off * qt.h
+        in_ball = np.linalg.norm(z, axis=1) <= 1.0 + 1e-14
+        acc -= float((w[in_ball, None] * z[in_ball]).sum(axis=0) @ p)
+        for a, s in enumerate(g.strides):
             c = qt.nf_axis[a] / (2.0 * qt.h ** 2)
             if c != 0.0:
-                s = strides[a]
                 acc += c * (E[flat + s] - 2.0 * center + E[flat - s])
     if qt.tail_mass > 0.0:
         tv = _tail_values(g, f.values)

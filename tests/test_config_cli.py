@@ -451,3 +451,62 @@ def test_run_imports_no_scipy(tmp_path):
          "print('scipy.integrate' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert cli.stdout.split() == ["False"]
+
+
+def test_bellman_2d_control_without_drift(tmp_path):
+    # a 2-D control without b_i runs with a zero drift on each axis
+    for name, drift in (("zero", "b_2 = 0; 0\n"), ("none", "")):
+        text = BELLMAN_2D.format(out=tmp_path / name).replace(
+            "b_2 = 0.5*x; 0.5*y\n", drift)
+        cfg = parse_config(write(tmp_path, text, f"{name}.cfg"))
+        assert not cfg.spec.time_dependent
+        assert execute(cfg) == 0
+    tables = sorted(p.name for p in (tmp_path / "zero").glob("*.tsv"))
+    assert "report.tsv" in tables
+    for name in tables:
+        assert ((tmp_path / "zero" / name).read_bytes()
+                == (tmp_path / "none" / name).read_bytes())
+
+
+def test_run_builds_exterior_nodes_only_for_a_datum_varying_in_space(tmp_path):
+    # the exterior node set spans the whole halo: a datum constant in space
+    # never reads it
+    for phi, built in (("1", False), ("1 + 0.5*(1 - x^2)*(1 - y^2)", True)):
+        text = BELLMAN_2D.format(out=tmp_path / f"out-{built}").replace(
+            "phi = 1\n", f"phi = {phi}\n")
+        cfg = parse_config(write(tmp_path, text, "b2d.cfg"))
+        # held, so that the run uses this plan
+        plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
+                                  cfg.r_max)
+        assert execute(cfg) == 0
+        assert ("exterior_points" in plan.grid.__dict__) is built
+        del plan
+
+
+MEMORY_GUARD = """
+import resource
+from nlhj import harness, solver
+from nlhj.geometry import Domain
+from nlhj.hamiltonians import BellmanSpec, ControlLaw
+from nlhj.kernels import fractional_laplacian_kernel
+dom = Domain((-1.0, -1.0), (1.0, 1.0))
+plan = harness.discretize(dom, fractional_laplacian_kernel(0.5, 2), 2.0 ** -6)
+plan.exterior_mass
+spec = BellmanSpec([ControlLaw(lam=1.0, b=["-x", "-y"], dim=2)], dim=2)
+cfg = solver.SchemeConfig(h=2.0 ** -6, theta=0.9)
+st = solver.init_state(plan, spec, 1.0, 1.0, cfg)
+solver.step(st, cfg, solver.auto_dt(st, cfg))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_2d_discretization_memory():
+    # 2-D at h = 2^-6 with the default r_max (a halo of 724 nodes per side):
+    # discretizing, the exterior mass and a Bellman step stay below 200 MB
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", MEMORY_GUARD], env=env,
+                         capture_output=True, text=True, check=True)
+    peak_mb = int(run.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert peak_mb < 200.0

@@ -84,16 +84,26 @@ def test_domain_invariants():
 
 
 def test_grid_classification(dom1):
-    h = 0.25
-    g = Grid(dom1, h, halo=4)
-    pts = g.points()[:, 0]
-    d = signed_distance_many(dom1, g.points())
-    flat = np.arange(g.size)
-    np.testing.assert_array_equal(g.trace_flat, flat[np.abs(d) < h / 2])
-    np.testing.assert_array_equal(g.core_flat, flat[d > -h / 2])
-    np.testing.assert_array_equal(g.exterior_flat, flat[d <= -h / 2])
+    # the box node sets agree with the signed-distance rule: core nodes have
+    # d > -h/2, trace nodes |d| < h/2, exterior nodes the rest
+    shifted = Domain((0.3, -1.25), (1.3, 0.5))
+    for dom, h, halo in [(dom1, 0.25, 4), (shifted, 0.25, 1),
+                         (shifted, 0.25, 3), (shifted, 0.125, 3)]:
+        g = Grid(dom, h, halo=halo)
+        flat = np.arange(g.size)
+        pts = g.points_at(flat)
+        d = signed_distance_many(dom, pts)
+        np.testing.assert_array_equal(g.trace_flat, flat[np.abs(d) < h / 2])
+        np.testing.assert_array_equal(g.core_flat, flat[d > -h / 2])
+        np.testing.assert_array_equal(g.exterior_flat, flat[d <= -h / 2])
+        np.testing.assert_array_equal(g.core_flat[g.trace_pos], g.trace_flat)
+        for name in ("core", "trace", "exterior"):
+            np.testing.assert_array_equal(getattr(g, f"{name}_points"),
+                                          pts[getattr(g, f"{name}_flat")])
     # trace nodes sit exactly on the boundary for an aligned lattice, and
     # are core nodes
+    g = Grid(dom1, 0.25, halo=4)
+    pts = g.points_at(np.arange(g.size))[:, 0]
     assert sorted(pts[g.trace_flat].tolist()) == [-1.0, 1.0]
     assert np.isin(g.trace_flat, g.core_flat).all()
 

@@ -222,6 +222,21 @@ def test_spec_invariants(dom1):
     assert check_H1(good, core_pts(dom1)).passed
 
 
+def test_drift_components(dom2):
+    # a control's drift defaults to zero on each axis; a single drift field
+    # is refused in 2-D rather than dropped
+    spec = BellmanSpec([ControlLaw(lam=1.0, f=0.0, dim=2)], dim=2)
+    assert len(spec.controls[0].b) == 2
+    assert not spec.time_dependent
+    pts = Grid(dom2, 0.5, halo=1).core_points
+    c = Coefficients(spec, pts, 0.0)
+    assert np.array_equal(c.terms[0].b, np.zeros((len(pts), 2)))
+    with pytest.raises(ValueError):
+        CoerciveSpec(m=2, b=0.5, dim=2)
+    with pytest.raises(ValueError):
+        ControlLaw(b="x", dim=2)
+
+
 def test_bellman_lipschitz_certificate(dom1):
     spec = BellmanSpec([ControlLaw(lam=0.0, b="x", f=0.0)], lipschitz=1.0)
     assert spec.check_lipschitz(dom1).passed

@@ -3,11 +3,17 @@ import pytest
 
 from nlhj.errors import InvalidResolution
 from nlhj.geometry import Domain, Grid
-from nlhj.kernels import (build_quadrature, custom_radial_kernel,
-                          exterior_mass, exterior_mass_many,
-                          fractional_laplacian_kernel, indicator_kernel,
-                          zero_kernel)
+from nlhj.kernels import (_cell_integral_1d, build_quadrature,
+                          custom_radial_kernel, exterior_mass,
+                          exterior_mass_many, fractional_laplacian_kernel,
+                          indicator_kernel, zero_kernel)
 from nlhj.oracles import exterior_mass_closed_form, tail_mass_closed_form
+
+
+def offset_norms(qt):
+    """|z| at every entry of the dense weight table."""
+    sq = (np.arange(-qt.J, qt.J + 1) * qt.h) ** 2
+    return np.sqrt(sq if qt.dim == 1 else sq[:, None] + sq[None, :])
 
 
 def test_invalid_resolution(k05):
@@ -20,8 +26,7 @@ def test_weights_nonnegative_and_symmetric(k05, k15):
         qt = build_quadrature(k, 2.0 ** -6, 8.0)
         assert np.all(qt.weights >= 0.0)
         # symmetric kernels give w_j = w_{-j} exactly
-        order = np.argsort(qt.offsets[:, 0])
-        w = qt.weights[order]
+        w = qt.weights
         assert np.array_equal(w, w[::-1])
 
 
@@ -29,7 +34,7 @@ def test_far_mass_closed_form_alpha_small(k05):
     # 2 * int_1^inf z^{-3/2} dz = 4, recovered by weights past 1 plus tail
     h = 2.0 ** -8
     qt = build_quadrature(k05, h, 8.0)
-    mask = qt.offset_norms >= 1.0 - 1e-12
+    mask = offset_norms(qt) >= 1.0 - 1e-12
     total = qt.weights[mask].sum() + qt.tail_mass
     assert total == pytest.approx(4.0, rel=5e-3)
 
@@ -38,7 +43,7 @@ def test_far_mass_closed_form_alpha_large(k15):
     # 2 * int_1^inf z^{-5/2} dz = 4/3
     h = 2.0 ** -8
     qt = build_quadrature(k15, h, 8.0)
-    mask = qt.offset_norms >= 1.0 - 1e-12
+    mask = offset_norms(qt) >= 1.0 - 1e-12
     total = qt.weights[mask].sum() + qt.tail_mass
     assert total == pytest.approx(4.0 / 3.0, rel=5e-3)
 
@@ -47,9 +52,10 @@ def test_windowed_weights_match_cell_union_exactly(k05):
     # constant kernel: per-cell integrals are exact, so the windowed sum
     # equals the integral over the union of included cells to rounding
     qt = build_quadrature(k05, 2.0 ** -6, 8.0)
-    m = qt.offset_norms >= 0.5
-    a = qt.offset_norms[m].min() - qt.h / 2
-    b = qt.offset_norms[m].max() + qt.h / 2
+    norms = offset_norms(qt)
+    m = norms >= 0.5
+    a = norms[m].min() - qt.h / 2
+    b = norms[m].max() + qt.h / 2
     exact = 2.0 * (a ** -0.5 - b ** -0.5) / 0.5
     assert qt.weights[m].sum() == pytest.approx(exact, rel=1e-12)
 
@@ -60,7 +66,7 @@ def test_refinement_of_far_mass(k05):
     errs = []
     for h in (2.0 ** -5, 2.0 ** -7):
         qt = build_quadrature(k05, h, 8.0)
-        m = qt.offset_norms >= 0.5
+        m = offset_norms(qt) >= 0.5
         err = abs(qt.weights[m].sum() + qt.tail_mass - exact)
         assert err <= 2.0 * h * 0.5 ** -1.5 + 1e-12  # half-cell at the window edge
         errs.append(err)
@@ -70,7 +76,7 @@ def test_refinement_of_far_mass(k05):
 def test_near_field_split(k05, k15):
     qt = build_quadrature(k05, 2.0 ** -6, 8.0)
     assert qt.nf_axis[0] == 0.0  # alpha < 1: origin cell dropped
-    assert qt.offset_norms.min() >= qt.h
+    assert offset_norms(qt)[qt.weights != 0].min() >= qt.h
     qt15 = build_quadrature(k15, 2.0 ** -6, 8.0)
     assert qt15.nf_axis[0] > 0.0
     assert qt15.r_cut == pytest.approx(np.sqrt(2.0 ** -6))
@@ -81,7 +87,7 @@ def test_near_field_split(k05, k15):
 
 def test_tail_is_sound_overestimate(k05):
     qt = build_quadrature(k05, 2.0 ** -6, 8.0)
-    covered = (qt.offset_norms.max() + qt.h / 2)
+    covered = (offset_norms(qt)[qt.weights != 0].max() + qt.h / 2)
     true_tail = tail_mass_closed_form(0.5, covered)
     assert qt.tail_mass >= true_tail - 1e-12
     # compactly supported kernel has no tail beyond its support
@@ -94,9 +100,10 @@ def test_indicator_kernel_mass(k05):
     # weights vanish beyond rho and match the rho-clipped cell integrals
     ki = indicator_kernel(0.5, 1, rho=1.0)
     qt = build_quadrature(ki, 2.0 ** -7, 8.0)
-    assert qt.weights[qt.offset_norms > 1.0 + qt.h].max(initial=0.0) == 0.0
-    m = qt.offset_norms >= 0.25
-    a = qt.offset_norms[m].min() - qt.h / 2
+    norms = offset_norms(qt)
+    assert qt.weights[norms > 1.0 + qt.h].max(initial=0.0) == 0.0
+    m = norms >= 0.25
+    a = norms[m].min() - qt.h / 2
     exact = 2.0 * (a ** -0.5 - 1.0 ** -0.5) / 0.5
     assert qt.weights[m].sum() == pytest.approx(exact, rel=1e-9)
 
@@ -177,9 +184,61 @@ def test_quadrature_2d_builds(dom2):
     k = fractional_laplacian_kernel(0.5, 2)
     qt = build_quadrature(k, 2.0 ** -3, 2.0)
     assert np.all(qt.weights >= 0)
-    assert qt.offsets.shape[1] == 2
+    assert qt.weights.shape == (2 * qt.J + 1,) * 2
     # radial symmetry of the weights
-    norms = np.round(qt.offset_norms / qt.h, 9)
-    for n in np.unique(norms)[:5]:
+    norms = np.round(offset_norms(qt) / qt.h, 9)
+    for n in np.unique(norms[qt.weights != 0])[:5]:
         w = qt.weights[norms == n]
         assert np.allclose(w, w[0])
+
+
+def offset_list(k, h, r_max, r_cut):
+    """The lattice offsets a quadrature covers, as a row-major list: the
+    nodes of the (2J+1)^dim square within r_max, less the near field."""
+    J = int(np.floor(r_max / h + 1e-12))
+    j = np.arange(-J, J + 1)
+    if k.dim == 1:
+        offsets = j[:, None]
+    else:
+        gx, gy = np.meshgrid(j, j, indexing="ij")
+        offsets = np.column_stack([gx.ravel(), gy.ravel()])
+    norms = np.linalg.norm(offsets * h, axis=1)
+    keep = norms <= r_max + 1e-12
+    offsets, norms = offsets[keep], norms[keep]
+    near = (norms < r_cut * (1 - 1e-12)) | (norms == 0)
+    return J, offsets[~near], norms[~near], offsets[near]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("make", [
+    lambda a, d: fractional_laplacian_kernel(a, d),
+    lambda a, d: indicator_kernel(a, d, rho=1.0),
+    lambda a, d: custom_radial_kernel(a, d, np.linspace(0, 10, 101),
+                                      np.exp(-np.linspace(0, 10, 101)))],
+    ids=["fractional", "indicator", "custom_radial"])
+def test_dense_table_matches_offset_list(dim, alpha, make):
+    # the dense table holds the per-cell masses of the offset list, bit for
+    # bit, and 0 elsewhere; its sums are the list's, in the list's order
+    k = make(alpha, dim)
+    h, r_max = (2.0 ** -5, 4.0) if dim == 1 else (2.0 ** -3, 2.0)
+    qt = build_quadrature(k, h, r_max)
+    J, offsets, norms, near = offset_list(k, h, r_max, qt.r_cut)
+    if dim == 1:
+        w = _cell_integral_1d(k, norms - 0.5 * h, norms + 0.5 * h)
+    else:
+        dens = k.profile(np.linalg.norm(offsets * h, axis=1))
+        w = dens * norms ** (-(2 + alpha)) * h ** 2
+    w = np.maximum(w, 0.0)
+    at = tuple((offsets + J).T)
+    assert qt.J == J and qt.weights.shape == (2 * J + 1,) * dim
+    assert np.array_equal(qt.weights[at], w)
+    rest = np.ones(qt.weights.shape, dtype=bool)
+    rest[at] = False
+    assert np.all(qt.weights[rest] == 0.0)
+    in_ball = norms <= 1.0 + 1e-14
+    m1 = (w[in_ball, None] * (offsets * h)[in_ball]).sum(axis=0)
+    assert qt.sum_w == float(w.sum())
+    assert np.array_equal(qt.m1, m1)
+    assert qt.lam == float(w.sum()) + qt.nf_mass + qt.tail_mass
+    assert qt.near_edge == (np.abs(near).max(initial=0) + 0.5) * h
