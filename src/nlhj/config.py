@@ -28,7 +28,7 @@ from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
                            check_UE)
 from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
-from .operators import envelope, save_field
+from .operators import envelope, row_prefixes, save_field, table_rows
 from .solver import (SchemeConfig, cfl_denominator, eval_initial, init_state,
                      run_to_steady, run_to_time)
 from . import harness
@@ -314,9 +314,19 @@ def parse_config(path) -> RunConfig:
 def _write_tsv(path: Path, header, rows):
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(
-                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+        fh.writelines("\t".join([v if isinstance(v, str) else "%.17g" % v
+                                 for v in row]) + "\n" for row in rows)
+
+
+def _write_trace_gaps(path: Path, points: np.ndarray, series):
+    """The trace gaps of each (t, gaps) in ``series`` as rows x.., t, gap,
+    one per trace node in ``points``."""
+    prefixes = row_prefixes(points)
+    with open(path, "w") as fh:
+        fh.write("\t".join(("x",) * points.shape[1] + ("t", "gap")) + "\n")
+        for t, gaps in series:
+            at_t = "%.17g\t" % t
+            fh.writelines(table_rows([p + at_t for p in prefixes], gaps))
 
 
 def run_certificates(cfg: RunConfig) -> dict:
@@ -414,16 +424,13 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             rep = run_to_time(st, scheme, scheme.T)
             rows = list(zip(rep.times, rep.sup_norms))
             header = ("t", "sup_norm")
+        prefixes = row_prefixes(grid.core_points)
         for i, (t, u) in enumerate(rep.snapshots):
             E = envelope(grid, u, st.phi(grid.trace_points, t))
             save_field(grid, E, t, cfg.outdir / f"field_t{i:04d}.tsv",
-                       kern.alpha)
-        gap_rows = []
-        for t, gaps in rep.trace_gap_series:
-            for p, gval in zip(grid.trace_points, gaps):
-                gap_rows.append((*p, t, gval))
-        _write_tsv(cfg.outdir / "trace_gaps.tsv",
-                   ("x",) * grid.dim + ("t", "gap"), gap_rows)
+                       kern.alpha, prefixes)
+        _write_trace_gaps(cfg.outdir / "trace_gaps.tsv", grid.trace_points,
+                          rep.trace_gap_series)
         _write_tsv(cfg.outdir / "report.tsv", header, rows)
         manifest["steps"] = st.steps
         manifest["final_sup_norm"] = st.sup_norm

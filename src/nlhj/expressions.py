@@ -11,11 +11,17 @@ so ``(-8)^(1/3)`` is NaN and a constant ``1/0`` is inf, as in numpy.
 A source is parsed with ``ast``, checked node by node against the
 whitelist, compiled once (each power as a call of ``np.power``) and
 evaluated vectorized over numpy arrays in a namespace without builtins.
+``Expression.bind(points)`` returns ``t -> values`` for fixed points: it
+evaluates each maximal subexpression that reads x or y but not t once, on
+those points, and leaves the rest, constant and t-only subtrees included,
+to run per call in its original order; each call is bit-identical to a
+full evaluation.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import re
 
@@ -68,8 +74,8 @@ class Expression:
         self._vars = set()
         tree.body = self._check(tree.body)
         self.variables = frozenset(self._vars)
-        self._code = compile(ast.fix_missing_locations(tree), "<expression>",
-                             "eval")
+        self._tree = ast.fix_missing_locations(tree)
+        self._code = compile(self._tree, "<expression>", "eval")
 
     def _col(self, col):
         """Position, after the leading blanks, of column ``col`` of the
@@ -133,18 +139,80 @@ class Expression:
     def time_dependent(self) -> bool:
         return "t" in self.variables
 
-    def __call__(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def _space(self, points: np.ndarray) -> dict:
+        """The spatial variables of ``points``: views of its columns."""
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        env = {"x": points[:, 0], "t": np.float64(t)}
+        env = {"x": points[:, 0]}
         if points.shape[1] > 1:
             env["y"] = points[:, 1]
         elif "y" in self.variables:
             raise ParseError(f"variable 'y' used in 1-D expression {self.source!r}")
-        out = np.empty(points.shape[0])
+        return env
+
+    def __call__(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
+        env = self._space(points)
+        env["t"] = np.float64(t)
+        out = np.empty(len(env["x"]))
         out[:] = eval(self._code, self._namespace, env)  # broadcasts a scalar
         return out
+
+    @functools.cached_property
+    def _split(self):
+        """``(held, code)``: each maximal subexpression that reads x or y but
+        not t, as a pair (name, code), and the code of the rest, which reads
+        those by name.  Constant and t-only subtrees stay in the rest."""
+        reads = {}
+        # ast.walk lists parents before children: reversed, children first
+        for node in reversed(list(ast.walk(self._tree.body))):
+            own = {node.id} if getattr(node, "id", None) in _VARS else set()
+            reads[node] = own.union(*map(reads.get,
+                                         ast.iter_child_nodes(node)))
+        held = []
+
+        def code(node):
+            return compile(ast.Expression(node), "<expression>", "eval")
+
+        def rest(node):
+            if "t" not in reads[node]:
+                if not reads[node]:
+                    return node
+                name = f"_h{len(held)}"
+                held.append((name, code(node)))
+                return ast.copy_location(ast.Name(name, ast.Load()), node)
+            node = copy.copy(node)
+            for field, value in ast.iter_fields(node):
+                if isinstance(value, ast.AST):
+                    setattr(node, field, rest(value))
+                elif isinstance(value, list):
+                    setattr(node, field, [rest(v) for v in value])
+            return node
+
+        return held, code(rest(self._tree.body))
+
+    def bind(self, points: np.ndarray):
+        """``t -> self(points, t)``, with every maximal subexpression that
+        reads x or y but not t evaluated here, once.
+
+        The held values are the arrays a full evaluation makes, on the same
+        points, and every other operation runs in its original order on the
+        same operands, so each result is bit-identical to
+        ``self(points, t)``.
+        """
+        env = self._space(points)
+        n = len(env["x"])
+        held, code = self._split
+        namespace = dict(self._namespace)
+        for name, part in held:
+            namespace[name] = eval(part, self._namespace, env)
+
+        def at(t: float) -> np.ndarray:
+            out = np.empty(n)
+            out[:] = eval(code, namespace, {"t": np.float64(t)})
+            return out
+
+        return at
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -7,6 +7,7 @@ or callables ``f(points, t) -> values`` with ``points`` of shape (N, dim).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dfield
 from types import SimpleNamespace
 
@@ -53,10 +54,21 @@ class CoefficientField:
             raise TypeError(f"cannot build coefficient from {value!r}")
 
     def __call__(self, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._values(np.atleast_2d(np.asarray(pts, dtype=float)), t)
+
+    def _values(self, pts: np.ndarray, t: float) -> np.ndarray:
         out = np.empty(pts.shape[0])
         out[:] = self._fn(pts, t)  # broadcasts a scalar result
         return out
+
+    def bind(self, pts: np.ndarray):
+        """``t -> self(pts, t)``: an expression evaluates its parts that do
+        not read t here, once (see ``Expression.bind``); a number or a
+        callable is evaluated in full at each call."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if isinstance(self._fn, Expression):
+            return self._fn.bind(pts)
+        return functools.partial(self._values, pts)
 
 
 def vector_coefficient(value, dim: int, name: str = ""):
@@ -197,34 +209,41 @@ class Coefficients:
     ``terms`` holds one namespace per control (Bellman) or a single one
     (coercive), with an array per coefficient: shape (N,) for a scalar and
     (N, dim) for the drift ``b`` (None for a coercive form without drift).
-    Construction evaluates every field once; :meth:`at` re-evaluates only
-    the fields whose own ``time_dependent`` flag is set, and ``moving`` names
-    them.  Bounds, over points and terms: ``a1_max`` = max |a1|, ``a2_max`` =
-    max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max |b|
-    per axis.
+    Construction evaluates every field once and binds to the points each
+    field whose own ``time_dependent`` flag is set (``moving`` names them),
+    so that :meth:`at` evaluates only their parts that read t.  Bounds,
+    over points and terms: ``a1_max`` = max |a1|, ``a2_max`` = max |a2|
+    (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max |b| per
+    axis.
     """
 
     def __init__(self, spec, pts: np.ndarray, t: float = 0.0):
         self.spec = spec
-        self.pts = pts
         self.t = t
         owners = [spec] if spec.family == "coercive" else spec.controls
         self.terms = []
-        self._moving = []  # (term index, name, axis or None, field)
+        self._moving = []  # (term index, name, axis or None, field, bound)
         for k, owner in enumerate(owners):
             term = SimpleNamespace()
             for name in _TERMS[spec.family]:
                 src = getattr(owner, name)
-                if isinstance(src, list):
-                    setattr(term, name, eval_vector(src, pts, t))
-                    self._moving += [(k, name, a, c) for a, c in enumerate(src)
-                                     if c.time_dependent]
-                else:
-                    setattr(term, name, None if src is None else src(pts, t))
-                    if src is not None and src.time_dependent:
-                        self._moving.append((k, name, None, src))
+                if src is None:
+                    setattr(term, name, None)
+                    continue
+                fields = src if isinstance(src, list) else [src]
+                cols = []
+                for a, c in enumerate(fields):
+                    if c.time_dependent:
+                        bound = c.bind(pts)
+                        self._moving.append(
+                            (k, name, a if fields is src else None, c, bound))
+                        cols.append(bound(t))
+                    else:
+                        cols.append(c(pts, t))
+                setattr(term, name,
+                        np.column_stack(cols) if fields is src else cols[0])
             self.terms.append(term)
-        self.moving = frozenset(name for _, name, _, _ in self._moving)
+        self.moving = frozenset(entry[1] for entry in self._moving)
         self._bound()
 
     def _bound(self):
@@ -241,10 +260,10 @@ class Coefficients:
                 self.b_max = np.maximum(self.b_max, np.abs(v.b).max(axis=0))
 
     def at(self, t: float) -> "Coefficients":
-        """The bundle at time t: re-evaluates the fields that depend on t."""
+        """The bundle at time t: evaluates the bound fields at t."""
         if t != self.t:
-            for k, name, axis, field in self._moving:
-                vals = field(self.pts, t)
+            for k, name, axis, _, values in self._moving:
+                vals = values(t)
                 if axis is not None:
                     vals, column = getattr(self.terms[k], name).copy(), vals
                     vals[:, axis] = column
@@ -470,14 +489,15 @@ def check_H1(spec, pts) -> Certificate:
     v = u - gap  # u >= v
     # the fields that do not read t once over the samples' points, the
     # others at each sample's own time
-    c = Coefficients(spec, pts[idx], 0.0)
-    for k, name, axis, fld in c._moving:
-        vals = _at_times(fld, c.pts, ts)
+    pts = pts[idx]
+    c = Coefficients(spec, pts, 0.0)
+    for k, name, axis, fld, _ in c._moving:
+        vals = _at_times(fld, pts, ts)
         if axis is None:
             setattr(c.terms[k], name, vals)
         else:
             getattr(c.terms[k], name)[:, axis] = vals
     quot = ((hamiltonian_values(c, u, p) - hamiltonian_values(c, v, p)) / (u - v)
-            - properness_floor(spec, c.pts))
+            - properness_floor(spec, pts))
     worst = float(quot[u > v].min(initial=np.inf))
     return Certificate("H1", worst >= -1e-9, worst, {"exact": False})

@@ -59,6 +59,15 @@ def discretize(dom: Domain, k: Kernel, h: float,
     return plan
 
 
+def _exterior_sample(plan: SweepPlan, *data: CoefficientField) -> np.ndarray:
+    """The exterior nodes at which to compare exterior data: all of them,
+    or one node of the plan's ring when no datum varies in space (its value
+    there stands for every node, as in a solver step)."""
+    if any(d.varies_in_space for d in data):
+        return plan.grid.exterior_points
+    return plan.ring_points[:1]
+
+
 def trace_face_map(grid: Grid, dom: Domain) -> dict:
     """Trace-node indices grouped by the face they lie on (corners in both)."""
     names = dom.face_names()
@@ -90,7 +99,6 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    grid = plan.grid
 
     def make_states(shared_sigma):
         c = replace(cfg, sigma_override=shared_sigma)
@@ -108,9 +116,9 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     # precondition: nodewise ordering of both data sets over the window
     if np.any(sa.u > sb.u + 1e-14):
         raise PreconditionError("initial data are not ordered u0 <= v0")
-    ext_pts = grid.exterior_points
     pa = CoefficientField(phi_a, "phi_a")
     pb = CoefficientField(phi_b, "phi_b")
+    ext_pts = _exterior_sample(plan, pa, pb)
     times = np.linspace(0.0, T, 5)
     for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
         if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
@@ -399,7 +407,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
 
     pl = CoefficientField(phi_limit, "phi_limit")
     ph = CoefficientField(phi, "phi")
-    ext_pts = plan.grid.exterior_points
+    ext_pts = _exterior_sample(plan, ph, pl)
     phibar = pl(ext_pts, 0.0)
     times, devs, gs = [], [], []
     for t, u in rep.snapshots:
@@ -452,12 +460,10 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
     if not cert.passed:
         raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < "
                                 f"{cert.details['mu_min']}")
-    grid = plan.grid
-    ext_pts = grid.exterior_points
-    core_pts = grid.core_points
-
+    core_pts = plan.grid.core_points
     ph = CoefficientField(phi, "phi")
     pl = CoefficientField(phi_limit, "phi_limit")
+    ext_pts = _exterior_sample(plan, ph, pl)
     phibar = pl(ext_pts, 0.0)
 
     def ham_gap(t):

@@ -74,15 +74,30 @@ def _tail_values(g: Grid, values: np.ndarray) -> np.ndarray:
     return np.array([shell.mean()])
 
 
-def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float):
+def row_prefixes(points: np.ndarray) -> list:
+    """The leading columns of a text table's rows, one per row of
+    ``points``: each coordinate as ``%.17g``, followed by a tab."""
+    row = "%.17g\t" * points.shape[1]
+    return [row % tuple(p) for p in points.tolist()]
+
+
+def table_rows(prefixes, values):
+    """Rows ``prefix`` + ``values[i]`` as ``%.17g`` + newline."""
+    return map("%s%.17g\n".__mod__,
+               zip(prefixes, np.asarray(values, dtype=float).tolist()))
+
+
+def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float,
+               prefixes: list | None = None):
     """Write core node coordinates and ``values`` (in ``core_flat`` order)
-    as a text table with a metadata header."""
-    pts = grid.core_points
-    cols = [pts[:, a] for a in range(grid.dim)] + [values]
-    row = "\t".join(["%.17g"] * len(cols)) + "\n"
+    as a text table with a metadata header.  ``prefixes`` are the core
+    points' :func:`row_prefixes`, which a run formats once for all its
+    snapshots."""
+    if prefixes is None:
+        prefixes = row_prefixes(grid.core_points)
     with open(path, "w") as fh:
         fh.write(f"# t={float(t):.17g} h={grid.h:.17g} alpha={alpha:.17g}\n")
-        fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
+        fh.writelines(table_rows(prefixes, values))
 
 
 # ---------------------------------------------------------------------------

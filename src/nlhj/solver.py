@@ -64,9 +64,10 @@ class SolveState:
     the Hamiltonian's coefficients on the core nodes (``coeffs``), the datum
     at the trace nodes (``phi_trace``) and its exterior load, and the padded
     ``block`` (see the module docstring) with the datum on its ring.  Data
-    that do not depend on t are evaluated once, by :func:`init_state`; a
-    step re-evaluates the rest at the new time.  Setting ``sigma`` drops
-    the cached CFL denominator."""
+    that do not depend on t are evaluated once, by :func:`init_state`; the
+    rest are held bound to their points (``datum`` and ``coeffs``), and a
+    step evaluates their parts that read t at the new time.  Setting
+    ``sigma`` drops the cached CFL denominator."""
 
     plan: SweepPlan
     spec: object
@@ -80,6 +81,7 @@ class SolveState:
     sigma_growth: int = 0
     last_dt: float = 0.0
     load: np.ndarray | None = None   # plan.exterior_load at time t
+    datum: tuple | None = dfield(default=None, repr=False)  # see _bind_datum
     phi_trace: np.ndarray = dfield(init=False, repr=False)
     block: np.ndarray = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
@@ -121,19 +123,29 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(u0(pts), dtype=float), (pts.shape[0],)).copy()
 
 
+def _bind_datum(phi: CoefficientField, plan: SweepPlan) -> tuple:
+    """The datum bound (``CoefficientField.bind``) to each point set a step
+    reads: the trace nodes, the block's ring and the exterior nodes, or one
+    point for a datum constant in space, whose value stands for every
+    node."""
+    if not phi.varies_in_space:
+        return (phi.bind(plan.ring_points[:1]),)
+    return tuple(phi.bind(pts) for pts in (plan.grid.trace_points,
+                                           plan.ring_points,
+                                           plan.grid.exterior_points))
+
+
 def _read_datum(st: SolveState) -> np.ndarray:
     """Hold the datum at the state's time at the trace nodes and on the
-    block's ring; returns its exterior values, of which the caller takes
-    the exterior load.  A datum constant in space is evaluated at one
-    point, whose value stands for every node."""
-    phi, plan, t = st.phi, st.plan, st.t
-    if phi.varies_in_space:
-        st.phi_trace[:] = phi(plan.grid.trace_points, t)
-        ring = phi(plan.ring_points, t)
-        ext = phi(plan.grid.exterior_points, t)
+    block's ring, from ``st.datum``; returns its exterior values, of which
+    the caller takes the exterior load."""
+    t = st.t
+    if st.phi.varies_in_space:
+        trace, ring, ext = (values(t) for values in st.datum)
+        st.phi_trace[:] = trace
     else:
-        st.phi_trace[:] = ring = ext = phi(plan.ring_points[:1], t)
-    st.block.reshape(-1)[plan.ring_pos] = ring
+        st.phi_trace[:] = ring = ext = st.datum[0](t)
+    st.block.reshape(-1)[st.plan.ring_pos] = ring
     return ext
 
 
@@ -153,7 +165,10 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
         raise PreconditionError(f"a1 is not bounded below by a positive "
                                 f"constant (min {a1_min})")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        st.datum = _bind_datum(phi, plan)
         ext = _read_datum(st)
+    if not phi.time_dependent:
+        st.datum = None  # read once: drop the held values
     # refused before the load's transform; the block holds only its ring yet
     held = {"u0": (st.u,), "phi": (st.phi_trace, st.block, ext)}
     bad = [f"[data] {name}: not finite at every node at t = {t0}"

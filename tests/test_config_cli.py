@@ -12,6 +12,7 @@ from nlhj import config, harness, kernels, operators, solver
 from nlhj.cli import main
 from nlhj.config import execute, parse_config
 from nlhj.errors import ParseError, ValidationError
+from nlhj.geometry import Domain, Grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -481,6 +482,54 @@ def test_run_builds_exterior_nodes_only_for_a_datum_varying_in_space(tmp_path):
         assert execute(cfg) == 0
         assert ("exterior_points" in plan.grid.__dict__) is built
         del plan
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0, 7, -3, np.float64(0.1),
+           np.float64(-2.5e-7), 1e-300, 1e300, 1.0 / 3.0]
+
+
+def _old_row(row):
+    # each value formatted on its own, as the writers once did
+    return "\t".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+
+
+def test_writers_format_as_each_value_on_its_own(tmp_path):
+    rows = [("tag", v, SPECIAL[-1 - i]) for i, v in enumerate(SPECIAL)]
+    config._write_tsv(tmp_path / "t.tsv", ("a", "b", "c"), rows)
+    lines = (tmp_path / "t.tsv").read_text().splitlines()
+    assert lines == ["a\tb\tc"] + [_old_row(r) for r in rows]
+
+    pts = np.column_stack([SPECIAL, SPECIAL[::-1]])
+    series = [(t, np.roll(np.array(SPECIAL, dtype=float), k))
+              for k, t in enumerate((0, np.float64(0.25), 1e300, -0.0))]
+    config._write_trace_gaps(tmp_path / "g.tsv", pts, series)
+    lines = (tmp_path / "g.tsv").read_text().splitlines()
+    assert lines == ["x\tx\tt\tgap"] + [_old_row((*p, t, v))
+                                         for t, gaps in series
+                                         for p, v in zip(pts, gaps)]
+
+    g = Grid(Domain((0.0,), (11.0,)), 1.0, halo=1)
+    assert len(g.core_flat) == len(SPECIAL)
+    operators.save_field(g, SPECIAL, 0.5, tmp_path / "f.tsv", 0.5)
+    lines = (tmp_path / "f.tsv").read_text().splitlines()[1:]
+    assert lines == [_old_row(r) for r in zip(g.core_points[:, 0],
+                                              np.array(SPECIAL, dtype=float))]
+
+
+@pytest.mark.parametrize("name, out", [("rate_nonlocal", "out_rate"),
+                                       ("comparison", "out_comparison")])
+def test_experiments_build_no_exterior_nodes_for_data_constant_in_space(
+        tmp_path, name, out):
+    # phi = 0 in both: the experiments' data checks read one exterior node;
+    # two comparison seeds take the same path as twenty
+    text = (CONFIGS / f"{name}.cfg").read_text().replace(
+        f"directory = {out}", f"directory = {tmp_path / 'out'}")
+    text = text.replace("seeds = 20", "seeds = 2")
+    cfg = parse_config(write(tmp_path, text))
+    assert not cfg.phi.varies_in_space
+    plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
+    assert execute(cfg) == 0
+    assert "exterior_points" not in plan.grid.__dict__
 
 
 MEMORY_GUARD = """

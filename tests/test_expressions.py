@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from nlhj.errors import ParseError
 from nlhj.expressions import Expression
@@ -120,3 +121,36 @@ def test_error_message_names_position():
                      ("\n\tx^2 $", 6)):
         with pytest.raises(ParseError, match=f"position {pos} "):
             Expression(src)
+
+
+def _expressions(variables):
+    """Random whitelisted sources over ``variables``."""
+    leaves = hst.sampled_from(variables + ("0.5", "2", "3", "1.5e-3"))
+
+    def wrap(sub):
+        return hst.one_of(
+            hst.tuples(sub, hst.sampled_from("+-*/^"), sub).map(
+                lambda a: f"({a[0]} {a[1]} {a[2]})"),
+            sub.map(lambda a: f"-{a}"),
+            hst.tuples(hst.sampled_from(("abs", "sin", "cos", "exp")),
+                       sub).map(lambda a: f"{a[0]}({a[1]})"),
+            hst.tuples(hst.sampled_from(("min", "max")),
+                       hst.lists(sub, min_size=2, max_size=3)).map(
+                lambda a: f"{a[0]}({', '.join(a[1])})"))
+    return hst.recursive(leaves, wrap, max_leaves=10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=hst.data())
+def test_bind_is_a_full_evaluation_bit_for_bit(dim, data):
+    src = data.draw(_expressions(("x", "y", "t")[:dim] + ("t",)), label="src")
+    times = data.draw(hst.lists(hst.floats(-3.0, 3.0), min_size=1,
+                                max_size=3), label="times")
+    rng = np.random.default_rng(len(src))
+    pts = np.vstack([np.zeros(dim), rng.uniform(-2.0, 2.0, (16, dim))])
+    e = Expression(src)
+    with np.errstate(all="ignore"):
+        at = e.bind(pts)
+        for t in times:
+            # the same bytes, NaN positions and signed zeros included
+            assert at(t).tobytes() == e(pts, t).tobytes(), (src, t)

@@ -357,14 +357,25 @@ def test_step_reads_its_data_at_the_state_time(case):
 
 
 def _count_coefficient_calls(monkeypatch):
+    """Names of the fields evaluated, one per evaluation: a call, or a call
+    of a field bound to points."""
     calls = []
-    real = CoefficientField.__call__
+    real, real_bind = CoefficientField.__call__, CoefficientField.bind
 
     def counted(self, pts, t=0.0):
         calls.append(self.name)
         return real(self, pts, t)
 
+    def bind(self, pts):
+        values = real_bind(self, pts)
+
+        def counted_values(t):
+            calls.append(self.name)
+            return values(t)
+        return counted_values
+
     monkeypatch.setattr(CoefficientField, "__call__", counted)
+    monkeypatch.setattr(CoefficientField, "bind", bind)
     return calls
 
 
@@ -415,6 +426,29 @@ def test_datum_constant_in_space_is_evaluated_once_per_step(dom1, monkeypatch):
         ext = st.phi(g.exterior_points, st.t)
         assert np.array_equal(st.load, st.plan.exterior_load(ext))
         assert np.array_equal(st.phi_trace, st.phi(g.trace_points, st.t))
+
+
+def test_t_free_part_of_a_moving_field_is_evaluated_once_per_state(
+        dom1, monkeypatch):
+    from nlhj import expressions
+    cos_calls = []
+
+    def cos(v):
+        cos_calls.append(1)
+        return np.cos(v)
+
+    # in place before the expression is parsed, which copies the namespace
+    monkeypatch.setitem(expressions._NAMESPACE, "cos", cos)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                        f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, "0.5*exp(-t)",
+                          "1 - x^2", kernel=k)
+    assert st.coeffs.moving == {"f"}
+    for _ in range(5):
+        step(st, cfg)
+    assert len(cos_calls) == 1
+    assert np.array_equal(st.coeffs.terms[0].f, spec.f(g.core_points, st.t))
 
 
 def test_cfl_denominator_follows_a_viscosity_retry(dom1):
