@@ -107,6 +107,17 @@ def _parse_float(cp, section, key, errors, default=None, required=False):
     return default if v is None else v
 
 
+def _parse_count(cp, section, key, errors, default: int) -> int:
+    """A whole number of at least 1, or ``default`` when the key is absent
+    or its value is refused (with the error recorded)."""
+    v = _parse_float(cp, section, key, errors, float(default))
+    if v < 1 or v != int(v):
+        errors.append(f"[{section}] {key}: not a whole number of at least 1: "
+                      f"{cp.get(section, key)!r}")
+        return default
+    return int(v)
+
+
 def _parse_drift(cp, section, key, dim, errors):
     if not cp.has_option(section, key):
         return None
@@ -140,7 +151,7 @@ def parse_config(path) -> RunConfig:
             raise ParseError(f"{path}: missing [{sec}] section")
 
     # domain
-    dim = int(_parse_float(cp, "domain", "dimension", errors, 1.0) or 1)
+    dim = _parse_count(cp, "domain", "dimension", errors, 1)
     dom = None
     try:
         lower, upper = (tuple(_finite(v, "domain", key, errors)
@@ -174,8 +185,14 @@ def parse_config(path) -> RunConfig:
                     errors.append("[kernel] custom_radial needs a 'profile' file")
                 else:
                     prof_path = (path.parent / prof) if not Path(prof).is_absolute() else Path(prof)
-                    tab = np.loadtxt(prof_path)
-                    kern = custom_radial_kernel(alpha, dim, tab[:, 0], tab[:, 1])
+                    tab = np.loadtxt(prof_path, ndmin=2)
+                    if tab.shape[0] < 2 or tab.shape[1] < 2:
+                        errors.append(f"[kernel] profile {prof}: needs at "
+                                      f"least 2 rows of 2 columns (r, K(r)), "
+                                      f"got {tab.shape[0]} x {tab.shape[1]}")
+                    else:
+                        kern = custom_radial_kernel(alpha, dim, tab[:, 0],
+                                                    tab[:, 1])
             else:
                 errors.append(f"[kernel] unknown type {ktype!r}")
         except (OSError, ValueError) as e:
@@ -199,7 +216,7 @@ def parse_config(path) -> RunConfig:
             except ValueError as e:
                 errors.append(f"[hamiltonian] {e}")
     elif family == "bellman":
-        ncontrols = int(_parse_float(cp, "hamiltonian", "controls", errors, 1.0) or 1)
+        ncontrols = _parse_count(cp, "hamiltonian", "controls", errors, 1)
         controls = []
         for i in range(1, ncontrols + 1):
             lam = _parse_expr_field(cp, "hamiltonian", f"lam_{i}", dim, errors,
@@ -227,11 +244,16 @@ def parse_config(path) -> RunConfig:
     theta = _parse_float(cp, "scheme", "theta", errors, 0.9)
     dt = _parse_float(cp, "scheme", "dt", errors, None)
     T = _parse_float(cp, "scheme", "T", errors, None)
-    steady = cp.getboolean("scheme", "steady", fallback=False)
+    try:
+        steady = cp.getboolean("scheme", "steady", fallback=False)
+    except ValueError:
+        errors.append(f"[scheme] steady: not a boolean: "
+                      f"{cp.get('scheme', 'steady')!r}")
+        steady = False
     steady_tol = _parse_float(cp, "scheme", "steady_tol", errors, None)
     snapshot_dt = _parse_float(cp, "scheme", "snapshot_dt", errors, None)
     m_cap = _parse_float(cp, "scheme", "m_cap", errors, None)
-    max_steps = int(_parse_float(cp, "scheme", "max_steps", errors, 2e6) or 2e6)
+    max_steps = _parse_count(cp, "scheme", "max_steps", errors, 2_000_000)
     r_max = _parse_float(cp, "scheme", "r_max", errors, None)
     if cp.has_option("scheme", "r_cut"):
         errors.append("[scheme] r_cut is not a setting: the near-field radius "
@@ -261,7 +283,7 @@ def parse_config(path) -> RunConfig:
                       f"(choose from {', '.join(EXPERIMENTS)})")
     params = {}
     if cp.has_option("experiment", "seeds"):
-        params["seeds"] = int(_parse_float(cp, "experiment", "seeds", errors, 20.0))
+        params["seeds"] = _parse_count(cp, "experiment", "seeds", errors, 20)
     for key in ("eps_rate", "eps_conv"):
         v = _parse_float(cp, "experiment", key, errors, None)
         if v is not None:

@@ -206,45 +206,54 @@ class Coefficients:
     """A Hamiltonian's coefficients evaluated on fixed points at time ``t``,
     with the bounds that the viscosity and the CFL limit take maxima of.
 
-    ``terms`` holds one namespace per control (Bellman) or a single one
-    (coercive), with an array per coefficient: shape (N,) for a scalar and
-    (N, dim) for the drift ``b`` (None for a coercive form without drift).
+    ``stacked`` holds an array per coefficient over the terms, one per
+    control (Bellman) or a single one (coercive): shape (K, N) for a scalar
+    and (K, dim, N) for the drift ``b`` (absent for a coercive form without
+    drift).  ``terms`` holds one namespace per term whose arrays are views
+    of those, of shape (N,) and (N, dim) (``b`` None without drift; its
+    columns are contiguous, as are those of the solver's gradients).
     Construction evaluates every field once and binds to the points each
     field whose own ``time_dependent`` flag is set (``moving`` names them),
-    so that :meth:`at` evaluates only their parts that read t.  Bounds,
-    over points and terms: ``a1_max`` = max |a1|, ``a2_max`` = max |a2|
-    (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max |b| per
-    axis.
+    so that :meth:`at` evaluates only their parts that read t, in place.
+    Bounds, over points and terms: ``a1_max`` = max |a1|, ``a2_max`` =
+    max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max
+    |b| per axis.  A Bellman bundle also holds the upwind mask ``upwind``
+    = (b > 0) of its drifts, stacked and per term, for the flux; :meth:`at`
+    renews it when b moves.
     """
 
     def __init__(self, spec, pts: np.ndarray, t: float = 0.0):
         self.spec = spec
         self.t = t
+        self.n = len(pts)
         owners = [spec] if spec.family == "coercive" else spec.controls
-        self.terms = []
-        self._moving = []  # (term index, name, axis or None, field, bound)
-        for k, owner in enumerate(owners):
-            term = SimpleNamespace()
-            for name in _TERMS[spec.family]:
-                src = getattr(owner, name)
-                if src is None:
-                    setattr(term, name, None)
-                    continue
-                fields = src if isinstance(src, list) else [src]
-                cols = []
-                for a, c in enumerate(fields):
+        self.terms = [SimpleNamespace() for _ in owners]
+        self.stacked = {}
+        self._moving = []  # (name, index into stacked[name], field, bound)
+        for name in _TERMS[spec.family]:
+            srcs = [getattr(owner, name) for owner in owners]
+            if srcs[0] is None:  # a coercive form without drift
+                setattr(self.terms[0], name, None)
+                continue
+            vector = isinstance(srcs[0], list)
+            values = self.stacked[name] = np.empty(
+                (len(owners),) + ((spec.dim,) if vector else ()) + (self.n,))
+            for k, src in enumerate(srcs):
+                for a, c in enumerate(src if vector else [src]):
+                    at = (k, a) if vector else k
                     if c.time_dependent:
                         bound = c.bind(pts)
-                        self._moving.append(
-                            (k, name, a if fields is src else None, c, bound))
-                        cols.append(bound(t))
+                        self._moving.append((name, at, c, bound))
+                        values[at] = bound(t)
                     else:
-                        cols.append(c(pts, t))
-                setattr(term, name,
-                        np.column_stack(cols) if fields is src else cols[0])
-            self.terms.append(term)
-        self.moving = frozenset(entry[1] for entry in self._moving)
+                        values[at] = c(pts, t)
+                setattr(self.terms[k], name, values[k].T)
+        self.moving = frozenset(entry[0] for entry in self._moving)
         self._bound()
+        if spec.family == "bellman":
+            self.upwind = self.stacked["b"] > 0
+            for term, upwind in zip(self.terms, self.upwind):
+                term.upwind = upwind.T
 
     def _bound(self):
         terms = self.terms
@@ -262,14 +271,12 @@ class Coefficients:
     def at(self, t: float) -> "Coefficients":
         """The bundle at time t: evaluates the bound fields at t."""
         if t != self.t:
-            for k, name, axis, _, values in self._moving:
-                vals = values(t)
-                if axis is not None:
-                    vals, column = getattr(self.terms[k], name).copy(), vals
-                    vals[:, axis] = column
-                setattr(self.terms[k], name, vals)
+            for name, at, _, values in self._moving:
+                self.stacked[name][at] = values(t)
             if self.moving - {"f"}:
                 self._bound()
+            if "b" in self.moving and self.spec.family == "bellman":
+                np.greater(self.stacked["b"], 0, out=self.upwind)
         self.t = t
         return self
 
@@ -322,56 +329,120 @@ def lf_viscosity_bound(c: Coefficients, p_scale: float) -> np.ndarray:
     the gradient floor ``GRAD_FLOOR``, so strict monotonicity is certified
     only for m, l >= 1 (or vanishing a2).
     """
+    return np.array(_viscosity_bounds(c, p_scale))
+
+
+def _pow_bound(p_scale: float, e: float) -> float:
+    if e >= 0:
+        return p_scale ** e
+    return max(p_scale, GRAD_FLOOR) ** e if p_scale > 0 else GRAD_FLOOR ** e
+
+
+def _viscosity_bounds(c: Coefficients, p_scale: float) -> list:
+    """:func:`lf_viscosity_bound` as a list of floats."""
     spec = c.spec
-
-    def pow_bound(e):
-        if e >= 0:
-            return p_scale ** e
-        return max(p_scale, GRAD_FLOOR) ** e if p_scale > 0 else GRAD_FLOOR ** e
-
-    s = c.a1_max * spec.m * pow_bound(spec.m - 1)
+    s = c.a1_max * spec.m * _pow_bound(p_scale, spec.m - 1)
     if c.a2_max > 0 and spec.l > 0:
-        s += c.a2_max * spec.l * pow_bound(spec.l - 1)
-    out = np.full(spec.dim, s)
-    if spec.b is not None:
-        out += c.b_max
-    return out
+        s += c.a2_max * spec.l * _pow_bound(p_scale, spec.l - 1)
+    if spec.b is None:
+        return [s] * spec.dim
+    return [s + b for b in c.b_max.tolist()]
+
+
+def flux_workspace(c: Coefficients) -> tuple:
+    """Scratch for :func:`numerical_hamiltonian_many` at the N points of
+    ``c``, laid out as the coefficients and the solver's gradients are, one
+    axis after the other (numpy buffers operands of differing layouts).
+    Bellman, over its K controls: arrays of shape (K, dim, N), (K, N) and
+    (K, N), and per control the first as (N, dim) and the third.
+    Coercive: an array of shape (N, dim), its columns, and two arrays of
+    shape (N,)."""
+    n, dim = c.n, c.spec.dim
+    if c.spec.family == "bellman":
+        k = len(c.terms)
+        p, val = np.empty((k, dim, n)), np.empty((k, n))
+        return p, np.empty((k, n)), val, tuple((q.T, v) for q, v in zip(p, val))
+    p = np.empty((dim, n)).T
+    return p, tuple(p[:, a] for a in range(dim)), np.empty(n), np.empty(n)
 
 
 def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
-                               sigma=None) -> np.ndarray:
+                               sigma=None, out=None, work=None) -> np.ndarray:
     """Monotone flux at the points of ``c``, vectorized: Lax-Friedrichs
     (coercive) or exact upwinding (Bellman).
 
     Nonincreasing in every p_plus component and nondecreasing in every
     p_minus component; equals the pointwise Hamiltonian when the two one-sided
     gradients coincide.  The gradients are float arrays of shape (N, dim);
-    ``sigma`` is a number or per-axis values.
+    ``sigma`` is a number or per-axis values.  The flux is accumulated in
+    ``out`` with the scratch ``work`` (see :func:`flux_workspace`), each
+    allocated when not given.
     """
     pm, pp = p_minus, p_plus
+    n, dim = pm.shape
+    if out is None:
+        out = np.empty(n)
+    if work is None:
+        work = flux_workspace(c)
     if c.spec.family == "bellman":
-        best = None
-        for v in c.terms:
+        # per control where an array of the points is read (broadcasting
+        # it over the controls would buffer it), else all controls at once
+        p, bp, val, per_control = work
+        for v, (p_k, val_k) in zip(c.terms, per_control):
             # -b.p advects against the drift: information comes from the +b
             # side, so positive components read the forward difference
-            p_sel = np.where(v.b > 0, pp, pm)
-            val = (v.lam * np.asarray(r)
-                   - np.einsum("ij,ij->i", v.b, p_sel) - v.f)
-            best = val if best is None else np.maximum(best, val, out=best)
-        return best
-    mid = 0.5 * (pm + pp)
-    pn = _norms(mid)
-    required = lf_viscosity_bound(c, float(pn.max(initial=0.0)))
+            np.multiply(v.b, pm, p_k)
+            np.multiply(v.b, pp, p_k, where=v.upwind)
+            np.multiply(v.lam, r, val_k)
+        # b.p summed as np.einsum("ij,ij->i") sums it: from +0.0
+        val -= p.sum(axis=1, out=bp, initial=0.0)
+        val -= c.stacked["f"]
+        # the maximum over the controls, taken in their order
+        return np.maximum.reduce(val, axis=0, out=out)
+    p, cols, acc, term = work
+    np.add(pm, pp, p)
+    p *= 0.5
+    # |p| per row; the squares are never -0.0, so adding the columns to
+    # the first equals their sum over the row (and in 1-D the first is it)
+    pn = np.multiply(cols[0], cols[0], acc)
+    for col in cols[1:]:
+        pn += np.multiply(col, col, term)
+    np.sqrt(pn, pn)
+    required = _viscosity_bounds(c, float(pn.max(initial=0.0)))
     if sigma is None:
-        sigma = required + 1.0
-    elif not (isinstance(sigma, np.ndarray) and sigma.shape == required.shape):
-        sigma = np.full(c.spec.dim, sigma, dtype=float)
-    if (sigma < required - 1e-12).any():
+        sigma = np.array(required) + 1.0
+    elif not (isinstance(sigma, np.ndarray) and sigma.shape == (dim,)):
+        sigma = np.full(dim, sigma, dtype=float)
+    if any(s < q - 1e-12 for s, q in zip(sigma.tolist(), required)):
+        required = np.array(required)
         raise ViscosityUnderflow(
             f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
             required=required)
-    out = _coercive_values(c, r, mid, pn)
-    out -= 0.5 * ((pp - pm) * sigma).sum(axis=1)
+    # a1 |p|^m + a2 |p|^l + b.p + lam r - f, as _coercive_values adds it
+    v, spec = c.terms[0], c.spec
+    if c.a2_active:
+        np.copyto(term, pn)
+        term **= spec.l
+        term *= v.a2
+    if spec.m != 1:
+        pn **= spec.m  # in place, with the shortcuts of pn ** m
+    np.multiply(v.a1, pn, out)  # pow(x, 1) is x
+    if c.a2_active:
+        out += term
+    if v.b is not None:
+        out += np.einsum("ij,ij->i", v.b, p, out=term)
+    out += np.multiply(v.lam, r, term)
+    out -= v.f
+    # the viscosity term; its columns are added from the first, not from
+    # +0.0 as np.sum adds them, which changes only a -0.0 sum, and that
+    # only where out is -0.0: never for a1 > 0, whose term is +0.0 or more
+    np.subtract(pp, pm, p)
+    for col, s in zip(cols, sigma.tolist()):
+        col *= s
+    spread = cols[0]
+    for col in cols[1:]:
+        spread = np.add(spread, col, acc)
+    out -= np.multiply(0.5, spread, acc)
     return out
 
 
@@ -491,12 +562,8 @@ def check_H1(spec, pts) -> Certificate:
     # others at each sample's own time
     pts = pts[idx]
     c = Coefficients(spec, pts, 0.0)
-    for k, name, axis, fld, _ in c._moving:
-        vals = _at_times(fld, pts, ts)
-        if axis is None:
-            setattr(c.terms[k], name, vals)
-        else:
-            getattr(c.terms[k], name)[:, axis] = vals
+    for name, at, fld, _ in c._moving:
+        c.stacked[name][at] = _at_times(fld, pts, ts)
     quot = ((hamiltonian_values(c, u, p) - hamiltonian_values(c, v, p)) / (u - v)
             - properness_floor(spec, pts))
     worst = float(quot[u > v].min(initial=np.inf))

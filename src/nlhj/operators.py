@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from . import kernels
 from .errors import NodeOutsideGrid
@@ -40,7 +41,7 @@ def envelope(grid: Grid, u: np.ndarray, phi_trace, out=None) -> np.ndarray:
         E, at = u.copy(), grid.trace_pos
     else:
         E, at = out, grid.trace_index
-        E[...] = u.reshape(E.shape)
+        E[...] = u if u.shape == E.shape else u.reshape(E.shape)
     E[at] = np.maximum(u[grid.trace_pos], phi_trace)
     return E
 
@@ -118,24 +119,41 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-# numpy's 1-D transforms skip the n-D wrappers' per-call overhead; the 2-D
-# one pads axis by axis, so it cannot write into a given array
-def _rfft(a: np.ndarray, shape: tuple, out=None) -> np.ndarray:
-    if len(shape) == 1:
-        return np.fft.rfft(a, shape[0], out=out)
-    return np.fft.rfft2(a, shape)
+def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
+    """Output arrays for :func:`_correlate`'s transforms to ``shape``
+    whose half spectrum has the shape ``spectrum``: that spectrum, in 2-D a
+    second array like it, and the inverse transform's real output."""
+    return (np.empty(spectrum, dtype=complex),
+            np.empty(spectrum, dtype=complex) if len(shape) == 2 else None,
+            np.empty(shape))
+
+
+# the gufuncs that np.fft.rfft, fft, ifft and irfft wrap (numpy >= 2.0),
+# called as those wrappers call them: along one axis, scaled by 1 forward
+# and 1/n backward, with n fixed by the output's length.  Their argument
+# handling costs as much as the transforms of a few hundred points.
+_ALONG = ([(0,), (), (0,)], [(1,), (), (1,)])
 
 
 def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple,
-               out=(None, None)):
+               work: tuple | None = None) -> np.ndarray:
     """The correlation with spectrum ``spec`` of ``a`` zero-padded to
-    ``shape``, at the nodes selected by ``keep``, flattened; ``out`` holds
-    arrays for the transforms' output, of which the result may be a view."""
-    prod = _rfft(a, shape, out[0])
-    prod *= spec
+    ``shape``, at the nodes selected by ``keep``: a view of the inverse
+    transform's output.  The transforms run axis by axis, as np.fft.rfftn
+    and irfftn do, into ``work`` (see :func:`_transform_outputs`), which is
+    allocated when not given."""
+    spectrum, spare, real = work or _transform_outputs(spec.shape, shape)
+    last = _ALONG[len(shape) - 1]
+    rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
     if len(shape) == 1:
-        return np.fft.irfft(prod, shape[0], out=out[1])[keep].ravel()
-    return np.fft.irfft2(prod, shape, out=out[1])[keep].ravel()
+        prod = rfft(a, 1, axes=last, out=spectrum)
+    else:
+        half = rfft(a, 1, axes=last, out=spare[:len(a)])
+        prod = _pocketfft.fft(half, 1, axes=_ALONG[0], out=spectrum)
+    prod *= spec
+    if len(shape) == 2:
+        prod = _pocketfft.ifft(prod, 1 / shape[0], axes=_ALONG[0], out=spare)
+    return _pocketfft.irfft(prod, 1 / shape[-1], axes=last, out=real)[keep]
 
 
 def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
@@ -144,7 +162,7 @@ def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
     padded = np.zeros(shape)
     idx = [np.arange(-(m // 2), m // 2 + 1) % n for m, n in zip(taps.shape, shape)]
     padded[np.ix_(*idx)] = taps
-    return np.conj(_rfft(padded, shape))
+    return np.conj(np.fft.rfftn(padded))
 
 
 @dataclass
@@ -186,6 +204,7 @@ class SweepPlan:
     _core_fft: tuple = dfield(init=False, repr=False)
     _core_spec: np.ndarray = dfield(init=False, repr=False)
     _scratch: tuple = dfield(init=False, repr=False)
+    _spent: np.ndarray = dfield(init=False, repr=False)
     _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -226,15 +245,16 @@ class SweepPlan:
         self._core_fft = tuple(_fft_length(m + k) for m, k in zip(box, K))
         self._core_spec = _correlation_spectrum(
             S[tuple(slice(J - k, J + k + 1) for k in K)], self._core_fft)
-        # apply's transform output (see _rfft for 2-D), shared by its states
-        self._scratch = (np.empty_like(self._core_spec) if g.dim == 1 else None,
-                         np.empty(self._core_fft))
+        # apply's transform outputs, shared by its states
+        self._scratch = _transform_outputs(self._core_spec.shape,
+                                           self._core_fft)
+        self._spent = self._scratch[2].reshape(-1)[:len(g.core_flat)]
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
         # load of a unit constant datum
         inside = _correlate(np.ones(box), self._core_spec, self._core_fft,
-                            self._box_start)
+                            self._box_start).ravel()
         self.exit_mass = S.sum() - inside + qt.tail_mass
 
     @cached_property
@@ -250,35 +270,49 @@ class SweepPlan:
     def _full_spec(self) -> np.ndarray:
         return _correlation_spectrum(self._stencil, self._full_fft)
 
-    def exterior_load(self, ext: np.ndarray) -> np.ndarray:
+    def exterior_load(self, ext: np.ndarray, out=None) -> np.ndarray:
         """Per core node, the stencil terms whose jump leaves the core, plus
         the tail against the constant continuation, for the datum values
         ``ext`` at ``grid.exterior_points`` (or one value, for a datum
-        constant in space).  It changes only when the datum does."""
+        constant in space), written into ``out`` where given.  It changes
+        only when the datum does."""
         if np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
-            return ext[0] * self.exit_mass
+            return np.multiply(ext[0], self.exit_mass, out=out)
         # the datum on the full grid with a zero core, only while it is read
         g = self.grid
         E = np.zeros(g.size)
         E[g.exterior_flat] = ext
         load = _correlate(E.reshape(g.shape), self._full_spec, self._full_fft,
-                          self.core_box)
-        return load + self.qt.tail_sides @ _tail_values(g, E)
+                          self.core_box).ravel()
+        return np.add(load, self.qt.tail_sides @ _tail_values(g, E), out=out)
 
-    def apply(self, E: np.ndarray, centers: np.ndarray,
-              load: np.ndarray) -> np.ndarray:
+    def apply(self, E: np.ndarray, centers: np.ndarray, load: np.ndarray,
+              out=None) -> np.ndarray:
         """Operator values at every core node (interior + trace), in
         ``core_flat`` order, for the core values ``E`` in that order.
 
         ``E`` may have the core block's shape instead.  ``centers`` supplies
         the value subtracted at the evaluated node (the solver passes the raw
         solution there); ``load`` is :meth:`exterior_load` of the datum.  The
-        result is a new array, never a view of the plan's scratch.
+        result is written into ``out``, an array of one value per core node
+        that belongs to the caller (a solver state), or else into a new
+        array; it is never a view of the plan's scratch.
         """
-        out = _correlate(E.reshape(self.core_shape), self._core_spec,
-                         self._core_fft, self._box_start, self._scratch) + load
-        out -= self.diag * centers
+        if E.shape != self.core_shape:
+            E = E.reshape(self.core_shape)
+        corr = _correlate(E, self._core_spec, self._core_fft, self._box_start,
+                          self._scratch)
+        if out is None:
+            out = np.empty(centers.shape)
+        if corr.ndim == 1:
+            np.add(corr, load, out)
+        else:
+            # a copy, as numpy would buffer the strided view in a sum
+            np.copyto(out.reshape(corr.shape), corr)
+            out += load
+        # the inverse transform's output is spent: it takes diag * centers
+        out -= np.multiply(self.diag, centers, self._spent)
         return out
 
 

@@ -18,6 +18,12 @@ A state holds one padded block: the core block plus that ring, written only
 when the datum is read (at t0, and per step for a t-dependent datum).  A
 step writes the envelope into the interior once; the sweep reads the
 interior and the one-sided differences shifted views of the block.
+
+The block is part of the state's workspace, built once with the state: the
+one-sided differences, the flux with its scratch and the right-hand side
+are the rest of it.  A step writes each of them in place (the sweep's
+output becomes the update, from which the flux is subtracted), so a step
+whose data do not depend on t allocates no array of the core's size.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .errors import (BlowUp, CflViolation, NonConvergence, PreconditionError,
                      ValidationError, ViscosityUnderflow)
 from .geometry import Grid
-from .hamiltonians import (CoefficientField, Coefficients,
+from .hamiltonians import (CoefficientField, Coefficients, flux_workspace,
                            lf_viscosity_bound, numerical_hamiltonian_many)
 from .operators import Field, SweepPlan, envelope
 
@@ -67,7 +73,12 @@ class SolveState:
     that do not depend on t are evaluated once, by :func:`init_state`; the
     rest are held bound to their points (``datum`` and ``coeffs``), and a
     step evaluates their parts that read t at the new time.  Setting
-    ``sigma`` drops the cached CFL denominator."""
+    ``sigma`` drops the cached CFL denominator.
+
+    The workspace a step writes into, allocated here: ``block``, the
+    one-sided differences ``diffs`` of shape (2, dim, *core_shape)
+    (backward, forward), the update ``rhs`` and the ``flux`` at the core
+    nodes, and the flux's scratch ``flux_work``."""
 
     plan: SweepPlan
     spec: object
@@ -84,13 +95,30 @@ class SolveState:
     datum: tuple | None = dfield(default=None, repr=False)  # see _bind_datum
     phi_trace: np.ndarray = dfield(init=False, repr=False)
     block: np.ndarray = dfield(init=False, repr=False)
+    diffs: np.ndarray = dfield(init=False, repr=False)
+    rhs: np.ndarray = dfield(init=False, repr=False)
+    flux: np.ndarray = dfield(init=False, repr=False)
+    flux_work: tuple = dfield(init=False, repr=False)
+    _views: tuple = dfield(init=False, repr=False)  # see _one_sided_gradients
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     _den: float | None = dfield(default=None, repr=False)
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
         self.phi_trace = np.empty(len(self.grid.trace_pos))
-        self.block = np.zeros([m + 2 for m in self.plan.core_shape])
+        core, dim = self.plan.core_shape, self.grid.dim
+        self.block = np.zeros([m + 2 for m in core])
+        self.diffs = np.empty((2, dim) + core)
+        self.rhs = np.empty_like(self.u)
+        self.flux = np.empty_like(self.u)
+        self.flux_work = flux_workspace(self.coeffs)
+        block, diffs = self.block, self.diffs
+        self._views = (
+            block[self.plan.inner],
+            tuple((block[bwd], block[fwd], diffs[0, a], diffs[1, a])
+                  for a, (bwd, fwd) in enumerate(self.plan.shifts)),
+            dim > 1,  # the block's shifted views are not contiguous
+            diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T)
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -184,7 +212,7 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
         if cfg.sigma_override is not None:
             st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
         else:
-            envelope(plan.grid, st.u, st.phi_trace, out=st.block[plan.inner])
+            envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
             pm, pp = _one_sided_gradients(st)
             scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
             st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
@@ -194,15 +222,21 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
 def _one_sided_gradients(st: SolveState):
     """Backward and forward differences at the core nodes, shape (N, dim),
     reading the state's block: the envelope inside and the held datum on
-    the ring."""
-    plan, dim = st.plan, st.grid.dim
-    u = st.u.reshape(plan.core_shape)
-    diffs = np.empty((2,) + plan.core_shape + (dim,))
-    for a, (bwd, fwd) in enumerate(plan.shifts):
-        np.subtract(u, st.block[bwd], out=diffs[0, ..., a])
-        np.subtract(st.block[fwd], u, out=diffs[1, ..., a])
-    diffs /= st.grid.h
-    return diffs[0].reshape(-1, dim), diffs[1].reshape(-1, dim)
+    the ring.  They are views of ``st.diffs``, whose layout (2, dim,
+    *core_shape) makes each axis's differences contiguous."""
+    _, shifts, strided, pm, pp = st._views
+    u = st.u.reshape(st.plan.core_shape)
+    for bwd, fwd, d_bwd, d_fwd in shifts:
+        if strided:
+            # numpy would buffer a view that is not contiguous: copy it
+            # into the output and subtract there
+            np.copyto(d_bwd, bwd)
+            np.copyto(d_fwd, fwd)
+            bwd, fwd = d_bwd, d_fwd
+        np.subtract(u, bwd, d_bwd)
+        np.subtract(fwd, u, d_fwd)
+    st.diffs /= st.grid.h
+    return pm, pp
 
 
 def cfl_denominator(st: SolveState) -> float:
@@ -232,11 +266,12 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 
 
 def _rhs(st: SolveState) -> np.ndarray:
-    E = envelope(st.grid, st.u, st.phi_trace, out=st.block[st.plan.inner])
-    op = st.plan.apply(E, st.u, st.load)
+    E = envelope(st.grid, st.u, st.phi_trace, out=st._views[0])
+    rhs = st.plan.apply(E, st.u, st.load, out=st.rhs)
     pm, pp = _one_sided_gradients(st)
-    op -= numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma)
-    return op
+    rhs -= numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma,
+                                      out=st.flux, work=st.flux_work)
+    return rhs
 
 
 def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveState:
@@ -279,7 +314,7 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     st.t += use
     st.last_dt = use
     if st.phi.time_dependent:
-        st.load = st.plan.exterior_load(_read_datum(st))
+        st.plan.exterior_load(_read_datum(st), out=st.load)
     if st.coeffs.moving:
         st.coeffs.at(st.t)
         if st.coeffs.moving & {"lam", "b"}:
@@ -352,11 +387,13 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
     if tol is None:
         tol = 1e-8 * (1.0 + st.sup_norm)
     t_frozen = st.t
+    prev, change = np.empty_like(st.u), np.empty_like(st.u)
     for _ in range(cfg.max_steps):
-        prev = st.u.copy()
+        np.copyto(prev, st.u)
         step(st, cfg)
         st.t = t_frozen  # explicit pseudo-time marching with frozen data
-        res = float(np.abs(st.u - prev).max()) / st.last_dt
+        np.subtract(st.u, prev, out=change)
+        res = float(np.abs(change, out=change).max()) / st.last_dt
         rep.residuals.append(res)
         rep.sup_norms.append(st.sup_norm)
         if res <= tol:

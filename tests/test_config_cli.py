@@ -559,3 +559,82 @@ def test_2d_discretization_memory():
                          capture_output=True, text=True, check=True)
     peak_mb = int(run.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
     assert peak_mb < 200.0
+
+
+def test_steady_must_be_a_boolean(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("T = 0.25", "steady = maybe")
+    p = write(tmp_path, text, "steady.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any("[scheme] steady: not a boolean" in m
+               for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert "[scheme] steady" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["0.5 1.0\n", "0.1\n0.5\n1.0\n"])
+def test_custom_radial_profile_needs_two_rows_of_two_columns(tmp_path,
+                                                             capsys, table):
+    out = tmp_path / "out"
+    (tmp_path / "profile.txt").write_text(table)
+    text = MINIMAL.format(out=out).replace(
+        "type = fractional_laplacian",
+        "type = custom_radial\nprofile = profile.txt")
+    p = write(tmp_path, text, "profile.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any("[kernel] profile profile.txt" in m for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert "[kernel] profile" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BELLMAN_HAMILTONIAN = """[hamiltonian]
+family = bellman
+controls = 1
+lam_1 = 1
+b_1 = -x
+f_1 = 0
+"""
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("domain", "dimension", "1.5"),
+    ("domain", "dimension", "0"),
+    ("hamiltonian", "controls", "0"),
+    ("hamiltonian", "controls", "1.5"),
+    ("scheme", "max_steps", "0"),
+    ("scheme", "max_steps", "-3"),
+    ("scheme", "max_steps", "2.5"),
+    ("experiment", "seeds", "0"),
+    ("experiment", "seeds", "2.5"),
+])
+def test_counts_must_be_whole_numbers_of_at_least_one(tmp_path, capsys,
+                                                      section, key, value):
+    # before, dimension = 1.5 ran in 1-D and max_steps = 0 became 2,000,000
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out)
+    if key == "controls":
+        start = text.index("[hamiltonian]")
+        text = (text[:start] + BELLMAN_HAMILTONIAN
+                + text[text.index("[data]"):])
+    text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    text = text.replace(f"[{section}]", f"[{section}]\n{key} = {value}", 1)
+    p = write(tmp_path, text, "count.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any(m.startswith(f"[{section}] {key}: not a whole number")
+               for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_read_as_integers(tmp_path):
+    text = MINIMAL.format(out=tmp_path / "out").replace(
+        "theta = 0.9", "theta = 0.9\nmax_steps = 1e3")
+    cfg = parse_config(write(tmp_path, text))
+    assert cfg.scheme.max_steps == 1000 and isinstance(cfg.scheme.max_steps,
+                                                       int)

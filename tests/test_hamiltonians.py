@@ -309,3 +309,89 @@ def test_sampled_certificates_match_per_sample_loop(dim, moving):
     lip = spec.check_lipschitz(dom)
     assert lip.value == lipschitz_reference(spec, dom)
     assert lip.passed and lip.value > 0.5
+
+
+def _flux_before_workspace(c, r, pm, pp, sigma=None):
+    """The flux as computed before the workspace, each term a new array:
+    the reference the in-place kernel must equal bit for bit."""
+    if c.spec.family == "bellman":
+        best = None
+        for v in c.terms:
+            p_sel = np.where(v.b > 0, pp, pm)
+            val = (v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p_sel)
+                   - v.f)
+            best = val if best is None else np.maximum(best, val, out=best)
+        return best
+    mid = 0.5 * (pm + pp)
+    pn = np.sqrt((mid * mid).sum(axis=1))
+    required = lf_viscosity_bound(c, float(pn.max(initial=0.0)))
+    sigma = required + 1.0 if sigma is None else sigma
+    v, spec = c.terms[0], c.spec
+    out = v.a1 * pn ** spec.m
+    if c.a2_active:
+        out += v.a2 * pn ** spec.l
+    if v.b is not None:
+        out += np.einsum("ij,ij->i", v.b, mid)
+    out = out + v.lam * np.asarray(r) - v.f
+    out -= 0.5 * ((pp - pm) * sigma).sum(axis=1)
+    return out
+
+
+FLUX_CASES = {
+    "coercive-1d": lambda: CoerciveSpec(m=1.0, a1="1 + 0.5*x^2", lam=0.5,
+                                        f="0.2*cos(3*x)"),
+    "coercive-1d-m2": lambda: CoerciveSpec(m=2, a1=1.0, lam="x", f=0.0),
+    "coercive-2d-a2-b": lambda: CoerciveSpec(
+        m=2.0, a1=1.0, a2="0.5 + 0.1*x", l=1.5, b=["x", "-y"], lam=0.5,
+        f=0.0, dim=2),
+    # m, l < 1 and gradients below GRAD_FLOOR: the floored viscosity bound
+    "coercive-2d-sublinear": lambda: CoerciveSpec(
+        m=0.5, a1=1.0, a2=0.3, l=0.25, lam=0.0, f="0.1*y", dim=2),
+    # zero lam and drift components make signed zeros in the sums
+    "bellman-1d": lambda: BellmanSpec([ControlLaw(lam=0.0, b="x", f=0.0),
+                                       ControlLaw(lam=0.5, b=0.0,
+                                                  f="0.1*x")]),
+    "bellman-2d": lambda: BellmanSpec(
+        [ControlLaw(lam=0.0, b=["x", 0.0], f=0.0, dim=2),
+         ControlLaw(lam=0.3, b=["-y", "x*y"], f=0.1, dim=2),
+         ControlLaw(lam=0.5, b=[0.5, "-x"], f="0.2*y", dim=2)], dim=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLUX_CASES))
+def test_flux_workspace_is_bit_identical(case):
+    # the flux written into a workspace, or into fresh arrays, equals the
+    # allocating form it replaced byte for byte (signed zeros included),
+    # with the gradients laid out as the solver's or as plain rows
+    from nlhj.hamiltonians import flux_workspace
+    spec = FLUX_CASES[case]()
+    dim = spec.dim
+    pts = core_pts(Domain((-1.0,) * dim, (1.0,) * dim),
+                   2.0 ** -4 if dim == 1 else 0.25)
+    n = len(pts)
+    c = Coefficients(spec, pts, 0.0)
+    rng = np.random.default_rng(7)
+    scale = 1e-3 if "sublinear" in case else 1.0
+    grads = rng.normal(size=(2, n, dim)) * scale
+    grads[:, ::5] = 0.0
+    grads[0, ::7] = -0.0
+    grads[1, 1::6] = grads[0, 1::6]  # equal one-sided gradients
+    r = rng.normal(size=n)
+    r[::4] = 0.0
+    r[1::9] = -0.0
+    sigmas = [None] if spec.family == "bellman" else \
+        [None, lf_viscosity_bound(c, 10.0 * scale) + 2.0]
+    for sigma in sigmas:
+        ref = _flux_before_workspace(c, r, grads[0], grads[1], sigma)
+        held = np.empty((2, dim, n))  # the solver's layout
+        held[:] = grads.transpose(0, 2, 1)
+        pm, pp = held[0].T, held[1].T
+        out, work = np.empty(n), flux_workspace(c)
+        for _ in range(2):  # a reused workspace gives the same bytes
+            got = [numerical_hamiltonian_many(c, r, grads[0], grads[1], sigma),
+                   numerical_hamiltonian_many(c, r, pm, pp, sigma),
+                   numerical_hamiltonian_many(c, r, pm, pp, sigma, out=out,
+                                              work=work)]
+            assert got[2] is out
+            for g in got:
+                assert g.tobytes() == ref.tobytes()

@@ -5,8 +5,8 @@ from nlhj.errors import NodeOutsideGrid
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
-from nlhj.operators import (Field, SweepPlan, envelope, eval_operator,
-                            save_field, scheme_evaluation)
+from nlhj.operators import (Field, SweepPlan, _tail_values, envelope,
+                            eval_operator, save_field, scheme_evaluation)
 from nlhj.oracles import operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
@@ -211,3 +211,57 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
                       + qt.lam * (E[flat] - centers[i]))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         step(st, cfg)
+
+
+def _correlate_with_numpy_fft(a, spec, shape, keep):
+    """The correlation through np.fft's public wrappers, as the sweep
+    computed it before it called their gufuncs."""
+    if len(shape) == 1:
+        return np.fft.irfft(np.fft.rfft(a, shape[0]) * spec, shape[0])[keep]
+    return np.fft.irfft2(np.fft.rfft2(a, shape) * spec, shape)[keep]
+
+
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
+def test_sweep_writes_into_out_bit_for_bit(dim, h):
+    # apply and exterior_load with and without a caller's array equal the
+    # sweep formed from np.fft's public transforms, byte for byte
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    plan = SweepPlan(grid_for(dom, h, 2.0),
+                     build_quadrature(fractional_laplacian_kernel(0.5, dim),
+                                      h, 2.0))
+    g = plan.grid
+    rng = np.random.default_rng(3)
+    n = len(g.core_flat)
+    E = rng.normal(size=n)
+    centers = E.copy()
+    centers[g.trace_pos] -= 0.25  # raw centres below the envelope
+    ext = rng.normal(size=len(g.exterior_flat))
+    full = np.zeros(g.size)
+    full[g.exterior_flat] = ext
+    ref_load = (_correlate_with_numpy_fft(full.reshape(g.shape),
+                                          plan._full_spec, plan._full_fft,
+                                          plan.core_box).ravel()
+                + plan.qt.tail_sides @ _tail_values(g, full))
+    inside = _correlate_with_numpy_fft(np.ones(plan.core_shape),
+                                       plan._core_spec, plan._core_fft,
+                                       plan._box_start).ravel()
+    exit_mass = plan._stencil.sum() - inside + plan.qt.tail_mass
+    assert plan.exit_mass.tobytes() == exit_mass.tobytes()
+    ref_const = ext[0] * exit_mass
+    for datum, ref in ((ext, ref_load), (np.full(3, ext[0]), ref_const)):
+        held = np.empty(n)
+        assert plan.exterior_load(datum).tobytes() == ref.tobytes()
+        assert plan.exterior_load(datum, out=held) is held
+        assert held.tobytes() == ref.tobytes()
+    load = ref_load
+    corr = _correlate_with_numpy_fft(E.reshape(plan.core_shape),
+                                     plan._core_spec, plan._core_fft,
+                                     plan._box_start).ravel()
+    ref = corr + load
+    ref -= plan.diag * centers
+    out = np.empty(n)
+    for got in (plan.apply(E, centers, load),
+                plan.apply(E.reshape(plan.core_shape), centers, load),
+                plan.apply(E, centers, load, out=out)):
+        assert got.tobytes() == ref.tobytes()
+    assert plan.apply(E, centers, load, out=out) is out

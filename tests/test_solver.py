@@ -257,9 +257,9 @@ def test_one_sided_differences_read_the_datum_at_t(monkeypatch, dim, h, r_max):
     seen = []
     real = solver.numerical_hamiltonian_many
 
-    def spy(coeffs, u, pm, pp, sigma):
+    def spy(coeffs, u, pm, pp, sigma, **workspace):
         seen.append((pm.copy(), pp.copy()))
-        return real(coeffs, u, pm, pp, sigma)
+        return real(coeffs, u, pm, pp, sigma, **workspace)
 
     monkeypatch.setattr(solver, "numerical_hamiltonian_many", spy)
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
@@ -502,3 +502,52 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
     kept = first.copy()
     plan.apply(sb.field().values[plan.grid.core_flat], sb.u, sb.load)
     assert np.array_equal(first, kept)
+
+
+def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
+    # b = cos(4t) turns negative at t = pi/8; every step equals a fresh
+    # evaluation, so a mask held from t = 0 (b > 0) fails after the turn
+    spec = BellmanSpec([ControlLaw(lam=0.5, b="cos(4*t)", f="0.2*x"),
+                        ControlLaw(lam=0.3, b=0.5, f=0.0)])
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -4, 2.0, spec, "0.3*sin(2*x) + t",
+                          lambda p: 0.5 * np.cos(2.0 * p[:, 0]), kernel=k)
+    upwind = set()
+    while st.t < 0.6:
+        u, rhs = _fresh_rhs(st, spec)
+        step(st, cfg)
+        assert np.array_equal(st.u, u + st.last_dt * rhs)
+        upwind.add(bool(st.coeffs.terms[0].upwind.all()))
+    assert upwind == {True, False}
+
+
+@pytest.mark.parametrize("case, h", [("coercive-1d", 2.0 ** -7),
+                                     ("bellman-1d", 2.0 ** -7),
+                                     ("bellman-2d", 2.0 ** -4)])
+def test_step_allocates_no_array_of_the_core_size(case, h):
+    # with data that do not depend on t, a step after the first writes into
+    # the state's workspace: what it allocates and frees again stays below
+    # 8 bytes per core node.  What remains is numpy's own scratch for a
+    # reduction, a transform or an indexed write (at most about 4 KB,
+    # whatever the size), so the grids are the benchmark's
+    import tracemalloc
+    dim = 2 if case.endswith("2d") else 1
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    if case.startswith("coercive"):
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
+    else:
+        b = ["-x", "-y"][:dim]
+        spec = BellmanSpec([ControlLaw(lam=1.0, b=b, f=0.1, dim=dim),
+                            ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0,
+                                       dim=dim)], dim=dim)
+    k = fractional_laplacian_kernel(0.5, dim)
+    g, qt, cfg, st = make(dom, h, 2.0, spec, 1.0,
+                          lambda p: 1.0 - 0.3 * (p * p).sum(axis=1), kernel=k)
+    step(st, cfg)
+    tracemalloc.start()
+    try:
+        step(st, cfg)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 8 * len(st.u)
