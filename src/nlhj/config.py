@@ -28,7 +28,7 @@ from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
                            check_UE)
 from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
-from .operators import envelope, row_prefixes, save_field, table_rows
+from .operators import envelope, row_prefixes, row_template, save_field
 from .solver import (SchemeConfig, cfl_denominator, eval_initial, init_state,
                      run_to_steady, run_to_time)
 from . import harness
@@ -347,8 +347,8 @@ def _write_trace_gaps(path: Path, points: np.ndarray, series):
     with open(path, "w") as fh:
         fh.write("\t".join(("x",) * points.shape[1] + ("t", "gap")) + "\n")
         for t, gaps in series:
-            at_t = "%.17g\t" % t
-            fh.writelines(table_rows([p + at_t for p in prefixes], gaps))
+            template = row_template(prefixes, "%.17g\t" % t)
+            fh.write(template % tuple(np.asarray(gaps, dtype=float).tolist()))
 
 
 def run_certificates(cfg: RunConfig) -> dict:
@@ -446,11 +446,11 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             rep = run_to_time(st, scheme, scheme.T)
             rows = list(zip(rep.times, rep.sup_norms))
             header = ("t", "sup_norm")
-        prefixes = row_prefixes(grid.core_points)
+        template = row_template(row_prefixes(grid.core_points))
         for i, (t, u) in enumerate(rep.snapshots):
             E = envelope(grid, u, st.phi(grid.trace_points, t))
             save_field(grid, E, t, cfg.outdir / f"field_t{i:04d}.tsv",
-                       kern.alpha, prefixes)
+                       kern.alpha, template)
         _write_trace_gaps(cfg.outdir / "trace_gaps.tsv", grid.trace_points,
                           rep.trace_gap_series)
         _write_tsv(cfg.outdir / "report.tsv", header, rows)

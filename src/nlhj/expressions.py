@@ -193,7 +193,8 @@ class Expression:
 
     def bind(self, points: np.ndarray):
         """``t -> self(points, t)``, with every maximal subexpression that
-        reads x or y but not t evaluated here, once.
+        reads x or y but not t evaluated here, once; the values go into
+        ``out`` where it is given.
 
         The held values are the arrays a full evaluation makes, on the same
         points, and every other operation runs in its original order on the
@@ -207,8 +208,9 @@ class Expression:
         for name, part in held:
             namespace[name] = eval(part, self._namespace, env)
 
-        def at(t: float) -> np.ndarray:
-            out = np.empty(n)
+        def at(t: float, out=None) -> np.ndarray:
+            if out is None:
+                out = np.empty(n)
             out[:] = eval(code, namespace, {"t": np.float64(t)})
             return out
 

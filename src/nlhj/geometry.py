@@ -138,11 +138,11 @@ class Grid:
     core nodes, and the trace nodes (on the boundary) are the box's faces.
     Storage is a flat float array in row major order; ``core_flat`` lists
     the flat indices of the core nodes, ``trace_flat`` those of the trace
-    nodes, ``exterior_flat`` the rest, ``trace_pos`` the positions of the
-    trace nodes in core order and ``trace_index`` their indices in the core
-    box.  ``core_points``, ``trace_points`` and ``exterior_points`` hold the
-    coordinates of each node set, read-only as every run shares them; the
-    exterior sets span the whole halo and are built on first read.
+    nodes, ``exterior_flat`` the rest and ``trace_pos`` the positions of
+    the trace nodes in core order.  ``core_points``, ``trace_points`` and
+    ``exterior_points`` hold the coordinates of each node set, read-only as
+    every run shares them; the exterior sets span the whole halo and are
+    built on first read.
     """
 
     domain: Domain
@@ -173,7 +173,6 @@ class Grid:
         face = np.ones(box, dtype=bool)
         face[(slice(1, -1),) * self.dim] = False
         self.trace_pos = np.flatnonzero(face)
-        self.trace_index = np.unravel_index(self.trace_pos, box)
         self.trace_flat = self.core_flat[self.trace_pos]
         self.core_points = self.points_at(self.core_flat)
         self.trace_points = self.core_points[self.trace_pos]

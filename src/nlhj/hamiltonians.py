@@ -56,15 +56,17 @@ class CoefficientField:
     def __call__(self, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
         return self._values(np.atleast_2d(np.asarray(pts, dtype=float)), t)
 
-    def _values(self, pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty(pts.shape[0])
+    def _values(self, pts: np.ndarray, t: float, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(pts.shape[0])
         out[:] = self._fn(pts, t)  # broadcasts a scalar result
         return out
 
     def bind(self, pts: np.ndarray):
-        """``t -> self(pts, t)``: an expression evaluates its parts that do
-        not read t here, once (see ``Expression.bind``); a number or a
-        callable is evaluated in full at each call."""
+        """``t -> self(pts, t)``, into ``out`` where it is given: an
+        expression evaluates its parts that do not read t here, once (see
+        ``Expression.bind``); a number or a callable is evaluated in full at
+        each call."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if isinstance(self._fn, Expression):
             return self._fn.bind(pts)
@@ -249,6 +251,7 @@ class Coefficients:
                         values[at] = c(pts, t)
                 setattr(self.terms[k], name, values[k].T)
         self.moving = frozenset(entry[0] for entry in self._moving)
+        self._moves_bounds = bool(self.moving - {"f"})
         self._bound()
         if spec.family == "bellman":
             self.upwind = self.stacked["b"] > 0
@@ -272,8 +275,8 @@ class Coefficients:
         """The bundle at time t: evaluates the bound fields at t."""
         if t != self.t:
             for name, at, _, values in self._moving:
-                self.stacked[name][at] = values(t)
-            if self.moving - {"f"}:
+                values(t, out=self.stacked[name][at])
+            if self._moves_bounds:
                 self._bound()
             if "b" in self.moving and self.spec.family == "bellman":
                 np.greater(self.stacked["b"], 0, out=self.upwind)
@@ -554,10 +557,11 @@ def check_H1(spec, pts) -> Certificate:
         return Certificate("H1", bool(lam.min() >= 0), float(lam.min()),
                            {"exact": True})
     rng = np.random.default_rng(0)
-    draws = [(rng.integers(0, pts.shape[0]), rng.random(), rng.normal(),
-              abs(rng.normal()), rng.normal(size=spec.dim)) for _ in range(200)]
-    idx, ts, u, gap, p = (np.array(col) for col in zip(*draws))
-    v = u - gap  # u >= v
+    idx = rng.integers(0, pts.shape[0], 200)
+    ts = rng.random(200)
+    u = rng.normal(size=200)
+    v = u - np.abs(rng.normal(size=200))  # u >= v
+    p = rng.normal(size=(200, spec.dim))
     # the fields that do not read t once over the samples' points, the
     # others at each sample's own time
     pts = pts[idx]

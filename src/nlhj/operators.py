@@ -35,14 +35,22 @@ def envelope(grid: Grid, u: np.ndarray, phi_trace, out=None) -> np.ndarray:
     """Core values ``u`` (in ``core_flat`` order) with the upper envelope
     max(u, phi) at the trace nodes, for the datum ``phi_trace`` there: what
     the operator, the difference quotients, snapshots and :class:`Field`
-    read.  Returns a copy of ``u``, or fills ``out``, an array of the core
-    block's shape such as the interior of a solver state's padded block."""
+    read.  Returns a copy of ``u``, or fills a solver state's padded block
+    and returns its interior: ``out`` = (interior, the block flat, the
+    trace nodes' positions there, an array per trace node).  The trace
+    values are formed in the last and written through flat positions, as
+    an indexed write into the strided 2-D interior takes numpy scratch."""
     if out is None:
-        E, at = u.copy(), grid.trace_pos
-    else:
-        E, at = out, grid.trace_index
-        E[...] = u if u.shape == E.shape else u.reshape(E.shape)
-    E[at] = np.maximum(u[grid.trace_pos], phi_trace)
+        E = u.copy()
+        E[grid.trace_pos] = np.maximum(u[grid.trace_pos], phi_trace)
+        return E
+    E, flat, at, top = out
+    E[...] = u if u.shape == E.shape else u.reshape(E.shape)
+    # (axis, out, mode) passed by position, which costs less; mode "raise"
+    # would buffer out
+    u.take(grid.trace_pos, None, top, "clip")
+    np.maximum(top, phi_trace, out=top)
+    flat[at] = top
     return E
 
 
@@ -82,23 +90,27 @@ def row_prefixes(points: np.ndarray) -> list:
     return [row % tuple(p) for p in points.tolist()]
 
 
-def table_rows(prefixes, values):
-    """Rows ``prefix`` + ``values[i]`` as ``%.17g`` + newline."""
-    return map("%s%.17g\n".__mod__,
-               zip(prefixes, np.asarray(values, dtype=float).tolist()))
+def row_template(prefixes: list, columns: str = "") -> str:
+    """A text table's rows as one format string: per row its prefix (see
+    :func:`row_prefixes`), ``columns`` as they stand (formatted numbers,
+    no ``%``), a ``%.17g`` slot for the row's value and a newline.
+    ``template % tuple(values)`` formats the whole table in one call, byte
+    for byte as each row on its own."""
+    row = columns + "%.17g\n"
+    return "".join([p + row for p in prefixes])
 
 
 def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float,
-               prefixes: list | None = None):
+               template: str | None = None):
     """Write core node coordinates and ``values`` (in ``core_flat`` order)
-    as a text table with a metadata header.  ``prefixes`` are the core
-    points' :func:`row_prefixes`, which a run formats once for all its
-    snapshots."""
-    if prefixes is None:
-        prefixes = row_prefixes(grid.core_points)
+    as a text table with a metadata header, in one format call.
+    ``template`` is the core points' :func:`row_template`, which a run
+    builds once for all its snapshots."""
+    if template is None:
+        template = row_template(row_prefixes(grid.core_points))
     with open(path, "w") as fh:
         fh.write(f"# t={float(t):.17g} h={grid.h:.17g} alpha={alpha:.17g}\n")
-        fh.writelines(table_rows(prefixes, values))
+        fh.write(template % tuple(np.asarray(values, dtype=float).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +132,15 @@ def _fft_length(n: int) -> int:
 
 
 def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
-    """Output arrays for :func:`_correlate`'s transforms to ``shape``
-    whose half spectrum has the shape ``spectrum``: that spectrum, in 2-D a
-    second array like it, and the inverse transform's real output."""
+    """Arrays for :func:`_correlate`'s transforms to ``shape`` whose half
+    spectrum has the shape ``spectrum``: that spectrum; in 2-D a zero-filled
+    array like it, the forward column transforms' input, and a second array
+    like it, the inverse column transforms' output; and the inverse
+    transform's real output."""
+    two = len(shape) == 2
     return (np.empty(spectrum, dtype=complex),
-            np.empty(spectrum, dtype=complex) if len(shape) == 2 else None,
+            np.zeros(spectrum, dtype=complex) if two else None,
+            np.empty(spectrum, dtype=complex) if two else None,
             np.empty(shape))
 
 
@@ -138,22 +154,31 @@ _ALONG = ([(0,), (), (0,)], [(1,), (), (1,)])
 def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple,
                work: tuple | None = None) -> np.ndarray:
     """The correlation with spectrum ``spec`` of ``a`` zero-padded to
-    ``shape``, at the nodes selected by ``keep``: a view of the inverse
-    transform's output.  The transforms run axis by axis, as np.fft.rfftn
-    and irfftn do, into ``work`` (see :func:`_transform_outputs`), which is
-    allocated when not given."""
-    spectrum, spare, real = work or _transform_outputs(spec.shape, shape)
+    ``shape``, at the nodes selected by ``keep`` (slices): a view of the
+    inverse transform's output.  The transforms run axis by axis, as
+    np.fft.rfftn and irfftn do, into ``work`` (see
+    :func:`_transform_outputs`), which is allocated when not given.
+
+    In 2-D both passes are pruned, with the same transforms on the same
+    numbers: the row transforms of ``a`` fill the first ``len(a)`` rows of
+    the zero-filled forward array, whose other rows stay zero, so the
+    column transforms read it in full instead of padding each column; and
+    the inverse row transforms run only on the rows ``keep`` selects."""
+    spectrum, padded, spare, real = work or _transform_outputs(spec.shape,
+                                                               shape)
     last = _ALONG[len(shape) - 1]
     rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
     if len(shape) == 1:
         prod = rfft(a, 1, axes=last, out=spectrum)
-    else:
-        half = rfft(a, 1, axes=last, out=spare[:len(a)])
-        prod = _pocketfft.fft(half, 1, axes=_ALONG[0], out=spectrum)
+        prod *= spec
+        return _pocketfft.irfft(prod, 1 / shape[0], axes=last, out=real)[keep]
+    rfft(a, 1, axes=last, out=padded[:len(a)])
+    prod = _pocketfft.fft(padded, 1, axes=_ALONG[0], out=spectrum)
     prod *= spec
-    if len(shape) == 2:
-        prod = _pocketfft.ifft(prod, 1 / shape[0], axes=_ALONG[0], out=spare)
-    return _pocketfft.irfft(prod, 1 / shape[-1], axes=last, out=real)[keep]
+    cols = _pocketfft.ifft(prod, 1 / shape[0], axes=_ALONG[0], out=spare)
+    rows = keep[0]
+    return _pocketfft.irfft(cols[rows], 1 / shape[1], axes=last,
+                            out=real[rows])[:, keep[1]]
 
 
 def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
@@ -181,12 +206,17 @@ class SweepPlan:
 
     where corr is a zero-padded FFT correlation whose kernel spectrum is
     built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
-    that leave the core, tail included.
+    that leave the core, tail included.  The plan holds the transforms'
+    arrays, which its states share; in 2-D the transforms are pruned (see
+    :func:`_correlate`): the forward array stays zero beyond the core
+    block's rows, and only those rows are inverted.
 
     The one-sided differences read a state's block: the core block
     (``inner`` in it) padded by one node per side, the ring (``ring_points``,
-    at flat positions ``ring_pos``).  ``shifts[a]`` holds the backward and
-    forward neighbours along axis a of the core nodes.
+    at flat positions ``ring_pos``).  ``trace_block_pos`` holds the flat
+    positions in the block of the trace nodes, which :func:`envelope`
+    writes.  ``shifts[a]`` holds the backward and forward neighbours along
+    axis a of the core nodes.
     """
 
     grid: Grid
@@ -197,6 +227,7 @@ class SweepPlan:
     core_box: tuple = dfield(init=False, repr=False)
     ring_points: np.ndarray = dfield(init=False, repr=False)
     ring_pos: np.ndarray = dfield(init=False, repr=False)
+    trace_block_pos: np.ndarray = dfield(init=False, repr=False)
     inner: tuple = dfield(init=False, repr=False)
     shifts: tuple = dfield(init=False, repr=False)
     _stencil: np.ndarray = dfield(init=False, repr=False)
@@ -224,6 +255,9 @@ class SweepPlan:
         self.ring_points = g.points_at(np.ravel_multi_index(
             tuple(i + g.halo - 1 for i in at), g.shape))
         self.ring_points.setflags(write=False)
+        self.trace_block_pos = np.ravel_multi_index(
+            tuple(i + 1 for i in np.unravel_index(g.trace_pos, box)),
+            ring.shape)
         self.shifts = tuple(tuple(inner[:a] + (s,) + inner[a + 1:]
                                   for s in (slice(None, -2), slice(2, None)))
                             for a in range(g.dim))
@@ -248,7 +282,7 @@ class SweepPlan:
         # apply's transform outputs, shared by its states
         self._scratch = _transform_outputs(self._core_spec.shape,
                                            self._core_fft)
-        self._spent = self._scratch[2].reshape(-1)[:len(g.core_flat)]
+        self._spent = self._scratch[3].reshape(-1)[:len(g.core_flat)]
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
@@ -276,7 +310,7 @@ class SweepPlan:
         ``ext`` at ``grid.exterior_points`` (or one value, for a datum
         constant in space), written into ``out`` where given.  It changes
         only when the datum does."""
-        if np.all(ext == ext[0]):
+        if len(ext) == 1 or np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
             return np.multiply(ext[0], self.exit_mass, out=out)
         # the datum on the full grid with a zero core, only while it is read

@@ -99,7 +99,8 @@ class SolveState:
     rhs: np.ndarray = dfield(init=False, repr=False)
     flux: np.ndarray = dfield(init=False, repr=False)
     flux_work: tuple = dfield(init=False, repr=False)
-    _views: tuple = dfield(init=False, repr=False)  # see _one_sided_gradients
+    # envelope's out, then what _one_sided_gradients reads
+    _views: tuple = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     _den: float | None = dfield(default=None, repr=False)
 
@@ -114,7 +115,8 @@ class SolveState:
         self.flux_work = flux_workspace(self.coeffs)
         block, diffs = self.block, self.diffs
         self._views = (
-            block[self.plan.inner],
+            (block[self.plan.inner], block.reshape(-1),
+             self.plan.trace_block_pos, np.empty_like(self.phi_trace)),
             tuple((block[bwd], block[fwd], diffs[0, a], diffs[1, a])
                   for a, (bwd, fwd) in enumerate(self.plan.shifts)),
             dim > 1,  # the block's shifted views are not contiguous

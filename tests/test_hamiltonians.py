@@ -248,15 +248,17 @@ def test_bellman_lipschitz_certificate(dom1):
 # vectorized certificates must give these values bit for bit
 
 def h1_reference(spec, pts):
+    # the certificate's draws, made in bulk; then one sample at a time
     rng = np.random.default_rng(0)
+    idx = rng.integers(0, pts.shape[0], 200)
+    ts = rng.random(200)
+    us = rng.normal(size=200)
+    gaps = np.abs(rng.normal(size=200))
+    ps = rng.normal(size=(200, spec.dim))
     floor = properness_floor(spec, pts)
     worst = np.inf
-    for _ in range(200):
-        i = rng.integers(0, pts.shape[0])
-        t = rng.random()
-        u = rng.normal()
-        v = u - abs(rng.normal())
-        p = rng.normal(size=spec.dim)
+    for i, t, u, gap, p in zip(idx, ts, us, gaps, ps):
+        v = u - gap
         hu = eval_hamiltonian(spec, pts[i], t, u, p)
         hv = eval_hamiltonian(spec, pts[i], t, v, p)
         if u > v:

@@ -6,7 +6,8 @@ from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
 from nlhj.operators import (Field, SweepPlan, _tail_values, envelope,
-                            eval_operator, save_field, scheme_evaluation)
+                            eval_operator, row_prefixes, row_template,
+                            save_field, scheme_evaluation)
 from nlhj.oracles import operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
@@ -130,6 +131,10 @@ def test_field_envelope_policies(dom1, dom2):
                         t0=t)
         assert np.array_equal(st.field().values[g.core_flat],
                               envelope(g, st.u, st.phi_trace))
+        # the state's block, written through flat positions, holds the same
+        inner = envelope(g, st.u, st.phi_trace, out=st._views[0])
+        assert inner.base is st.block
+        assert np.array_equal(inner.ravel(), envelope(g, st.u, st.phi_trace))
 
 
 def test_field_serialization_header(tmp_path, dom1):
@@ -265,3 +270,76 @@ def test_sweep_writes_into_out_bit_for_bit(dim, h):
                 plan.apply(E, centers, load, out=out)):
         assert got.tobytes() == ref.tobytes()
     assert plan.apply(E, centers, load, out=out) is out
+
+
+@pytest.mark.parametrize("h, n_fft", [(2.0 ** -3, 36), (2.0 ** -4, 72),
+                                      (2.0 ** -5, 135)])
+def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
+    # the 2-D sweep prunes its transforms (zero rows held, only the kept
+    # rows inverted); two states alternate on one plan with a datum that
+    # varies in space and t, and every load and sweep equals the one formed
+    # from np.fft.rfftn and irfftn, byte for byte
+    dom = Domain((-1.0, -1.0), (1.0, 1.0))
+    plan = SweepPlan(grid_for(dom, h, 2.0),
+                     build_quadrature(fractional_laplacian_kernel(0.5, 2),
+                                      h, 2.0))
+    assert plan._core_fft == (n_fft, n_fft)
+    g = plan.grid
+
+    def corr(a, spec, shape, keep):
+        spectrum = np.fft.rfftn(a, shape, axes=(0, 1)) * spec
+        return np.fft.irfftn(spectrum, shape, axes=(0, 1))[keep]
+
+    inside = corr(np.ones(plan.core_shape), plan._core_spec, plan._core_fft,
+                  plan._box_start).ravel()
+    exit_mass = plan._stencil.sum() - inside + plan.qt.tail_mass
+    assert plan.exit_mass.tobytes() == exit_mass.tobytes()
+    for const in (np.full(1, 0.7), np.full(len(g.exterior_flat), 0.7)):
+        assert plan.exterior_load(const).tobytes() == (0.7 * exit_mass).tobytes()
+
+    phi = lambda p, t: 0.3 * np.sin(2.0 * p[:, 0] + p[:, 1]) * np.exp(-t) + t
+    spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5, -0.25), f=0.0, dim=2)],
+                       dim=2)
+    cfg = SchemeConfig(h=h)
+    states = [init_state(plan, spec, phi, u0, cfg) for u0 in
+              (lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1)),
+               lambda p: 0.2 - 0.5 * p[:, 0] * p[:, 1])]
+    for _ in range(2):
+        for st in states:
+            full = np.zeros(g.size)
+            full[g.exterior_flat] = phi(g.exterior_points, st.t)
+            load = (corr(full.reshape(g.shape), plan._full_spec,
+                         plan._full_fft, plan.core_box).ravel()
+                    + plan.qt.tail_sides @ _tail_values(g, full))
+            assert st.load.tobytes() == load.tobytes()
+            E = envelope(g, st.u, st.phi_trace)
+            ref = corr(E.reshape(plan.core_shape), plan._core_spec,
+                       plan._core_fft, plan._box_start).ravel() + load
+            ref -= plan.diag * st.u
+            assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
+            step(st, cfg)
+    # the rows beyond the core block's of the forward array were never written
+    assert not plan._scratch[1][plan.core_shape[0]:].any()
+
+
+def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-7]
+    pts = np.column_stack([special, special[::-1]])
+    values = np.roll(np.array(special), 3)
+    prefixes = row_prefixes(pts)
+    rows = ["%s%.17g\n" % (p, v) for p, v in zip(prefixes, values.tolist())]
+    assert row_template(prefixes) % tuple(values.tolist()) == "".join(rows)
+    at_t = "%.17g\t" % 0.25
+    assert (row_template(prefixes, at_t) % tuple(values.tolist())
+            == "".join(p + at_t + r[len(p):] for p, r in zip(prefixes, rows)))
+
+    g = grid_for(dom2, 0.25, 0.5)
+    n = len(g.core_flat)
+    values = np.resize(np.array(special), n)
+    out = tmp_path / "field.tsv"
+    for template in (None, row_template(row_prefixes(g.core_points))):
+        save_field(g, values, 0.5, out, 0.5, template)
+        body = out.read_bytes().split(b"\n", 1)[1]
+        assert body == "".join(
+            "%s%.17g\n" % (p, v) for p, v in
+            zip(row_prefixes(g.core_points), values.tolist())).encode()

@@ -162,13 +162,18 @@ def test_blowup_detected(dom1):
     with pytest.raises(BlowUp):
         run_to_time(st, cfg, 10.0)
     # a source that turns NaN (0 * inf once exp overflows) poisons u: the
-    # sup-norm is NaN, which no cap comparison catches
+    # sup-norm is NaN, which no cap comparison catches.  numpy warns of the
+    # overflow and of the NaN it makes, and of nothing else
     f = "0*exp(800*t)"
     for spec in (BellmanSpec([ControlLaw(lam=1.0, b=0.5, f=f)]),
                  CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=f)):
         g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0)
-        with pytest.raises(BlowUp, match="sup-norm nan"):
-            run_to_time(st, cfg, 2.0)
+        with pytest.warns(RuntimeWarning) as warned:
+            with pytest.raises(BlowUp, match="sup-norm nan"):
+                run_to_time(st, cfg, 2.0)
+        assert {str(w.message) for w in warned} == {
+            "invalid value encountered in scalar multiply",
+            "overflow encountered in exp"}
 
 
 def test_nonconvergence_raised(dom1):
@@ -523,13 +528,14 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
 
 @pytest.mark.parametrize("case, h", [("coercive-1d", 2.0 ** -7),
                                      ("bellman-1d", 2.0 ** -7),
-                                     ("bellman-2d", 2.0 ** -4)])
+                                     ("bellman-2d", 2.0 ** -4),
+                                     ("bellman-2d", 2.0 ** -3)])
 def test_step_allocates_no_array_of_the_core_size(case, h):
     # with data that do not depend on t, a step after the first writes into
     # the state's workspace: what it allocates and frees again stays below
     # 8 bytes per core node.  What remains is numpy's own scratch for a
-    # reduction, a transform or an indexed write (at most about 4 KB,
-    # whatever the size), so the grids are the benchmark's
+    # reduction or a transform (about 1.7 KB, whatever the size), so the
+    # bound holds on the benchmark's grids and on the 289-node 2-D one
     import tracemalloc
     dim = 2 if case.endswith("2d") else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
