@@ -1,18 +1,25 @@
 """Run configuration: INI-style sections parsed into solver objects.
 
 Sections: [domain], [kernel], [hamiltonian], [data], [scheme], [experiment],
-[output].  Coefficient values are numbers or expressions in the grammar of
-``expressions`` (variables x, y, t).  Parsing is not fail-fast: every invalid
-field is collected and reported in one ValidationError.
+[output].  :data:`SECTIONS` holds the keys each section accepts, and
+:data:`CHOICES` the sub-tables per kernel ``type``, Hamiltonian ``family``
+and experiment ``name``; :data:`EXPERIMENTS` also says what each experiment
+requires and certifies.  Coefficient values are numbers or expressions in
+the grammar of ``expressions`` (variables x, y, t).  Parsing is not
+fail-fast: every invalid value, missing key, and section or key that the
+tables do not accept is collected and reported in one ValidationError.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +40,69 @@ from .solver import (SchemeConfig, cfl_denominator, eval_initial, init_state,
                      run_to_steady, run_to_time)
 from . import harness
 
-EXPERIMENTS = ("run", "comparison", "boundary_behavior", "coercive_loss",
-               "rate", "large_time")
+# Each key: the kind of value _parse reads, or (kind, default).  REQUIRED
+# marks a key that must be given.  A key without a default is left out when
+# absent, so the object built from its section applies its own default.
+REQUIRED = "required"
+
+SECTIONS = {
+    "domain": {"dimension": ("count", 1), "lower": ("numbers", REQUIRED),
+               "upper": ("numbers", REQUIRED), "corner_exclusion": "number"},
+    "kernel": {"type": ("text", "fractional_laplacian"),
+               "alpha": ("number", REQUIRED)},
+    "hamiltonian": {"family": ("text", "coercive")},
+    "data": {"u0": ("expression", REQUIRED), "phi": ("expression", REQUIRED),
+             "phi_limit": "expression"},
+    "scheme": {"h": ("number", REQUIRED), "theta": "number", "dt": "number",
+               "T": "number", "steady": ("boolean", False),
+               "steady_tol": "number", "snapshot_dt": "number",
+               "m_cap": "number", "max_steps": "count", "r_max": "number"},
+    "experiment": {"name": ("text", "run")},
+    "output": {"directory": ("text", "out")},
+}
+
+
+class Experiment(NamedTuple):
+    keys: dict                  # its [experiment] keys besides name
+    family: str | None = None   # the Hamiltonian family it needs
+    T: object = None            # REQUIRED; a default; None: not read
+    phi_limit: bool = False     # whether it needs [data] phi_limit
+    certificates: tuple = ()    # checked besides (H0), (H1) and (H2)
+
+
+EXPERIMENTS = {
+    "run": Experiment({}, T=REQUIRED),
+    "comparison": Experiment({"seeds": ("count", 20), "u0_b": "expression",
+                              "phi_b": "expression"}, T=REQUIRED),
+    "boundary_behavior": Experiment({"h_list": "numbers"}, family="bellman",
+                                    T=REQUIRED,
+                                    certificates=("UE", "Sigma", "L")),
+    "coercive_loss": Experiment({"phi_scales": ("series", (1.0, 10.0, 100.0))},
+                                family="coercive", certificates=("A1",)),
+    "rate": Experiment({"eps_rate": ("number", harness.EPS_RATE)}, T=5.0,
+                       phi_limit=True, certificates=("H2prime",)),
+    "large_time": Experiment({"t_ladder": ("series", (1.0, 2.0, 4.0)),
+                              "eps_conv": ("number", harness.EPS_CONV),
+                              "f_limit": "expression"},
+                             phi_limit=True, certificates=("H2prime",)),
+}
+
+# the key that chooses a section's sub-table, and the sub-tables; lam_i,
+# b_i and f_i stand for the keys of control i = 1 .. controls
+CHOICES = {
+    "kernel": ("type", {"fractional_laplacian": {},
+                        "indicator": {"rho": ("number", REQUIRED)},
+                        "custom_radial": {"profile": ("text", REQUIRED)}}),
+    "hamiltonian": ("family", {
+        "coercive": {"m": ("number", REQUIRED), "l": "number",
+                     "a1": "expression", "a2": "expression",
+                     "lam": "expression", "f": "expression", "b": "drift"},
+        "bellman": {"controls": ("count", 1), "lipschitz": "number",
+                    "lam_i": "expression", "b_i": "drift",
+                    "f_i": "expression"}}),
+    "experiment": ("name", {name: e.keys for name, e in EXPERIMENTS.items()}),
+}
+_CONTROL_INDEX = re.compile(r"_[1-9][0-9]*$")
 
 
 @dataclass
@@ -54,82 +122,109 @@ class RunConfig:
     source: str = ""
 
 
-def _finite(text, section, key, errors):
-    """``text`` as a finite float, or None with the error recorded; raises
-    ValueError when it is not a number at all."""
-    v = float(text)
-    if np.isfinite(v):
-        return v
-    errors.append(f"[{section}] {key}: not a finite number: {text!r}")
+def _parse(kind, text, where, dim, errors):
+    """``text`` read as a value of ``kind``, or None with the error recorded:
+    text, boolean, number, count (a whole number of at least 1), numbers (a
+    list), series (a list of at least 2), expression (a number, or an
+    expression in the variables of ``dim``) or drift (``dim`` expressions
+    separated by ';').  A number must be finite."""
+    if kind == "text":
+        return text
+    if kind == "boolean":
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+        if value is None:
+            errors.append(f"{where}: not a boolean: {text!r}")
+        return value
+    if kind == "drift":
+        parts = text.split(";")
+        if len(parts) != dim:
+            errors.append(f"{where}: expected {dim} component(s) separated "
+                          f"by ';', got {len(parts)}")
+            return None
+        out = [_parse("expression", p.strip(), where, dim, errors)
+               for p in parts]
+        return None if None in out else out if dim > 1 else out[0]
+    listed = kind in ("numbers", "series")
+    try:
+        values = [float(v) for v in (text.split() if listed else [text])]
+    except ValueError:
+        if kind != "expression":
+            errors.append(f"{where}: not a number: {text!r}")
+            return None
+        try:
+            expr = Expression(text)
+        except ParseError as e:
+            errors.append(f"{where}: {e}")
+            return None
+        if dim == 1 and "y" in expr.variables:
+            errors.append(f"{where}: variable 'y' used in the 1-D expression "
+                          f"{text!r}")
+            return None
+        return expr
+    if not all(map(math.isfinite, values)):
+        errors.append(f"{where}: not a finite number: {text!r}")
+    elif kind == "series" and len(values) < 2:
+        errors.append(f"{where}: needs at least 2 numbers: {text!r}")
+    elif kind == "count" and (values[0] < 1 or values[0] != int(values[0])):
+        errors.append(f"{where}: not a whole number of at least 1: {text!r}")
+    else:
+        return values if listed else int(values[0]) if kind == "count" \
+            else values[0]
     return None
 
 
-def _number_or_expression(text, section, key, dim, errors):
-    """A finite number, or an expression in the variables of ``dim``; None
-    with the error recorded otherwise."""
-    try:
-        return _finite(text, section, key, errors)
-    except ValueError:
-        pass
-    try:
-        expr = Expression(text)
-    except ParseError as e:
-        errors.append(f"[{section}] {key}: {e}")
-        return None
-    if dim == 1 and "y" in expr.variables:
-        errors.append(f"[{section}] {key}: variable 'y' used in the 1-D "
-                      f"expression {text!r}")
-        return None
-    return expr
+def _read(cp, section, dim, errors):
+    """The values of ``section`` by key: each key the config gives, read by
+    its parser, and the table's defaults for the keys it accepts but does
+    not give.  A key the section accepts only for another type, family or
+    name is read too, so that a bad value is reported with its refusal."""
+    accepted = dict(SECTIONS[section])
+    given = dict(cp.items(section)) if cp.has_section(section) else {}
+    known = {}
+    if section in CHOICES:
+        selector, tables = CHOICES[section]
+        choice = given.get(selector, accepted[selector][1])
+        if choice not in tables:
+            errors.append(f"[{section}] unknown {selector} {choice!r} "
+                          f"(choose from {', '.join(tables)})")
+        for name, table in tables.items():
+            (accepted if name == choice else known).update(table)
+    values = {}
+    for name, text in given.items():
+        pattern = _CONTROL_INDEX.sub("_i", name)
+        key = accepted.get(pattern) or known.get(pattern)
+        if key is None:
+            errors.append(f"[{section}] unknown key {name!r} (known: "
+                          f"{', '.join(accepted)})")
+            continue
+        kind = key if isinstance(key, str) else key[0]
+        value = _parse(kind, text, f"[{section}] {name}", dim, errors)
+        if pattern not in accepted:
+            errors.append(f"[{section}] {name} is not a key of "
+                          f"{selector} = {choice}")
+        elif value is not None:
+            values[name] = value
+    for name, key in accepted.items():
+        default = None if isinstance(key, str) else key[1]
+        if default == REQUIRED and name not in given:
+            errors.append(f"[{section}] missing required key '{name}'")
+        elif default not in (None, REQUIRED):
+            values.setdefault(name, default)
+    return values
 
 
-def _parse_expr_field(cp, section, key, dim, errors, default=None,
-                      required=False):
-    if not cp.has_option(section, key):
-        if required:
-            errors.append(f"[{section}] missing required key '{key}'")
-        return default
-    v = _number_or_expression(cp.get(section, key).strip(), section, key, dim,
-                              errors)
-    return default if v is None else v
-
-
-def _parse_float(cp, section, key, errors, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            errors.append(f"[{section}] missing required key '{key}'")
-        return default
-    try:
-        v = _finite(cp.get(section, key).strip(), section, key, errors)
-    except ValueError:
-        errors.append(f"[{section}] {key}: not a number: {cp.get(section, key)!r}")
-        return default
-    return default if v is None else v
-
-
-def _parse_count(cp, section, key, errors, default: int) -> int:
-    """A whole number of at least 1, or ``default`` when the key is absent
-    or its value is refused (with the error recorded)."""
-    v = _parse_float(cp, section, key, errors, float(default))
-    if v < 1 or v != int(v):
-        errors.append(f"[{section}] {key}: not a whole number of at least 1: "
-                      f"{cp.get(section, key)!r}")
-        return default
-    return int(v)
-
-
-def _parse_drift(cp, section, key, dim, errors):
-    if not cp.has_option(section, key):
-        return None
-    parts = [p.strip() for p in cp.get(section, key).split(";")]
-    if len(parts) != dim:
-        errors.append(f"[{section}] {key}: expected {dim} component(s) "
-                      f"separated by ';', got {len(parts)}")
-        return None
-    out = [_number_or_expression(p, section, key, dim, errors) for p in parts]
-    if any(v is None for v in out):
-        return None
-    return out if dim > 1 else out[0]
+def _spacing(h, dom, r_max, where, errors):
+    """Record why the lattice spacing ``h`` does not fit ``dom`` and the halo
+    reach ``r_max``: each domain side a multiple of h, and r_max >= 10*h."""
+    if h <= 0:
+        errors.append(f"{where} spacing h = {h} must be positive")
+        return
+    errors += [f"{where} domain side {s} is not a multiple of h = {h}"
+               for s in dom.sides
+               if abs(round(s / h) * h - s) > 1e-9 * max(1.0, s)]
+    if r_max < 10 * h:
+        errors.append(f"{where} r_max = {r_max} must be at least 10*h = "
+                      f"{10 * h}")
 
 
 def parse_config(path) -> RunConfig:
@@ -137,196 +232,119 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section is the default one: a [DEFAULT] section is refused like
+    # any unknown section instead of having its keys copied into every one
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None, default_section="")
+    cp.optionxform = str    # key names are case-sensitive, as in the table
     try:
         text = path.read_text()
         cp.read_string(text, source=str(path))
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}")
 
-    errors = []
-    for sec in ("domain", "kernel", "hamiltonian", "data", "scheme",
-                "experiment"):
-        if not cp.has_section(sec):
+    for sec in SECTIONS:
+        if sec != "output" and not cp.has_section(sec):
             raise ParseError(f"{path}: missing [{sec}] section")
+    errors = [f"[{sec}] is not a section (choose from {', '.join(SECTIONS)})"
+              for sec in cp.sections() if sec not in SECTIONS]
 
-    # domain
-    dim = _parse_count(cp, "domain", "dimension", errors, 1)
+    d = _read(cp, "domain", 1, errors)
+    dim = d.pop("dimension")
     dom = None
-    try:
-        lower, upper = (tuple(_finite(v, "domain", key, errors)
-                              for v in cp.get("domain", key).split())
-                        for key in ("lower", "upper"))
-        if len(lower) != dim or len(upper) != dim:
-            errors.append("[domain] lower/upper must match the dimension")
-        elif None not in lower + upper:
-            excl = _parse_float(cp, "domain", "corner_exclusion", errors, 0.0)
-            dom = Domain(lower, upper, corner_exclusion=excl)
-    except (configparser.NoOptionError, ValueError) as e:
-        errors.append(f"[domain] {e}")
-
-    # kernel
-    alpha = _parse_float(cp, "kernel", "alpha", errors, required=True)
-    ktype = cp.get("kernel", "type", fallback="fractional_laplacian").strip()
-    kern = None
-    if alpha is not None and not (0.0 < alpha < 2.0):
-        errors.append(f"[kernel] alpha must lie in (0, 2), got {alpha}")
-    elif alpha is not None:
+    if "lower" in d and "upper" in d:
         try:
-            if ktype == "fractional_laplacian":
+            if len(d["lower"]) != dim or len(d["upper"]) != dim:
+                raise ValueError("lower/upper must match the dimension")
+            dom = Domain(**d)
+        except ValueError as e:
+            errors.append(f"[domain] {e}")
+
+    k = _read(cp, "kernel", dim, errors)
+    alpha = k.get("alpha")
+    kern = None
+    if alpha is not None:
+        try:
+            if k["type"] == "fractional_laplacian":
                 kern = fractional_laplacian_kernel(alpha, dim)
-            elif ktype == "indicator":
-                rho = _parse_float(cp, "kernel", "rho", errors, required=True)
-                if rho is not None:
-                    kern = indicator_kernel(alpha, dim, rho)
-            elif ktype == "custom_radial":
-                prof = cp.get("kernel", "profile", fallback=None)
-                if prof is None:
-                    errors.append("[kernel] custom_radial needs a 'profile' file")
-                else:
-                    prof_path = (path.parent / prof) if not Path(prof).is_absolute() else Path(prof)
-                    tab = np.loadtxt(prof_path, ndmin=2)
-                    if tab.shape[0] < 2 or tab.shape[1] < 2:
-                        errors.append(f"[kernel] profile {prof}: needs at "
-                                      f"least 2 rows of 2 columns (r, K(r)), "
-                                      f"got {tab.shape[0]} x {tab.shape[1]}")
-                    else:
-                        kern = custom_radial_kernel(alpha, dim, tab[:, 0],
-                                                    tab[:, 1])
-            else:
-                errors.append(f"[kernel] unknown type {ktype!r}")
+            elif k["type"] == "indicator" and "rho" in k:
+                kern = indicator_kernel(alpha, dim, k["rho"])
+            elif k["type"] == "custom_radial" and "profile" in k:
+                prof = k["profile"]
+                tab = np.loadtxt(path.parent / prof, ndmin=2)
+                if tab.shape[0] < 2 or tab.shape[1] < 2:
+                    raise ValueError(f"profile {prof}: needs at least 2 rows "
+                                     f"of 2 columns (r, K(r)), got "
+                                     f"{tab.shape[0]} x {tab.shape[1]}")
+                kern = custom_radial_kernel(alpha, dim, tab[:, 0], tab[:, 1])
         except (OSError, ValueError) as e:
             errors.append(f"[kernel] {e}")
 
-    # hamiltonian
-    family = cp.get("hamiltonian", "family", fallback="coercive").strip()
+    ham = _read(cp, "hamiltonian", dim, errors)
+    family = ham.pop("family")
     spec = None
-    if family == "coercive":
-        m = _parse_float(cp, "hamiltonian", "m", errors, required=True)
-        l = _parse_float(cp, "hamiltonian", "l", errors, 0.0)
-        a1 = _parse_expr_field(cp, "hamiltonian", "a1", dim, errors, 1.0)
-        a2 = _parse_expr_field(cp, "hamiltonian", "a2", dim, errors, 0.0)
-        lam = _parse_expr_field(cp, "hamiltonian", "lam", dim, errors, 0.0)
-        fsrc = _parse_expr_field(cp, "hamiltonian", "f", dim, errors, 0.0)
-        b = _parse_drift(cp, "hamiltonian", "b", dim, errors)
-        if m is not None:
-            try:
-                spec = CoerciveSpec(m=m, l=l, a1=a1, a2=a2, lam=lam, f=fsrc,
-                                    b=b, dim=dim)
-            except ValueError as e:
-                errors.append(f"[hamiltonian] {e}")
-    elif family == "bellman":
-        ncontrols = _parse_count(cp, "hamiltonian", "controls", errors, 1)
-        controls = []
-        for i in range(1, ncontrols + 1):
-            lam = _parse_expr_field(cp, "hamiltonian", f"lam_{i}", dim, errors,
-                                    0.0)
-            fsrc = _parse_expr_field(cp, "hamiltonian", f"f_{i}", dim, errors,
-                                     0.0)
-            b = _parse_drift(cp, "hamiltonian", f"b_{i}", dim, errors)
-            controls.append(ControlLaw(lam=lam, b=b, f=fsrc, dim=dim))
-        lip = _parse_float(cp, "hamiltonian", "lipschitz", errors, None)
-        try:
-            spec = BellmanSpec(controls, lipschitz=lip, dim=dim)
-        except ValueError as e:
-            errors.append(f"[hamiltonian] {e}")
-    else:
-        errors.append(f"[hamiltonian] unknown family {family!r}")
-
-    # data
-    u0 = _parse_expr_field(cp, "data", "u0", dim, errors, required=True)
-    phi_src = _parse_expr_field(cp, "data", "phi", dim, errors, required=True)
-    phi_limit = _parse_expr_field(cp, "data", "phi_limit", dim, errors, None)
-    phi = CoefficientField(phi_src, "phi") if phi_src is not None else None
-
-    # scheme
-    h = _parse_float(cp, "scheme", "h", errors, required=True)
-    theta = _parse_float(cp, "scheme", "theta", errors, 0.9)
-    dt = _parse_float(cp, "scheme", "dt", errors, None)
-    T = _parse_float(cp, "scheme", "T", errors, None)
     try:
-        steady = cp.getboolean("scheme", "steady", fallback=False)
-    except ValueError:
-        errors.append(f"[scheme] steady: not a boolean: "
-                      f"{cp.get('scheme', 'steady')!r}")
-        steady = False
-    steady_tol = _parse_float(cp, "scheme", "steady_tol", errors, None)
-    snapshot_dt = _parse_float(cp, "scheme", "snapshot_dt", errors, None)
-    m_cap = _parse_float(cp, "scheme", "m_cap", errors, None)
-    max_steps = _parse_count(cp, "scheme", "max_steps", errors, 2_000_000)
-    r_max = _parse_float(cp, "scheme", "r_max", errors, None)
-    if cp.has_option("scheme", "r_cut"):
-        errors.append("[scheme] r_cut is not a setting: the near-field radius "
-                      "follows from h and alpha")
+        if family == "coercive" and "m" in ham:
+            spec = CoerciveSpec(**ham, dim=dim)
+        elif family == "bellman":
+            n = ham.pop("controls")
+            laws = [{key: ham.pop(f"{key}_{i}") for key in ("lam", "b", "f")
+                     if f"{key}_{i}" in ham} for i in range(1, n + 1)]
+            lipschitz = ham.pop("lipschitz", None)
+            errors += [f"[hamiltonian] {name} is not a key of controls = {n}"
+                       for name in ham]
+            spec = BellmanSpec([ControlLaw(**law, dim=dim) for law in laws],
+                               lipschitz=lipschitz, dim=dim)
+    except ValueError as e:
+        errors.append(f"[hamiltonian] {e}")
+
+    data = _read(cp, "data", dim, errors)
+    phi = CoefficientField(data["phi"], "phi") if "phi" in data else None
+
+    s = _read(cp, "scheme", dim, errors)
+    steady = s.pop("steady")
+    r_max = s.pop("r_max", None)
     scheme = None
-    if h is not None:
+    if "h" in s:
         try:
-            scheme = SchemeConfig(h=h, theta=theta, dt=dt, T=T,
-                                  steady_tol=steady_tol,
-                                  snapshot_dt=snapshot_dt, m_cap=m_cap,
-                                  max_steps=max_steps)
+            scheme = SchemeConfig(**s)
         except ValueError as e:
             errors.append(f"[scheme] {e}")
-    if dom is not None and r_max is None:
-        r_max = 4.0 * dom.diameter
-    if h is not None and r_max is not None and r_max < 10 * h:
-        errors.append(f"[scheme] r_max = {r_max} must be at least 10*h = {10 * h}")
-    if dom is not None and h is not None:
-        for s in dom.sides:
-            if abs(round(s / h) * h - s) > 1e-9 * max(1.0, s):
-                errors.append(f"[scheme] domain side {s} is not a multiple of h = {h}")
+    if dom is not None:
+        if r_max is None:
+            r_max = harness.R_MAX_DIAMETERS * dom.diameter
+        if "h" in s:
+            _spacing(s["h"], dom, r_max, "[scheme]", errors)
 
-    # experiment
-    exp = cp.get("experiment", "name", fallback="run").strip()
-    if exp not in EXPERIMENTS:
-        errors.append(f"[experiment] unknown name {exp!r} "
-                      f"(choose from {', '.join(EXPERIMENTS)})")
-    params = {}
-    if cp.has_option("experiment", "seeds"):
-        params["seeds"] = _parse_count(cp, "experiment", "seeds", errors, 20)
-    for key in ("eps_rate", "eps_conv"):
-        v = _parse_float(cp, "experiment", key, errors, None)
-        if v is not None:
-            params[key] = v
-    for key in ("phi_scales", "t_ladder", "h_list"):
-        if cp.has_option("experiment", key):
-            try:
-                params[key] = [_finite(v, "experiment", key, errors)
-                               for v in cp.get("experiment", key).split()]
-            except ValueError:
-                errors.append(f"[experiment] {key}: expected numbers")
-    for key in ("u0_b", "phi_b", "f_limit"):
-        v = _parse_expr_field(cp, "experiment", key, dim, errors, None)
-        if v is not None:
-            params[key] = v
-    if exp in ("run", "comparison", "boundary_behavior") and T is None and \
-            not steady:
-        errors.append("[scheme] a final time T (or steady = true) is required")
+    params = _read(cp, "experiment", dim, errors)
+    exp = params.pop("name")
+    # an unknown name, refused above, has no requirements
+    entry = EXPERIMENTS.get(exp, Experiment({}))
+    if entry.family and spec is not None and spec.family != entry.family:
+        errors.append(f"[experiment] {exp} requires the {entry.family} family")
+    elif "A1" in entry.certificates and spec is not None and \
+            kern is not None and spec.m <= kern.alpha:
+        errors.append(
+            f"[experiment] {exp} requires the superfractional "
+            f"condition (A1): m = {spec.m} must exceed alpha = {kern.alpha}")
+    # steady = true stands in for T only where it is read: under run
+    if entry.T == REQUIRED and s.get("T") is None and not (
+            steady and exp == "run"):
+        errors.append(f"[scheme] name = {exp} needs a final time T"
+                      + (" (or steady = true)" if exp == "run" else ""))
+    if entry.phi_limit and "phi_limit" not in data:
+        errors.append(f"[data] phi_limit is required for name = {exp}")
+    for h in params.get("h_list", ()) if dom is not None else ():
+        _spacing(h, dom, r_max, "[experiment] h_list:", errors)
 
-    # experiment-specific gates checkable without running
-    if exp == "coercive_loss" and spec is not None and kern is not None:
-        if spec.family != "coercive":
-            errors.append("[experiment] coercive_loss requires the coercive family")
-        elif spec.m <= kern.alpha:
-            errors.append(
-                f"[experiment] coercive_loss requires the superfractional "
-                f"condition (A1): m = {spec.m} must exceed alpha = {kern.alpha}")
-    if exp == "boundary_behavior" and spec is not None and spec.family != "bellman":
-        errors.append("[experiment] boundary_behavior requires the bellman family")
-    if exp in ("rate", "large_time") and phi_limit is None:
-        errors.append("[data] phi_limit is required for rate/large_time experiments")
-
-    outdir = Path(cp.get("output", "directory", fallback="out")) \
-        if cp.has_section("output") else Path("out")
-    if not outdir.is_absolute():
-        outdir = path.parent / outdir
+    outdir = path.parent / _read(cp, "output", dim, errors)["directory"]
 
     if errors:
         raise ValidationError(errors)
-    return RunConfig(domain=dom, kernel=kern, spec=spec, u0=u0, phi=phi,
-                     phi_limit=phi_limit, scheme=scheme, steady=steady,
-                     r_max=r_max, experiment=exp, params=params,
-                     outdir=outdir, source=text)
+    return RunConfig(domain=dom, kernel=kern, spec=spec, u0=data.get("u0"),
+                     phi=phi, phi_limit=data.get("phi_limit"), scheme=scheme,
+                     steady=steady, r_max=r_max, experiment=exp,
+                     params=params, outdir=outdir, source=text)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +370,30 @@ def _write_trace_gaps(path: Path, points: np.ndarray, series):
 
 
 def run_certificates(cfg: RunConfig) -> dict:
-    """Certificates scheduled for the chosen experiment."""
+    """(H0), (H1) and (H2), plus the certificates the experiment's entry in
+    :data:`EXPERIMENTS` names."""
     plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
     grid = plan.grid
     pts = grid.core_points
-    certs = {}
-    certs["H1"] = check_H1(cfg.spec, pts)
+    certs = {"H1": check_H1(cfg.spec, pts)}
     # H0 fails on data that are not finite, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u0 = eval_initial(cfg.u0, pts)
         phi_trace = cfg.phi(grid.trace_points, 0.0)
     certs["H0"] = check_compatibility(grid, u0, phi_trace)
     certs["H2"] = check_H2(cfg.spec, plan)
-    if cfg.experiment in ("rate", "large_time"):
-        certs["H2prime"] = check_H2prime(cfg.spec, plan)
-    if cfg.experiment == "boundary_behavior":
-        certs["UE"] = check_UE(cfg.kernel)
-        certs["Sigma"] = check_sigma(cfg.spec, cfg.domain,
-                                     (0.0, cfg.scheme.T or 1.0))
-        if cfg.spec.lipschitz is not None:
-            certs["L"] = cfg.spec.check_lipschitz(cfg.domain)
-    if cfg.experiment == "coercive_loss":
-        certs["A1"] = check_superfractional(cfg.spec, cfg.kernel, pts)
+    extra = {
+        "H2prime": lambda: check_H2prime(cfg.spec, plan),
+        "UE": lambda: check_UE(cfg.kernel),
+        "Sigma": lambda: check_sigma(cfg.spec, cfg.domain,
+                                     (0.0, cfg.scheme.T or 1.0)),
+        "L": lambda: cfg.spec.check_lipschitz(cfg.domain),
+        "A1": lambda: check_superfractional(cfg.spec, cfg.kernel, pts),
+    }
+    for name in EXPERIMENTS[cfg.experiment].certificates:
+        # (L) certifies a Lipschitz constant only the config can give
+        if name != "L" or cfg.spec.lipschitz is not None:
+            certs[name] = extra[name]()
     return certs
 
 
@@ -391,7 +411,6 @@ def execute(cfg: RunConfig) -> int:
         "r_max": cfg.r_max,
     }
     status = 0
-    result = None
     try:
         # held until the run ends: the certificates and the experiment
         # share this discretization instead of building their own
@@ -402,38 +421,27 @@ def execute(cfg: RunConfig) -> int:
         certs = run_certificates(cfg)
         manifest["certificates"] = {k: v.as_dict() for k, v in certs.items()}
         result = _dispatch(cfg, manifest)
-        if result is not None:
-            manifest["metrics"] = _plain(result.metrics)
-            manifest["passed"] = bool(result.passed)
-            if not result.passed:
-                status = 1
-            for name, (header, rows) in result.tables.items():
-                _write_tsv(cfg.outdir / f"{name}.tsv", header, rows)
-    except (PreconditionError, ValidationError) as e:
+        manifest["metrics"] = result.metrics
+        manifest["passed"] = bool(result.passed)
+        if not result.passed:
+            status = 1
+        for name, (header, rows) in result.tables.items():
+            _write_tsv(cfg.outdir / f"{name}.tsv", header, rows)
+    except (PreconditionError, ValidationError, BlowUp, CflViolation,
+            NonConvergence) as e:
         manifest["error"] = f"{type(e).__name__}: {e}"
-        status = 2
-    except (BlowUp, CflViolation, NonConvergence) as e:
-        manifest["error"] = f"{type(e).__name__}: {e}"
-        status = 1
+        status = 2 if isinstance(e, (PreconditionError, ValidationError)) else 1
     manifest["exit_status"] = status
     manifest["wall_time_s"] = round(time.time() - t_wall, 3)
     with open(cfg.outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        # numpy scalars are written as the floats they hold
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
     return status
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj
 
 
 def _dispatch(cfg: RunConfig, manifest: dict):
     dom, kern, spec, scheme = cfg.domain, cfg.kernel, cfg.spec, cfg.scheme
+    p = cfg.params
     if cfg.experiment == "run":
         plan = harness.discretize(dom, kern, scheme.h, cfg.r_max)
         grid = plan.grid
@@ -467,18 +475,16 @@ def _dispatch(cfg: RunConfig, manifest: dict):
                                         metrics={"steps": st.steps,
                                                  "sup_norm": st.sup_norm})
     if cfg.experiment == "comparison":
-        seeds = cfg.params.get("seeds", 20)
-        if "u0_b" in cfg.params or "phi_b" in cfg.params:
-            u0b = cfg.params.get("u0_b", cfg.u0)
-            phib = CoefficientField(cfg.params.get("phi_b", cfg.phi), "phi_b")
-            res = harness.comparison_experiment(
+        if "u0_b" in p or "phi_b" in p:
+            u0b = p.get("u0_b", cfg.u0)
+            phib = CoefficientField(p.get("phi_b", cfg.phi), "phi_b")
+            return harness.comparison_experiment(
                 spec, dom, kern,
-                (lambda p: eval_initial(cfg.u0, p), lambda p: eval_initial(u0b, p)),
+                (lambda x: eval_initial(cfg.u0, x), lambda x: eval_initial(u0b, x)),
                 (cfg.phi, phib), scheme.T, scheme, r_max=cfg.r_max)
-            return res
         worst = 0.0
         rows = []
-        for s in range(seeds):
+        for s in range(p["seeds"]):
             u0a, v0a, pa, pb = harness.random_ordered_pair(s, dom)
             r = harness.comparison_experiment(spec, dom, kern, (u0a, v0a),
                                               (pa, pb), scheme.T, scheme,
@@ -487,10 +493,10 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             rows.append((s, r.metrics["max_violation"]))
         return harness.ExperimentResult(
             "comparison", worst <= 1e-12,
-            metrics={"max_violation": worst, "seeds": seeds},
+            metrics={"max_violation": worst, "seeds": p["seeds"]},
             tables={"report": (("seed", "max_violation"), rows)})
     if cfg.experiment == "boundary_behavior":
-        h_list = cfg.params.get("h_list")
+        h_list = p.get("h_list")
         if h_list:
             gaps, ratios = harness.boundary_refinement(
                 spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list, scheme,
@@ -504,33 +510,26 @@ def _dispatch(cfg: RunConfig, manifest: dict):
         return harness.boundary_behavior_experiment(
             spec, dom, kern, cfg.phi, cfg.u0, scheme.T, scheme, r_max=cfg.r_max)
     if cfg.experiment == "coercive_loss":
-        scales = cfg.params.get("phi_scales", [1.0, 10.0, 100.0])
-        return harness.coercive_loss_experiment(spec, dom, kern, scales,
-                                                scheme, r_max=cfg.r_max)
+        return harness.coercive_loss_experiment(spec, dom, kern,
+                                                p["phi_scales"], scheme,
+                                                r_max=cfg.r_max)
     if cfg.experiment == "rate":
         return harness.rate_experiment(
             spec, dom, kern, cfg.phi, cfg.phi_limit, cfg.u0,
-            scheme.T if scheme.T else 5.0, scheme,
-            eps_rate=cfg.params.get("eps_rate", 0.05), r_max=cfg.r_max)
-    if cfg.experiment == "large_time":
-        ladder = cfg.params.get("t_ladder", [1.0, 2.0, 4.0])
-        spec_limit = _limit_spec(cfg)
-        return harness.large_time_experiment(
-            spec, spec_limit, dom, kern, cfg.phi, cfg.phi_limit, ladder,
-            scheme, eps_conv=cfg.params.get("eps_conv", 0.05), u0=cfg.u0,
-            r_max=cfg.r_max)
-    raise ValidationError([f"unknown experiment {cfg.experiment!r}"])
+            scheme.T or EXPERIMENTS["rate"].T, scheme,
+            eps_rate=p["eps_rate"], r_max=cfg.r_max)
+    # large_time
+    return harness.large_time_experiment(
+        spec, _limit_spec(cfg), dom, kern, cfg.phi, cfg.phi_limit,
+        p["t_ladder"], scheme, eps_conv=p["eps_conv"], u0=cfg.u0,
+        r_max=cfg.r_max)
 
 
 def _limit_spec(cfg: RunConfig):
     """Time-frozen Hamiltonian limit for the large-time experiment."""
     spec = cfg.spec
-    f_limit = cfg.params.get("f_limit")
-    if spec.family == "coercive" and (f_limit is not None or spec.time_dependent):
-        spec = CoerciveSpec(m=spec.m, l=spec.l, a1=spec.a1, a2=spec.a2,
-                            b=spec.b, lam=spec.lam,
-                            f=f_limit if f_limit is not None else spec.f,
-                            dim=spec.dim)
+    if spec.family == "coercive" and "f_limit" in cfg.params:
+        spec = replace(spec, f=cfg.params["f_limit"])
     if spec.time_dependent:
         raise ValidationError(["large_time with a time-dependent Hamiltonian "
                                "needs a time-independent limit (f_limit sets "

@@ -34,6 +34,11 @@ class ExperimentResult:
     tables: dict = dfield(default_factory=dict)   # name -> (header, rows)
 
 
+# defaults of the experiments' settings, which configs read from here too
+R_MAX_DIAMETERS = 4.0   # halo reach, in domain diameters
+EPS_RATE = 0.05         # slack of the rate bound
+EPS_CONV = 0.05         # convergence tolerance along the horizon ladder
+
 _DISCRETIZATIONS = weakref.WeakValueDictionary()
 
 
@@ -49,7 +54,7 @@ def discretize(dom: Domain, k: Kernel, h: float,
     afresh on the next request.
     """
     if r_max is None:
-        r_max = 4.0 * dom.diameter
+        r_max = R_MAX_DIAMETERS * dom.diameter
     key = (dom, k, h, r_max)
     plan = _DISCRETIZATIONS.get(key)
     if plan is None:
@@ -375,7 +380,7 @@ def make_rate_bound(times, g_samples, mu0: float, dev0: float) -> RateBound:
 
 
 def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
-                    T: float, cfg: SchemeConfig, eps_rate: float = 0.05,
+                    T: float, cfg: SchemeConfig, eps_rate: float = EPS_RATE,
                     r_max: float | None = None) -> ExperimentResult:
     """Certify the exponential convergence rate toward the steady solution.
 
@@ -445,7 +450,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
 
 def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
                           phi_limit, T_ladder, cfg: SchemeConfig,
-                          eps_conv: float = 0.05, u0=0.0,
+                          eps_conv: float = EPS_CONV, u0=0.0,
                           r_max: float | None = None) -> ExperimentResult:
     """Uniform convergence along a ladder of horizons T1 < T2 < T3.
 

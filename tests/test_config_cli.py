@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from nlhj.errors import ParseError, ValidationError
 from nlhj.geometry import Domain, Grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+WORKLOADS = CONFIGS.parent / "perfbench" / "workloads.py"
 
 MINIMAL = """
 [domain]
@@ -184,11 +186,25 @@ def test_r_cut_is_refused(tmp_path, capsys):
     assert "r_cut" in capsys.readouterr().err
 
 
-def test_shipped_configs_parse():
+def test_shipped_configs_parse(tmp_path, monkeypatch):
     paths = sorted(CONFIGS.glob("*.cfg"))
     assert paths
+    # and the benchmark's generated configs, so that a key the config schema
+    # refuses fails here instead of failing every benchmark run
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    for make in (workloads.bellman_2d, workloads.large_time_1d):
+        for seed in (0, 1):
+            workdir = tmp_path / f"{make.__name__}-{seed}"
+            workdir.mkdir()
+            make(seed, workdir)
+            generated = sorted(workdir.glob("*.cfg"))
+            assert len(generated) == 1
+            paths += generated
     for path in paths:
-        assert parse_config(path).experiment in config.EXPERIMENTS, path.name
+        assert parse_config(path).experiment in config.EXPERIMENTS, path
 
 
 def test_execute_discretizes_once(tmp_path, monkeypatch):
@@ -638,3 +654,92 @@ def test_counts_read_as_integers(tmp_path):
     cfg = parse_config(write(tmp_path, text))
     assert cfg.scheme.max_steps == 1000 and isinstance(cfg.scheme.max_steps,
                                                        int)
+
+
+def _keys(text):
+    """(line index, section, key) of every key the template sets."""
+    section = None
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line:
+            yield i, section, line.split(" = ")[0]
+
+
+TEMPLATES = {
+    "minimal": MINIMAL,
+    "bellman": (MINIMAL[:MINIMAL.index("[hamiltonian]")] + BELLMAN_HAMILTONIAN
+                + MINIMAL[MINIMAL.index("\n[data]"):]),
+    "bellman_2d": BELLMAN_2D,
+}
+
+
+@pytest.mark.parametrize("template, line, section, key", [
+    pytest.param(name, *k, id=f"{name}-{k[2]}")
+    for name, text in TEMPLATES.items() for k in _keys(text)])
+def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
+                                   key):
+    # every key the schema accepts, with one character appended
+    lines = TEMPLATES[template].format(out=tmp_path / "out").splitlines()
+    assert lines[line].startswith(f"{key} = ")
+    lines[line] = lines[line].replace(key, key + "x", 1)
+    p = write(tmp_path, "\n".join(lines), "typo.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    refusal = f"[{section}] unknown key '{key}x'"
+    assert any(m.startswith(refusal) for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert refusal in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("name, old, new, refusal", [
+    ("boundary_loss", "snapshot_dt", "snapshot_dtt",
+     "[scheme] unknown key 'snapshot_dtt'"),
+    ("boundary_loss", "[output]", "[bogus]\nsnapshot_dt = 1\n\n[output]",
+     "[bogus] is not a section"),
+    # configparser would copy the keys of [DEFAULT] into every section
+    ("comparison", "[domain]", "[DEFAULT]\nh = 0.5\n\n[domain]",
+     "[DEFAULT] is not a section"),
+    ("comparison", "alpha = 0.5", "alpha = 0.5\nrho = 1",
+     "[kernel] rho is not a key of type = fractional_laplacian"),
+    ("boundary_loss", "lipschitz = 1.0", "lipschitz = 1.0\nlam_3 = 1",
+     "[hamiltonian] lam_3 is not a key of controls = 1"),
+    ("boundary_loss", "controls = 1", "controls = 1\nm = 2",
+     "[hamiltonian] m is not a key of family = bellman"),
+    ("rate_nonlocal", "eps_rate = 0.05", "eps_rate = 0.05\nseeds = 3",
+     "[experiment] seeds is not a key of name = rate"),
+    ("rate_nonlocal", "eps_rate = 0.05", "eps_rate = 0.05\nh_list = 0.1",
+     "[experiment] h_list is not a key of name = rate"),
+    # lists that could only crash the run or fail its verdict
+    ("rate_nonlocal", "name = rate\neps_rate = 0.05",
+     "name = large_time\nt_ladder = 2",
+     "[experiment] t_ladder: needs at least 2 numbers"),
+    ("boundary_loss", "h_list = 0.015625", "h_list = 0.3",
+     "[experiment] h_list: domain side 2.0 is not a multiple of h = 0.3"),
+    ("boundary_loss", "h_list = 0.015625", "h_list = 1",
+     "[experiment] h_list: r_max = 8.0 must be at least 10*h = 10.0"),
+    ("boundary_loss", "h_list = 0.015625", "h_list = 0",
+     "[experiment] h_list: spacing h = 0.0 must be positive"),
+    ("comparison", "name = comparison\nseeds = 20",
+     "name = coercive_loss\nphi_scales = 1",
+     "[experiment] phi_scales: needs at least 2 numbers"),
+    # only run reads steady: the experiments below would run to T = None
+    ("comparison", "T = 1.0", "steady = true",
+     "[scheme] name = comparison needs a final time T"),
+    ("boundary_loss", "T = 3.0", "steady = true",
+     "[scheme] name = boundary_behavior needs a final time T"),
+])
+def test_refused_by_name_before_output(tmp_path, capsys, name, old, new,
+                                       refusal):
+    out = tmp_path / "out"
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert old in text
+    text = re.sub(r"(?m)^directory = .*$", f"directory = {out}", text)
+    p = write(tmp_path, text.replace(old, new, 1))
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert any(m.startswith(refusal) for m in ei.value.problems)
+    assert main(["run", str(p)]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
