@@ -336,6 +336,11 @@ def parse_config(path) -> RunConfig:
         errors.append(f"[data] phi_limit is required for name = {exp}")
     for h in params.get("h_list", ()) if dom is not None else ():
         _spacing(h, dom, r_max, "[experiment] h_list:", errors)
+    if exp == "large_time" and spec is not None and \
+            _limit_spec(spec, params).time_dependent:
+        errors.append("[experiment] large_time with a time-dependent "
+                      "Hamiltonian needs a time-independent limit (f_limit "
+                      "sets the limit of the coercive f only)")
 
     outdir = path.parent / _read(cp, "output", dim, errors)["directory"]
 
@@ -475,26 +480,33 @@ def _dispatch(cfg: RunConfig, manifest: dict):
                                         metrics={"steps": st.steps,
                                                  "sup_norm": st.sup_norm})
     if cfg.experiment == "comparison":
-        if "u0_b" in p or "phi_b" in p:
+        single = "u0_b" in p or "phi_b" in p
+        if single:
             u0b = p.get("u0_b", cfg.u0)
             phib = CoefficientField(p.get("phi_b", cfg.phi), "phi_b")
-            return harness.comparison_experiment(
-                spec, dom, kern,
-                (lambda x: eval_initial(cfg.u0, x), lambda x: eval_initial(u0b, x)),
-                (cfg.phi, phib), scheme.T, scheme, r_max=cfg.r_max)
-        worst = 0.0
-        rows = []
-        for s in range(p["seeds"]):
-            u0a, v0a, pa, pb = harness.random_ordered_pair(s, dom)
-            r = harness.comparison_experiment(spec, dom, kern, (u0a, v0a),
-                                              (pa, pb), scheme.T, scheme,
-                                              r_max=cfg.r_max)
-            worst = max(worst, r.metrics["max_violation"])
-            rows.append((s, r.metrics["max_violation"]))
+            pairs = [(lambda x: eval_initial(cfg.u0, x),
+                      lambda x: eval_initial(u0b, x), cfg.phi, phib)]
+        else:
+            pairs = [harness.random_ordered_pair(s, dom)
+                     for s in range(p["seeds"])]
+        results = [harness.comparison_experiment(
+            spec, dom, kern, (u, v), (pu, pv), scheme.T, scheme,
+            r_max=cfg.r_max) for u, v, pu, pv in pairs]
+        metrics = [r.metrics for r in results]
+        manifest["telemetry"] = {
+            "steps": sum(m["steps"] for m in metrics),
+            "sigma": max((m["sigma"] for m in metrics
+                          if m["sigma"] is not None), default=None),
+            "restarts": sum(m["restarts"] for m in metrics)}
+        if single:
+            return results[0]
+        worst = max(m["max_violation"] for m in metrics)
         return harness.ExperimentResult(
             "comparison", worst <= 1e-12,
             metrics={"max_violation": worst, "seeds": p["seeds"]},
-            tables={"report": (("seed", "max_violation"), rows)})
+            tables={"report": (("seed", "max_violation"),
+                               [(s, m["max_violation"])
+                                for s, m in enumerate(metrics)])})
     if cfg.experiment == "boundary_behavior":
         h_list = p.get("h_list")
         if h_list:
@@ -520,18 +532,14 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             eps_rate=p["eps_rate"], r_max=cfg.r_max)
     # large_time
     return harness.large_time_experiment(
-        spec, _limit_spec(cfg), dom, kern, cfg.phi, cfg.phi_limit,
+        spec, _limit_spec(spec, p), dom, kern, cfg.phi, cfg.phi_limit,
         p["t_ladder"], scheme, eps_conv=p["eps_conv"], u0=cfg.u0,
         r_max=cfg.r_max)
 
 
-def _limit_spec(cfg: RunConfig):
-    """Time-frozen Hamiltonian limit for the large-time experiment."""
-    spec = cfg.spec
-    if spec.family == "coercive" and "f_limit" in cfg.params:
-        spec = replace(spec, f=cfg.params["f_limit"])
-    if spec.time_dependent:
-        raise ValidationError(["large_time with a time-dependent Hamiltonian "
-                               "needs a time-independent limit (f_limit sets "
-                               "the limit of the coercive f only)"])
+def _limit_spec(spec, params: dict):
+    """Time-frozen Hamiltonian limit for the large-time experiment: ``spec``
+    with the coercive f replaced by ``f_limit`` when the params give it."""
+    if spec.family == "coercive" and "f_limit" in params:
+        spec = replace(spec, f=params["f_limit"])
     return spec

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as _pocketfft
 
 from . import kernels
 from .errors import NodeOutsideGrid
@@ -149,6 +149,31 @@ def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
 # and 1/n backward, with n fixed by the output's length.  Their argument
 # handling costs as much as the transforms of a few hundred points.
 _ALONG = ([(0,), (), (0,)], [(1,), (), (1,)])
+
+
+def _wrapped(name: str, n_of_out):
+    """``np.fft.<name>`` called as the gufunc it wraps, (a, fct, axes, out).
+    The wrapper derives the same ``fct`` from the transform length,
+    ``n_of_out`` of the output's length along the axis, and calls that
+    gufunc: the same bytes, plus the wrapper's argument handling."""
+    wrapper = getattr(np.fft, name)
+
+    def call(a, fct, axes, out):
+        axis = axes[0][0]
+        return wrapper(a, n_of_out(out.shape[axis]), axis, out=out)
+    return call
+
+
+_PUBLIC_FFT = SimpleNamespace(
+    rfft_n_even=_wrapped("rfft", lambda m: 2 * (m - 1)),
+    rfft_n_odd=_wrapped("rfft", lambda m: 2 * m - 1),
+    fft=_wrapped("fft", int), ifft=_wrapped("ifft", int),
+    irfft=_wrapped("irfft", int))
+
+try:
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:     # a numpy that moved its private module
+    _pocketfft = _PUBLIC_FFT
 
 
 def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple,

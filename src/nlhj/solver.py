@@ -282,9 +282,10 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     Without ``dt`` the step takes :func:`auto_dt`; a given ``dt`` is checked
     against the CFL limit theta / :func:`cfl_denominator`.  On a
     Lax-Friedrichs viscosity underflow the viscosity is enlarged and the
-    step retried with the tightened CFL limit, unless a shared sigma override
-    pins it (paired comparison runs must restart jointly).  The applied step
-    size is stored in ``st.last_dt``.
+    step retried with the tightened CFL limit, unless ``cfg.sigma_override``
+    pins it: then the underflow is raised, for a comparison pair, which
+    shares the larger of its two states' own viscosities, to restart both
+    states jointly.  The applied step size is stored in ``st.last_dt``.
     """
     attempt = 0
     while True:

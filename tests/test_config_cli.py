@@ -12,7 +12,7 @@ import pytest
 from nlhj import config, harness, kernels, operators, solver
 from nlhj.cli import main
 from nlhj.config import execute, parse_config
-from nlhj.errors import ParseError, ValidationError
+from nlhj.errors import ParseError, ValidationError, ViscosityUnderflow
 from nlhj.geometry import Domain, Grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -385,17 +385,83 @@ def test_run_manifest_reports_solver_telemetry(tmp_path):
     assert header == "t\tsup_norm"
 
 
-def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path):
-    # f_limit freezes f only: a t-dependent lam leaves no steady limit
-    text = MINIMAL.format(out=tmp_path / "out")
+@pytest.mark.parametrize("template", ["minimal", "bellman"])
+def test_comparison_manifest_reports_solver_telemetry(tmp_path, template):
+    # steps summed over the pairs, the largest shared viscosity (none for
+    # Bellman forms) and the joint restarts; the report table is unchanged
+    out = tmp_path / "out"
+    text = TEMPLATES[template].format(out=out)
+    text = text.replace("name = run", "name = comparison\nseeds = 2")
+    text = text.replace("T = 0.25", "T = 0.125")
+    cfg = parse_config(write(tmp_path, text, "cmp.cfg"))
+    assert execute(cfg) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    pairs = [harness.comparison_experiment(
+        cfg.spec, cfg.domain, cfg.kernel, pair[:2], pair[2:], cfg.scheme.T,
+        cfg.scheme, r_max=cfg.r_max).metrics
+        for pair in (harness.random_ordered_pair(s, cfg.domain)
+                     for s in range(2))]
+    assert m["telemetry"] == {
+        "steps": pairs[0]["steps"] + pairs[1]["steps"],
+        "sigma": 2.0 if template == "minimal" else None,   # 1 + a1 at m = 1
+        "restarts": 0}
+    assert m["telemetry"]["steps"] > 0
+    assert (out / "report.tsv").read_text().splitlines() == [
+        "seed\tmax_violation", "0\t0", "1\t0"]
+
+
+def test_comparison_telemetry_counts_joint_restarts(tmp_path):
+    # one given pair whose datum ramps up fast: the shared viscosity is
+    # enlarged by joint restarts, and the telemetry reports them
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("m = 1.0", "m = 2.0")
+    text = text.replace("u0 = 1 - x^2\nphi = 0", "u0 = 0\nphi = 20*t")
+    text = text.replace("name = run", "name = comparison\nu0_b = 0.1\n"
+                        "phi_b = 20*t + 0.1")
+    assert execute(parse_config(write(tmp_path, text, "ramp.cfg"))) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["metrics"]["restarts"] >= 1
+    assert m["telemetry"] == {key: m["metrics"][key]
+                              for key in ("steps", "sigma", "restarts")}
+
+
+def test_comparison_pair_out_of_restarts_exits_1(tmp_path, monkeypatch):
+    def underflow(st, cfg, dt=None):
+        raise ViscosityUnderflow("forced", required=np.array([1.0]))
+
+    monkeypatch.setattr(harness, "step", underflow)
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("name = run",
+                                           "name = comparison\nseeds = 1")
+    assert execute(parse_config(write(tmp_path, text, "cmp.cfg"))) == 1
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["error"].startswith("NonConvergence: comparison pair")
+    assert "passed" not in m and not (out / "report.tsv").exists()
+
+
+def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path, capsys):
+    # f_limit freezes f only: a t-dependent lam leaves no steady limit,
+    # refused at parse time, before the output directory exists
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out)
     text = text.replace("name = run", "name = large_time\nt_ladder = 1 2\n"
                         "f_limit = 0")
     text = text.replace("lam = 1", "lam = 1 + exp(-t)")
     text = text.replace("phi = 0", "phi = 0\nphi_limit = 0")
-    cfg = parse_config(write(tmp_path, text, "lt.cfg"))
-    with pytest.raises(ValidationError):
-        config._limit_spec(cfg)
-    assert execute(cfg) == 2
+    p = write(tmp_path, text, "lt.cfg")
+    with pytest.raises(ValidationError) as ei:
+        parse_config(p)
+    assert ei.value.problems == [
+        "[experiment] large_time with a time-dependent Hamiltonian needs a "
+        "time-independent limit (f_limit sets the limit of the coercive f "
+        "only)"]
+    assert main(["run", str(p)]) == 2
+    assert "time-independent limit" in capsys.readouterr().err
+    assert not out.exists()
+    # a t-dependent f that f_limit freezes is accepted
+    frozen = text.replace("lam = 1 + exp(-t)", "lam = 1").replace(
+        "f = 0\n", "f = exp(-t)\n", 1)
+    assert parse_config(write(tmp_path, frozen, "ok.cfg")).spec.time_dependent
 
 
 def test_large_time_runs_without_T(tmp_path):

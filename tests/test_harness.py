@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlhj import harness
-from nlhj.errors import PreconditionError
+from nlhj.errors import (NonConvergence, PreconditionError,
+                         ViscosityUnderflow)
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
@@ -14,7 +15,8 @@ from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           make_rate_bound, random_ordered_pair,
                           rate_experiment)
 from nlhj.oracles import rate_bound_trapezoid
-from nlhj.solver import SchemeConfig, init_state, run_to_steady
+from nlhj.solver import (SchemeConfig, init_state, run_to_steady,
+                         run_to_time)
 
 
 def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
@@ -85,6 +87,61 @@ def test_comparison_negation_symmetry(dom1, k05):
                                     (neg_pa, neg_pb), T=0.2, cfg=cfg,
                                     r_max=4.0)
     assert res.metrics["max_violation"] == res_neg.metrics["max_violation"]
+
+
+def test_comparison_pair_steps_with_the_scheme_a_run_takes(dom1, k05):
+    # criterion 3's coercive spec: the pair shares each state's own
+    # viscosity and so takes the steps of one state run alone
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
+    cfg = SchemeConfig(h=2.0 ** -5, theta=0.9)
+    u0, v0, pa, pb = random_ordered_pair(3, dom1)
+    res = comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb), T=1.0,
+                                cfg=cfg, r_max=4.0)
+    assert res.passed and res.metrics["restarts"] == 0
+    plan = discretize(dom1, k05, cfg.h, 4.0)
+    sa = init_state(plan, spec, pa, u0, cfg)
+    sb = init_state(plan, spec, pb, v0, cfg)
+    assert res.metrics["sigma"] == float(sa.sigma[0]) == float(sb.sigma[0])
+    run_to_time(sa, cfg, 1.0)
+    assert res.metrics["steps"] == sa.steps
+
+
+def test_comparison_pair_restarts_jointly_on_underflow(dom1, k05):
+    # a datum ramping up fast steepens the trace gradients past the shared
+    # viscosity: both states restart with a larger one and stay ordered
+    spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
+    cfg = SchemeConfig(h=2.0 ** -5)
+    u0 = lambda p: np.zeros(p.shape[0])
+    v0 = lambda p: np.full(p.shape[0], 0.1)
+    res = comparison_experiment(spec, dom1, k05, (u0, v0),
+                                ("20*t", "20*t + 0.1"), T=0.5, cfg=cfg,
+                                r_max=4.0)
+    sigma0 = init_state(discretize(dom1, k05, cfg.h, 4.0), spec, "20*t", u0,
+                        cfg).sigma
+    assert res.passed and res.metrics["max_violation"] == 0.0
+    assert res.metrics["restarts"] >= 1
+    assert res.metrics["sigma"] >= 2 ** res.metrics["restarts"] * sigma0.max()
+
+
+def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
+                                                          monkeypatch):
+    # an underflow on every attempt ends the pair with an error, not with
+    # a pass over no steps
+    attempts = []
+
+    def underflow(st, cfg, dt=None):
+        attempts.append(cfg.sigma_override)
+        raise ViscosityUnderflow("forced", required=np.array([1.0]))
+
+    monkeypatch.setattr(harness, "step", underflow)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
+    u0, v0, pa, pb = random_ordered_pair(0, dom1)
+    with pytest.raises(NonConvergence, match="8 attempts"):
+        comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb), T=0.25,
+                              cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    assert len(attempts) == harness.PAIR_ATTEMPTS == 8
+    # each restart doubles the shared viscosity
+    assert [float(s[0]) for s in attempts] == [2.0 * 2 ** i for i in range(8)]
 
 
 def test_rate_degenerate_closed_form(dom1):

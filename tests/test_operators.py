@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nlhj import operators
 from nlhj.errors import NodeOutsideGrid
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
@@ -343,3 +349,51 @@ def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
         assert body == "".join(
             "%s%.17g\n" % (p, v) for p, v in
             zip(row_prefixes(g.core_points), values.tolist())).encode()
+
+
+FALLBACK_SWEEP = """
+import sys
+import numpy as np
+if sys.argv[1] == "hide":
+    # a numpy without the private module: the import of nlhj falls back
+    import numpy.fft
+    del numpy.fft._pocketfft_umath
+    sys.modules["numpy.fft._pocketfft_umath"] = None
+sys.path.insert(0, sys.argv[2])
+from conftest import grid_for
+from nlhj import operators
+from nlhj.geometry import Domain
+from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
+
+print(operators._pocketfft is operators._PUBLIC_FFT)
+for dim, h in ((1, 2.0 ** -5), (2, 0.125), (2, 2.0 ** -5)):
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    plan = operators.SweepPlan(
+        grid_for(dom, h, 2.0),
+        build_quadrature(fractional_laplacian_kernel(0.5, dim), h, 2.0))
+    g = plan.grid
+    rng = np.random.default_rng(dim)
+    E = rng.normal(size=len(g.core_flat))
+    load = plan.exterior_load(rng.normal(size=len(g.exterior_flat)))
+    print(plan._core_fft[-1] % 2, plan._full_fft[-1] % 2,
+          load.tobytes().hex(), plan.apply(E, E - 0.25, load).tobytes().hex())
+"""
+
+
+def test_sweep_without_the_private_fft_module_is_byte_identical():
+    # hiding numpy's private pocketfft module leaves nlhj importable on the
+    # public np.fft wrappers, and every load and sweep keeps its bytes, for
+    # transform lengths of either parity in 1-D and 2-D
+    src = str(Path(operators.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = {}
+    for mode in ("hide", "keep"):
+        run = subprocess.run([sys.executable, "-c", FALLBACK_SWEEP, mode, tests],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        out[mode] = run.stdout.splitlines()
+    assert out["hide"][0] == "True" and out["keep"][0] == "False"
+    assert out["hide"][1:] == out["keep"][1:]
+    parities = {tuple(line.split()[:2]) for line in out["keep"][1:]}
+    assert {p for pair in parities for p in pair} == {"0", "1"}
