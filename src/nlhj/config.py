@@ -417,8 +417,6 @@ def execute(cfg: RunConfig) -> int:
     }
     status = 0
     try:
-        # held until the run ends: the certificates and the experiment
-        # share this discretization instead of building their own
         plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
                                   cfg.r_max)
         manifest["cfl"] = {"lambda": plan.qt.lam, "theta": cfg.scheme.theta,
@@ -484,8 +482,7 @@ def _dispatch(cfg: RunConfig, manifest: dict):
         if single:
             u0b = p.get("u0_b", cfg.u0)
             phib = CoefficientField(p.get("phi_b", cfg.phi), "phi_b")
-            pairs = [(lambda x: eval_initial(cfg.u0, x),
-                      lambda x: eval_initial(u0b, x), cfg.phi, phib)]
+            pairs = [(cfg.u0, u0b, cfg.phi, phib)]
         else:
             pairs = [harness.random_ordered_pair(s, dom)
                      for s in range(p["seeds"])]
@@ -510,12 +507,12 @@ def _dispatch(cfg: RunConfig, manifest: dict):
     if cfg.experiment == "boundary_behavior":
         h_list = p.get("h_list")
         if h_list:
-            gaps, ratios = harness.boundary_refinement(
+            gaps, ratios, passed = harness.boundary_refinement(
                 spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list, scheme,
                 r_max=cfg.r_max)
             rows = [(f, *g) for f, g in gaps.items()]
             return harness.ExperimentResult(
-                "boundary_behavior", True,
+                "boundary_behavior", passed,
                 metrics={"gaps": gaps, "ratios": ratios},
                 tables={"report": (("face",) + tuple(f"h{i}" for i in
                                                      range(len(h_list))), rows)})

@@ -9,14 +9,14 @@ headline metrics, and plot-ready tables; preconditions are gated and raise
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
 from .boundary import classification_table, classify_boundary
-from .errors import NonConvergence, PreconditionError, ViscosityUnderflow
+from .errors import NonConvergence, PreconditionError
 from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
                            check_H2prime, check_superfractional, check_UE)
@@ -40,8 +40,6 @@ EPS_RATE = 0.05         # slack of the rate bound
 EPS_CONV = 0.05         # convergence tolerance along the horizon ladder
 PAIR_ATTEMPTS = 8       # runs of a comparison pair, its joint restarts included
 
-_DISCRETIZATIONS = weakref.WeakValueDictionary()
-
 
 def discretize(dom: Domain, k: Kernel, h: float,
                r_max: float | None = None) -> SweepPlan:
@@ -49,20 +47,21 @@ def discretize(dom: Domain, k: Kernel, h: float,
     halo of reach r_max (default four diameters), the kernel's quadrature
     table, and the sweep plan binding them (``.grid``, ``.qt``).
 
-    Every caller asking for the same (domain, kernel, h, r_max) gets the
-    same plan while any of them still references it, so a run that
-    certifies and then evolves discretizes once; a released plan is built
-    afresh on the next request.
+    The last plan is kept: callers asking for the same (domain, kernel, h,
+    r_max) in a row get the same plan, so a run that certifies and then
+    evolves, or a series of comparison pairs on one problem, discretizes
+    once.
     """
     if r_max is None:
         r_max = R_MAX_DIAMETERS * dom.diameter
-    key = (dom, k, h, r_max)
-    plan = _DISCRETIZATIONS.get(key)
-    if plan is None:
-        qt = build_quadrature(k, h, r_max)
-        grid = Grid(dom, h, halo=int(np.floor(r_max / h + 1e-12)))
-        plan = _DISCRETIZATIONS[key] = SweepPlan(grid, qt)
-    return plan
+    return _last_plan(dom, k, h, r_max)
+
+
+@functools.lru_cache(maxsize=1)
+def _last_plan(dom: Domain, k: Kernel, h: float, r_max: float) -> SweepPlan:
+    qt = build_quadrature(k, h, r_max)
+    grid = Grid(dom, h, halo=int(np.floor(r_max / h + 1e-12)))
+    return SweepPlan(grid, qt)
 
 
 def _exterior_sample(plan: SweepPlan, *data: CoefficientField) -> np.ndarray:
@@ -92,6 +91,20 @@ def trace_face_map(grid: Grid, dom: Domain) -> dict:
 # comparison
 # ---------------------------------------------------------------------------
 
+def _require_ordered(plan: SweepPlan, u, v, phi_u, phi_v, T: float):
+    """Precondition of a comparison pair: u0 <= v0 at the core nodes and
+    phi_u <= phi_v outside the domain over the window [0, T]."""
+    if np.any(u > v + 1e-14):
+        raise PreconditionError("initial data are not ordered u0 <= v0")
+    pa = CoefficientField(phi_u, "phi_a")
+    pb = CoefficientField(phi_v, "phi_b")
+    ext_pts = _exterior_sample(plan, pa, pb)
+    times = np.linspace(0.0, T, 5)
+    for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
+        if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
+            raise PreconditionError("exterior data are not ordered phi_u <= phi_v")
+
+
 def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
                           T: float, cfg: SchemeConfig,
                           r_max: float | None = None) -> ExperimentResult:
@@ -102,64 +115,46 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     fluxes would differ and exact ordering could not be expected.  It is the
     per-axis larger of the two states' own viscosities, the ones
     :func:`~nlhj.solver.init_state` sizes and a single run of either data
-    set steps with, so the pair checks the scheme the solver runs.  On
-    underflow both states restart with the viscosity doubled over the
-    larger of the shared and the required one; the underflow of the last
-    of :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`.  Metrics:
-    ``max_violation``, ``steps`` (per state), the shared ``sigma`` (None
-    for Bellman forms) and ``restarts``.
+    set steps with, so the pair checks the scheme the solver runs.  When a
+    step grows either state's viscosity (``sigma_growth``), both states
+    restart with the grown one; a growth in the last of
+    :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`, as does a
+    state passing ``cfg.max_steps``.  Metrics: ``max_violation``, ``steps``
+    (per state), the shared ``sigma`` (None for Bellman forms) and
+    ``restarts``.
     """
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-
-    def make_states(shared_sigma):
-        c = replace(cfg, sigma_override=shared_sigma)
-        return (init_state(plan, spec, phi_a, u0_a, c),
-                init_state(plan, spec, phi_b, u0_b, c), c)
-
     shared = None
-    sa, sb, cpair = make_states(None)
-    if spec.family == "coercive":
-        # the states of an override differ only in sigma: keep these two
-        shared = np.maximum(sa.sigma, sb.sigma)
-        cpair = replace(cfg, sigma_override=shared)
-        sa.sigma = sb.sigma = shared
-
-    # precondition: nodewise ordering of both data sets over the window
-    if np.any(sa.u > sb.u + 1e-14):
-        raise PreconditionError("initial data are not ordered u0 <= v0")
-    pa = CoefficientField(phi_a, "phi_a")
-    pb = CoefficientField(phi_b, "phi_b")
-    ext_pts = _exterior_sample(plan, pa, pb)
-    times = np.linspace(0.0, T, 5)
-    for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
-        if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
-            raise PreconditionError("exterior data are not ordered phi_u <= phi_v")
-
-    worst = 0.0
-    rows = []
-    gap = np.empty_like(sa.u)
-    restarts = 0
-    while True:
-        try:
-            while sa.t < T - 1e-14:
-                dt = min(auto_dt(sa, cpair), auto_dt(sb, cpair), T - sa.t)
-                step(sa, cpair, dt)
-                step(sb, cpair, dt)
-                v = float(np.subtract(sa.u, sb.u, out=gap).max())
-                worst = max(worst, v)
-                rows.append((sa.t, v))
-            break
-        except ViscosityUnderflow as e:
-            restarts += 1
-            if restarts == PAIR_ATTEMPTS:
-                raise NonConvergence(
-                    f"comparison pair: {e} after {PAIR_ATTEMPTS} attempts "
-                    f"with a shared viscosity") from e
-            shared = 2.0 * np.maximum(shared, np.asarray(e.required))
-            sa, sb, cpair = make_states(shared)
-            worst, rows = 0.0, []
+    for restarts in range(PAIR_ATTEMPTS):
+        sa = init_state(plan, spec, phi_a, u0_a, cfg)
+        sb = init_state(plan, spec, phi_b, u0_b, cfg)
+        if spec.family == "coercive":
+            if shared is None:
+                shared = np.maximum(sa.sigma, sb.sigma)
+            sa.sigma = sb.sigma = shared
+        if restarts == 0:
+            _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
+        worst, rows, gap = 0.0, [], np.empty_like(sa.u)
+        while sa.t < T - 1e-14:
+            dt = min(auto_dt(sa, cfg), auto_dt(sb, cfg), T - sa.t)
+            if step(sa, cfg, dt).sigma_growth or step(sb, cfg, dt).sigma_growth:
+                break
+            v = float(np.subtract(sa.u, sb.u, out=gap).max())
+            worst = max(worst, v)
+            rows.append((sa.t, v))
+            if sa.steps > cfg.max_steps:
+                raise NonConvergence(f"comparison pair: exceeded "
+                                     f"{cfg.max_steps} steps before T")
+        else:
+            break  # the pair reached T
+        # a step grew its state's viscosity: restart both states with it
+        shared = sb.sigma if sb.sigma_growth else sa.sigma
+    else:
+        raise NonConvergence(
+            f"comparison pair: viscosity underflow after {PAIR_ATTEMPTS} "
+            f"attempts with a shared viscosity")
     passed = worst <= 1e-12
     return ExperimentResult(
         "comparison", passed,
@@ -274,19 +269,21 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
 def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
                         cfg: SchemeConfig | None = None,
                         r_max: float | None = None):
-    """Final-time gap per face across grid refinements, plus halving ratios.
+    """Final-time gap per face across grid refinements, the halving ratios,
+    and whether :func:`boundary_behavior_experiment` passed at every h.
 
     Each h runs with ``cfg`` (defaults when None) at that spacing."""
-    gaps = {}
+    gaps, passed = {}, True
     for h in h_list:
         cfg_h = SchemeConfig(h=h) if cfg is None else replace(cfg, h=h)
         res = boundary_behavior_experiment(spec, dom, k, phi, u0, T, cfg_h,
                                            r_max=r_max)
+        passed = passed and res.passed
         for face, d in res.metrics["per_face"].items():
             gaps.setdefault(face, []).append(d["final_gap"])
     ratios = {f: [b / a if abs(a) > 1e-300 else np.inf
                   for a, b in zip(v[:-1], v[1:])] for f, v in gaps.items()}
-    return gaps, ratios
+    return gaps, ratios, passed
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ class SchemeConfig:
     m_cap: float | None = None
     snapshot_dt: float | None = None
     max_steps: int = 2_000_000
-    sigma_override: object = None
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
@@ -211,13 +210,10 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
     st.m_cap = (cfg.m_cap if cfg.m_cap is not None
                 else 1e3 * (1.0 + st.sup_norm + sup_phi))
     if spec.family == "coercive":
-        if cfg.sigma_override is not None:
-            st.sigma = np.atleast_1d(np.asarray(cfg.sigma_override, dtype=float))
-        else:
-            envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
-            pm, pp = _one_sided_gradients(st)
-            scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
-            st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
+        envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
+        pm, pp = _one_sided_gradients(st)
+        scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
+        st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
     return st
 
 
@@ -267,13 +263,9 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
     return dt
 
 
-def _rhs(st: SolveState) -> np.ndarray:
-    E = envelope(st.grid, st.u, st.phi_trace, out=st._views[0])
-    rhs = st.plan.apply(E, st.u, st.load, out=st.rhs)
-    pm, pp = _one_sided_gradients(st)
-    rhs -= numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma,
+def _flux(st: SolveState, pm, pp) -> np.ndarray:
+    return numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma,
                                       out=st.flux, work=st.flux_work)
-    return rhs
 
 
 def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveState:
@@ -281,37 +273,34 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
 
     Without ``dt`` the step takes :func:`auto_dt`; a given ``dt`` is checked
     against the CFL limit theta / :func:`cfl_denominator`.  On a
-    Lax-Friedrichs viscosity underflow the viscosity is enlarged and the
-    step retried with the tightened CFL limit, unless ``cfg.sigma_override``
-    pins it: then the underflow is raised, for a comparison pair, which
-    shares the larger of its two states' own viscosities, to restart both
-    states jointly.  The applied step size is stored in ``st.last_dt``.
+    Lax-Friedrichs viscosity underflow the state's viscosity grows to twice
+    the larger of itself and the required one (counted in
+    ``st.sigma_growth``) and only the flux is evaluated again: the sweep and
+    the differences do not read the viscosity, and the grown one covers the
+    same differences.  A given ``dt`` above the tightened CFL limit gives
+    way to :func:`auto_dt`.  The applied step size is stored in
+    ``st.last_dt``.
     """
-    attempt = 0
-    while True:
-        if dt is None:
-            use = auto_dt(st, cfg)
-        else:
-            den = cfl_denominator(st)
-            limit = cfg.theta / den if den > 0.0 else np.inf
-            use = dt
-            if dt > limit * (1 + 1e-9):
-                if attempt == 0:
-                    raise CflViolation(
-                        f"dt = {dt} exceeds the CFL-limited step {limit}")
-                use = auto_dt(st, cfg)  # viscosity grew mid-step; tighten
-        try:
-            rhs = _rhs(st)
-            break
-        except ViscosityUnderflow as e:
-            if cfg.sigma_override is not None:
-                raise
-            grown = 2.0 * st.sigma
-            if e.required is not None:
-                grown = np.maximum(grown, 2.0 * np.asarray(e.required, dtype=float))
-            st.sigma = grown
-            st.sigma_growth += 1
-            attempt += 1
+    if dt is None:
+        use = auto_dt(st, cfg)
+    else:
+        den = cfl_denominator(st)
+        if den > 0.0 and dt > cfg.theta / den * (1 + 1e-9):
+            raise CflViolation(
+                f"dt = {dt} exceeds the CFL-limited step {cfg.theta / den}")
+        use = dt
+    E = envelope(st.grid, st.u, st.phi_trace, out=st._views[0])
+    rhs = st.plan.apply(E, st.u, st.load, out=st.rhs)
+    pm, pp = _one_sided_gradients(st)
+    try:
+        flux = _flux(st, pm, pp)
+    except ViscosityUnderflow as e:
+        st.sigma = np.maximum(2.0 * st.sigma, 2.0 * e.required)
+        st.sigma_growth += 1
+        if dt is None or dt > cfg.theta / cfl_denominator(st) * (1 + 1e-9):
+            use = auto_dt(st, cfg)  # the viscosity grew mid-step: tighten
+        flux = _flux(st, pm, pp)
+    rhs -= flux
     rhs *= use
     st.u += rhs
     st.t += use

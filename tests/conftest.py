@@ -8,6 +8,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def fresh_discretization():
+    # harness.discretize keeps its last plan: start every test without it,
+    # so that no test reads a plan, or lazily built grid data, of another
+    from nlhj import harness
+    harness._last_plan.cache_clear()
+
+
 @pytest.fixture
 def dom1():
     from nlhj.geometry import Domain

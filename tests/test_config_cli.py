@@ -12,7 +12,7 @@ import pytest
 from nlhj import config, harness, kernels, operators, solver
 from nlhj.cli import main
 from nlhj.config import execute, parse_config
-from nlhj.errors import ParseError, ValidationError, ViscosityUnderflow
+from nlhj.errors import ParseError, ValidationError
 from nlhj.geometry import Domain, Grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -244,6 +244,26 @@ def test_boundary_refinement_keeps_scheme_settings(tmp_path):
     assert "NonConvergence" in m["error"]
 
 
+def test_boundary_refinement_fails_when_one_spacing_fails(tmp_path,
+                                                         monkeypatch):
+    # the verdict is that of every spacing in h_list, not a constant
+    real = harness.boundary_behavior_experiment
+
+    def fails_at_finest(spec, dom, k, phi, u0, T, cfg, r_max=None):
+        res = real(spec, dom, k, phi, u0, T, cfg, r_max=r_max)
+        res.passed = res.passed and cfg.h != 0.0078125
+        return res
+
+    monkeypatch.setattr(harness, "boundary_behavior_experiment",
+                        fails_at_finest)
+    out = tmp_path / "out"
+    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
+        "directory = out_boundary", f"directory = {out}")
+    assert execute(parse_config(write(tmp_path, text, "fails.cfg"))) == 1
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["passed"] is False and (out / "report.tsv").exists()
+
+
 def test_boundary_behavior_single_run(tmp_path):
     # without h_list: one run at the [scheme] spacing, whose tables are the
     # trace gaps and the boundary classification
@@ -426,16 +446,33 @@ def test_comparison_telemetry_counts_joint_restarts(tmp_path):
 
 
 def test_comparison_pair_out_of_restarts_exits_1(tmp_path, monkeypatch):
-    def underflow(st, cfg, dt=None):
-        raise ViscosityUnderflow("forced", required=np.array([1.0]))
+    def grows(st, cfg, dt=None):
+        # the viscosity underflows on every step
+        st.sigma = np.maximum(2.0 * st.sigma, 2.0)
+        st.sigma_growth += 1
+        return st
 
-    monkeypatch.setattr(harness, "step", underflow)
+    monkeypatch.setattr(harness, "step", grows)
     out = tmp_path / "out"
     text = MINIMAL.format(out=out).replace("name = run",
                                            "name = comparison\nseeds = 1")
     assert execute(parse_config(write(tmp_path, text, "cmp.cfg"))) == 1
     m = json.loads((out / "manifest.json").read_text())
     assert m["error"].startswith("NonConvergence: comparison pair")
+    assert "passed" not in m and not (out / "report.tsv").exists()
+
+
+def test_comparison_stops_past_max_steps(tmp_path):
+    # as a run does: a pair whose states pass [scheme] max_steps fails
+    out = tmp_path / "out"
+    text = (CONFIGS / "comparison.cfg").read_text().replace(
+        "directory = out_comparison", f"directory = {out}")
+    text = text.replace("seeds = 20", "seeds = 2")
+    text = text.replace("T = 1.0", "T = 1.0\nmax_steps = 3")
+    assert execute(parse_config(write(tmp_path, text, "cmp.cfg"))) == 1
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["error"] == ("NonConvergence: comparison pair: exceeded 3 "
+                          "steps before T")
     assert "passed" not in m and not (out / "report.tsv").exists()
 
 
@@ -558,7 +595,7 @@ def test_run_builds_exterior_nodes_only_for_a_datum_varying_in_space(tmp_path):
         text = BELLMAN_2D.format(out=tmp_path / f"out-{built}").replace(
             "phi = 1\n", f"phi = {phi}\n")
         cfg = parse_config(write(tmp_path, text, "b2d.cfg"))
-        # held, so that the run uses this plan
+        # the run uses this plan, the last one discretized
         plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
                                   cfg.r_max)
         assert execute(cfg) == 0

@@ -1,11 +1,8 @@
-import weakref
-
 import numpy as np
 import pytest
 
 from nlhj import harness
-from nlhj.errors import (NonConvergence, PreconditionError,
-                         ViscosityUnderflow)
+from nlhj.errors import NonConvergence, PreconditionError
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
@@ -19,7 +16,7 @@ from nlhj.solver import (SchemeConfig, init_state, run_to_steady,
                          run_to_time)
 
 
-def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
+def test_discretize_keeps_the_last_plan(dom1, k05, monkeypatch):
     builds = []
     real = harness.build_quadrature
     monkeypatch.setattr(harness, "build_quadrature",
@@ -33,10 +30,15 @@ def test_discretize_shared_while_referenced(dom1, k05, monkeypatch):
     assert discretize(dom1, k05, h / 2, 4.0) is not plan
     assert discretize(dom1, k05, h) is not plan     # r_max = 4 * diameter
     assert len(builds) == 3
-    released = weakref.ref(plan)
+    # comparison pairs on one problem, with no plan held between them,
+    # discretize once
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
     del plan
-    assert released() is None
-    assert discretize(dom1, k05, h, 4.0).grid.h == h
+    for seed in range(2):
+        u0, v0, pa, pb = random_ordered_pair(seed, dom1)
+        assert comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb),
+                                     T=0.05, cfg=SchemeConfig(h=h),
+                                     r_max=4.0).passed
     assert len(builds) == 4
 
 
@@ -125,15 +127,18 @@ def test_comparison_pair_restarts_jointly_on_underflow(dom1, k05):
 
 def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
                                                           monkeypatch):
-    # an underflow on every attempt ends the pair with an error, not with
-    # a pass over no steps
+    # a viscosity growth on every attempt ends the pair with an error, not
+    # with a pass over no steps
     attempts = []
 
-    def underflow(st, cfg, dt=None):
-        attempts.append(cfg.sigma_override)
-        raise ViscosityUnderflow("forced", required=np.array([1.0]))
+    def grows(st, cfg, dt=None):
+        # as step grows the viscosity for a required bound of 1
+        attempts.append(st.sigma)
+        st.sigma = np.maximum(2.0 * st.sigma, 2.0)
+        st.sigma_growth += 1
+        return st
 
-    monkeypatch.setattr(harness, "step", underflow)
+    monkeypatch.setattr(harness, "step", grows)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
     u0, v0, pa, pb = random_ordered_pair(0, dom1)
     with pytest.raises(NonConvergence, match="8 attempts"):
@@ -222,9 +227,10 @@ def test_boundary_outflow_gap_decays(dom1, k05):
     # b(x) = x drifts outward on both faces: the datum (here 1, above the
     # interior equilibrium) is attained under refinement
     spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    gaps, ratios = boundary_refinement(spec, dom1, k05, 1.0, 1.0, T=2.0,
-                                       h_list=[2.0 ** -4, 2.0 ** -5],
-                                       r_max=4.0)
+    gaps, ratios, passed = boundary_refinement(
+        spec, dom1, k05, 1.0, 1.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
+        r_max=4.0)
+    assert passed
     for face in ("left", "right"):
         assert gaps[face][0] > 0.0
         assert 0.0 < ratios[face][0] < 0.7
@@ -234,9 +240,10 @@ def test_boundary_inflow_gap_persists(dom1, k05):
     # b(x) = -x drifts inward everywhere; large datum is not attained.
     # Loss threshold 0.8 pinned from the first verified refinement study.
     spec = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
-    gaps, ratios = boundary_refinement(spec, dom1, k05, 10.0, 10.0, T=2.0,
-                                       h_list=[2.0 ** -4, 2.0 ** -5],
-                                       r_max=4.0)
+    gaps, ratios, passed = boundary_refinement(
+        spec, dom1, k05, 10.0, 10.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
+        r_max=4.0)
+    assert passed
     for face in ("left", "right"):
         assert min(gaps[face]) > 0.8
         rel = abs(gaps[face][1] - gaps[face][0]) / abs(gaps[face][0])

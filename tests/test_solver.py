@@ -469,6 +469,27 @@ def test_cfl_denominator_follows_a_viscosity_retry(dom1):
     assert st.last_dt == cfg.theta / den
 
 
+def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
+    # the sweep and the differences do not read the viscosity: a step whose
+    # viscosity grows sweeps once and takes the values of a step that
+    # starts with the grown viscosity
+    spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
+    k = fractional_laplacian_kernel(0.5, 1)
+    _, _, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
+    *_, ref = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
+    st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+    sweeps = []
+    apply = SweepPlan.apply
+    monkeypatch.setattr(SweepPlan, "apply",
+                        lambda *a, **kw: sweeps.append(1) or apply(*a, **kw))
+    step(st, cfg)
+    assert st.sigma_growth == 1 and len(sweeps) == 1
+    ref.sigma = st.sigma
+    step(ref, cfg)
+    assert ref.sigma_growth == 0 and ref.last_dt == st.last_dt
+    assert np.array_equal(ref.u, st.u)
+
+
 @pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
 def test_states_sharing_a_plan_step_as_if_alone(case):
     # two states on one plan share its transform scratch: stepped
