@@ -425,6 +425,8 @@ def execute(cfg: RunConfig) -> int:
         manifest["certificates"] = {k: v.as_dict() for k, v in certs.items()}
         result = _dispatch(cfg, manifest)
         manifest["metrics"] = result.metrics
+        if result.telemetry:
+            manifest["telemetry"] = result.telemetry
         manifest["passed"] = bool(result.passed)
         if not result.passed:
             status = 1
@@ -468,15 +470,13 @@ def _dispatch(cfg: RunConfig, manifest: dict):
         manifest["steps"] = st.steps
         manifest["final_sup_norm"] = st.sup_norm
         dts = np.diff(rep.times)
-        manifest["telemetry"] = {
-            "steps": st.steps,
-            "dt_min": float(dts.min()) if len(dts) else None,
-            "dt_max": float(dts.max()) if len(dts) else None,
-            "cfl_denominator": cfl_denominator(st),
-            "sigma_growth": st.sigma_growth}
-        return harness.ExperimentResult("run", True,
-                                        metrics={"steps": st.steps,
-                                                 "sup_norm": st.sup_norm})
+        return harness.ExperimentResult(
+            "run", True, metrics={"steps": st.steps, "sup_norm": st.sup_norm},
+            telemetry={"steps": st.steps,
+                       "dt_min": float(dts.min()) if len(dts) else None,
+                       "dt_max": float(dts.max()) if len(dts) else None,
+                       "cfl_denominator": cfl_denominator(st),
+                       "sigma_growth": st.sigma_growth})
     if cfg.experiment == "comparison":
         single = "u0_b" in p or "phi_b" in p
         if single:
@@ -490,20 +490,21 @@ def _dispatch(cfg: RunConfig, manifest: dict):
             spec, dom, kern, (u, v), (pu, pv), scheme.T, scheme,
             r_max=cfg.r_max) for u, v, pu, pv in pairs]
         metrics = [r.metrics for r in results]
-        manifest["telemetry"] = {
+        telemetry = {
             "steps": sum(m["steps"] for m in metrics),
             "sigma": max((m["sigma"] for m in metrics
                           if m["sigma"] is not None), default=None),
             "restarts": sum(m["restarts"] for m in metrics)}
         if single:
-            return results[0]
+            return replace(results[0], telemetry=telemetry)
         worst = max(m["max_violation"] for m in metrics)
         return harness.ExperimentResult(
             "comparison", worst <= 1e-12,
             metrics={"max_violation": worst, "seeds": p["seeds"]},
             tables={"report": (("seed", "max_violation"),
                                [(s, m["max_violation"])
-                                for s, m in enumerate(metrics)])})
+                                for s, m in enumerate(metrics)])},
+            telemetry=telemetry)
     if cfg.experiment == "boundary_behavior":
         h_list = p.get("h_list")
         if h_list:

@@ -219,9 +219,10 @@ class Coefficients:
     so that :meth:`at` evaluates only their parts that read t, in place.
     Bounds, over points and terms: ``a1_max`` = max |a1|, ``a2_max`` =
     max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max
-    |b| per axis.  A Bellman bundle also holds the upwind mask ``upwind``
-    = (b > 0) of its drifts, stacked and per term, for the flux; :meth:`at`
-    renews it when b moves.
+    |b| per axis; a coercive bundle also says whether its viscosity bound
+    reads the gradients (``bound_reads_p``).  A Bellman bundle holds the
+    upwind mask ``upwind`` = (b > 0) of its drifts, stacked and per term,
+    for the flux; :meth:`at` renews it when b moves.
     """
 
     def __init__(self, spec, pts: np.ndarray, t: float = 0.0):
@@ -265,6 +266,10 @@ class Coefficients:
             self.a1_max = float(np.abs(terms[0].a1).max())
             self.a2_max = float(np.abs(a2).max())
             self.a2_active = bool(np.any(a2 != 0.0))
+            # |p|^(m-1) is 1 for every p at m = 1: the viscosity bound then
+            # reads the gradients only through an a2 |p|^l term with l > 0
+            self.bound_reads_p = self.spec.m != 1 or (
+                self.a2_max > 0 and self.spec.l > 0)
         self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
         self.b_max = np.zeros(self.spec.dim)
         for v in terms:
@@ -398,7 +403,7 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
             np.multiply(v.b, pp, p_k, where=v.upwind)
             np.multiply(v.lam, r, val_k)
         # b.p summed as np.einsum("ij,ij->i") sums it: from +0.0
-        val -= p.sum(axis=1, out=bp, initial=0.0)
+        val -= np.add.reduce(p, axis=1, out=bp, initial=0.0)
         val -= c.stacked["f"]
         # the maximum over the controls, taken in their order
         return np.maximum.reduce(val, axis=0, out=out)
@@ -411,7 +416,9 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
     for col in cols[1:]:
         pn += np.multiply(col, col, term)
     np.sqrt(pn, pn)
-    required = _viscosity_bounds(c, float(pn.max(initial=0.0)))
+    scale = (float(np.maximum.reduce(pn, initial=0.0)) if c.bound_reads_p
+             else 0.0)
+    required = _viscosity_bounds(c, scale)
     if sigma is None:
         sigma = np.array(required) + 1.0
     elif not (isinstance(sigma, np.ndarray) and sigma.shape == (dim,)):

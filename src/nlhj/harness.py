@@ -32,6 +32,8 @@ class ExperimentResult:
     passed: bool
     metrics: dict = dfield(default_factory=dict)
     tables: dict = dfield(default_factory=dict)   # name -> (header, rows)
+    # solver counters for the manifest, never for a table
+    telemetry: dict = dfield(default_factory=dict)
 
 
 # defaults of the experiments' settings, which configs read from here too
@@ -141,7 +143,7 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
             dt = min(auto_dt(sa, cfg), auto_dt(sb, cfg), T - sa.t)
             if step(sa, cfg, dt).sigma_growth or step(sb, cfg, dt).sigma_growth:
                 break
-            v = float(np.subtract(sa.u, sb.u, out=gap).max())
+            v = float(np.maximum.reduce(np.subtract(sa.u, sb.u, out=gap)))
             worst = max(worst, v)
             rows.append((sa.t, v))
             if sa.steps > cfg.max_steps:
@@ -391,6 +393,13 @@ def make_rate_bound(times, g_samples, mu0: float, dev0: float) -> RateBound:
     return RateBound(mu0, times, g, G, dev0, bound)
 
 
+def _telemetry(st_inf, ref, st) -> dict:
+    """The steps of a steady reference ``st_inf`` (its report ``ref``) and
+    of the time run ``st``, and the reference's residual at exit."""
+    return {"steady_steps": st_inf.steps,
+            "steady_residual": ref.residuals[-1], "steps": st.steps}
+
+
 def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
                     T: float, cfg: SchemeConfig, eps_rate: float = EPS_RATE,
                     r_max: float | None = None) -> ExperimentResult:
@@ -415,7 +424,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     st_inf = init_state(plan, spec, phi_limit, u0, cfg)
     ref_tol = 1e-12 * (1.0 + st_inf.sup_norm)
     ref_cfg = replace(cfg, steady_tol=ref_tol)
-    st_inf, _ = run_to_steady(st_inf, ref_cfg)
+    st_inf, ref = run_to_steady(st_inf, ref_cfg)
     u_inf = st_inf.u.copy()
 
     # parabolic run with snapshots
@@ -455,7 +464,8 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
         metrics={"mu0": mu0, "fitted_exponent": fitted,
                  "first_violation_t": first_bad, "eps_rate": eps_rate,
                  "dev0": float(devs[0]), "final_dev": float(devs[-1])},
-        tables={"rate_curve": (("t", "deviation", "bound", "g"), rows)})
+        tables={"rate_curve": (("t", "deviation", "bound", "g"), rows)},
+        telemetry=_telemetry(st_inf, ref, st))
     result.rate_bound = rb
     return result
 
@@ -505,7 +515,7 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
             f"data do not converge along the ladder: gaps {gaps}")
 
     st_inf = init_state(plan, spec_limit, phi_limit, u0, cfg)
-    st_inf, _ = run_to_steady(st_inf, cfg)
+    st_inf, ref = run_to_steady(st_inf, cfg)
     u_inf = st_inf.u.copy()
 
     st = init_state(plan, spec, phi, u0, cfg)
@@ -519,4 +529,5 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
         "large_time", bool(passed),
         metrics={"horizons": list(T_ladder), "deviations": devs,
                  "data_gaps": gaps, "eps_conv": eps_conv},
-        tables={"report": (("T", "deviation"), list(zip(T_ladder, devs)))})
+        tables={"report": (("T", "deviation"), list(zip(T_ladder, devs)))},
+        telemetry=_telemetry(st_inf, ref, st))

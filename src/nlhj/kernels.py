@@ -50,9 +50,15 @@ class Kernel:
             raise ValueError("kernel bound must be nonnegative")
 
 
+def _unit_profile(r):
+    return np.ones_like(r)
+
+
 def fractional_laplacian_kernel(alpha: float, dim: int = 1) -> Kernel:
-    """K identically 1 (normalization constant set to 1 by convention)."""
-    return Kernel(alpha, dim, lambda r: np.ones_like(r), kmax=1.0,
+    """K identically 1 (normalization constant set to 1 by convention).
+    Its profile is one module-level function, so that two such kernels of
+    the same alpha and dim compare equal."""
+    return Kernel(alpha, dim, _unit_profile, kmax=1.0,
                   const_value=1.0, c1=1.0, c2=1.0, name="fractional_laplacian")
 
 

@@ -85,9 +85,15 @@ def _tail_values(g: Grid, values: np.ndarray) -> np.ndarray:
 
 def row_prefixes(points: np.ndarray) -> list:
     """The leading columns of a text table's rows, one per row of
-    ``points``: each coordinate as ``%.17g``, followed by a tab."""
-    row = "%.17g\t" * points.shape[1]
-    return [row % tuple(p) for p in points.tolist()]
+    ``points``: each coordinate as ``%.17g``, followed by a tab.  Each
+    distinct value is formatted once, values being distinct by their bits,
+    so that -0.0 keeps its own string."""
+    bits = np.ascontiguousarray(points, dtype=float).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = ["%.17g\t" % v for v in keys.view(float).tolist()]
+    cols = [[text[i] for i in col]
+            for col in inverse.reshape(bits.shape).T.tolist()]
+    return ["".join(row) for row in zip(*cols)]
 
 
 def row_template(prefixes: list, columns: str = "") -> str:

@@ -71,8 +71,9 @@ class SolveState:
     ``block`` (see the module docstring) with the datum on its ring.  Data
     that do not depend on t are evaluated once, by :func:`init_state`; the
     rest are held bound to their points (``datum`` and ``coeffs``), and a
-    step evaluates their parts that read t at the new time.  Setting
-    ``sigma`` drops the cached CFL denominator.
+    step evaluates their parts that read t at the new time.  The CFL
+    denominator is held too (``_den``, see :func:`cfl_denominator`): setting
+    ``sigma`` renews it, as does a step that moves lam or the drift.
 
     The workspace a step writes into, allocated here: ``block``, the
     one-sided differences ``diffs`` of shape (2, dim, *core_shape)
@@ -98,10 +99,12 @@ class SolveState:
     rhs: np.ndarray = dfield(init=False, repr=False)
     flux: np.ndarray = dfield(init=False, repr=False)
     flux_work: tuple = dfield(init=False, repr=False)
-    # envelope's out, then what _one_sided_gradients reads
+    # envelope's out, then what _one_sided_gradients reads: u in the core
+    # block's shape, the shifted views, h and the differences by row
     _views: tuple = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     _den: float | None = dfield(default=None, repr=False)
+    _den_moves: bool = dfield(init=False, repr=False)
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
@@ -116,10 +119,15 @@ class SolveState:
         self._views = (
             (block[self.plan.inner], block.reshape(-1),
              self.plan.trace_block_pos, np.empty_like(self.phi_trace)),
+            self.u.reshape(core),
             tuple((block[bwd], block[fwd], diffs[0, a], diffs[1, a])
                   for a, (bwd, fwd) in enumerate(self.plan.shifts)),
             dim > 1,  # the block's shifted views are not contiguous
+            self.grid.h,
             diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T)
+        self._den_moves = bool(self.coeffs.moving & {"lam", "b"})
+        if self.spec.family != "coercive":
+            self._den = cfl_denominator(self)
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -129,7 +137,7 @@ class SolveState:
     @sigma.setter
     def sigma(self, value):
         self._sigma = value
-        self._den = None
+        self._den = cfl_denominator(self)
 
     @property
     def grid(self) -> Grid:
@@ -222,8 +230,7 @@ def _one_sided_gradients(st: SolveState):
     reading the state's block: the envelope inside and the held datum on
     the ring.  They are views of ``st.diffs``, whose layout (2, dim,
     *core_shape) makes each axis's differences contiguous."""
-    _, shifts, strided, pm, pp = st._views
-    u = st.u.reshape(st.plan.core_shape)
+    _, u, shifts, strided, h, pm, pp = st._views
     for bwd, fwd, d_bwd, d_fwd in shifts:
         if strided:
             # numpy would buffer a view that is not contiguous: copy it
@@ -233,23 +240,22 @@ def _one_sided_gradients(st: SolveState):
             bwd, fwd = d_bwd, d_fwd
         np.subtract(u, bwd, d_bwd)
         np.subtract(fwd, u, d_fwd)
-    st.diffs /= st.grid.h
+    st.diffs /= h
     return pm, pp
 
 
 def cfl_denominator(st: SolveState) -> float:
     """Lambda + sum(drift)/h + max|lam| at the state's time, where the drift
-    bound is the viscosity (coercive) or max |b| per axis (Bellman).
-    Cached until the viscosity or a t-dependent lam or drift changes."""
-    if st._den is None:
-        c = st.coeffs
-        drift = st.sigma if st.spec.family == "coercive" else c.b_max
-        st._den = st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
-    return st._den
+    bound is the viscosity (coercive) or max |b| per axis (Bellman).  The
+    state holds it, renewed when the viscosity or a t-dependent lam or
+    drift changes, and a step reads the held value."""
+    c = st.coeffs
+    drift = st.sigma if st.spec.family == "coercive" else c.b_max
+    return st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
-    den = cfl_denominator(st)
+    den = st._den
     if den <= 0.0:
         fallback = cfg.T / 100.0 if cfg.T else 0.01
         return cfg.dt if cfg.dt is not None else fallback
@@ -284,7 +290,7 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     if dt is None:
         use = auto_dt(st, cfg)
     else:
-        den = cfl_denominator(st)
+        den = st._den
         if den > 0.0 and dt > cfg.theta / den * (1 + 1e-9):
             raise CflViolation(
                 f"dt = {dt} exceeds the CFL-limited step {cfg.theta / den}")
@@ -297,7 +303,7 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     except ViscosityUnderflow as e:
         st.sigma = np.maximum(2.0 * st.sigma, 2.0 * e.required)
         st.sigma_growth += 1
-        if dt is None or dt > cfg.theta / cfl_denominator(st) * (1 + 1e-9):
+        if dt is None or dt > cfg.theta / st._den * (1 + 1e-9):
             use = auto_dt(st, cfg)  # the viscosity grew mid-step: tighten
         flux = _flux(st, pm, pp)
     rhs -= flux
@@ -309,10 +315,11 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
         st.plan.exterior_load(_read_datum(st), out=st.load)
     if st.coeffs.moving:
         st.coeffs.at(st.t)
-        if st.coeffs.moving & {"lam", "b"}:
-            st._den = None
+        if st._den_moves:
+            st._den = cfl_denominator(st)
     st.steps += 1
-    st.sup_norm = float(np.abs(st.u, out=rhs).max())  # rhs is spent
+    # rhs is spent
+    st.sup_norm = float(np.maximum.reduce(np.abs(st.u, out=rhs)))
     if not math.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
         raise BlowUp(f"sup-norm {st.sup_norm} exceeded cap {st.m_cap} at t = {st.t}")
     return st
@@ -385,7 +392,8 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
         step(st, cfg)
         st.t = t_frozen  # explicit pseudo-time marching with frozen data
         np.subtract(st.u, prev, out=change)
-        res = float(np.abs(change, out=change).max()) / st.last_dt
+        res = (float(np.maximum.reduce(np.abs(change, out=change)))
+               / st.last_dt)
         rep.residuals.append(res)
         rep.sup_norms.append(st.sup_norm)
         if res <= tol:

@@ -8,6 +8,20 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def pytest_report_header(config):
+    from importlib.metadata import PackageNotFoundError, version
+    from nlhj import operators
+    try:
+        scipy = version("scipy")
+    except PackageNotFoundError:
+        scipy = "not installed"
+    fft = ("the public np.fft wrappers"
+           if operators._pocketfft is operators._PUBLIC_FFT
+           else "numpy's private FFT gufuncs")
+    return [f"numpy {np.__version__}, scipy {scipy}",
+            f"operators sweep calls {fft}"]
+
+
 @pytest.fixture(autouse=True)
 def fresh_discretization():
     # harness.discretize keeps its last plan: start every test without it,

@@ -501,6 +501,38 @@ def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path, capsys):
     assert parse_config(write(tmp_path, frozen, "ok.cfg")).spec.time_dependent
 
 
+def test_parsing_a_config_twice_reuses_its_plan():
+    # equal kernels compare equal, so the same problem parsed twice is
+    # discretized once
+    plans = [harness.discretize(c.domain, c.kernel, c.scheme.h, c.r_max)
+             for c in (parse_config(CONFIGS / "rate_nonlocal.cfg")
+                       for _ in range(2))]
+    assert plans[0] is plans[1]
+
+
+@pytest.mark.parametrize("name", ["rate", "large_time"])
+def test_steady_experiments_report_solver_telemetry(tmp_path, name):
+    # the steps of the steady reference and of the time run, and the
+    # reference's residual at exit; the report table is unchanged
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("phi = 0",
+                                           "phi = 0.5*exp(-t)\nphi_limit = 0")
+    text = text.replace("name = run", f"name = {name}\nt_ladder = 2 4 8"
+                        if name == "large_time" else "name = rate")
+    cfg = parse_config(write(tmp_path, text, f"{name}.cfg"))
+    assert execute(cfg) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    tel = m["telemetry"]
+    assert set(tel) == {"steady_steps", "steady_residual", "steps"}
+    assert tel["steady_steps"] > 0 and tel["steps"] > 0
+    # below the reference's steady tolerance, 1e-8 (1 + sup |u0|) at most
+    assert 0.0 <= tel["steady_residual"] <= 2e-8
+    table = "rate_curve" if name == "rate" else "report"
+    header = (out / f"{table}.tsv").read_text().splitlines()[0]
+    assert header == ("t\tdeviation\tbound\tg" if name == "rate"
+                      else "T\tdeviation")
+
+
 def test_large_time_runs_without_T(tmp_path):
     # the ladder sets the horizons, so [scheme] T is not required
     text = MINIMAL.format(out=tmp_path / "out").replace("T = 0.25\n", "")

@@ -75,6 +75,24 @@ def test_viscosity_underflow_raises():
         numerical_hamiltonian(spec, 0.0, 0.0, 0.0, 10.0, 10.0, sigma=[1.0])
 
 
+def test_viscosity_underflow_raises_at_m_1():
+    # at m = 1 the bound is a1_max whatever the gradients, and the flux
+    # compares the viscosity with it at every call
+    spec = CoerciveSpec(m=1.0, a1="2 + x^2")
+    c = Coefficients(spec, np.array([[-1.0], [0.0], [1.0]]), 0.0)
+    assert not c.bound_reads_p
+    p = np.zeros((3, 1))
+    with pytest.raises(ViscosityUnderflow) as e:
+        numerical_hamiltonian_many(c, np.zeros(3), p, p, sigma=[2.9])
+    assert e.value.required.tolist() == [3.0]
+    numerical_hamiltonian_many(c, np.zeros(3), p, p, sigma=[3.0])
+    # an active a2 |p|^l term makes the bound read the gradients again
+    for a2, l, reads in [(0.5, 0.5, True), (0.5, 0.0, False),
+                         (0.0, 0.5, False)]:
+        c = Coefficients(CoerciveSpec(m=1.0, a2=a2, l=l), np.zeros((1, 1)))
+        assert c.bound_reads_p is reads
+
+
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 2.0))
 def test_monotone_flux_coercive(pm, pp, eps):
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=0.3)

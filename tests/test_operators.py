@@ -351,6 +351,20 @@ def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
             zip(row_prefixes(g.core_points), values.tolist())).encode()
 
 
+def test_row_prefixes_equal_per_row_formatting(dom2):
+    # values shared by rows and axes are formatted once; -0.0 and 0.0 have
+    # different bits, so each keeps its own string, as NaN and inf do
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 0.1 + 1e-17,
+               -2.5e-7, 1e300]
+    pts = np.array([[a, b] for a in special for b in special[::-1]])
+    g = grid_for(dom2, 0.25, 0.5)
+    for points in (pts, pts[:, :1], g.core_points, g.trace_points):
+        row = "%.17g\t" * points.shape[1]
+        assert row_prefixes(points) == [row % tuple(p)
+                                        for p in points.tolist()]
+    assert row_prefixes(np.array([[-0.0], [0.0]])) == ["-0\t", "0\t"]
+
+
 FALLBACK_SWEEP = """
 import sys
 import numpy as np

@@ -196,6 +196,19 @@ def test_viscosity_auto_enlarged(dom1):
     assert np.all(st.sigma >= sigma0)
 
 
+def test_viscosity_grows_with_a_moving_a1_at_m_1(dom1):
+    # at m = 1 the bound is max a1, read at the state's time: a1 growing in
+    # t outgrows the initial viscosity 1 + max a1(0) = 2
+    spec = CoerciveSpec(m=1.0, a1="1 + 4*t", lam=0.5, f=0.0)
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 0.0, "1 - x^2",
+                          kernel=k)
+    assert st.sigma.tolist() == [2.0]
+    run_to_time(st, cfg, 0.5)
+    assert st.sigma_growth >= 1
+    assert np.all(st.sigma >= st.coeffs.a1_max)
+
+
 def test_linf_stability_under_h2prime(dom1):
     # mu0 > 0: thousands of steps stay bounded
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.0, f="0.5*sin(3*x)")
