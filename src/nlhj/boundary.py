@@ -8,8 +8,6 @@ treated as "<= 0", preserving the closed outflow condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import Domain, distance_gradient
@@ -45,24 +43,6 @@ def classify_point(spec: BellmanSpec, x, t: float, dom: Domain,
     return MIXED, witnesses
 
 
-@dataclass
-class BoundaryClassification:
-    """Per-sample tags on the lateral boundary, organized by face."""
-
-    faces: list
-    times: np.ndarray
-    tags: dict                      # face -> (n_samples, n_times) object array
-    witnesses: dict
-    sample_points: dict
-    tol: float
-
-    def face_tag(self, face: str):
-        """The uniform tag of a face, or 'mixed' when samples disagree."""
-        t = self.tags[face]
-        uniq = set(t.ravel())
-        return t.ravel()[0] if len(uniq) == 1 else MIXED
-
-
 def _face_samples(dom: Domain, face_idx: int, resolution: int) -> np.ndarray:
     """Sample points along one face, excluding corner exclusion zones (2-D)."""
     lo, hi = np.array(dom.lower), np.array(dom.upper)
@@ -80,24 +60,28 @@ def _face_samples(dom: Domain, face_idx: int, resolution: int) -> np.ndarray:
 
 
 def classify_boundary(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
-                      resolution: int = 9) -> BoundaryClassification:
+                      resolution: int = 9) -> tuple:
+    """The sampled classification of the lateral boundary as ``(rows,
+    seen)``: ``rows`` are (face, x.., t, tag, w..) by face, then sample
+    point, then time; ``seen[face]`` is the set of tags of the face's
+    samples."""
     tol = classification_tolerance(spec, dom, t_window)
     times = np.linspace(t_window[0], t_window[1], max(resolution, 2))
-    faces = dom.face_names()
-    tags, wit, pts_by_face = {}, {}, {}
-    for fi, face in enumerate(faces):
-        pts = _face_samples(dom, fi, resolution)
-        tag_arr = np.empty((pts.shape[0], len(times)), dtype=object)
-        wit_arr = np.empty((pts.shape[0], len(times), len(spec.controls)))
-        for i, x in enumerate(pts):
-            for j, t in enumerate(times):
+    rows, seen = [], {}
+    for fi, face in enumerate(dom.face_names()):
+        seen[face] = set()
+        for x in _face_samples(dom, fi, resolution):
+            for t in times:
                 tag, w = classify_point(spec, x, t, dom, tol)
-                tag_arr[i, j] = tag
-                wit_arr[i, j] = w
-        tags[face] = tag_arr
-        wit[face] = wit_arr
-        pts_by_face[face] = pts
-    return BoundaryClassification(faces, times, tags, wit, pts_by_face, tol)
+                seen[face].add(tag)
+                rows.append((face, *x, t, tag, *w))
+    return rows, seen
+
+
+def face_tags(seen: dict) -> dict:
+    """Each face's single tag, or 'mixed' when its samples disagree."""
+    return {f: next(iter(s)) if len(s) == 1 else MIXED
+            for f, s in seen.items()}
 
 
 def check_sigma(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
@@ -109,20 +93,8 @@ def check_sigma(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
     merged across corners (Dd is undefined there).  Sampling can refute the
     assumption, not certify it beyond the chosen resolution.
     """
-    cls = classify_boundary(spec, dom, t_window, resolution)
-    bad = [f for f in cls.faces if len(set(cls.tags[f].ravel())) != 1]
+    _, seen = classify_boundary(spec, dom, t_window, resolution)
+    bad = [f for f, s in seen.items() if len(s) != 1]
     return Certificate("Sigma", not bad, float(len(bad)),
                        {"nonuniform_faces": ",".join(bad),
-                        "tags": {f: cls.face_tag(f) for f in cls.faces}})
-
-
-def classification_table(cls: BoundaryClassification) -> list:
-    """Machine-readable rows: face, coordinates, t, tag, witnesses."""
-    rows = []
-    for face in cls.faces:
-        pts = cls.sample_points[face]
-        for i, x in enumerate(pts):
-            for j, t in enumerate(cls.times):
-                rows.append((face, *x, t, cls.tags[face][i, j],
-                             *cls.witnesses[face][i, j]))
-    return rows
+                        "tags": face_tags(seen)})

@@ -508,15 +508,15 @@ def _dispatch(cfg: RunConfig, manifest: dict):
     if cfg.experiment == "boundary_behavior":
         h_list = p.get("h_list")
         if h_list:
-            gaps, ratios, passed = harness.boundary_refinement(
+            gaps, ratios, passed, steps = harness.boundary_refinement(
                 spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list, scheme,
                 r_max=cfg.r_max)
             rows = [(f, *g) for f, g in gaps.items()]
+            header = ("face",) + tuple(f"h{i}" for i in range(len(h_list)))
             return harness.ExperimentResult(
                 "boundary_behavior", passed,
                 metrics={"gaps": gaps, "ratios": ratios},
-                tables={"report": (("face",) + tuple(f"h{i}" for i in
-                                                     range(len(h_list))), rows)})
+                tables={"report": (header, rows)}, telemetry={"steps": steps})
         return harness.boundary_behavior_experiment(
             spec, dom, kern, cfg.phi, cfg.u0, scheme.T, scheme, r_max=cfg.r_max)
     if cfg.experiment == "coercive_loss":

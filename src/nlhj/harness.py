@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
-from .boundary import classification_table, classify_boundary
+from .boundary import classify_boundary, face_tags
 from .errors import NonConvergence, PreconditionError
 from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
@@ -76,17 +76,12 @@ def _exterior_sample(plan: SweepPlan, *data: CoefficientField) -> np.ndarray:
 
 
 def trace_face_map(grid: Grid, dom: Domain) -> dict:
-    """Trace-node indices grouped by the face they lie on (corners in both)."""
-    names = dom.face_names()
-    pts = grid.trace_points
-    out = {}
-    lo, hi = np.array(dom.lower), np.array(dom.upper)
-    tol = grid.h / 2
-    for fi, name in enumerate(names):
-        axis = 0 if grid.dim == 1 else (0 if fi < 2 else 1)
-        target = lo[axis] if fi % 2 == 0 else hi[axis]
-        out[name] = np.where(np.abs(pts[:, axis] - target) < tol)[0]
-    return out
+    """Trace-node indices grouped by the face they lie on (corners in both):
+    face f holds the nodes of the core index box whose index on axis f // 2
+    is 0 (f even) or n_core (f odd)."""
+    box = np.unravel_index(grid.trace_pos, tuple(n + 1 for n in grid.n_core))
+    return {name: np.flatnonzero(box[f // 2] == f % 2 * grid.n_core[f // 2])
+            for f, name in enumerate(dom.face_names())}
 
 
 # ---------------------------------------------------------------------------
@@ -227,65 +222,57 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
     st = init_state(plan, spec, phi, u0, cfg)
     cfg_run = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 20)
     rep = run_to_time(st, cfg_run, T)
-    cls = classify_boundary(spec, dom, (0.0, T))
-    faces = trace_face_map(grid, dom)
+    rows, seen = classify_boundary(spec, dom, (0.0, T))
+    tags = face_tags(seen)
+    times, gaps = zip(*rep.trace_gap_series)
+    gaps = np.array(gaps)   # (times, trace nodes)
     tr_pts = grid.trace_points
 
     tol = cfg.h * (1.0 + st.sup_norm)
-    samples = []
-    per_face = {}
-    face_tags = {f: cls.face_tag(f) for f in cls.faces}
-    violated = False
-    for face, idx in faces.items():
-        series = []
-        for t, gaps in rep.trace_gap_series:
-            for i in idx:
-                samples.append((*tr_pts[i], t, gaps[i], face_tags[face]))
-            if len(idx):
-                series.append(gaps[idx])
-        if not len(idx):
-            per_face[face] = {"max_gap": np.nan, "mean_gap": np.nan,
-                              "final_gap": np.nan}
-            continue
-        arr = np.array(series)
-        final = float(np.max(np.abs(arr[-1])))
-        signed_final = float(arr[-1].max())
+    samples, per_face, violated = [], {}, False
+    for face, idx in trace_face_map(grid, dom).items():
+        samples += [(*tr_pts[i], t, g[i], tags[face])
+                    for t, g in zip(times, gaps) for i in idx]
+        arr = np.take(gaps, idx, axis=1)  # row major: the mean sums by rows
         per_face[face] = {"max_gap": float(arr.max()),
                           "mean_gap": float(arr.mean()),
-                          "final_gap": signed_final,
-                          "final_gap_abs": final}
-        if face_tags[face] in ("out", "mixed") and float(arr[-1].min()) < -tol:
+                          "final_gap": float(arr[-1].max()),
+                          "final_gap_abs": float(np.max(np.abs(arr[-1])))}
+        if tags[face] in ("out", "mixed") and float(arr[-1].min()) < -tol:
             violated = True
 
     return ExperimentResult(
         "boundary_behavior", not violated,
-        metrics={"per_face": per_face, "tags": face_tags},
+        metrics={"per_face": per_face, "tags": tags},
         tables={"trace_gaps": (("x",) * grid.dim + ("t", "gap", "tag"), samples),
                 "classification": (("face",) + ("x",) * grid.dim +
                                    ("t", "tag") +
                                    tuple(f"w{i}" for i in
                                          range(len(spec.controls))),
-                                   classification_table(cls))})
+                                   rows)},
+        telemetry={"steps": st.steps})
 
 
 def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
                         cfg: SchemeConfig | None = None,
                         r_max: float | None = None):
     """Final-time gap per face across grid refinements, the halving ratios,
-    and whether :func:`boundary_behavior_experiment` passed at every h.
+    whether :func:`boundary_behavior_experiment` passed at every h, and its
+    steps at each h.
 
     Each h runs with ``cfg`` (defaults when None) at that spacing."""
-    gaps, passed = {}, True
+    gaps, passed, steps = {}, True, []
     for h in h_list:
         cfg_h = SchemeConfig(h=h) if cfg is None else replace(cfg, h=h)
         res = boundary_behavior_experiment(spec, dom, k, phi, u0, T, cfg_h,
                                            r_max=r_max)
         passed = passed and res.passed
+        steps.append(res.telemetry["steps"])
         for face, d in res.metrics["per_face"].items():
             gaps.setdefault(face, []).append(d["final_gap"])
     ratios = {f: [b / a if abs(a) > 1e-300 else np.inf
                   for a, b in zip(v[:-1], v[1:])] for f, v in gaps.items()}
-    return gaps, ratios, passed
+    return gaps, ratios, passed, steps
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +319,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     rows = []
     quotients = []
     sup_norms = []
+    telemetry = {"sigma": [], "sigma_growth": []}
     for c in phi_scales:
         st = init_state(plan, spec, float(c), float(c), cfg)
         st, rep = run_to_steady(st, cfg)
@@ -340,6 +328,8 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
         quotients.append(q)
         sup_norms.append(float(np.abs(u).max()))
         rows.append((c, q, sup_norms[-1], st.steps))
+        telemetry["sigma"].append(float(np.max(st.sigma)))
+        telemetry["sigma_growth"].append(st.sigma_growth)
     ratios = [quotients[i + 1] / quotients[i] if quotients[i] > 0 else np.inf
               for i in range(len(quotients) - 1)]
     passed = bool(ratios and ratios[-1] < 9.0)
@@ -348,7 +338,8 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
         metrics={"quotients": quotients, "ratios": ratios,
                  "sup_norms": sup_norms, "exponent": exponent},
         tables={"report": (("phi_scale", "holder_quotient", "sup_norm",
-                            "steps"), rows)})
+                            "steps"), rows)},
+        telemetry=telemetry)
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,34 @@ def fractional_laplacian_kernel(alpha: float, dim: int = 1) -> Kernel:
                   const_value=1.0, c1=1.0, c2=1.0, name="fractional_laplacian")
 
 
+@dataclass(frozen=True)
+class _IndicatorProfile:
+    """K(r) = 1 on r <= rho, else 0; equal radii give equal profiles."""
+
+    rho: float
+
+    def __call__(self, r):
+        return (r <= self.rho).astype(float)
+
+
+@dataclass(frozen=True)
+class _TabulatedProfile:
+    """K(r) interpolated linearly in a table of (radius, value) rows held as
+    tuples, clamped at the ends; equal tables give equal profiles."""
+
+    radii: tuple
+    values: tuple
+
+    def __call__(self, r):
+        return np.interp(r, self.radii, self.values)
+
+
 def indicator_kernel(alpha: float, dim: int, rho: float) -> Kernel:
     """K = 1 on |z| <= rho, else 0.  rho = 0 yields the zero kernel."""
     if rho < 0:
         raise ValueError("indicator radius must be nonnegative")
-    prof = lambda r, rho=rho: (r <= rho).astype(float)
-    return Kernel(alpha, dim, prof, kmax=1.0 if rho > 0 else 0.0,
+    return Kernel(alpha, dim, _IndicatorProfile(rho),
+                  kmax=1.0 if rho > 0 else 0.0,
                   support_radius=rho, c1=rho if rho > 0 else None,
                   c2=1.0 if rho > 0 else None, name="indicator")
 
@@ -84,8 +106,9 @@ def custom_radial_kernel(alpha: float, dim: int, radii, values) -> Kernel:
         raise ValueError("profile needs matching 1-D radius/value arrays")
     if np.any(values < 0):
         raise ValueError("kernel density must be nonnegative")
-    prof = lambda r: np.interp(r, radii, values)
-    return Kernel(alpha, dim, prof, kmax=float(values.max()), name="custom_radial")
+    prof = _TabulatedProfile(tuple(radii.tolist()), tuple(values.tolist()))
+    return Kernel(alpha, dim, prof, kmax=float(values.max()),
+                  name="custom_radial")
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 Everything here bypasses the lattice quadrature: adaptive quadrature for the
 nonlocal operator (full and censored), closed forms for exterior and tail
-masses, a trapezoid evaluation of the rate bound, and a hand-rolled
-first-order upwind advection stepper.
+masses and for the operator on the ball profile (``ball_kappa``), a
+trapezoid evaluation of the rate bound, and a hand-rolled first-order
+upwind advection stepper.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -94,6 +97,14 @@ def exterior_mass_closed_form(alpha: float, dom: Domain, x: float) -> float:
     """Exact kernel mass of Omega^c - x for K identically 1 in 1-D."""
     lo, hi = dom.lower[0], dom.upper[0]
     return ((hi - x) ** -alpha + (x - lo) ** -alpha) / alpha
+
+
+def ball_kappa(alpha: float, dim: int = 1) -> float:
+    """kappa = Gamma(1+alpha/2) pi^(n/2) |Gamma(-alpha/2)| / Gamma(n/2), so
+    that w = (1 - |x|^2)_+^(alpha/2) has I(w) = -kappa in the unit ball for
+    K identically 1 (Getoor's formula; pi / sin(pi alpha/2) in 1-D)."""
+    return (math.gamma(1 + alpha / 2) * math.pi ** (dim / 2)
+            * abs(math.gamma(-alpha / 2)) / math.gamma(dim / 2))
 
 
 def tail_mass_closed_form(alpha: float, r: float, kval: float = 1.0,

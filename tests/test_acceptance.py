@@ -140,15 +140,15 @@ def test_criterion_5_boundary_attainment_vs_loss():
     hs = [2.0 ** -6, 2.0 ** -7, 2.0 ** -8]
     # outflow: gaps halve under refinement
     spec_out = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    gaps_out, ratios_out, _ = boundary_refinement(spec_out, DOM, k, 1.0, 1.0,
-                                                  T=3.0, h_list=hs, r_max=4.0)
+    gaps_out, ratios_out, _, _ = boundary_refinement(
+        spec_out, DOM, k, 1.0, 1.0, T=3.0, h_list=hs, r_max=4.0)
     ok_out = all(0.0 < r < 0.7 for f in ("left", "right")
                  for r in ratios_out[f])
     # inflow: gap persists above the pinned loss threshold
     LOSS_THRESHOLD = 0.8  # pinned from the first verified refinement study
     spec_in = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
-    gaps_in, _, _ = boundary_refinement(spec_in, DOM, k, 10.0, 10.0, T=3.0,
-                                        h_list=hs, r_max=4.0)
+    gaps_in, _, _, _ = boundary_refinement(
+        spec_in, DOM, k, 10.0, 10.0, T=3.0, h_list=hs, r_max=4.0)
     ok_in = True
     for f in ("left", "right"):
         seq = gaps_in[f]

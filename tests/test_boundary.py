@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlhj.boundary import (IN, MIXED, OUT, check_sigma, classification_table,
-                           classify_boundary, classify_point)
+from nlhj.boundary import (IN, MIXED, OUT, check_sigma, classify_boundary,
+                           classify_point, face_tags)
 from nlhj.errors import CornerAmbiguity
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
@@ -60,10 +60,9 @@ def test_rescaling_invariance(scale):
 
 def test_refinement_keeps_tags(dom1):
     spec = single("-x")
-    coarse = classify_boundary(spec, dom1, (0.0, 1.0), resolution=3)
-    fine = classify_boundary(spec, dom1, (0.0, 1.0), resolution=9)
-    for face in coarse.faces:
-        assert coarse.face_tag(face) == fine.face_tag(face)
+    _, coarse = classify_boundary(spec, dom1, (0.0, 1.0), resolution=3)
+    _, fine = classify_boundary(spec, dom1, (0.0, 1.0), resolution=9)
+    assert face_tags(coarse) == face_tags(fine)
 
 
 def test_check_sigma_uniform_pass(dom1):
@@ -88,9 +87,23 @@ def test_check_sigma_zero_drift(dom1):
 
 def test_classification_table_rows(dom2):
     spec = single(["-x", "-y"], dim=2)
-    cls = classify_boundary(spec, dom2, (0.0, 0.5), resolution=3)
-    rows = classification_table(cls)
+    rows, _ = classify_boundary(spec, dom2, (0.0, 0.5), resolution=3)
     # face, x, y, t, tag, witness
     assert len(rows[0]) == 6
     faces = {r[0] for r in rows}
     assert faces == {"x_lo", "x_hi", "y_lo", "y_hi"}
+
+
+def test_classification_rows_order_and_face_tags(dom1):
+    # rows by face, then sample point, then time; b . Dd = 0.5 - t on
+    # both faces, so each flips from in to out and is mixed, while a face
+    # whose samples agree keeps their tag
+    rows, seen = classify_boundary(single("(t - 0.5)*x"), dom1, (0.0, 1.0),
+                                   resolution=3)
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("left", 0.0, IN), ("left", 0.5, OUT), ("left", 1.0, OUT),
+        ("right", 0.0, IN), ("right", 0.5, OUT), ("right", 1.0, OUT)]
+    assert seen == {"left": {IN, OUT}, "right": {IN, OUT}}
+    assert face_tags(seen) == {"left": MIXED, "right": MIXED}
+    _, seen = classify_boundary(single("-x"), dom1, resolution=3)
+    assert face_tags(seen) == {"left": IN, "right": IN}

@@ -501,13 +501,94 @@ def test_large_time_refuses_a_limit_that_depends_on_t(tmp_path, capsys):
     assert parse_config(write(tmp_path, frozen, "ok.cfg")).spec.time_dependent
 
 
-def test_parsing_a_config_twice_reuses_its_plan():
-    # equal kernels compare equal, so the same problem parsed twice is
-    # discretized once
-    plans = [harness.discretize(c.domain, c.kernel, c.scheme.h, c.r_max)
-             for c in (parse_config(CONFIGS / "rate_nonlocal.cfg")
-                       for _ in range(2))]
-    assert plans[0] is plans[1]
+def test_parsing_a_config_twice_reuses_its_plan(tmp_path):
+    # equal kernels compare equal, indicator kernels of one radius too, so
+    # the same problem parsed twice is discretized once
+    shipped = CONFIGS / "rate_nonlocal.cfg"
+    indicator = write(tmp_path, shipped.read_text().replace(
+        "type = fractional_laplacian", "type = indicator\nrho = 0.5"))
+    for path in (shipped, indicator):
+        plans = [harness.discretize(c.domain, c.kernel, c.scheme.h, c.r_max)
+                 for c in (parse_config(path) for _ in range(2))]
+        assert plans[0] is plans[1]
+
+
+def test_steady_run_reports_its_residuals(tmp_path):
+    # steady = true stands in for T: the report holds the residual of each
+    # step, and the last one is below the steady tolerance
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("T = 0.25", "steady = true\n"
+                                           "steady_tol = 1e-8")
+    assert main(["run", str(write(tmp_path, text, "steady.cfg"))]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    lines = (out / "report.tsv").read_text().splitlines()
+    assert lines[0] == "step\tresidual"
+    assert len(lines) - 1 == m["steps"] > 1
+    assert [int(l.split("\t")[0]) for l in lines[1:]] == \
+        list(range(m["steps"]))
+    assert float(lines[-1].split("\t")[1]) <= 1e-8
+
+
+def test_coercive_loss_config_reports_its_viscosities(tmp_path):
+    # a run of the coercive_loss experiment writes one row per datum scale,
+    # and its manifest each scale's final viscosity, which a larger datum
+    # enlarges, and the growths that sized it
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("T = 0.25\n", "steady_tol = 1e-4\n")
+    text = text.replace("m = 1.0", "m = 2.0")
+    text = text.replace("h = 0.03125", "h = 0.0625\nr_max = 4")
+    text = text.replace("name = run", "name = coercive_loss")
+    assert main(["run", str(write(tmp_path, text, "loss.cfg"))]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert {"A1", "H0", "H1", "H2"} <= set(m["certificates"])
+    lines = (out / "report.tsv").read_text().splitlines()
+    assert lines[0] == "phi_scale\tholder_quotient\tsup_norm\tsteps"
+    assert [l.split("\t")[0] for l in lines[1:]] == ["1", "10", "100"]
+    tel = m["telemetry"]
+    assert set(tel) == {"sigma", "sigma_growth"}
+    assert len(tel["sigma"]) == len(tel["sigma_growth"]) == 3
+    assert 0 < tel["sigma"][0] < tel["sigma"][1] < tel["sigma"][2]
+    assert all(isinstance(g, int) and g >= 0 for g in tel["sigma_growth"])
+
+
+def test_boundary_behavior_reports_steps_per_spacing(tmp_path):
+    # telemetry only: one step count per spacing of h_list, a finer spacing
+    # taking more steps; without h_list, the steps of the one run
+    out = tmp_path / "out"
+    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
+        "directory = out_boundary", f"directory = {out}")
+    assert execute(parse_config(write(tmp_path, text, "refine.cfg"))) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    steps = m["telemetry"]["steps"]
+    assert len(steps) == 2 and 0 < steps[0] < steps[1]
+    text = re.sub(r"(?m)^h_list = .*\n", "", text)
+    assert execute(parse_config(write(tmp_path, text, "single.cfg"))) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["telemetry"] == {"steps": steps[0]}
+
+
+def test_dt_above_the_cfl_limit_exits_1(tmp_path):
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("theta = 0.9",
+                                           "theta = 0.9\ndt = 1")
+    assert main(["run", str(write(tmp_path, text, "cfl.cfg"))]) == 1
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["error"].startswith("CflViolation: dt = 1.0 violates")
+    assert "passed" not in m and not (out / "report.tsv").exists()
+
+
+def test_bellman_large_time_config(tmp_path):
+    # the Bellman form's data gaps: its coefficients do not move, so the
+    # gaps are the datum's, 0.5 exp(-T) at each horizon
+    out = tmp_path / "out"
+    text = TEMPLATES["bellman"].format(out=out).replace(
+        "phi = 0", "phi = 0.5*exp(-t)\nphi_limit = 0")
+    text = text.replace("name = run", "name = large_time\nt_ladder = 1 2 4")
+    assert execute(parse_config(write(tmp_path, text, "blt.cfg"))) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["metrics"]["data_gaps"] == pytest.approx(
+        [0.5 * np.exp(-T) for T in (1, 2, 4)], rel=1e-12)
+    assert m["passed"] and m["telemetry"]["steps"] > 0
 
 
 @pytest.mark.parametrize("name", ["rate", "large_time"])

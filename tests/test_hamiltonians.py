@@ -41,10 +41,19 @@ def test_eval_bellman_max_over_controls():
 
 
 def test_numerical_consistency_at_equal_gradients():
-    spec = CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.25)
+    # the second spec reads the reference's a2 |p|^l and b.p terms too:
+    # at x = 0.1, a2 = 0.51 and b = 0.03
+    specs = [CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.25),
+             CoerciveSpec(m=2.0, a1=1.0, a2="0.5 + 0.1*x", l=1.5, b="0.3*x",
+                          lam=0.5, f=0.25)]
+    for spec in specs:
+        for p in (-1.5, 0.0, 2.0):
+            assert numerical_hamiltonian(spec, 0.1, 0.0, 2.0, p, p,
+                                         sigma=[10.0]) \
+                == pytest.approx(eval_hamiltonian(spec, 0.1, 0.0, 2.0, p))
     for p in (-1.5, 0.0, 2.0):
-        assert numerical_hamiltonian(spec, 0.1, 0.0, 2.0, p, p, sigma=[10.0]) \
-            == pytest.approx(eval_hamiltonian(spec, 0.1, 0.0, 2.0, p))
+        assert eval_hamiltonian(specs[1], 0.1, 0.0, 2.0, p) == pytest.approx(
+            p * p + 0.51 * abs(p) ** 1.5 + 0.03 * p + 1.0 - 0.25)
     bspec = BellmanSpec([ControlLaw(lam=1.0, b=-0.7, f=0.2)])
     for p in (-1.5, 0.0, 2.0):
         assert numerical_hamiltonian(bspec, 0.1, 0.0, 2.0, p, p) \

@@ -3,14 +3,14 @@ import pytest
 
 from nlhj import harness
 from nlhj.errors import NonConvergence, PreconditionError
-from nlhj.geometry import Domain
+from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
 from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           coercive_loss_experiment, comparison_experiment,
                           discretize, holder_quotient, large_time_experiment,
                           make_rate_bound, random_ordered_pair,
-                          rate_experiment)
+                          rate_experiment, trace_face_map)
 from nlhj.oracles import rate_bound_trapezoid
 from nlhj.solver import (SchemeConfig, init_state, run_to_steady,
                          run_to_time)
@@ -227,7 +227,7 @@ def test_boundary_outflow_gap_decays(dom1, k05):
     # b(x) = x drifts outward on both faces: the datum (here 1, above the
     # interior equilibrium) is attained under refinement
     spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    gaps, ratios, passed = boundary_refinement(
+    gaps, ratios, passed, _ = boundary_refinement(
         spec, dom1, k05, 1.0, 1.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
         r_max=4.0)
     assert passed
@@ -240,7 +240,7 @@ def test_boundary_inflow_gap_persists(dom1, k05):
     # b(x) = -x drifts inward everywhere; large datum is not attained.
     # Loss threshold 0.8 pinned from the first verified refinement study.
     spec = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
-    gaps, ratios, passed = boundary_refinement(
+    gaps, ratios, passed, _ = boundary_refinement(
         spec, dom1, k05, 10.0, 10.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
         r_max=4.0)
     assert passed
@@ -351,3 +351,19 @@ def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
     with pytest.raises(PreconditionError):
         rate_experiment(spec, dom1, k05, 0.0, 0.0, 0.0, T=1.0, cfg=cfg,
                         r_max=4.0)
+
+
+def test_trace_face_map_reads_faces_off_the_index_box(dom1, dom2):
+    # a face holds the trace nodes lying on it; corners belong to both of
+    # the faces they join, and every trace node to some face
+    for dom, h in ((dom1, 0.25), (dom2, 0.5)):
+        grid = Grid(dom, h, halo=1)
+        faces = trace_face_map(grid, dom)
+        pts = grid.trace_points
+        for f, name in enumerate(dom.face_names()):
+            side = (dom.lower, dom.upper)[f % 2][f // 2]
+            assert faces[name].tolist() == \
+                np.flatnonzero(pts[:, f // 2] == side).tolist()
+        held = np.concatenate(list(faces.values()))
+        assert sorted(set(held.tolist())) == list(range(len(pts)))
+        assert len(held) == len(pts) + len(dom.corners())

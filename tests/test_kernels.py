@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,34 @@ def test_dense_table_matches_offset_list(dim, alpha, make):
     assert np.array_equal(qt.m1, m1)
     assert qt.lam == float(w.sum()) + qt.nf_mass + qt.tail_mass
     assert qt.near_edge == (np.abs(near).max(initial=0) + 0.5) * h
+
+
+def test_kernel_profiles_compare_by_value():
+    # equal parameters give equal, equally hashed kernels, so a plan cached
+    # on the kernel is found again; other parameters give other kernels
+    radii = np.linspace(0, 10, 101)
+    same = [(indicator_kernel(0.5, 1, 1.0), indicator_kernel(0.5, 1, 1.0)),
+            (custom_radial_kernel(0.7, 1, radii, np.exp(-radii)),
+             custom_radial_kernel(0.7, 1, radii.copy(), np.exp(-radii)))]
+    for a, b in same:
+        assert a == b and hash(a) == hash(b)
+    assert indicator_kernel(0.5, 1, 1.0) != indicator_kernel(0.5, 1, 0.5)
+    assert custom_radial_kernel(0.7, 1, radii, np.exp(-radii)) != \
+        custom_radial_kernel(0.7, 1, radii, np.exp(-2 * radii))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_profiles_keep_the_weights(dim):
+    # the value-comparing profiles give the weights of the plain functions
+    # they stand for, bit for bit
+    radii = np.linspace(0, 10, 101)
+    values = np.exp(-radii)
+    cases = [(indicator_kernel(0.5, dim, 1.0),
+              lambda r: (r <= 1.0).astype(float)),
+             (custom_radial_kernel(0.5, dim, radii, values),
+              lambda r: np.interp(r, radii, values))]
+    h, r_max = (2.0 ** -5, 4.0) if dim == 1 else (2.0 ** -3, 2.0)
+    for k, plain in cases:
+        ref = replace(k, profile=plain)
+        assert np.array_equal(build_quadrature(k, h, r_max).weights,
+                              build_quadrature(ref, h, r_max).weights)

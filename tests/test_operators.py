@@ -14,7 +14,7 @@ from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
 from nlhj.operators import (Field, SweepPlan, _tail_values, envelope,
                             eval_operator, row_prefixes, row_template,
                             save_field, scheme_evaluation)
-from nlhj.oracles import operator_oracle_1d
+from nlhj.oracles import ball_kappa, operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
 from conftest import grid_for
@@ -411,3 +411,18 @@ def test_sweep_without_the_private_fft_module_is_byte_identical():
     assert out["hide"][1:] == out["keep"][1:]
     parities = {tuple(line.split()[:2]) for line in out["keep"][1:]}
     assert {p for pair in parities for p in pair} == {"0", "1"}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_ball_kappa_matches_the_adaptive_oracle(alpha):
+    # I(w) = -kappa inside the unit ball for w = (1 - x^2)_+^(alpha/2); in
+    # 1-D kappa = pi / sin(pi alpha / 2)
+    kappa = ball_kappa(alpha)
+    assert kappa == pytest.approx(np.pi / np.sin(np.pi * alpha / 2),
+                                  rel=1e-14)
+    k = fractional_laplacian_kernel(alpha, 1)
+    w = lambda x: max(1.0 - x * x, 0.0) ** (alpha / 2)
+    for x in (0.0, 0.3):
+        grad = -alpha * x * (1.0 - x * x) ** (alpha / 2 - 1)
+        val = operator_oracle_1d(w, x, k, points=[-1.0, 1.0], grad=grad)
+        assert val == pytest.approx(-kappa, abs=1e-7)

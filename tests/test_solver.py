@@ -9,7 +9,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
 from nlhj.operators import SweepPlan, scheme_evaluation
-from nlhj.oracles import upwind_advection_steps
+from nlhj.oracles import ball_kappa, upwind_advection_steps
 from nlhj.solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
                          run_to_time, step)
 
@@ -591,3 +591,38 @@ def test_step_allocates_no_array_of_the_core_size(case, h):
     finally:
         tracemalloc.stop()
     assert peak - current < 8 * len(st.u)
+
+
+def test_auto_dt_without_a_cfl_bound_takes_a_hundredth_of_T(dom1):
+    # zero kernel, lam = 0 and b = 0: the CFL denominator is 0, so the step
+    # is T / 100 (0.01 without T), unless the config gives dt
+    spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
+    g, qt, cfg, st = make(dom1, 2.0 ** -4, 1.0, spec, 0.0, BUMP2, T=0.5)
+    assert solver.cfl_denominator(st) == 0.0
+    assert auto_dt(st, cfg) == 0.005
+    assert auto_dt(st, SchemeConfig(h=cfg.h)) == 0.01
+    assert auto_dt(st, SchemeConfig(h=cfg.h, dt=0.3)) == 0.3
+    run_to_time(st, cfg, 0.5)
+    assert st.steps == 100
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_steady_scheme_converges_to_the_ball_profile(dom1, alpha):
+    # w = (1 - x^2)_+^(alpha/2) has I(w) = -kappa in the unit ball, so with
+    # phi = w and f = kappa + lam w - b w' it is the steady solution on
+    # [-1/2, 1/2]; the scheme's sup error falls at order 1 or more
+    dom = Domain((-0.5,), (0.5,))
+    w = f"max(1 - x^2, 0)^{alpha / 2}"
+    dw = f"-{alpha}*x*(1 - x^2)^{alpha / 2 - 1}"
+    spec = BellmanSpec([ControlLaw(
+        lam=1.0, b=0.3, f=f"{ball_kappa(alpha)!r} + {w} - 0.3*({dw})")])
+    k = fractional_laplacian_kernel(alpha, 1)
+    errs = []
+    for h in (2.0 ** -4, 2.0 ** -5, 2.0 ** -6):
+        g, qt, cfg, st = make(dom, h, 4.0, spec, w, 0.0, kernel=k,
+                              steady_tol=1e-10)
+        st, _ = run_to_steady(st, cfg)
+        x = g.core_points[:, 0]
+        errs.append(np.abs(st.u - (1 - x ** 2) ** (alpha / 2)).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(orders >= 1.0), orders
