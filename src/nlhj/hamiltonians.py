@@ -289,11 +289,6 @@ class Coefficients:
         return self
 
 
-def _at_point(spec, x, t: float) -> Coefficients:
-    return Coefficients(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :],
-                        t)
-
-
 def _norms(p: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of p, as np.linalg.norm(p, axis=1)."""
     return np.sqrt((p * p).sum(axis=1))
@@ -320,13 +315,6 @@ def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
         val = v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p) - v.f
         best = val if best is None else np.maximum(best, val)
     return best
-
-
-def eval_hamiltonian(spec, x, t: float, r: float, p) -> float:
-    """Pointwise Hamiltonian value; the Bellman sup is a max over the finite
-    control set."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))[None, :]
-    return float(hamiltonian_values(_at_point(spec, x, t), np.array([r]), p)[0])
 
 
 def lf_viscosity_bound(c: Coefficients, p_scale: float) -> np.ndarray:
@@ -375,21 +363,22 @@ def flux_workspace(c: Coefficients) -> tuple:
 
 
 def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
-                               sigma=None, out=None, work=None) -> np.ndarray:
+                               sigma, out=None, work=None) -> np.ndarray:
     """Monotone flux at the points of ``c``, vectorized: Lax-Friedrichs
     (coercive) or exact upwinding (Bellman).
 
     Nonincreasing in every p_plus component and nondecreasing in every
     p_minus component; equals the pointwise Hamiltonian when the two one-sided
     gradients coincide.  The gradients are float arrays of shape (N, dim);
-    ``sigma`` is a number or per-axis values.  The flux is accumulated in
-    ``out`` with the scratch ``work`` (see :func:`flux_workspace`), each
-    allocated when not given.
+    ``sigma``, the Lax-Friedrichs viscosity per axis, is an array of shape
+    (dim,) (a coercive form's state holds it; Bellman forms ignore it).
+    The flux is accumulated in ``out`` with the scratch ``work`` (see
+    :func:`flux_workspace`), each allocated when not given; the allocating
+    form is what tests compare the solver's in-place calls against.
     """
     pm, pp = p_minus, p_plus
-    n, dim = pm.shape
     if out is None:
-        out = np.empty(n)
+        out = np.empty(len(pm))
     if work is None:
         work = flux_workspace(c)
     if c.spec.family == "bellman":
@@ -419,10 +408,6 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
     scale = (float(np.maximum.reduce(pn, initial=0.0)) if c.bound_reads_p
              else 0.0)
     required = _viscosity_bounds(c, scale)
-    if sigma is None:
-        sigma = np.array(required) + 1.0
-    elif not (isinstance(sigma, np.ndarray) and sigma.shape == (dim,)):
-        sigma = np.full(dim, sigma, dtype=float)
     if any(s < q - 1e-12 for s, q in zip(sigma.tolist(), required)):
         required = np.array(required)
         raise ViscosityUnderflow(
@@ -454,14 +439,6 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
         spread = np.add(spread, col, acc)
     out -= np.multiply(0.5, spread, acc)
     return out
-
-
-def numerical_hamiltonian(spec, x, t: float, r: float, p_minus, p_plus,
-                          sigma=None) -> float:
-    pm = np.atleast_1d(np.asarray(p_minus, dtype=float))[None, :]
-    pp = np.atleast_1d(np.asarray(p_plus, dtype=float))[None, :]
-    return float(numerical_hamiltonian_many(_at_point(spec, x, t),
-                                            np.array([r]), pm, pp, sigma)[0])
 
 
 # ---------------------------------------------------------------------------

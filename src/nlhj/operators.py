@@ -1,12 +1,12 @@
-"""Nonlocal operator evaluation: the scheme's sweep, the single-node
-reference, and the scheme residual.
+"""Nonlocal operator evaluation: the scheme's sweep and the single-node
+reference.
 
 The generalized Dirichlet condition enters through one rule,
 :func:`envelope`: a neighbour read at a boundary-trace node sees the upper
 envelope max(u, phi) of the core value and the datum.  A :class:`Field`
 spreads core values over the full grid by that rule, with the exterior
-datum at the field's time beyond the domain; it backs the single-node
-references.
+datum at the field's time beyond the domain; :func:`eval_operator` reads
+it.
 
 The time stepper's hot path is a :class:`SweepPlan`: it evaluates the
 operator at every core node as one FFT correlation of the core block plus a
@@ -14,7 +14,7 @@ cached exterior load, and it is the only place that samples the datum
 beyond the one-node ring around the core (only for a datum that varies in
 space).  Its stencil is the quadrature's dense weight table plus the
 near-field and compensator taps.  :func:`eval_operator` is the independent
-single-node evaluation.
+single-node evaluation that the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -429,34 +429,3 @@ def eval_operator(f: Field, x, p, qt: QuadratureTable) -> float:
         else:
             acc += qt.tail_mass * (tv[0] - center)
     return acc
-
-
-def scheme_evaluation(f: Field, x, t: float, dt_slot: float, p, ham_spec,
-                      qt: QuadratureTable, p_minus=None, p_plus=None,
-                      sigma=None, center=None) -> float:
-    """Scheme residual dt_slot - I(f, x, p) + H(x, t, f(x), p).
-
-    The continuous evaluation splits the operator at a ball of radius delta;
-    on the lattice both parts reduce to the same quadrature, so no split is
-    made here.  When the one-sided pair (p_minus, p_plus) is given the monotone numerical
-    Hamiltonian is used instead of the pointwise one (pass the solver's
-    sigma for the exact stepping residual); ``center`` overrides the value
-    subtracted/fed at the node, matching the solver's raw-center reads.
-    """
-    from .hamiltonians import eval_hamiltonian, numerical_hamiltonian
-
-    flat = _locate(f, x)
-    op = eval_operator(f, x, p, qt)
-    r = float(f.values[flat]) if center is None else float(center)
-    if center is not None:
-        # the operator subtracted the envelope value at the node; shift the
-        # difference terms to the raw center
-        mass = qt.sum_w + qt.nf_axis.sum() / qt.h ** 2 + qt.tail_mass
-        op += mass * (float(f.values[flat]) - r)
-    xpt = f.grid.points_at(np.full(1, flat))[0]
-    if p_minus is not None:
-        hval = numerical_hamiltonian(ham_spec, xpt, t, r, p_minus, p_plus,
-                                     sigma=sigma)
-    else:
-        hval = eval_hamiltonian(ham_spec, xpt, t, r, p)
-    return dt_slot - op + hval

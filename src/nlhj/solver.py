@@ -38,7 +38,7 @@ from .errors import (BlowUp, CflViolation, NonConvergence, PreconditionError,
 from .geometry import Grid
 from .hamiltonians import (CoefficientField, Coefficients, flux_workspace,
                            lf_viscosity_bound, numerical_hamiltonian_many)
-from .operators import Field, SweepPlan, envelope
+from .operators import SweepPlan, envelope
 
 
 @dataclass
@@ -142,10 +142,6 @@ class SolveState:
     @property
     def grid(self) -> Grid:
         return self.plan.grid
-
-    def field(self) -> Field:
-        """The state on the full grid, for the single-node references."""
-        return Field(self.grid, self.u, self.phi, self.t)
 
     def trace_gaps(self) -> np.ndarray:
         return self.phi_trace - self.u[self.grid.trace_pos]

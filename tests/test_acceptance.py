@@ -13,13 +13,13 @@ import pytest
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoerciveSpec, ControlLaw,
                                check_H2prime)
-from nlhj.kernels import (build_quadrature, exterior_mass,
+from nlhj.kernels import (build_quadrature,
                           fractional_laplacian_kernel, zero_kernel)
-from nlhj.operators import Field, SweepPlan, eval_operator
+from nlhj.operators import SweepPlan, envelope
 from nlhj.oracles import exterior_mass_closed_form, operator_oracle_1d
 from nlhj.harness import (boundary_refinement, coercive_loss_experiment,
-                          comparison_experiment, random_ordered_pair,
-                          rate_experiment)
+                          comparison_experiment, discretize,
+                          random_ordered_pair, rate_experiment)
 from nlhj.solver import SchemeConfig, init_state, run_to_steady
 
 DOM = Domain((-1,), (1,))
@@ -31,7 +31,13 @@ def verdict(num, name, passed, detail):
     return line
 
 
+def core_index_at_origin(plan):
+    """The position of the node x = 0 among the plan's core nodes."""
+    return int(np.flatnonzero(plan.grid.core_points[:, 0] == 0.0)[0])
+
+
 def test_criterion_1_operator_consistency():
+    # the solver's sweep on max(0, 1 - x^2), with the datum 0 outside
     t0 = time.monotonic()
     fn = lambda x: max(0.0, 1.0 - x * x)
     hs = [2.0 ** -7, 2.0 ** -8, 2.0 ** -9, 2.0 ** -10]
@@ -42,12 +48,12 @@ def test_criterion_1_operator_consistency():
         ref = operator_oracle_1d(fn, 0.0, k, points=[-1.0, 1.0], grad=0.0)
         errs = []
         for h in hs:
-            qt = build_quadrature(k, h, 8.0)
-            g = Grid(DOM, h, halo=int(round(8.0 / h)))
-            f = Field(
-                g, np.maximum(0.0, 1 - g.core_points[:, 0] ** 2),
-                lambda p, t: np.zeros(p.shape[0]))
-            v = eval_operator(f, 0.0, 0.0, qt)
+            plan = discretize(DOM, k, h, 8.0)
+            g = plan.grid
+            u = np.maximum(0.0, 1 - g.core_points[:, 0] ** 2)
+            swept = plan.apply(envelope(g, u, 0.0), u,
+                               plan.exterior_load(np.zeros(1)))
+            v = swept[core_index_at_origin(plan)]
             errs.append(abs(v - ref) / abs(ref))
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         ok &= errs[-1] <= 1e-2 and order >= 1.0
@@ -61,9 +67,9 @@ def test_criterion_1_operator_consistency():
 
 def test_criterion_2_exterior_mass_closed_form():
     t0 = time.monotonic()
-    k = fractional_laplacian_kernel(0.5, 1)
-    qt = build_quadrature(k, 2.0 ** -8, 8.0)
-    v = exterior_mass(k, DOM, 0.0, qt)
+    # the exterior mass the solver's plan holds for the (H2) certificates
+    plan = discretize(DOM, fractional_laplacian_kernel(0.5, 1), 2.0 ** -8, 8.0)
+    v = plan.exterior_mass[core_index_at_origin(plan)]
     exact = exterior_mass_closed_form(0.5, DOM, 0.0)
     rel = abs(v - exact) / exact
     dt = time.monotonic() - t0

@@ -7,10 +7,9 @@ from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, Coefficients, CoerciveSpec,
                                ControlLaw, check_compatibility, check_H1,
                                check_H2, check_H2prime, check_superfractional,
-                               check_UE, eval_hamiltonian, eval_vector,
-                               lf_viscosity_bound,
-                               numerical_hamiltonian,
-                               numerical_hamiltonian_many, properness_floor)
+                               check_UE, eval_vector, hamiltonian_values,
+                               lf_viscosity_bound, numerical_hamiltonian_many,
+                               properness_floor)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
 from nlhj.operators import SweepPlan
@@ -23,65 +22,72 @@ def core_pts(dom, h=2.0 ** -6):
     return g.points_at(g.core_flat)
 
 
+ORIGIN = np.zeros((1, 1))
+
+
 def test_eval_coercive_power():
-    spec = CoerciveSpec(m=2.0, a1=1.0)
-    assert eval_hamiltonian(spec, 0.0, 0.0, 0.0, 3.0) == pytest.approx(9.0)
+    c = Coefficients(CoerciveSpec(m=2.0, a1=1.0), ORIGIN)
+    assert hamiltonian_values(c, 0.0, [[3.0]]) == pytest.approx([9.0])
 
 
 def test_eval_bellman_single_control():
-    spec = BellmanSpec([ControlLaw(lam=1.0, b=2.0, f=0.0)])
-    assert eval_hamiltonian(spec, 0.0, 0.0, 5.0, 1.0) == pytest.approx(3.0)
+    c = Coefficients(BellmanSpec([ControlLaw(lam=1.0, b=2.0, f=0.0)]), ORIGIN)
+    assert hamiltonian_values(c, 5.0, [[1.0]]) == pytest.approx([3.0])
 
 
 def test_eval_bellman_max_over_controls():
     # values 3 and 7 at the same point: the sup picks 7
     spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=-3.0),
                         ControlLaw(lam=0.0, b=0.0, f=-7.0)])
-    assert eval_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0) == pytest.approx(7.0)
+    c = Coefficients(spec, ORIGIN)
+    assert hamiltonian_values(c, 0.0, [[0.0]]) == pytest.approx([7.0])
 
 
 def test_numerical_consistency_at_equal_gradients():
     # the second spec reads the reference's a2 |p|^l and b.p terms too:
-    # at x = 0.1, a2 = 0.51 and b = 0.03
+    # at x = 0.1, a2 = 0.51 and b = 0.03; one row per gradient
     specs = [CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.25),
              CoerciveSpec(m=2.0, a1=1.0, a2="0.5 + 0.1*x", l=1.5, b="0.3*x",
                           lam=0.5, f=0.25)]
+    pts, r = np.full((3, 1), 0.1), np.full(3, 2.0)
+    p = np.array([[-1.5], [0.0], [2.0]])
     for spec in specs:
-        for p in (-1.5, 0.0, 2.0):
-            assert numerical_hamiltonian(spec, 0.1, 0.0, 2.0, p, p,
-                                         sigma=[10.0]) \
-                == pytest.approx(eval_hamiltonian(spec, 0.1, 0.0, 2.0, p))
-    for p in (-1.5, 0.0, 2.0):
-        assert eval_hamiltonian(specs[1], 0.1, 0.0, 2.0, p) == pytest.approx(
-            p * p + 0.51 * abs(p) ** 1.5 + 0.03 * p + 1.0 - 0.25)
-    bspec = BellmanSpec([ControlLaw(lam=1.0, b=-0.7, f=0.2)])
-    for p in (-1.5, 0.0, 2.0):
-        assert numerical_hamiltonian(bspec, 0.1, 0.0, 2.0, p, p) \
-            == pytest.approx(eval_hamiltonian(bspec, 0.1, 0.0, 2.0, p))
+        c = Coefficients(spec, pts)
+        assert numerical_hamiltonian_many(c, r, p, p, np.array([10.0])) \
+            == pytest.approx(hamiltonian_values(c, r, p))
+    q = p[:, 0]
+    expected = q * q + 0.51 * np.abs(q) ** 1.5 + 0.03 * q + 1.0 - 0.25
+    assert hamiltonian_values(Coefficients(specs[1], pts), r, p) \
+        == pytest.approx(expected)
+    c = Coefficients(BellmanSpec([ControlLaw(lam=1.0, b=-0.7, f=0.2)]), pts)
+    assert numerical_hamiltonian_many(c, r, p, p, None) \
+        == pytest.approx(hamiltonian_values(c, r, p))
 
 
 def test_upwind_selection_follows_drift_sign():
     # -b.p advects from the +b side: b > 0 reads the forward difference.
     # (A backward read would break the monotone-flux property below.)
-    spec = BellmanSpec([ControlLaw(lam=1.0, b=2.0, f=0.0)])
-    v = numerical_hamiltonian(spec, 0.0, 0.0, 5.0, 1.0, 100.0)
-    assert v == pytest.approx(5.0 - 2.0 * 100.0)
-    spec_neg = BellmanSpec([ControlLaw(lam=1.0, b=-2.0, f=0.0)])
-    v = numerical_hamiltonian(spec_neg, 0.0, 0.0, 5.0, 1.0, 100.0)
-    assert v == pytest.approx(5.0 + 2.0 * 1.0)
+    pm, pp = np.array([[1.0]]), np.array([[100.0]])
+    for b, expected in [(2.0, 5.0 - 2.0 * 100.0), (-2.0, 5.0 + 2.0 * 1.0)]:
+        c = Coefficients(BellmanSpec([ControlLaw(lam=1.0, b=b, f=0.0)]),
+                         ORIGIN)
+        v = numerical_hamiltonian_many(c, 5.0, pm, pp, None)
+        assert v == pytest.approx([expected])
 
 
 def test_lax_friedrichs_template():
     # independent hand computation: H((p-+p+)/2) - sigma (p+-p-)/2
-    spec = CoerciveSpec(m=2.0, a1=1.0)
-    v = numerical_hamiltonian(spec, 0.0, 0.0, 0.0, -1.0, 1.0, sigma=[4.0])
-    assert v == pytest.approx(0.0 - 4.0 * 1.0)
+    c = Coefficients(CoerciveSpec(m=2.0, a1=1.0), ORIGIN)
+    v = numerical_hamiltonian_many(c, 0.0, np.array([[-1.0]]),
+                                   np.array([[1.0]]), np.array([4.0]))
+    assert v == pytest.approx([0.0 - 4.0 * 1.0])
 
 
 def test_viscosity_underflow_raises():
-    spec = CoerciveSpec(m=2.0, a1=1.0)
+    c = Coefficients(CoerciveSpec(m=2.0, a1=1.0), ORIGIN)
+    p = np.array([[10.0]])
     with pytest.raises(ViscosityUnderflow):
-        numerical_hamiltonian(spec, 0.0, 0.0, 0.0, 10.0, 10.0, sigma=[1.0])
+        numerical_hamiltonian_many(c, 0.0, p, p, np.array([1.0]))
 
 
 def test_viscosity_underflow_raises_at_m_1():
@@ -92,9 +98,9 @@ def test_viscosity_underflow_raises_at_m_1():
     assert not c.bound_reads_p
     p = np.zeros((3, 1))
     with pytest.raises(ViscosityUnderflow) as e:
-        numerical_hamiltonian_many(c, np.zeros(3), p, p, sigma=[2.9])
+        numerical_hamiltonian_many(c, np.zeros(3), p, p, np.array([2.9]))
     assert e.value.required.tolist() == [3.0]
-    numerical_hamiltonian_many(c, np.zeros(3), p, p, sigma=[3.0])
+    numerical_hamiltonian_many(c, np.zeros(3), p, p, np.array([3.0]))
     # an active a2 |p|^l term makes the bound read the gradients again
     for a2, l, reads in [(0.5, 0.5, True), (0.5, 0.0, False),
                          (0.0, 0.5, False)]:
@@ -104,11 +110,12 @@ def test_viscosity_underflow_raises_at_m_1():
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 2.0))
 def test_monotone_flux_coercive(pm, pp, eps):
-    spec = CoerciveSpec(m=2.0, a1=1.0, lam=0.3)
-    sigma = [2.0 * 8.0 + 1.0]  # dominates |dH/dp| for |p| <= 8
-    base = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm, pp, sigma=sigma)
-    up = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm, pp + eps, sigma=sigma)
-    dn = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm + eps, pp, sigma=sigma)
+    # the rows: the gradients, p+ raised, p- raised
+    c = Coefficients(CoerciveSpec(m=2.0, a1=1.0, lam=0.3), np.zeros((3, 1)))
+    sigma = np.array([2.0 * 8.0 + 1.0])  # dominates |dH/dp| for |p| <= 8
+    base, up, dn = numerical_hamiltonian_many(
+        c, np.ones(3), np.array([[pm], [pm], [pm + eps]]),
+        np.array([[pp], [pp + eps], [pp]]), sigma)
     assert up <= base + 1e-12   # nonincreasing in p+
     assert dn >= base - 1e-12   # nondecreasing in p-
 
@@ -137,9 +144,10 @@ def test_monotone_flux_for_negative_a1(dom1):
 def test_monotone_flux_bellman(pm, pp, eps):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=1.3, f=0.0),
                         ControlLaw(lam=0.2, b=-0.8, f=0.1)])
-    base = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm, pp)
-    up = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm, pp + eps)
-    dn = numerical_hamiltonian(spec, 0.0, 0.0, 1.0, pm + eps, pp)
+    c = Coefficients(spec, np.zeros((3, 1)))
+    base, up, dn = numerical_hamiltonian_many(
+        c, np.ones(3), np.array([[pm], [pm], [pm + eps]]),
+        np.array([[pp], [pp + eps], [pp]]), None)
     assert up <= base + 1e-12
     assert dn >= base - 1e-12
 
@@ -149,8 +157,8 @@ def test_h1_coercive_exact(dom1):
     cert = check_H1(spec, core_pts(dom1))
     assert cert.passed and cert.details["exact"]
     # H(u) - H(v) = lam (u - v) identically for the built-in family
-    hu = eval_hamiltonian(spec, 0.5, 0.0, 2.0, 1.0)
-    hv = eval_hamiltonian(spec, 0.5, 0.0, -1.0, 1.0)
+    c = Coefficients(spec, np.full((2, 1), 0.5))
+    hu, hv = hamiltonian_values(c, np.array([2.0, -1.0]), np.ones((2, 1)))
     assert hu - hv == pytest.approx(1.25 * 3.0)
 
 
@@ -286,8 +294,9 @@ def h1_reference(spec, pts):
     worst = np.inf
     for i, t, u, gap, p in zip(idx, ts, us, gaps, ps):
         v = u - gap
-        hu = eval_hamiltonian(spec, pts[i], t, u, p)
-        hv = eval_hamiltonian(spec, pts[i], t, v, p)
+        c = Coefficients(spec, pts[i:i + 1], t)
+        hu = hamiltonian_values(c, np.array([u]), p[None])[0]
+        hv = hamiltonian_values(c, np.array([v]), p[None])[0]
         if u > v:
             worst = min(worst, (hu - hv) / (u - v) - floor[i])
     return worst
@@ -340,7 +349,7 @@ def test_sampled_certificates_match_per_sample_loop(dim, moving):
     assert lip.passed and lip.value > 0.5
 
 
-def _flux_before_workspace(c, r, pm, pp, sigma=None):
+def _flux_before_workspace(c, r, pm, pp, sigma):
     """The flux as computed before the workspace, each term a new array:
     the reference the in-place kernel must equal bit for bit."""
     if c.spec.family == "bellman":
@@ -353,8 +362,6 @@ def _flux_before_workspace(c, r, pm, pp, sigma=None):
         return best
     mid = 0.5 * (pm + pp)
     pn = np.sqrt((mid * mid).sum(axis=1))
-    required = lf_viscosity_bound(c, float(pn.max(initial=0.0)))
-    sigma = required + 1.0 if sigma is None else sigma
     v, spec = c.terms[0], c.spec
     out = v.a1 * pn ** spec.m
     if c.a2_active:
@@ -408,19 +415,18 @@ def test_flux_workspace_is_bit_identical(case):
     r = rng.normal(size=n)
     r[::4] = 0.0
     r[1::9] = -0.0
-    sigmas = [None] if spec.family == "bellman" else \
-        [None, lf_viscosity_bound(c, 10.0 * scale) + 2.0]
-    for sigma in sigmas:
-        ref = _flux_before_workspace(c, r, grads[0], grads[1], sigma)
-        held = np.empty((2, dim, n))  # the solver's layout
-        held[:] = grads.transpose(0, 2, 1)
-        pm, pp = held[0].T, held[1].T
-        out, work = np.empty(n), flux_workspace(c)
-        for _ in range(2):  # a reused workspace gives the same bytes
-            got = [numerical_hamiltonian_many(c, r, grads[0], grads[1], sigma),
-                   numerical_hamiltonian_many(c, r, pm, pp, sigma),
-                   numerical_hamiltonian_many(c, r, pm, pp, sigma, out=out,
-                                              work=work)]
-            assert got[2] is out
-            for g in got:
-                assert g.tobytes() == ref.tobytes()
+    sigma = None if spec.family == "bellman" else \
+        lf_viscosity_bound(c, 10.0 * scale) + 2.0
+    ref = _flux_before_workspace(c, r, grads[0], grads[1], sigma)
+    held = np.empty((2, dim, n))  # the solver's layout
+    held[:] = grads.transpose(0, 2, 1)
+    pm, pp = held[0].T, held[1].T
+    out, work = np.empty(n), flux_workspace(c)
+    for _ in range(2):  # a reused workspace gives the same bytes
+        got = [numerical_hamiltonian_many(c, r, grads[0], grads[1], sigma),
+               numerical_hamiltonian_many(c, r, pm, pp, sigma),
+               numerical_hamiltonian_many(c, r, pm, pp, sigma, out=out,
+                                          work=work)]
+        assert got[2] is out
+        for g in got:
+            assert g.tobytes() == ref.tobytes()

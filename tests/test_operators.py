@@ -13,7 +13,7 @@ from nlhj.hamiltonians import BellmanSpec, ControlLaw
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
 from nlhj.operators import (Field, SweepPlan, _tail_values, envelope,
                             eval_operator, row_prefixes, row_template,
-                            save_field, scheme_evaluation)
+                            save_field)
 from nlhj.oracles import ball_kappa, operator_oracle_1d
 from nlhj.solver import SchemeConfig, init_state, step
 
@@ -135,8 +135,8 @@ def test_field_envelope_policies(dom1, dom2):
                                        dim=dom.dim)], dim=dom.dim)
         st = init_state(SweepPlan(g, qt), spec, phi, u0, SchemeConfig(h=h),
                         t0=t)
-        assert np.array_equal(st.field().values[g.core_flat],
-                              envelope(g, st.u, st.phi_trace))
+        held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
+        assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
         # the state's block, written through flat positions, holds the same
         inner = envelope(g, st.u, st.phi_trace, out=st._views[0])
         assert inner.base is st.block
@@ -155,17 +155,6 @@ def test_field_serialization_header(tmp_path, dom1):
     # one "%.17g" per column, as formatting each value on its own gives
     rows = zip(g.core_points[:, 0], values)
     assert lines[1:] == ["\t".join(f"{v:.17g}" for v in row) for row in rows]
-
-
-def test_scheme_evaluation_trivial(dom1, k05):
-    qt = build_quadrature(k05, 2.0 ** -6, 8.0)
-    f = make_field(dom1, 2.0 ** -6, 8.0, lambda p: np.zeros(p.shape[0]))
-    ident = BellmanSpec([ControlLaw(lam=1.0, b=0.0, f=0.0)])
-    # stationary zero field with H(r) = r
-    assert scheme_evaluation(f, 0.0, 0.0, 0.0, 0.0, ident, qt) == pytest.approx(0.0, abs=1e-12)
-    zero_h = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
-    # only the time slot survives
-    assert scheme_evaluation(f, 0.0, 0.0, 1.0, 0.0, zero_h, qt) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_operator_2d_radial_oracle(dom2):
@@ -210,14 +199,14 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)
     for _ in range(3):
-        f = st.field()
+        f = Field(g, st.u, st.phi, st.t)
         E = f.values
         centers = st.u
         got = st.plan.apply(E[g.core_flat], centers, st.load)
         ref = np.empty_like(got)
         for i, (flat, x) in enumerate(zip(g.core_flat, g.points_at(g.core_flat))):
             p = (E[flat + strides] - E[flat - strides]) / (2.0 * h)
-            # shifted to the raw centre as in scheme_evaluation
+            # shifted from the envelope to the raw centre the sweep reads
             ref[i] = (eval_operator(f, x, p, qt)
                       + qt.lam * (E[flat] - centers[i]))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
