@@ -334,6 +334,9 @@ def parse_config(path) -> RunConfig:
                       + (" (or steady = true)" if exp == "run" else ""))
     if entry.phi_limit and "phi_limit" not in data:
         errors.append(f"[data] phi_limit is required for name = {exp}")
+    if any(t <= 0 for t in params.get("t_ladder", ())):
+        errors.append(f"[experiment] t_ladder: horizons must be positive: "
+                      f"{params['t_ladder']}")
     for h in params.get("h_list", ()) if dom is not None else ():
         _spacing(h, dom, r_max, "[experiment] h_list:", errors)
     if exp == "large_time" and spec is not None and \

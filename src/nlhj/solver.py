@@ -43,7 +43,9 @@ from .operators import SweepPlan, envelope
 
 @dataclass
 class SchemeConfig:
-    """Scheme parameters; dt defaults to the CFL-limited value theta/denom."""
+    """Scheme parameters; dt defaults to the CFL-limited value theta/denom.
+    The spacing, and the times and bounds that are given, must be
+    positive."""
 
     h: float
     theta: float = 0.9
@@ -59,8 +61,10 @@ class SchemeConfig:
             raise ValueError("CFL safety factor theta must lie in (0, 1]")
         if self.h <= 0:
             raise ValueError("spacing must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("time step must be positive")
+        for name in ("dt", "T", "steady_tol", "m_cap", "snapshot_dt"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} = {value} must be positive")
 
 
 @dataclass

@@ -173,6 +173,17 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     bad = MINIMAL.format(out=tmp_path).replace("alpha = 0.5", "alpha = oops")
     p = write(tmp_path, bad, "bad.cfg")
     assert main(["run", str(p)]) == 2
+    assert main(["run", str(tmp_path / "absent.cfg")]) == 2
+    assert "parse error: config file not found" in capsys.readouterr().err
+
+
+def test_cli_check_exits_2_on_a_failing_certificate(tmp_path, capsys):
+    # u0 = 1 against the datum 0 at the trace: (H0) fails
+    text = MINIMAL.format(out=tmp_path / "out").replace("u0 = 1 - x^2",
+                                                        "u0 = 1")
+    assert main(["check", str(write(tmp_path, text))]) == 2
+    assert "H0\tFAIL\tvalue=1\n" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 def test_r_cut_is_refused(tmp_path, capsys):
@@ -823,6 +834,21 @@ def test_custom_radial_profile_needs_two_rows_of_two_columns(tmp_path,
     assert not out.exists()
 
 
+def test_custom_radial_config_runs(tmp_path):
+    # the constant profile 1 is the fractional Laplacian's K = 1: both runs
+    # pass, and their final snapshots agree to quadrature accuracy
+    (tmp_path / "profile.txt").write_text("0 1\n10 1\n")
+    finals = []
+    for kernel in ("type = fractional_laplacian",
+                   "type = custom_radial\nprofile = profile.txt"):
+        out = tmp_path / f"out{len(finals)}"
+        text = MINIMAL.format(out=out).replace("type = fractional_laplacian",
+                                               kernel)
+        assert main(["run", str(write(tmp_path, text))]) == 0
+        finals.append(np.loadtxt(sorted(out.glob("field_t*.tsv"))[-1]))
+    assert np.abs(finals[0] - finals[1]).max() < 1e-3
+
+
 BELLMAN_HAMILTONIAN = """[hamiltonian]
 family = bellman
 controls = 1
@@ -945,6 +971,28 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
      "[scheme] name = comparison needs a final time T"),
     ("boundary_loss", "T = 3.0", "steady = true",
      "[scheme] name = boundary_behavior needs a final time T"),
+    # times and bounds that are not positive: a run backward in time, one
+    # that cannot converge, a blow-up on the first step, or T = 0 read as
+    # rate's default
+    ("rate_nonlocal", "T = 5.0", "T = -1",
+     "[scheme] T = -1.0 must be positive"),
+    ("rate_nonlocal", "T = 5.0", "T = 0",
+     "[scheme] T = 0.0 must be positive"),
+    ("rate_nonlocal", "snapshot_dt = 0.1", "snapshot_dt = -0.1",
+     "[scheme] snapshot_dt = -0.1 must be positive"),
+    ("rate_nonlocal", "theta = 0.9", "theta = 0.9\nsteady_tol = -1",
+     "[scheme] steady_tol = -1.0 must be positive"),
+    ("rate_nonlocal", "theta = 0.9", "theta = 0.9\nm_cap = -1",
+     "[scheme] m_cap = -1.0 must be positive"),
+    ("rate_nonlocal", "name = rate\neps_rate = 0.05",
+     "name = large_time\nt_ladder = -1 2",
+     "[experiment] t_ladder: horizons must be positive"),
+    ("comparison", "type = fractional_laplacian", "type = gaussian",
+     "[kernel] unknown type 'gaussian'"),
+    ("comparison", "name = comparison\nseeds = 20", "name = boundary_behavior",
+     "[experiment] boundary_behavior requires the bellman family"),
+    ("rate_nonlocal", "phi_limit = 0\n", "",
+     "[data] phi_limit is required for name = rate"),
 ])
 def test_refused_by_name_before_output(tmp_path, capsys, name, old, new,
                                        refusal):

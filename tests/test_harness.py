@@ -66,8 +66,11 @@ def test_comparison_rejects_unordered(dom1, k05):
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
     u0 = lambda p: np.zeros(p.shape[0])
     v0 = lambda p: -np.ones(p.shape[0])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="initial data"):
         comparison_experiment(spec, dom1, k05, (u0, v0), (0.0, 0.0),
+                              T=0.1, cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    with pytest.raises(PreconditionError, match="exterior data"):
+        comparison_experiment(spec, dom1, k05, (0.0, 0.0), (1.0, 0.0),
                               T=0.1, cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
 
 
@@ -258,6 +261,13 @@ def test_boundary_report_tags(dom1, k05):
     assert res.metrics["tags"] == {"left": "out", "right": "out"}
     assert set(res.metrics["per_face"]) == {"left", "right"}
     assert res.passed  # no subsolution violation
+    # u0 = 10 above the datum 0 at outflow faces: the trace stays above
+    # the datum, a subsolution violation
+    res = boundary_behavior_experiment(spec, dom1, k05, 0.0, 10.0, 0.05,
+                                       SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    assert not res.passed
+    for face in ("left", "right"):
+        assert res.metrics["per_face"][face]["final_gap"] < -1.0
 
 
 def test_holder_quotient_zero_field(dom1, k05):
