@@ -1,16 +1,18 @@
 """Lateral boundary classification for Bellman drifts.
 
-A boundary point is tagged ``in`` when every controlled drift points strictly
-inward (b . Dd > tol), ``out`` when every drift is outward or tangent
-(b . Dd <= tol), and ``mixed`` otherwise.  Witness values in (-tol, tol] are
-treated as "<= 0", preserving the closed outflow condition.
+The boundary of a box is its faces, and on a face Dd is the face's inward
+normal n (:meth:`geometry.Domain.inward_normal`).  A boundary point is
+tagged ``in`` when every controlled drift points strictly inward
+(b . n > tol), ``out`` when every drift is outward or tangent (b . n <= tol),
+and ``mixed`` otherwise.  Witness values in (-tol, tol] are treated as
+"<= 0", preserving the closed outflow condition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Domain, distance_gradient
+from .geometry import Domain
 from .hamiltonians import (BellmanSpec, Certificate, Coefficients,
                            eval_vector)
 
@@ -26,32 +28,31 @@ def classification_tolerance(spec: BellmanSpec, dom: Domain,
     return 1e-8 * (1.0 + bmax)
 
 
-def classify_point(spec: BellmanSpec, x, t: float, dom: Domain,
-                   tol: float | None = None):
-    """Tag plus the witnessing values b_beta . Dd at (x, t)."""
+def classify_face(spec: BellmanSpec, dom: Domain, f: int, pts, t: float,
+                  tol: float | None = None):
+    """The tags of the points ``pts`` of face f at time t, and their
+    witnesses b_beta . n, of shape (points, controls)."""
     if tol is None:
         tol = classification_tolerance(spec, dom)
-    nd = distance_gradient(dom, x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    witnesses = np.array([float(eval_vector(c.b, x, t)[0] @ nd)
-                          for c in spec.controls])
-    inward = witnesses > tol
-    if inward.all():
-        return IN, witnesses
-    if (~inward).all():
-        return OUT, witnesses
-    return MIXED, witnesses
+    # a product with n, not +-b[f // 2]: a tangent drift's witness on an
+    # upper face is then 0, where -b[f // 2] would write -0
+    n = dom.inward_normal(f)
+    witnesses = np.column_stack([eval_vector(c.b, pts, t) @ n
+                                 for c in spec.controls])
+    tags = [IN if inward.all() else MIXED if inward.any() else OUT
+            for inward in witnesses > tol]
+    return tags, witnesses
 
 
-def _face_samples(dom: Domain, face_idx: int, resolution: int) -> np.ndarray:
-    """Sample points along one face, excluding corner exclusion zones (2-D)."""
-    lo, hi = np.array(dom.lower), np.array(dom.upper)
+def _face_samples(dom: Domain, f: int, resolution: int) -> np.ndarray:
+    """``resolution`` points along face f, kept off its ends (2-D) by a
+    margin of 1e-9 of the side."""
+    axis, lo, hi = f // 2, np.array(dom.lower), np.array(dom.upper)
+    fixed = (hi if f % 2 else lo)[axis]
     if dom.dim == 1:
-        return np.array([[lo[0]] if face_idx == 0 else [hi[0]]])
-    axis = 0 if face_idx < 2 else 1
+        return np.array([[fixed]])
     other = 1 - axis
-    fixed = lo[axis] if face_idx % 2 == 0 else hi[axis]
-    margin = max(dom.corner_exclusion, 1e-9 * (hi[other] - lo[other]))
+    margin = 1e-9 * (hi[other] - lo[other])
     s = np.linspace(lo[other] + margin, hi[other] - margin, max(resolution, 2))
     pts = np.empty((len(s), 2))
     pts[:, axis] = fixed
@@ -68,13 +69,13 @@ def classify_boundary(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
     tol = classification_tolerance(spec, dom, t_window)
     times = np.linspace(t_window[0], t_window[1], max(resolution, 2))
     rows, seen = [], {}
-    for fi, face in enumerate(dom.face_names()):
-        seen[face] = set()
-        for x in _face_samples(dom, fi, resolution):
-            for t in times:
-                tag, w = classify_point(spec, x, t, dom, tol)
-                seen[face].add(tag)
-                rows.append((face, *x, t, tag, *w))
+    for f, face in enumerate(dom.face_names()):
+        pts = _face_samples(dom, f, resolution)
+        per_time = [classify_face(spec, dom, f, pts, t, tol) for t in times]
+        seen[face] = {tag for tags, _ in per_time for tag in tags}
+        rows += [(face, *x, t, tags[i], *w[i])
+                 for i, x in enumerate(pts)
+                 for t, (tags, w) in zip(times, per_time)]
     return rows, seen
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import parse_config, execute, run_certificates
 from .errors import ParseError, PreconditionError, ValidationError
+from .geometry import signed_distance_many
 from .solver import eval_initial
 
 
@@ -49,13 +50,12 @@ def _cmd_oracle(args) -> int:
     u0fn = lambda x: float(eval_initial(cfg.u0, np.atleast_2d(x))[0])
     print(f"# oracle values for {args.config}")
     if dom.dim == 1:
-        from .geometry import signed_distance
-
         phi0 = lambda x: float(cfg.phi(np.atleast_2d(x), 0.0)[0])
 
         def joined(x):
-            return u0fn(np.array([x])) if signed_distance(dom, x) > 0 \
-                else phi0(np.array([x]))
+            x = np.array([x])
+            return u0fn(x) if signed_distance_many(dom, x)[0] > 0 \
+                else phi0(x)
 
         kinks = [dom.lower[0], dom.upper[0]]
         if kern.kmax > 0:

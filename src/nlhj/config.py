@@ -47,7 +47,7 @@ REQUIRED = "required"
 
 SECTIONS = {
     "domain": {"dimension": ("count", 1), "lower": ("numbers", REQUIRED),
-               "upper": ("numbers", REQUIRED), "corner_exclusion": "number"},
+               "upper": ("numbers", REQUIRED)},
     "kernel": {"type": ("text", "fractional_laplacian"),
                "alpha": ("number", REQUIRED)},
     "hamiltonian": {"family": ("text", "coercive")},
@@ -327,6 +327,9 @@ def parse_config(path) -> RunConfig:
         errors.append(
             f"[experiment] {exp} requires the superfractional "
             f"condition (A1): m = {spec.m} must exceed alpha = {kern.alpha}")
+    if exp == "boundary_behavior" and kern is not None and kern.alpha >= 1:
+        errors.append(f"[experiment] {exp} requires alpha < 1, got alpha = "
+                      f"{kern.alpha}")
     # steady = true stands in for T only where it is read: under run
     if entry.T == REQUIRED and s.get("T") is None and not (
             steady and exp == "run"):
@@ -334,9 +337,13 @@ def parse_config(path) -> RunConfig:
                       + (" (or steady = true)" if exp == "run" else ""))
     if entry.phi_limit and "phi_limit" not in data:
         errors.append(f"[data] phi_limit is required for name = {exp}")
-    if any(t <= 0 for t in params.get("t_ladder", ())):
+    ladder = params.get("t_ladder", ())
+    if any(t <= 0 for t in ladder):
         errors.append(f"[experiment] t_ladder: horizons must be positive: "
-                      f"{params['t_ladder']}")
+                      f"{ladder}")
+    elif any(b <= a for a, b in zip(ladder, ladder[1:])):
+        errors.append(f"[experiment] t_ladder: horizons must increase "
+                      f"strictly: {ladder}")
     for h in params.get("h_list", ()) if dom is not None else ():
         _spacing(h, dom, r_max, "[experiment] h_list:", errors)
     if exp == "large_time" and spec is not None and \

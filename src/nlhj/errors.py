@@ -5,12 +5,6 @@ class NlhjError(Exception):
     """Base class for all package errors."""
 
 
-# geometry
-class CornerAmbiguity(NlhjError):
-    """Two box faces are equidistant (or the point sits in a corner
-    exclusion zone), so the distance gradient is undefined."""
-
-
 # kernels
 class InvalidResolution(NlhjError):
     """Truncation radius too small relative to the grid spacing."""

@@ -2,9 +2,10 @@
 
 The domain is an open interval (1-D) or open box (2-D).  The signed distance
 d(x) is positive inside, negative outside, zero on the boundary, and
-1-Lipschitz.  Its gradient is the inward unit normal of the nearest face and
-is only defined away from box corners.  A :class:`Grid` needs no distance:
-its sides are multiples of h, so its node sets are index boxes.
+1-Lipschitz.  On the relative interior of a face, Dd is that face's inward
+unit normal, which :meth:`Domain.inward_normal` gives from the face index.
+A :class:`Grid` needs no distance: its sides are multiples of h, so its node
+sets are index boxes.
 """
 
 from __future__ import annotations
@@ -14,21 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CornerAmbiguity
-
 
 @dataclass(frozen=True)
 class Domain:
     """Open interval or axis-aligned open box.
 
-    ``corner_exclusion`` is the radius around each corner (2-D) inside which
-    gradient evaluation is refused; boundary experiments sample face
-    midpoints only.
+    Face f lies on axis f // 2, at the lower end when f is even; the face
+    methods list the faces in that order.
     """
 
     lower: tuple
     upper: tuple
-    corner_exclusion: float = 0.0
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lower))
@@ -52,12 +49,6 @@ class Domain:
     def diameter(self) -> float:
         return float(np.hypot(*self.sides)) if self.dim == 2 else self.sides[0]
 
-    def corners(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.empty((0, 1))
-        lo, hi = self.lower, self.upper
-        return np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-
     def face_names(self):
         if self.dim == 1:
             return ["left", "right"]
@@ -70,18 +61,9 @@ class Domain:
         cx, cy = (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
         return np.array([[lo[0], cy], [hi[0], cy], [cx, lo[1]], [cx, hi[1]]])
 
-
-def signed_distance(dom: Domain, x) -> float:
-    """d(x): positive inside, negative outside, zero on the boundary."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = np.array(dom.lower)
-    hi = np.array(dom.upper)
-    inside_margin = np.minimum(x - lo, hi - x)
-    if np.all(inside_margin >= 0.0):
-        return float(inside_margin.min())
-    # outside: negative Euclidean distance to the box
-    outside = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    return -float(np.linalg.norm(outside))
+    def inward_normal(self, f: int) -> np.ndarray:
+        """The inward unit normal of face f, Dd on the face's interior."""
+        return np.eye(self.dim)[f // 2] * (-1.0 if f % 2 else 1.0)
 
 
 def signed_distance_many(dom: Domain, pts: np.ndarray) -> np.ndarray:
@@ -94,38 +76,6 @@ def signed_distance_many(dom: Domain, pts: np.ndarray) -> np.ndarray:
     outside = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
     out_dist = np.linalg.norm(outside, axis=1)
     return np.where(out_dist > 0.0, -out_dist, inside_margin)
-
-
-def distance_gradient(dom: Domain, x, tol: float = 1e-12) -> np.ndarray:
-    """Inward unit normal of the nearest face, |Dd| = 1.
-
-    Raises CornerAmbiguity when two faces are equidistant within ``tol`` or
-    (2-D) when x is inside the corner exclusion radius.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = np.array(dom.lower)
-    hi = np.array(dom.upper)
-    if dom.dim == 2 and dom.corner_exclusion > 0.0:
-        d_corner = np.linalg.norm(dom.corners() - x, axis=1).min()
-        if d_corner < dom.corner_exclusion:
-            raise CornerAmbiguity(f"point {x} within corner exclusion radius")
-    # face clearances; nearest face by clearance inside, by |clearance| outside
-    dists = np.concatenate([x - lo, hi - x])
-    normals = np.vstack([np.eye(dom.dim), -np.eye(dom.dim)])
-    if signed_distance(dom, x) < 0:
-        violated = dists < -tol
-        if violated.sum() > 1:
-            # exterior diagonal region: nearest boundary point is a corner
-            raise CornerAmbiguity(f"point {x} projects onto a corner")
-        if violated.sum() == 0:
-            raise CornerAmbiguity(f"point {x} has no unique nearest face")
-        # outside: only the violated face matters
-        return normals[int(np.argmax(violated))].astype(float)
-    order = np.argsort(dists)
-    best, second = order[0], (order[1] if len(order) > 1 else None)
-    if dom.dim == 2 and second is not None and abs(dists[best] - dists[second]) <= tol:
-        raise CornerAmbiguity(f"two faces equidistant at {x}")
-    return normals[best].astype(float)
 
 
 @dataclass

@@ -471,9 +471,10 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
     the sampled sup deviations of phi and of the Hamiltonian coefficients
     along the ladder must decrease toward zero.
     """
-    T_ladder = sorted(T_ladder)
     if len(T_ladder) < 2:
         raise ValueError("need at least two horizons")
+    if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
+        raise ValueError(f"horizons must increase strictly: {T_ladder}")
     plan = discretize(dom, k, cfg.h, r_max)
     cert = check_H2prime(spec, plan)
     if not cert.passed:

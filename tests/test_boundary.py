@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nlhj.boundary import (IN, MIXED, OUT, check_sigma, classify_boundary,
-                           classify_point, face_tags)
-from nlhj.errors import CornerAmbiguity
+                           classify_face, face_tags)
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
 
@@ -13,48 +12,73 @@ def single(b, dim=1):
     return BellmanSpec([ControlLaw(lam=0.0, b=b, f=0.0, dim=dim)], dim=dim)
 
 
+def at(spec, dom, f, x):
+    # (tag, witnesses) at the one point x of face f, at t = 0
+    tags, w = classify_face(spec, dom, f, np.atleast_2d(x), 0.0)
+    assert w.shape == (1, len(spec.controls))
+    return tags[0], w[0]
+
+
 def test_classify_inward_drift(dom1):
     # b(x) = -x points inward at both endpoints
-    tag, w = classify_point(single("-x"), 1.0, 0.0, dom1)
+    tag, w = at(single("-x"), dom1, 1, 1.0)
     assert tag == IN and w[0] == pytest.approx(1.0)
-    tag, _ = classify_point(single("-x"), -1.0, 0.0, dom1)
+    tag, _ = at(single("-x"), dom1, 0, -1.0)
     assert tag == IN
 
 
 def test_classify_outward_drift(dom1):
-    tag, w = classify_point(single("x"), 1.0, 0.0, dom1)
+    tag, w = at(single("x"), dom1, 1, 1.0)
     assert tag == OUT and w[0] == pytest.approx(-1.0)
 
 
 def test_classify_mixed(dom1):
     spec = BellmanSpec([ControlLaw(lam=0.0, b=1.0, f=0.0),
                         ControlLaw(lam=0.0, b=-1.0, f=0.0)])
-    tag, w = classify_point(spec, 1.0, 0.0, dom1)
+    tag, w = at(spec, dom1, 1, 1.0)
     assert tag == MIXED
     assert sorted(w.tolist()) == [-1.0, 1.0]
 
 
 def test_zero_drift_is_out(dom1):
     # b . Dd = 0 satisfies the closed outflow inequality
-    tag, _ = classify_point(single(0.0), 1.0, 0.0, dom1)
+    tag, _ = at(single(0.0), dom1, 1, 1.0)
     assert tag == OUT
 
 
 def test_classify_2d_face_midpoint(dom2):
-    spec = single(["0", "-y"], dim=2)
-    tag, _ = classify_point(spec, (0.0, 1.0), 0.0, dom2)
+    tag, _ = at(single(["0", "-y"], dim=2), dom2, 3, (0.0, 1.0))
     assert tag == IN
-    with pytest.raises(CornerAmbiguity):
-        dom = Domain((-1, -1), (1, 1), corner_exclusion=0.1)
-        classify_point(single(["1", "1"], dim=2), (1.0, 0.95), 0.0, dom)
+
+
+def test_classify_face_tags_each_point(dom2):
+    # b = (x, -x) on the face y = 1 (inward normal (0, -1)): the witness
+    # is x, so the face's points are out, out and in
+    pts = np.array([[-0.5, 1.0], [0.0, 1.0], [0.5, 1.0]])
+    tags, w = classify_face(single(["x", "-x"], dim=2), dom2, 3, pts, 0.0)
+    assert tags == [OUT, OUT, IN]
+    np.testing.assert_array_equal(w, [[-0.5], [0.0], [0.5]])
+
+
+def test_zero_witnesses_are_positive_zero(dom2):
+    # b_1 = (-1/2, 0) and b_2 = (0, y/2) on [-1, 1]^2: every face has a
+    # tangent drift, whose witness is written as 0, never as -0
+    spec = BellmanSpec([ControlLaw(lam=1.0, b=["0*y - 0.5", "-x*0"], f=0.0,
+                                   dim=2),
+                        ControlLaw(lam=0.5, b=["-0*x", "0.5*y"], f=0.0,
+                                   dim=2)], dim=2)
+    rows, _ = classify_boundary(spec, dom2, (0.0, 0.25))
+    w = np.array([r[-2:] for r in rows], dtype=float)
+    zero = w == 0.0
+    assert zero.sum() == 324
+    assert not np.signbit(w[zero]).any()
 
 
 @given(st.floats(0.1, 100.0))
 def test_rescaling_invariance(scale):
     dom = Domain((-1,), (1,))
     for b, expect in (("-x", IN), ("x", OUT)):
-        spec = single(f"{scale}*({b})")
-        tag, _ = classify_point(spec, 1.0, 0.0, dom)
+        tag, _ = at(single(f"{scale}*({b})"), dom, 1, 1.0)
         assert tag == expect
 
 

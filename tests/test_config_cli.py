@@ -987,10 +987,23 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
     ("rate_nonlocal", "name = rate\neps_rate = 0.05",
      "name = large_time\nt_ladder = -1 2",
      "[experiment] t_ladder: horizons must be positive"),
+    # a ladder read in the order given: a repeated or earlier horizon would
+    # certify convergence from fewer distinct horizons than it lists
+    ("rate_nonlocal", "name = rate\neps_rate = 0.05",
+     "name = large_time\nt_ladder = 2 2",
+     "[experiment] t_ladder: horizons must increase strictly"),
+    ("rate_nonlocal", "name = rate\neps_rate = 0.05",
+     "name = large_time\nt_ladder = 4 2 1",
+     "[experiment] t_ladder: horizons must increase strictly"),
+    # the face's inward normal needs no corner radius
+    ("comparison", "upper = 1\n", "upper = 1\ncorner_exclusion = 0.1\n",
+     "[domain] unknown key 'corner_exclusion'"),
     ("comparison", "type = fractional_laplacian", "type = gaussian",
      "[kernel] unknown type 'gaussian'"),
     ("comparison", "name = comparison\nseeds = 20", "name = boundary_behavior",
      "[experiment] boundary_behavior requires the bellman family"),
+    ("boundary_loss", "alpha = 0.5", "alpha = 1.5",
+     "[experiment] boundary_behavior requires alpha < 1"),
     ("rate_nonlocal", "phi_limit = 0\n", "",
      "[data] phi_limit is required for name = rate"),
 ])
@@ -1007,3 +1020,24 @@ def test_refused_by_name_before_output(tmp_path, capsys, name, old, new,
     assert main(["run", str(p)]) == 2
     assert refusal in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_configuration_reference_matches_the_parser():
+    # every key the tables accept is named in README's "Configuration
+    # format" section, and its [domain] and [scheme] lines name only keys
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("## Configuration format")[1].split("\n## ")[0]
+    keys = {name: set(table) for name, table in config.SECTIONS.items()}
+    for name, (_, tables) in config.CHOICES.items():
+        for table in tables.values():
+            keys[name] |= set(table)
+    named = set(re.findall(r"\w+", section))
+    missing = sorted(k for table in keys.values() for k in table
+                     if k not in named)
+    assert not missing, f"keys missing from README: {missing}"
+    block = section.split("```")[1]
+    for name in ("domain", "scheme"):
+        entry = re.search(rf"(?m)^\[{name}\](.*\n(?:[ \t]+\S.*\n)*)", block)
+        words = set(re.findall(r"\w+", entry.group(1))) - {"true"}
+        assert words <= keys[name], \
+            f"[{name}] names what it does not accept: {words - keys[name]}"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlhj.errors import CornerAmbiguity
-from nlhj.geometry import (Domain, Grid, distance_gradient, signed_distance,
-                           signed_distance_many)
+from nlhj.geometry import Domain, Grid, signed_distance_many
+
+
+def signed_distance(dom, x):
+    return float(signed_distance_many(dom, np.atleast_2d(x))[0])
 
 
 def test_signed_distance_interval(dom1):
@@ -18,24 +20,6 @@ def test_signed_distance_box(dom2):
     assert np.isclose(signed_distance(dom2, (0.0, 0.0)), 1.0)
     # outside a corner: Euclidean distance
     assert np.isclose(signed_distance(dom2, (2.0, 2.0)), -np.sqrt(2.0))
-
-
-def test_distance_gradient_interval(dom1):
-    assert distance_gradient(dom1, 0.9)[0] == -1.0
-    assert distance_gradient(dom1, -0.9)[0] == 1.0
-
-
-def test_distance_gradient_box(dom2):
-    assert np.allclose(distance_gradient(dom2, (0.0, 0.95)), (0.0, -1.0))
-    assert np.allclose(distance_gradient(dom2, (-0.97, 0.1)), (1.0, 0.0))
-    with pytest.raises(CornerAmbiguity):
-        distance_gradient(dom2, (0.5, 0.5))  # diagonal: faces equidistant
-
-
-def test_corner_exclusion_zone():
-    dom = Domain((-1, -1), (1, 1), corner_exclusion=0.2)
-    with pytest.raises(CornerAmbiguity):
-        distance_gradient(dom, (0.95, 0.9))
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3))
@@ -60,22 +44,15 @@ def test_reflection_symmetry(x, y):
                       signed_distance(dom, (-x, -y)))
 
 
-def test_gradient_is_unit_and_matches_fd(dom2):
-    h = 1e-5
-    rng = np.random.default_rng(0)
-    for _ in range(24):
-        x = rng.uniform(-1.2, 1.2, size=2)
-        try:
-            g = distance_gradient(dom2, x)
-        except CornerAmbiguity:
-            continue
-        if abs(signed_distance(dom2, x)) > 0.25 * min(dom2.sides):
-            continue
-        assert np.isclose(np.linalg.norm(g), 1.0)
-        fd = np.array([
-            (signed_distance(dom2, x + h * e) - signed_distance(dom2, x - h * e))
-            / (2 * h) for e in np.eye(2)])
-        assert np.allclose(fd, g, atol=1e-3)
+@pytest.mark.parametrize("dom", [Domain((-1,), (1,)),
+                                 Domain((0.3, -1.25), (1.3, 0.5))])
+def test_inward_normal_is_unit_and_points_inside(dom):
+    # a quarter step from a face's midpoint along its normal lands at
+    # distance 0.25 inside, the nearest face still being that one
+    for f, mid in enumerate(dom.face_midpoints()):
+        n = dom.inward_normal(f)
+        assert np.linalg.norm(n) == 1.0
+        assert signed_distance(dom, mid + 0.25 * n) == pytest.approx(0.25)
 
 
 def test_domain_invariants():

@@ -221,7 +221,7 @@ def test_boundary_requires_ue_and_small_alpha(dom1):
         boundary_behavior_experiment(spec, dom1, zero_kernel(0.5, 1), 0.0,
                                      0.0, 1.0, SchemeConfig(h=2.0 ** -5))
     k15 = fractional_laplacian_kernel(1.5, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="requires alpha < 1"):
         boundary_behavior_experiment(spec, dom1, k15, 0.0, 0.0, 1.0,
                                      SchemeConfig(h=2.0 ** -5))
 
@@ -344,6 +344,15 @@ def test_large_time_requires_h2prime(dom1, k05):
                               SchemeConfig(h=2.0 ** -5), u0=0.0, r_max=4.0)
 
 
+@pytest.mark.parametrize("ladder", [[2.0, 2.0], [4.0, 2.0, 1.0]])
+def test_large_time_refuses_a_ladder_that_does_not_increase(dom1, k05,
+                                                            ladder):
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=0.0)
+    with pytest.raises(ValueError, match="increase strictly"):
+        large_time_experiment(spec, spec, dom1, k05, 0.0, 0.0, ladder,
+                              SchemeConfig(h=2.0 ** -5), r_max=4.0)
+
+
 def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
     # a t-dependent lam with a constant f is a t-dependent Hamiltonian: the
     # steady solve and the rate experiment refuse it
@@ -366,7 +375,7 @@ def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
 def test_trace_face_map_reads_faces_off_the_index_box(dom1, dom2):
     # a face holds the trace nodes lying on it; corners belong to both of
     # the faces they join, and every trace node to some face
-    for dom, h in ((dom1, 0.25), (dom2, 0.5)):
+    for dom, h, corners in ((dom1, 0.25, 0), (dom2, 0.5, 4)):
         grid = Grid(dom, h, halo=1)
         faces = trace_face_map(grid, dom)
         pts = grid.trace_points
@@ -376,4 +385,4 @@ def test_trace_face_map_reads_faces_off_the_index_box(dom1, dom2):
                 np.flatnonzero(pts[:, f // 2] == side).tolist()
         held = np.concatenate(list(faces.values()))
         assert sorted(set(held.tolist())) == list(range(len(pts)))
-        assert len(held) == len(pts) + len(dom.corners())
+        assert len(held) == len(pts) + corners
