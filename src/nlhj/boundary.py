@@ -65,7 +65,20 @@ def classify_boundary(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
     """The sampled classification of the lateral boundary as ``(rows,
     seen)``: ``rows`` are (face, x.., t, tag, w..) by face, then sample
     point, then time; ``seen[face]`` is the set of tags of the face's
-    samples."""
+    samples.
+
+    The spec keeps each classification (``spec.classifications``): asked
+    again with the same arguments, as the (Sigma) certificate and every
+    spacing of a ``boundary_behavior`` run ask, it returns the same rows
+    and tags without sampling again (the classification does not depend on
+    the grid)."""
+    key = (dom, tuple(t_window), resolution)
+    if key not in spec.classifications:
+        spec.classifications[key] = _classify(spec, dom, t_window, resolution)
+    return spec.classifications[key]
+
+
+def _classify(spec: BellmanSpec, dom: Domain, t_window, resolution: int):
     tol = classification_tolerance(spec, dom, t_window)
     times = np.linspace(t_window[0], t_window[1], max(resolution, 2))
     rows, seen = [], {}

@@ -22,6 +22,11 @@ from .operators import SweepPlan
 # caps the |p|^(e-1) bounds of sublinear exponents (see lf_viscosity_bound)
 GRAD_FLOOR = 1e-2
 
+# 0.5 as an array operand, which a ufunc reads without the conversion it
+# makes of a Python float on every call
+_HALF = np.array(0.5)
+_HALF.setflags(write=False)
+
 
 class CoefficientField:
     """Scalar coefficient on (closed domain) x time, vectorized over points.
@@ -152,6 +157,9 @@ class BellmanSpec:
     controls: list
     lipschitz: float | None = None
     dim: int = 1
+    # boundary.classify_boundary's results, by its other arguments
+    classifications: dict = dfield(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         if not self.controls:
@@ -220,7 +228,9 @@ class Coefficients:
     Bounds, over points and terms: ``a1_max`` = max |a1|, ``a2_max`` =
     max |a2| (coercive only), ``lam_max`` = max |lam| and ``b_max`` = max
     |b| per axis; a coercive bundle also says whether its viscosity bound
-    reads the gradients (``bound_reads_p``).  A Bellman bundle holds the
+    reads the gradients (``bound_reads_p``), and where it does not, holds
+    that bound, the Lax-Friedrichs floor ``lf_floor`` (a float per axis;
+    None otherwise), renewed with the bounds.  A Bellman bundle holds the
     upwind mask ``upwind`` = (b > 0) of its drifts, stacked and per term,
     for the flux; :meth:`at` renews it when b moves.
     """
@@ -261,6 +271,11 @@ class Coefficients:
 
     def _bound(self):
         terms = self.terms
+        self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
+        self.b_max = np.zeros(self.spec.dim)
+        for v in terms:
+            if v.b is not None:
+                self.b_max = np.maximum(self.b_max, np.abs(v.b).max(axis=0))
         if self.spec.family == "coercive":
             a2 = terms[0].a2
             self.a1_max = float(np.abs(terms[0].a1).max())
@@ -270,11 +285,8 @@ class Coefficients:
             # reads the gradients only through an a2 |p|^l term with l > 0
             self.bound_reads_p = self.spec.m != 1 or (
                 self.a2_max > 0 and self.spec.l > 0)
-        self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
-        self.b_max = np.zeros(self.spec.dim)
-        for v in terms:
-            if v.b is not None:
-                self.b_max = np.maximum(self.b_max, np.abs(v.b).max(axis=0))
+            self.lf_floor = (None if self.bound_reads_p
+                             else _viscosity_bounds(self, 0.0))
 
     def at(self, t: float) -> "Coefficients":
         """The bundle at time t: evaluates the bound fields at t."""
@@ -398,21 +410,26 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
         return np.maximum.reduce(val, axis=0, out=out)
     p, cols, acc, term = work
     np.add(pm, pp, p)
-    p *= 0.5
-    # |p| per row; the squares are never -0.0, so adding the columns to
-    # the first equals their sum over the row (and in 1-D the first is it)
-    pn = np.multiply(cols[0], cols[0], acc)
-    for col in cols[1:]:
-        pn += np.multiply(col, col, term)
-    np.sqrt(pn, pn)
-    scale = (float(np.maximum.reduce(pn, initial=0.0)) if c.bound_reads_p
-             else 0.0)
-    required = _viscosity_bounds(c, scale)
-    if any(s < q - 1e-12 for s, q in zip(sigma.tolist(), required)):
-        required = np.array(required)
-        raise ViscosityUnderflow(
-            f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
-            required=required)
+    p *= _HALF
+    # |p| per row: in 1-D the absolute value, which is sqrt(p * p) wherever
+    # p * p neither underflows nor overflows; else the squares, never -0.0,
+    # added to the first, which equals their sum over the row
+    if len(cols) == 1:
+        pn = np.absolute(cols[0], acc)
+    else:
+        pn = np.multiply(cols[0], cols[0], acc)
+        for col in cols[1:]:
+            pn += np.multiply(col, col, term)
+        np.sqrt(pn, pn)
+    scales = sigma.tolist()
+    required = (_viscosity_bounds(c, float(np.maximum.reduce(pn, initial=0.0)))
+                if c.bound_reads_p else c.lf_floor)
+    for s, q in zip(scales, required):
+        if s < q - 1e-12:
+            required = np.array(required)
+            raise ViscosityUnderflow(
+                f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
+                required=required)
     # a1 |p|^m + a2 |p|^l + b.p + lam r - f, as _coercive_values adds it
     v, spec = c.terms[0], c.spec
     if c.a2_active:
@@ -428,16 +445,18 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
         out += np.einsum("ij,ij->i", v.b, p, out=term)
     out += np.multiply(v.lam, r, term)
     out -= v.f
-    # the viscosity term; its columns are added from the first, not from
-    # +0.0 as np.sum adds them, which changes only a -0.0 sum, and that
-    # only where out is -0.0: never for a1 > 0, whose term is +0.0 or more
+    # the viscosity term 0.5 sum_a sigma_a (p+ - p-), each column scaled by
+    # 0.5 sigma_a, which is exact, 0.5 being a power of two; its columns
+    # are added from the first, not from +0.0 as np.sum adds them, which
+    # changes only a -0.0 sum, and that only where out is -0.0: never for
+    # a1 > 0, whose term is +0.0 or more
     np.subtract(pp, pm, p)
-    for col, s in zip(cols, sigma.tolist()):
-        col *= s
+    for col, s in zip(cols, scales):
+        col *= 0.5 * s
     spread = cols[0]
     for col in cols[1:]:
         spread = np.add(spread, col, acc)
-    out -= np.multiply(0.5, spread, acc)
+    out -= spread
     return out
 
 

@@ -138,7 +138,7 @@ def _fft_length(n: int) -> int:
 
 
 def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
-    """Arrays for :func:`_correlate`'s transforms to ``shape`` whose half
+    """Arrays for :func:`_correlation`'s transforms to ``shape`` whose half
     spectrum has the shape ``spectrum``: that spectrum; in 2-D a zero-filled
     array like it, the forward column transforms' input, and a second array
     like it, the inverse column transforms' output; and the inverse
@@ -182,38 +182,60 @@ except ImportError:     # a numpy that moved its private module
     _pocketfft = _PUBLIC_FFT
 
 
-def _correlate(a: np.ndarray, spec: np.ndarray, shape: tuple, keep: tuple,
-               work: tuple | None = None) -> np.ndarray:
-    """The correlation with spectrum ``spec`` of ``a`` zero-padded to
-    ``shape``, at the nodes selected by ``keep`` (slices): a view of the
-    inverse transform's output.  The transforms run axis by axis, as
-    np.fft.rfftn and irfftn do, into ``work`` (see
-    :func:`_transform_outputs`), which is allocated when not given.
+def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
+                 work: tuple):
+    """The correlation with spectrum ``spec`` of an array of shape ``box``
+    zero-padded to ``shape``, at the nodes selected by ``keep`` (slices), as
+    a function ``correlate(a, add, out)``: it writes the correlation of
+    ``a`` (of shape ``box``, or its values in C order) plus ``add`` into
+    ``out``, one value per kept node in C order, and returns ``out``.  The
+    transforms run axis by axis, as np.fft.rfftn and irfftn do, into
+    ``work`` (see :func:`_transform_outputs`).  What does not change from
+    call to call is settled here: the rfft gufunc for the length's parity,
+    the axes, the scale factors (as arrays, which a gufunc reads without
+    converting a Python number on every call), the views of ``work`` and
+    the 1-D or 2-D form.
 
     In 2-D both passes are pruned, with the same transforms on the same
-    numbers: the row transforms of ``a`` fill the first ``len(a)`` rows of
+    numbers: the row transforms of ``a`` fill the first ``box[0]`` rows of
     the zero-filled forward array, whose other rows stay zero, so the
     column transforms read it in full instead of padding each column; and
     the inverse row transforms run only on the rows ``keep`` selects."""
-    spectrum, padded, spare, real = work or _transform_outputs(spec.shape,
-                                                               shape)
-    last = _ALONG[len(shape) - 1]
+    spectrum, padded, spare, real = work
     rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
+    irfft = _pocketfft.irfft
+    last, one = _ALONG[len(shape) - 1], np.array(1.0)
     if len(shape) == 1:
-        prod = rfft(a, 1, axes=last, out=spectrum)
-        prod *= spec
-        return _pocketfft.irfft(prod, 1 / shape[0], axes=last, out=real)[keep]
-    rfft(a, 1, axes=last, out=padded[:len(a)])
-    prod = _pocketfft.fft(padded, 1, axes=_ALONG[0], out=spectrum)
-    prod *= spec
-    cols = _pocketfft.ifft(prod, 1 / shape[0], axes=_ALONG[0], out=spare)
+        scale, kept = np.array(1 / shape[0]), real[keep]
+
+        def correlate(a, add, out):
+            prod = rfft(a, one, axes=last, out=spectrum)
+            prod *= spec
+            irfft(prod, scale, axes=last, out=real)
+            return np.add(kept, add, out)
+        return correlate
+
+    fft, ifft, first = _pocketfft.fft, _pocketfft.ifft, _ALONG[0]
+    col_scale, row_scale = np.array(1 / shape[0]), np.array(1 / shape[1])
     rows = keep[0]
-    return _pocketfft.irfft(cols[rows], 1 / shape[1], axes=last,
-                            out=real[rows])[:, keep[1]]
+    head, cols, real_rows = padded[:box[0]], spare[rows], real[rows]
+    kept = real_rows[:, keep[1]]
+
+    def correlate(a, add, out):
+        rfft(a.reshape(box), one, axes=last, out=head)
+        prod = fft(padded, one, axes=first, out=spectrum)
+        prod *= spec
+        ifft(prod, col_scale, axes=first, out=spare)
+        irfft(cols, row_scale, axes=last, out=real_rows)
+        # a copy, as numpy would buffer the strided view in a sum
+        np.copyto(out.reshape(kept.shape), kept)
+        out += add
+        return out
+    return correlate
 
 
 def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
-    """``spec`` for which :func:`_correlate` gives sum_z taps[z] a[x + z];
+    """``spec`` for which :func:`_correlation` gives sum_z taps[z] a[x + z];
     ``taps`` is centred (odd length per axis)."""
     padded = np.zeros(shape)
     idx = [np.arange(-(m // 2), m // 2 + 1) % n for m, n in zip(taps.shape, shape)]
@@ -239,7 +261,7 @@ class SweepPlan:
     built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
     that leave the core, tail included.  The plan holds the transforms'
     arrays, which its states share; in 2-D the transforms are pruned (see
-    :func:`_correlate`): the forward array stays zero beyond the core
+    :func:`_correlation`): the forward array stays zero beyond the core
     block's rows, and only those rows are inverted.
 
     The one-sided differences read a state's block: the core block
@@ -267,6 +289,7 @@ class SweepPlan:
     _core_spec: np.ndarray = dfield(init=False, repr=False)
     _scratch: tuple = dfield(init=False, repr=False)
     _spent: np.ndarray = dfield(init=False, repr=False)
+    _sweep: object = dfield(init=False, repr=False)
     _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -310,16 +333,17 @@ class SweepPlan:
         self._core_fft = tuple(_fft_length(m + k) for m, k in zip(box, K))
         self._core_spec = _correlation_spectrum(
             S[tuple(slice(J - k, J + k + 1) for k in K)], self._core_fft)
-        # apply's transform outputs, shared by its states
+        # apply's correlation and its transform outputs, shared by its states
         self._scratch = _transform_outputs(self._core_spec.shape,
                                            self._core_fft)
+        self._sweep = _correlation(self._core_spec, self._core_fft, box,
+                                   self._box_start, self._scratch)
         self._spent = self._scratch[3].reshape(-1)[:len(g.core_flat)]
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
         # load of a unit constant datum
-        inside = _correlate(np.ones(box), self._core_spec, self._core_fft,
-                            self._box_start).ravel()
+        inside = self._sweep(np.ones(box), 0.0, np.empty(len(g.core_flat)))
         self.exit_mass = S.sum() - inside + qt.tail_mass
 
     @cached_property
@@ -335,22 +359,33 @@ class SweepPlan:
     def _full_spec(self) -> np.ndarray:
         return _correlation_spectrum(self._stencil, self._full_fft)
 
+    @cached_property
+    def _full_load(self) -> tuple:
+        """:meth:`exterior_load`'s array of the full grid, whose core nodes
+        stay zero (only exterior nodes are ever written), and its
+        correlation into transform outputs of its own: held from the first
+        datum that varies in space."""
+        g = self.grid
+        work = _transform_outputs(self._full_spec.shape, self._full_fft)
+        return np.zeros(g.size), _correlation(self._full_spec, self._full_fft,
+                                              g.shape, self.core_box, work)
+
     def exterior_load(self, ext: np.ndarray, out=None) -> np.ndarray:
         """Per core node, the stencil terms whose jump leaves the core, plus
         the tail against the constant continuation, for the datum values
         ``ext`` at ``grid.exterior_points`` (or one value, for a datum
         constant in space), written into ``out`` where given.  It changes
-        only when the datum does."""
+        only when the datum does.  A datum that varies in space is
+        correlated over the full grid, in arrays the plan holds."""
         if len(ext) == 1 or np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
             return np.multiply(ext[0], self.exit_mass, out=out)
-        # the datum on the full grid with a zero core, only while it is read
-        g = self.grid
-        E = np.zeros(g.size)
-        E[g.exterior_flat] = ext
-        load = _correlate(E.reshape(g.shape), self._full_spec, self._full_fft,
-                          self.core_box).ravel()
-        return np.add(load, self.qt.tail_sides @ _tail_values(g, E), out=out)
+        if out is None:
+            out = np.empty(len(self.exit_mass))
+        E, correlate = self._full_load
+        E[self.grid.exterior_flat] = ext
+        return correlate(E, self.qt.tail_sides @ _tail_values(self.grid, E),
+                         out)
 
     def apply(self, E: np.ndarray, centers: np.ndarray, load: np.ndarray,
               out=None) -> np.ndarray:
@@ -364,18 +399,9 @@ class SweepPlan:
         that belongs to the caller (a solver state), or else into a new
         array; it is never a view of the plan's scratch.
         """
-        if E.shape != self.core_shape:
-            E = E.reshape(self.core_shape)
-        corr = _correlate(E, self._core_spec, self._core_fft, self._box_start,
-                          self._scratch)
         if out is None:
             out = np.empty(centers.shape)
-        if corr.ndim == 1:
-            np.add(corr, load, out)
-        else:
-            # a copy, as numpy would buffer the strided view in a sum
-            np.copyto(out.reshape(corr.shape), corr)
-            out += load
+        self._sweep(E, load, out)
         # the inverse transform's output is spent: it takes diag * centers
         out -= np.multiply(self.diag, centers, self._spent)
         return out

@@ -245,6 +245,24 @@ def test_execute_discretizes_once(tmp_path, monkeypatch):
     assert len(plans) == 1
 
 
+
+@pytest.mark.parametrize("name", ["rate_nonlocal", "boundary_loss"])
+def test_manifest_times_each_phase(tmp_path, name):
+    # the manifest times discretize, certificates, experiment and tables on
+    # a clock that never jumps; the phases follow one another inside the
+    # run's wall time, and no timing reaches a report table
+    text = re.sub(r"(?m)^directory = .*$", f"directory = {tmp_path / 'out'}",
+                  (CONFIGS / f"{name}.cfg").read_text())
+    assert execute(parse_config(write(tmp_path, text, "timed.cfg"))) == 0
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    phases = m["phase_s"]
+    assert list(phases) == ["certificates", "discretize", "experiment",
+                            "tables"]  # sorted by json.dump
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= m["wall_time_s"]
+    for table in (tmp_path / "out").glob("*.tsv"):
+        assert "phase" not in table.read_text()
+
 def test_boundary_refinement_keeps_scheme_settings(tmp_path):
     # every refinement runs with the [scheme] settings, max_steps included
     text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
@@ -274,6 +292,28 @@ def test_boundary_refinement_fails_when_one_spacing_fails(tmp_path,
     m = json.loads((out / "manifest.json").read_text())
     assert m["passed"] is False and (out / "report.tsv").exists()
 
+
+
+@pytest.mark.parametrize("h_list", [True, False])
+def test_boundary_behavior_classifies_the_boundary_once(tmp_path, monkeypatch,
+                                                         h_list):
+    # the (Sigma) certificate and the run at every spacing read one
+    # classification of the boundary, which does not depend on h
+    from nlhj import boundary
+    samplings = []
+    real = boundary._classify
+
+    def counted(*args):
+        samplings.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(boundary, "_classify", counted)
+    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
+        "directory = out_boundary", f"directory = {tmp_path / 'out'}")
+    if not h_list:
+        text = re.sub(r"(?m)^h_list = .*\n", "", text)
+    assert execute(parse_config(write(tmp_path, text, "once.cfg"))) == 0
+    assert samplings == [((0.0, 3.0), 9)]
 
 def test_boundary_behavior_single_run(tmp_path):
     # without h_list: one run at the [scheme] spacing, whose tables are the

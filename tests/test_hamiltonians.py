@@ -430,3 +430,46 @@ def test_flux_workspace_is_bit_identical(case):
         assert got[2] is out
         for g in got:
             assert g.tobytes() == ref.tobytes()
+
+
+LF_CASES = [(dim, m, a2, b) for dim in (1, 2) for m in (1.0, 2.0)
+            for a2 in (False, True) for b in (False, True) if m > 1 or not b]
+
+
+@pytest.mark.parametrize("dim, m, a2, b", LF_CASES)
+def test_lf_flux_equals_the_written_out_reference(dim, m, a2, b):
+    # the flux (|p| by np.absolute in 1-D, the held floor at m = 1, each
+    # column scaled by 0.5 sigma_a) equals H at the mean gradient by
+    # _coercive_values and _norms minus 0.5 sum_a sigma_a (p+ - p-), byte
+    # for byte, on gradients of normal range
+    from nlhj.hamiltonians import _coercive_values, _norms
+    xy = ["x", "y"][:dim]
+    spec = CoerciveSpec(
+        m=m, a1="1 + 0.5*x^2", a2="0.5 + 0.1*x" if a2 else 0.0, l=0.5,
+        b=[f"0.3*{v}" for v in xy[::-1]] if b else None, lam="0.5 + 0.1*x",
+        f="0.2*cos(3*x)", dim=dim)
+    pts = core_pts(Domain((-1.0,) * dim, (1.0,) * dim),
+                   2.0 ** -4 if dim == 1 else 0.25)
+    c = Coefficients(spec, pts, 0.0)
+    assert (c.lf_floor is None) == c.bound_reads_p
+    rng = np.random.default_rng(11)
+    pm, pp = rng.normal(size=(2, len(pts), dim))
+    r = rng.normal(size=len(pts))
+    # the bound grows with |p| in the m term and falls in the l < 1 term
+    sigma = (lf_viscosity_bound(c, 10.0) + lf_viscosity_bound(c, 0.0)
+             + rng.random(dim))
+    mid = 0.5 * (pm + pp)
+    ref = (_coercive_values(c, r, mid, _norms(mid))
+           - 0.5 * (sigma * (pp - pm)).sum(axis=1))
+    got = numerical_hamiltonian_many(c, r, pm, pp, sigma)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_held_lf_floor_follows_the_bounds():
+    # at m = 1 the bundle holds the bound, renewed when a1 moves with t;
+    # where the bound reads the gradients it holds none
+    pts = np.array([[-1.0], [0.0], [1.0]])
+    c = Coefficients(CoerciveSpec(m=1.0, a1="2 + x^2*t"), pts, 0.0)
+    assert c.lf_floor == [2.0]
+    assert c.at(1.0).lf_floor == [3.0]
+    assert Coefficients(CoerciveSpec(m=2.0), pts).lf_floor is None

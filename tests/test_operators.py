@@ -317,6 +317,36 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
     assert not plan._scratch[1][plan.core_shape[0]:].any()
 
 
+
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -7), (2, 0.125)])
+def test_varying_datum_load_holds_its_full_grid_arrays(dim, h):
+    # for a datum that varies in space the plan holds the full-grid array
+    # and its transform outputs from the first load: a later load writes
+    # only exterior nodes, allocates less than one full-grid array, and
+    # keeps the bytes of a load made on fresh arrays
+    import tracemalloc
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    plan = SweepPlan(grid_for(dom, h, 2.0),
+                     build_quadrature(fractional_laplacian_kernel(0.5, dim),
+                                      h, 2.0))
+    g = plan.grid
+    rng = np.random.default_rng(5)
+    first, second = rng.normal(size=(2, len(g.exterior_flat)))
+    held = np.empty(len(g.core_flat))
+    plan.exterior_load(first, out=held)
+    arrays = plan._full_load
+    tracemalloc.start()
+    try:
+        plan.exterior_load(second, out=held)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan._full_load is arrays
+    assert peak - current < 8 * g.size
+    assert not arrays[0][g.core_flat].any()
+    fresh = SweepPlan(plan.grid, plan.qt)
+    assert held.tobytes() == fresh.exterior_load(second).tobytes()
+
 def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-7]
     pts = np.column_stack([special, special[::-1]])

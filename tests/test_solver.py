@@ -615,3 +615,48 @@ def test_steady_scheme_converges_to_the_ball_profile(dom1, alpha):
         errs.append(np.abs(st.u - (1 - x ** 2) ** (alpha / 2)).max())
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders >= 1.0), orders
+
+
+def test_viscosity_set_below_the_held_floor_grows_at_the_next_step(dom1):
+    # at m = 1 the flux compares the viscosity with the bundle's held floor
+    # max a1 at every step: one set below it grows at the next step, to
+    # twice the larger of the two
+    spec = CoerciveSpec(m=1.0, a1="1 + 0.5*x^2", lam=0.5, f="0.2*cos(3*x)")
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 0.0, "1 - x^2",
+                          kernel=k)
+    assert st.coeffs.lf_floor == [1.5]
+    step(st, cfg)
+    assert st.sigma_growth == 0
+    st.sigma = np.array([1.25])
+    step(st, cfg)
+    assert st.sigma_growth == 1
+    assert st.sigma.tolist() == [3.0]
+
+
+def test_coercive_step_budget_at_m_1(dom1, monkeypatch):
+    # a 1-D coercive step at m = 1 (large-time-1d's Hamiltonian and datum,
+    # f and phi moving with t) makes one sweep and one flux call, and takes
+    # the viscosity bound from the bundle instead of computing it
+    from nlhj import hamiltonians
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                        f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
+    k = fractional_laplacian_kernel(0.5, 1)
+    g, qt, cfg, st = make(dom1, 2.0 ** -6, 4.0, spec, "0.5*exp(-t)",
+                          "0.5 + 0.3*(1 - x^2)", kernel=k)
+    calls = {"apply": 0, "flux": 0, "bound": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(SweepPlan, "apply", counted("apply", SweepPlan.apply))
+    monkeypatch.setattr(solver, "numerical_hamiltonian_many",
+                        counted("flux", numerical_hamiltonian_many))
+    monkeypatch.setattr(hamiltonians, "_viscosity_bounds",
+                        counted("bound", hamiltonians._viscosity_bounds))
+    for n in range(1, 4):
+        step(st, cfg)
+        assert calls == {"apply": n, "flux": n, "bound": 0}
