@@ -447,6 +447,7 @@ def execute(cfg: RunConfig) -> int:
         t = finished("discretize", t)
         manifest["cfl"] = {"lambda": plan.qt.lam, "theta": cfg.scheme.theta,
                            "dt": cfg.scheme.dt}
+        manifest["sweep_fft"] = list(plan.core_fft)
         certs = run_certificates(cfg)
         t = finished("certificates", t)
         manifest["certificates"] = {k: v.as_dict() for k, v in certs.items()}

@@ -236,10 +236,17 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
 
 def _correlation_spectrum(taps: np.ndarray, shape: tuple) -> np.ndarray:
     """``spec`` for which :func:`_correlation` gives sum_z taps[z] a[x + z];
-    ``taps`` is centred (odd length per axis)."""
+    ``taps`` is centred (odd length 2k + 1 per axis).  Along an axis of
+    length 2k the taps at -k and +k fall on one residue: only the one at +k
+    is placed, which the caller has checked equals the other."""
     padded = np.zeros(shape)
-    idx = [np.arange(-(m // 2), m // 2 + 1) % n for m, n in zip(taps.shape, shape)]
-    padded[np.ix_(*idx)] = taps
+    idx, kept = [], []
+    for m, n in zip(taps.shape, shape):
+        k = m // 2
+        lo = -k if m <= n else 1 - k
+        idx.append(np.arange(lo, k + 1) % n)
+        kept.append(slice(lo + k, None))
+    padded[np.ix_(*idx)] = taps[tuple(kept)]
     return np.conj(np.fft.rfftn(padded))
 
 
@@ -257,12 +264,13 @@ class SweepPlan:
 
         out = corr(E_core, S) + load - (sum_w + 2 sum_a c_a + tail_mass) * center
 
-    where corr is a zero-padded FFT correlation whose kernel spectrum is
-    built here, and ``load`` (see :meth:`exterior_load`) collects the jumps
-    that leave the core, tail included.  The plan holds the transforms'
-    arrays, which its states share; in 2-D the transforms are pruned (see
-    :func:`_correlation`): the forward array stays zero beyond the core
-    block's rows, and only those rows are inverted.
+    where corr is a zero-padded FFT correlation of length ``core_fft`` per
+    axis whose kernel spectrum is built here, and ``load`` (see
+    :meth:`exterior_load`) collects the jumps that leave the core, tail
+    included.  The plan holds the transforms' arrays, which its states
+    share; in 2-D the transforms are pruned (see :func:`_correlation`): the
+    forward array stays zero beyond the core block's rows, and only those
+    rows are inverted.
 
     The one-sided differences read a state's block: the core block
     (``inner`` in it) padded by one node per side, the ring (``ring_points``,
@@ -274,10 +282,11 @@ class SweepPlan:
 
     grid: Grid
     qt: QuadratureTable
-    diag: float = dfield(init=False)
+    diag: np.ndarray = dfield(init=False)
     exit_mass: np.ndarray = dfield(init=False, repr=False)
     core_shape: tuple = dfield(init=False)
     core_box: tuple = dfield(init=False, repr=False)
+    core_fft: tuple = dfield(init=False)
     ring_points: np.ndarray = dfield(init=False, repr=False)
     ring_pos: np.ndarray = dfield(init=False, repr=False)
     trace_block_pos: np.ndarray = dfield(init=False, repr=False)
@@ -285,7 +294,6 @@ class SweepPlan:
     shifts: tuple = dfield(init=False, repr=False)
     _stencil: np.ndarray = dfield(init=False, repr=False)
     _box_start: tuple = dfield(init=False, repr=False)
-    _core_fft: tuple = dfield(init=False, repr=False)
     _core_spec: np.ndarray = dfield(init=False, repr=False)
     _scratch: tuple = dfield(init=False, repr=False)
     _spent: np.ndarray = dfield(init=False, repr=False)
@@ -324,19 +332,28 @@ class SweepPlan:
             S[tuple(J + e)] += c[a] - comp[a]
             S[tuple(J - e)] += c[a] + comp[a]
         self._stencil = S
-        self.diag = qt.sum_w + 2.0 * float(c.sum()) + qt.tail_mass
+        # a 0-d array, which apply's multiply reads without converting a
+        # Python number on every call
+        self.diag = np.array(qt.sum_w + 2.0 * float(c.sum()) + qt.tail_mass)
 
         # inside the core a jump spans at most n_core per axis: truncate the
-        # stencil there and pad so the circular wrap never reaches the box
+        # stencil there and pad so the circular wrap never reaches the box.
+        # Where the taps span the core (K = n_core) and are symmetric along
+        # the axis, 2 n_core suffices: the taps at +n_core and -n_core share
+        # one residue and are equal, and each links only the box's two end
+        # nodes, so one tap there serves both ends
         K = tuple(min(J, n) for n in g.n_core)
+        taps = S[tuple(slice(J - k, J + k + 1) for k in K)]
         self._box_start = tuple(slice(0, m) for m in box)
-        self._core_fft = tuple(_fft_length(m + k) for m, k in zip(box, K))
-        self._core_spec = _correlation_spectrum(
-            S[tuple(slice(J - k, J + k + 1) for k in K)], self._core_fft)
+        self.core_fft = tuple(
+            _fft_length(2 * n if k == n and np.array_equal(
+                taps, np.flip(taps, a)) else n + k + 1)
+            for a, (n, k) in enumerate(zip(g.n_core, K)))
+        self._core_spec = _correlation_spectrum(taps, self.core_fft)
         # apply's correlation and its transform outputs, shared by its states
         self._scratch = _transform_outputs(self._core_spec.shape,
-                                           self._core_fft)
-        self._sweep = _correlation(self._core_spec, self._core_fft, box,
+                                           self.core_fft)
+        self._sweep = _correlation(self._core_spec, self.core_fft, box,
                                    self._box_start, self._scratch)
         self._spent = self._scratch[3].reshape(-1)[:len(g.core_flat)]
         # the halo holds every landing point of a jump from the core

@@ -104,7 +104,8 @@ class SolveState:
     flux: np.ndarray = dfield(init=False, repr=False)
     flux_work: tuple = dfield(init=False, repr=False)
     # envelope's out, then what _one_sided_gradients reads: u in the core
-    # block's shape, the shifted views, h and the differences by row
+    # block's shape, the shifted views, h (a 0-d array, which the division
+    # reads without converting a Python number) and the differences by row
     _views: tuple = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     _den: float | None = dfield(default=None, repr=False)
@@ -127,7 +128,7 @@ class SolveState:
             tuple((block[bwd], block[fwd], diffs[0, a], diffs[1, a])
                   for a, (bwd, fwd) in enumerate(self.plan.shifts)),
             dim > 1,  # the block's shifted views are not contiguous
-            self.grid.h,
+            np.array(self.grid.h),
             diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T)
         self._den_moves = bool(self.coeffs.moving & {"lam", "b"})
         if self.spec.family != "coercive":

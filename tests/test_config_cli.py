@@ -263,6 +263,23 @@ def test_manifest_times_each_phase(tmp_path, name):
     for table in (tmp_path / "out").glob("*.tsv"):
         assert "phase" not in table.read_text()
 
+
+@pytest.mark.parametrize("r_max", ["", "r_max = 0.5\n"])
+def test_manifest_records_the_sweep_transform_length(tmp_path, r_max):
+    # the manifest records the core sweep's transform length per axis, 2
+    # n_core where the stencil spans the core (J = 128 >= n_core = 64) and
+    # n_core + J + 1 rounded up to a 5-smooth length where it does not
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace("[experiment]",
+                                           r_max + "[experiment]")
+    cfg = parse_config(write(tmp_path, text))
+    assert execute(cfg) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["sweep_fft"] == [128 if not r_max else 81]
+    for table in out.glob("*.tsv"):
+        assert "sweep_fft" not in table.read_text()
+
+
 def test_boundary_refinement_keeps_scheme_settings(tmp_path):
     # every refinement runs with the [scheme] settings, max_steps included
     text = (CONFIGS / "boundary_loss.cfg").read_text().replace(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from nlhj import operators
 from nlhj.errors import NodeOutsideGrid
@@ -186,6 +188,11 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     g = grid_for(dom, h, r_max)
     qt = build_quadrature(fractional_laplacian_kernel(alpha, dim), h, r_max)
+    _sweep_matches_eval_operator(SweepPlan(g, qt), varying)
+
+
+def _sweep_matches_eval_operator(plan, varying):
+    g, qt, h, dim = plan.grid, plan.qt, plan.grid.h, plan.grid.dim
     if varying:
         phi = lambda p, t: 0.3 * np.sin(2.0 * p.sum(axis=1)) + 0.5 * t
     else:
@@ -194,7 +201,7 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
                        dim=dim)
     cfg = SchemeConfig(h=h)
-    st = init_state(SweepPlan(g, qt), spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0, cfg)
     box = np.arange(g.size).reshape(g.shape)[st.plan.core_box].ravel()
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)
@@ -211,6 +218,48 @@ def test_plan_matches_eval_operator(dim, alpha, h, r_max, varying):
                       + qt.lam * (E[flat] - centers[i]))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         step(st, cfg)
+
+
+@pytest.mark.parametrize("dim, h, r_max, skew", [
+    (1, 2.0 ** -4, 1.0, None),    # J = 16 < n_core = 32
+    (2, 0.1, 1.0, None),          # J = 10 < n_core = 20
+    (1, 2.0 ** -4, 2.0, (1,)),    # the tap at +n_core moved, J = n_core = 32
+    (2, 0.125, 2.0, (1, 0)),      # the tap at (+n_core, 0) moved, J = n_core
+])
+def test_plan_pads_to_2_n_core_only_where_the_end_taps_agree(dim, h, r_max,
+                                                             skew):
+    # an axis whose taps span the core and are symmetric along it is padded
+    # to 2 n_core, where its taps at -n_core and +n_core share one residue;
+    # a stencil short of the core, or one tap that breaks the symmetry,
+    # keeps n_core + K + 1 along that axis, and every sweep still equals
+    # the single-node reference
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    g = grid_for(dom, h, r_max)
+    qt = build_quadrature(fractional_laplacian_kernel(0.5, dim), h, r_max)
+    J = qt.J
+    if skew is not None:
+        w = qt.weights.copy()
+        w[tuple(J + s * n for s, n in zip(skew, g.n_core))] += 0.01
+        qt = dataclasses.replace(qt, weights=w, sum_w=float(w.sum()))
+    plan = SweepPlan(g, qt)
+    for a, n in enumerate(g.n_core):
+        K = min(J, n)
+        folds = K == n and (skew is None or not skew[a])
+        assert plan.core_fft[a] == operators._fft_length(
+            2 * n if folds else n + K + 1)
+    _sweep_matches_eval_operator(plan, varying=True)
+
+
+@given(hst.integers(min_value=1, max_value=5000))
+def test_fft_length_is_the_least_5_smooth_length_not_below_n(n):
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    m = operators._fft_length(n)
+    assert m >= n and smooth(m)
+    assert not any(smooth(k) for k in range(n, m))
 
 
 def _correlate_with_numpy_fft(a, spec, shape, keep):
@@ -243,7 +292,7 @@ def test_sweep_writes_into_out_bit_for_bit(dim, h):
                                           plan.core_box).ravel()
                 + plan.qt.tail_sides @ _tail_values(g, full))
     inside = _correlate_with_numpy_fft(np.ones(plan.core_shape),
-                                       plan._core_spec, plan._core_fft,
+                                       plan._core_spec, plan.core_fft,
                                        plan._box_start).ravel()
     exit_mass = plan._stencil.sum() - inside + plan.qt.tail_mass
     assert plan.exit_mass.tobytes() == exit_mass.tobytes()
@@ -255,7 +304,7 @@ def test_sweep_writes_into_out_bit_for_bit(dim, h):
         assert held.tobytes() == ref.tobytes()
     load = ref_load
     corr = _correlate_with_numpy_fft(E.reshape(plan.core_shape),
-                                     plan._core_spec, plan._core_fft,
+                                     plan._core_spec, plan.core_fft,
                                      plan._box_start).ravel()
     ref = corr + load
     ref -= plan.diag * centers
@@ -267,8 +316,8 @@ def test_sweep_writes_into_out_bit_for_bit(dim, h):
     assert plan.apply(E, centers, load, out=out) is out
 
 
-@pytest.mark.parametrize("h, n_fft", [(2.0 ** -3, 36), (2.0 ** -4, 72),
-                                      (2.0 ** -5, 135)])
+@pytest.mark.parametrize("h, n_fft", [(2.0 ** -3, 32), (2.0 ** -4, 64),
+                                      (2.0 ** -5, 128)])
 def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
     # the 2-D sweep prunes its transforms (zero rows held, only the kept
     # rows inverted); two states alternate on one plan with a datum that
@@ -278,14 +327,14 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
     plan = SweepPlan(grid_for(dom, h, 2.0),
                      build_quadrature(fractional_laplacian_kernel(0.5, 2),
                                       h, 2.0))
-    assert plan._core_fft == (n_fft, n_fft)
+    assert plan.core_fft == (n_fft, n_fft)
     g = plan.grid
 
     def corr(a, spec, shape, keep):
         spectrum = np.fft.rfftn(a, shape, axes=(0, 1)) * spec
         return np.fft.irfftn(spectrum, shape, axes=(0, 1))[keep]
 
-    inside = corr(np.ones(plan.core_shape), plan._core_spec, plan._core_fft,
+    inside = corr(np.ones(plan.core_shape), plan._core_spec, plan.core_fft,
                   plan._box_start).ravel()
     exit_mass = plan._stencil.sum() - inside + plan.qt.tail_mass
     assert plan.exit_mass.tobytes() == exit_mass.tobytes()
@@ -309,7 +358,7 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
             assert st.load.tobytes() == load.tobytes()
             E = envelope(g, st.u, st.phi_trace)
             ref = corr(E.reshape(plan.core_shape), plan._core_spec,
-                       plan._core_fft, plan._box_start).ravel() + load
+                       plan.core_fft, plan._box_start).ravel() + load
             ref -= plan.diag * st.u
             assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
             step(st, cfg)
@@ -399,16 +448,17 @@ from nlhj.geometry import Domain
 from nlhj.kernels import build_quadrature, fractional_laplacian_kernel
 
 print(operators._pocketfft is operators._PUBLIC_FFT)
-for dim, h in ((1, 2.0 ** -5), (2, 0.125), (2, 2.0 ** -5)):
+for dim, h, r_max in ((1, 2.0 ** -5, 2.0), (1, 2.0 ** -5, 0.5),
+                      (2, 0.125, 2.0), (2, 2.0 ** -5, 2.0)):
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     plan = operators.SweepPlan(
-        grid_for(dom, h, 2.0),
-        build_quadrature(fractional_laplacian_kernel(0.5, dim), h, 2.0))
+        grid_for(dom, h, r_max),
+        build_quadrature(fractional_laplacian_kernel(0.5, dim), h, r_max))
     g = plan.grid
     rng = np.random.default_rng(dim)
     E = rng.normal(size=len(g.core_flat))
     load = plan.exterior_load(rng.normal(size=len(g.exterior_flat)))
-    print(plan._core_fft[-1] % 2, plan._full_fft[-1] % 2,
+    print(plan.core_fft[-1] % 2, plan._full_fft[-1] % 2,
           load.tobytes().hex(), plan.apply(E, E - 0.25, load).tobytes().hex())
 """
 
@@ -416,7 +466,8 @@ for dim, h in ((1, 2.0 ** -5), (2, 0.125), (2, 2.0 ** -5)):
 def test_sweep_without_the_private_fft_module_is_byte_identical():
     # hiding numpy's private pocketfft module leaves nlhj importable on the
     # public np.fft wrappers, and every load and sweep keeps its bytes, for
-    # transform lengths of either parity in 1-D and 2-D
+    # transform lengths of either parity in 1-D and 2-D (the core's odd
+    # length from a stencil short of the core, J = 16 < n_core = 64)
     src = str(Path(operators.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -9,7 +9,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                                numerical_hamiltonian_many)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
-from nlhj.operators import Field, SweepPlan
+from nlhj.operators import Field, SweepPlan, envelope
 from nlhj.oracles import ball_kappa, upwind_advection_steps
 from nlhj.solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
                          run_to_time, step)
@@ -660,3 +660,32 @@ def test_coercive_step_budget_at_m_1(dom1, monkeypatch):
     for n in range(1, 4):
         step(st, cfg)
         assert calls == {"apply": n, "flux": n, "bound": 0}
+
+
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
+def test_held_0d_operands_keep_the_bytes(dim, h):
+    # the spacing the differences are divided by and the sweep's diagonal
+    # are held as 0-d arrays: the differences and the sweep equal those
+    # formed with the Python float each holds, byte for byte
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
+                       dim=dim)
+    phi = lambda p, t: 0.3 * np.sin(2.0 * p.sum(axis=1)) + t
+    u0 = lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1))
+    k = fractional_laplacian_kernel(0.5, dim)
+    g, qt, cfg, st = make(dom, h, 2.0, spec, phi, u0, kernel=k)
+    plan, spacing = st.plan, st._views[4]
+    assert spacing.shape == () and plan.diag.shape == ()
+    for _ in range(2):
+        E = envelope(g, st.u, st.phi_trace, out=st._views[0])
+        u = st.u.reshape(plan.core_shape)
+        pm, pp = solver._one_sided_gradients(st)
+        for a, (bwd, fwd) in enumerate(plan.shifts):
+            assert pm[:, a].tobytes() == (
+                (u - st.block[bwd]) / float(spacing)).tobytes()
+            assert pp[:, a].tobytes() == (
+                (st.block[fwd] - u) / float(spacing)).tobytes()
+        ref = plan._sweep(E, st.load, np.empty(len(st.u)))
+        ref -= float(plan.diag) * st.u
+        assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
+        step(st, cfg)
