@@ -13,27 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Domain
-from .hamiltonians import (BellmanSpec, Certificate, Coefficients,
-                           eval_vector)
+from .hamiltonians import BellmanSpec, Certificate, eval_vector
 
 IN, OUT, MIXED = "in", "out", "mixed"
 
-
-def classification_tolerance(spec: BellmanSpec, dom: Domain,
-                             t_window=(0.0, 1.0)) -> float:
-    pts = dom.face_midpoints()
-    bmax = 0.0
-    for t in np.linspace(t_window[0], t_window[1], 5):
-        bmax = max(bmax, float(Coefficients(spec, pts, t).b_max.max()))
-    return 1e-8 * (1.0 + bmax)
+# sample points per 2-D face, and sample times over the window
+SAMPLES = 9
 
 
 def classify_face(spec: BellmanSpec, dom: Domain, f: int, pts, t: float,
-                  tol: float | None = None):
+                  tol: float):
     """The tags of the points ``pts`` of face f at time t, and their
     witnesses b_beta . n, of shape (points, controls)."""
-    if tol is None:
-        tol = classification_tolerance(spec, dom)
     # a product with n, not +-b[f // 2]: a tangent drift's witness on an
     # upper face is then 0, where -b[f // 2] would write -0
     n = dom.inward_normal(f)
@@ -44,8 +35,8 @@ def classify_face(spec: BellmanSpec, dom: Domain, f: int, pts, t: float,
     return tags, witnesses
 
 
-def _face_samples(dom: Domain, f: int, resolution: int) -> np.ndarray:
-    """``resolution`` points along face f, kept off its ends (2-D) by a
+def _face_samples(dom: Domain, f: int) -> np.ndarray:
+    """:data:`SAMPLES` points along face f, kept off its ends (2-D) by a
     margin of 1e-9 of the side."""
     axis, lo, hi = f // 2, np.array(dom.lower), np.array(dom.upper)
     fixed = (hi if f % 2 else lo)[axis]
@@ -53,37 +44,29 @@ def _face_samples(dom: Domain, f: int, resolution: int) -> np.ndarray:
         return np.array([[fixed]])
     other = 1 - axis
     margin = 1e-9 * (hi[other] - lo[other])
-    s = np.linspace(lo[other] + margin, hi[other] - margin, max(resolution, 2))
+    s = np.linspace(lo[other] + margin, hi[other] - margin, SAMPLES)
     pts = np.empty((len(s), 2))
     pts[:, axis] = fixed
     pts[:, other] = s
     return pts
 
 
-def classify_boundary(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
-                      resolution: int = 9) -> tuple:
+def classify_boundary(spec: BellmanSpec, dom: Domain, t_window) -> tuple:
     """The sampled classification of the lateral boundary as ``(rows,
     seen)``: ``rows`` are (face, x.., t, tag, w..) by face, then sample
     point, then time; ``seen[face]`` is the set of tags of the face's
-    samples.
-
-    The spec keeps each classification (``spec.classifications``): asked
-    again with the same arguments, as the (Sigma) certificate and every
-    spacing of a ``boundary_behavior`` run ask, it returns the same rows
-    and tags without sampling again (the classification does not depend on
-    the grid)."""
-    key = (dom, tuple(t_window), resolution)
-    if key not in spec.classifications:
-        spec.classifications[key] = _classify(spec, dom, t_window, resolution)
-    return spec.classifications[key]
-
-
-def _classify(spec: BellmanSpec, dom: Domain, t_window, resolution: int):
-    tol = classification_tolerance(spec, dom, t_window)
-    times = np.linspace(t_window[0], t_window[1], max(resolution, 2))
+    samples.  The tolerance is 1e-8 (1 + max |b|), the maximum taken over
+    every control's drift at the face midpoints and five times of the
+    window."""
+    mid = dom.face_midpoints()
+    bmax = max(float(np.abs(eval_vector(c.b, mid, t)).max())
+               for t in np.linspace(t_window[0], t_window[1], 5)
+               for c in spec.controls)
+    tol = 1e-8 * (1.0 + bmax)
+    times = np.linspace(t_window[0], t_window[1], SAMPLES)
     rows, seen = [], {}
     for f, face in enumerate(dom.face_names()):
-        pts = _face_samples(dom, f, resolution)
+        pts = _face_samples(dom, f)
         per_time = [classify_face(spec, dom, f, pts, t, tol) for t in times]
         seen[face] = {tag for tags, _ in per_time for tag in tags}
         rows += [(face, *x, t, tags[i], *w[i])
@@ -98,16 +81,15 @@ def face_tags(seen: dict) -> dict:
             for f, s in seen.items()}
 
 
-def check_sigma(spec: BellmanSpec, dom: Domain, t_window=(0.0, 1.0),
-                resolution: int = 9) -> Certificate:
+def check_sigma(spec: BellmanSpec, dom: Domain, t_window) -> Certificate:
     """Every connected component of the sampled lateral boundary carries one
     tag.
 
     Components are faces x time window; 2-D components are per face and never
     merged across corners (Dd is undefined there).  Sampling can refute the
-    assumption, not certify it beyond the chosen resolution.
+    assumption, not certify it beyond :data:`SAMPLES` points and times.
     """
-    _, seen = classify_boundary(spec, dom, t_window, resolution)
+    _, seen = classify_boundary(spec, dom, t_window)
     bad = [f for f, s in seen.items() if len(s) != 1]
     return Certificate("Sigma", not bad, float(len(bad)),
                        {"nonuniform_faces": ",".join(bad),

@@ -4,7 +4,8 @@ Sections: [domain], [kernel], [hamiltonian], [data], [scheme], [experiment],
 [output].  :data:`SECTIONS` holds the keys each section accepts, and
 :data:`CHOICES` the sub-tables per kernel ``type``, Hamiltonian ``family``
 and experiment ``name``; :data:`EXPERIMENTS` also says what each experiment
-requires and certifies.  Coefficient values are numbers or expressions in
+requires and certifies, and which :data:`MARCH_KEYS` of [scheme] it
+accepts.  Coefficient values are numbers or expressions in
 the grammar of ``expressions`` (variables x, y, t).  Parsing is not
 fail-fast: every invalid value, missing key, and section or key that the
 tables do not accept is collected and reported in one ValidationError.
@@ -62,29 +63,40 @@ SECTIONS = {
 }
 
 
+# [scheme] keys that only some experiments read
+MARCH_KEYS = ("steady", "steady_tol", "snapshot_dt")
+
+
 class Experiment(NamedTuple):
     keys: dict                  # its [experiment] keys besides name
     family: str | None = None   # the Hamiltonian family it needs
     T: object = None            # REQUIRED; a default; None: not read
     phi_limit: bool = False     # whether it needs [data] phi_limit
     certificates: tuple = ()    # checked besides (H0), (H1) and (H2)
+    accepts: tuple = ()         # the MARCH_KEYS it accepts
 
 
 EXPERIMENTS = {
-    "run": Experiment({}, T=REQUIRED),
+    "run": Experiment({}, T=REQUIRED, accepts=MARCH_KEYS),
+    # snapshot_dt unread: criterion 8 gives comparison the [scheme] of a run
     "comparison": Experiment({"seeds": ("count", 20), "u0_b": "expression",
-                              "phi_b": "expression"}, T=REQUIRED),
+                              "phi_b": "expression"}, T=REQUIRED,
+                             accepts=("snapshot_dt",)),
     "boundary_behavior": Experiment({"h_list": "numbers"}, family="bellman",
                                     T=REQUIRED,
-                                    certificates=("UE", "Sigma", "L")),
+                                    certificates=("UE", "Sigma", "L"),
+                                    accepts=("snapshot_dt",)),
     "coercive_loss": Experiment({"phi_scales": ("series", (1.0, 10.0, 100.0))},
-                                family="coercive", certificates=("A1",)),
+                                family="coercive", certificates=("A1",),
+                                accepts=("steady_tol",)),
     "rate": Experiment({"eps_rate": ("number", harness.EPS_RATE)}, T=5.0,
-                       phi_limit=True, certificates=("H2prime",)),
+                       phi_limit=True, certificates=("H2prime",),
+                       accepts=("snapshot_dt",)),
     "large_time": Experiment({"t_ladder": ("series", (1.0, 2.0, 4.0)),
                               "eps_conv": ("number", harness.EPS_CONV),
                               "f_limit": "expression"},
-                             phi_limit=True, certificates=("H2prime",)),
+                             phi_limit=True, certificates=("H2prime",),
+                             accepts=("steady_tol", "snapshot_dt")),
 }
 
 # the key that chooses a section's sub-table, and the sub-tables; lam_i,
@@ -330,6 +342,13 @@ def parse_config(path) -> RunConfig:
     if exp == "boundary_behavior" and kern is not None and kern.alpha >= 1:
         errors.append(f"[experiment] {exp} requires alpha < 1, got alpha = "
                       f"{kern.alpha}")
+    accepts, which = set(entry.accepts), ""
+    if exp == "run":  # steady_tol with steady = true, snapshot_dt without
+        accepts.discard("snapshot_dt" if steady else "steady_tol")
+        which = f" {'with' if steady else 'without'} steady = true"
+    errors += [f"[scheme] {key} is not a key of name = {exp}{which}"
+               for key in MARCH_KEYS
+               if key not in accepts and cp.has_option("scheme", key)]
     # steady = true stands in for T only where it is read: under run
     if entry.T == REQUIRED and s.get("T") is None and not (
             steady and exp == "run"):
@@ -344,8 +363,12 @@ def parse_config(path) -> RunConfig:
     elif any(b <= a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"[experiment] t_ladder: horizons must increase "
                       f"strictly: {ladder}")
-    for h in params.get("h_list", ()) if dom is not None else ():
+    h_list = params.get("h_list", ())
+    for h in h_list if dom is not None else ():
         _spacing(h, dom, r_max, "[experiment] h_list:", errors)
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        errors.append(f"[experiment] h_list: spacings must decrease "
+                      f"strictly: {h_list}")
     if exp == "large_time" and spec is not None and \
             _limit_spec(spec, params).time_dependent:
         errors.append("[experiment] large_time with a time-dependent "

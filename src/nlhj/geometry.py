@@ -87,12 +87,12 @@ class Grid:
     h, so its closure holds exactly the box ``0 <= i_a <= n_core[a]`` of
     core nodes, and the trace nodes (on the boundary) are the box's faces.
     Storage is a flat float array in row major order; ``core_flat`` lists
-    the flat indices of the core nodes, ``trace_flat`` those of the trace
-    nodes, ``exterior_flat`` the rest and ``trace_pos`` the positions of
-    the trace nodes in core order.  ``core_points``, ``trace_points`` and
-    ``exterior_points`` hold the coordinates of each node set, read-only as
-    every run shares them; the exterior sets span the whole halo and are
-    built on first read.
+    the flat indices of the core nodes, ``exterior_flat`` the rest and
+    ``trace_pos`` the positions of the trace nodes in core order (their
+    flat indices are ``core_flat[trace_pos]``).  ``core_points``,
+    ``trace_points`` and ``exterior_points`` hold the coordinates of each
+    node set, read-only as every run shares them; the exterior sets span
+    the whole halo and are built on first read.
     """
 
     domain: Domain
@@ -101,7 +101,6 @@ class Grid:
 
     shape: tuple = field(init=False)
     core_flat: np.ndarray = field(init=False, repr=False)
-    trace_flat: np.ndarray = field(init=False, repr=False)
     trace_pos: np.ndarray = field(init=False, repr=False)
     core_points: np.ndarray = field(init=False, repr=False)
     trace_points: np.ndarray = field(init=False, repr=False)
@@ -123,7 +122,6 @@ class Grid:
         face = np.ones(box, dtype=bool)
         face[(slice(1, -1),) * self.dim] = False
         self.trace_pos = np.flatnonzero(face)
-        self.trace_flat = self.core_flat[self.trace_pos]
         self.core_points = self.points_at(self.core_flat)
         self.trace_points = self.core_points[self.trace_pos]
         self.core_points.setflags(write=False)
@@ -159,11 +157,11 @@ class Grid:
         idx = np.unravel_index(np.asarray(flat_idx), self.shape)
         return np.column_stack([ax[i] for ax, i in zip(self.axes, idx)])
 
-    def flat_index_of(self, x, tol_factor: float = 0.5):
+    def flat_index_of(self, x):
         """Flat index of the lattice node nearest to point x.
 
-        Raises ValueError when x is farther than ``tol_factor*h`` from every
-        node or falls outside the stored block.
+        Raises ValueError when x is farther than h/2 from every node or
+        falls outside the stored block.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = []
@@ -171,7 +169,7 @@ class Grid:
             i = int(round((x[a] - self.axes[a][0]) / self.h))
             if not (0 <= i < self.shape[a]):
                 raise ValueError(f"point {x} outside stored grid block")
-            if abs(self.axes[a][i] - x[a]) > tol_factor * self.h:
+            if abs(self.axes[a][i] - x[a]) > 0.5 * self.h:
                 raise ValueError(f"point {x} is not a lattice node")
             idx.append(i)
         return int(np.ravel_multi_index(idx, self.shape))

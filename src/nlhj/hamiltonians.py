@@ -157,9 +157,6 @@ class BellmanSpec:
     controls: list
     lipschitz: float | None = None
     dim: int = 1
-    # boundary.classify_boundary's results, by its other arguments
-    classifications: dict = dfield(default_factory=dict, init=False,
-                                   repr=False, compare=False)
 
     def __post_init__(self):
         if not self.controls:

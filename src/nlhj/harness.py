@@ -41,6 +41,7 @@ R_MAX_DIAMETERS = 4.0   # halo reach, in domain diameters
 EPS_RATE = 0.05         # slack of the rate bound
 EPS_CONV = 0.05         # convergence tolerance along the horizon ladder
 PAIR_ATTEMPTS = 8       # runs of a comparison pair, its joint restarts included
+HOLDER_SEP = 0.25       # largest pair separation of the Holder quotient
 
 
 def discretize(dom: Domain, k: Kernel, h: float,
@@ -260,7 +261,10 @@ def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
     whether :func:`boundary_behavior_experiment` passed at every h, and its
     steps at each h.
 
-    Each h runs with ``cfg`` (defaults when None) at that spacing."""
+    Each h runs with ``cfg`` (defaults when None) at that spacing; the
+    spacings must decrease strictly, so that each ratio is a refinement."""
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError(f"spacings must decrease strictly: {h_list}")
     gaps, passed, steps = {}, True, []
     for h in h_list:
         cfg_h = SchemeConfig(h=h) if cfg is None else replace(cfg, h=h)
@@ -279,10 +283,10 @@ def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
 # coercive regularity (Holder quotient response to datum scaling)
 # ---------------------------------------------------------------------------
 
-def holder_quotient(grid: Grid, values_core: np.ndarray, exponent: float,
-                    max_sep: float = 0.25) -> float:
+def holder_quotient(grid: Grid, values_core: np.ndarray,
+                    exponent: float) -> float:
     """max |u(x) - u(y)| / |x - y|^exponent over core pairs with
-    |x - y| <= max_sep.
+    |x - y| <= :data:`HOLDER_SEP`.
 
     Pairs are visited one lattice offset at a time, so memory stays linear
     in the core size; each quotient is computed as in the all-pairs form.
@@ -290,13 +294,13 @@ def holder_quotient(grid: Grid, values_core: np.ndarray, exponent: float,
     box = tuple(n + 1 for n in grid.n_core)
     pts = grid.core_points.reshape(box + (grid.dim,))
     u = np.asarray(values_core).reshape(box)
-    reach = [min(int(max_sep / grid.h) + 1, m - 1) for m in box]
+    reach = [min(int(HOLDER_SEP / grid.h) + 1, m - 1) for m in box]
     best = 0.0
     for off in itertools.product(*(range(-r, r + 1) for r in reach)):
         x = tuple(slice(max(o, 0), m + min(o, 0)) for o, m in zip(off, box))
         y = tuple(slice(max(-o, 0), m + min(-o, 0)) for o, m in zip(off, box))
         d = np.linalg.norm(pts[x] - pts[y], axis=-1)
-        mask = (d > 1e-12) & (d <= max_sep)
+        mask = (d > 1e-12) & (d <= HOLDER_SEP)
         q = np.abs(u[x] - u[y])[mask] / d[mask] ** exponent
         best = max(best, float(q.max(initial=0.0)))
     return best

@@ -132,7 +132,6 @@ class QuadratureTable:
     r_max: float
     r_cut: float
     weights: np.ndarray
-    near_edge: float
     nf_axis: np.ndarray
     tail_mass: float
     tail_sides: np.ndarray
@@ -238,7 +237,6 @@ def build_quadrature(k: Kernel, h: float, r_max: float) -> QuadratureTable:
     far_norms = norms[far]
     del norms  # the largest temporary: free it before the weights
     near_offsets = np.argwhere(near) - J
-    near_edge = (np.abs(near_offsets).max(initial=0) + 0.5) * h
 
     if k.dim == 1:
         w = _cell_integral_1d(k, far_norms - 0.5 * h, far_norms + 0.5 * h)
@@ -277,9 +275,9 @@ def build_quadrature(k: Kernel, h: float, r_max: float) -> QuadratureTable:
         tail_sides = np.array([tail])
 
     return QuadratureTable(kernel=k, h=h, r_max=r_max, r_cut=r_cut,
-                           weights=weights, near_edge=near_edge,
-                           nf_axis=nf_axis, tail_mass=float(tail),
-                           tail_sides=tail_sides, sum_w=float(w.sum()), m1=m1)
+                           weights=weights, nf_axis=nf_axis,
+                           tail_mass=float(tail), tail_sides=tail_sides,
+                           sum_w=float(w.sum()), m1=m1)
 
 
 def exterior_mass(k: Kernel, dom: Domain, x, qt: QuadratureTable) -> float:

@@ -107,13 +107,11 @@ def row_template(prefixes: list, columns: str = "") -> str:
 
 
 def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float,
-               template: str | None = None):
+               template: str):
     """Write core node coordinates and ``values`` (in ``core_flat`` order)
     as a text table with a metadata header, in one format call.
     ``template`` is the core points' :func:`row_template`, which a run
     builds once for all its snapshots."""
-    if template is None:
-        template = row_template(row_prefixes(grid.core_points))
     with open(path, "w") as fh:
         fh.write(f"# t={float(t):.17g} h={grid.h:.17g} alpha={alpha:.17g}\n")
         fh.write(template % tuple(np.asarray(values, dtype=float).tolist()))

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlhj.boundary import (IN, MIXED, OUT, check_sigma, classify_boundary,
-                           classify_face, face_tags)
+from nlhj.boundary import (IN, MIXED, OUT, SAMPLES, check_sigma,
+                           classify_boundary, classify_face, face_tags)
 from nlhj.geometry import Domain
 from nlhj.hamiltonians import BellmanSpec, ControlLaw
+
+
+TOL = 1e-8
 
 
 def single(b, dim=1):
     return BellmanSpec([ControlLaw(lam=0.0, b=b, f=0.0, dim=dim)], dim=dim)
 
 
-def at(spec, dom, f, x):
+def at(spec, dom, f, x, tol=TOL):
     # (tag, witnesses) at the one point x of face f, at t = 0
-    tags, w = classify_face(spec, dom, f, np.atleast_2d(x), 0.0)
+    tags, w = classify_face(spec, dom, f, np.atleast_2d(x), 0.0, tol)
     assert w.shape == (1, len(spec.controls))
     return tags[0], w[0]
 
@@ -46,6 +49,16 @@ def test_zero_drift_is_out(dom1):
     assert tag == OUT
 
 
+def test_witness_at_the_tolerance_is_out(dom1):
+    # the closed outflow rule: a witness equal to tol is out, the next float
+    # above it is in (the right face's inward normal is -1, so b = -w gives
+    # the witness w)
+    tol = 1e-3
+    for w, expect in ((tol, OUT), (np.nextafter(tol, 1.0), IN)):
+        tag, wit = at(single(-w), dom1, 1, 1.0, tol)
+        assert wit[0] == w and tag == expect
+
+
 def test_classify_2d_face_midpoint(dom2):
     tag, _ = at(single(["0", "-y"], dim=2), dom2, 3, (0.0, 1.0))
     assert tag == IN
@@ -55,7 +68,8 @@ def test_classify_face_tags_each_point(dom2):
     # b = (x, -x) on the face y = 1 (inward normal (0, -1)): the witness
     # is x, so the face's points are out, out and in
     pts = np.array([[-0.5, 1.0], [0.0, 1.0], [0.5, 1.0]])
-    tags, w = classify_face(single(["x", "-x"], dim=2), dom2, 3, pts, 0.0)
+    tags, w = classify_face(single(["x", "-x"], dim=2), dom2, 3, pts, 0.0,
+                            TOL)
     assert tags == [OUT, OUT, IN]
     np.testing.assert_array_equal(w, [[-0.5], [0.0], [0.5]])
 
@@ -82,13 +96,6 @@ def test_rescaling_invariance(scale):
         assert tag == expect
 
 
-def test_refinement_keeps_tags(dom1):
-    spec = single("-x")
-    _, coarse = classify_boundary(spec, dom1, (0.0, 1.0), resolution=3)
-    _, fine = classify_boundary(spec, dom1, (0.0, 1.0), resolution=9)
-    assert face_tags(coarse) == face_tags(fine)
-
-
 def test_check_sigma_uniform_pass(dom1):
     cert = check_sigma(single("-x"), dom1, (0.0, 1.0))
     assert cert.passed
@@ -97,8 +104,7 @@ def test_check_sigma_uniform_pass(dom1):
 
 def test_check_sigma_flip_fails(dom1):
     # tag flips at t = 0.5 on the right face
-    cert = check_sigma(single("(t - 0.5)*max(x, 0)"), dom1, (0.0, 1.0),
-                       resolution=11)
+    cert = check_sigma(single("(t - 0.5)*max(x, 0)"), dom1, (0.0, 1.0))
     assert not cert.passed
     assert "right" in cert.details["nonuniform_faces"]
 
@@ -111,23 +117,25 @@ def test_check_sigma_zero_drift(dom1):
 
 def test_classification_table_rows(dom2):
     spec = single(["-x", "-y"], dim=2)
-    rows, _ = classify_boundary(spec, dom2, (0.0, 0.5), resolution=3)
-    # face, x, y, t, tag, witness
+    rows, _ = classify_boundary(spec, dom2, (0.0, 0.5))
+    # face, x, y, t, tag, witness; SAMPLES points by SAMPLES times per face
     assert len(rows[0]) == 6
+    assert len(rows) == 4 * SAMPLES * SAMPLES
     faces = {r[0] for r in rows}
     assert faces == {"x_lo", "x_hi", "y_lo", "y_hi"}
 
 
 def test_classification_rows_order_and_face_tags(dom1):
     # rows by face, then sample point, then time; b . Dd = 0.5 - t on
-    # both faces, so each flips from in to out and is mixed, while a face
-    # whose samples agree keeps their tag
-    rows, seen = classify_boundary(single("(t - 0.5)*x"), dom1, (0.0, 1.0),
-                                   resolution=3)
+    # both faces, so each flips from in to out at t = 0.5 and is mixed,
+    # while a face whose samples agree keeps their tag
+    rows, seen = classify_boundary(single("(t - 0.5)*x"), dom1, (0.0, 1.0))
+    times = np.linspace(0.0, 1.0, SAMPLES)
+    assert 0.5 in times
     assert [(r[0], r[2], r[3]) for r in rows] == [
-        ("left", 0.0, IN), ("left", 0.5, OUT), ("left", 1.0, OUT),
-        ("right", 0.0, IN), ("right", 0.5, OUT), ("right", 1.0, OUT)]
+        (face, t, IN if t < 0.5 else OUT)
+        for face in ("left", "right") for t in times]
     assert seen == {"left": {IN, OUT}, "right": {IN, OUT}}
     assert face_tags(seen) == {"left": MIXED, "right": MIXED}
-    _, seen = classify_boundary(single("-x"), dom1, resolution=3)
+    _, seen = classify_boundary(single("-x"), dom1, (0.0, 1.0))
     assert face_tags(seen) == {"left": IN, "right": IN}

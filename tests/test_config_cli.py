@@ -310,28 +310,6 @@ def test_boundary_refinement_fails_when_one_spacing_fails(tmp_path,
     assert m["passed"] is False and (out / "report.tsv").exists()
 
 
-
-@pytest.mark.parametrize("h_list", [True, False])
-def test_boundary_behavior_classifies_the_boundary_once(tmp_path, monkeypatch,
-                                                         h_list):
-    # the (Sigma) certificate and the run at every spacing read one
-    # classification of the boundary, which does not depend on h
-    from nlhj import boundary
-    samplings = []
-    real = boundary._classify
-
-    def counted(*args):
-        samplings.append(args[2:])
-        return real(*args)
-
-    monkeypatch.setattr(boundary, "_classify", counted)
-    text = (CONFIGS / "boundary_loss.cfg").read_text().replace(
-        "directory = out_boundary", f"directory = {tmp_path / 'out'}")
-    if not h_list:
-        text = re.sub(r"(?m)^h_list = .*\n", "", text)
-    assert execute(parse_config(write(tmp_path, text, "once.cfg"))) == 0
-    assert samplings == [((0.0, 3.0), 9)]
-
 def test_boundary_behavior_single_run(tmp_path):
     # without h_list: one run at the [scheme] spacing, whose tables are the
     # trace gaps and the boundary classification
@@ -582,11 +560,12 @@ def test_parsing_a_config_twice_reuses_its_plan(tmp_path):
 
 
 def test_steady_run_reports_its_residuals(tmp_path):
-    # steady = true stands in for T: the report holds the residual of each
-    # step, and the last one is below the steady tolerance
+    # steady = true stands in for T (and takes no snapshots): the report
+    # holds the residual of each step, and the last one is below the steady
+    # tolerance
     out = tmp_path / "out"
-    text = MINIMAL.format(out=out).replace("T = 0.25", "steady = true\n"
-                                           "steady_tol = 1e-8")
+    text = MINIMAL.format(out=out).replace("T = 0.25\nsnapshot_dt = 0.125",
+                                           "steady = true\nsteady_tol = 1e-8")
     assert main(["run", str(write(tmp_path, text, "steady.cfg"))]) == 0
     m = json.loads((out / "manifest.json").read_text())
     lines = (out / "report.tsv").read_text().splitlines()
@@ -602,7 +581,8 @@ def test_coercive_loss_config_reports_its_viscosities(tmp_path):
     # and its manifest each scale's final viscosity, which a larger datum
     # enlarges, and the growths that sized it
     out = tmp_path / "out"
-    text = MINIMAL.format(out=out).replace("T = 0.25\n", "steady_tol = 1e-4\n")
+    text = MINIMAL.format(out=out).replace("T = 0.25\nsnapshot_dt = 0.125\n",
+                                           "steady_tol = 1e-4\n")
     text = text.replace("m = 1.0", "m = 2.0")
     text = text.replace("h = 0.03125", "h = 0.0625\nr_max = 4")
     text = text.replace("name = run", "name = coercive_loss")
@@ -810,7 +790,8 @@ def test_writers_format_as_each_value_on_its_own(tmp_path):
 
     g = Grid(Domain((0.0,), (11.0,)), 1.0, halo=1)
     assert len(g.core_flat) == len(SPECIAL)
-    operators.save_field(g, SPECIAL, 0.5, tmp_path / "f.tsv", 0.5)
+    template = operators.row_template(operators.row_prefixes(g.core_points))
+    operators.save_field(g, SPECIAL, 0.5, tmp_path / "f.tsv", 0.5, template)
     lines = (tmp_path / "f.tsv").read_text().splitlines()[1:]
     assert lines == [_old_row(r) for r in zip(g.core_points[:, 0],
                                               np.array(SPECIAL, dtype=float))]
@@ -1020,6 +1001,13 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
      "[experiment] h_list: r_max = 8.0 must be at least 10*h = 10.0"),
     ("boundary_loss", "h_list = 0.015625", "h_list = 0",
      "[experiment] h_list: spacing h = 0.0 must be positive"),
+    # ratios of spacings that are not refinements
+    ("boundary_loss", "h_list = 0.015625 0.0078125",
+     "h_list = 0.0078125 0.015625 0.015625",
+     "[experiment] h_list: spacings must decrease strictly"),
+    ("boundary_loss", "h_list = 0.015625 0.0078125",
+     "h_list = 0.015625 0.015625",
+     "[experiment] h_list: spacings must decrease strictly"),
     ("comparison", "name = comparison\nseeds = 20",
      "name = coercive_loss\nphi_scales = 1",
      "[experiment] phi_scales: needs at least 2 numbers"),
@@ -1028,6 +1016,34 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
      "[scheme] name = comparison needs a final time T"),
     ("boundary_loss", "T = 3.0", "steady = true",
      "[scheme] name = boundary_behavior needs a final time T"),
+    # [scheme] keys the experiment never reads
+    ("comparison", "T = 1.0", "T = 1.0\nsteady = false",
+     "[scheme] steady is not a key of name = comparison"),
+    ("boundary_loss", "T = 3.0", "T = 3.0\nsteady = true",
+     "[scheme] steady is not a key of name = boundary_behavior"),
+    ("rate_nonlocal", "T = 5.0", "T = 5.0\nsteady = true",
+     "[scheme] steady is not a key of name = rate"),
+    ("rate_nonlocal", "0.1\n\n[experiment]\nname = rate\neps_rate = 0.05",
+     "0.1\nsteady = true\n\n[experiment]\nname = large_time",
+     "[scheme] steady is not a key of name = large_time"),
+    ("comparison", "T = 1.0\n\n[experiment]\nname = comparison\nseeds = 20",
+     "T = 1.0\nsteady = true\n\n[experiment]\nname = coercive_loss",
+     "[scheme] steady is not a key of name = coercive_loss"),
+    ("comparison", "T = 1.0", "T = 1.0\nsteady_tol = 1e-3",
+     "[scheme] steady_tol is not a key of name = comparison"),
+    ("boundary_loss", "T = 3.0", "T = 3.0\nsteady_tol = 1e-3",
+     "[scheme] steady_tol is not a key of name = boundary_behavior"),
+    ("rate_nonlocal", "T = 5.0", "T = 5.0\nsteady_tol = 1e-3",
+     "[scheme] steady_tol is not a key of name = rate"),
+    ("comparison", "T = 1.0\n\n[experiment]\nname = comparison\nseeds = 20",
+     "T = 1.0\nsteady_tol = 1e-3\n\n[experiment]\nname = run",
+     "[scheme] steady_tol is not a key of name = run without steady = true"),
+    ("comparison", "T = 1.0\n\n[experiment]\nname = comparison\nseeds = 20",
+     "T = 1.0\nsnapshot_dt = 0.1\n\n[experiment]\nname = coercive_loss",
+     "[scheme] snapshot_dt is not a key of name = coercive_loss"),
+    ("comparison", "T = 1.0\n\n[experiment]\nname = comparison\nseeds = 20",
+     "steady = true\nsnapshot_dt = 0.1\n\n[experiment]\nname = run",
+     "[scheme] snapshot_dt is not a key of name = run with steady = true"),
     # times and bounds that are not positive: a run backward in time, one
     # that cannot converge, a blow-up on the first step, or T = 0 read as
     # rate's default
@@ -1037,8 +1053,10 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
      "[scheme] T = 0.0 must be positive"),
     ("rate_nonlocal", "snapshot_dt = 0.1", "snapshot_dt = -0.1",
      "[scheme] snapshot_dt = -0.1 must be positive"),
-    ("rate_nonlocal", "theta = 0.9", "theta = 0.9\nsteady_tol = -1",
-     "[scheme] steady_tol = -1.0 must be positive"),
+    ("comparison",
+     "theta = 0.9\nT = 1.0\n\n[experiment]\nname = comparison\nseeds = 20",
+     "theta = 0.9\nT = 1.0\nsteady_tol = -1\n\n[experiment]\n"
+     "name = coercive_loss", "[scheme] steady_tol = -1.0 must be positive"),
     ("rate_nonlocal", "theta = 0.9", "theta = 0.9\nm_cap = -1",
      "[scheme] m_cap = -1.0 must be positive"),
     ("rate_nonlocal", "name = rate\neps_rate = 0.05",

@@ -70,19 +70,17 @@ def test_grid_classification(dom1):
         flat = np.arange(g.size)
         pts = g.points_at(flat)
         d = signed_distance_many(dom, pts)
-        np.testing.assert_array_equal(g.trace_flat, flat[np.abs(d) < h / 2])
+        trace = g.core_flat[g.trace_pos]
+        np.testing.assert_array_equal(trace, flat[np.abs(d) < h / 2])
         np.testing.assert_array_equal(g.core_flat, flat[d > -h / 2])
         np.testing.assert_array_equal(g.exterior_flat, flat[d <= -h / 2])
-        np.testing.assert_array_equal(g.core_flat[g.trace_pos], g.trace_flat)
-        for name in ("core", "trace", "exterior"):
-            np.testing.assert_array_equal(getattr(g, f"{name}_points"),
-                                          pts[getattr(g, f"{name}_flat")])
-    # trace nodes sit exactly on the boundary for an aligned lattice, and
-    # are core nodes
+        np.testing.assert_array_equal(g.core_points, pts[g.core_flat])
+        np.testing.assert_array_equal(g.trace_points, pts[trace])
+        np.testing.assert_array_equal(g.exterior_points, pts[g.exterior_flat])
+    # trace nodes sit exactly on the boundary for an aligned lattice
     g = Grid(dom1, 0.25, halo=4)
     pts = g.points_at(np.arange(g.size))[:, 0]
-    assert sorted(pts[g.trace_flat].tolist()) == [-1.0, 1.0]
-    assert np.isin(g.trace_flat, g.core_flat).all()
+    assert sorted(pts[g.core_flat[g.trace_pos]].tolist()) == [-1.0, 1.0]
 
 
 def test_grid_flat_index_roundtrip(dom2):
@@ -92,18 +90,29 @@ def test_grid_flat_index_roundtrip(dom2):
         assert g.flat_index_of(p) == flat
     with pytest.raises(ValueError):
         g.flat_index_of((9.0, 0.0))  # outside the stored block
+
+
+def test_grid_flat_index_within_half_a_step(dom1):
+    # a point 0.4 h off a node is found; one 0.6 h past the last stored node
+    # is nearer no node of the block and is refused
+    g = Grid(dom1, 0.25, halo=2)
+    assert g.flat_index_of(0.5 + 0.4 * g.h) == g.flat_index_of(0.5)
+    assert g.flat_index_of(0.5 - 0.4 * g.h) == g.flat_index_of(0.5)
+    last = g.axes[0][-1]
+    assert g.flat_index_of(last + 0.4 * g.h) == g.size - 1
     with pytest.raises(ValueError):
-        g.flat_index_of((0.13, 0.0), tol_factor=0.05)  # off-node, strict
+        g.flat_index_of(last + 0.6 * g.h)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grid_point_arrays_cached_and_read_only(dom1, dom2, dim):
     g = Grid(dom1 if dim == 1 else dom2, 0.25, halo=3)
-    for name in ("core", "trace", "exterior"):
+    flats = {"core": g.core_flat, "trace": g.core_flat[g.trace_pos],
+             "exterior": g.exterior_flat}
+    for name, flat in flats.items():
         pts = getattr(g, f"{name}_points")
-        np.testing.assert_array_equal(
-            pts, g.points_at(getattr(g, f"{name}_flat")))
-        assert pts.shape == (len(getattr(g, f"{name}_flat")), dim)
+        np.testing.assert_array_equal(pts, g.points_at(flat))
+        assert pts.shape == (len(flat), dim)
         assert getattr(g, f"{name}_points") is pts
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0

@@ -226,7 +226,7 @@ def test_check_superfractional(dom1, k05):
 def test_check_compatibility(dom1):
     g = Grid(dom1, 0.25, halo=2)
     x = g.core_points[:, 0]
-    phi0 = np.zeros(len(g.trace_flat))
+    phi0 = np.zeros(len(g.trace_pos))
     assert check_compatibility(g, 1 - x ** 2, phi0).passed
     cert = check_compatibility(g, np.ones(len(x)), phi0)
     assert not cert.passed and cert.value == pytest.approx(1.0)

@@ -253,6 +253,18 @@ def test_boundary_inflow_gap_persists(dom1, k05):
         assert rel < 0.1                        # stable under refinement
 
 
+@pytest.mark.parametrize("h_list", [[2.0 ** -5, 2.0 ** -4],
+                                    [2.0 ** -4, 2.0 ** -4]])
+def test_boundary_refinement_refuses_spacings_that_do_not_decrease(
+        dom1, k05, h_list):
+    # refused before any run: its ratios would compare spacings that are
+    # not refinements
+    spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
+    with pytest.raises(ValueError, match="decrease strictly"):
+        boundary_refinement(spec, dom1, k05, 1.0, 1.0, T=2.0, h_list=h_list,
+                            r_max=4.0)
+
+
 def test_boundary_report_tags(dom1, k05):
     spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
     res = boundary_behavior_experiment(
@@ -279,11 +291,19 @@ def test_holder_quotient_zero_field(dom1, k05):
 
 @pytest.mark.parametrize("lower, upper, h", [
     ((-1.0,), (1.0,), 2.0 ** -5), ((-0.3,), (0.7,), 0.05),
-    ((-1.0, -0.5), (1.0, 0.5), 0.1), ((0.1, -1.0), (0.6, 1.3), 0.05)])
+    ((-1.0, -0.5), (1.0, 0.5), 0.1), ((0.1, -1.0), (0.6, 1.3), 0.05),
+    ((0.0,), (0.2,), 0.05)])
 @pytest.mark.parametrize("max_sep", [0.01, 0.13, 0.25, 5.0])
-def test_holder_quotient_matches_all_pairs(lower, upper, h, max_sep):
-    # bit-identical to the all-pairs form it replaced
+def test_holder_quotient_matches_all_pairs(monkeypatch, lower, upper, h,
+                                           max_sep):
+    # bit-identical to the all-pairs form it replaced, at the separation
+    # HOLDER_SEP = 0.25 and, set in its place, below one step, between
+    # multiples of h and past the box; the box [0, 0.2] is shorter than
+    # HOLDER_SEP, so the reach is clipped to the box there
+    from nlhj import harness
     from nlhj.geometry import Grid
+    assert harness.HOLDER_SEP == 0.25
+    monkeypatch.setattr(harness, "HOLDER_SEP", max_sep)
     g = Grid(Domain(lower, upper), h, halo=1)
     u = np.random.default_rng(5).standard_normal(len(g.core_flat))
     pts = g.points_at(g.core_flat)
@@ -291,7 +311,7 @@ def test_holder_quotient_matches_all_pairs(lower, upper, h, max_sep):
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     mask = (d > 1e-12) & (d <= max_sep)
     ref = float((diff[mask] / d[mask] ** 0.75).max()) if mask.any() else 0.0
-    assert holder_quotient(g, u, 0.75, max_sep) == ref
+    assert holder_quotient(g, u, 0.75) == ref
 
 
 def test_coercive_loss_gate(dom1):

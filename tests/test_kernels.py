@@ -82,8 +82,10 @@ def test_near_field_split(k05, k15):
     qt15 = build_quadrature(k15, 2.0 ** -6, 8.0)
     assert qt15.nf_axis[0] > 0.0
     assert qt15.r_cut == pytest.approx(np.sqrt(2.0 ** -6))
-    # the stored coefficient equals the exact moment over the near region
-    exact = 2.0 * qt15.near_edge ** 0.5 / 0.5
+    # the stored coefficient equals the exact moment over the near region,
+    # which ends half a step before the first far cell
+    edge = offset_norms(qt15)[qt15.weights != 0].min() - qt15.h / 2
+    exact = 2.0 * edge ** 0.5 / 0.5
     assert qt15.nf_axis[0] == pytest.approx(exact)
 
 
@@ -208,7 +210,7 @@ def offset_list(k, h, r_max, r_cut):
     keep = norms <= r_max + 1e-12
     offsets, norms = offsets[keep], norms[keep]
     near = (norms < r_cut * (1 - 1e-12)) | (norms == 0)
-    return J, offsets[~near], norms[~near], offsets[near]
+    return J, offsets[~near], norms[~near]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -225,7 +227,7 @@ def test_dense_table_matches_offset_list(dim, alpha, make):
     k = make(alpha, dim)
     h, r_max = (2.0 ** -5, 4.0) if dim == 1 else (2.0 ** -3, 2.0)
     qt = build_quadrature(k, h, r_max)
-    J, offsets, norms, near = offset_list(k, h, r_max, qt.r_cut)
+    J, offsets, norms = offset_list(k, h, r_max, qt.r_cut)
     if dim == 1:
         w = _cell_integral_1d(k, norms - 0.5 * h, norms + 0.5 * h)
     else:
@@ -243,7 +245,6 @@ def test_dense_table_matches_offset_list(dim, alpha, make):
     assert qt.sum_w == float(w.sum())
     assert np.array_equal(qt.m1, m1)
     assert qt.lam == float(w.sum()) + qt.nf_mass + qt.tail_mass
-    assert qt.near_edge == (np.abs(near).max(initial=0) + 0.5) * h
 
 
 def test_kernel_profiles_compare_by_value():

@@ -123,7 +123,7 @@ def test_field_envelope_policies(dom1, dom2):
         below = u[g.trace_pos] < phi_trace
         assert below.any() and (u[g.trace_pos] > phi_trace).any()
         values = Field(g, u, phi, t).values
-        assert np.array_equal(values[g.trace_flat],
+        assert np.array_equal(values[g.core_flat[g.trace_pos]],
                               np.where(below, phi_trace, u[g.trace_pos]))
         assert np.array_equal(values[np.delete(g.core_flat, g.trace_pos)],
                               np.delete(u, g.trace_pos))
@@ -149,7 +149,8 @@ def test_field_serialization_header(tmp_path, dom1):
     g = grid_for(dom1, 0.25, 4)
     values = Field(g, BUMP(g.core_points), ZERO_PHI, t=0.5).values[g.core_flat]
     out = tmp_path / "field.tsv"
-    save_field(g, values, 0.5, out, alpha=0.5)
+    save_field(g, values, 0.5, out, 0.5,
+               row_template(row_prefixes(g.core_points)))
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# t=0.5 h=0.25 alpha=0.5")
     assert len(lines) == 1 + len(g.core_flat)  # core nodes only
@@ -411,12 +412,12 @@ def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
     n = len(g.core_flat)
     values = np.resize(np.array(special), n)
     out = tmp_path / "field.tsv"
-    for template in (None, row_template(row_prefixes(g.core_points))):
-        save_field(g, values, 0.5, out, 0.5, template)
-        body = out.read_bytes().split(b"\n", 1)[1]
-        assert body == "".join(
-            "%s%.17g\n" % (p, v) for p, v in
-            zip(row_prefixes(g.core_points), values.tolist())).encode()
+    save_field(g, values, 0.5, out, 0.5,
+               row_template(row_prefixes(g.core_points)))
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert body == "".join(
+        "%s%.17g\n" % (p, v) for p, v in
+        zip(row_prefixes(g.core_points), values.tolist())).encode()
 
 
 def test_row_prefixes_equal_per_row_formatting(dom2):
