@@ -3,9 +3,10 @@
 Sections: [domain], [kernel], [hamiltonian], [data], [scheme], [experiment],
 [output].  :data:`SECTIONS` holds the keys each section accepts, and
 :data:`CHOICES` the sub-tables per kernel ``type``, Hamiltonian ``family``
-and experiment ``name``; :data:`EXPERIMENTS` also says what each experiment
-requires and certifies, and which :data:`MARCH_KEYS` of [scheme] it
-accepts.  Coefficient values are numbers or expressions in
+and experiment ``name``; :data:`EXPERIMENTS` also names each experiment's
+runner, what it requires and certifies, and which :data:`MARCH_KEYS` of
+[scheme] it accepts.  :func:`execute` writes every table of the runner's
+result.  Coefficient values are numbers or expressions in
 the grammar of ``expressions`` (variables x, y, t).  Parsing is not
 fail-fast: every invalid value, missing key, and section or key that the
 tables do not accept is collected and reported in one ValidationError.
@@ -36,9 +37,7 @@ from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
                            check_UE)
 from .kernels import (Kernel, custom_radial_kernel,
                       fractional_laplacian_kernel, indicator_kernel)
-from .operators import envelope, row_prefixes, row_template, save_field
-from .solver import (SchemeConfig, cfl_denominator, eval_initial, init_state,
-                     run_to_steady, run_to_time)
+from .solver import SchemeConfig, eval_initial
 from . import harness
 
 # Each key: the kind of value _parse reads, or (kind, default).  REQUIRED
@@ -67,8 +66,54 @@ SECTIONS = {
 MARCH_KEYS = ("steady", "steady_tol", "snapshot_dt")
 
 
+# the runners: each calls its harness experiment with a RunConfig's fields
+def _run(c):
+    return harness.run_experiment(c.spec, c.domain, c.kernel, c.phi, c.u0,
+                                  c.scheme, c.steady, c.outdir, r_max=c.r_max)
+
+
+def _comparison(c):
+    p, args = c.params, (c.spec, c.domain, c.kernel)
+    if "u0_b" not in p and "phi_b" not in p:
+        return harness.comparison_seeds(*args, p["seeds"], c.scheme.T,
+                                        c.scheme, r_max=c.r_max)
+    return harness.comparison_experiment(
+        *args, (c.u0, p.get("u0_b", c.u0)), (c.phi, p.get("phi_b", c.phi)),
+        c.scheme.T, c.scheme, r_max=c.r_max)
+
+
+def _boundary_behavior(c):
+    args = (c.spec, c.domain, c.kernel, c.phi, c.u0, c.scheme.T)
+    if c.params.get("h_list"):
+        return harness.boundary_refinement(*args, c.params["h_list"],
+                                           c.scheme, r_max=c.r_max)
+    return harness.boundary_behavior_experiment(*args, c.scheme,
+                                                r_max=c.r_max)
+
+
+def _coercive_loss(c):
+    return harness.coercive_loss_experiment(
+        c.spec, c.domain, c.kernel, c.params["phi_scales"], c.scheme,
+        r_max=c.r_max)
+
+
+def _rate(c):
+    return harness.rate_experiment(
+        c.spec, c.domain, c.kernel, c.phi, c.phi_limit, c.u0,
+        c.scheme.T or EXPERIMENTS["rate"].T, c.scheme,
+        eps_rate=c.params["eps_rate"], r_max=c.r_max)
+
+
+def _large_time(c):
+    return harness.large_time_experiment(
+        c.spec, _limit_spec(c.spec, c.params), c.domain, c.kernel, c.phi,
+        c.phi_limit, c.params["t_ladder"], c.scheme,
+        eps_conv=c.params["eps_conv"], u0=c.u0, r_max=c.r_max)
+
+
 class Experiment(NamedTuple):
     keys: dict                  # its [experiment] keys besides name
+    run: object = None          # the function (RunConfig) -> ExperimentResult
     family: str | None = None   # the Hamiltonian family it needs
     T: object = None            # REQUIRED; a default; None: not read
     phi_limit: bool = False     # whether it needs [data] phi_limit
@@ -77,24 +122,24 @@ class Experiment(NamedTuple):
 
 
 EXPERIMENTS = {
-    "run": Experiment({}, T=REQUIRED, accepts=MARCH_KEYS),
-    # snapshot_dt unread: criterion 8 gives comparison the [scheme] of a run
+    "run": Experiment({}, _run, T=REQUIRED, accepts=MARCH_KEYS),
     "comparison": Experiment({"seeds": ("count", 20), "u0_b": "expression",
-                              "phi_b": "expression"}, T=REQUIRED,
-                             accepts=("snapshot_dt",)),
-    "boundary_behavior": Experiment({"h_list": "numbers"}, family="bellman",
+                              "phi_b": "expression"}, _comparison,
+                             T=REQUIRED),
+    "boundary_behavior": Experiment({"h_list": "numbers"},
+                                    _boundary_behavior, family="bellman",
                                     T=REQUIRED,
                                     certificates=("UE", "Sigma", "L"),
                                     accepts=("snapshot_dt",)),
     "coercive_loss": Experiment({"phi_scales": ("series", (1.0, 10.0, 100.0))},
-                                family="coercive", certificates=("A1",),
-                                accepts=("steady_tol",)),
-    "rate": Experiment({"eps_rate": ("number", harness.EPS_RATE)}, T=5.0,
-                       phi_limit=True, certificates=("H2prime",),
+                                _coercive_loss, family="coercive",
+                                certificates=("A1",), accepts=("steady_tol",)),
+    "rate": Experiment({"eps_rate": ("number", harness.EPS_RATE)}, _rate,
+                       T=5.0, phi_limit=True, certificates=("H2prime",),
                        accepts=("snapshot_dt",)),
     "large_time": Experiment({"t_ladder": ("series", (1.0, 2.0, 4.0)),
                               "eps_conv": ("number", harness.EPS_CONV),
-                              "f_limit": "expression"},
+                              "f_limit": "expression"}, _large_time,
                              phi_limit=True, certificates=("H2prime",),
                              accepts=("steady_tol", "snapshot_dt")),
 }
@@ -390,21 +435,14 @@ def parse_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_tsv(path: Path, header, rows):
+    """``rows`` under ``header``, each row in one format built from row 0:
+    ``%s`` where it holds text, ``%.17g`` elsewhere."""
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        fh.writelines("\t".join([v if isinstance(v, str) else "%.17g" % v
-                                 for v in row]) + "\n" for row in rows)
-
-
-def _write_trace_gaps(path: Path, points: np.ndarray, series):
-    """The trace gaps of each (t, gaps) in ``series`` as rows x.., t, gap,
-    one per trace node in ``points``."""
-    prefixes = row_prefixes(points)
-    with open(path, "w") as fh:
-        fh.write("\t".join(("x",) * points.shape[1] + ("t", "gap")) + "\n")
-        for t, gaps in series:
-            template = row_template(prefixes, "%.17g\t" % t)
-            fh.write(template % tuple(np.asarray(gaps, dtype=float).tolist()))
+        if rows:
+            row = "\t".join(["%s" if isinstance(v, str) else "%.17g"
+                             for v in rows[0]]) + "\n"
+            fh.writelines([row % tuple(r) for r in rows])
 
 
 def run_certificates(cfg: RunConfig) -> dict:
@@ -462,7 +500,6 @@ def execute(cfg: RunConfig) -> int:
         "r_max": cfg.r_max,
         "phase_s": phase_s,
     }
-    status = 0
     try:
         t = time.perf_counter()
         plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
@@ -474,14 +511,12 @@ def execute(cfg: RunConfig) -> int:
         certs = run_certificates(cfg)
         t = finished("certificates", t)
         manifest["certificates"] = {k: v.as_dict() for k, v in certs.items()}
-        result = _dispatch(cfg, manifest)
+        result = EXPERIMENTS[cfg.experiment].run(cfg)
         t = finished("experiment", t)
         manifest["metrics"] = result.metrics
-        if result.telemetry:
-            manifest["telemetry"] = result.telemetry
+        manifest["telemetry"] = result.telemetry
         manifest["passed"] = bool(result.passed)
-        if not result.passed:
-            status = 1
+        status = 0 if result.passed else 1
         for name, (header, rows) in result.tables.items():
             _write_tsv(cfg.outdir / f"{name}.tsv", header, rows)
         finished("tables", t)
@@ -495,97 +530,6 @@ def execute(cfg: RunConfig) -> int:
         # numpy scalars are written as the floats they hold
         json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
     return status
-
-
-def _dispatch(cfg: RunConfig, manifest: dict):
-    dom, kern, spec, scheme = cfg.domain, cfg.kernel, cfg.spec, cfg.scheme
-    p = cfg.params
-    if cfg.experiment == "run":
-        plan = harness.discretize(dom, kern, scheme.h, cfg.r_max)
-        grid = plan.grid
-        st = init_state(plan, spec, cfg.phi, cfg.u0, scheme)
-        if cfg.steady:
-            st, rep = run_to_steady(st, scheme)
-            rows = [(i, r) for i, r in enumerate(rep.residuals)]
-            header = ("step", "residual")
-        else:
-            rep = run_to_time(st, scheme, scheme.T)
-            rows = list(zip(rep.times, rep.sup_norms))
-            header = ("t", "sup_norm")
-        template = row_template(row_prefixes(grid.core_points))
-        for i, (t, u) in enumerate(rep.snapshots):
-            E = envelope(grid, u, st.phi(grid.trace_points, t))
-            save_field(grid, E, t, cfg.outdir / f"field_t{i:04d}.tsv",
-                       kern.alpha, template)
-        _write_trace_gaps(cfg.outdir / "trace_gaps.tsv", grid.trace_points,
-                          rep.trace_gap_series)
-        _write_tsv(cfg.outdir / "report.tsv", header, rows)
-        manifest["steps"] = st.steps
-        manifest["final_sup_norm"] = st.sup_norm
-        dts = np.diff(rep.times)
-        return harness.ExperimentResult(
-            "run", True, metrics={"steps": st.steps, "sup_norm": st.sup_norm},
-            telemetry={"steps": st.steps,
-                       "dt_min": float(dts.min()) if len(dts) else None,
-                       "dt_max": float(dts.max()) if len(dts) else None,
-                       "cfl_denominator": cfl_denominator(st),
-                       "sigma_growth": st.sigma_growth})
-    if cfg.experiment == "comparison":
-        single = "u0_b" in p or "phi_b" in p
-        if single:
-            u0b = p.get("u0_b", cfg.u0)
-            phib = CoefficientField(p.get("phi_b", cfg.phi), "phi_b")
-            pairs = [(cfg.u0, u0b, cfg.phi, phib)]
-        else:
-            pairs = [harness.random_ordered_pair(s, dom)
-                     for s in range(p["seeds"])]
-        results = [harness.comparison_experiment(
-            spec, dom, kern, (u, v), (pu, pv), scheme.T, scheme,
-            r_max=cfg.r_max) for u, v, pu, pv in pairs]
-        metrics = [r.metrics for r in results]
-        telemetry = {
-            "steps": sum(m["steps"] for m in metrics),
-            "sigma": max((m["sigma"] for m in metrics
-                          if m["sigma"] is not None), default=None),
-            "restarts": sum(m["restarts"] for m in metrics)}
-        if single:
-            return replace(results[0], telemetry=telemetry)
-        worst = max(m["max_violation"] for m in metrics)
-        return harness.ExperimentResult(
-            "comparison", worst <= 1e-12,
-            metrics={"max_violation": worst, "seeds": p["seeds"]},
-            tables={"report": (("seed", "max_violation"),
-                               [(s, m["max_violation"])
-                                for s, m in enumerate(metrics)])},
-            telemetry=telemetry)
-    if cfg.experiment == "boundary_behavior":
-        h_list = p.get("h_list")
-        if h_list:
-            gaps, ratios, passed, steps = harness.boundary_refinement(
-                spec, dom, kern, cfg.phi, cfg.u0, scheme.T, h_list, scheme,
-                r_max=cfg.r_max)
-            rows = [(f, *g) for f, g in gaps.items()]
-            header = ("face",) + tuple(f"h{i}" for i in range(len(h_list)))
-            return harness.ExperimentResult(
-                "boundary_behavior", passed,
-                metrics={"gaps": gaps, "ratios": ratios},
-                tables={"report": (header, rows)}, telemetry={"steps": steps})
-        return harness.boundary_behavior_experiment(
-            spec, dom, kern, cfg.phi, cfg.u0, scheme.T, scheme, r_max=cfg.r_max)
-    if cfg.experiment == "coercive_loss":
-        return harness.coercive_loss_experiment(spec, dom, kern,
-                                                p["phi_scales"], scheme,
-                                                r_max=cfg.r_max)
-    if cfg.experiment == "rate":
-        return harness.rate_experiment(
-            spec, dom, kern, cfg.phi, cfg.phi_limit, cfg.u0,
-            scheme.T or EXPERIMENTS["rate"].T, scheme,
-            eps_rate=p["eps_rate"], r_max=cfg.r_max)
-    # large_time
-    return harness.large_time_experiment(
-        spec, _limit_spec(spec, p), dom, kern, cfg.phi, cfg.phi_limit,
-        p["t_ladder"], scheme, eps_conv=p["eps_conv"], u0=cfg.u0,
-        r_max=cfg.r_max)
 
 
 def _limit_spec(spec, params: dict):

@@ -158,18 +158,13 @@ class Grid:
         return np.column_stack([ax[i] for ax, i in zip(self.axes, idx)])
 
     def flat_index_of(self, x):
-        """Flat index of the lattice node nearest to point x.
-
-        Raises ValueError when x is farther than h/2 from every node or
-        falls outside the stored block.
-        """
+        """Flat index of the lattice node nearest to point x; refused
+        (ValueError) only outside the stored block."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = []
         for a in range(self.dim):
             i = int(round((x[a] - self.axes[a][0]) / self.h))
             if not (0 <= i < self.shape[a]):
                 raise ValueError(f"point {x} outside stored grid block")
-            if abs(self.axes[a][i] - x[a]) > 0.5 * self.h:
-                raise ValueError(f"point {x} is not a lattice node")
             idx.append(i)
         return int(np.ravel_multi_index(idx, self.shape))

@@ -1,5 +1,5 @@
-"""Packaged experiments: comparison, boundary attainment/loss, coercive
-regularity, and large-time convergence with its exponential rate bound.
+"""Packaged experiments: a plain run, comparison, boundary attainment/loss,
+coercive regularity, and large-time convergence with its rate bound.
 
 Each experiment returns an :class:`ExperimentResult` carrying a verdict, the
 headline metrics, and plot-ready tables; preconditions are gated and raise
@@ -21,14 +21,14 @@ from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
                            check_H2prime, check_superfractional, check_UE)
 from .kernels import Kernel, build_quadrature
-from .operators import SweepPlan
-from .solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
-                     run_to_time, step)
+from . import operators
+from .operators import SweepPlan, envelope, row_prefixes, row_template
+from .solver import (SchemeConfig, auto_dt, cfl_denominator, init_state,
+                     run_to_steady, run_to_time, step)
 
 
 @dataclass
 class ExperimentResult:
-    name: str
     passed: bool
     metrics: dict = dfield(default_factory=dict)
     tables: dict = dfield(default_factory=dict)   # name -> (header, rows)
@@ -85,6 +85,43 @@ def trace_face_map(grid: Grid, dom: Domain) -> dict:
             for f, name in enumerate(dom.face_names())}
 
 
+def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
+                   steady: bool, outdir, r_max: float | None = None
+                   ) -> ExperimentResult:
+    """March to ``cfg.T``, or to a steady state when ``steady``, writing
+    each snapshot's envelope to ``outdir/field_tNNNN.tsv``.  Tables:
+    ``report``, the sup norm (the residual when ``steady``) of each step,
+    and ``trace_gaps``, phi - u at each trace node and snapshot time."""
+    plan = discretize(dom, k, cfg.h, r_max)
+    grid = plan.grid
+    st = init_state(plan, spec, phi, u0, cfg)
+    if steady:
+        st, rep = run_to_steady(st, cfg)
+        report = (("step", "residual"), list(enumerate(rep.residuals)))
+    else:
+        rep = run_to_time(st, cfg, cfg.T)
+        report = (("t", "sup_norm"), list(zip(rep.times, rep.sup_norms)))
+    template = row_template(row_prefixes(grid.core_points))
+    for i, (t, u) in enumerate(rep.snapshots):
+        E = envelope(grid, u, st.phi(grid.trace_points, t))
+        # looked up on operators, where a tracer patches it
+        operators.save_field(grid, E, t, outdir / f"field_t{i:04d}.tsv",
+                             k.alpha, template)
+    pts = grid.trace_points.tolist()
+    gaps = [(*p, t, g) for t, gs in rep.trace_gap_series
+            for p, g in zip(pts, gs.tolist())]
+    dts = np.diff(rep.times)
+    return ExperimentResult(
+        True, metrics={"steps": st.steps, "sup_norm": st.sup_norm},
+        tables={"report": report,
+                "trace_gaps": (("x",) * grid.dim + ("t", "gap"), gaps)},
+        telemetry={"steps": st.steps,
+                   "dt_min": float(dts.min()) if len(dts) else None,
+                   "dt_max": float(dts.max()) if len(dts) else None,
+                   "cfl_denominator": cfl_denominator(st),
+                   "sigma_growth": st.sigma_growth})
+
+
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
@@ -119,7 +156,7 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`, as does a
     state passing ``cfg.max_steps``.  Metrics: ``max_violation``, ``steps``
     (per state), the shared ``sigma`` (None for Bellman forms) and
-    ``restarts``.
+    ``restarts``; the last three are also its telemetry.
     """
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
@@ -153,13 +190,36 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
         raise NonConvergence(
             f"comparison pair: viscosity underflow after {PAIR_ATTEMPTS} "
             f"attempts with a shared viscosity")
-    passed = worst <= 1e-12
+    counters = {"steps": sa.steps,
+                "sigma": None if shared is None else float(np.max(shared)),
+                "restarts": restarts}
     return ExperimentResult(
-        "comparison", passed,
-        metrics={"max_violation": worst, "steps": sa.steps,
-                 "sigma": None if shared is None else float(np.max(shared)),
-                 "restarts": restarts},
-        tables={"report": (("t", "max_violation"), rows)})
+        worst <= 1e-12, metrics={"max_violation": worst, **counters},
+        tables={"report": (("t", "max_violation"), rows)},
+        telemetry=counters)
+
+
+def comparison_seeds(spec, dom: Domain, k: Kernel, seeds: int, T: float,
+                     cfg: SchemeConfig,
+                     r_max: float | None = None) -> ExperimentResult:
+    """:func:`comparison_experiment` on the :func:`random_ordered_pair` of
+    each seed below ``seeds``, passed when every pair passes: the worst
+    violation, a ``seed, max_violation`` table, and the pairs' steps and
+    restarts summed and largest shared ``sigma`` as telemetry."""
+    results = [comparison_experiment(spec, dom, k, pair[:2], pair[2:], T, cfg,
+                                     r_max=r_max) for pair in
+               (random_ordered_pair(s, dom) for s in range(seeds))]
+    violations = [r.metrics["max_violation"] for r in results]
+    tel = [r.telemetry for r in results]
+    return ExperimentResult(
+        all(r.passed for r in results),
+        metrics={"max_violation": max(violations), "seeds": seeds},
+        tables={"report": (("seed", "max_violation"),
+                           list(enumerate(violations)))},
+        telemetry={"steps": sum(t["steps"] for t in tel),
+                   "sigma": max((t["sigma"] for t in tel
+                                 if t["sigma"] is not None), default=None),
+                   "restarts": sum(t["restarts"] for t in tel)})
 
 
 def random_ordered_pair(seed: int, dom: Domain):
@@ -243,7 +303,7 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
             violated = True
 
     return ExperimentResult(
-        "boundary_behavior", not violated,
+        not violated,
         metrics={"per_face": per_face, "tags": tags},
         tables={"trace_gaps": (("x",) * grid.dim + ("t", "gap", "tag"), samples),
                 "classification": (("face",) + ("x",) * grid.dim +
@@ -256,10 +316,11 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
 
 def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
                         cfg: SchemeConfig | None = None,
-                        r_max: float | None = None):
-    """Final-time gap per face across grid refinements, the halving ratios,
-    whether :func:`boundary_behavior_experiment` passed at every h, and its
-    steps at each h.
+                        r_max: float | None = None) -> ExperimentResult:
+    """:func:`boundary_behavior_experiment` at each spacing of ``h_list``,
+    passed when it passes at every h: the final-time ``gaps`` per face, as
+    metrics and a ``face, h0..`` table, their halving ``ratios``, and the
+    ``steps`` at each h.
 
     Each h runs with ``cfg`` (defaults when None) at that spacing; the
     spacings must decrease strictly, so that each ratio is a refinement."""
@@ -276,7 +337,11 @@ def boundary_refinement(spec, dom, k, phi, u0, T, h_list,
             gaps.setdefault(face, []).append(d["final_gap"])
     ratios = {f: [b / a if abs(a) > 1e-300 else np.inf
                   for a, b in zip(v[:-1], v[1:])] for f, v in gaps.items()}
-    return gaps, ratios, passed, steps
+    header = ("face",) + tuple(f"h{i}" for i in range(len(h_list)))
+    return ExperimentResult(
+        passed, metrics={"gaps": gaps, "ratios": ratios},
+        tables={"report": (header, [(f, *g) for f, g in gaps.items()])},
+        telemetry={"steps": steps})
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +385,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
             f"superfractional condition (A1) failed: margin {cert.value}, "
             f"c0 {cert.details['c0']}")
     exponent = (spec.m - k.alpha) / spec.m
-    rows = []
-    quotients = []
-    sup_norms = []
+    rows, quotients, sup_norms = [], [], []
     telemetry = {"sigma": [], "sigma_growth": []}
     for c in phi_scales:
         st = init_state(plan, spec, float(c), float(c), cfg)
@@ -338,7 +401,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
               for i in range(len(quotients) - 1)]
     passed = bool(ratios and ratios[-1] < 9.0)
     return ExperimentResult(
-        "coercive_loss", passed,
+        passed,
         metrics={"quotients": quotients, "ratios": ratios,
                  "sup_norms": sup_norms, "exponent": exponent},
         tables={"report": (("phi_scale", "holder_quotient", "sup_norm",
@@ -388,6 +451,21 @@ def make_rate_bound(times, g_samples, mu0: float, dev0: float) -> RateBound:
     return RateBound(mu0, times, g, G, dev0, bound)
 
 
+def _decay_margin(spec, plan: SweepPlan, phi, phi_limit):
+    """The (H2') margin mu0, refused when the certificate fails, and the
+    datum gap t -> max |phi(t) - phi_limit| over the exterior sample."""
+    cert = check_H2prime(spec, plan)
+    if not cert.passed:
+        raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < "
+                                f"{cert.details['mu_min']}")
+    ph = CoefficientField(phi, "phi")
+    pl = CoefficientField(phi_limit, "phi_limit")
+    ext_pts = _exterior_sample(plan, ph, pl)
+    phibar = pl(ext_pts, 0.0)
+    return cert.value, lambda t: float(
+        np.abs(ph(ext_pts, t) - phibar).max(initial=0.0))
+
+
 def _telemetry(st_inf, ref, st) -> dict:
     """The steps of a steady reference ``st_inf`` (its report ``ref``) and
     of the time run ``st``, and the reference's residual at exit."""
@@ -408,11 +486,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     if spec.time_dependent:
         raise PreconditionError("rate experiment requires a time-independent H")
     plan = discretize(dom, k, cfg.h, r_max)
-    cert = check_H2prime(spec, plan)
-    if not cert.passed:
-        raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < "
-                                f"{cert.details['mu_min']}")
-    mu0 = cert.value
+    mu0, datum_gap = _decay_margin(spec, plan, phi, phi_limit)
 
     # steady reference for the limit datum; much tighter than the run
     # tolerance so the reference error stays far below the decayed bound
@@ -427,15 +501,11 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     st = init_state(plan, spec, phi, u0, snap_cfg)
     rep = run_to_time(st, snap_cfg, T)
 
-    pl = CoefficientField(phi_limit, "phi_limit")
-    ph = CoefficientField(phi, "phi")
-    ext_pts = _exterior_sample(plan, ph, pl)
-    phibar = pl(ext_pts, 0.0)
     times, devs, gs = [], [], []
     for t, u in rep.snapshots:
         times.append(t)
         devs.append(float(np.abs(u - u_inf).max()))
-        gs.append(float(np.abs(ph(ext_pts, t) - phibar).max(initial=0.0)))
+        gs.append(datum_gap(t))
     times = np.array(times)
     devs = np.array(devs)
     rb = make_rate_bound(times, gs, mu0, devs[0])
@@ -455,7 +525,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     passed = bool(ok.all()) and rb.check_internal()
     rows = list(zip(times, devs, rb.bound, rb.g))
     result = ExperimentResult(
-        "rate", passed,
+        passed,
         metrics={"mu0": mu0, "fitted_exponent": fitted,
                  "first_violation_t": first_bad, "eps_rate": eps_rate,
                  "dev0": float(devs[0]), "final_dev": float(devs[-1])},
@@ -480,15 +550,8 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
     if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
         raise ValueError(f"horizons must increase strictly: {T_ladder}")
     plan = discretize(dom, k, cfg.h, r_max)
-    cert = check_H2prime(spec, plan)
-    if not cert.passed:
-        raise PreconditionError(f"(H2') failed: mu0 = {cert.value} < "
-                                f"{cert.details['mu_min']}")
+    _, datum_gap = _decay_margin(spec, plan, phi, phi_limit)
     core_pts = plan.grid.core_points
-    ph = CoefficientField(phi, "phi")
-    pl = CoefficientField(phi_limit, "phi_limit")
-    ext_pts = _exterior_sample(plan, ph, pl)
-    phibar = pl(ext_pts, 0.0)
 
     def ham_gap(t):
         if spec.family == "coercive":
@@ -501,8 +564,7 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
                         float(np.abs(c.lam(core_pts, t) - cl.lam(core_pts, 0.0)).max()))
         return worst
 
-    gaps = [float(np.abs(ph(ext_pts, t) - phibar).max(initial=0.0)) + ham_gap(t)
-            for t in T_ladder]
+    gaps = [datum_gap(t) + ham_gap(t) for t in T_ladder]
     decreasing = all(b <= a + 1e-12 + 0.02 * (abs(a) + abs(b)) for a, b in
                      zip(gaps[:-1], gaps[1:]))
     vanishing = gaps[-1] <= max(0.5 * gaps[0], 1e-9)
@@ -522,7 +584,7 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
     monotone = all(b <= a * (1 + 0.05) + 1e-12 for a, b in zip(devs[:-1], devs[1:]))
     passed = monotone and devs[-1] < eps_conv
     return ExperimentResult(
-        "large_time", bool(passed),
+        bool(passed),
         metrics={"horizons": list(T_ladder), "deviations": devs,
                  "data_gaps": gaps, "eps_conv": eps_conv},
         tables={"report": (("T", "deviation"), list(zip(T_ladder, devs)))},

@@ -96,14 +96,12 @@ def row_prefixes(points: np.ndarray) -> list:
     return ["".join(row) for row in zip(*cols)]
 
 
-def row_template(prefixes: list, columns: str = "") -> str:
+def row_template(prefixes: list) -> str:
     """A text table's rows as one format string: per row its prefix (see
-    :func:`row_prefixes`), ``columns`` as they stand (formatted numbers,
-    no ``%``), a ``%.17g`` slot for the row's value and a newline.
-    ``template % tuple(values)`` formats the whole table in one call, byte
-    for byte as each row on its own."""
-    row = columns + "%.17g\n"
-    return "".join([p + row for p in prefixes])
+    :func:`row_prefixes`), a ``%.17g`` slot for the row's value and a
+    newline.  ``template % tuple(values)`` formats the whole table in one
+    call, byte for byte as each row on its own."""
+    return "".join([p + "%.17g\n" for p in prefixes])
 
 
 def save_field(grid: Grid, values: np.ndarray, t: float, path, alpha: float,

@@ -146,15 +146,17 @@ def test_criterion_5_boundary_attainment_vs_loss():
     hs = [2.0 ** -6, 2.0 ** -7, 2.0 ** -8]
     # outflow: gaps halve under refinement
     spec_out = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    gaps_out, ratios_out, _, _ = boundary_refinement(
-        spec_out, DOM, k, 1.0, 1.0, T=3.0, h_list=hs, r_max=4.0)
+    ratios_out = boundary_refinement(
+        spec_out, DOM, k, 1.0, 1.0, T=3.0, h_list=hs,
+        r_max=4.0).metrics["ratios"]
     ok_out = all(0.0 < r < 0.7 for f in ("left", "right")
                  for r in ratios_out[f])
     # inflow: gap persists above the pinned loss threshold
     LOSS_THRESHOLD = 0.8  # pinned from the first verified refinement study
     spec_in = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
-    gaps_in, _, _, _ = boundary_refinement(
-        spec_in, DOM, k, 10.0, 10.0, T=3.0, h_list=hs, r_max=4.0)
+    gaps_in = boundary_refinement(
+        spec_in, DOM, k, 10.0, 10.0, T=3.0, h_list=hs,
+        r_max=4.0).metrics["gaps"]
     ok_in = True
     for f in ("left", "right"):
         seq = gaps_in[f]
@@ -236,7 +238,7 @@ phi_limit = 0
 h = 0.015625
 theta = 0.9
 T = 1.0
-snapshot_dt = 0.25
+{snapshots}
 [experiment]
 name = {name}
 {extra}
@@ -248,6 +250,7 @@ directory = {out}
 def test_criterion_8_reproducibility(tmp_path):
     from nlhj.config import execute, parse_config
     t0 = time.monotonic()
+    # comparison takes no snapshots, and refuses snapshot_dt
     specs = [("comparison", "seeds = 3", "report.tsv"),
              ("rate", "eps_rate = 0.05", "rate_curve.tsv"),
              ("run", "", "report.tsv")]
@@ -257,7 +260,9 @@ def test_criterion_8_reproducibility(tmp_path):
         for tag in ("a", "b"):
             out = tmp_path / f"{name}_{tag}"
             p = tmp_path / f"{name}_{tag}.cfg"
-            p.write_text(REPRO_CFG.format(name=name, extra=extra, out=out))
+            snapshots = "" if name == "comparison" else "snapshot_dt = 0.25"
+            p.write_text(REPRO_CFG.format(name=name, extra=extra, out=out,
+                                          snapshots=snapshots))
             cfg = parse_config(p)
             assert execute(cfg) == 0
             outputs.append((out / table).read_bytes())

@@ -327,7 +327,7 @@ def test_boundary_behavior_single_run(tmp_path):
 def test_comparison_config_runs(tmp_path):
     text = MINIMAL.format(out=tmp_path / "cmp_out")
     text = text.replace("name = run", "name = comparison\nseeds = 2")
-    text = text.replace("T = 0.25", "T = 0.125")
+    text = text.replace("T = 0.25\nsnapshot_dt = 0.125", "T = 0.125")
     cfg = parse_config(write(tmp_path, text, "cmp.cfg"))
     assert execute(cfg) == 0
     m = json.loads((tmp_path / "cmp_out" / "manifest.json").read_text())
@@ -339,7 +339,7 @@ def test_reproducible_reports(tmp_path):
     for d in ("rep_a", "rep_b"):
         text = MINIMAL.format(out=tmp_path / d)
         text = text.replace("name = run", "name = comparison\nseeds = 2")
-        text = text.replace("T = 0.25", "T = 0.125")
+        text = text.replace("T = 0.25\nsnapshot_dt = 0.125", "T = 0.125")
         cfg = parse_config(write(tmp_path, text, f"{d}.cfg"))
         assert execute(cfg) == 0
     a = (tmp_path / "rep_a" / "report.tsv").read_bytes()
@@ -441,7 +441,7 @@ def test_run_manifest_reports_solver_telemetry(tmp_path):
     tel = m["telemetry"]
     assert set(tel) == {"steps", "dt_min", "dt_max", "cfl_denominator",
                         "sigma_growth"}
-    assert tel["steps"] == m["steps"] > 0
+    assert tel["steps"] == m["metrics"]["steps"] > 0
     assert tel["sigma_growth"] == 0
     # time-independent data: every full step takes theta / denominator, and
     # steps shortened to land on a snapshot time are shorter
@@ -458,7 +458,7 @@ def test_comparison_manifest_reports_solver_telemetry(tmp_path, template):
     out = tmp_path / "out"
     text = TEMPLATES[template].format(out=out)
     text = text.replace("name = run", "name = comparison\nseeds = 2")
-    text = text.replace("T = 0.25", "T = 0.125")
+    text = text.replace("T = 0.25\nsnapshot_dt = 0.125", "T = 0.125")
     cfg = parse_config(write(tmp_path, text, "cmp.cfg"))
     assert execute(cfg) == 0
     m = json.loads((out / "manifest.json").read_text())
@@ -484,6 +484,7 @@ def test_comparison_telemetry_counts_joint_restarts(tmp_path):
     text = text.replace("u0 = 1 - x^2\nphi = 0", "u0 = 0\nphi = 20*t")
     text = text.replace("name = run", "name = comparison\nu0_b = 0.1\n"
                         "phi_b = 20*t + 0.1")
+    text = text.replace("snapshot_dt = 0.125\n", "")
     assert execute(parse_config(write(tmp_path, text, "ramp.cfg"))) == 0
     m = json.loads((out / "manifest.json").read_text())
     assert m["metrics"]["restarts"] >= 1
@@ -502,6 +503,7 @@ def test_comparison_pair_out_of_restarts_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "out"
     text = MINIMAL.format(out=out).replace("name = run",
                                            "name = comparison\nseeds = 1")
+    text = text.replace("snapshot_dt = 0.125\n", "")
     assert execute(parse_config(write(tmp_path, text, "cmp.cfg"))) == 1
     m = json.loads((out / "manifest.json").read_text())
     assert m["error"].startswith("NonConvergence: comparison pair")
@@ -570,9 +572,9 @@ def test_steady_run_reports_its_residuals(tmp_path):
     m = json.loads((out / "manifest.json").read_text())
     lines = (out / "report.tsv").read_text().splitlines()
     assert lines[0] == "step\tresidual"
-    assert len(lines) - 1 == m["steps"] > 1
+    assert len(lines) - 1 == m["metrics"]["steps"] > 1
     assert [int(l.split("\t")[0]) for l in lines[1:]] == \
-        list(range(m["steps"]))
+        list(range(m["metrics"]["steps"]))
     assert float(lines[-1].split("\t")[1]) <= 1e-8
 
 
@@ -779,14 +781,19 @@ def test_writers_format_as_each_value_on_its_own(tmp_path):
     lines = (tmp_path / "t.tsv").read_text().splitlines()
     assert lines == ["a\tb\tc"] + [_old_row(r) for r in rows]
 
-    pts = np.column_stack([SPECIAL, SPECIAL[::-1]])
-    series = [(t, np.roll(np.array(SPECIAL, dtype=float), k))
-              for k, t in enumerate((0, np.float64(0.25), 1e300, -0.0))]
-    config._write_trace_gaps(tmp_path / "g.tsv", pts, series)
+    # trace-gap rows as a run builds them (x.., t, gap, as Python floats),
+    # here with a text column after them
+    pts = np.column_stack([SPECIAL, SPECIAL[::-1]]).tolist()
+    rows = [(*p, t, v, "tag") for k, t in enumerate(
+                (0, np.float64(0.25), 1e300, -0.0))
+            for p, v in zip(pts, np.roll(np.array(SPECIAL, dtype=float),
+                                         k).tolist())]
+    config._write_tsv(tmp_path / "g.tsv", ("x", "x", "t", "gap", "tag"), rows)
     lines = (tmp_path / "g.tsv").read_text().splitlines()
-    assert lines == ["x\tx\tt\tgap"] + [_old_row((*p, t, v))
-                                         for t, gaps in series
-                                         for p, v in zip(pts, gaps)]
+    assert lines == ["x\tx\tt\tgap\ttag"] + [_old_row(r) for r in rows]
+    # a steady run takes no snapshots: its trace gaps are the header alone
+    config._write_tsv(tmp_path / "e.tsv", ("x", "t", "gap"), [])
+    assert (tmp_path / "e.tsv").read_text() == "x\tt\tgap\n"
 
     g = Grid(Domain((0.0,), (11.0,)), 1.0, halo=1)
     assert len(g.core_flat) == len(SPECIAL)
@@ -1031,6 +1038,8 @@ def test_misspelled_key_is_refused(tmp_path, capsys, template, line, section,
      "[scheme] steady is not a key of name = coercive_loss"),
     ("comparison", "T = 1.0", "T = 1.0\nsteady_tol = 1e-3",
      "[scheme] steady_tol is not a key of name = comparison"),
+    ("comparison", "T = 1.0", "T = 1.0\nsnapshot_dt = 0.1",
+     "[scheme] snapshot_dt is not a key of name = comparison"),
     ("boundary_loss", "T = 3.0", "T = 3.0\nsteady_tol = 1e-3",
      "[scheme] steady_tol is not a key of name = boundary_behavior"),
     ("rate_nonlocal", "T = 5.0", "T = 5.0\nsteady_tol = 1e-3",

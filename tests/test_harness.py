@@ -230,10 +230,11 @@ def test_boundary_outflow_gap_decays(dom1, k05):
     # b(x) = x drifts outward on both faces: the datum (here 1, above the
     # interior equilibrium) is attained under refinement
     spec = BellmanSpec([ControlLaw(lam=1.0, b="x", f=0.0)])
-    gaps, ratios, passed, _ = boundary_refinement(
+    res = boundary_refinement(
         spec, dom1, k05, 1.0, 1.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
         r_max=4.0)
-    assert passed
+    gaps, ratios = res.metrics["gaps"], res.metrics["ratios"]
+    assert res.passed
     for face in ("left", "right"):
         assert gaps[face][0] > 0.0
         assert 0.0 < ratios[face][0] < 0.7
@@ -243,10 +244,11 @@ def test_boundary_inflow_gap_persists(dom1, k05):
     # b(x) = -x drifts inward everywhere; large datum is not attained.
     # Loss threshold 0.8 pinned from the first verified refinement study.
     spec = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
-    gaps, ratios, passed, _ = boundary_refinement(
+    res = boundary_refinement(
         spec, dom1, k05, 10.0, 10.0, T=2.0, h_list=[2.0 ** -4, 2.0 ** -5],
         r_max=4.0)
-    assert passed
+    gaps = res.metrics["gaps"]
+    assert res.passed
     for face in ("left", "right"):
         assert min(gaps[face]) > 0.8
         rel = abs(gaps[face][1] - gaps[face][0]) / abs(gaps[face][0])

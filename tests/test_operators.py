@@ -404,9 +404,6 @@ def test_table_template_formats_as_each_row_on_its_own(tmp_path, dom2):
     prefixes = row_prefixes(pts)
     rows = ["%s%.17g\n" % (p, v) for p, v in zip(prefixes, values.tolist())]
     assert row_template(prefixes) % tuple(values.tolist()) == "".join(rows)
-    at_t = "%.17g\t" % 0.25
-    assert (row_template(prefixes, at_t) % tuple(values.tolist())
-            == "".join(p + at_t + r[len(p):] for p, r in zip(prefixes, rows)))
 
     g = grid_for(dom2, 0.25, 0.5)
     n = len(g.core_flat)

@@ -27,3 +27,50 @@ def test_every_layer_resolves_a_site(tracing):
 
 def test_step_probe_resolves_a_site(tracing):
     assert any(tracing._resolve(*site) for site in tracing.STEP_SITES)
+
+
+CFG = """
+[domain]
+lower = -1
+upper = 1
+[kernel]
+alpha = 0.5
+[hamiltonian]
+m = 1.0
+a1 = 1
+lam = 1
+[data]
+u0 = 1 - x^2
+phi = 0
+[scheme]
+h = 0.0625
+T = 0.125
+{scheme}
+[experiment]
+name = {name}
+{keys}
+[output]
+directory = {out}
+"""
+
+
+def test_tracer_reaches_the_layers_of_a_run_and_a_comparison(tracing,
+                                                             tmp_path):
+    # a site that resolves but is not the one the code calls through (a
+    # name bound before the tracer patches it) counts no calls
+    from nlhj import config
+    tracer = tracing.Tracer(max_spans=0)
+    tracer.install()
+    try:
+        for name, scheme, keys in (("run", "snapshot_dt = 0.0625", ""),
+                                   ("comparison", "", "seeds = 2")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(CFG.format(name=name, scheme=scheme, keys=keys,
+                                       out=tmp_path / name))
+            assert config.execute(config.parse_config(path)) == 0
+    finally:
+        tracer.uninstall()
+    for layer in ("operators.save_field", "solver.init_state", "solver.step",
+                  "harness.comparison_experiment", "config.run_certificates"):
+        assert tracer.calls_of(layer) > 0, f"{layer}: no calls traced"
+    assert tracer.calls_of("harness.comparison_experiment") == 2
