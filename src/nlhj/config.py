@@ -100,15 +100,13 @@ def _coercive_loss(c):
 def _rate(c):
     return harness.rate_experiment(
         c.spec, c.domain, c.kernel, c.phi, c.phi_limit, c.u0,
-        c.scheme.T or EXPERIMENTS["rate"].T, c.scheme,
-        eps_rate=c.params["eps_rate"], r_max=c.r_max)
+        c.scheme.T or EXPERIMENTS["rate"].T, c.scheme, r_max=c.r_max)
 
 
 def _large_time(c):
     return harness.large_time_experiment(
         c.spec, _limit_spec(c.spec, c.params), c.domain, c.kernel, c.phi,
-        c.phi_limit, c.params["t_ladder"], c.scheme,
-        eps_conv=c.params["eps_conv"], u0=c.u0, r_max=c.r_max)
+        c.phi_limit, c.params["t_ladder"], c.scheme, u0=c.u0, r_max=c.r_max)
 
 
 class Experiment(NamedTuple):
@@ -134,11 +132,9 @@ EXPERIMENTS = {
     "coercive_loss": Experiment({"phi_scales": ("series", (1.0, 10.0, 100.0))},
                                 _coercive_loss, family="coercive",
                                 certificates=("A1",), accepts=("steady_tol",)),
-    "rate": Experiment({"eps_rate": ("number", harness.EPS_RATE)}, _rate,
-                       T=5.0, phi_limit=True, certificates=("H2prime",),
-                       accepts=("snapshot_dt",)),
+    "rate": Experiment({}, _rate, T=5.0, phi_limit=True,
+                       certificates=("H2prime",), accepts=("snapshot_dt",)),
     "large_time": Experiment({"t_ladder": ("series", (1.0, 2.0, 4.0)),
-                              "eps_conv": ("number", harness.EPS_CONV),
                               "f_limit": "expression"}, _large_time,
                              phi_limit=True, certificates=("H2prime",),
                              accepts=("steady_tol", "snapshot_dt")),
@@ -270,6 +266,12 @@ def _read(cp, section, dim, errors):
     return values
 
 
+def _reads_t(value) -> bool:
+    """Whether a number, an expression or a drift's expressions read t."""
+    return any(getattr(v, "time_dependent", False)
+               for v in (value if isinstance(value, list) else [value]))
+
+
 def _spacing(h, dom, r_max, where, errors):
     """Record why the lattice spacing ``h`` does not fit ``dom`` and the halo
     reach ``r_max``: each domain side a multiple of h, and r_max >= 10*h."""
@@ -339,6 +341,7 @@ def parse_config(path) -> RunConfig:
 
     ham = _read(cp, "hamiltonian", dim, errors)
     family = ham.pop("family")
+    coefficients = dict(ham)  # before the controls' keys are popped
     spec = None
     try:
         if family == "coercive" and "m" in ham:
@@ -356,7 +359,7 @@ def parse_config(path) -> RunConfig:
         errors.append(f"[hamiltonian] {e}")
 
     data = _read(cp, "data", dim, errors)
-    phi = CoefficientField(data["phi"], "phi") if "phi" in data else None
+    phi = CoefficientField(data["phi"]) if "phi" in data else None
 
     s = _read(cp, "scheme", dim, errors)
     steady = s.pop("steady")
@@ -414,11 +417,20 @@ def parse_config(path) -> RunConfig:
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         errors.append(f"[experiment] h_list: spacings must decrease "
                       f"strictly: {h_list}")
-    if exp == "large_time" and spec is not None and \
-            _limit_spec(spec, params).time_dependent:
-        errors.append("[experiment] large_time with a time-dependent "
-                      "Hamiltonian needs a time-independent limit (f_limit "
-                      "sets the limit of the coercive f only)")
+    # a steady solve freezes t, so neither the Hamiltonian it solves for
+    # (large_time's limit) nor the [data] it reads, by experiment, may read t
+    reads = {"run": ("phi",) if steady else None, "coercive_loss": (),
+             "rate": ("phi_limit",), "large_time": ("phi_limit",)}.get(exp)
+    if reads is not None:
+        read = {f"[hamiltonian] {key}": v for key, v in coefficients.items()}
+        if "f_limit" in params and family == "coercive":  # under large_time
+            read.pop("[hamiltonian] f", None)
+            read["[experiment] f_limit"] = params["f_limit"]
+        read.update((f"[data] {key}", data.get(key)) for key in reads)
+        hint = " (f_limit sets the limit of the coercive f only)"
+        errors += [f"{where} depends on t, but name = {exp}{which} solves for "
+                   f"a steady state{hint if exp == 'large_time' else ''}"
+                   for where, value in read.items() if _reads_t(value)]
 
     outdir = path.parent / _read(cp, "output", dim, errors)["directory"]
 

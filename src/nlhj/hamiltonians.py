@@ -36,8 +36,7 @@ class CoefficientField:
     and one without ``variables`` as varying in space.
     """
 
-    def __init__(self, value, name: str = ""):
-        self.name = name
+    def __init__(self, value):
         if isinstance(value, CoefficientField):
             self._fn = value._fn
             self.time_dependent = value.time_dependent
@@ -86,7 +85,7 @@ def vector_coefficient(value, dim: int, name: str = ""):
     comps = value if isinstance(value, (list, tuple)) else [value]
     if len(comps) != dim:
         raise ValueError(f"drift {name} needs {dim} components")
-    return [CoefficientField(v, f"{name}[{a}]") for a, v in enumerate(comps)]
+    return [CoefficientField(v) for v in comps]
 
 
 def eval_vector(comps, pts: np.ndarray, t: float) -> np.ndarray:
@@ -103,6 +102,7 @@ class CoerciveSpec:
     otherwise).
     """
 
+    family = "coercive"
     m: float
     a1: object = 1.0
     a2: object = 0.0
@@ -115,17 +115,13 @@ class CoerciveSpec:
     def __post_init__(self):
         if self.m <= 0 or self.l < 0 or self.l >= self.m:
             raise ValueError("exponents must satisfy 0 <= l < m, m > 0")
-        self.a1 = CoefficientField(self.a1, "a1")
-        self.a2 = CoefficientField(self.a2, "a2")
-        self.lam = CoefficientField(self.lam, "lam")
-        self.f = CoefficientField(self.f, "f")
+        self.a1 = CoefficientField(self.a1)
+        self.a2 = CoefficientField(self.a2)
+        self.lam = CoefficientField(self.lam)
+        self.f = CoefficientField(self.f)
         self.b = vector_coefficient(self.b, self.dim, "b")
         if self.b is not None and self.m <= 1:
             raise ValueError("drift term requires superlinear coercivity m > 1")
-
-    @property
-    def family(self):
-        return "coercive"
 
     @property
     def time_dependent(self) -> bool:
@@ -144,8 +140,8 @@ class ControlLaw:
     dim: int = 1
 
     def __post_init__(self):
-        self.lam = CoefficientField(self.lam, "lam")
-        self.f = CoefficientField(self.f, "f")
+        self.lam = CoefficientField(self.lam)
+        self.f = CoefficientField(self.f)
         b = self.b if self.b is not None else [0.0] * self.dim
         self.b = vector_coefficient(b, self.dim, "b")
 
@@ -154,6 +150,7 @@ class ControlLaw:
 class BellmanSpec:
     """H = max over controls of (lam_b r - b_b . p - f_b)."""
 
+    family = "bellman"
     controls: list
     lipschitz: float | None = None
     dim: int = 1
@@ -161,10 +158,6 @@ class BellmanSpec:
     def __post_init__(self):
         if not self.controls:
             raise ValueError("control set must be nonempty")
-
-    @property
-    def family(self):
-        return "bellman"
 
     @property
     def time_dependent(self) -> bool:

@@ -26,9 +26,9 @@ class Kernel:
 
     ``profile`` maps radius arrays to K values (all built-in kernels are
     radial).  ``const_value`` is set when K is a constant, enabling exact
-    power-law cell integrals in 1-D.  ``support_radius`` bounds the support
-    of K when finite.  Ellipticity constants (c1, c2) witness the uniform
-    ellipticity condition K >= c2 on |z| <= c1 when present.
+    power-law cell integrals in 1-D; ``support_radius`` is set only by an
+    indicator kernel, K = 1 within it and 0 beyond.  Ellipticity constants
+    (c1, c2) witness (UE), K >= c2 on |z| <= c1, when present.
     """
 
     alpha: float
@@ -39,7 +39,6 @@ class Kernel:
     support_radius: float | None = None
     c1: float | None = None
     c2: float | None = None
-    name: str = "custom"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
@@ -59,7 +58,7 @@ def fractional_laplacian_kernel(alpha: float, dim: int = 1) -> Kernel:
     Its profile is one module-level function, so that two such kernels of
     the same alpha and dim compare equal."""
     return Kernel(alpha, dim, _unit_profile, kmax=1.0,
-                  const_value=1.0, c1=1.0, c2=1.0, name="fractional_laplacian")
+                  const_value=1.0, c1=1.0, c2=1.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def indicator_kernel(alpha: float, dim: int, rho: float) -> Kernel:
     return Kernel(alpha, dim, _IndicatorProfile(rho),
                   kmax=1.0 if rho > 0 else 0.0,
                   support_radius=rho, c1=rho if rho > 0 else None,
-                  c2=1.0 if rho > 0 else None, name="indicator")
+                  c2=1.0 if rho > 0 else None)
 
 
 def zero_kernel(alpha: float = 0.5, dim: int = 1) -> Kernel:
@@ -99,16 +98,20 @@ def zero_kernel(alpha: float = 0.5, dim: int = 1) -> Kernel:
 
 
 def custom_radial_kernel(alpha: float, dim: int, radii, values) -> Kernel:
-    """Tabulated radial profile, interpolated linearly, clamped at the ends."""
+    """Tabulated radial profile, interpolated linearly, clamped at the ends;
+    its radii, read in order, must increase strictly."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 2:
         raise ValueError("profile needs matching 1-D radius/value arrays")
+    if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+        raise ValueError("profile radii and values must be finite")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("profile radii must increase strictly")
     if np.any(values < 0):
         raise ValueError("kernel density must be nonnegative")
     prof = _TabulatedProfile(tuple(radii.tolist()), tuple(values.tolist()))
-    return Kernel(alpha, dim, prof, kmax=float(values.max()),
-                  name="custom_radial")
+    return Kernel(alpha, dim, prof, kmax=float(values.max()))
 
 
 @dataclass
@@ -167,7 +170,7 @@ def _cell_integral_1d(k: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     alpha = k.alpha
     if k.const_value is not None:
         return k.const_value * (a ** -alpha - b ** -alpha) / alpha
-    if k.name == "indicator" and k.support_radius is not None:
+    if k.support_radius is not None:
         rho = k.support_radius
         bb = np.minimum(b, rho)
         out = np.zeros_like(a)

@@ -15,7 +15,7 @@ contributes its raw value (required for the exact discrete comparison
 property when exterior data differ).
 
 A state holds one padded block: the core block plus that ring, written only
-when the datum is read (at t0, and per step for a t-dependent datum).  A
+when the datum is read (at t = 0, and per step for a t-dependent datum).  A
 step writes the envelope into the interior once; the sweep reads the
 interior and the one-sided differences shifted views of the block.
 
@@ -157,7 +157,7 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
     if np.isscalar(u0) and not isinstance(u0, str):
         return np.full(pts.shape[0], float(u0))
     if isinstance(u0, (str, CoefficientField)):
-        return CoefficientField(u0, "u0")(pts, 0.0)
+        return CoefficientField(u0)(pts, 0.0)
     return np.broadcast_to(np.asarray(u0(pts), dtype=float), (pts.shape[0],)).copy()
 
 
@@ -187,17 +187,17 @@ def _read_datum(st: SolveState) -> np.ndarray:
     return ext
 
 
-def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
-               t0: float = 0.0) -> SolveState:
-    """The state at t0 on the plan's grid.  Refuses data that are not
+def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig
+               ) -> SolveState:
+    """The state at t = 0 on the plan's grid.  Refuses data that are not
     finite where a step reads them (ValidationError) and a coercive a1 not
     bounded below by a positive constant (PreconditionError)."""
-    phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi, "phi")
+    phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = eval_initial(u0, pts)
-    st = SolveState(plan, spec, phi, u, Coefficients(spec, pts, t0), t=t0)
+    st = SolveState(plan, spec, phi, u, Coefficients(spec, pts))
     a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
@@ -209,7 +209,7 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig,
         st.datum = None  # read once: drop the held values
     # refused before the load's transform; the block holds only its ring yet
     held = {"u0": (st.u,), "phi": (st.phi_trace, st.block, ext)}
-    bad = [f"[data] {name}: not finite at every node at t = {t0}"
+    bad = [f"[data] {name}: not finite at every node at t = 0.0"
            for name, vals in held.items()
            if not all(np.isfinite(v).all() for v in vals)]
     if bad:
@@ -377,11 +377,11 @@ def run_to_time(st: SolveState, cfg: SchemeConfig, T: float) -> RunReport:
 def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
     """Freeze time and iterate until sup |u_new - u| / dt <= steady_tol.
 
-    Requires time-independent data; returns (state, report) with the residual
-    history.  Raises NonConvergence past max_steps.
+    Refuses data that depend on t (PreconditionError); returns (state,
+    report) with the residual history.  Raises NonConvergence past max_steps.
     """
-    if st.spec.time_dependent or getattr(st.phi, "time_dependent", False):
-        raise ValueError("steady driver requires time-independent data")
+    if st.spec.time_dependent or st.phi.time_dependent:
+        raise PreconditionError("steady driver requires time-independent data")
     rep = RunReport()
     tol = cfg.steady_tol
     if tol is None:
@@ -396,7 +396,6 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
         res = (float(np.maximum.reduce(np.abs(change, out=change)))
                / st.last_dt)
         rep.residuals.append(res)
-        rep.sup_norms.append(st.sup_norm)
         if res <= tol:
             rep.certificates["steady_tol"] = tol
             return st, rep

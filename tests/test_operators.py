@@ -135,8 +135,9 @@ def test_field_envelope_policies(dom1, dom2):
                               r_max)
         spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dom.dim, f=0.0,
                                        dim=dom.dim)], dim=dom.dim)
-        st = init_state(SweepPlan(g, qt), spec, phi, u0, SchemeConfig(h=h),
-                        t0=t)
+        cfg = SchemeConfig(h=h)
+        st = step(init_state(SweepPlan(g, qt), spec, phi, u0, cfg), cfg)
+        assert st.t > 0
         held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
         assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
         # the state's block, written through flat positions, holds the same

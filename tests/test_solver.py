@@ -362,20 +362,20 @@ def test_step_reads_its_data_at_the_state_time(case):
 
 
 def _count_coefficient_calls(monkeypatch):
-    """Names of the fields evaluated, one per evaluation: a call, or a call
-    of a field bound to points."""
+    """The fields evaluated, one entry per evaluation: a call, or a call of
+    a field bound to points."""
     calls = []
     real, real_bind = CoefficientField.__call__, CoefficientField.bind
 
     def counted(self, pts, t=0.0):
-        calls.append(self.name)
+        calls.append(self)
         return real(self, pts, t)
 
     def bind(self, pts):
         values = real_bind(self, pts)
 
         def counted_values(t):
-            calls.append(self.name)
+            calls.append(self)
             return values(t)
         return counted_values
 
@@ -427,7 +427,7 @@ def test_datum_constant_in_space_is_evaluated_once_per_step(dom1, monkeypatch):
     for _ in range(3):
         calls.clear()
         step(st, cfg)
-        assert calls == ["phi"]
+        assert calls == [st.phi]
         ext = st.phi(g.exterior_points, st.t)
         assert np.array_equal(st.load, st.plan.exterior_load(ext))
         assert np.array_equal(st.phi_trace, st.phi(g.trace_points, st.t))
