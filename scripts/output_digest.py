@@ -135,23 +135,31 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_cases(tmp: Path) -> dict:
+    """Run every case in its own directory under ``tmp``; returns case ->
+    (exit status, output directory)."""
+    runs = {}
+    for case, source in CASES.items():
+        work = tmp / case
+        work.mkdir()
+        path = work / "run.cfg"
+        if isinstance(source, str):
+            text = (ROOT / "configs" / source).read_text()
+        else:
+            text = _render(source, "out")
+        path.write_text(text)
+        cfg = config.parse_config(path)
+        runs[case] = config.execute(cfg), cfg.outdir
+    return runs
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="nlhj-digest-") as tmp:
         lines = []
-        for case, source in CASES.items():
-            work = Path(tmp) / case
-            work.mkdir()
-            path = work / "run.cfg"
-            if isinstance(source, str):
-                text = (ROOT / "configs" / source).read_text()
-            else:
-                text = _render(source, "out")
-            path.write_text(text)
-            cfg = config.parse_config(path)
-            status = config.execute(cfg)
+        for case, (status, outdir) in run_cases(Path(tmp)).items():
             lines.append(f"exit {status}  {case}")
             lines += [f"{_digest(f)}  {case}/{f.name}"
-                      for f in sorted(cfg.outdir.iterdir()) if f.is_file()]
+                      for f in sorted(outdir.iterdir()) if f.is_file()]
     print("\n".join(lines))
     return 0
 

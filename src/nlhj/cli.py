@@ -6,8 +6,10 @@
     nlhj oracle <config>   print the independent oracle values (adaptive
                            quadrature, closed forms) for the configured data
 
-Exit status: 0 pass, 1 experiment failure, 2 precondition/certificate or
-configuration failure.
+Exit status: 0 pass, 1 experiment failure, 2 a refused configuration or a
+failed gate of the experiment's own ((H2'), (UE), (A1), ordered or
+converging data).  A certificate that ``nlhj run`` records never changes
+its status; ``nlhj check`` exits 2 on any failed certificate.
 """
 
 from __future__ import annotations

@@ -487,7 +487,8 @@ def run_certificates(cfg: RunConfig) -> dict:
 
 def execute(cfg: RunConfig) -> int:
     """Run certificates then the experiment; write artifacts; return the exit
-    status (0 pass, 1 experiment failure, 2 precondition/certificate failure).
+    status (see the ``cli`` module), which a failed certificate, recorded in
+    the manifest, does not change.
 
     The manifest records the run's time, ``wall_time_s``, and in
     ``phase_s`` the time of each phase that finished, one after the other:

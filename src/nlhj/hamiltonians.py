@@ -121,7 +121,7 @@ class CoerciveSpec:
         self.f = CoefficientField(self.f)
         self.b = vector_coefficient(self.b, self.dim, "b")
         if self.b is not None and self.m <= 1:
-            raise ValueError("drift term requires superlinear coercivity m > 1")
+            raise ValueError("drift b requires superlinear coercivity m > 1")
 
     @property
     def time_dependent(self) -> bool:
@@ -203,8 +203,9 @@ _TERMS = {"coercive": ("a1", "a2", "lam", "f", "b"), "bellman": ("lam", "b", "f"
 
 
 class Coefficients:
-    """A Hamiltonian's coefficients evaluated on fixed points at time ``t``,
-    with the bounds that the viscosity and the CFL limit take maxima of.
+    """A Hamiltonian's coefficients evaluated on fixed points at time ``t``
+    (0 until :meth:`at` moves it), with the bounds that the viscosity and
+    the CFL limit take maxima of.
 
     ``stacked`` holds an array per coefficient over the terms, one per
     control (Bellman) or a single one (coercive): shape (K, N) for a scalar
@@ -225,9 +226,9 @@ class Coefficients:
     for the flux; :meth:`at` renews it when b moves.
     """
 
-    def __init__(self, spec, pts: np.ndarray, t: float = 0.0):
+    def __init__(self, spec, pts: np.ndarray):
         self.spec = spec
-        self.t = t
+        self.t = 0.0
         self.n = len(pts)
         owners = [spec] if spec.family == "coercive" else spec.controls
         self.terms = [SimpleNamespace() for _ in owners]
@@ -247,9 +248,9 @@ class Coefficients:
                     if c.time_dependent:
                         bound = c.bind(pts)
                         self._moving.append((name, at, c, bound))
-                        values[at] = bound(t)
+                        values[at] = bound(0.0)
                     else:
-                        values[at] = c(pts, t)
+                        values[at] = c(pts, 0.0)
                 setattr(self.terms[k], name, values[k].T)
         self.moving = frozenset(entry[0] for entry in self._moving)
         self._moves_bounds = bool(self.moving - {"f"})
@@ -276,7 +277,7 @@ class Coefficients:
             self.bound_reads_p = self.spec.m != 1 or (
                 self.a2_max > 0 and self.spec.l > 0)
             self.lf_floor = (None if self.bound_reads_p
-                             else _viscosity_bounds(self, 0.0))
+                             else lf_viscosity_bound(self, 0.0))
 
     def at(self, t: float) -> "Coefficients":
         """The bundle at time t: evaluates the bound fields at t."""
@@ -319,25 +320,21 @@ def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
     return best
 
 
-def lf_viscosity_bound(c: Coefficients, p_scale: float) -> np.ndarray:
-    """Per-axis upper bound for |dH/dp| over gradients up to p_scale, for
-    the coercive coefficients ``c``.
-
-    Exponents below 1 have unbounded derivative at p = 0; the bound then uses
-    the gradient floor ``GRAD_FLOOR``, so strict monotonicity is certified
-    only for m, l >= 1 (or vanishing a2).
-    """
-    return np.array(_viscosity_bounds(c, p_scale))
-
-
 def _pow_bound(p_scale: float, e: float) -> float:
     if e >= 0:
         return p_scale ** e
     return max(p_scale, GRAD_FLOOR) ** e if p_scale > 0 else GRAD_FLOOR ** e
 
 
-def _viscosity_bounds(c: Coefficients, p_scale: float) -> list:
-    """:func:`lf_viscosity_bound` as a list of floats."""
+def lf_viscosity_bound(c: Coefficients, p_scale: float) -> list:
+    """Per-axis upper bound for |dH/dp| over gradients up to p_scale, for
+    the coercive coefficients ``c``, as a list of floats (the flux compares
+    them with the viscosity one axis at a time).
+
+    Exponents below 1 have unbounded derivative at p = 0; the bound then uses
+    the gradient floor ``GRAD_FLOOR``, so strict monotonicity is certified
+    only for m, l >= 1 (or vanishing a2).
+    """
     spec = c.spec
     s = c.a1_max * spec.m * _pow_bound(p_scale, spec.m - 1)
     if c.a2_max > 0 and spec.l > 0:
@@ -412,7 +409,7 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
             pn += np.multiply(col, col, term)
         np.sqrt(pn, pn)
     scales = sigma.tolist()
-    required = (_viscosity_bounds(c, float(np.maximum.reduce(pn, initial=0.0)))
+    required = (lf_viscosity_bound(c, float(np.maximum.reduce(pn, initial=0.0)))
                 if c.bound_reads_p else c.lf_floor)
     for s, q in zip(scales, required):
         if s < q - 1e-12:
@@ -558,7 +555,7 @@ def check_H1(spec, pts) -> Certificate:
     # the fields that do not read t once over the samples' points, the
     # others at each sample's own time
     pts = pts[idx]
-    c = Coefficients(spec, pts, 0.0)
+    c = Coefficients(spec, pts)
     for name, at, fld, _ in c._moving:
         c.stacked[name][at] = _at_times(fld, pts, ts)
     quot = ((hamiltonian_values(c, u, p) - hamiltonian_values(c, v, p)) / (u - v)

@@ -3,8 +3,8 @@ coercive regularity, and large-time convergence with its rate bound.
 
 Each experiment returns an :class:`ExperimentResult` carrying a verdict, the
 headline metrics, and plot-ready tables; preconditions are gated and raise
-:class:`PreconditionError` so the CLI can distinguish certificate failures
-(exit 2) from experiment failures (exit 1).
+:class:`PreconditionError` so the CLI can tell a failed precondition
+(exit 2) from a failed experiment (exit 1).
 """
 
 from __future__ import annotations
@@ -67,15 +67,6 @@ def _last_plan(dom: Domain, k: Kernel, h: float, r_max: float) -> SweepPlan:
     return SweepPlan(grid, qt)
 
 
-def _exterior_sample(plan: SweepPlan, *data: CoefficientField) -> np.ndarray:
-    """The exterior nodes at which to compare exterior data: all of them,
-    or one node of the plan's ring when no datum varies in space (its value
-    there stands for every node, as in a solver step)."""
-    if any(d.varies_in_space for d in data):
-        return plan.grid.exterior_points
-    return plan.ring_points[:1]
-
-
 def trace_face_map(grid: Grid, dom: Domain) -> dict:
     """Trace-node indices grouped by the face they lie on (corners in both):
     face f holds the nodes of the core index box whose index on axis f // 2
@@ -102,14 +93,14 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
         rep = run_to_time(st, cfg, cfg.T)
         report = (("t", "sup_norm"), list(zip(rep.times, rep.sup_norms)))
     template = row_template(row_prefixes(grid.core_points))
+    pts, gaps = grid.trace_points.tolist(), []
     for i, (t, u) in enumerate(rep.snapshots):
-        E = envelope(grid, u, st.phi(grid.trace_points, t))
+        phi_trace = st.phi(grid.trace_points, t)
         # looked up on operators, where a tracer patches it
-        operators.save_field(grid, E, t, outdir / f"field_t{i:04d}.tsv",
-                             k.alpha, template)
-    pts = grid.trace_points.tolist()
-    gaps = [(*p, t, g) for t, gs in rep.trace_gap_series
-            for p, g in zip(pts, gs.tolist())]
+        operators.save_field(grid, envelope(grid, u, phi_trace), t,
+                             outdir / f"field_t{i:04d}.tsv", k.alpha, template)
+        gs = phi_trace - u[grid.trace_pos]
+        gaps += [(*p, t, g) for p, g in zip(pts, gs.tolist())]
     dts = np.diff(rep.times)
     return ExperimentResult(
         True, metrics={"steps": st.steps, "sup_norm": st.sup_norm},
@@ -133,7 +124,7 @@ def _require_ordered(plan: SweepPlan, u, v, phi_u, phi_v, T: float):
         raise PreconditionError("initial data are not ordered u0 <= v0")
     pa = CoefficientField(phi_u)
     pb = CoefficientField(phi_v)
-    ext_pts = _exterior_sample(plan, pa, pb)
+    ext_pts = plan.exterior_sample(pa.varies_in_space or pb.varies_in_space)
     times = np.linspace(0.0, T, 5)
     for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
         if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
@@ -173,7 +164,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
             _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
         worst, rows, gap = 0.0, [], np.empty_like(sa.u)
         while sa.t < T - 1e-14:
-            dt = min(auto_dt(sa, cfg), auto_dt(sb, cfg), T - sa.t)
+            # the states share spec, plan and viscosity, hence the CFL limit
+            dt = min(auto_dt(sa, cfg), T - sa.t)
             if step(sa, cfg, dt).sigma_growth or step(sb, cfg, dt).sigma_growth:
                 break
             v = float(np.maximum.reduce(np.subtract(sa.u, sb.u, out=gap)))
@@ -285,15 +277,15 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
     rep = run_to_time(st, cfg_run, T)
     rows, seen = classify_boundary(spec, dom, (0.0, T))
     tags = face_tags(seen)
-    times, gaps = zip(*rep.trace_gap_series)
-    gaps = np.array(gaps)   # (times, trace nodes)
     tr_pts = grid.trace_points
+    gaps = np.array([st.phi(tr_pts, t) - u[grid.trace_pos]
+                     for t, u in rep.snapshots])   # (times, trace nodes)
 
     tol = cfg.h * (1.0 + st.sup_norm)
     samples, per_face, violated = [], {}, False
     for face, idx in trace_face_map(grid, dom).items():
         samples += [(*tr_pts[i], t, g[i], tags[face])
-                    for t, g in zip(times, gaps) for i in idx]
+                    for (t, _), g in zip(rep.snapshots, gaps) for i in idx]
         arr = np.take(gaps, idx, axis=1)  # row major: the mean sums by rows
         per_face[face] = {"max_gap": float(arr.max()),
                           "mean_gap": float(arr.mean()),
@@ -443,7 +435,7 @@ def _decay_margin(spec, plan: SweepPlan, phi, phi_limit):
                                 f"{cert.details['mu_min']}")
     ph = CoefficientField(phi)
     pl = CoefficientField(phi_limit)
-    ext_pts = _exterior_sample(plan, ph, pl)
+    ext_pts = plan.exterior_sample(ph.varies_in_space or pl.varies_in_space)
     phibar = pl(ext_pts, 0.0)
     return cert.value, lambda t: float(
         np.abs(ph(ext_pts, t) - phibar).max(initial=0.0))

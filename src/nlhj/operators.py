@@ -383,13 +383,18 @@ class SweepPlan:
         return np.zeros(g.size), _correlation(self._full_spec, self._full_fft,
                                               g.shape, self.core_box, work)
 
+    def exterior_sample(self, varies_in_space: bool) -> np.ndarray:
+        """The exterior nodes a datum is read at: all of them, or for a datum
+        constant in space one node of the ring, whose value stands for all."""
+        return (self.grid.exterior_points if varies_in_space
+                else self.ring_points[:1])
+
     def exterior_load(self, ext: np.ndarray, out=None) -> np.ndarray:
         """Per core node, the stencil terms whose jump leaves the core, plus
         the tail against the constant continuation, for the datum values
-        ``ext`` at ``grid.exterior_points`` (or one value, for a datum
-        constant in space), written into ``out`` where given.  It changes
-        only when the datum does.  A datum that varies in space is
-        correlated over the full grid, in arrays the plan holds."""
+        ``ext`` at :meth:`exterior_sample`, written into ``out`` where
+        given.  It changes only when the datum does.  A datum that varies in
+        space is correlated over the full grid, in arrays the plan holds."""
         if len(ext) == 1 or np.all(ext == ext[0]):
             # a constant datum needs no transform (the common case)
             return np.multiply(ext[0], self.exit_mass, out=out)

@@ -148,29 +148,23 @@ class SolveState:
     def grid(self) -> Grid:
         return self.plan.grid
 
-    def trace_gaps(self) -> np.ndarray:
-        return self.phi_trace - self.u[self.grid.trace_pos]
-
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
     """Initial data: scalar, expression string in x[, y], or f(points)."""
-    if np.isscalar(u0) and not isinstance(u0, str):
-        return np.full(pts.shape[0], float(u0))
-    if isinstance(u0, (str, CoefficientField)):
+    if np.isscalar(u0) or isinstance(u0, CoefficientField):
         return CoefficientField(u0)(pts, 0.0)
     return np.broadcast_to(np.asarray(u0(pts), dtype=float), (pts.shape[0],)).copy()
 
 
 def _bind_datum(phi: CoefficientField, plan: SweepPlan) -> tuple:
     """The datum bound (``CoefficientField.bind``) to each point set a step
-    reads: the trace nodes, the block's ring and the exterior nodes, or one
-    point for a datum constant in space, whose value stands for every
-    node."""
-    if not phi.varies_in_space:
-        return (phi.bind(plan.ring_points[:1]),)
-    return tuple(phi.bind(pts) for pts in (plan.grid.trace_points,
-                                           plan.ring_points,
-                                           plan.grid.exterior_points))
+    reads: the trace nodes, the block's ring and the exterior nodes, or only
+    the plan's exterior sample for a datum constant in space, whose one
+    value stands for every node."""
+    ext = plan.exterior_sample(phi.varies_in_space)
+    sets = ((plan.grid.trace_points, plan.ring_points, ext)
+            if phi.varies_in_space else (ext,))
+    return tuple(phi.bind(pts) for pts in sets)
 
 
 def _read_datum(st: SolveState) -> np.ndarray:
@@ -222,7 +216,7 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig
         envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
         pm, pp = _one_sided_gradients(st)
         scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
-        st.sigma = 1.0 + lf_viscosity_bound(st.coeffs, scale)
+        st.sigma = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
     return st
 
 
@@ -261,13 +255,11 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
         fallback = cfg.T / 100.0 if cfg.T else 0.01
         return cfg.dt if cfg.dt is not None else fallback
     dt = cfg.theta / den
-    if cfg.dt is not None:
-        if cfg.dt > cfg.theta / den * (1 + 1e-12):
-            raise CflViolation(
-                f"dt = {cfg.dt} violates dt*(Lambda + sigma/h + lam) <= theta "
-                f"(max {cfg.theta / den})")
-        return cfg.dt
-    return dt
+    if cfg.dt is not None and cfg.dt > dt * (1 + 1e-12):
+        raise CflViolation(
+            f"dt = {cfg.dt} violates dt*(Lambda + sigma/h + lam) <= theta "
+            f"(max {dt})")
+    return dt if cfg.dt is None else cfg.dt
 
 
 def _flux(st: SolveState, pm, pp) -> np.ndarray:
@@ -333,7 +325,6 @@ class RunReport:
     times: list = dfield(default_factory=list)
     sup_norms: list = dfield(default_factory=list)
     snapshots: list = dfield(default_factory=list)       # (t, u copy)
-    trace_gap_series: list = dfield(default_factory=list)  # (t, gaps array)
     residuals: list = dfield(default_factory=list)
     certificates: dict = dfield(default_factory=dict)
 
@@ -342,7 +333,6 @@ class RunReport:
         self.sup_norms.append(st.sup_norm)
         if snapshot:
             self.snapshots.append((st.t, st.u.copy()))
-            self.trace_gap_series.append((st.t, st.trace_gaps()))
 
 
 def run_to_time(st: SolveState, cfg: SchemeConfig, T: float) -> RunReport:
@@ -360,14 +350,13 @@ def run_to_time(st: SolveState, cfg: SchemeConfig, T: float) -> RunReport:
     cadence = cfg.snapshot_dt
     next_snap = st.t + cadence if cadence else np.inf
     while st.t < T - 1e-14:
-        dt = auto_dt(st, cfg)
-        dt = min(dt, T - st.t)
-        if cadence and st.t + dt >= next_snap - 1e-14:
+        dt = min(auto_dt(st, cfg), T - st.t)
+        if st.t + dt >= next_snap - 1e-14:
             dt = min(dt, next_snap - st.t)
         step(st, cfg, dt)
-        snap = (cadence and st.t >= next_snap - 1e-12) or st.t >= T - 1e-14
-        rep.record(st, snapshot=bool(snap))
-        if cadence and st.t >= next_snap - 1e-12:
+        snap = st.t >= next_snap - 1e-12
+        rep.record(st, snapshot=snap or st.t >= T - 1e-14)
+        if snap:
             next_snap += cadence
         if st.steps > cfg.max_steps:
             raise NonConvergence(f"exceeded {cfg.max_steps} steps before T")
@@ -378,7 +367,8 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
     """Freeze time and iterate until sup |u_new - u| / dt <= steady_tol.
 
     Refuses data that depend on t (PreconditionError); returns (state,
-    report) with the residual history.  Raises NonConvergence past max_steps.
+    report) with the residual history and the final state as its one
+    snapshot.  Raises NonConvergence past max_steps.
     """
     if st.spec.time_dependent or st.phi.time_dependent:
         raise PreconditionError("steady driver requires time-independent data")
@@ -398,6 +388,7 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
         rep.residuals.append(res)
         if res <= tol:
             rep.certificates["steady_tol"] = tol
+            rep.record(st, snapshot=True)
             return st, rep
     raise NonConvergence(
         f"steady residual {rep.residuals[-1] if rep.residuals else np.inf} "

@@ -561,13 +561,16 @@ def test_parsing_a_config_twice_reuses_its_plan(tmp_path):
 
 
 def test_steady_run_reports_its_residuals(tmp_path):
-    # steady = true stands in for T (and takes no snapshots): the report
-    # holds the residual of each step, and the last one is below the steady
-    # tolerance
+    # steady = true stands in for T: the report holds the residual of each
+    # step, and the last one is below the steady tolerance; the steady
+    # state is the run's one snapshot, so field_t0000.tsv holds its
+    # envelope and trace_gaps.tsv phi - u at each trace node at t = 0
     out = tmp_path / "out"
     text = MINIMAL.format(out=out).replace("T = 0.25\nsnapshot_dt = 0.125",
                                            "steady = true\nsteady_tol = 1e-8")
-    assert main(["run", str(write(tmp_path, text, "steady.cfg"))]) == 0
+    text = text.replace("phi = 0", "phi = 0.5 + 0.2*x")
+    path = write(tmp_path, text, "steady.cfg")
+    assert main(["run", str(path)]) == 0
     m = json.loads((out / "manifest.json").read_text())
     lines = (out / "report.tsv").read_text().splitlines()
     assert lines[0] == "step\tresidual"
@@ -575,6 +578,23 @@ def test_steady_run_reports_its_residuals(tmp_path):
     assert [int(l.split("\t")[0]) for l in lines[1:]] == \
         list(range(m["metrics"]["steps"]))
     assert float(lines[-1].split("\t")[1]) <= 1e-8
+
+    cfg = parse_config(path)
+    plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h, cfg.r_max)
+    grid = plan.grid
+    st = solver.init_state(plan, cfg.spec, cfg.phi, cfg.u0, cfg.scheme)
+    st, rep = solver.run_to_steady(st, cfg.scheme)
+    assert [(t, u.tobytes()) for t, u in rep.snapshots] == \
+        [(0.0, st.u.tobytes())]
+    assert [f.name for f in out.glob("field_t*.tsv")] == ["field_t0000.tsv"]
+    values = operators.Field(grid, st.u, cfg.phi, 0.0).values[grid.core_flat]
+    rows = ["\t".join(f"{v:.17g}" for v in (*p, v))
+            for p, v in zip(grid.core_points, values)]
+    assert (out / "field_t0000.tsv").read_text().splitlines()[1:] == rows
+    gaps = cfg.phi(grid.trace_points, 0.0) - st.u[grid.trace_pos]
+    assert (out / "trace_gaps.tsv").read_text().splitlines() == \
+        ["x\tt\tgap"] + [f"{x:.17g}\t0\t{g:.17g}" for (x,), g in
+                          zip(grid.trace_points, gaps)]
 
 
 def test_coercive_loss_config_reports_its_viscosities(tmp_path):
@@ -1142,6 +1162,15 @@ seeds = 20"""
      "snapshot_dt = 0.1\n\n[experiment]\nname = large_time",
      "[data] phi_limit depends on t, but name = large_time solves for a "
      "steady state"),
+    # keys that each parse but that the Hamiltonian refuses together
+    ("comparison", "m = 1.0", "m = 1.0\nb = x",
+     "[hamiltonian] drift b requires superlinear coercivity m > 1"),
+    ("comparison", "m = 1.0", "m = 1.0\nl = 2",
+     "[hamiltonian] exponents must satisfy 0 <= l < m, m > 0"),
+    # files that configparser cannot read: a parse error
+    ("comparison", "a1 = 1", "a1 = 1\na1 = 2",
+     "option 'a1' in section 'hamiltonian' already exists"),
+    ("comparison", "lam = 0.5", "lam 0.5", "Source contains parsing errors"),
 ])
 def test_refused_by_name_before_output(tmp_path, capsys, name, old, new,
                                        refusal):
@@ -1150,9 +1179,13 @@ def test_refused_by_name_before_output(tmp_path, capsys, name, old, new,
     assert old in text
     text = re.sub(r"(?m)^directory = .*$", f"directory = {out}", text)
     p = write(tmp_path, text.replace(old, new, 1))
-    with pytest.raises(ValidationError) as ei:
+    with pytest.raises((ParseError, ValidationError)) as ei:
         parse_config(p)
-    assert any(m.startswith(refusal) for m in ei.value.problems)
+    if isinstance(ei.value, ParseError):
+        assert refusal in str(ei.value)
+        refusal = f"parse error: {ei.value}"
+    else:
+        assert any(m.startswith(refusal) for m in ei.value.problems)
     assert main(["run", str(p)]) == 2
     assert refusal in capsys.readouterr().err
     assert not out.exists()

@@ -315,8 +315,8 @@ def _fresh_rhs(st, spec):
     op = plan.apply(f.values[core], u, load)
     pm = np.column_stack([(u - f.values[core - s]) / g.h for s in g.strides])
     pp = np.column_stack([(f.values[core + s] - u) / g.h for s in g.strides])
-    H = numerical_hamiltonian_many(Coefficients(spec, g.core_points, t), u,
-                                   pm, pp, st.sigma)
+    H = numerical_hamiltonian_many(Coefficients(spec, g.core_points).at(t),
+                                   u, pm, pp, st.sigma)
     return u, op - H
 
 
@@ -655,8 +655,8 @@ def test_coercive_step_budget_at_m_1(dom1, monkeypatch):
     monkeypatch.setattr(SweepPlan, "apply", counted("apply", SweepPlan.apply))
     monkeypatch.setattr(solver, "numerical_hamiltonian_many",
                         counted("flux", numerical_hamiltonian_many))
-    monkeypatch.setattr(hamiltonians, "_viscosity_bounds",
-                        counted("bound", hamiltonians._viscosity_bounds))
+    monkeypatch.setattr(hamiltonians, "lf_viscosity_bound",
+                        counted("bound", hamiltonians.lf_viscosity_bound))
     for n in range(1, 4):
         step(st, cfg)
         assert calls == {"apply": n, "flux": n, "bound": 0}
