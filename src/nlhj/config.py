@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .boundary import check_sigma
-from .errors import (BlowUp, CflViolation, NonConvergence, ParseError,
-                     PreconditionError, ValidationError)
+from .errors import (BlowUp, NonConvergence, ParseError, PreconditionError,
+                     ValidationError)
 from .expressions import Expression
 from .geometry import Domain
 from .hamiltonians import (BellmanSpec, CoefficientField, ControlLaw,
@@ -53,10 +53,10 @@ SECTIONS = {
     "hamiltonian": {"family": ("text", "coercive")},
     "data": {"u0": ("expression", REQUIRED), "phi": ("expression", REQUIRED),
              "phi_limit": "expression"},
-    "scheme": {"h": ("number", REQUIRED), "theta": "number", "dt": "number",
-               "T": "number", "steady": ("boolean", False),
-               "steady_tol": "number", "snapshot_dt": "number",
-               "m_cap": "number", "max_steps": "count", "r_max": "number"},
+    "scheme": {"h": ("number", REQUIRED), "theta": "number", "T": "number",
+               "steady": ("boolean", False), "steady_tol": "number",
+               "snapshot_dt": "number", "max_steps": "count",
+               "r_max": "number"},
     "experiment": {"name": ("text", "run")},
     "output": {"directory": ("text", "out")},
 }
@@ -518,8 +518,7 @@ def execute(cfg: RunConfig) -> int:
         plan = harness.discretize(cfg.domain, cfg.kernel, cfg.scheme.h,
                                   cfg.r_max)
         t = finished("discretize", t)
-        manifest["cfl"] = {"lambda": plan.qt.lam, "theta": cfg.scheme.theta,
-                           "dt": cfg.scheme.dt}
+        manifest["cfl"] = {"lambda": plan.qt.lam, "theta": cfg.scheme.theta}
         manifest["sweep_fft"] = list(plan.core_fft)
         certs = run_certificates(cfg)
         t = finished("certificates", t)
@@ -533,7 +532,7 @@ def execute(cfg: RunConfig) -> int:
         for name, (header, rows) in result.tables.items():
             _write_tsv(cfg.outdir / f"{name}.tsv", header, rows)
         finished("tables", t)
-    except (PreconditionError, ValidationError, BlowUp, CflViolation,
+    except (PreconditionError, ValidationError, BlowUp,
             NonConvergence) as e:
         manifest["error"] = f"{type(e).__name__}: {e}"
         status = 2 if isinstance(e, (PreconditionError, ValidationError)) else 1

@@ -25,12 +25,8 @@ class ViscosityUnderflow(NlhjError):
 
 
 # solver
-class CflViolation(NlhjError):
-    """Time step violates the monotonicity (CFL) condition."""
-
-
 class BlowUp(NlhjError):
-    """Sup-norm exceeded the configured cap during a run."""
+    """Sup-norm exceeded the state's cap during a run."""
 
 
 class NonConvergence(NlhjError):

@@ -124,9 +124,13 @@ class CoerciveSpec:
             raise ValueError("drift b requires superlinear coercivity m > 1")
 
     @property
+    def fields(self) -> tuple:
+        """Every coefficient field: a1, a2, lam, f, then b's per axis."""
+        return (self.a1, self.a2, self.lam, self.f, *(self.b or ()))
+
+    @property
     def time_dependent(self) -> bool:
-        return any(c.time_dependent for c in
-                   (self.a1, self.a2, self.lam, self.f, *(self.b or ())))
+        return any(c.time_dependent for c in self.fields)
 
 
 @dataclass
@@ -160,9 +164,13 @@ class BellmanSpec:
             raise ValueError("control set must be nonempty")
 
     @property
+    def fields(self) -> tuple:
+        """Every coefficient field: lam, f, then b's per axis, by control."""
+        return tuple(c for u in self.controls for c in (u.lam, u.f, *u.b))
+
+    @property
     def time_dependent(self) -> bool:
-        return any(c.lam.time_dependent or c.f.time_dependent or
-                   any(bc.time_dependent for bc in c.b) for c in self.controls)
+        return any(c.time_dependent for c in self.fields)
 
     def check_lipschitz(self, dom: Domain):
         """Sampled space-time Lipschitz quotients of each drift vs (L), on

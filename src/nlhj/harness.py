@@ -23,8 +23,8 @@ from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
-from .solver import (SchemeConfig, auto_dt, cfl_denominator, init_state,
-                     run_to_steady, run_to_time, step)
+from .solver import (SchemeConfig, init_state, run_to_steady, run_to_time,
+                     step)
 
 
 @dataclass
@@ -85,7 +85,7 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
     and ``trace_gaps``, phi - u at each trace node and snapshot time."""
     plan = discretize(dom, k, cfg.h, r_max)
     grid = plan.grid
-    st = init_state(plan, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0)
     if steady:
         st, rep = run_to_steady(st, cfg)
         report = (("step", "residual"), list(enumerate(rep.residuals)))
@@ -109,7 +109,7 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
         telemetry={"steps": st.steps,
                    "dt_min": float(dts.min()) if len(dts) else None,
                    "dt_max": float(dts.max()) if len(dts) else None,
-                   "cfl_denominator": cfl_denominator(st),
+                   "cfl_denominator": st.den,
                    "sigma_growth": st.sigma_growth})
 
 
@@ -154,8 +154,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     plan = discretize(dom, k, cfg.h, r_max)
     shared = None
     for restarts in range(PAIR_ATTEMPTS):
-        sa = init_state(plan, spec, phi_a, u0_a, cfg)
-        sb = init_state(plan, spec, phi_b, u0_b, cfg)
+        sa = init_state(plan, spec, phi_a, u0_a)
+        sb = init_state(plan, spec, phi_b, u0_b)
         if spec.family == "coercive":
             if shared is None:
                 shared = np.maximum(sa.sigma, sb.sigma)
@@ -164,9 +164,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
             _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
         worst, rows, gap = 0.0, [], np.empty_like(sa.u)
         while sa.t < T - 1e-14:
-            # the states share spec, plan and viscosity, hence the CFL limit
-            dt = min(auto_dt(sa, cfg), T - sa.t)
-            if step(sa, cfg, dt).sigma_growth or step(sb, cfg, dt).sigma_growth:
+            # sharing spec, plan and viscosity, the states take equal steps
+            if step(sa, cfg, T).sigma_growth or step(sb, cfg, T).sigma_growth:
                 break
             v = float(np.maximum.reduce(np.subtract(sa.u, sb.u, out=gap)))
             worst = max(worst, v)
@@ -272,7 +271,7 @@ def boundary_behavior_experiment(spec: BellmanSpec, dom: Domain, k: Kernel,
         raise PreconditionError(f"uniform ellipticity (UE) failed: {ue.details}")
     plan = discretize(dom, k, cfg.h, r_max)
     grid = plan.grid
-    st = init_state(plan, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0)
     cfg_run = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 20)
     rep = run_to_time(st, cfg_run, T)
     rows, seen = classify_boundary(spec, dom, (0.0, T))
@@ -380,7 +379,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
     rows, quotients, sup_norms = [], [], []
     telemetry = {"sigma": [], "sigma_growth": []}
     for c in phi_scales:
-        st = init_state(plan, spec, float(c), float(c), cfg)
+        st = init_state(plan, spec, float(c), float(c))
         st, rep = run_to_steady(st, cfg)
         u = st.u
         q = holder_quotient(grid, u, exponent)
@@ -464,7 +463,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
 
     # steady reference for the limit datum; much tighter than the run
     # tolerance so the reference error stays far below the decayed bound
-    st_inf = init_state(plan, spec, phi_limit, u0, cfg)
+    st_inf = init_state(plan, spec, phi_limit, u0)
     ref_tol = 1e-12 * (1.0 + st_inf.sup_norm)
     ref_cfg = replace(cfg, steady_tol=ref_tol)
     st_inf, ref = run_to_steady(st_inf, ref_cfg)
@@ -472,7 +471,7 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
 
     # parabolic run with snapshots
     snap_cfg = cfg if cfg.snapshot_dt else replace(cfg, snapshot_dt=T / 50)
-    st = init_state(plan, spec, phi, u0, snap_cfg)
+    st = init_state(plan, spec, phi, u0)
     rep = run_to_time(st, snap_cfg, T)
 
     times, devs, gs = [], [], []
@@ -513,9 +512,10 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
                           r_max: float | None = None) -> ExperimentResult:
     """Uniform convergence along a ladder of horizons T1 < T2 < T3.
 
-    Refuses (precondition) when (H2') fails or the data do not converge:
-    the sampled sup deviations of phi and of the Hamiltonian coefficients
-    along the ladder must decrease toward zero.
+    Refuses (precondition) when (H2') fails, when the limit Hamiltonian
+    differs in form (family, exponents, controls or drift), or when the
+    data do not converge: the sampled sup deviations of phi and of every
+    Hamiltonian coefficient along the ladder must decrease toward zero.
     """
     if len(T_ladder) < 2:
         raise ValueError("need at least two horizons")
@@ -523,20 +523,17 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
         raise ValueError(f"horizons must increase strictly: {T_ladder}")
     plan = discretize(dom, k, cfg.h, r_max)
     _, datum_gap = _decay_margin(spec, plan, phi, phi_limit)
-    core_pts = plan.grid.core_points
-
-    def ham_gap(t):
-        if spec.family == "coercive":
-            return float(np.abs(spec.f(core_pts, t) -
-                                spec_limit.f(core_pts, 0.0)).max(initial=0.0))
-        worst = 0.0
-        for c, cl in zip(spec.controls, spec_limit.controls):
-            worst = max(worst,
-                        float(np.abs(c.f(core_pts, t) - cl.f(core_pts, 0.0)).max()),
-                        float(np.abs(c.lam(core_pts, t) - cl.lam(core_pts, 0.0)).max()))
-        return worst
-
-    gaps = [datum_gap(t) + ham_gap(t) for t in T_ladder]
+    # the count of fields tells the controls and whether a drift is present
+    form = [(s.family, getattr(s, "m", None), getattr(s, "l", None),
+             len(s.fields)) for s in (spec, spec_limit)]
+    if form[0] != form[1]:
+        raise PreconditionError("the limit Hamiltonian differs in family, "
+                                "exponents, controls or drift")
+    pts = plan.grid.core_points
+    limit = [c(pts, 0.0) for c in spec_limit.fields]
+    gaps = [datum_gap(t) + max(float(np.abs(c(pts, t) - v).max())
+                               for c, v in zip(spec.fields, limit))
+            for t in T_ladder]
     decreasing = all(b <= a + 1e-12 + 0.02 * (abs(a) + abs(b)) for a, b in
                      zip(gaps[:-1], gaps[1:]))
     vanishing = gaps[-1] <= max(0.5 * gaps[0], 1e-9)
@@ -544,11 +541,11 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
         raise PreconditionError(
             f"data do not converge along the ladder: gaps {gaps}")
 
-    st_inf = init_state(plan, spec_limit, phi_limit, u0, cfg)
+    st_inf = init_state(plan, spec_limit, phi_limit, u0)
     st_inf, ref = run_to_steady(st_inf, cfg)
     u_inf = st_inf.u.copy()
 
-    st = init_state(plan, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0)
     devs = []
     for T in T_ladder:
         run_to_time(st, cfg, T)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .errors import (BlowUp, CflViolation, NonConvergence, PreconditionError,
+from .errors import (BlowUp, NonConvergence, PreconditionError,
                      ValidationError, ViscosityUnderflow)
 from .geometry import Grid
 from .hamiltonians import (CoefficientField, Coefficients, flux_workspace,
@@ -43,16 +43,13 @@ from .operators import SweepPlan, envelope
 
 @dataclass
 class SchemeConfig:
-    """Scheme parameters; dt defaults to the CFL-limited value theta/denom.
-    The spacing, and the times and bounds that are given, must be
-    positive."""
+    """Scheme parameters: a step's size is theta / (CFL denominator).  The
+    spacing, and the times and tolerance that are given, must be positive."""
 
     h: float
     theta: float = 0.9
-    dt: float | None = None
     T: float | None = None
     steady_tol: float | None = None
-    m_cap: float | None = None
     snapshot_dt: float | None = None
     max_steps: int = 2_000_000
 
@@ -61,7 +58,7 @@ class SchemeConfig:
             raise ValueError("CFL safety factor theta must lie in (0, 1]")
         if self.h <= 0:
             raise ValueError("spacing must be positive")
-        for name in ("dt", "T", "steady_tol", "m_cap", "snapshot_dt"):
+        for name in ("T", "steady_tol", "snapshot_dt"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} = {value} must be positive")
@@ -76,7 +73,7 @@ class SolveState:
     that do not depend on t are evaluated once, by :func:`init_state`; the
     rest are held bound to their points (``datum`` and ``coeffs``), and a
     step evaluates their parts that read t at the new time.  The CFL
-    denominator is held too (``_den``, see :func:`cfl_denominator`): setting
+    denominator is held too (``den``, see :func:`cfl_denominator`): setting
     ``sigma`` renews it, as does a step that moves lam or the drift.
 
     The workspace a step writes into, allocated here: ``block``, the
@@ -108,7 +105,7 @@ class SolveState:
     # reads without converting a Python number) and the differences by row
     _views: tuple = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
-    _den: float | None = dfield(default=None, repr=False)
+    den: float | None = dfield(default=None, repr=False)
     _den_moves: bool = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -132,7 +129,7 @@ class SolveState:
             diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T)
         self._den_moves = bool(self.coeffs.moving & {"lam", "b"})
         if self.spec.family != "coercive":
-            self._den = cfl_denominator(self)
+            self.den = cfl_denominator(self)
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -142,7 +139,7 @@ class SolveState:
     @sigma.setter
     def sigma(self, value):
         self._sigma = value
-        self._den = cfl_denominator(self)
+        self.den = cfl_denominator(self)
 
     @property
     def grid(self) -> Grid:
@@ -181,8 +178,7 @@ def _read_datum(st: SolveState) -> np.ndarray:
     return ext
 
 
-def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig
-               ) -> SolveState:
+def init_state(plan: SweepPlan, spec, phi, u0) -> SolveState:
     """The state at t = 0 on the plan's grid.  Refuses data that are not
     finite where a step reads them (ValidationError) and a coercive a1 not
     bounded below by a positive constant (PreconditionError)."""
@@ -209,9 +205,7 @@ def init_state(plan: SweepPlan, spec, phi, u0, cfg: SchemeConfig
     if bad:
         raise ValidationError(bad)
     st.load = plan.exterior_load(ext)
-    sup_phi = float(np.abs(ext).max(initial=0.0))
-    st.m_cap = (cfg.m_cap if cfg.m_cap is not None
-                else 1e3 * (1.0 + st.sup_norm + sup_phi))
+    st.m_cap = 1e3 * (1.0 + st.sup_norm + float(np.abs(ext).max(initial=0.0)))
     if spec.family == "coercive":
         envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
         pm, pp = _one_sided_gradients(st)
@@ -250,16 +244,11 @@ def cfl_denominator(st: SolveState) -> float:
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
-    den = st._den
-    if den <= 0.0:
-        fallback = cfg.T / 100.0 if cfg.T else 0.01
-        return cfg.dt if cfg.dt is not None else fallback
-    dt = cfg.theta / den
-    if cfg.dt is not None and cfg.dt > dt * (1 + 1e-12):
-        raise CflViolation(
-            f"dt = {cfg.dt} violates dt*(Lambda + sigma/h + lam) <= theta "
-            f"(max {dt})")
-    return dt if cfg.dt is None else cfg.dt
+    """The CFL-limited step theta / ``st.den``; without a bound (den = 0),
+    T / 100, or 0.01 without T."""
+    if st.den <= 0.0:
+        return cfg.T / 100.0 if cfg.T else 0.01
+    return cfg.theta / st.den
 
 
 def _flux(st: SolveState, pm, pp) -> np.ndarray:
@@ -267,27 +256,17 @@ def _flux(st: SolveState, pm, pp) -> np.ndarray:
                                       out=st.flux, work=st.flux_work)
 
 
-def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveState:
+def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     """Advance one explicit step (in place) and return the state.
 
-    Without ``dt`` the step takes :func:`auto_dt`; a given ``dt`` is checked
-    against the CFL limit theta / :func:`cfl_denominator`.  On a
-    Lax-Friedrichs viscosity underflow the state's viscosity grows to twice
-    the larger of itself and the required one (counted in
+    On a Lax-Friedrichs viscosity underflow the state's viscosity grows to
+    twice the larger of itself and the required one (counted in
     ``st.sigma_growth``) and only the flux is evaluated again: the sweep and
     the differences do not read the viscosity, and the grown one covers the
-    same differences.  A given ``dt`` above the tightened CFL limit gives
-    way to :func:`auto_dt`.  The applied step size is stored in
-    ``st.last_dt``.
+    same differences.  The step size, stored in ``st.last_dt``, is
+    :func:`auto_dt` after the flux (a grown viscosity tightens it), shortened
+    to land on ``until`` where that comes first: no step exceeds the bound.
     """
-    if dt is None:
-        use = auto_dt(st, cfg)
-    else:
-        den = st._den
-        if den > 0.0 and dt > cfg.theta / den * (1 + 1e-9):
-            raise CflViolation(
-                f"dt = {dt} exceeds the CFL-limited step {cfg.theta / den}")
-        use = dt
     E = envelope(st.grid, st.u, st.phi_trace, out=st._views[0])
     rhs = st.plan.apply(E, st.u, st.load, out=st.rhs)
     pm, pp = _one_sided_gradients(st)
@@ -296,20 +275,19 @@ def step(st: SolveState, cfg: SchemeConfig, dt: float | None = None) -> SolveSta
     except ViscosityUnderflow as e:
         st.sigma = np.maximum(2.0 * st.sigma, 2.0 * e.required)
         st.sigma_growth += 1
-        if dt is None or dt > cfg.theta / st._den * (1 + 1e-9):
-            use = auto_dt(st, cfg)  # the viscosity grew mid-step: tighten
         flux = _flux(st, pm, pp)
+    dt = min(auto_dt(st, cfg), until - st.t)
     rhs -= flux
-    rhs *= use
+    rhs *= dt
     st.u += rhs
-    st.t += use
-    st.last_dt = use
+    st.t += dt
+    st.last_dt = dt
     if st.phi.time_dependent:
         st.plan.exterior_load(_read_datum(st), out=st.load)
     if st.coeffs.moving:
         st.coeffs.at(st.t)
         if st._den_moves:
-            st._den = cfl_denominator(st)
+            st.den = cfl_denominator(st)
     st.steps += 1
     # rhs is spent
     st.sup_norm = float(np.maximum.reduce(np.abs(st.u, out=rhs)))
@@ -350,10 +328,7 @@ def run_to_time(st: SolveState, cfg: SchemeConfig, T: float) -> RunReport:
     cadence = cfg.snapshot_dt
     next_snap = st.t + cadence if cadence else np.inf
     while st.t < T - 1e-14:
-        dt = min(auto_dt(st, cfg), T - st.t)
-        if st.t + dt >= next_snap - 1e-14:
-            dt = min(dt, next_snap - st.t)
-        step(st, cfg, dt)
+        step(st, cfg, min(T, next_snap))
         snap = st.t >= next_snap - 1e-12
         rep.record(st, snapshot=snap or st.t >= T - 1e-14)
         if snap:

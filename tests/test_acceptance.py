@@ -106,10 +106,11 @@ def test_criterion_3_discrete_comparison():
 def test_criterion_4_exponential_rate():
     t0 = time.monotonic()
     h = 2.0 ** -7
-    # degenerate closed-form case: K = 0, lam = 1, u0 = 1, phi = 0
+    # degenerate closed-form case: K = 0, lam = 1, u0 = 1, phi = 0; the CFL
+    # denominator is lam = 1, so each full step is theta
     spec0 = BellmanSpec([ControlLaw(lam=1.0, b=0.0, f=0.0)])
     dt_step = 0.005
-    cfg0 = SchemeConfig(h=h, dt=dt_step, snapshot_dt=0.25)
+    cfg0 = SchemeConfig(h=h, theta=dt_step, snapshot_dt=0.25)
     res0 = rate_experiment(spec0, DOM, zero_kernel(0.5, 1), 0.0, 0.0, 1.0,
                            T=5.0, cfg=cfg0, r_max=2.0)
     rows = res0.tables["rate_curve"][1]
@@ -202,7 +203,7 @@ def test_criterion_7_uniqueness():
     cfg = SchemeConfig(h=h)
     runs = []
     for u0 in (0.0, lambda p: 2.0 * np.cos(p[:, 0])):
-        st = init_state(plan, spec, 0.0, u0, cfg)
+        st = init_state(plan, spec, 0.0, u0)
         st, rep = run_to_steady(st, cfg)
         runs.append((st.u.copy(),
                      rep.certificates["steady_tol"]))

@@ -104,8 +104,8 @@ def test_comparison_pair_steps_with_the_scheme_a_run_takes(dom1, k05):
                                 cfg=cfg, r_max=4.0)
     assert res.passed and res.metrics["restarts"] == 0
     plan = discretize(dom1, k05, cfg.h, 4.0)
-    sa = init_state(plan, spec, pa, u0, cfg)
-    sb = init_state(plan, spec, pb, v0, cfg)
+    sa = init_state(plan, spec, pa, u0)
+    sb = init_state(plan, spec, pb, v0)
     assert res.metrics["sigma"] == float(sa.sigma[0]) == float(sb.sigma[0])
     run_to_time(sa, cfg, 1.0)
     assert res.metrics["steps"] == sa.steps
@@ -121,8 +121,8 @@ def test_comparison_pair_restarts_jointly_on_underflow(dom1, k05):
     res = comparison_experiment(spec, dom1, k05, (u0, v0),
                                 ("20*t", "20*t + 0.1"), T=0.5, cfg=cfg,
                                 r_max=4.0)
-    sigma0 = init_state(discretize(dom1, k05, cfg.h, 4.0), spec, "20*t", u0,
-                        cfg).sigma
+    sigma0 = init_state(discretize(dom1, k05, cfg.h, 4.0), spec, "20*t",
+                        u0).sigma
     assert res.passed and res.metrics["max_violation"] == 0.0
     assert res.metrics["restarts"] >= 1
     assert res.metrics["sigma"] >= 2 ** res.metrics["restarts"] * sigma0.max()
@@ -134,7 +134,7 @@ def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
     # with a pass over no steps
     attempts = []
 
-    def grows(st, cfg, dt=None):
+    def grows(st, cfg, until=np.inf):
         # as step grows the viscosity for a required bound of 1
         attempts.append(st.sigma)
         st.sigma = np.maximum(2.0 * st.sigma, 2.0)
@@ -153,11 +153,12 @@ def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
 
 
 def test_rate_degenerate_closed_form(dom1):
-    # K = 0, single zero-drift control with lam = 1: u(t) = e^{-t} u0 exactly
+    # K = 0, single zero-drift control with lam = 1: u(t) = e^{-t} u0
+    # exactly; the CFL denominator is lam = 1, so each full step is theta
     spec = BellmanSpec([ControlLaw(lam=1.0, b=0.0, f=0.0)])
     k = zero_kernel(0.5, 1)
     dt = 0.004
-    cfg = SchemeConfig(h=2.0 ** -5, dt=dt, snapshot_dt=0.25)
+    cfg = SchemeConfig(h=2.0 ** -5, theta=dt, snapshot_dt=0.25)
     res = rate_experiment(spec, dom1, k, 0.0, 0.0, 1.0, T=5.0, cfg=cfg,
                           r_max=0.5)
     assert res.passed
@@ -360,6 +361,37 @@ def test_large_time_refuses_oscillation(dom1, k05):
                               u0=0.0, r_max=4.0)
 
 
+@pytest.mark.parametrize("case", ["bellman-drift", "coercive-a1"])
+def test_large_time_refuses_coefficients_that_do_not_converge(dom1, k05,
+                                                              case):
+    # every coefficient must converge along the ladder, not only f and lam:
+    # a drift or an a1 that oscillates in t against a limit without it
+    if case == "bellman-drift":
+        spec = BellmanSpec([ControlLaw(lam=1.0, b="0.5*x*sin(3*t)", f=0.0)])
+        limit = BellmanSpec([ControlLaw(lam=1.0, f=0.0)])
+    else:
+        spec = CoerciveSpec(m=1.0, a1="1 + 0.5*sin(3*t)", lam=1.0, f=0.0)
+        limit = CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=0.0)
+    with pytest.raises(PreconditionError, match="do not converge"):
+        large_time_experiment(spec, limit, dom1, k05, 0.0, 0.0,
+                              [1.0, 2.0, 4.0], SchemeConfig(h=2.0 ** -5),
+                              r_max=4.0)
+
+
+@pytest.mark.parametrize("spec, limit", [
+    (CoerciveSpec(m=1.0, lam=1.0), BellmanSpec([ControlLaw(lam=1.0)])),
+    (CoerciveSpec(m=2.0, lam=1.0), CoerciveSpec(m=1.5, lam=1.0)),
+    (CoerciveSpec(m=2.0, l=1.0, lam=1.0), CoerciveSpec(m=2.0, lam=1.0)),
+    (CoerciveSpec(m=2.0, lam=1.0, b="0.1*x"), CoerciveSpec(m=2.0, lam=1.0)),
+    (BellmanSpec([ControlLaw(lam=1.0), ControlLaw(lam=1.0, b=0.5)]),
+     BellmanSpec([ControlLaw(lam=1.0)])),
+], ids=["family", "m", "l", "drift", "controls"])
+def test_large_time_refuses_a_limit_of_another_form(dom1, k05, spec, limit):
+    with pytest.raises(PreconditionError, match="limit Hamiltonian differs"):
+        large_time_experiment(spec, limit, dom1, k05, 0.0, 0.0, [1.0, 2.0],
+                              SchemeConfig(h=2.0 ** -5), r_max=4.0)
+
+
 def test_large_time_requires_h2prime(dom1, k05):
     # lam = -20 outweighs the exterior mass: mu0 < 0, as rate refuses it
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=-20.0, f=0.0)
@@ -388,7 +420,7 @@ def test_time_dependence_covers_every_coercive_coefficient(dom1, k05):
     spec = CoerciveSpec(m=1.0, a1=1.0, lam="0.5 + 0.5*exp(-t)", f=0.0)
     cfg = SchemeConfig(h=2.0 ** -5)
     plan = discretize(dom1, k05, cfg.h, 4.0)
-    st = init_state(plan, spec, 0.0, 0.0, cfg)
+    st = init_state(plan, spec, 0.0, 0.0)
     with pytest.raises(PreconditionError):
         run_to_steady(st, cfg)
     with pytest.raises(PreconditionError):

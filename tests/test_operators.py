@@ -136,7 +136,7 @@ def test_field_envelope_policies(dom1, dom2):
         spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dom.dim, f=0.0,
                                        dim=dom.dim)], dim=dom.dim)
         cfg = SchemeConfig(h=h)
-        st = step(init_state(SweepPlan(g, qt), spec, phi, u0, cfg), cfg)
+        st = step(init_state(SweepPlan(g, qt), spec, phi, u0), cfg)
         assert st.t > 0
         held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
         assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
@@ -203,7 +203,7 @@ def _sweep_matches_eval_operator(plan, varying):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
                        dim=dim)
     cfg = SchemeConfig(h=h)
-    st = init_state(plan, spec, phi, u0, cfg)
+    st = init_state(plan, spec, phi, u0)
     box = np.arange(g.size).reshape(g.shape)[st.plan.core_box].ravel()
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)
@@ -347,7 +347,7 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
     spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5, -0.25), f=0.0, dim=2)],
                        dim=2)
     cfg = SchemeConfig(h=h)
-    states = [init_state(plan, spec, phi, u0, cfg) for u0 in
+    states = [init_state(plan, spec, phi, u0) for u0 in
               (lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1)),
                lambda p: 0.2 - 0.5 * p[:, 0] * p[:, 1])]
     for _ in range(2):
@@ -480,6 +480,28 @@ def test_sweep_without_the_private_fft_module_is_byte_identical():
     assert out["hide"][1:] == out["keep"][1:]
     parities = {tuple(line.split()[:2]) for line in out["keep"][1:]}
     assert {p for pair in parities for p in pair} == {"0", "1"}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
+def test_public_fft_wrappers_keep_the_bytes(monkeypatch, alpha, dim, h):
+    # in this process, a plan built on the public np.fft wrappers, which the
+    # import falls back to without numpy's private module, sweeps and loads
+    # the bytes of one built on the private gufuncs; the datum varies in
+    # space, so the load is correlated over the full grid
+    from nlhj import harness
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    k = fractional_laplacian_kernel(alpha, dim)
+    out = []
+    for fft in (operators._pocketfft, operators._PUBLIC_FFT):
+        monkeypatch.setattr(operators, "_pocketfft", fft)
+        harness._last_plan.cache_clear()    # a plan binds its transforms
+        plan = harness.discretize(dom, k, h, 2.0)
+        g = plan.grid
+        load = plan.exterior_load(np.sin(3.0 * g.exterior_points.sum(axis=1)))
+        E = np.random.default_rng(dim).normal(size=len(g.core_flat))
+        out.append((load.tobytes(), plan.apply(E, E - 0.25, load).tobytes()))
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlhj import solver
-from nlhj.errors import BlowUp, CflViolation, NonConvergence
+from nlhj.errors import BlowUp, NonConvergence
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                                CoerciveSpec, ControlLaw,
@@ -24,15 +24,15 @@ def make(dom, h, r_max, spec, phi, u0, **kw):
     qt = build_quadrature(k, h, r_max)
     g = grid_for(dom, h, r_max)
     cfg = SchemeConfig(h=h, **kw)
-    return g, qt, cfg, init_state(SweepPlan(g, qt), spec, phi, u0, cfg)
+    return g, qt, cfg, init_state(SweepPlan(g, qt), spec, phi, u0)
 
 
 def test_no_dynamics_identity(dom1):
     spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, BUMP2)
     before = st.u.copy()
-    step(st, cfg, 0.01)
-    assert np.array_equal(st.u, before)
+    step(st, cfg)
+    assert st.last_dt == 0.01 and np.array_equal(st.u, before)
 
 
 def test_step_matches_upwind_advection_oracle(dom1):
@@ -44,7 +44,8 @@ def test_step_matches_upwind_advection_oracle(dom1):
     ref = upwind_advection_steps(Field(g, st.u, st.phi, st.t).values, c, h, dt,
                                  5, g.core_flat)
     for _ in range(5):
-        step(st, cfg, dt)
+        step(st, cfg)   # the CFL-limited step theta h / c, theta = 0.9
+        assert st.last_dt == dt
     assert np.array_equal(st.u, ref[g.core_flat])
 
 
@@ -64,7 +65,8 @@ def test_advection_first_order_convergence(dom1):
 
 def test_exponential_decay_exact(dom1):
     spec = BellmanSpec([ControlLaw(lam=1.0, b=0.0, f=0.0)])
-    g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0, dt=0.01)
+    # zero kernel, no drift and lam = 1: the CFL-limited step is theta
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0, theta=0.01)
     rep = run_to_time(st, cfg, 1.0)
     expected = (1.0 - 0.01) ** st.steps
     assert np.allclose(st.u, expected, rtol=1e-13)
@@ -134,18 +136,86 @@ def test_discrete_comparison_quick(dom1):
         assert res.metrics["max_violation"] <= 1e-12
 
 
-def test_cfl_violation_raised(dom1):
-    spec = BellmanSpec([ControlLaw(lam=0.0, b=1.0, f=0.0)])
-    h = 2.0 ** -5
-    g, qt, cfg, st = make(dom1, h, 1.0, spec, 0.0, BUMP2)
-    with pytest.raises(CflViolation):
-        step(st, cfg, dt=10.0 * h)  # dt * b/h far above theta
+def _record_steps(monkeypatch):
+    """Record every step taken through ``solver.step``, where the drivers
+    look it up, and ``harness.step``, the comparison pair's: theta, the
+    state's CFL denominator and limit :func:`auto_dt` when it took the step
+    size (after a viscosity growth, the tightened ones; cases that grow the
+    viscosity hold lam and the drift fixed), ``until``, the start and end
+    times and the step size."""
+    from nlhj import harness
+    real, steps = solver.step, []
+
+    def recorded(st, cfg, until=np.inf):
+        grown, den, limit, t = st.sigma_growth, st.den, auto_dt(st, cfg), st.t
+        real(st, cfg, until)
+        if st.sigma_growth > grown:
+            den, limit = st.den, auto_dt(st, cfg)
+        steps.append((cfg.theta, den, limit, until, t, st.t, st.last_dt))
+        return st
+
+    monkeypatch.setattr(solver, "step", recorded)
+    monkeypatch.setattr(harness, "step", recorded)
+    return steps
+
+
+@pytest.mark.parametrize("case", ["run_to_time", "run_to_steady",
+                                  "comparison", "viscosity_growth",
+                                  "no_cfl_bound"])
+def test_every_step_keeps_the_cfl_bound(dom1, monkeypatch, case):
+    # a step takes its own size: the CFL-limited one, or a shorter one that
+    # lands on the time it is given exactly
+    k = fractional_laplacian_kernel(0.5, 1)
+    steps = _record_steps(monkeypatch)
+    if case == "run_to_time":   # the drift, and so the limit, moves with t
+        spec = BellmanSpec([ControlLaw(lam=0.5, b="cos(4*t)", f="0.2*x")])
+        *_, cfg, st = make(dom1, 2.0 ** -5, 2.0, spec, "0.3*sin(2*x) + t",
+                           BUMP2, kernel=k, snapshot_dt=0.1)
+        rep = solver.run_to_time(st, cfg, 0.35)
+        assert [round(t, 12) for t, _ in rep.snapshots] == \
+            [0.0, 0.1, 0.2, 0.3, 0.35]
+    elif case == "run_to_steady":
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=1.0, f=1.0)
+        *_, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 0.0, 0.0, kernel=k)
+        solver.run_to_steady(st, cfg)
+    elif case == "comparison":
+        from nlhj.harness import comparison_experiment, random_ordered_pair
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
+        u0, v0, pu, pv = random_ordered_pair(0, dom1)
+        res = comparison_experiment(spec, dom1, k, (u0, v0), (pu, pv),
+                                    T=0.25, cfg=SchemeConfig(h=2.0 ** -5),
+                                    r_max=4.0)
+        assert len(steps) == 2 * res.metrics["steps"]
+        assert steps[-1][5] == 0.25
+    elif case == "viscosity_growth":
+        spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
+        *_, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2",
+                           kernel=k)
+        st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+        solver.run_to_time(st, cfg, 0.05)
+        assert st.sigma_growth >= 1
+    else:   # zero kernel, lam = 0 and b = 0: T / 100 stands in for the limit
+        spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
+        *_, cfg, st = make(dom1, 2.0 ** -4, 1.0, spec, 0.0, BUMP2, T=0.5,
+                           snapshot_dt=0.0123)
+        solver.run_to_time(st, cfg, 0.5)
+        assert {den for _, den, *_ in steps} == {0.0}
+    capped = 0
+    for theta, den, limit, until, t0, t1, dt in steps:
+        assert 0.0 < dt <= limit
+        assert dt * den <= theta * (1 + 1e-12)
+        if dt < limit:
+            capped += 1
+            assert dt == until - t0 and t1 == until
+    assert (capped > 0) == (case != "run_to_steady")
 
 
 def test_blowup_detected(dom1):
-    # negative zeroth-order coefficient grows the solution exponentially
+    # negative zeroth-order coefficient grows the solution exponentially,
+    # past the cap 1e3 (1 + sup|u0| + sup|phi|) = 2e3 by t = 10
     spec = BellmanSpec([ControlLaw(lam=-3.0, b=0.0, f=0.0)])
-    g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0, m_cap=5.0)
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, 1.0)
+    assert st.m_cap == 2e3
     with pytest.raises(BlowUp):
         run_to_time(st, cfg, 10.0)
     # a source that turns NaN (0 * inf once exp overflows) poisons u: the
@@ -513,10 +583,10 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
 
     alone = []
     for phi, u0 in data:
-        alone.append(init_state(plan, spec, phi, u0, cfg))
+        alone.append(init_state(plan, spec, phi, u0))
         for _ in range(20):
             step(alone[-1], cfg)
-    paired = [init_state(plan, spec, phi, u0, cfg) for phi, u0 in data]
+    paired = [init_state(plan, spec, phi, u0) for phi, u0 in data]
     for _ in range(20):
         for st in paired:
             step(st, cfg)
@@ -584,13 +654,12 @@ def test_step_allocates_no_array_of_the_core_size(case, h):
 
 def test_auto_dt_without_a_cfl_bound_takes_a_hundredth_of_T(dom1):
     # zero kernel, lam = 0 and b = 0: the CFL denominator is 0, so the step
-    # is T / 100 (0.01 without T), unless the config gives dt
+    # is T / 100 (0.01 without T)
     spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
     g, qt, cfg, st = make(dom1, 2.0 ** -4, 1.0, spec, 0.0, BUMP2, T=0.5)
     assert solver.cfl_denominator(st) == 0.0
     assert auto_dt(st, cfg) == 0.005
     assert auto_dt(st, SchemeConfig(h=cfg.h)) == 0.01
-    assert auto_dt(st, SchemeConfig(h=cfg.h, dt=0.3)) == 0.3
     run_to_time(st, cfg, 0.5)
     assert st.steps == 100
 
