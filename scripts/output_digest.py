@@ -89,6 +89,10 @@ CASES = {
     "comparison_pair_coercive": _with(
         COERCIVE_1D, experiment={"name": "comparison", "u0_b": "2 - x^2",
                                  "phi_b": "0.5"}),
+    # a field that reads t: each state of the pair keeps its own bundle
+    "comparison_pair_moving": _with(
+        COERCIVE_1D, hamiltonian={"f": "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"},
+        experiment={"name": "comparison", "u0_b": "2 - x^2", "phi_b": "0.5"}),
     "comparison_pair_bellman": _with(
         BELLMAN_1D, experiment={"name": "comparison", "u0_b": "2 - x^2",
                                 "phi_b": "0.5"}),

@@ -74,8 +74,8 @@ class Expression:
         self._vars = set()
         tree.body = self._check(tree.body)
         self.variables = frozenset(self._vars)
-        self._tree = ast.fix_missing_locations(tree)
-        self._code = compile(self._tree, "<expression>", "eval")
+        self._tree = tree
+        self._code = compile(tree, "<expression>", "eval")
 
     def _col(self, col):
         """Position, after the leading blanks, of column ``col`` of the
@@ -87,14 +87,17 @@ class Expression:
                           f"{self.source!r}")
 
     def _check(self, node):
-        """Refuse any node off the whitelist; bind numbers as float64 names."""
+        """Refuse any node off the whitelist; bind numbers as float64 names.
+        A node made here takes the location of the node it replaces, so the
+        tree compiles as it stands."""
         if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
             node.left = self._check(node.left)
             node.right = self._check(node.right)
             if isinstance(node.op, ast.Pow):
                 # np.power: a scalar ** can differ from it in the last bit
-                return ast.Call(ast.Name("_pow", ast.Load()),
-                                [node.left, node.right], [])
+                func = ast.copy_location(ast.Name("_pow", ast.Load()), node)
+                return ast.copy_location(
+                    ast.Call(func, [node.left, node.right], []), node)
             return node
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             node.operand = self._check(node.operand)
@@ -109,7 +112,7 @@ class Expression:
                 raise self._error(f"literal {literal!r} overflows float64", pos)
             name = f"_c{len(self._namespace)}"
             self._namespace[name] = np.float64(float(literal))
-            return ast.Name(name, ast.Load())
+            return ast.copy_location(ast.Name(name, ast.Load()), node)
         if isinstance(node, ast.Name) and node.id in _VARS:
             self._vars.add(node.id)
             return node

@@ -18,8 +18,9 @@ import numpy as np
 from .boundary import classify_boundary, face_tags
 from .errors import NonConvergence, PreconditionError
 from .geometry import Domain, Grid
-from .hamiltonians import (BellmanSpec, CoefficientField, CoerciveSpec,
-                           check_H2prime, check_superfractional, check_UE)
+from .hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
+                           CoerciveSpec, check_H2prime, check_superfractional,
+                           check_UE)
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
@@ -141,7 +142,9 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     fluxes would differ and exact ordering could not be expected.  It is the
     per-axis larger of the two states' own viscosities, the ones
     :func:`~nlhj.solver.init_state` sizes and a single run of either data
-    set steps with, so the pair checks the scheme the solver runs.  When a
+    set steps with, so the pair checks the scheme the solver runs.  When no
+    coefficient field reads t, the states share one coefficient bundle too;
+    otherwise each state's bundle moves with its own steps.  When a
     step grows either state's viscosity (``sigma_growth``), both states
     restart with the grown one; a growth in the last of
     :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`, as does a
@@ -152,10 +155,12 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
+    coeffs = (None if spec.time_dependent
+              else Coefficients(spec, plan.grid.core_points))
     shared = None
     for restarts in range(PAIR_ATTEMPTS):
-        sa = init_state(plan, spec, phi_a, u0_a)
-        sb = init_state(plan, spec, phi_b, u0_b)
+        sa = init_state(plan, spec, phi_a, u0_a, coeffs)
+        sb = init_state(plan, spec, phi_b, u0_b, coeffs)
         if spec.family == "coercive":
             if shared is None:
                 shared = np.maximum(sa.sigma, sb.sigma)
@@ -530,10 +535,16 @@ def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,
         raise PreconditionError("the limit Hamiltonian differs in family, "
                                 "exponents, controls or drift")
     pts = plan.grid.core_points
-    limit = [c(pts, 0.0) for c in spec_limit.fields]
-    gaps = [datum_gap(t) + max(float(np.abs(c(pts, t) - v).max())
-                               for c, v in zip(spec.fields, limit))
-            for t in T_ladder]
+    limit = [(c, lim(pts, 0.0))
+             for c, lim in zip(spec.fields, spec_limit.fields)]
+
+    def field_gap(t, moving):
+        return max((float(np.abs(c(pts, t) - v).max()) for c, v in limit
+                    if bool(c.time_dependent) == moving), default=0.0)
+
+    # a field that does not read t has one gap, taken once
+    fixed = field_gap(0.0, False)
+    gaps = [datum_gap(t) + max(fixed, field_gap(t, True)) for t in T_ladder]
     decreasing = all(b <= a + 1e-12 + 0.02 * (abs(a) + abs(b)) for a, b in
                      zip(gaps[:-1], gaps[1:]))
     vanishing = gaps[-1] <= max(0.5 * gaps[0], 1e-9)

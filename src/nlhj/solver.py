@@ -150,7 +150,9 @@ def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
     """Initial data: scalar, expression string in x[, y], or f(points)."""
     if np.isscalar(u0) or isinstance(u0, CoefficientField):
         return CoefficientField(u0)(pts, 0.0)
-    return np.broadcast_to(np.asarray(u0(pts), dtype=float), (pts.shape[0],)).copy()
+    out = np.empty(pts.shape[0])
+    out[:] = u0(pts)  # broadcasts a scalar result
+    return out
 
 
 def _bind_datum(phi: CoefficientField, plan: SweepPlan) -> tuple:
@@ -178,16 +180,23 @@ def _read_datum(st: SolveState) -> np.ndarray:
     return ext
 
 
-def init_state(plan: SweepPlan, spec, phi, u0) -> SolveState:
+def init_state(plan: SweepPlan, spec, phi, u0,
+               coeffs: Coefficients | None = None) -> SolveState:
     """The state at t = 0 on the plan's grid.  Refuses data that are not
     finite where a step reads them (ValidationError) and a coercive a1 not
-    bounded below by a positive constant (PreconditionError)."""
+    bounded below by a positive constant (PreconditionError).
+
+    ``coeffs`` is the spec's bundle on the core nodes at t = 0, built here
+    when not given; states may share one only while none of its fields
+    reads t (a step moves a bundle that does)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = eval_initial(u0, pts)
-    st = SolveState(plan, spec, phi, u, Coefficients(spec, pts))
+    if coeffs is None:
+        coeffs = Coefficients(spec, pts)
+    st = SolveState(plan, spec, phi, u, coeffs)
     a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
@@ -206,11 +215,13 @@ def init_state(plan: SweepPlan, spec, phi, u0) -> SolveState:
         raise ValidationError(bad)
     st.load = plan.exterior_load(ext)
     st.m_cap = 1e3 * (1.0 + st.sup_norm + float(np.abs(ext).max(initial=0.0)))
-    if spec.family == "coercive":
+    if spec.family == "coercive" and not coeffs.bound_reads_p:
+        st.sigma = 1.0 + np.array(coeffs.lf_floor)
+    elif spec.family == "coercive":
         envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
         pm, pp = _one_sided_gradients(st)
         scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
-        st.sigma = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
+        st.sigma = 1.0 + np.array(lf_viscosity_bound(coeffs, scale))
     return st
 
 
@@ -240,7 +251,7 @@ def cfl_denominator(st: SolveState) -> float:
     drift changes, and a step reads the held value."""
     c = st.coeffs
     drift = st.sigma if st.spec.family == "coercive" else c.b_max
-    return st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + c.lam_max
+    return st.plan.qt.lam + sum(drift.tolist()) / st.grid.h + c.lam_max
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
@@ -304,7 +315,7 @@ class RunReport:
     sup_norms: list = dfield(default_factory=list)
     snapshots: list = dfield(default_factory=list)       # (t, u copy)
     residuals: list = dfield(default_factory=list)
-    certificates: dict = dfield(default_factory=dict)
+    steady_tol: float | None = None  # set when run_to_steady converges
 
     def record(self, st: SolveState, snapshot: bool = False):
         self.times.append(st.t)
@@ -362,7 +373,7 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
                / st.last_dt)
         rep.residuals.append(res)
         if res <= tol:
-            rep.certificates["steady_tol"] = tol
+            rep.steady_tol = tol
             rep.record(st, snapshot=True)
             return st, rep
     raise NonConvergence(

@@ -205,8 +205,7 @@ def test_criterion_7_uniqueness():
     for u0 in (0.0, lambda p: 2.0 * np.cos(p[:, 0])):
         st = init_state(plan, spec, 0.0, u0)
         st, rep = run_to_steady(st, cfg)
-        runs.append((st.u.copy(),
-                     rep.certificates["steady_tol"]))
+        runs.append((st.u.copy(), rep.steady_tol))
     diff = float(np.abs(runs[0][0] - runs[1][0]).max())
     allowed = 2.0 * max(runs[0][1], runs[1][1]) / mu0
     dt = time.monotonic() - t0

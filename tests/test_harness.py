@@ -4,7 +4,8 @@ import pytest
 from nlhj import harness
 from nlhj.errors import NonConvergence, PreconditionError
 from nlhj.geometry import Domain, Grid
-from nlhj.hamiltonians import BellmanSpec, CoerciveSpec, ControlLaw
+from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
+                               CoerciveSpec, ControlLaw)
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
 from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           coercive_loss_experiment, comparison_experiment,
@@ -13,7 +14,7 @@ from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           rate_experiment, trace_face_map)
 from nlhj.oracles import rate_bound_trapezoid
 from nlhj.solver import (SchemeConfig, init_state, run_to_steady,
-                         run_to_time)
+                         run_to_time, step)
 
 
 def test_discretize_keeps_the_last_plan(dom1, k05, monkeypatch):
@@ -150,6 +151,114 @@ def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
     assert len(attempts) == harness.PAIR_ATTEMPTS == 8
     # each restart doubles the shared viscosity
     assert [float(s[0]) for s in attempts] == [2.0 * 2 ** i for i in range(8)]
+
+
+MOVING_F = "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"
+BELLMAN_PAIR = BellmanSpec([ControlLaw(lam=0.5, b="-x", f="0.1*sin(2*x)"),
+                            ControlLaw(lam=0.3, b="0.5*x", f=0.0)])
+# the ramp pair of the config test of joint restarts: the datum steepens
+# the trace gradients past the shared viscosity
+RAMP = dict(data=((0.0, 0.1), ("20*t", "20*t + 0.1")), T=0.25, r_max=None)
+PAIRS = {
+    "coercive-m1": (CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)"),
+                    dict(data=None, T=0.5, r_max=4.0)),
+    "bellman": (BELLMAN_PAIR, dict(data=None, T=0.5, r_max=4.0)),
+    "moving-f": (CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=MOVING_F),
+                 dict(data=(("1 - x^2", "2 - x^2"), (0.0, 0.5)), T=0.5,
+                      r_max=4.0)),
+    "ramp-m2": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0), RAMP),
+    "ramp-m2-moving-f": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=MOVING_F),
+                         RAMP),
+}
+
+
+def _run_pair(case, dom1, k05):
+    spec, args = PAIRS[case]
+    data = args["data"]
+    if data is None:
+        u0, v0, pa, pb = random_ordered_pair(3, dom1)
+        data = ((u0, v0), (pa, pb))
+    cfg = SchemeConfig(h=2.0 ** -5, theta=0.9)
+    res = comparison_experiment(spec, dom1, k05, *data, T=args["T"], cfg=cfg,
+                                r_max=args["r_max"])
+    return spec, data, args, cfg, res
+
+
+def _count_bundles(monkeypatch):
+    built = []
+    real = Coefficients.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coefficients, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("case", ["coercive-m1", "bellman", "ramp-m2"])
+def test_comparison_pair_shares_one_bundle_when_no_field_reads_t(
+        dom1, k05, monkeypatch, case):
+    # both states, over every attempt, read the one bundle the pair builds
+    built = _count_bundles(monkeypatch)
+    states = []
+    real_init = harness.init_state
+    monkeypatch.setattr(harness, "init_state", lambda *a, **kw: states.append(
+        real_init(*a, **kw)) or states[-1])
+    *_, res = _run_pair(case, dom1, k05)
+    assert res.passed and len(built) == 1
+    assert len(states) == 2 * (res.metrics["restarts"] + 1)
+    assert all(st.coeffs is built[0] for st in states)
+    if case == "ramp-m2":
+        assert res.metrics["restarts"] >= 1
+
+
+@pytest.mark.parametrize("case", ["moving-f", "ramp-m2-moving-f"])
+def test_comparison_pair_with_a_moving_field_builds_a_bundle_per_state(
+        dom1, k05, monkeypatch, case):
+    # a bundle that reads t moves with its own state's steps: each state of
+    # each attempt builds its own, at t = 0
+    built = _count_bundles(monkeypatch)
+    *_, res = _run_pair(case, dom1, k05)
+    assert res.passed
+    assert len(built) == 2 * (res.metrics["restarts"] + 1)
+    if case == "ramp-m2-moving-f":
+        assert res.metrics["restarts"] >= 1
+
+
+def _lockstep_rows(plan, spec, data, T, cfg):
+    """A comparison pair's report rows from two states that ``init_state``
+    builds alone, each with its own bundle, stepped in lockstep and
+    restarted together with a grown viscosity."""
+    (u0, v0), (pa, pb) = data
+    shared = None
+    for _ in range(harness.PAIR_ATTEMPTS):
+        sa, sb = init_state(plan, spec, pa, u0), init_state(plan, spec, pb, v0)
+        if spec.family == "coercive":
+            if shared is None:
+                shared = np.maximum(sa.sigma, sb.sigma)
+            sa.sigma = sb.sigma = shared
+        rows = []
+        while sa.t < T - 1e-14:
+            if step(sa, cfg, T).sigma_growth or step(sb, cfg, T).sigma_growth:
+                break
+            rows.append((sa.t, float(np.max(sa.u - sb.u))))
+        else:
+            return rows
+        shared = sb.sigma if sb.sigma_growth else sa.sigma
+    raise AssertionError("the pair did not reach T")
+
+
+@pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f",
+                                  "ramp-m2"])
+def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
+                                                             case):
+    spec, data, args, cfg, res = _run_pair(case, dom1, k05)
+    plan = discretize(dom1, k05, cfg.h, args["r_max"])
+    rows = _lockstep_rows(plan, spec, data, args["T"], cfg)
+    header, got = res.tables["report"]
+    assert header == ("t", "max_violation") and len(got) > 10
+    assert repr(got) == repr(rows)
 
 
 def test_rate_degenerate_closed_form(dom1):
@@ -343,6 +452,38 @@ def test_large_time_converging_source(dom1, k05):
     assert res.passed
     devs = res.metrics["deviations"]
     assert devs[-1] < devs[0]
+
+
+def test_large_time_gate_takes_a_field_that_does_not_read_t_once(
+        dom1, k05, monkeypatch):
+    # the data gate evaluates a1, a2 and lam once and f at each horizon;
+    # its gaps are those of every field at every horizon
+    spec = CoerciveSpec(m=1.0, a1="1 + 0.1*x^2", lam=1.0,
+                        f="0.4*cos(2*x)*(1 + exp(-t))")
+    spec_bar = CoerciveSpec(m=1.0, a1="1 + 0.1*x^2", lam=1.0,
+                            f="0.4*cos(2*x)")
+    ladder = [1.0, 2.0, 4.0]
+    res = large_time_experiment(spec, spec_bar, dom1, k05, 0.0, 0.0, ladder,
+                                SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    pts = discretize(dom1, k05, 2.0 ** -5, 4.0).grid.core_points
+    gaps = [max(float(np.abs(c(pts, t) - c_bar(pts, 0.0)).max())
+                for c, c_bar in zip(spec.fields, spec_bar.fields))
+            for t in ladder]
+    assert res.metrics["data_gaps"] == gaps
+    calls = []
+    real = CoefficientField.__call__
+    monkeypatch.setattr(CoefficientField, "__call__",
+                        lambda self, *a: calls.append(self) or real(self, *a))
+
+    def gate_only(*args):
+        raise RuntimeError("past the gate")
+
+    monkeypatch.setattr(harness, "init_state", gate_only)
+    with pytest.raises(RuntimeError, match="past the gate"):
+        large_time_experiment(spec, spec_bar, dom1, k05, 0.0, 0.0, ladder,
+                              SchemeConfig(h=2.0 ** -5), r_max=4.0)
+    # (H2')'s margin, checked first, reads lam once more
+    assert [calls.count(c) for c in spec.fields] == [1, 1, 2, len(ladder)]
 
 
 def test_large_time_time_independent_reduces(dom1, k05):

@@ -5,14 +5,14 @@ from nlhj import solver
 from nlhj.errors import BlowUp, NonConvergence
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
-                               CoerciveSpec, ControlLaw,
+                               CoerciveSpec, ControlLaw, lf_viscosity_bound,
                                numerical_hamiltonian_many)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
 from nlhj.operators import Field, SweepPlan, envelope
 from nlhj.oracles import ball_kappa, upwind_advection_steps
-from nlhj.solver import (SchemeConfig, auto_dt, init_state, run_to_steady,
-                         run_to_time, step)
+from nlhj.solver import (RunReport, SchemeConfig, auto_dt, cfl_denominator,
+                         init_state, run_to_steady, run_to_time, step)
 
 from conftest import grid_for
 
@@ -116,10 +116,11 @@ def test_steady_uniqueness_from_two_starts(dom1):
     g, qt, cfg_a, sa = make(dom1, h, 8.0, spec, 0.0, 0.0, kernel=k)
     _, _, cfg_b, sb = make(dom1, h, 8.0, spec, 0.0,
                            lambda p: 2.0 * np.cos(p[:, 0]), kernel=k)
+    assert RunReport().steady_tol is None
     sa, ra = run_to_steady(sa, cfg_a)
     sb, rb = run_to_steady(sb, cfg_b)
     mu0 = 4.0
-    tol = max(ra.certificates["steady_tol"], rb.certificates["steady_tol"])
+    tol = max(ra.steady_tol, rb.steady_tol)
     diff = np.abs(sa.u - sb.u).max()
     assert diff <= 2.0 * tol / mu0
 
@@ -537,6 +538,64 @@ def test_cfl_denominator_follows_a_viscosity_retry(dom1):
     lam = float(np.abs(spec.lam(g.core_points, 0.0)).max())
     den = qt.lam + float(np.sum(st.sigma)) / g.h + lam
     assert st.last_dt == cfg.theta / den
+
+
+@pytest.mark.parametrize("m, a2, l, reads_p", [
+    (1.0, 0.0, 0.0, False), (1.0, 0.5, 0.0, False), (1.0, 0.5, 0.5, True),
+    (2.0, 0.0, 0.0, True), (2.0, 0.5, 1.0, True)])
+def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
+        dom1, monkeypatch, m, a2, l, reads_p):
+    # a bound that does not read the gradients (m = 1, no a2 |p|^l with
+    # l > 0) is the held floor: init_state takes it without differencing,
+    # and gets the viscosity of the gradient route byte for byte
+    spec = CoerciveSpec(m=m, a1="1 + 0.5*x^2", a2=a2, l=l, lam=0.5,
+                        f="0.2*cos(3*x)")
+    k = fractional_laplacian_kernel(0.5, 1)
+    h = 2.0 ** -5
+    plan = SweepPlan(grid_for(dom1, h, 2.0), build_quadrature(k, h, 2.0))
+    calls = []
+    real = solver._one_sided_gradients
+    monkeypatch.setattr(solver, "_one_sided_gradients",
+                        lambda st: calls.append(st) or real(st))
+    st = init_state(plan, spec, "0.5*x", "1 - 3*x^2")
+    assert st.coeffs.bound_reads_p is reads_p
+    assert len(calls) == int(reads_p)
+    # the gradient route: the bound at the largest one-sided difference of
+    # the envelope
+    envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
+    pm, pp = real(st)
+    scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
+    assert scale > 1.0
+    ref = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
+    assert st.sigma.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", ["coercive", "bellman"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cfl_denominator_keeps_the_bytes_of_a_numpy_sum(family, dim):
+    # the per-axis drift bound is summed as Python floats: at dim <= 2 the
+    # sum equals numpy's bit for bit
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    b = ["0.3 + 0.7*x", "-0.45*y + 0.1"][:dim]
+    if family == "coercive":
+        spec = CoerciveSpec(m=2.0, a1="1 + 0.5*x^2", lam=0.5, b=b, dim=dim)
+    else:
+        spec = BellmanSpec([ControlLaw(lam=0.5, b=b, f=0.1, dim=dim),
+                            ControlLaw(lam="0.3 + 0.1*x", b=(0.2,) * dim,
+                                       dim=dim)], dim=dim)
+    h = 2.0 ** -4 if dim == 1 else 0.125
+    k = fractional_laplacian_kernel(0.5, dim)
+    *_, st = make(dom, h, 2.0, spec, 0.0, "0.5*x", kernel=k)
+    c = st.coeffs
+    drifts = [st.sigma if family == "coercive" else c.b_max]
+    if family == "coercive":
+        rng = np.random.default_rng(7)
+        drifts += [rng.uniform(0.1, 10.0, dim) for _ in range(200)]
+    for drift in drifts:
+        if family == "coercive":
+            st.sigma = drift
+        ref = st.plan.qt.lam + float(np.sum(drift)) / h + c.lam_max
+        assert st.den == cfl_denominator(st) == ref
 
 
 def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
