@@ -83,6 +83,15 @@ CASES = {
     "run_2d": BELLMAN_2D,
     "run_2d_steady": _with(BELLMAN_2D, scheme={"T": None, "snapshot_dt": None,
                                                "steady": "true"}),
+    # every term of the coercive flux in 2-D: m != 1, a2 |p|^l and b.p
+    "run_2d_coercive": _with(dict(BELLMAN_2D, hamiltonian={
+        "family": "coercive", "m": "2", "a1": "1 + 0.2*x^2",
+        "a2": "0.5 + 0.1*y", "l": "1.5", "b": "0.3*x; -0.2*y", "lam": "0.5",
+        "f": "0.2*cos(x + 2*y)"}), scheme={"h": "0.125", "T": "0.5"}),
+    # three controls, one drift changing sign with t: the upwind mask moves
+    "run_2d_three_controls": _with(BELLMAN_2D, hamiltonian={
+        "controls": "3", "lam_3": "0.3 + 0.2*x^2", "b_3": "cos(4*t)*y; -0.3",
+        "f_3": "0.1*sin(x - y)"}),
     "run_bellman_moving_datum": _with(
         BELLMAN_1D, data={"u0": "0.3*sin(2*x)", "phi": "0.3*sin(2*x)*exp(-t)"},
         scheme={"snapshot_dt": "0.25"}),
