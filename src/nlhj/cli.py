@@ -64,9 +64,6 @@ def _cmd_oracle(args) -> int:
             val = oracles.operator_oracle_1d(joined, float(center[0]), kern,
                                              points=kinks)
             print(f"operator_quadrature_at_center\t{val:.12g}")
-            cen = oracles.censored_oracle_1d(joined, float(center[0]),
-                                             kern, dom)
-            print(f"censored_quadrature_at_center\t{cen:.12g}")
         if kern.const_value is not None and kern.kmax > 0:
             em = kern.const_value * oracles.exterior_mass_closed_form(
                 kern.alpha, dom, float(center[0]))

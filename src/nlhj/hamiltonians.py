@@ -22,10 +22,11 @@ from .operators import SweepPlan
 # caps the |p|^(e-1) bounds of sublinear exponents (see lf_viscosity_bound)
 GRAD_FLOOR = 1e-2
 
-# 0.5 as an array operand, which a ufunc reads without the conversion it
-# makes of a Python float on every call
-_HALF = np.array(0.5)
+# 0.5 and 0.0 as array operands, which a ufunc reads without the conversion
+# it makes of a Python float on every call
+_HALF, _ZERO = np.array(0.5), np.array(0.0)
 _HALF.setflags(write=False)
+_ZERO.setflags(write=False)
 
 
 class CoefficientField:
@@ -352,21 +353,126 @@ def lf_viscosity_bound(c: Coefficients, p_scale: float) -> list:
     return [s + b for b in c.b_max.tolist()]
 
 
-def flux_workspace(c: Coefficients) -> tuple:
-    """Scratch for :func:`numerical_hamiltonian_many` at the N points of
-    ``c``, laid out as the coefficients and the solver's gradients are, one
-    axis after the other (numpy buffers operands of differing layouts).
-    Bellman, over its K controls: arrays of shape (K, dim, N), (K, N) and
-    (K, N), and per control the first as (N, dim) and the third.
-    Coercive: an array of shape (N, dim), its columns, and two arrays of
-    shape (N,)."""
-    n, dim = c.n, c.spec.dim
+def flux_workspace(c: Coefficients):
+    """The flux of :func:`numerical_hamiltonian_many` bound to the bundle
+    ``c`` and to scratch at its N points: a function ``(r, p_minus, p_plus,
+    sigma, out) -> out``.  What does not change from call to call is
+    settled here: the family, the dimension, the a2 |p|^l term, the drift,
+    m != 1 and the views of the scratch, laid out as the coefficients and
+    the solver's gradients are, one axis after the other (numpy buffers
+    operands of differing layouts).  The bundle's arrays are read at each
+    call, as :meth:`Coefficients.at` renews them in place; whether a2 is
+    active, and with it whether the viscosity bound reads the gradients,
+    is read at each call only where a2 moves with t."""
     if c.spec.family == "bellman":
-        k = len(c.terms)
-        p, val = np.empty((k, dim, n)), np.empty((k, n))
-        return p, np.empty((k, n)), val, tuple((q.T, v) for q, v in zip(p, val))
-    p = np.empty((dim, n)).T
-    return p, tuple(p[:, a] for a in range(dim)), np.empty(n), np.empty(n)
+        return _upwind_flux(c)
+    return _lax_friedrichs_flux(c)
+
+
+def _upwind_flux(c: Coefficients):
+    """The Bellman flux over all K controls at once, on the drifts stacked
+    (K, dim, N): each component's one-sided gradient is selected by the
+    bundle's ``upwind`` mask into scratch of that shape, then multiplied
+    by the drift in one call.  The points' values r are copied into a row
+    per control first, as numpy would buffer them broadcast."""
+    b, lam, f, upwind = (c.stacked["b"], c.stacked["lam"], c.stacked["f"],
+                         c.upwind)
+    p, bp, val, rows = (np.empty(b.shape), np.empty(lam.shape),
+                        np.empty(lam.shape), np.empty(lam.shape))
+    # in 1-D, b.p of a control is its one product: a view of p that is
+    # contiguous, which one add reads for less than a reduction costs
+    one_axis = p[:, 0] if b.shape[1] == 1 else None
+    copyto, add, multiply, subtract = (np.copyto, np.add, np.multiply,
+                                       np.subtract)
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+
+    def flux(r, pm, pp, sigma, out):
+        # -b.p advects against the drift: information comes from the +b
+        # side, so positive components read the forward difference
+        copyto(p, pm.T)
+        copyto(p, pp.T, where=upwind)
+        multiply(b, p, p)
+        # b.p summed from +0.0, as np.einsum("ij,ij->i") sums it
+        if one_axis is None:
+            add_reduce(p, 1, None, bp, False, 0.0)
+        else:
+            add(one_axis, _ZERO, bp)
+        copyto(rows, r)
+        multiply(lam, rows, val)
+        subtract(val, bp, val)
+        subtract(val, f, val)
+        # the maximum over the controls, taken in their order
+        return max_reduce(val, 0, None, out)
+    return flux
+
+
+def _lax_friedrichs_flux(c: Coefficients):
+    """The coercive flux: H at the mean gradient minus the viscosity term
+    0.5 sum_a sigma_a (p+ - p-)."""
+    v, spec = c.terms[0], c.spec
+    a1, a2, b, lam, f = v.a1, v.a2, v.b, v.lam, v.f
+    m, l, powered = spec.m, spec.l, spec.m != 1
+    p = np.empty((spec.dim, c.n)).T
+    col, *more = cols = [p[:, a] for a in range(spec.dim)]
+    acc, term = np.empty(c.n), np.empty(c.n)
+    settled = None if "a2" in c.moving else (c.a2_active, c.bound_reads_p)
+    absolute, add, multiply, subtract = (np.absolute, np.add, np.multiply,
+                                         np.subtract)
+    max_reduce = np.maximum.reduce
+
+    def flux(r, pm, pp, sigma, out):
+        a2_active, reads_p = settled or (c.a2_active, c.bound_reads_p)
+        add(pm, pp, p)
+        multiply(p, _HALF, p)
+        # |p| per row: in 1-D the absolute value, which is sqrt(p * p)
+        # wherever p * p neither underflows nor overflows; else the squares,
+        # never -0.0, added to the first, which equals their sum over the row
+        if more:
+            pn = multiply(col, col, acc)
+            for other in more:
+                pn += multiply(other, other, term)
+            np.sqrt(pn, pn)
+        else:
+            pn = absolute(col, acc)
+        scales = sigma.tolist()
+        required = (lf_viscosity_bound(c, float(max_reduce(pn, None, None,
+                                                           None, False, 0.0)))
+                    if reads_p else c.lf_floor)
+        for s, q in zip(scales, required):
+            if s < q - 1e-12:
+                required = np.array(required)
+                raise ViscosityUnderflow(
+                    f"LF viscosity {sigma} below sampled |dH/dp| bound "
+                    f"{required}", required=required)
+        # a1 |p|^m + a2 |p|^l + b.p + lam r - f, as _coercive_values adds it
+        if a2_active:
+            low = term
+            np.copyto(low, pn)
+            low **= l
+            low *= a2
+        if powered:
+            pn **= m  # in place, with the shortcuts of pn ** m
+        multiply(a1, pn, out)  # pow(x, 1) is x
+        if a2_active:
+            out += low
+        if b is not None:
+            out += np.einsum("ij,ij->i", b, p, out=term)
+        out += multiply(lam, r, term)
+        out -= f
+        # the viscosity term 0.5 sum_a sigma_a (p+ - p-), each column scaled
+        # by 0.5 sigma_a, which is exact, 0.5 being a power of two; its
+        # columns are added from the first, not from +0.0 as np.sum adds
+        # them, which changes only a -0.0 sum, and that only where out is
+        # -0.0: never for a1 > 0, whose term is +0.0 or more
+        subtract(pp, pm, p)
+        for each, s in zip(cols, scales):
+            each *= 0.5 * s
+        spread = col
+        for other in more:
+            spread = add(spread, other, acc)
+        out -= spread
+        return out
+    return flux
 
 
 def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
@@ -379,80 +485,15 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
     gradients coincide.  The gradients are float arrays of shape (N, dim);
     ``sigma``, the Lax-Friedrichs viscosity per axis, is an array of shape
     (dim,) (a coercive form's state holds it; Bellman forms ignore it).
-    The flux is accumulated in ``out`` with the scratch ``work`` (see
-    :func:`flux_workspace`), each allocated when not given; the allocating
+    The flux is written into ``out`` by ``work``, the flux bound to ``c``
+    (see :func:`flux_workspace`), each made when not given; the allocating
     form is what tests compare the solver's in-place calls against.
     """
-    pm, pp = p_minus, p_plus
     if out is None:
-        out = np.empty(len(pm))
+        out = np.empty(len(p_minus))
     if work is None:
         work = flux_workspace(c)
-    if c.spec.family == "bellman":
-        # per control where an array of the points is read (broadcasting
-        # it over the controls would buffer it), else all controls at once
-        p, bp, val, per_control = work
-        for v, (p_k, val_k) in zip(c.terms, per_control):
-            # -b.p advects against the drift: information comes from the +b
-            # side, so positive components read the forward difference
-            np.multiply(v.b, pm, p_k)
-            np.multiply(v.b, pp, p_k, where=v.upwind)
-            np.multiply(v.lam, r, val_k)
-        # b.p summed as np.einsum("ij,ij->i") sums it: from +0.0
-        val -= np.add.reduce(p, axis=1, out=bp, initial=0.0)
-        val -= c.stacked["f"]
-        # the maximum over the controls, taken in their order
-        return np.maximum.reduce(val, axis=0, out=out)
-    p, cols, acc, term = work
-    np.add(pm, pp, p)
-    p *= _HALF
-    # |p| per row: in 1-D the absolute value, which is sqrt(p * p) wherever
-    # p * p neither underflows nor overflows; else the squares, never -0.0,
-    # added to the first, which equals their sum over the row
-    if len(cols) == 1:
-        pn = np.absolute(cols[0], acc)
-    else:
-        pn = np.multiply(cols[0], cols[0], acc)
-        for col in cols[1:]:
-            pn += np.multiply(col, col, term)
-        np.sqrt(pn, pn)
-    scales = sigma.tolist()
-    required = (lf_viscosity_bound(c, float(np.maximum.reduce(pn, initial=0.0)))
-                if c.bound_reads_p else c.lf_floor)
-    for s, q in zip(scales, required):
-        if s < q - 1e-12:
-            required = np.array(required)
-            raise ViscosityUnderflow(
-                f"LF viscosity {sigma} below sampled |dH/dp| bound {required}",
-                required=required)
-    # a1 |p|^m + a2 |p|^l + b.p + lam r - f, as _coercive_values adds it
-    v, spec = c.terms[0], c.spec
-    if c.a2_active:
-        np.copyto(term, pn)
-        term **= spec.l
-        term *= v.a2
-    if spec.m != 1:
-        pn **= spec.m  # in place, with the shortcuts of pn ** m
-    np.multiply(v.a1, pn, out)  # pow(x, 1) is x
-    if c.a2_active:
-        out += term
-    if v.b is not None:
-        out += np.einsum("ij,ij->i", v.b, p, out=term)
-    out += np.multiply(v.lam, r, term)
-    out -= v.f
-    # the viscosity term 0.5 sum_a sigma_a (p+ - p-), each column scaled by
-    # 0.5 sigma_a, which is exact, 0.5 being a power of two; its columns
-    # are added from the first, not from +0.0 as np.sum adds them, which
-    # changes only a -0.0 sum, and that only where out is -0.0: never for
-    # a1 > 0, whose term is +0.0 or more
-    np.subtract(pp, pm, p)
-    for col, s in zip(cols, scales):
-        col *= 0.5 * s
-    spread = cols[0]
-    for col in cols[1:]:
-        spread = np.add(spread, col, acc)
-    out -= spread
-    return out
+    return work(r, p_minus, p_plus, sigma, out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
-from .solver import (SchemeConfig, init_state, run_to_steady, run_to_time,
-                     step)
+from .solver import (SchemeConfig, cfl_denominator, init_state,
+                     run_to_steady, run_to_time, step)
 
 
 @dataclass
@@ -110,7 +110,7 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
         telemetry={"steps": st.steps,
                    "dt_min": float(dts.min()) if len(dts) else None,
                    "dt_max": float(dts.max()) if len(dts) else None,
-                   "cfl_denominator": st.den,
+                   "cfl_denominator": cfl_denominator(st),
                    "sigma_growth": st.sigma_growth})
 
 

@@ -31,27 +31,38 @@ from .geometry import Grid
 from .kernels import QuadratureTable
 
 
-def envelope(grid: Grid, u: np.ndarray, phi_trace, out=None) -> np.ndarray:
+def envelope(grid: Grid, u: np.ndarray, phi_trace) -> np.ndarray:
     """Core values ``u`` (in ``core_flat`` order) with the upper envelope
     max(u, phi) at the trace nodes, for the datum ``phi_trace`` there: what
     the operator, the difference quotients, snapshots and :class:`Field`
-    read.  Returns a copy of ``u``, or fills a solver state's padded block
-    and returns its interior: ``out`` = (interior, the block flat, the
-    trace nodes' positions there, an array per trace node).  The trace
-    values are formed in the last and written through flat positions, as
-    an indexed write into the strided 2-D interior takes numpy scratch."""
-    if out is None:
-        E = u.copy()
-        E[grid.trace_pos] = np.maximum(u[grid.trace_pos], phi_trace)
-        return E
-    E, flat, at, top = out
-    E[...] = u if u.shape == E.shape else u.reshape(E.shape)
-    # (axis, out, mode) passed by position, which costs less; mode "raise"
-    # would buffer out
-    u.take(grid.trace_pos, None, top, "clip")
-    np.maximum(top, phi_trace, out=top)
-    flat[at] = top
+    read, as a copy of ``u``.  :func:`bind_envelope` writes the same values
+    into a solver state's padded block."""
+    E = u.copy()
+    E[grid.trace_pos] = np.maximum(u[grid.trace_pos], phi_trace)
     return E
+
+
+def bind_envelope(grid: Grid, u: np.ndarray, phi_trace: np.ndarray,
+                  block: np.ndarray, inner: tuple, at: np.ndarray):
+    """:func:`envelope` of the arrays ``u`` and ``phi_trace`` as they hold
+    at each call of the function returned, written into the interior
+    ``inner`` of the padded ``block``, which it returns.  The trace values
+    are formed in scratch and written through their flat positions ``at``
+    in the block, as an indexed write into the strided 2-D interior takes
+    numpy scratch."""
+    E, flat = block[inner], block.reshape(-1)
+    core, trace_pos = u.reshape(E.shape), grid.trace_pos
+    top, maximum = np.empty(len(trace_pos)), np.maximum
+
+    def fill():
+        E[...] = core
+        # (axis, out, mode) passed by position, which costs less; mode
+        # "raise" would buffer out
+        u.take(trace_pos, None, top, "clip")
+        maximum(top, phi_trace, out=top)
+        flat[at] = top
+        return E
+    return fill
 
 
 class Field:
@@ -147,10 +158,11 @@ def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
 
 
 # the gufuncs that np.fft.rfft, fft, ifft and irfft wrap (numpy >= 2.0),
-# called as those wrappers call them: along one axis, scaled by 1 forward
-# and 1/n backward, with n fixed by the output's length.  Their argument
-# handling costs as much as the transforms of a few hundred points.
-_ALONG = ([(0,), (), (0,)], [(1,), (), (1,)])
+# called as those wrappers call them: along one axis, the last one unless
+# ``axes`` names another, scaled by 1 forward and 1/n backward, with n fixed
+# by the output's length.  Their argument handling costs as much as the
+# transforms of a few hundred points.
+_FIRST, _LAST = [(0,), (), (0,)], [(-1,), (), (-1,)]
 
 
 def _wrapped(name: str, n_of_out):
@@ -160,7 +172,7 @@ def _wrapped(name: str, n_of_out):
     gufunc: the same bytes, plus the wrapper's argument handling."""
     wrapper = getattr(np.fft, name)
 
-    def call(a, fct, axes, out):
+    def call(a, fct, axes=_LAST, out=None):
         axis = axes[0][0]
         return wrapper(a, n_of_out(out.shape[axis]), axis, out=out)
     return call
@@ -188,7 +200,8 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     transforms run axis by axis, as np.fft.rfftn and irfftn do, into
     ``work`` (see :func:`_transform_outputs`).  What does not change from
     call to call is settled here: the rfft gufunc for the length's parity,
-    the axes, the scale factors (as arrays, which a gufunc reads without
+    the axes (the last one, the default, except for the 2-D column
+    transforms), the scale factors (as arrays, which a gufunc reads without
     converting a Python number on every call), the views of ``work`` and
     the 1-D or 2-D form.
 
@@ -200,29 +213,29 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     spectrum, padded, spare, real = work
     rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
     irfft = _pocketfft.irfft
-    last, one = _ALONG[len(shape) - 1], np.array(1.0)
+    one = np.array(1.0)
     if len(shape) == 1:
         scale, kept = np.array(1 / shape[0]), real[keep]
 
         def correlate(a, add, out):
-            prod = rfft(a, one, axes=last, out=spectrum)
+            prod = rfft(a, one, out=spectrum)
             prod *= spec
-            irfft(prod, scale, axes=last, out=real)
+            irfft(prod, scale, out=real)
             return np.add(kept, add, out)
         return correlate
 
-    fft, ifft, first = _pocketfft.fft, _pocketfft.ifft, _ALONG[0]
+    fft, ifft = _pocketfft.fft, _pocketfft.ifft
     col_scale, row_scale = np.array(1 / shape[0]), np.array(1 / shape[1])
     rows = keep[0]
     head, cols, real_rows = padded[:box[0]], spare[rows], real[rows]
     kept = real_rows[:, keep[1]]
 
     def correlate(a, add, out):
-        rfft(a.reshape(box), one, axes=last, out=head)
-        prod = fft(padded, one, axes=first, out=spectrum)
+        rfft(a.reshape(box), one, out=head)
+        prod = fft(padded, one, axes=_FIRST, out=spectrum)
         prod *= spec
-        ifft(prod, col_scale, axes=first, out=spare)
-        irfft(cols, row_scale, axes=last, out=real_rows)
+        ifft(prod, col_scale, axes=_FIRST, out=spare)
+        irfft(cols, row_scale, out=real_rows)
         # a copy, as numpy would buffer the strided view in a sum
         np.copyto(out.reshape(kept.shape), kept)
         out += add

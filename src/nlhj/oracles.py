@@ -1,7 +1,7 @@
 """Independent references used to verify the discrete operators and schemes.
 
 Everything here bypasses the lattice quadrature: adaptive quadrature for the
-nonlocal operator (full and censored), closed forms for exterior and tail
+nonlocal operator, closed forms for exterior and tail
 masses and for the operator on the ball profile (``ball_kappa``), a
 trapezoid evaluation of the rate bound, and a hand-rolled first-order
 upwind advection stepper.
@@ -74,22 +74,6 @@ def operator_oracle_2d_radial(fn_radial, k: Kernel, r_inf: float = 60.0,
     f_far = fn_radial(r_inf + 1.0)
     total += (f_far - f0) * float(k.profile(np.array([r_inf]))[0]) \
         * 2 * np.pi * r_inf ** (-k.alpha) / k.alpha
-    return total
-
-
-def censored_oracle_1d(fn, x: float, k: Kernel, dom: Domain) -> float:
-    """Adaptive quadrature of the censored operator (jumps landing inside)."""
-    lo, hi = dom.lower[0], dom.upper[0]
-    f0 = fn(x)
-
-    def integrand(z):
-        return (fn(x + z) - f0) * _kern_1d(k, z)
-
-    total = 0.0
-    if hi - x > 1e-14:
-        total += quad(integrand, 1e-14, hi - x, limit=400)[0]
-    if x - lo > 1e-14:
-        total += quad(integrand, -(x - lo), -1e-14, limit=400)[0]
     return total
 
 

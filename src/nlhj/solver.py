@@ -38,7 +38,7 @@ from .errors import (BlowUp, NonConvergence, PreconditionError,
 from .geometry import Grid
 from .hamiltonians import (CoefficientField, Coefficients, flux_workspace,
                            lf_viscosity_bound, numerical_hamiltonian_many)
-from .operators import SweepPlan, envelope
+from .operators import SweepPlan, bind_envelope
 
 
 @dataclass
@@ -73,13 +73,19 @@ class SolveState:
     that do not depend on t are evaluated once, by :func:`init_state`; the
     rest are held bound to their points (``datum`` and ``coeffs``), and a
     step evaluates their parts that read t at the new time.  The CFL
-    denominator is held too (``den``, see :func:`cfl_denominator`): setting
-    ``sigma`` renews it, as does a step that moves lam or the drift.
+    denominator is held too (``den``, see :func:`cfl_denominator`): None
+    until :func:`auto_dt` first reads it, and again after ``sigma`` is set
+    or a step moves lam or the drift.
 
     The workspace a step writes into, allocated here: ``block``, the
     one-sided differences ``diffs`` of shape (2, dim, *core_shape)
     (backward, forward), the update ``rhs`` and the ``flux`` at the core
-    nodes, and the flux's scratch ``flux_work``."""
+    nodes, and ``flux_work``, the flux bound to ``coeffs`` and its scratch
+    (see :func:`~nlhj.hamiltonians.flux_workspace`).  The envelope and the
+    differences are bound to these arrays too: ``_envelope()`` writes the
+    envelope into the block and returns its interior (see
+    :func:`~nlhj.operators.bind_envelope`), ``_gradients()`` returns the
+    differences (see :func:`_bind_gradients`)."""
 
     plan: SweepPlan
     spec: object
@@ -99,11 +105,9 @@ class SolveState:
     diffs: np.ndarray = dfield(init=False, repr=False)
     rhs: np.ndarray = dfield(init=False, repr=False)
     flux: np.ndarray = dfield(init=False, repr=False)
-    flux_work: tuple = dfield(init=False, repr=False)
-    # envelope's out, then what _one_sided_gradients reads: u in the core
-    # block's shape, the shifted views, h (a 0-d array, which the division
-    # reads without converting a Python number) and the differences by row
-    _views: tuple = dfield(init=False, repr=False)
+    flux_work: object = dfield(init=False, repr=False)
+    _envelope: object = dfield(init=False, repr=False)
+    _gradients: object = dfield(init=False, repr=False)
     _sigma: np.ndarray | None = dfield(default=None, repr=False)
     den: float | None = dfield(default=None, repr=False)
     _den_moves: bool = dfield(init=False, repr=False)
@@ -117,19 +121,11 @@ class SolveState:
         self.rhs = np.empty_like(self.u)
         self.flux = np.empty_like(self.u)
         self.flux_work = flux_workspace(self.coeffs)
-        block, diffs = self.block, self.diffs
-        self._views = (
-            (block[self.plan.inner], block.reshape(-1),
-             self.plan.trace_block_pos, np.empty_like(self.phi_trace)),
-            self.u.reshape(core),
-            tuple((block[bwd], block[fwd], diffs[0, a], diffs[1, a])
-                  for a, (bwd, fwd) in enumerate(self.plan.shifts)),
-            dim > 1,  # the block's shifted views are not contiguous
-            np.array(self.grid.h),
-            diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T)
+        self._envelope = bind_envelope(self.grid, self.u, self.phi_trace,
+                                       self.block, self.plan.inner,
+                                       self.plan.trace_block_pos)
+        self._gradients = _bind_gradients(self)
         self._den_moves = bool(self.coeffs.moving & {"lam", "b"})
-        if self.spec.family != "coercive":
-            self.den = cfl_denominator(self)
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -139,7 +135,7 @@ class SolveState:
     @sigma.setter
     def sigma(self, value):
         self._sigma = value
-        self.den = cfl_denominator(self)
+        self.den = None
 
     @property
     def grid(self) -> Grid:
@@ -218,53 +214,71 @@ def init_state(plan: SweepPlan, spec, phi, u0,
     if spec.family == "coercive" and not coeffs.bound_reads_p:
         st.sigma = 1.0 + np.array(coeffs.lf_floor)
     elif spec.family == "coercive":
-        envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
-        pm, pp = _one_sided_gradients(st)
+        st._envelope()
+        pm, pp = st._gradients()
         scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
         st.sigma = 1.0 + np.array(lf_viscosity_bound(coeffs, scale))
     return st
 
 
-def _one_sided_gradients(st: SolveState):
-    """Backward and forward differences at the core nodes, shape (N, dim),
-    reading the state's block: the envelope inside and the held datum on
-    the ring.  They are views of ``st.diffs``, whose layout (2, dim,
-    *core_shape) makes each axis's differences contiguous."""
-    _, u, shifts, strided, h, pm, pp = st._views
-    for bwd, fwd, d_bwd, d_fwd in shifts:
-        if strided:
-            # numpy would buffer a view that is not contiguous: copy it
-            # into the output and subtract there
-            np.copyto(d_bwd, bwd)
-            np.copyto(d_fwd, fwd)
-            bwd, fwd = d_bwd, d_fwd
-        np.subtract(u, bwd, d_bwd)
-        np.subtract(fwd, u, d_fwd)
-    st.diffs /= h
-    return pm, pp
+def _bind_gradients(st: SolveState):
+    """The backward and forward differences at the core nodes, shape (N,
+    dim), as a function () -> (p-, p+) that forms them from the state's
+    block: the envelope inside and the held datum on the ring.  They are
+    views of ``st.diffs``, whose layout (2, dim, *core_shape) makes each
+    axis's differences contiguous."""
+    plan, block, diffs, dim = st.plan, st.block, st.diffs, st.grid.dim
+    u = st.u.reshape(plan.core_shape)
+    # a 0-d array, which the division reads without converting a Python
+    # number
+    h = np.array(st.grid.h)
+    pm, pp = diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T
+    shifts = [(block[bwd], block[fwd], diffs[0, a], diffs[1, a])
+              for a, (bwd, fwd) in enumerate(plan.shifts)]
+    subtract, divide, copyto = np.subtract, np.divide, np.copyto
+    if dim == 1:
+        [(bwd, fwd, d_bwd, d_fwd)] = shifts
+
+        def gradients():
+            subtract(u, bwd, d_bwd)
+            subtract(fwd, u, d_fwd)
+            divide(diffs, h, diffs)
+            return pm, pp
+        return gradients
+
+    def gradients():
+        for bwd, fwd, d_bwd, d_fwd in shifts:
+            # numpy would buffer a shifted view, which is not contiguous:
+            # copy it into the output and subtract there
+            copyto(d_bwd, bwd)
+            copyto(d_fwd, fwd)
+            subtract(u, d_bwd, d_bwd)
+            subtract(d_fwd, u, d_fwd)
+        divide(diffs, h, diffs)
+        return pm, pp
+    return gradients
 
 
 def cfl_denominator(st: SolveState) -> float:
     """Lambda + sum(drift)/h + max|lam| at the state's time, where the drift
     bound is the viscosity (coercive) or max |b| per axis (Bellman).  The
-    state holds it, renewed when the viscosity or a t-dependent lam or
-    drift changes, and a step reads the held value."""
+    state holds it (``den``) from :func:`auto_dt`'s first read until the
+    viscosity or a t-dependent lam or drift changes."""
     c = st.coeffs
     drift = st.sigma if st.spec.family == "coercive" else c.b_max
     return st.plan.qt.lam + sum(drift.tolist()) / st.grid.h + c.lam_max
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
-    """The CFL-limited step theta / ``st.den``; without a bound (den = 0),
-    T / 100, or 0.01 without T."""
-    if st.den <= 0.0:
+    """The CFL-limited step theta / ``st.den``, which it computes where the
+    state holds none; without a bound (den = 0), T / 100, or 0.01 without
+    T."""
+    den = st.den
+    if den is None:
+        den = st.den = cfl_denominator(st)
+    if den <= 0.0:
         return cfg.T / 100.0 if cfg.T else 0.01
-    return cfg.theta / st.den
-
-
-def _flux(st: SolveState, pm, pp) -> np.ndarray:
-    return numerical_hamiltonian_many(st.coeffs, st.u, pm, pp, st.sigma,
-                                      out=st.flux, work=st.flux_work)
+    return cfg.theta / den
 
 
 def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
@@ -278,32 +292,37 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     :func:`auto_dt` after the flux (a grown viscosity tightens it), shortened
     to land on ``until`` where that comes first: no step exceeds the bound.
     """
-    E = envelope(st.grid, st.u, st.phi_trace, out=st._views[0])
-    rhs = st.plan.apply(E, st.u, st.load, out=st.rhs)
-    pm, pp = _one_sided_gradients(st)
+    u = st.u
+    E = st._envelope()
+    rhs = st.plan.apply(E, u, st.load, out=st.rhs)
+    pm, pp = st._gradients()
     try:
-        flux = _flux(st, pm, pp)
+        flux = numerical_hamiltonian_many(st.coeffs, u, pm, pp, st._sigma,
+                                          out=st.flux, work=st.flux_work)
     except ViscosityUnderflow as e:
-        st.sigma = np.maximum(2.0 * st.sigma, 2.0 * e.required)
+        st.sigma = np.maximum(2.0 * st._sigma, 2.0 * e.required)
         st.sigma_growth += 1
-        flux = _flux(st, pm, pp)
-    dt = min(auto_dt(st, cfg), until - st.t)
+        flux = numerical_hamiltonian_many(st.coeffs, u, pm, pp, st._sigma,
+                                          out=st.flux, work=st.flux_work)
+    dt, t = auto_dt(st, cfg), st.t
+    if until - t < dt:
+        dt = until - t
     rhs -= flux
     rhs *= dt
-    st.u += rhs
-    st.t += dt
+    u += rhs
+    st.t = t = t + dt
     st.last_dt = dt
-    if st.phi.time_dependent:
+    if st.datum is not None:  # the datum reads t
         st.plan.exterior_load(_read_datum(st), out=st.load)
     if st.coeffs.moving:
-        st.coeffs.at(st.t)
+        st.coeffs.at(t)
         if st._den_moves:
-            st.den = cfl_denominator(st)
+            st.den = None
     st.steps += 1
     # rhs is spent
-    st.sup_norm = float(np.maximum.reduce(np.abs(st.u, out=rhs)))
-    if not math.isfinite(st.sup_norm) or st.sup_norm > st.m_cap:
-        raise BlowUp(f"sup-norm {st.sup_norm} exceeded cap {st.m_cap} at t = {st.t}")
+    sup = st.sup_norm = float(np.maximum.reduce(np.absolute(u, rhs)))
+    if not math.isfinite(sup) or sup > st.m_cap:
+        raise BlowUp(f"sup-norm {sup} exceeded cap {st.m_cap} at t = {t}")
     return st
 
 

@@ -391,6 +391,11 @@ FLUX_CASES = {
         [ControlLaw(lam=0.0, b=["x", 0.0], f=0.0, dim=2),
          ControlLaw(lam=0.3, b=["-y", "x*y"], f=0.1, dim=2),
          ControlLaw(lam=0.5, b=[0.5, "-x"], f="0.2*y", dim=2)], dim=2),
+    # a drift that reads t: the flux, bound at t = 0, reads the mask that
+    # Coefficients.at renews in place after some entries flip
+    "bellman-2d-moving": lambda: BellmanSpec(
+        [ControlLaw(lam=0.3, b=["cos(4*t)*x", "-y"], f=0.1, dim=2),
+         ControlLaw(lam=0.5, b=[0.5, "x - t"], f="0.2*y", dim=2)], dim=2),
 }
 
 
@@ -406,6 +411,11 @@ def test_flux_workspace_is_bit_identical(case):
                    2.0 ** -4 if dim == 1 else 0.25)
     n = len(pts)
     c = Coefficients(spec, pts)
+    work = flux_workspace(c)
+    if spec.time_dependent:
+        upwind = c.upwind.copy()
+        c.at(0.5)
+        assert (c.upwind != upwind).any()
     rng = np.random.default_rng(7)
     scale = 1e-3 if "sublinear" in case else 1.0
     grads = rng.normal(size=(2, n, dim)) * scale
@@ -421,7 +431,7 @@ def test_flux_workspace_is_bit_identical(case):
     held = np.empty((2, dim, n))  # the solver's layout
     held[:] = grads.transpose(0, 2, 1)
     pm, pp = held[0].T, held[1].T
-    out, work = np.empty(n), flux_workspace(c)
+    out = np.empty(n)
     for _ in range(2):  # a reused workspace gives the same bytes
         got = [numerical_hamiltonian_many(c, r, grads[0], grads[1], sigma),
                numerical_hamiltonian_many(c, r, pm, pp, sigma),

@@ -213,6 +213,30 @@ def test_comparison_pair_shares_one_bundle_when_no_field_reads_t(
         assert res.metrics["restarts"] >= 1
 
 
+@pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f"])
+def test_comparison_pair_computes_each_cfl_denominator_once(
+        dom1, k05, monkeypatch, case):
+    # each state computes its CFL denominator when its first step size is
+    # taken, after the pair has set the shared viscosity: two in all when
+    # neither lam nor the drift reads t, none before the first step
+    from nlhj import solver
+    dens, before_first_step = [], []
+    real_den, real_step = solver.cfl_denominator, harness.step
+    monkeypatch.setattr(solver, "cfl_denominator",
+                        lambda st: dens.append(st) or real_den(st))
+
+    def stepped(st, *args):
+        if not before_first_step:
+            before_first_step.append(len(dens))
+        return real_step(st, *args)
+
+    monkeypatch.setattr(harness, "step", stepped)
+    *_, res = _run_pair(case, dom1, k05)
+    assert res.passed and res.metrics["restarts"] == 0
+    assert before_first_step == [0]
+    assert len(dens) == 2 and dens[0] is not dens[1]
+
+
 @pytest.mark.parametrize("case", ["moving-f", "ramp-m2-moving-f"])
 def test_comparison_pair_with_a_moving_field_builds_a_bundle_per_state(
         dom1, k05, monkeypatch, case):

@@ -141,7 +141,7 @@ def test_field_envelope_policies(dom1, dom2):
         held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
         assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
         # the state's block, written through flat positions, holds the same
-        inner = envelope(g, st.u, st.phi_trace, out=st._views[0])
+        inner = st._envelope()
         assert inner.base is st.block
         assert np.array_equal(inner.ravel(), envelope(g, st.u, st.phi_trace))
 

@@ -9,7 +9,7 @@ from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                                numerical_hamiltonian_many)
 from nlhj.kernels import (build_quadrature, fractional_laplacian_kernel,
                           zero_kernel)
-from nlhj.operators import Field, SweepPlan, envelope
+from nlhj.operators import Field, SweepPlan
 from nlhj.oracles import ball_kappa, upwind_advection_steps
 from nlhj.solver import (RunReport, SchemeConfig, auto_dt, cfl_denominator,
                          init_state, run_to_steady, run_to_time, step)
@@ -143,15 +143,16 @@ def _record_steps(monkeypatch):
     state's CFL denominator and limit :func:`auto_dt` when it took the step
     size (after a viscosity growth, the tightened ones; cases that grow the
     viscosity hold lam and the drift fixed), ``until``, the start and end
-    times and the step size."""
+    times and the step size.  The denominator is read after :func:`auto_dt`,
+    which computes it where the state holds none."""
     from nlhj import harness
     real, steps = solver.step, []
 
     def recorded(st, cfg, until=np.inf):
-        grown, den, limit, t = st.sigma_growth, st.den, auto_dt(st, cfg), st.t
+        grown, limit, den, t = st.sigma_growth, auto_dt(st, cfg), st.den, st.t
         real(st, cfg, until)
         if st.sigma_growth > grown:
-            den, limit = st.den, auto_dt(st, cfg)
+            limit, den = auto_dt(st, cfg), st.den
         steps.append((cfg.theta, den, limit, until, t, st.t, st.last_dt))
         return st
 
@@ -554,16 +555,20 @@ def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
     h = 2.0 ** -5
     plan = SweepPlan(grid_for(dom1, h, 2.0), build_quadrature(k, h, 2.0))
     calls = []
-    real = solver._one_sided_gradients
-    monkeypatch.setattr(solver, "_one_sided_gradients",
-                        lambda st: calls.append(st) or real(st))
+    real = solver._bind_gradients
+
+    def counted(st):
+        gradients = real(st)
+        return lambda: calls.append(st) or gradients()
+
+    monkeypatch.setattr(solver, "_bind_gradients", counted)
     st = init_state(plan, spec, "0.5*x", "1 - 3*x^2")
     assert st.coeffs.bound_reads_p is reads_p
     assert len(calls) == int(reads_p)
     # the gradient route: the bound at the largest one-sided difference of
     # the envelope
-    envelope(plan.grid, st.u, st.phi_trace, out=st._views[0])
-    pm, pp = real(st)
+    st._envelope()
+    pm, pp = st._gradients()
     scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
     assert scale > 1.0
     ref = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
@@ -585,7 +590,7 @@ def test_cfl_denominator_keeps_the_bytes_of_a_numpy_sum(family, dim):
                                        dim=dim)], dim=dim)
     h = 2.0 ** -4 if dim == 1 else 0.125
     k = fractional_laplacian_kernel(0.5, dim)
-    *_, st = make(dom, h, 2.0, spec, 0.0, "0.5*x", kernel=k)
+    *_, cfg, st = make(dom, h, 2.0, spec, 0.0, "0.5*x", kernel=k)
     c = st.coeffs
     drifts = [st.sigma if family == "coercive" else c.b_max]
     if family == "coercive":
@@ -595,6 +600,9 @@ def test_cfl_denominator_keeps_the_bytes_of_a_numpy_sum(family, dim):
         if family == "coercive":
             st.sigma = drift
         ref = st.plan.qt.lam + float(np.sum(drift)) / h + c.lam_max
+        # the state holds none until auto_dt reads it
+        assert st.den is None
+        assert auto_dt(st, cfg) == cfg.theta / ref
         assert st.den == cfl_denominator(st) == ref
 
 
@@ -762,17 +770,31 @@ def test_viscosity_set_below_the_held_floor_grows_at_the_next_step(dom1):
     assert st.sigma.tolist() == [3.0]
 
 
-def test_coercive_step_budget_at_m_1(dom1, monkeypatch):
-    # a 1-D coercive step at m = 1 (large-time-1d's Hamiltonian and datum,
-    # f and phi moving with t) makes one sweep and one flux call, and takes
-    # the viscosity bound from the bundle instead of computing it
+@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
+def test_step_budget(monkeypatch, case):
+    # a step makes one sweep and one flux call, looked up where the tracer
+    # and a patch installed after the state exists see them; the coercive
+    # step at m = 1 (large-time-1d's Hamiltonian and datum, f and phi
+    # moving with t) takes the viscosity bound from the bundle, and the
+    # Bellman steps, whose data do not read t, evaluate no coefficient field
     from nlhj import hamiltonians
-    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
-                        f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
-    k = fractional_laplacian_kernel(0.5, 1)
-    g, qt, cfg, st = make(dom1, 2.0 ** -6, 4.0, spec, "0.5*exp(-t)",
-                          "0.5 + 0.3*(1 - x^2)", kernel=k)
-    calls = {"apply": 0, "flux": 0, "bound": 0}
+    dim = 2 if case.endswith("2d") else 1
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    if case.startswith("coercive"):
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                            f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
+        phi, h = "0.5*exp(-t)", 2.0 ** -6
+    else:
+        spec = BellmanSpec([ControlLaw(lam=0.5, b=["-x", "-y"][:dim],
+                                       f="0.1*sin(2*x)", dim=dim),
+                            ControlLaw(lam=0.3, b=["0.5*x", "0.5*y"][:dim],
+                                       f=0.0, dim=dim)], dim=dim)
+        phi, h = 1.0, 2.0 ** -6 if dim == 1 else 0.125
+    k = fractional_laplacian_kernel(0.5, dim)
+    g, qt, cfg, st = make(dom, h, 4.0 if dim == 1 else 2.0, spec, phi,
+                          lambda p: 0.5 + 0.3 * np.cos(2.0 * p.sum(axis=1)),
+                          kernel=k)
+    calls = {"apply": 0, "flux": 0, "bound": 0, "field": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -785,16 +807,21 @@ def test_coercive_step_budget_at_m_1(dom1, monkeypatch):
                         counted("flux", numerical_hamiltonian_many))
     monkeypatch.setattr(hamiltonians, "lf_viscosity_bound",
                         counted("bound", hamiltonians.lf_viscosity_bound))
+    monkeypatch.setattr(CoefficientField, "__call__",
+                        counted("field", CoefficientField.__call__))
     for n in range(1, 4):
         step(st, cfg)
-        assert calls == {"apply": n, "flux": n, "bound": 0}
+        assert calls["apply"] == calls["flux"] == n
+        assert calls["bound"] == 0
+        if not (spec.time_dependent or st.phi.time_dependent):
+            assert calls["field"] == 0
 
 
 @pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
 def test_held_0d_operands_keep_the_bytes(dim, h):
     # the spacing the differences are divided by and the sweep's diagonal
     # are held as 0-d arrays: the differences and the sweep equal those
-    # formed with the Python float each holds, byte for byte
+    # formed with the Python floats, byte for byte
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
                        dim=dim)
@@ -802,17 +829,17 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
     u0 = lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1))
     k = fractional_laplacian_kernel(0.5, dim)
     g, qt, cfg, st = make(dom, h, 2.0, spec, phi, u0, kernel=k)
-    plan, spacing = st.plan, st._views[4]
-    assert spacing.shape == () and plan.diag.shape == ()
+    plan = st.plan
+    assert plan.diag.shape == ()
     for _ in range(2):
-        E = envelope(g, st.u, st.phi_trace, out=st._views[0])
+        E = st._envelope()
         u = st.u.reshape(plan.core_shape)
-        pm, pp = solver._one_sided_gradients(st)
+        pm, pp = st._gradients()
         for a, (bwd, fwd) in enumerate(plan.shifts):
             assert pm[:, a].tobytes() == (
-                (u - st.block[bwd]) / float(spacing)).tobytes()
+                (u - st.block[bwd]) / g.h).tobytes()
             assert pp[:, a].tobytes() == (
-                (st.block[fwd] - u) / float(spacing)).tobytes()
+                (st.block[fwd] - u) / g.h).tobytes()
         ref = plan._sweep(E, st.load, np.empty(len(st.u)))
         ref -= float(plan.diag) * st.u
         assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
