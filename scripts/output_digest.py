@@ -105,6 +105,17 @@ CASES = {
     "comparison_pair_bellman": _with(
         BELLMAN_1D, experiment={"name": "comparison", "u0_b": "2 - x^2",
                                 "phi_b": "0.5"}),
+    "comparison_pair_2d": _with(
+        BELLMAN_2D, scheme={"h": "0.125", "T": "0.5", "snapshot_dt": None},
+        experiment={"name": "comparison",
+                    "u0_b": "1.5 + 0.3*(1 - x^2)*(1 - y^2)*cos(x + 2*y)",
+                    "phi_b": "1.5"}),
+    # m = 2: the viscosity bound reads the gradients, so the pair's states
+    # step one at a time
+    "comparison_pair_m2": _with(
+        COERCIVE_1D, hamiltonian={"m": "2"},
+        experiment={"name": "comparison", "u0_b": "2 - x^2",
+                    "phi_b": "0.5"}),
     "comparison_seeds_coercive": _with(
         COERCIVE_1D, experiment={"name": "comparison", "seeds": "3"}),
     "comparison_seeds_bellman": _with(

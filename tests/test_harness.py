@@ -169,17 +169,28 @@ PAIRS = {
     "ramp-m2": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0), RAMP),
     "ramp-m2-moving-f": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=MOVING_F),
                          RAMP),
+    "bellman-2d": (BellmanSpec([ControlLaw(lam=1.0, b=["-x", "-y"], f=0.1,
+                                           dim=2),
+                                ControlLaw(lam=0.5, b=["0.5*x", "0.5*y"],
+                                           f="0.1*sin(x - y)", dim=2)],
+                               dim=2),
+                   dict(data=None, T=1.0, r_max=2.0, h=0.125,
+                        dom=Domain((-1.0, -1.0), (1.0, 1.0)),
+                        kernel=fractional_laplacian_kernel(0.5, 2))),
 }
 
 
 def _run_pair(case, dom1, k05):
+    """The pair of ``case`` on [-1, 1] with ``k05`` at h = 2^-5, unless its
+    arguments name another domain, kernel or spacing."""
     spec, args = PAIRS[case]
+    dom, k = args.get("dom", dom1), args.get("kernel", k05)
     data = args["data"]
     if data is None:
-        u0, v0, pa, pb = random_ordered_pair(3, dom1)
+        u0, v0, pa, pb = random_ordered_pair(3, dom)
         data = ((u0, v0), (pa, pb))
-    cfg = SchemeConfig(h=2.0 ** -5, theta=0.9)
-    res = comparison_experiment(spec, dom1, k05, *data, T=args["T"], cfg=cfg,
+    cfg = SchemeConfig(h=args.get("h", 2.0 ** -5), theta=0.9)
+    res = comparison_experiment(spec, dom, k, *data, T=args["T"], cfg=cfg,
                                 r_max=args["r_max"])
     return spec, data, args, cfg, res
 
@@ -274,11 +285,12 @@ def _lockstep_rows(plan, spec, data, T, cfg):
 
 
 @pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f",
-                                  "ramp-m2"])
+                                  "ramp-m2", "bellman-2d"])
 def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
                                                              case):
     spec, data, args, cfg, res = _run_pair(case, dom1, k05)
-    plan = discretize(dom1, k05, cfg.h, args["r_max"])
+    plan = discretize(args.get("dom", dom1), args.get("kernel", k05), cfg.h,
+                      args["r_max"])
     rows = _lockstep_rows(plan, spec, data, args["T"], cfg)
     header, got = res.tables["report"]
     assert header == ("t", "max_violation") and len(got) > 10
