@@ -24,7 +24,7 @@ from .hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
-from .solver import (SchemeConfig, cfl_denominator, init_state,
+from .solver import (SchemeConfig, StepBatch, cfl_denominator, init_state,
                      run_to_steady, run_to_time, step)
 
 
@@ -144,8 +144,11 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     :func:`~nlhj.solver.init_state` sizes and a single run of either data
     set steps with, so the pair checks the scheme the solver runs.  When no
     coefficient field reads t, the states share one coefficient bundle too;
-    otherwise each state's bundle moves with its own steps.  When a
-    step grows either state's viscosity (``sigma_growth``), both states
+    otherwise each state's bundle moves with its own steps.  Sharing the
+    bundle and a viscosity that cannot grow (a Bellman form, or a coercive
+    one whose viscosity bound does not read the gradients), the states are
+    stepped as one batch (see :class:`~nlhj.solver.StepBatch`).  When a step
+    grows either state's viscosity (``sigma_growth``), both states
     restart with the grown one; a growth in the last of
     :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`, as does a
     state passing ``cfg.max_steps``.  Metrics: ``max_violation``, ``steps``
@@ -157,10 +160,13 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     plan = discretize(dom, k, cfg.h, r_max)
     coeffs = (None if spec.time_dependent
               else Coefficients(spec, plan.grid.core_points))
+    batched = coeffs is not None and (spec.family == "bellman"
+                                      or not coeffs.bound_reads_p)
     shared = None
     for restarts in range(PAIR_ATTEMPTS):
-        sa = init_state(plan, spec, phi_a, u0_a, coeffs)
-        sb = init_state(plan, spec, phi_b, u0_b, coeffs)
+        batch = StepBatch(plan, coeffs, 2) if batched else None
+        sa = init_state(plan, spec, phi_a, u0_a, coeffs, batch)
+        sb = init_state(plan, spec, phi_b, u0_b, coeffs, batch)
         if spec.family == "coercive":
             if shared is None:
                 shared = np.maximum(sa.sigma, sb.sigma)

@@ -43,15 +43,23 @@ def envelope(grid: Grid, u: np.ndarray, phi_trace) -> np.ndarray:
 
 
 def bind_envelope(grid: Grid, u: np.ndarray, phi_trace: np.ndarray,
-                  block: np.ndarray, inner: tuple, at: np.ndarray):
+                  block: np.ndarray, inner: tuple, at: np.ndarray,
+                  rows: int = 1):
     """:func:`envelope` of the arrays ``u`` and ``phi_trace`` as they hold
     at each call of the function returned, written into the interior
     ``inner`` of the padded ``block``, which it returns.  The trace values
     are formed in scratch and written through their flat positions ``at``
     in the block, as an indexed write into the strided 2-D interior takes
-    numpy scratch."""
-    E, flat = block[inner], block.reshape(-1)
-    core, trace_pos = u.reshape(E.shape), grid.trace_pos
+    numpy scratch.  For ``rows`` > 1 the arrays stack that many states,
+    row after row: ``u`` and ``phi_trace`` flat, ``block`` along a leading
+    axis."""
+    E, flat = block[(Ellipsis,) + inner], block.reshape(-1)
+    core = u.reshape(E.shape)
+    # the trace positions of each row, in u and in the block
+    trace_pos, at = (np.add.outer(np.arange(rows) * (size // rows),
+                                  pos).ravel()
+                     for size, pos in ((u.size, grid.trace_pos),
+                                       (block.size, at)))
     top, maximum = np.empty(len(trace_pos)), np.maximum
 
     def fill():
@@ -144,25 +152,29 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _transform_outputs(spectrum: tuple, shape: tuple) -> tuple:
+def _transform_outputs(spectrum: tuple, shape: tuple,
+                       lead: tuple = ()) -> tuple:
     """Arrays for :func:`_correlation`'s transforms to ``shape`` whose half
     spectrum has the shape ``spectrum``: that spectrum; in 2-D a zero-filled
     array like it, the forward column transforms' input, and a second array
     like it, the inverse column transforms' output; and the inverse
-    transform's real output."""
+    transform's real output.  Each is prefixed by the batch axes ``lead``,
+    one set of transforms per batch row."""
     two = len(shape) == 2
+    spectrum = lead + tuple(spectrum)
     return (np.empty(spectrum, dtype=complex),
             np.zeros(spectrum, dtype=complex) if two else None,
             np.empty(spectrum, dtype=complex) if two else None,
-            np.empty(shape))
+            np.empty(lead + tuple(shape)))
 
 
 # the gufuncs that np.fft.rfft, fft, ifft and irfft wrap (numpy >= 2.0),
 # called as those wrappers call them: along one axis, the last one unless
-# ``axes`` names another, scaled by 1 forward and 1/n backward, with n fixed
-# by the output's length.  Their argument handling costs as much as the
-# transforms of a few hundred points.
-_FIRST, _LAST = [(0,), (), (0,)], [(-1,), (), (-1,)]
+# ``axes`` names another (the columns, axis -2, of a 2-D block and of a
+# batch of them), scaled by 1 forward and 1/n backward, with n fixed by the
+# output's length.  Their argument handling costs as much as the transforms
+# of a few hundred points.
+_COLUMNS, _LAST = [(-2,), (), (-2,)], [(-1,), (), (-1,)]
 
 
 def _wrapped(name: str, n_of_out):
@@ -198,12 +210,15 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     ``a`` (of shape ``box``, or its values in C order) plus ``add`` into
     ``out``, one value per kept node in C order, and returns ``out``.  The
     transforms run axis by axis, as np.fft.rfftn and irfftn do, into
-    ``work`` (see :func:`_transform_outputs`).  What does not change from
-    call to call is settled here: the rfft gufunc for the length's parity,
-    the axes (the last one, the default, except for the 2-D column
+    ``work`` (see :func:`_transform_outputs`).  Where ``work`` has batch
+    axes, ``a`` stacks that many arrays along them, each correlated on its
+    own with the same transforms, and ``spec`` is stacked alike; ``add``
+    and ``out`` hold the rows one after the other.  What does not change
+    from call to call is settled here: the rfft gufunc for the length's
+    parity, the axes (the last one, the default, except for the 2-D column
     transforms), the scale factors (as arrays, which a gufunc reads without
     converting a Python number on every call), the views of ``work`` and
-    the 1-D or 2-D form.
+    the 1-D, batched 1-D or 2-D form.
 
     In 2-D both passes are pruned, with the same transforms on the same
     numbers: the row transforms of ``a`` fill the first ``box[0]`` rows of
@@ -211,30 +226,43 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     column transforms read it in full instead of padding each column; and
     the inverse row transforms run only on the rows ``keep`` selects."""
     spectrum, padded, spare, real = work
+    lead = real.shape[:-len(shape)]
     rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
     irfft = _pocketfft.irfft
     one = np.array(1.0)
     if len(shape) == 1:
-        scale, kept = np.array(1 / shape[0]), real[keep]
+        scale, kept = np.array(1 / shape[0]), real[..., keep[0]]
+
+        if not lead:
+            def correlate(a, add, out):
+                prod = rfft(a, one, out=spectrum)
+                prod *= spec
+                irfft(prod, scale, out=real)
+                return np.add(kept, add, out)
+            return correlate
 
         def correlate(a, add, out):
             prod = rfft(a, one, out=spectrum)
             prod *= spec
             irfft(prod, scale, out=real)
-            return np.add(kept, add, out)
+            # a copy, as numpy would buffer the strided rows in a sum
+            np.copyto(out.reshape(kept.shape), kept)
+            out += add
+            return out
         return correlate
 
     fft, ifft = _pocketfft.fft, _pocketfft.ifft
     col_scale, row_scale = np.array(1 / shape[0]), np.array(1 / shape[1])
-    rows = keep[0]
-    head, cols, real_rows = padded[:box[0]], spare[rows], real[rows]
-    kept = real_rows[:, keep[1]]
+    rows, stacked = keep[0], lead + tuple(box)
+    head, cols = padded[..., :box[0], :], spare[..., rows, :]
+    real_rows = real[..., rows, :]
+    kept = real_rows[..., keep[1]]
 
     def correlate(a, add, out):
-        rfft(a.reshape(box), one, out=head)
-        prod = fft(padded, one, axes=_FIRST, out=spectrum)
+        rfft(a.reshape(stacked), one, out=head)
+        prod = fft(padded, one, axes=_COLUMNS, out=spectrum)
         prod *= spec
-        ifft(prod, col_scale, axes=_FIRST, out=spare)
+        ifft(prod, col_scale, axes=_COLUMNS, out=spare)
         irfft(cols, row_scale, out=real_rows)
         # a copy, as numpy would buffer the strided view in a sum
         np.copyto(out.reshape(kept.shape), kept)
@@ -276,10 +304,11 @@ class SweepPlan:
     where corr is a zero-padded FFT correlation of length ``core_fft`` per
     axis whose kernel spectrum is built here, and ``load`` (see
     :meth:`exterior_load`) collects the jumps that leave the core, tail
-    included.  The plan holds the transforms' arrays, which its states
-    share; in 2-D the transforms are pruned (see :func:`_correlation`): the
-    forward array stays zero beyond the core block's rows, and only those
-    rows are inverted.
+    included.  A batch of solver states holds its own transforms' arrays
+    (:meth:`workspace`); the plan holds a set for calls without one.  In
+    2-D the transforms are pruned (see :func:`_correlation`): the forward
+    array stays zero beyond the core block's rows, and only those rows are
+    inverted.
 
     The one-sided differences read a state's block: the core block
     (``inner`` in it) padded by one node per side, the ring (``ring_points``,
@@ -307,6 +336,7 @@ class SweepPlan:
     _scratch: tuple = dfield(init=False, repr=False)
     _spent: np.ndarray = dfield(init=False, repr=False)
     _sweep: object = dfield(init=False, repr=False)
+    _work: tuple = dfield(init=False, repr=False)
     _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -359,12 +389,14 @@ class SweepPlan:
                 taps, np.flip(taps, a)) else n + k + 1)
             for a, (n, k) in enumerate(zip(g.n_core, K)))
         self._core_spec = _correlation_spectrum(taps, self.core_fft)
-        # apply's correlation and its transform outputs, shared by its states
+        # the correlation and transform outputs of apply without a
+        # workspace
         self._scratch = _transform_outputs(self._core_spec.shape,
                                            self.core_fft)
         self._sweep = _correlation(self._core_spec, self.core_fft, box,
                                    self._box_start, self._scratch)
         self._spent = self._scratch[3].reshape(-1)[:len(g.core_flat)]
+        self._work = self._sweep, self._spent
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
@@ -418,8 +450,21 @@ class SweepPlan:
         return correlate(E, self.qt.tail_sides @ _tail_values(self.grid, E),
                          out)
 
+    def workspace(self, rows: int = 1) -> tuple:
+        """The ``work`` of :meth:`apply` for ``rows`` core blocks stacked
+        along a leading axis (none for one block): a correlation into
+        transform outputs of its own, with the kernel spectrum stacked
+        alike, and the part of its real output that apply may spend."""
+        lead = (rows,) if rows > 1 else ()
+        spec = (np.tile(self._core_spec, lead + (1,) * self.grid.dim)
+                if lead else self._core_spec)
+        work = _transform_outputs(self._core_spec.shape, self.core_fft, lead)
+        return (_correlation(spec, self.core_fft, self.core_shape,
+                             self._box_start, work),
+                work[3].reshape(-1)[:rows * len(self.grid.core_flat)])
+
     def apply(self, E: np.ndarray, centers: np.ndarray, load: np.ndarray,
-              out=None) -> np.ndarray:
+              out=None, work=None) -> np.ndarray:
         """Operator values at every core node (interior + trace), in
         ``core_flat`` order, for the core values ``E`` in that order.
 
@@ -428,13 +473,18 @@ class SweepPlan:
         solution there); ``load`` is :meth:`exterior_load` of the datum.  The
         result is written into ``out``, an array of one value per core node
         that belongs to the caller (a solver state), or else into a new
-        array; it is never a view of the plan's scratch.
+        array; it is never a view of the plan's scratch.  With ``work``
+        from :meth:`workspace` the transforms run in its arrays, for as many
+        blocks as it stacks: ``E`` stacks them along a leading axis and
+        ``centers``, ``load`` and ``out`` hold their values one block after
+        the other.
         """
         if out is None:
             out = np.empty(centers.shape)
-        self._sweep(E, load, out)
+        correlate, spent = work or self._work
+        correlate(E, load, out)
         # the inverse transform's output is spent: it takes diag * centers
-        out -= np.multiply(self.diag, centers, self._spent)
+        out -= np.multiply(self.diag, centers, spent)
         return out
 
 

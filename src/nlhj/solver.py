@@ -19,11 +19,17 @@ when the datum is read (at t = 0, and per step for a t-dependent datum).  A
 step writes the envelope into the interior once; the sweep reads the
 interior and the one-sided differences shifted views of the block.
 
-The block is part of the state's workspace, built once with the state: the
-one-sided differences, the flux with its scratch and the right-hand side
-are the rest of it.  A step writes each of them in place (the sweep's
-output becomes the update, from which the flux is subtracted), so a step
-whose data do not depend on t allocates no array of the core's size.
+The block is part of the state's workspace: the one-sided differences, the
+flux with its scratch and the right-hand side are the rest of it.  A step
+writes each of them in place (the sweep's output becomes the update, from
+which the flux is subtracted), so a step whose data do not depend on t
+allocates no array of the core's size.  The workspace belongs to a
+:class:`StepBatch` of states that share a plan, a coefficient bundle and a
+viscosity, one row per state: a batch is evaluated in one set of calls,
+which costs little more than one state's evaluation where a step's arrays
+are small, and each state's step then takes its own row.  A state starts
+in a batch of one; a comparison pair whose viscosity cannot grow is
+stacked into a batch of two.
 """
 
 from __future__ import annotations
@@ -72,74 +78,141 @@ class SolveState:
     ``block`` (see the module docstring) with the datum on its ring.  Data
     that do not depend on t are evaluated once, by :func:`init_state`; the
     rest are held bound to their points (``datum`` and ``coeffs``), and a
-    step evaluates their parts that read t at the new time.  The CFL
-    denominator is held too (``den``, see :func:`cfl_denominator`): None
-    until :func:`auto_dt` first reads it, and again after ``sigma`` is set
-    or a step moves lam or the drift.
+    step evaluates their parts that read t at the new time.
 
-    The workspace a step writes into, allocated here: ``block``, the
+    A state is row ``row`` of its ``batch`` (:class:`StepBatch`), which
+    holds the workspace a step writes into, the viscosity ``sigma`` and the
+    CFL denominator ``den``: ``u``, ``block``, ``phi_trace``, ``load``, the
     one-sided differences ``diffs`` of shape (2, dim, *core_shape)
-    (backward, forward), the update ``rhs`` and the ``flux`` at the core
-    nodes, and ``flux_work``, the flux bound to ``coeffs`` and its scratch
-    (see :func:`~nlhj.hamiltonians.flux_workspace`).  The envelope and the
-    differences are bound to these arrays too: ``_envelope()`` writes the
-    envelope into the block and returns its interior (see
-    :func:`~nlhj.operators.bind_envelope`), ``_gradients()`` returns the
-    differences (see :func:`_bind_gradients`)."""
+    (backward, forward), the update ``rhs`` and the ``flux`` are views of
+    that row.  A state built without a batch makes a batch of one."""
 
     plan: SweepPlan
     spec: object
     phi: CoefficientField
     u: np.ndarray                    # core values, in grid.core_flat order
     coeffs: Coefficients
+    batch: "StepBatch | None" = dfield(default=None, repr=False)
     t: float = 0.0
     steps: int = 0
     m_cap: float = np.inf
     sup_norm: float = 0.0
     sigma_growth: int = 0
     last_dt: float = 0.0
-    load: np.ndarray | None = None   # plan.exterior_load at time t
     datum: tuple | None = dfield(default=None, repr=False)  # see _bind_datum
+    row: int = dfield(init=False, repr=False)
+    load: np.ndarray = dfield(init=False, repr=False)  # exterior load at t
     phi_trace: np.ndarray = dfield(init=False, repr=False)
     block: np.ndarray = dfield(init=False, repr=False)
     diffs: np.ndarray = dfield(init=False, repr=False)
     rhs: np.ndarray = dfield(init=False, repr=False)
     flux: np.ndarray = dfield(init=False, repr=False)
-    flux_work: object = dfield(init=False, repr=False)
-    _envelope: object = dfield(init=False, repr=False)
-    _gradients: object = dfield(init=False, repr=False)
-    _sigma: np.ndarray | None = dfield(default=None, repr=False)
-    den: float | None = dfield(default=None, repr=False)
-    _den_moves: bool = dfield(init=False, repr=False)
+    _ring: np.ndarray = dfield(init=False, repr=False)  # the block, flat
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
-        self.phi_trace = np.empty(len(self.grid.trace_pos))
-        core, dim = self.plan.core_shape, self.grid.dim
-        self.block = np.zeros([m + 2 for m in core])
-        self.diffs = np.empty((2, dim) + core)
-        self.rhs = np.empty_like(self.u)
-        self.flux = np.empty_like(self.u)
-        self.flux_work = flux_workspace(self.coeffs)
-        self._envelope = bind_envelope(self.grid, self.u, self.phi_trace,
-                                       self.block, self.plan.inner,
-                                       self.plan.trace_block_pos)
-        self._gradients = _bind_gradients(self)
-        self._den_moves = bool(self.coeffs.moving & {"lam", "b"})
+        (self.batch or StepBatch(self.plan, self.coeffs)).join(self)
 
     @property
     def sigma(self) -> np.ndarray | None:
-        """Lax-Friedrichs viscosity per axis (coercive forms only)."""
-        return self._sigma
+        """Lax-Friedrichs viscosity per axis (coercive forms only), the
+        batch's: setting it clears the CFL denominator and makes every row
+        of the batch stale."""
+        return self.batch.sigma
 
     @sigma.setter
     def sigma(self, value):
-        self._sigma = value
-        self.den = None
+        b = self.batch
+        b.sigma, b.den, b.stale = value, None, [True] * b.rows
+
+    @property
+    def den(self) -> float | None:
+        """The batch's CFL denominator (see :func:`cfl_denominator`): None
+        until :func:`auto_dt` first reads it, and again after ``sigma`` is
+        set or a step moves lam or the drift."""
+        return self.batch.den
 
     @property
     def grid(self) -> Grid:
         return self.plan.grid
+
+
+class StepBatch:
+    """The workspace of ``rows`` states on the plan ``plan`` that share the
+    coefficient bundle ``coeffs`` and a viscosity, one row per state, in
+    the order they join: the states are evaluated together.  ``u``,
+    ``rhs``, ``flux``, ``load`` and ``phi_trace`` hold the rows one after
+    the other; ``block`` has shape (rows, *block_shape) and ``diffs`` (2,
+    dim, rows, *core_shape), so that each axis's differences of every row
+    are contiguous (no leading axis for a batch of one).  Rows share a
+    bundle only where none of its fields reads t: a step moves a bundle
+    that does to its own state's time.
+
+    A row whose ``stale`` flag is down holds the operator's values
+    (``rhs``) and the ``flux`` of its state as it stands; :func:`step`
+    evaluates every row when its state's row is stale and consumes that
+    row's.  The evaluation is bound to the workspace by :meth:`bind`, at
+    the first step: ``envelope()`` writes the envelope into the block and
+    returns its interior (see :func:`~nlhj.operators.bind_envelope`),
+    ``gradients()`` returns the differences (see :func:`_bind_gradients`),
+    ``flux_work`` is the flux bound to the bundle and its scratch (see
+    :func:`~nlhj.hamiltonians.flux_workspace`) and ``sweep`` the sweep's
+    transforms (see :meth:`~nlhj.operators.SweepPlan.workspace`)."""
+
+    def __init__(self, plan: SweepPlan, coeffs: Coefficients,
+                 rows: int = 1):
+        if rows > 1 and coeffs.moving:
+            raise ValueError("a bundle with fields that read t does not "
+                             "stack")
+        grid = plan.grid
+        self.n, self.m = len(grid.core_flat), len(grid.trace_pos)
+        lead = (rows,) if rows > 1 else ()
+        self.plan, self.coeffs, self.rows, self.joined = plan, coeffs, rows, 0
+        self.sigma = self.den = None
+        self.den_moves = bool(coeffs.moving & {"lam", "b"})
+        self.stale = [True] * rows
+        # zeros in the rows no state has joined yet, which a state's
+        # initial viscosity evaluates with its own
+        self.u, self.rhs, self.flux, self.load = (np.zeros(rows * self.n)
+                                                  for _ in range(4))
+        self.phi_trace = np.zeros(rows * self.m)
+        self.block = np.zeros(lead + tuple(k + 2 for k in plan.core_shape))
+        self.diffs = np.empty((2, grid.dim) + lead + plan.core_shape)
+        self.envelope = self.gradients = self.flux_work = self.sweep = None
+
+    def join(self, st: SolveState):
+        """Make ``st`` the next row, its values copied in and its arrays
+        views of the row.  It must have the batch's plan and bundle."""
+        row = self.joined
+        if st.plan is not self.plan or st.coeffs is not self.coeffs:
+            raise ValueError("a batch's states share one plan and one "
+                             "coefficient bundle")
+        if row == self.rows:
+            raise ValueError(f"the batch's {self.rows} rows are taken")
+        n, m, one = self.n, self.m, self.rows == 1
+        cut = slice(row * n, (row + 1) * n)
+        self.u[cut] = st.u
+        st.u, st.rhs, st.flux, st.load = (
+            a if one else a[cut] for a in (self.u, self.rhs, self.flux,
+                                           self.load))
+        st.phi_trace = (self.phi_trace if one
+                        else self.phi_trace[row * m:(row + 1) * m])
+        st.block = self.block if one else self.block[row]
+        st.diffs = self.diffs if one else self.diffs[:, :, row]
+        st.batch, st.row, st._ring = self, row, st.block.reshape(-1)
+        self.joined = row + 1
+
+    def bind(self) -> "StepBatch":
+        """Bind the evaluation to the workspace, where it is not bound."""
+        if self.envelope is None:
+            plan = self.plan
+            self.envelope = bind_envelope(
+                plan.grid, self.u, self.phi_trace, self.block, plan.inner,
+                plan.trace_block_pos, self.rows)
+            self.gradients = _bind_gradients(self)
+            self.flux_work = flux_workspace(self.coeffs, self.rows)
+            self.sweep = plan.workspace(self.rows)
+        return self
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -165,26 +238,30 @@ def _bind_datum(phi: CoefficientField, plan: SweepPlan) -> tuple:
 def _read_datum(st: SolveState) -> np.ndarray:
     """Hold the datum at the state's time at the trace nodes and on the
     block's ring, from ``st.datum``; returns its exterior values, of which
-    the caller takes the exterior load."""
+    the caller takes the exterior load.  A datum constant in space puts its
+    one value at every ring node."""
     t = st.t
     if st.phi.varies_in_space:
         trace, ring, ext = (values(t) for values in st.datum)
         st.phi_trace[:] = trace
     else:
         st.phi_trace[:] = ring = ext = st.datum[0](t)
-    st.block.reshape(-1)[st.plan.ring_pos] = ring
+    st._ring.put(st.plan.ring_pos, ring)
     return ext
 
 
 def init_state(plan: SweepPlan, spec, phi, u0,
-               coeffs: Coefficients | None = None) -> SolveState:
+               coeffs: Coefficients | None = None,
+               batch: StepBatch | None = None) -> SolveState:
     """The state at t = 0 on the plan's grid.  Refuses data that are not
     finite where a step reads them (ValidationError) and a coercive a1 not
     bounded below by a positive constant (PreconditionError).
 
     ``coeffs`` is the spec's bundle on the core nodes at t = 0, built here
     when not given; states may share one only while none of its fields
-    reads t (a step moves a bundle that does)."""
+    reads t (a step moves a bundle that does).  The state is the next row
+    of ``batch``, which must hold that bundle, and else a batch of one; it
+    sets the batch's viscosity (see :class:`StepBatch`)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
@@ -192,7 +269,7 @@ def init_state(plan: SweepPlan, spec, phi, u0,
         u = eval_initial(u0, pts)
     if coeffs is None:
         coeffs = Coefficients(spec, pts)
-    st = SolveState(plan, spec, phi, u, coeffs)
+    st = SolveState(plan, spec, phi, u, coeffs, batch)
     a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
@@ -209,34 +286,36 @@ def init_state(plan: SweepPlan, spec, phi, u0,
            if not all(np.isfinite(v).all() for v in vals)]
     if bad:
         raise ValidationError(bad)
-    st.load = plan.exterior_load(ext)
+    plan.exterior_load(ext, out=st.load)
     st.m_cap = 1e3 * (1.0 + st.sup_norm + float(np.abs(ext).max(initial=0.0)))
     if spec.family == "coercive" and not coeffs.bound_reads_p:
         st.sigma = 1.0 + np.array(coeffs.lf_floor)
     elif spec.family == "coercive":
-        st._envelope()
-        pm, pp = st._gradients()
-        scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
+        b = st.batch.bind()
+        b.envelope()
+        b.gradients()
+        scale = float(np.abs(st.diffs).max(initial=0.0))
         st.sigma = 1.0 + np.array(lf_viscosity_bound(coeffs, scale))
     return st
 
 
-def _bind_gradients(st: SolveState):
-    """The backward and forward differences at the core nodes, shape (N,
-    dim), as a function () -> (p-, p+) that forms them from the state's
-    block: the envelope inside and the held datum on the ring.  They are
-    views of ``st.diffs``, whose layout (2, dim, *core_shape) makes each
-    axis's differences contiguous."""
-    plan, block, diffs, dim = st.plan, st.block, st.diffs, st.grid.dim
-    u = st.u.reshape(plan.core_shape)
+def _bind_gradients(b: StepBatch):
+    """The backward and forward differences at the core nodes of every row
+    of the batch ``b``, shape (rows * N, dim), as a function () -> (p-, p+)
+    that forms them from the batch's block: the envelope inside and the
+    held datum on the ring.  They are views of ``b.diffs``, whose layout
+    makes each axis's differences contiguous."""
+    plan, block, diffs, grid = b.plan, b.block, b.diffs, b.plan.grid
+    dim = grid.dim
+    u = b.u.reshape(diffs.shape[2:])
     # a 0-d array, which the division reads without converting a Python
     # number
-    h = np.array(st.grid.h)
+    h = np.array(grid.h)
     pm, pp = diffs[0].reshape(dim, -1).T, diffs[1].reshape(dim, -1).T
-    shifts = [(block[bwd], block[fwd], diffs[0, a], diffs[1, a])
-              for a, (bwd, fwd) in enumerate(plan.shifts)]
+    shifts = [(block[(...,) + bwd], block[(...,) + fwd], diffs[0, a],
+               diffs[1, a]) for a, (bwd, fwd) in enumerate(plan.shifts)]
     subtract, divide, copyto = np.subtract, np.divide, np.copyto
-    if dim == 1:
+    if dim == 1 and b.rows == 1:
         [(bwd, fwd, d_bwd, d_fwd)] = shifts
 
         def gradients():
@@ -248,8 +327,9 @@ def _bind_gradients(st: SolveState):
 
     def gradients():
         for bwd, fwd, d_bwd, d_fwd in shifts:
-            # numpy would buffer a shifted view, which is not contiguous:
-            # copy it into the output and subtract there
+            # numpy would buffer a shifted view that is not contiguous (in
+            # 2-D, or across the rows of a batch): copy it into the output
+            # and subtract there
             copyto(d_bwd, bwd)
             copyto(d_fwd, fwd)
             subtract(u, d_bwd, d_bwd)
@@ -262,8 +342,8 @@ def _bind_gradients(st: SolveState):
 def cfl_denominator(st: SolveState) -> float:
     """Lambda + sum(drift)/h + max|lam| at the state's time, where the drift
     bound is the viscosity (coercive) or max |b| per axis (Bellman).  The
-    state holds it (``den``) from :func:`auto_dt`'s first read until the
-    viscosity or a t-dependent lam or drift changes."""
+    state's batch holds it (``den``) from :func:`auto_dt`'s first read until
+    the viscosity or a t-dependent lam or drift changes."""
     c = st.coeffs
     drift = st.sigma if st.spec.family == "coercive" else c.b_max
     return st.plan.qt.lam + sum(drift.tolist()) / st.grid.h + c.lam_max
@@ -271,11 +351,12 @@ def cfl_denominator(st: SolveState) -> float:
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
     """The CFL-limited step theta / ``st.den``, which it computes where the
-    state holds none; without a bound (den = 0), T / 100, or 0.01 without
-    T."""
-    den = st.den
+    state's batch holds none; without a bound (den = 0), T / 100, or 0.01
+    without T."""
+    b = st.batch
+    den = b.den
     if den is None:
-        den = st.den = cfl_denominator(st)
+        den = b.den = cfl_denominator(st)
     if den <= 0.0:
         return cfg.T / 100.0 if cfg.T else 0.01
     return cfg.theta / den
@@ -284,30 +365,39 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     """Advance one explicit step (in place) and return the state.
 
-    On a Lax-Friedrichs viscosity underflow the state's viscosity grows to
-    twice the larger of itself and the required one (counted in
-    ``st.sigma_growth``) and only the flux is evaluated again: the sweep and
-    the differences do not read the viscosity, and the grown one covers the
-    same differences.  The step size, stored in ``st.last_dt``, is
-    :func:`auto_dt` after the flux (a grown viscosity tightens it), shortened
-    to land on ``until`` where that comes first: no step exceeds the bound.
+    Where the state's row of its batch is stale, every row of the batch is
+    evaluated, in one set of calls: the sweep, the differences and the
+    flux.  The step then consumes its own row.  On a Lax-Friedrichs
+    viscosity underflow the batch's viscosity grows to twice the larger of
+    itself and the required one (counted in ``st.sigma_growth``) and only
+    the flux is evaluated again: the sweep and the differences do not read
+    the viscosity, and the grown one covers the same differences.  The
+    step size, stored in ``st.last_dt``, is :func:`auto_dt` after the flux
+    (a grown viscosity tightens it), shortened to land on ``until`` where
+    that comes first: no step exceeds the bound.
     """
-    u = st.u
-    E = st._envelope()
-    rhs = st.plan.apply(E, u, st.load, out=st.rhs)
-    pm, pp = st._gradients()
-    try:
-        flux = numerical_hamiltonian_many(st.coeffs, u, pm, pp, st._sigma,
-                                          out=st.flux, work=st.flux_work)
-    except ViscosityUnderflow as e:
-        st.sigma = np.maximum(2.0 * st._sigma, 2.0 * e.required)
-        st.sigma_growth += 1
-        flux = numerical_hamiltonian_many(st.coeffs, u, pm, pp, st._sigma,
-                                          out=st.flux, work=st.flux_work)
+    b = st.batch
+    if b.stale[st.row]:
+        if b.envelope is None:
+            b.bind()
+        u = b.u
+        b.plan.apply(b.envelope(), u, b.load, b.rhs, b.sweep)
+        pm, pp = b.gradients()
+        try:
+            numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
+                                       out=b.flux, work=b.flux_work)
+        except ViscosityUnderflow as e:
+            st.sigma = np.maximum(2.0 * b.sigma, 2.0 * e.required)
+            st.sigma_growth += 1
+            numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
+                                       out=b.flux, work=b.flux_work)
+        b.stale = [False] * b.rows
+    b.stale[st.row] = True
     dt, t = auto_dt(st, cfg), st.t
     if until - t < dt:
         dt = until - t
-    rhs -= flux
+    u, rhs = st.u, st.rhs
+    rhs -= st.flux
     rhs *= dt
     u += rhs
     st.t = t = t + dt
@@ -316,8 +406,8 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
         st.plan.exterior_load(_read_datum(st), out=st.load)
     if st.coeffs.moving:
         st.coeffs.at(t)
-        if st._den_moves:
-            st.den = None
+        if b.den_moves:
+            b.den = None
     st.steps += 1
     # rhs is spent
     sup = st.sup_norm = float(np.maximum.reduce(np.absolute(u, rhs)))

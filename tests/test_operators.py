@@ -141,7 +141,7 @@ def test_field_envelope_policies(dom1, dom2):
         held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
         assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
         # the state's block, written through flat positions, holds the same
-        inner = st._envelope()
+        inner = st.batch.envelope()
         assert inner.base is st.block
         assert np.array_equal(inner.ravel(), envelope(g, st.u, st.phi_trace))
 
@@ -488,7 +488,8 @@ def test_public_fft_wrappers_keep_the_bytes(monkeypatch, alpha, dim, h):
     # in this process, a plan built on the public np.fft wrappers, which the
     # import falls back to without numpy's private module, sweeps and loads
     # the bytes of one built on the private gufuncs; the datum varies in
-    # space, so the load is correlated over the full grid
+    # space, so the load is correlated over the full grid.  A workspace for
+    # two stacked blocks sweeps each as the plan sweeps it alone
     from nlhj import harness
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     k = fractional_laplacian_kernel(alpha, dim)
@@ -499,8 +500,13 @@ def test_public_fft_wrappers_keep_the_bytes(monkeypatch, alpha, dim, h):
         plan = harness.discretize(dom, k, h, 2.0)
         g = plan.grid
         load = plan.exterior_load(np.sin(3.0 * g.exterior_points.sum(axis=1)))
-        E = np.random.default_rng(dim).normal(size=len(g.core_flat))
-        out.append((load.tobytes(), plan.apply(E, E - 0.25, load).tobytes()))
+        E = np.random.default_rng(dim).normal(size=(2, len(g.core_flat)))
+        alone = [plan.apply(e, e - 0.25, load) for e in E]
+        both = plan.apply(E.reshape((2,) + plan.core_shape),
+                          (E - 0.25).ravel(), np.tile(load, 2),
+                          work=plan.workspace(2))
+        assert both.tobytes() == b"".join(a.tobytes() for a in alone)
+        out.append((load.tobytes(), both.tobytes()))
     assert out[0] == out[1]
 
 

@@ -567,8 +567,9 @@ def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
     assert len(calls) == int(reads_p)
     # the gradient route: the bound at the largest one-sided difference of
     # the envelope
-    st._envelope()
-    pm, pp = st._gradients()
+    b = st.batch.bind()
+    b.envelope()
+    pm, pp = b.gradients()
     scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
     assert scale > 1.0
     ref = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
@@ -627,11 +628,14 @@ def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
     assert np.array_equal(ref.u, st.u)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
-def test_states_sharing_a_plan_step_as_if_alone(case):
-    # two states on one plan share its transform scratch: stepped
-    # alternately, each takes the same values as when stepped alone, and
-    # an operator value already returned survives a later sweep
+def test_states_sharing_a_plan_step_as_if_alone(case, stacked):
+    # two states on one plan, each in its own batch or stacked in one
+    # (sharing a bundle, a datum varying in space per row): stepped in
+    # turns and then one after the other, each takes the same values as
+    # when stepped alone, and an operator value the plan already returned
+    # survives a later sweep
     dim = 2 if case.endswith("2d") else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     if case.startswith("coercive"):
@@ -653,10 +657,13 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
         alone.append(init_state(plan, spec, phi, u0))
         for _ in range(20):
             step(alone[-1], cfg)
-    paired = [init_state(plan, spec, phi, u0) for phi, u0 in data]
-    for _ in range(20):
-        for st in paired:
-            step(st, cfg)
+    coeffs = Coefficients(spec, plan.grid.core_points) if stacked else None
+    batch = solver.StepBatch(plan, coeffs, 2) if stacked else None
+    paired = [init_state(plan, spec, phi, u0, coeffs, batch)
+              for phi, u0 in data]
+    assert (paired[0].batch is paired[1].batch) is stacked
+    for i in [0, 1] * 10 + [0] * 10 + [1] * 10:
+        step(paired[i], cfg)
     for a, b in zip(alone, paired):
         assert np.array_equal(a.u, b.u) and a.t == b.t
 
@@ -686,18 +693,51 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
     assert upwind == {True, False}
 
 
+def _stacked_pair(st) -> list:
+    """Two states in one batch on ``st``'s plan, datum and bundle: one from
+    ``st``'s values, one from others."""
+    batch = solver.StepBatch(st.plan, st.coeffs, 2)
+    return [init_state(st.plan, st.spec, st.phi, u0, st.coeffs, batch)
+            for u0 in (lambda p: st.u, lambda p: 0.5 - 0.2 * p.sum(axis=1))]
+
+
+def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
+    # a batch is evaluated with one plan and one bundle, a bundle with a
+    # field that reads t moves to its own state's time, and each state
+    # takes a row of its own
+    k = fractional_laplacian_kernel(0.5, 1)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
+    *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
+    plan, c = st.plan, st.coeffs
+    batch = solver.StepBatch(plan, c, 2)
+    with pytest.raises(ValueError, match="share one plan"):
+        init_state(plan, spec, 0.0, "0.5*x", batch=batch)
+    states = [init_state(plan, spec, 0.0, u0, c, batch) for u0 in (0, 1)]
+    assert [s.row for s in states] == [0, 1]
+    assert states[1].u.base is batch.u and np.all(states[1].u == 1.0)
+    with pytest.raises(ValueError, match="rows are taken"):
+        init_state(plan, spec, 0.0, 2.0, c, batch)
+    moving = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.1*t")
+    with pytest.raises(ValueError, match="read t"):
+        solver.StepBatch(plan, Coefficients(moving, st.grid.core_points), 2)
+
+
 @pytest.mark.parametrize("case, h", [("coercive-1d", 2.0 ** -7),
                                      ("bellman-1d", 2.0 ** -7),
                                      ("bellman-2d", 2.0 ** -4),
-                                     ("bellman-2d", 2.0 ** -3)])
+                                     ("bellman-2d", 2.0 ** -3),
+                                     ("coercive-1d-pair", 2.0 ** -7),
+                                     ("bellman-1d-pair", 2.0 ** -7),
+                                     ("bellman-2d-pair", 2.0 ** -3)])
 def test_step_allocates_no_array_of_the_core_size(case, h):
     # with data that do not depend on t, a step after the first writes into
     # the state's workspace: what it allocates and frees again stays below
     # 8 bytes per core node.  What remains is numpy's own scratch for a
     # reduction or a transform (about 1.7 KB, whatever the size), so the
-    # bound holds on the benchmark's grids and on the 289-node 2-D one
+    # bound holds on the benchmark's grids and on the 289-node 2-D one; a
+    # stacked pair's two steps, which evaluate both rows, stay below it too
     import tracemalloc
-    dim = 2 if case.endswith("2d") else 1
+    dim = 2 if "2d" in case else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     if case.startswith("coercive"):
         spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
@@ -709,10 +749,14 @@ def test_step_allocates_no_array_of_the_core_size(case, h):
     k = fractional_laplacian_kernel(0.5, dim)
     g, qt, cfg, st = make(dom, h, 2.0, spec, 1.0,
                           lambda p: 1.0 - 0.3 * (p * p).sum(axis=1), kernel=k)
-    step(st, cfg)
+    states = _stacked_pair(st) if case.endswith("pair") else [st]
+    st = states[0]
+    for s in states:
+        step(s, cfg)
     tracemalloc.start()
     try:
-        step(st, cfg)
+        for s in states:
+            step(s, cfg)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -770,19 +814,23 @@ def test_viscosity_set_below_the_held_floor_grows_at_the_next_step(dom1):
     assert st.sigma.tolist() == [3.0]
 
 
-@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
+@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d",
+                                  "coercive-1d-pair", "bellman-2d-pair"])
 def test_step_budget(monkeypatch, case):
     # a step makes one sweep and one flux call, looked up where the tracer
     # and a patch installed after the state exists see them; the coercive
     # step at m = 1 (large-time-1d's Hamiltonian and datum, f and phi
     # moving with t) takes the viscosity bound from the bundle, and the
-    # Bellman steps, whose data do not read t, evaluate no coefficient field
+    # Bellman steps, whose data do not read t, evaluate no coefficient
+    # field.  A stacked pair (its coercive f fixed in t, its datum not)
+    # makes one sweep and one flux call per two steps, one of each state
     from nlhj import hamiltonians
-    dim = 2 if case.endswith("2d") else 1
+    dim = 2 if "2d" in case else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    pair = case.endswith("pair")
     if case.startswith("coercive"):
-        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
-                            f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)" + (
+            "" if pair else " + 0.5*exp(-t)*sin(2*x)"))
         phi, h = "0.5*exp(-t)", 2.0 ** -6
     else:
         spec = BellmanSpec([ControlLaw(lam=0.5, b=["-x", "-y"][:dim],
@@ -794,6 +842,8 @@ def test_step_budget(monkeypatch, case):
     g, qt, cfg, st = make(dom, h, 4.0 if dim == 1 else 2.0, spec, phi,
                           lambda p: 0.5 + 0.3 * np.cos(2.0 * p.sum(axis=1)),
                           kernel=k)
+    states = _stacked_pair(st) if pair else [st]
+    st = states[0]
     calls = {"apply": 0, "flux": 0, "bound": 0, "field": 0}
 
     def counted(name, fn):
@@ -810,8 +860,9 @@ def test_step_budget(monkeypatch, case):
     monkeypatch.setattr(CoefficientField, "__call__",
                         counted("field", CoefficientField.__call__))
     for n in range(1, 4):
-        step(st, cfg)
-        assert calls["apply"] == calls["flux"] == n
+        for s in states:
+            step(s, cfg)
+            assert calls["apply"] == calls["flux"] == n
         assert calls["bound"] == 0
         if not (spec.time_dependent or st.phi.time_dependent):
             assert calls["field"] == 0
@@ -831,10 +882,11 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
     g, qt, cfg, st = make(dom, h, 2.0, spec, phi, u0, kernel=k)
     plan = st.plan
     assert plan.diag.shape == ()
+    b = st.batch.bind()
     for _ in range(2):
-        E = st._envelope()
+        E = b.envelope()
         u = st.u.reshape(plan.core_shape)
-        pm, pp = st._gradients()
+        pm, pp = b.gradients()
         for a, (bwd, fwd) in enumerate(plan.shifts):
             assert pm[:, a].tobytes() == (
                 (u - st.block[bwd]) / g.h).tobytes()
