@@ -83,7 +83,8 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
     """March to ``cfg.T``, or to a steady state when ``steady``, writing
     each snapshot's envelope to ``outdir/field_tNNNN.tsv``.  Tables:
     ``report``, the sup norm (the residual when ``steady``) of each step,
-    and ``trace_gaps``, phi - u at each trace node and snapshot time."""
+    and ``trace_gaps``, phi - u at each trace node and snapshot time, whose
+    coordinates and times are held as their ``%.17g`` text."""
     plan = discretize(dom, k, cfg.h, r_max)
     grid = plan.grid
     st = init_state(plan, spec, phi, u0)
@@ -94,14 +95,18 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
         rep = run_to_time(st, cfg, cfg.T)
         report = (("t", "sup_norm"), list(zip(rep.times, rep.sup_norms)))
     template = row_template(row_prefixes(grid.core_points))
-    pts, gaps = grid.trace_points.tolist(), []
+    # the trace nodes' coordinates and each snapshot's t as the text the
+    # table writer would make of them, formatted once
+    pts = [tuple(["%.17g" % x for x in p])
+           for p in grid.trace_points.tolist()]
+    gaps = []
     for i, (t, u) in enumerate(rep.snapshots):
         phi_trace = st.phi(grid.trace_points, t)
         # looked up on operators, where a tracer patches it
         operators.save_field(grid, envelope(grid, u, phi_trace), t,
                              outdir / f"field_t{i:04d}.tsv", k.alpha, template)
-        gs = phi_trace - u[grid.trace_pos]
-        gaps += [(*p, t, g) for p, g in zip(pts, gs.tolist())]
+        gs, t_text = phi_trace - u[grid.trace_pos], "%.17g" % t
+        gaps += [(*p, t_text, g) for p, g in zip(pts, gs.tolist())]
     dts = np.diff(rep.times)
     return ExperimentResult(
         True, metrics={"steps": st.steps, "sup_norm": st.sup_norm},

@@ -23,6 +23,9 @@ from nlhj.harness import (boundary_refinement, coercive_loss_experiment,
 from nlhj.solver import SchemeConfig, init_state, run_to_steady
 
 DOM = Domain((-1,), (1,))
+# criterion 5's inflow trace gap, pinned from the first verified refinement
+# study; criterion 4's lost-regime case reads it too
+LOSS_THRESHOLD = 0.8
 
 
 def verdict(num, name, passed, detail):
@@ -131,13 +134,30 @@ def test_criterion_4_exponential_rate():
     # the slack of the rate bound is the constant harness.EPS_RATE
     ok1 = res1.passed and res1.metrics["first_violation_t"] is None \
         and fitted >= 0.8 * mu0 and res1.metrics["eps_rate"] == 0.05
+
+    # lost regime, criterion 5's inflow data at h = 2^-6: the steady trace
+    # gap stays above the loss threshold, and the rate holds
+    spec2 = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
+    cfg2 = SchemeConfig(h=2.0 ** -6, snapshot_dt=0.1)
+    res2 = rate_experiment(spec2, DOM, k, 10.0, 10.0, 0.0, T=5.0, cfg=cfg2,
+                           r_max=4.0)
+    mu0_lost = res2.metrics["mu0"]
+    fitted_lost = res2.metrics["fitted_exponent"]
+    plan = discretize(DOM, k, cfg2.h, 4.0)
+    st_inf, _ = run_to_steady(init_state(plan, spec2, 10.0, 0.0), cfg2)
+    gap = float((10.0 - st_inf.u[plan.grid.trace_pos]).min())
+    ok2 = res2.passed and res2.metrics["first_violation_t"] is None \
+        and fitted_lost >= 0.8 * mu0_lost and gap > LOSS_THRESHOLD
     dt = time.monotonic() - t0
-    ok = ok0 and ok1
+    ok = ok0 and ok1 and ok2
     verdict(4, "exponential rate", ok,
             f"degenerate |dev-bound|max={eq_gap:.2e} <= dt={dt_step}; "
-            f"nonlocal mu0={mu0:.3f}, fitted={fitted:.3f}; {dt:.0f}s")
+            f"nonlocal mu0={mu0:.3f}, fitted={fitted:.3f}; lost "
+            f"mu0={mu0_lost:.3f}, fitted={fitted_lost:.3f}, steady trace "
+            f"gap={gap:.3f}; {dt:.0f}s")
     assert ok0
     assert ok1
+    assert ok2
     assert dt < 300.0
 
 
@@ -153,7 +173,6 @@ def test_criterion_5_boundary_attainment_vs_loss():
     ok_out = all(0.0 < r < 0.7 for f in ("left", "right")
                  for r in ratios_out[f])
     # inflow: gap persists above the pinned loss threshold
-    LOSS_THRESHOLD = 0.8  # pinned from the first verified refinement study
     spec_in = BellmanSpec([ControlLaw(lam=1.0, b="-x", f=0.0)])
     gaps_in = boundary_refinement(
         spec_in, DOM, k, 10.0, 10.0, T=3.0, h_list=hs,
