@@ -367,11 +367,9 @@ def flux_workspace(c: Coefficients, rows: int = 1):
 
     For ``rows`` > 1 the flux takes ``rows`` sets of the N points one after
     the other (rows * N values of r and gradients), against copies of the
-    coefficients repeated as many times, which a bundle none of whose
-    fields reads t may take once: numpy broadcasts an operand over rows at
-    twice the cost of a call on operands of one shape."""
-    if rows > 1 and c.moving:
-        raise ValueError("a bundle with fields that read t does not stack")
+    coefficients repeated as many times, taken here: only a bundle none of
+    whose fields reads t may be bound so (numpy broadcasts an operand over
+    rows at twice the cost of a call on operands of one shape)."""
     if c.spec.family == "bellman":
         return _upwind_flux(c, rows)
     return _lax_friedrichs_flux(c, rows)
