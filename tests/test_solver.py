@@ -628,15 +628,17 @@ def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
     assert np.array_equal(ref.u, st.u)
 
 
-@pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d"])
-def test_states_sharing_a_plan_step_as_if_alone(case, stacked):
+@pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d",
+                                  "coercive-1d-stacked", "bellman-1d-stacked",
+                                  "bellman-2d-stacked"])
+def test_states_sharing_a_plan_step_as_if_alone(case):
     # two states on one plan, each in its own batch or stacked in one
     # (sharing a bundle, a datum varying in space per row): stepped in
     # turns and then one after the other, each takes the same values as
     # when stepped alone, and an operator value the plan already returned
     # survives a later sweep
-    dim = 2 if case.endswith("2d") else 1
+    stacked = case.endswith("stacked")
+    dim = 2 if "2d" in case else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     if case.startswith("coercive"):
         spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)")
