@@ -116,6 +116,19 @@ CASES = {
         COERCIVE_1D, hamiltonian={"m": "2"},
         experiment={"name": "comparison", "u0_b": "2 - x^2",
                     "phi_b": "0.5"}),
+    # a datum ramping up fast: the trace gradients outgrow the viscosity
+    # the pair starts with
+    "comparison_pair_ramp": _with(
+        COERCIVE_1D, hamiltonian={"m": "2", "lam": "1", "f": "0"},
+        data={"u0": "0", "phi": "20*t"},
+        experiment={"name": "comparison", "u0_b": "0.1",
+                    "phi_b": "20*t + 0.1"}),
+    # a drift that reads t and changes sign: the pair's bundle moves
+    "comparison_pair_moving_drift": _with(
+        BELLMAN_1D, hamiltonian={"b_1": "cos(4*t)", "f_1": "0.2*x",
+                                 "b_2": "0.5"},
+        experiment={"name": "comparison", "u0_b": "2 - x^2",
+                    "phi_b": "0.5"}),
     "comparison_seeds_coercive": _with(
         COERCIVE_1D, experiment={"name": "comparison", "seeds": "3"}),
     "comparison_seeds_bellman": _with(

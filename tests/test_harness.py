@@ -166,6 +166,11 @@ PAIRS = {
     "moving-f": (CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=MOVING_F),
                  dict(data=(("1 - x^2", "2 - x^2"), (0.0, 0.5)), T=0.5,
                       r_max=4.0)),
+    # a drift that reads t and changes sign at t = pi/8
+    "bellman-moving-drift": (
+        BellmanSpec([ControlLaw(lam=0.5, b="cos(4*t)", f="0.2*x"),
+                     ControlLaw(lam=0.3, b=0.5, f=0.0)]),
+        dict(data=None, T=0.5, r_max=4.0)),
     "ramp-m2": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0), RAMP),
     "ramp-m2-moving-f": (CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=MOVING_F),
                          RAMP),
@@ -287,7 +292,8 @@ def _lockstep_rows(plan, spec, data, T, cfg):
 
 
 @pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f",
-                                  "ramp-m2", "bellman-2d"])
+                                  "bellman-moving-drift", "ramp-m2",
+                                  "bellman-2d"])
 def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
                                                              case):
     spec, data, args, cfg, res = _run_pair(case, dom1, k05)
