@@ -353,7 +353,7 @@ def lf_viscosity_bound(c: Coefficients, p_scale: float) -> list:
     return [s + b for b in c.b_max.tolist()]
 
 
-def flux_workspace(c: Coefficients, rows: int = 1):
+def flux_workspace(c: Coefficients):
     """The flux of :func:`numerical_hamiltonian_many` bound to the bundle
     ``c`` and to scratch at its N points: a function ``(r, p_minus, p_plus,
     sigma, out) -> out``.  What does not change from call to call is
@@ -363,32 +363,20 @@ def flux_workspace(c: Coefficients, rows: int = 1):
     operands of differing layouts).  The bundle's arrays are read at each
     call, as :meth:`Coefficients.at` renews them in place; whether a2 is
     active, and with it whether the viscosity bound reads the gradients,
-    is read at each call only where a2 moves with t.
-
-    For ``rows`` > 1 the flux takes ``rows`` sets of the N points one after
-    the other (rows * N values of r and gradients), against copies of the
-    coefficients repeated as many times, taken here: only a bundle none of
-    whose fields reads t may be bound so (numpy broadcasts an operand over
-    rows at twice the cost of a call on operands of one shape)."""
+    is read at each call only where a2 moves with t."""
     if c.spec.family == "bellman":
-        return _upwind_flux(c, rows)
-    return _lax_friedrichs_flux(c, rows)
+        return _upwind_flux(c)
+    return _lax_friedrichs_flux(c)
 
 
-def _tiled(values, rows: int):
-    """``values``, per point along their last axis, repeated for ``rows``
-    sets of the points one after the other; themselves for one set."""
-    return values if rows == 1 else np.tile(values, rows)
-
-
-def _upwind_flux(c: Coefficients, rows: int):
+def _upwind_flux(c: Coefficients):
     """The Bellman flux over all K controls at once, on the drifts stacked
     (K, dim, N): each component's one-sided gradient is selected by the
     bundle's ``upwind`` mask into scratch of that shape, then multiplied
     by the drift in one call.  The points' values r are copied into a row
     per control first, as numpy would buffer them broadcast."""
-    b, lam, f, upwind = (_tiled(v, rows) for v in (
-        c.stacked["b"], c.stacked["lam"], c.stacked["f"], c.upwind))
+    b, lam, f = (c.stacked[name] for name in ("b", "lam", "f"))
+    upwind = c.upwind
     p, bp, val, r_rows = (np.empty(b.shape), np.empty(lam.shape),
                           np.empty(lam.shape), np.empty(lam.shape))
     # in 1-D, b.p of a control is its one product: a view of p that is
@@ -418,12 +406,11 @@ def _upwind_flux(c: Coefficients, rows: int):
     return flux
 
 
-def _lax_friedrichs_flux(c: Coefficients, rows: int):
+def _lax_friedrichs_flux(c: Coefficients):
     """The coercive flux: H at the mean gradient minus the viscosity term
     0.5 sum_a sigma_a (p+ - p-)."""
-    v, spec, n = c.terms[0], c.spec, rows * c.n
-    a1, a2, lam, f = (_tiled(x, rows) for x in (v.a1, v.a2, v.lam, v.f))
-    b = None if v.b is None else _tiled(v.b.T, rows).T
+    v, spec, n = c.terms[0], c.spec, c.n
+    a1, a2, lam, f, b = v.a1, v.a2, v.lam, v.f, v.b
     m, l, powered = spec.m, spec.l, spec.m != 1
     p = np.empty((spec.dim, n)).T
     col, *more = cols = [p[:, a] for a in range(spec.dim)]
@@ -500,9 +487,7 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
     (dim,) (a coercive form's state holds it; Bellman forms ignore it).
     The flux is written into ``out`` by ``work``, the flux bound to ``c``
     (see :func:`flux_workspace`), each made when not given; the allocating
-    form is what tests compare the solver's in-place calls against.  A
-    ``work`` bound for several rows of the points takes that many times N
-    values of r and rows of gradients.
+    form is what tests compare the solver's in-place calls against.
     """
     if out is None:
         out = np.empty(len(p_minus))

@@ -41,7 +41,6 @@ class ExperimentResult:
 R_MAX_DIAMETERS = 4.0   # halo reach, in domain diameters
 EPS_RATE = 0.05         # slack of the rate bound
 EPS_CONV = 0.05         # convergence tolerance along the horizon ladder
-PAIR_ATTEMPTS = 8       # runs of a comparison pair, its joint restarts included
 HOLDER_SEP = 0.25       # largest pair separation of the Holder quotient
 
 
@@ -143,63 +142,44 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     """Run two ordered evolutions in lockstep; report the worst ordering
     violation max over steps and nodes of (u - v)^+.
 
-    Coercive runs share one Lax-Friedrichs viscosity, otherwise the two
-    fluxes would differ and exact ordering could not be expected.  It is the
-    per-axis larger of the two states' own viscosities, the ones
-    :func:`~nlhj.solver.init_state` sizes and a single run of either data
-    set steps with, so the pair checks the scheme the solver runs.  When no
-    coefficient field reads t, the states share one coefficient bundle too;
-    otherwise each state's bundle moves with its own steps.  Sharing the
-    bundle and a viscosity that cannot grow (a Bellman form, or a coercive
-    one whose viscosity bound does not read the gradients), the states are
-    stepped as one batch (see :class:`~nlhj.solver.StepBatch`).  When a step
-    grows either state's viscosity (``sigma_growth``), both states
-    restart with the grown one; a growth in the last of
-    :data:`PAIR_ATTEMPTS` runs raises :class:`NonConvergence`, as does a
-    state passing ``cfg.max_steps``.  Metrics: ``max_violation``, ``steps``
-    (per state), the shared ``sigma`` (None for Bellman forms) and
-    ``restarts``; the last three are also its telemetry.
+    The states are the two rows of one batch (see
+    :class:`~nlhj.solver.StepBatch`): one coefficient bundle, one
+    Lax-Friedrichs viscosity (coercive forms) and one step size, so that
+    both take every step with one monotone scheme, otherwise exact ordering
+    could not be expected.  The viscosity starts as the per-axis larger of
+    the two states' own, the ones :func:`~nlhj.solver.init_state` sizes and
+    a single run of either data set starts with.  A step that finds it too
+    small grows it for both rows before either state moves
+    (``sigma_growth``), so the pair checks the scheme the solver runs.  A
+    state passing ``cfg.max_steps`` raises :class:`NonConvergence`.
+    Metrics: ``max_violation``, ``steps`` (per state), the final shared
+    ``sigma`` (None for Bellman forms) and ``sigma_growth``, summed over
+    the two states; the last three are also its telemetry.
     """
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    coeffs = (None if spec.time_dependent
-              else Coefficients(spec, plan.grid.core_points))
-    batched = coeffs is not None and (spec.family == "bellman"
-                                      or not coeffs.bound_reads_p)
-    shared = None
-    for restarts in range(PAIR_ATTEMPTS):
-        batch = StepBatch(plan, coeffs, 2) if batched else None
-        sa = init_state(plan, spec, phi_a, u0_a, coeffs, batch)
-        sb = init_state(plan, spec, phi_b, u0_b, coeffs, batch)
-        if spec.family == "coercive":
-            if shared is None:
-                shared = np.maximum(sa.sigma, sb.sigma)
-            sa.sigma = sb.sigma = shared
-        if restarts == 0:
-            _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
-        worst, rows, gap = 0.0, [], np.empty_like(sa.u)
-        while sa.t < T - 1e-14:
-            # sharing spec, plan and viscosity, the states take equal steps
-            if step(sa, cfg, T).sigma_growth or step(sb, cfg, T).sigma_growth:
-                break
-            v = float(np.maximum.reduce(np.subtract(sa.u, sb.u, out=gap)))
-            worst = max(worst, v)
-            rows.append((sa.t, v))
-            if sa.steps > cfg.max_steps:
-                raise NonConvergence(f"comparison pair: exceeded "
-                                     f"{cfg.max_steps} steps before T")
-        else:
-            break  # the pair reached T
-        # a step grew its state's viscosity: restart both states with it
-        shared = sb.sigma if sb.sigma_growth else sa.sigma
-    else:
-        raise NonConvergence(
-            f"comparison pair: viscosity underflow after {PAIR_ATTEMPTS} "
-            f"attempts with a shared viscosity")
+    batch = StepBatch(plan, Coefficients(
+        spec, np.tile(plan.grid.core_points, (2, 1))), 2)
+    sa = init_state(plan, spec, phi_a, u0_a, batch)
+    own = sa.sigma
+    sb = init_state(plan, spec, phi_b, u0_b, batch)
+    if spec.family == "coercive":
+        sa.sigma = np.maximum(own, sb.sigma)
+    _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
+    worst, rows, gap = 0.0, [], np.empty_like(sa.u)
+    while sa.t < T - 1e-14:
+        step(sa, cfg, T)
+        step(sb, cfg, T)
+        v = float(np.maximum.reduce(np.subtract(sa.u, sb.u, out=gap)))
+        worst = max(worst, v)
+        rows.append((sa.t, v))
+        if sa.steps > cfg.max_steps:
+            raise NonConvergence(f"comparison pair: exceeded "
+                                 f"{cfg.max_steps} steps before T")
     counters = {"steps": sa.steps,
-                "sigma": None if shared is None else float(np.max(shared)),
-                "restarts": restarts}
+                "sigma": None if sa.sigma is None else float(np.max(sa.sigma)),
+                "sigma_growth": sa.sigma_growth + sb.sigma_growth}
     return ExperimentResult(
         worst <= 1e-12, metrics={"max_violation": worst, **counters},
         tables={"report": (("t", "max_violation"), rows)},
@@ -212,7 +192,7 @@ def comparison_seeds(spec, dom: Domain, k: Kernel, seeds: int, T: float,
     """:func:`comparison_experiment` on the :func:`random_ordered_pair` of
     each seed below ``seeds``, passed when every pair passes: the worst
     violation, a ``seed, max_violation`` table, and the pairs' steps and
-    restarts summed and largest shared ``sigma`` as telemetry."""
+    viscosity growths summed and largest shared ``sigma`` as telemetry."""
     results = [comparison_experiment(spec, dom, k, pair[:2], pair[2:], T, cfg,
                                      r_max=r_max) for pair in
                (random_ordered_pair(s, dom) for s in range(seeds))]
@@ -226,7 +206,7 @@ def comparison_seeds(spec, dom: Domain, k: Kernel, seeds: int, T: float,
         telemetry={"steps": sum(t["steps"] for t in tel),
                    "sigma": max((t["sigma"] for t in tel
                                  if t["sigma"] is not None), default=None),
-                   "restarts": sum(t["restarts"] for t in tel)})
+                   "sigma_growth": sum(t["sigma_growth"] for t in tel)})
 
 
 def random_ordered_pair(seed: int, dom: Domain):

@@ -28,8 +28,7 @@ allocates no array of the core's size.  The workspace belongs to a
 viscosity, one row per state: a batch is evaluated in one set of calls,
 which costs little more than one state's evaluation where a step's arrays
 are small, and each state's step then takes its own row.  A state starts
-in a batch of one; a comparison pair whose viscosity cannot grow is
-stacked into a batch of two.
+in a batch of one; a comparison pair is stacked into a batch of two.
 """
 
 from __future__ import annotations
@@ -73,26 +72,25 @@ class SchemeConfig:
 @dataclass
 class SolveState:
     """The unknowns at time t plus the data a step reads, held at time t:
-    the Hamiltonian's coefficients on the core nodes (``coeffs``), the datum
-    at the trace nodes (``phi_trace``) and its exterior load, and the padded
-    ``block`` (see the module docstring) with the datum on its ring.  Data
-    that do not depend on t are evaluated once, by :func:`init_state`; the
-    rest are held bound to their points (``datum`` and ``coeffs``), and a
-    step evaluates their parts that read t at the new time.
+    the datum at the trace nodes (``phi_trace``) and its exterior load, and
+    the padded ``block`` (see the module docstring) with the datum on its
+    ring.  A datum that does not depend on t is evaluated once, by
+    :func:`init_state`; one that does is held bound to its points
+    (``datum``), and a step evaluates its parts that read t at the new
+    time.
 
     A state is row ``row`` of its ``batch`` (:class:`StepBatch`), which
-    holds the workspace a step writes into, the viscosity ``sigma`` and the
-    CFL denominator ``den``: ``u``, ``block``, ``phi_trace``, ``load``, the
-    one-sided differences ``diffs`` of shape (2, dim, *core_shape)
-    (backward, forward), the update ``rhs`` and the ``flux`` are views of
-    that row.  A state built without a batch makes a batch of one."""
+    holds the Hamiltonian's coefficients (``coeffs``), the workspace a step
+    writes into, the viscosity ``sigma`` and the CFL denominator ``den``:
+    ``u``, ``block``, ``phi_trace``, ``load``, the one-sided differences
+    ``diffs`` of shape (2, dim, *core_shape) (backward, forward), the
+    update ``rhs`` and the ``flux`` are views of that row."""
 
     plan: SweepPlan
     spec: object
     phi: CoefficientField
     u: np.ndarray                    # core values, in grid.core_flat order
-    coeffs: Coefficients
-    batch: "StepBatch | None" = dfield(default=None, repr=False)
+    batch: "StepBatch" = dfield(repr=False)
     t: float = 0.0
     steps: int = 0
     m_cap: float = np.inf
@@ -111,7 +109,12 @@ class SolveState:
 
     def __post_init__(self):
         self.sup_norm = float(np.abs(self.u).max())
-        (self.batch or StepBatch(self.plan, self.coeffs)).join(self)
+        self.batch.join(self)
+
+    @property
+    def coeffs(self) -> Coefficients:
+        """The batch's coefficient bundle, on the core nodes of every row."""
+        return self.batch.coeffs
 
     @property
     def sigma(self) -> np.ndarray | None:
@@ -144,28 +147,30 @@ class StepBatch:
     ``rhs``, ``flux``, ``load`` and ``phi_trace`` hold the rows one after
     the other; ``block`` has shape (rows, *block_shape) and ``diffs`` (2,
     dim, rows, *core_shape), so that each axis's differences of every row
-    are contiguous (no leading axis for a batch of one).  Rows share a
-    bundle only where none of its fields reads t: a step moves a bundle
-    that does to its own state's time.
+    are contiguous (no leading axis for a batch of one).  The bundle is
+    evaluated on the rows' core points one after the other, as the
+    workspace holds them (``np.tile`` of the core points, ``rows`` times).
 
     A row whose ``stale`` flag is down holds the operator's values
     (``rhs``) and the ``flux`` of its state as it stands; :func:`step`
     evaluates every row when its state's row is stale and consumes that
-    row's.  The evaluation is bound to the workspace by :meth:`bind`, at
-    the first step: ``envelope()`` writes the envelope into the block and
-    returns its interior (see :func:`~nlhj.operators.bind_envelope`),
-    ``gradients()`` returns the differences (see :func:`_bind_gradients`),
-    ``flux_work`` is the flux bound to the bundle and its scratch (see
+    row's.  A bundle with fields that read t moves when every row has
+    stepped, so its rows step in turn, at one time.  The evaluation is
+    bound to the workspace by :meth:`bind`, at the first step:
+    ``envelope()`` writes the envelope into the block and returns its
+    interior (see :func:`~nlhj.operators.bind_envelope`), ``gradients()``
+    returns the differences (see :func:`_bind_gradients`), ``flux_work`` is
+    the flux bound to the bundle and its scratch (see
     :func:`~nlhj.hamiltonians.flux_workspace`) and ``sweep`` the sweep's
     transforms (see :meth:`~nlhj.operators.SweepPlan.workspace`)."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
                  rows: int = 1):
-        if rows > 1 and coeffs.moving:
-            raise ValueError("a bundle with fields that read t does not "
-                             "stack")
         grid = plan.grid
         self.n, self.m = len(grid.core_flat), len(grid.trace_pos)
+        if coeffs.n != rows * self.n:
+            raise ValueError(f"a batch of {rows} rows takes a bundle on "
+                             f"{rows * self.n} points, not {coeffs.n}")
         lead = (rows,) if rows > 1 else ()
         self.plan, self.coeffs, self.rows, self.joined = plan, coeffs, rows, 0
         self.sigma = self.den = None
@@ -182,11 +187,11 @@ class StepBatch:
 
     def join(self, st: SolveState):
         """Make ``st`` the next row, its values copied in and its arrays
-        views of the row.  It must have the batch's plan and bundle."""
+        views of the row.  It must have the batch's plan and spec."""
         row = self.joined
-        if st.plan is not self.plan or st.coeffs is not self.coeffs:
-            raise ValueError("a batch's states share one plan and one "
-                             "coefficient bundle")
+        if st.plan is not self.plan or st.spec is not self.coeffs.spec:
+            raise ValueError("a batch's states share one plan and the "
+                             "spec of its bundle")
         if row == self.rows:
             raise ValueError(f"the batch's {self.rows} rows are taken")
         n, m, one = self.n, self.m, self.rows == 1
@@ -210,7 +215,7 @@ class StepBatch:
                 plan.grid, self.u, self.phi_trace, self.block, plan.inner,
                 plan.trace_block_pos, self.rows)
             self.gradients = _bind_gradients(self)
-            self.flux_work = flux_workspace(self.coeffs, self.rows)
+            self.flux_work = flux_workspace(self.coeffs)
             self.sweep = plan.workspace(self.rows)
         return self
 
@@ -251,26 +256,23 @@ def _read_datum(st: SolveState) -> np.ndarray:
 
 
 def init_state(plan: SweepPlan, spec, phi, u0,
-               coeffs: Coefficients | None = None,
                batch: StepBatch | None = None) -> SolveState:
     """The state at t = 0 on the plan's grid.  Refuses data that are not
     finite where a step reads them (ValidationError) and a coercive a1 not
     bounded below by a positive constant (PreconditionError).
 
-    ``coeffs`` is the spec's bundle on the core nodes at t = 0, built here
-    when not given; states may share one only while none of its fields
-    reads t (a step moves a bundle that does).  The state is the next row
-    of ``batch``, which must hold that bundle, and else a batch of one; it
-    sets the batch's viscosity (see :class:`StepBatch`)."""
+    The state is the next row of ``batch``, whose bundle must be the
+    spec's, and else a batch of one with the spec's bundle on the core
+    nodes; it sets the batch's viscosity (see :class:`StepBatch`)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = eval_initial(u0, pts)
-    if coeffs is None:
-        coeffs = Coefficients(spec, pts)
-    st = SolveState(plan, spec, phi, u, coeffs, batch)
-    a1_min = st.coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
+    st = SolveState(plan, spec, phi, u,
+                    batch or StepBatch(plan, Coefficients(spec, pts)))
+    coeffs = st.coeffs
+    a1_min = coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
                                 f"constant (min {a1_min})")
@@ -367,9 +369,12 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
 
     Where the state's row of its batch is stale, every row of the batch is
     evaluated, in one set of calls: the sweep, the differences and the
-    flux.  The step then consumes its own row.  On a Lax-Friedrichs
-    viscosity underflow the batch's viscosity grows to twice the larger of
-    itself and the required one (counted in ``st.sigma_growth``) and only
+    flux.  The step then consumes its own row.  A bundle with fields that
+    read t moves to the new time once every row has stepped; a row whose
+    step would evaluate the batch before then raises ValueError.  On a
+    Lax-Friedrichs viscosity underflow the batch's viscosity grows to twice
+    the larger of itself and the required one (counted in
+    ``st.sigma_growth``), for every row before any state moves, and only
     the flux is evaluated again: the sweep and the differences do not read
     the viscosity, and the grown one covers the same differences.  The
     step size, stored in ``st.last_dt``, is :func:`auto_dt` after the flux
@@ -378,6 +383,9 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     """
     b = st.batch
     if b.stale[st.row]:
+        if b.coeffs.moving and not all(b.stale):
+            raise ValueError(f"row {st.row} steps out of turn: the batch's "
+                             f"bundle reads t and moves with its last row")
         if b.envelope is None:
             b.bind()
         u = b.u
@@ -404,8 +412,8 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     st.last_dt = dt
     if st.datum is not None:  # the datum reads t
         st.plan.exterior_load(_read_datum(st), out=st.load)
-    if st.coeffs.moving:
-        st.coeffs.at(t)
+    if b.coeffs.moving and all(b.stale):
+        b.coeffs.at(t)
         if b.den_moves:
             b.den = None
     st.steps += 1

@@ -454,7 +454,8 @@ def test_run_manifest_reports_solver_telemetry(tmp_path):
 @pytest.mark.parametrize("template", ["minimal", "bellman"])
 def test_comparison_manifest_reports_solver_telemetry(tmp_path, template):
     # steps summed over the pairs, the largest shared viscosity (none for
-    # Bellman forms) and the joint restarts; the report table is unchanged
+    # Bellman forms) and the viscosity growths summed; the report table is
+    # unchanged
     out = tmp_path / "out"
     text = TEMPLATES[template].format(out=out)
     text = text.replace("name = run", "name = comparison\nseeds = 2")
@@ -470,15 +471,15 @@ def test_comparison_manifest_reports_solver_telemetry(tmp_path, template):
     assert m["telemetry"] == {
         "steps": pairs[0]["steps"] + pairs[1]["steps"],
         "sigma": 2.0 if template == "minimal" else None,   # 1 + a1 at m = 1
-        "restarts": 0}
+        "sigma_growth": 0}
     assert m["telemetry"]["steps"] > 0
     assert (out / "report.tsv").read_text().splitlines() == [
         "seed\tmax_violation", "0\t0", "1\t0"]
 
 
-def test_comparison_telemetry_counts_joint_restarts(tmp_path):
-    # one given pair whose datum ramps up fast: the shared viscosity is
-    # enlarged by joint restarts, and the telemetry reports them
+def test_comparison_telemetry_counts_viscosity_growths(tmp_path):
+    # one given pair whose datum ramps up fast: the shared viscosity grows
+    # as the pair steps, and the telemetry reports the growths
     out = tmp_path / "out"
     text = MINIMAL.format(out=out).replace("m = 1.0", "m = 2.0")
     text = text.replace("u0 = 1 - x^2\nphi = 0", "u0 = 0\nphi = 20*t")
@@ -487,27 +488,9 @@ def test_comparison_telemetry_counts_joint_restarts(tmp_path):
     text = text.replace("snapshot_dt = 0.125\n", "")
     assert execute(parse_config(write(tmp_path, text, "ramp.cfg"))) == 0
     m = json.loads((out / "manifest.json").read_text())
-    assert m["metrics"]["restarts"] >= 1
+    assert m["metrics"]["sigma_growth"] >= 1
     assert m["telemetry"] == {key: m["metrics"][key]
-                              for key in ("steps", "sigma", "restarts")}
-
-
-def test_comparison_pair_out_of_restarts_exits_1(tmp_path, monkeypatch):
-    def grows(st, cfg, until=np.inf):
-        # the viscosity underflows on every step
-        st.sigma = np.maximum(2.0 * st.sigma, 2.0)
-        st.sigma_growth += 1
-        return st
-
-    monkeypatch.setattr(harness, "step", grows)
-    out = tmp_path / "out"
-    text = MINIMAL.format(out=out).replace("name = run",
-                                           "name = comparison\nseeds = 1")
-    text = text.replace("snapshot_dt = 0.125\n", "")
-    assert execute(parse_config(write(tmp_path, text, "cmp.cfg"))) == 1
-    m = json.loads((out / "manifest.json").read_text())
-    assert m["error"].startswith("NonConvergence: comparison pair")
-    assert "passed" not in m and not (out / "report.tsv").exists()
+                              for key in ("steps", "sigma", "sigma_growth")}
 
 
 def test_comparison_stops_past_max_steps(tmp_path):

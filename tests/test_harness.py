@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlhj import harness
-from nlhj.errors import NonConvergence, PreconditionError
+from nlhj.errors import PreconditionError
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                                CoerciveSpec, ControlLaw)
@@ -103,7 +103,7 @@ def test_comparison_pair_steps_with_the_scheme_a_run_takes(dom1, k05):
     u0, v0, pa, pb = random_ordered_pair(3, dom1)
     res = comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb), T=1.0,
                                 cfg=cfg, r_max=4.0)
-    assert res.passed and res.metrics["restarts"] == 0
+    assert res.passed and res.metrics["sigma_growth"] == 0
     plan = discretize(dom1, k05, cfg.h, 4.0)
     sa = init_state(plan, spec, pa, u0)
     sb = init_state(plan, spec, pb, v0)
@@ -112,9 +112,22 @@ def test_comparison_pair_steps_with_the_scheme_a_run_takes(dom1, k05):
     assert res.metrics["steps"] == sa.steps
 
 
-def test_comparison_pair_restarts_jointly_on_underflow(dom1, k05):
-    # a datum ramping up fast steepens the trace gradients past the shared
-    # viscosity: both states restart with a larger one and stay ordered
+def test_comparison_pair_grows_its_viscosity_in_flight(dom1, k05,
+                                                      monkeypatch):
+    # a datum ramping up fast steepens the trace gradients past the
+    # viscosity the pair starts with: it grows at the step that finds it
+    # too small, for both rows before either state moves, so both states
+    # take every step with one viscosity and one dt and stay ordered; the
+    # pair then steps as the state with the steeper datum run alone
+    seen = []
+    real_step = harness.step
+
+    def recorded(st, *args):
+        real_step(st, *args)
+        seen.append((st.row, st.t, st.last_dt, st.sigma.tolist()))
+        return st
+
+    monkeypatch.setattr(harness, "step", recorded)
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
     cfg = SchemeConfig(h=2.0 ** -5)
     u0 = lambda p: np.zeros(p.shape[0])
@@ -122,41 +135,23 @@ def test_comparison_pair_restarts_jointly_on_underflow(dom1, k05):
     res = comparison_experiment(spec, dom1, k05, (u0, v0),
                                 ("20*t", "20*t + 0.1"), T=0.5, cfg=cfg,
                                 r_max=4.0)
-    sigma0 = init_state(discretize(dom1, k05, cfg.h, 4.0), spec, "20*t",
-                        u0).sigma
     assert res.passed and res.metrics["max_violation"] == 0.0
-    assert res.metrics["restarts"] >= 1
-    assert res.metrics["sigma"] >= 2 ** res.metrics["restarts"] * sigma0.max()
-
-
-def test_comparison_pair_fails_when_its_restarts_are_spent(dom1, k05,
-                                                          monkeypatch):
-    # a viscosity growth on every attempt ends the pair with an error, not
-    # with a pass over no steps
-    attempts = []
-
-    def grows(st, cfg, until=np.inf):
-        # as step grows the viscosity for a required bound of 1
-        attempts.append(st.sigma)
-        st.sigma = np.maximum(2.0 * st.sigma, 2.0)
-        st.sigma_growth += 1
-        return st
-
-    monkeypatch.setattr(harness, "step", grows)
-    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
-    u0, v0, pa, pb = random_ordered_pair(0, dom1)
-    with pytest.raises(NonConvergence, match="8 attempts"):
-        comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb), T=0.25,
-                              cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
-    assert len(attempts) == harness.PAIR_ATTEMPTS == 8
-    # each restart doubles the shared viscosity
-    assert [float(s[0]) for s in attempts] == [2.0 * 2 ** i for i in range(8)]
+    assert res.metrics["sigma_growth"] >= 1
+    assert len(seen) == 2 * res.metrics["steps"]
+    for a, b in zip(seen[::2], seen[1::2]):
+        assert (a[0], b[0]) == (0, 1) and a[1:] == b[1:]
+    assert len({tuple(s[3]) for s in seen}) == res.metrics["sigma_growth"] + 1
+    alone = init_state(discretize(dom1, k05, cfg.h, 4.0), spec,
+                       "20*t + 0.1", v0)
+    run_to_time(alone, cfg, 0.5)
+    assert res.metrics["steps"] == alone.steps
+    assert res.metrics["sigma"] == float(alone.sigma.max())
 
 
 MOVING_F = "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"
 BELLMAN_PAIR = BellmanSpec([ControlLaw(lam=0.5, b="-x", f="0.1*sin(2*x)"),
                             ControlLaw(lam=0.3, b="0.5*x", f=0.0)])
-# the ramp pair of the config test of joint restarts: the datum steepens
+# the ramp pair of the config test of viscosity growth: the datum steepens
 # the trace gradients past the shared viscosity
 RAMP = dict(data=((0.0, 0.1), ("20*t", "20*t + 0.1")), T=0.25, r_max=None)
 PAIRS = {
@@ -215,27 +210,26 @@ def _count_bundles(monkeypatch):
 @pytest.mark.parametrize("case", ["coercive-m1", "bellman", "ramp-m2"])
 def test_comparison_pair_shares_one_bundle_when_no_field_reads_t(
         dom1, k05, monkeypatch, case):
-    # both states, over every attempt, read the one bundle the pair builds
+    # both states read the one bundle the pair builds
     built = _count_bundles(monkeypatch)
     states = []
     real_init = harness.init_state
     monkeypatch.setattr(harness, "init_state", lambda *a, **kw: states.append(
         real_init(*a, **kw)) or states[-1])
     *_, res = _run_pair(case, dom1, k05)
-    assert res.passed and len(built) == 1
-    assert len(states) == 2 * (res.metrics["restarts"] + 1)
+    assert res.passed and len(built) == 1 and len(states) == 2
     assert all(st.coeffs is built[0] for st in states)
     if case == "ramp-m2":
-        assert res.metrics["restarts"] >= 1
+        assert res.metrics["sigma_growth"] >= 1
 
 
 @pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f"])
 def test_comparison_pair_computes_each_cfl_denominator_once(
         dom1, k05, monkeypatch, case):
-    # each batch computes its CFL denominator when its first step size is
-    # taken, after the pair has set the shared viscosity, and holds it when
-    # neither lam nor the drift reads t: one for a pair stepped as one
-    # batch, one per state otherwise, none before the first step
+    # the pair's batch computes its CFL denominator when its first step
+    # size is taken, after the pair has set the shared viscosity, and holds
+    # it when neither lam nor the drift reads t: one per pair, none before
+    # the first step
     from nlhj import solver
     dens, before_first_step = [], []
     real_den, real_step = solver.cfl_denominator, harness.step
@@ -249,51 +243,43 @@ def test_comparison_pair_computes_each_cfl_denominator_once(
 
     monkeypatch.setattr(harness, "step", stepped)
     *_, res = _run_pair(case, dom1, k05)
-    assert res.passed and res.metrics["restarts"] == 0
+    assert res.passed and res.metrics["sigma_growth"] == 0
     assert before_first_step == [0]
-    assert len(dens) == (2 if case == "moving-f" else 1)
-    assert len({id(st.batch) for st in dens}) == len(dens)
+    assert len(dens) == 1
 
 
 @pytest.mark.parametrize("case", ["moving-f", "ramp-m2-moving-f"])
-def test_comparison_pair_with_a_moving_field_builds_a_bundle_per_state(
+def test_comparison_pair_with_a_moving_field_shares_one_bundle(
         dom1, k05, monkeypatch, case):
-    # a bundle that reads t moves with its own state's steps: each state of
-    # each attempt builds its own, at t = 0
+    # a bundle that reads t moves once per pair step, after both states
+    # have stepped: the pair builds one, at t = 0, and ends with it at T
     built = _count_bundles(monkeypatch)
     *_, res = _run_pair(case, dom1, k05)
-    assert res.passed
-    assert len(built) == 2 * (res.metrics["restarts"] + 1)
+    assert res.passed and len(built) == 1
+    assert built[0].t == pytest.approx(PAIRS[case][1]["T"], abs=1e-12)
     if case == "ramp-m2-moving-f":
-        assert res.metrics["restarts"] >= 1
+        assert res.metrics["sigma_growth"] >= 1
 
 
 def _lockstep_rows(plan, spec, data, T, cfg):
     """A comparison pair's report rows from two states that ``init_state``
-    builds alone, each with its own bundle, stepped in lockstep and
-    restarted together with a grown viscosity."""
+    builds alone, each with its own bundle, stepped in lockstep with the
+    per-axis larger of their viscosities, which neither grows."""
     (u0, v0), (pa, pb) = data
-    shared = None
-    for _ in range(harness.PAIR_ATTEMPTS):
-        sa, sb = init_state(plan, spec, pa, u0), init_state(plan, spec, pb, v0)
-        if spec.family == "coercive":
-            if shared is None:
-                shared = np.maximum(sa.sigma, sb.sigma)
-            sa.sigma = sb.sigma = shared
-        rows = []
-        while sa.t < T - 1e-14:
-            if step(sa, cfg, T).sigma_growth or step(sb, cfg, T).sigma_growth:
-                break
-            rows.append((sa.t, float(np.max(sa.u - sb.u))))
-        else:
-            return rows
-        shared = sb.sigma if sb.sigma_growth else sa.sigma
-    raise AssertionError("the pair did not reach T")
+    sa, sb = init_state(plan, spec, pa, u0), init_state(plan, spec, pb, v0)
+    if spec.family == "coercive":
+        sa.sigma = sb.sigma = np.maximum(sa.sigma, sb.sigma)
+    rows = []
+    while sa.t < T - 1e-14:
+        step(sa, cfg, T)
+        step(sb, cfg, T)
+        assert sa.sigma_growth == sb.sigma_growth == 0
+        rows.append((sa.t, float(np.max(sa.u - sb.u))))
+    return rows
 
 
 @pytest.mark.parametrize("case", ["coercive-m1", "bellman", "moving-f",
-                                  "bellman-moving-drift", "ramp-m2",
-                                  "bellman-2d"])
+                                  "bellman-moving-drift", "bellman-2d"])
 def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
                                                              case):
     spec, data, args, cfg, res = _run_pair(case, dom1, k05)

@@ -659,10 +659,8 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
         alone.append(init_state(plan, spec, phi, u0))
         for _ in range(20):
             step(alone[-1], cfg)
-    coeffs = Coefficients(spec, plan.grid.core_points) if stacked else None
-    batch = solver.StepBatch(plan, coeffs, 2) if stacked else None
-    paired = [init_state(plan, spec, phi, u0, coeffs, batch)
-              for phi, u0 in data]
+    batch = _pair_batch(plan, spec) if stacked else None
+    paired = [init_state(plan, spec, phi, u0, batch) for phi, u0 in data]
     assert (paired[0].batch is paired[1].batch) is stacked
     for i in [0, 1] * 10 + [0] * 10 + [1] * 10:
         step(paired[i], cfg)
@@ -695,33 +693,62 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
     assert upwind == {True, False}
 
 
+def _pair_batch(plan, spec):
+    """A batch of two rows with the spec's bundle on both rows' points."""
+    pts = np.tile(plan.grid.core_points, (2, 1))
+    return solver.StepBatch(plan, Coefficients(spec, pts), 2)
+
+
 def _stacked_pair(st) -> list:
-    """Two states in one batch on ``st``'s plan, datum and bundle: one from
+    """Two states in one batch on ``st``'s plan, spec and datum: one from
     ``st``'s values, one from others."""
-    batch = solver.StepBatch(st.plan, st.coeffs, 2)
-    return [init_state(st.plan, st.spec, st.phi, u0, st.coeffs, batch)
+    batch = _pair_batch(st.plan, st.spec)
+    return [init_state(st.plan, st.spec, st.phi, u0, batch)
             for u0 in (lambda p: st.u, lambda p: 0.5 - 0.2 * p.sum(axis=1))]
 
 
 def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
-    # a batch is evaluated with one plan and one bundle, a bundle with a
-    # field that reads t moves to its own state's time, and each state
-    # takes a row of its own
+    # a batch is evaluated with one plan and one bundle on the core points
+    # of every row, and each state takes a row of its own
     k = fractional_laplacian_kernel(0.5, 1)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
-    plan, c = st.plan, st.coeffs
-    batch = solver.StepBatch(plan, c, 2)
+    plan = st.plan
+    with pytest.raises(ValueError, match="bundle on 130 points, not 65"):
+        solver.StepBatch(plan, st.coeffs, 2)
+    batch = _pair_batch(plan, spec)
+    other = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     with pytest.raises(ValueError, match="share one plan"):
-        init_state(plan, spec, 0.0, "0.5*x", batch=batch)
-    states = [init_state(plan, spec, 0.0, u0, c, batch) for u0 in (0, 1)]
+        init_state(plan, other, 0.0, "0.5*x", batch)
+    states = [init_state(plan, spec, 0.0, u0, batch) for u0 in (0, 1)]
     assert [s.row for s in states] == [0, 1]
+    assert all(s.coeffs is batch.coeffs for s in states)
     assert states[1].u.base is batch.u and np.all(states[1].u == 1.0)
     with pytest.raises(ValueError, match="rows are taken"):
-        init_state(plan, spec, 0.0, 2.0, c, batch)
-    moving = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.1*t")
-    with pytest.raises(ValueError, match="read t"):
-        solver.StepBatch(plan, Coefficients(moving, st.grid.core_points), 2)
+        init_state(plan, spec, 0.0, 2.0, batch)
+
+
+def test_batch_whose_bundle_reads_t_refuses_a_row_out_of_turn(dom1):
+    # a bundle that reads t moves to the new time once every row has
+    # stepped: a row stepping twice before the other would evaluate both
+    # rows at a time the bundle has not reached, and is refused before it
+    # changes anything
+    k = fractional_laplacian_kernel(0.5, 1)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)*exp(-t)")
+    g, qt, cfg, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x",
+                          kernel=k)
+    sa, sb = _stacked_pair(st)
+    step(sa, cfg)
+    step(sb, cfg)
+    assert sa.coeffs.t == sa.t == sb.t > 0.0
+    step(sa, cfg)
+    u = sa.u.copy()
+    with pytest.raises(ValueError, match="row 0 steps out of turn"):
+        step(sa, cfg)
+    assert np.array_equal(sa.u, u) and sa.steps == 2
+    step(sb, cfg)
+    step(sa, cfg)
+    assert sa.steps == 3 and sa.coeffs.t == sb.t
 
 
 @pytest.mark.parametrize("case, h", [("coercive-1d", 2.0 ** -7),
@@ -824,15 +851,15 @@ def test_step_budget(monkeypatch, case):
     # step at m = 1 (large-time-1d's Hamiltonian and datum, f and phi
     # moving with t) takes the viscosity bound from the bundle, and the
     # Bellman steps, whose data do not read t, evaluate no coefficient
-    # field.  A stacked pair (its coercive f fixed in t, its datum not)
-    # makes one sweep and one flux call per two steps, one of each state
+    # field.  A stacked pair makes one sweep and one flux call per two
+    # steps, one of each state
     from nlhj import hamiltonians
     dim = 2 if "2d" in case else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
     pair = case.endswith("pair")
     if case.startswith("coercive"):
-        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)" + (
-            "" if pair else " + 0.5*exp(-t)*sin(2*x)"))
+        spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                            f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)")
         phi, h = "0.5*exp(-t)", 2.0 ** -6
     else:
         spec = BellmanSpec([ControlLaw(lam=0.5, b=["-x", "-y"][:dim],
