@@ -98,7 +98,7 @@ CASES = {
     "comparison_pair_coercive": _with(
         COERCIVE_1D, experiment={"name": "comparison", "u0_b": "2 - x^2",
                                  "phi_b": "0.5"}),
-    # a field that reads t: each state of the pair keeps its own bundle
+    # a field that reads t: the pair's one bundle moves once per pair step
     "comparison_pair_moving": _with(
         COERCIVE_1D, hamiltonian={"f": "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"},
         experiment={"name": "comparison", "u0_b": "2 - x^2", "phi_b": "0.5"}),
@@ -110,8 +110,7 @@ CASES = {
         experiment={"name": "comparison",
                     "u0_b": "1.5 + 0.3*(1 - x^2)*(1 - y^2)*cos(x + 2*y)",
                     "phi_b": "1.5"}),
-    # m = 2: the viscosity bound reads the gradients, so the pair's states
-    # step one at a time
+    # m = 2: the viscosity bound reads the gradients
     "comparison_pair_m2": _with(
         COERCIVE_1D, hamiltonian={"m": "2"},
         experiment={"name": "comparison", "u0_b": "2 - x^2",

@@ -159,10 +159,10 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    batch = StepBatch(plan, Coefficients(
-        spec, np.tile(plan.grid.core_points, (2, 1))), 2)
+    pts = np.tile(plan.grid.core_points, (2, 1))  # both rows' core points
+    batch = StepBatch(plan, Coefficients(spec, pts), 2)
     sa = init_state(plan, spec, phi_a, u0_a, batch)
-    own = sa.sigma
+    own = sa.sigma  # sb's init_state sets the batch's viscosity to its own
     sb = init_state(plan, spec, phi_b, u0_b, batch)
     if spec.family == "coercive":
         sa.sigma = np.maximum(own, sb.sigma)
