@@ -132,6 +132,19 @@ CASES = {
         COERCIVE_1D, experiment={"name": "comparison", "seeds": "3"}),
     "comparison_seeds_bellman": _with(
         BELLMAN_1D, experiment={"name": "comparison", "seeds": "3"}),
+    # pairs after the first on one spec: a bundle that reads t, at t = 0
+    # again for each pair
+    "comparison_seeds_moving": _with(
+        COERCIVE_1D, hamiltonian={"f": "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"},
+        experiment={"name": "comparison", "seeds": "3"}),
+    "comparison_seeds_moving_drift": _with(
+        BELLMAN_1D, hamiltonian={"b_1": "cos(4*t)", "f_1": "0.2*x",
+                                 "b_2": "0.5"},
+        experiment={"name": "comparison", "seeds": "3"}),
+    # an initial viscosity that reads each pair's own gradients
+    "comparison_seeds_m2": _with(
+        COERCIVE_1D, hamiltonian={"m": "2"},
+        experiment={"name": "comparison", "seeds": "3"}),
     "boundary_behavior": BOUNDARY,
     "boundary_refinement": _with(
         BOUNDARY, experiment={"h_list": "0.03125 0.015625"}),
