@@ -20,7 +20,7 @@ from .errors import NonConvergence, PreconditionError
 from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                            CoerciveSpec, check_H2prime, check_superfractional,
-                           check_UE)
+                           check_UE, flux_workspace)
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
@@ -136,6 +136,30 @@ def _require_ordered(plan: SweepPlan, u, v, phi_u, phi_v, T: float):
             raise PreconditionError("exterior data are not ordered phi_u <= phi_v")
 
 
+# the last comparison pair's setup: its spec, plan, bundle and bound flux
+_held_pair = (None, None, None, None)
+
+
+def _pair_setup(spec, plan: SweepPlan) -> tuple:
+    """The coefficient bundle of ``spec`` on both rows' core points of a
+    pair on ``plan`` (``np.tile`` of the core points, twice), at t = 0, and
+    the flux bound to it (see :func:`~nlhj.hamiltonians.flux_workspace`).
+
+    The last pair's are kept, keyed by the identity of the spec and the
+    plan, as :func:`discretize` keeps its last plan, so that the seeded
+    pairs of one problem build them once.  A kept bundle is moved back to
+    t = 0, which evaluates again only its fields that read t: the bytes of
+    a new one.  Each pair still has a batch of its own, whose rows and
+    viscosity are its own."""
+    global _held_pair
+    held_spec, held_plan, coeffs, flux = _held_pair
+    if spec is not held_spec or plan is not held_plan:
+        coeffs = Coefficients(spec, np.tile(plan.grid.core_points, (2, 1)))
+        flux = flux_workspace(coeffs)
+        _held_pair = spec, plan, coeffs, flux
+    return coeffs.at(0.0), flux
+
+
 def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
                           T: float, cfg: SchemeConfig,
                           r_max: float | None = None) -> ExperimentResult:
@@ -146,12 +170,14 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     :class:`~nlhj.solver.StepBatch`): one coefficient bundle, one
     Lax-Friedrichs viscosity (coercive forms) and one step size, so that
     both take every step with one monotone scheme, otherwise exact ordering
-    could not be expected.  The viscosity starts as the per-axis larger of
-    the two states' own, the ones :func:`~nlhj.solver.init_state` sizes and
-    a single run of either data set starts with.  A step that finds it too
-    small grows it for both rows before either state moves
-    (``sigma_growth``), so the pair checks the scheme the solver runs.  A
-    state passing ``cfg.max_steps`` raises :class:`NonConvergence`.
+    could not be expected.  The bundle and its bound flux are the last
+    pair's where it had the same spec and plan (see :func:`_pair_setup`).
+    The viscosity starts as the per-axis larger of the two states' own,
+    the ones :func:`~nlhj.solver.init_state` sizes and a single run of
+    either data set starts with.  A step that finds it too small grows it
+    for both rows before either state moves (``sigma_growth``), so the
+    pair checks the scheme the solver runs.  A state passing
+    ``cfg.max_steps`` raises :class:`NonConvergence`.
     Metrics: ``max_violation``, ``steps`` (per state), the final shared
     ``sigma`` (None for Bellman forms) and ``sigma_growth``, summed over
     the two states; the last three are also its telemetry.
@@ -159,8 +185,8 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     u0_a, u0_b = u0_pair
     phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    pts = np.tile(plan.grid.core_points, (2, 1))  # both rows' core points
-    batch = StepBatch(plan, Coefficients(spec, pts), 2)
+    coeffs, flux = _pair_setup(spec, plan)
+    batch = StepBatch(plan, coeffs, 2, flux)
     sa = init_state(plan, spec, phi_a, u0_a, batch)
     own = sa.sigma  # sb's init_state sets the batch's viscosity to its own
     sb = init_state(plan, spec, phi_b, u0_b, batch)
@@ -451,8 +477,10 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     Computes u_inf by pseudo-time marching for the limit datum, then runs
     the parabolic problem and checks the sup deviation against the rate
     bound (with discretization slack :data:`EPS_RATE`) at every snapshot;
-    also fits the decay exponent on the tail.  The steady reference refuses
-    data that read t (see :func:`~nlhj.solver.run_to_steady`).
+    also fits the decay exponent on the tail, NaN below three snapshots
+    there, and reports how many it fitted (``fit_points``, also in the
+    telemetry).  The steady reference refuses data that read t (see
+    :func:`~nlhj.solver.run_to_steady`).
     """
     plan = discretize(dom, k, cfg.h, r_max)
     mu0, datum_gap = _decay_margin(spec, plan, phi, phi_limit)
@@ -486,8 +514,9 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     # steady-reference noise floor
     floor = max(100.0 * ref_tol / max(mu0, 1e-6), 1e-13)
     tail = (times >= T / 2) & (devs > floor)
+    fit_points = int(tail.sum())
     fitted = np.nan
-    if tail.sum() >= 3:
+    if fit_points >= 3:
         slope = np.polyfit(times[tail], np.log(devs[tail]), 1)[0]
         fitted = -float(slope)
 
@@ -496,11 +525,12 @@ def rate_experiment(spec, dom: Domain, k: Kernel, phi, phi_limit, u0,
     return ExperimentResult(
         bool(ok.all() and sound),
         metrics={"mu0": mu0, "fitted_exponent": fitted,
+                 "fit_points": fit_points,
                  "first_violation_t": first_bad, "eps_rate": EPS_RATE,
                  "dev0": float(devs[0]), "final_dev": float(devs[-1])},
         tables={"rate_curve": (("t", "deviation", "bound", "g"),
                                list(zip(times, devs, bound, g)))},
-        telemetry=_telemetry(st_inf, ref, st))
+        telemetry=dict(_telemetry(st_inf, ref, st), fit_points=fit_points))
 
 
 def large_time_experiment(spec, spec_limit, dom: Domain, k: Kernel, phi,

@@ -304,11 +304,10 @@ class SweepPlan:
     where corr is a zero-padded FFT correlation of length ``core_fft`` per
     axis whose kernel spectrum is built here, and ``load`` (see
     :meth:`exterior_load`) collects the jumps that leave the core, tail
-    included.  A batch of solver states holds its own transforms' arrays
-    (:meth:`workspace`); the plan holds a set for calls without one.  In
-    2-D the transforms are pruned (see :func:`_correlation`): the forward
-    array stays zero beyond the core block's rows, and only those rows are
-    inverted.
+    included.  The transforms run in arrays the plan holds, one set per
+    number of stacked blocks (:meth:`workspace`).  In 2-D they are pruned
+    (see :func:`_correlation`): the forward array stays zero beyond the
+    core block's rows, and only those rows are inverted.
 
     The one-sided differences read a state's block: the core block
     (``inner`` in it) padded by one node per side, the ring (``ring_points``,
@@ -333,10 +332,7 @@ class SweepPlan:
     _stencil: np.ndarray = dfield(init=False, repr=False)
     _box_start: tuple = dfield(init=False, repr=False)
     _core_spec: np.ndarray = dfield(init=False, repr=False)
-    _scratch: tuple = dfield(init=False, repr=False)
-    _spent: np.ndarray = dfield(init=False, repr=False)
-    _sweep: object = dfield(init=False, repr=False)
-    _work: tuple = dfield(init=False, repr=False)
+    _workspaces: dict = dfield(init=False, repr=False, default_factory=dict)
     _full_fft: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -389,19 +385,12 @@ class SweepPlan:
                 taps, np.flip(taps, a)) else n + k + 1)
             for a, (n, k) in enumerate(zip(g.n_core, K)))
         self._core_spec = _correlation_spectrum(taps, self.core_fft)
-        # the correlation and transform outputs of apply without a
-        # workspace
-        self._scratch = _transform_outputs(self._core_spec.shape,
-                                           self.core_fft)
-        self._sweep = _correlation(self._core_spec, self.core_fft, box,
-                                   self._box_start, self._scratch)
-        self._spent = self._scratch[3].reshape(-1)[:len(g.core_flat)]
-        self._work = self._sweep, self._spent
         # the halo holds every landing point of a jump from the core
         self._full_fft = tuple(_fft_length(n) for n in g.shape)
         # stencil mass of the jumps that leave the core, tail included: the
         # load of a unit constant datum
-        inside = self._sweep(np.ones(box), 0.0, np.empty(len(g.core_flat)))
+        sweep = self.workspace()[0]
+        inside = sweep(np.ones(box), 0.0, np.empty(len(g.core_flat)))
         self.exit_mass = S.sum() - inside + qt.tail_mass
 
     @cached_property
@@ -454,14 +443,22 @@ class SweepPlan:
         """The ``work`` of :meth:`apply` for ``rows`` core blocks stacked
         along a leading axis (none for one block): a correlation into
         transform outputs of its own, with the kernel spectrum stacked
-        alike, and the part of its real output that apply may spend."""
-        lead = (rows,) if rows > 1 else ()
-        spec = (np.tile(self._core_spec, lead + (1,) * self.grid.dim)
-                if lead else self._core_spec)
-        work = _transform_outputs(self._core_spec.shape, self.core_fft, lead)
-        return (_correlation(spec, self.core_fft, self.core_shape,
-                             self._box_start, work),
-                work[3].reshape(-1)[:rows * len(self.grid.core_flat)])
+        alike, the part of its real output that apply may spend, and those
+        transform outputs (see :func:`_transform_outputs`).  It is scratch,
+        spent within one apply, so the plan holds one per ``rows``, which
+        every caller shares."""
+        work = self._workspaces.get(rows)
+        if work is None:
+            lead = (rows,) if rows > 1 else ()
+            spec = (np.tile(self._core_spec, lead + (1,) * self.grid.dim)
+                    if lead else self._core_spec)
+            out = _transform_outputs(self._core_spec.shape, self.core_fft,
+                                     lead)
+            work = self._workspaces[rows] = (
+                _correlation(spec, self.core_fft, self.core_shape,
+                             self._box_start, out),
+                out[3].reshape(-1)[:rows * len(self.grid.core_flat)], out)
+        return work
 
     def apply(self, E: np.ndarray, centers: np.ndarray, load: np.ndarray,
               out=None, work=None) -> np.ndarray:
@@ -473,15 +470,15 @@ class SweepPlan:
         solution there); ``load`` is :meth:`exterior_load` of the datum.  The
         result is written into ``out``, an array of one value per core node
         that belongs to the caller (a solver state), or else into a new
-        array; it is never a view of the plan's scratch.  With ``work``
-        from :meth:`workspace` the transforms run in its arrays, for as many
-        blocks as it stacks: ``E`` stacks them along a leading axis and
-        ``centers``, ``load`` and ``out`` hold their values one block after
-        the other.
+        array; it is never a view of the plan's scratch.  The transforms
+        run in ``work`` from :meth:`workspace`, for as many blocks as it
+        stacks (one without ``work``): ``E`` stacks them along a leading
+        axis and ``centers``, ``load`` and ``out`` hold their values one
+        block after the other.
         """
         if out is None:
             out = np.empty(centers.shape)
-        correlate, spent = work or self._work
+        correlate, spent, _ = work or self.workspace()
         correlate(E, load, out)
         # the inverse transform's output is spent: it takes diag * centers
         out -= np.multiply(self.diag, centers, spent)

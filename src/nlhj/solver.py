@@ -161,11 +161,14 @@ class StepBatch:
     interior (see :func:`~nlhj.operators.bind_envelope`), ``gradients()``
     returns the differences (see :func:`_bind_gradients`), ``flux_work`` is
     the flux bound to the bundle and its scratch (see
-    :func:`~nlhj.hamiltonians.flux_workspace`) and ``sweep`` the sweep's
-    transforms (see :meth:`~nlhj.operators.SweepPlan.workspace`)."""
+    :func:`~nlhj.hamiltonians.flux_workspace`), bound there unless given
+    (a flux's scratch is spent within one call, so batches of one bundle
+    that step one after the other may share one), and ``sweep`` the
+    plan's sweep workspace for ``rows`` blocks (see
+    :meth:`~nlhj.operators.SweepPlan.workspace`)."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
-                 rows: int = 1):
+                 rows: int = 1, flux_work=None):
         grid = plan.grid
         self.n, self.m = len(grid.core_flat), len(grid.trace_pos)
         if coeffs.n != rows * self.n:
@@ -183,7 +186,8 @@ class StepBatch:
         self.phi_trace = np.zeros(rows * self.m)
         self.block = np.zeros(lead + tuple(k + 2 for k in plan.core_shape))
         self.diffs = np.empty((2, grid.dim) + lead + plan.core_shape)
-        self.envelope = self.gradients = self.flux_work = self.sweep = None
+        self.envelope = self.gradients = self.sweep = None
+        self.flux_work = flux_work
 
     def join(self, st: SolveState):
         """Make ``st`` the next row, its values copied in and its arrays
@@ -215,7 +219,7 @@ class StepBatch:
                 plan.grid, self.u, self.phi_trace, self.block, plan.inner,
                 plan.trace_block_pos, self.rows)
             self.gradients = _bind_gradients(self)
-            self.flux_work = flux_workspace(self.coeffs)
+            self.flux_work = self.flux_work or flux_workspace(self.coeffs)
             self.sweep = plan.workspace(self.rows)
         return self
 

@@ -636,7 +636,8 @@ def test_bellman_large_time_config(tmp_path):
 @pytest.mark.parametrize("name", ["rate", "large_time"])
 def test_steady_experiments_report_solver_telemetry(tmp_path, name):
     # the steps of the steady reference and of the time run, and the
-    # reference's residual at exit; the report table is unchanged
+    # reference's residual at exit, plus for rate the snapshots its fit
+    # read; the report table is unchanged
     out = tmp_path / "out"
     text = MINIMAL.format(out=out).replace("phi = 0",
                                            "phi = 0.5*exp(-t)\nphi_limit = 0")
@@ -646,8 +647,11 @@ def test_steady_experiments_report_solver_telemetry(tmp_path, name):
     assert execute(cfg) == 0
     m = json.loads((out / "manifest.json").read_text())
     tel = m["telemetry"]
-    assert set(tel) == {"steady_steps", "steady_residual", "steps"}
+    assert set(tel) == {"steady_steps", "steady_residual", "steps"} | (
+        {"fit_points"} if name == "rate" else set())
     assert tel["steady_steps"] > 0 and tel["steps"] > 0
+    if name == "rate":
+        assert tel["fit_points"] == m["metrics"]["fit_points"]
     # below the reference's steady tolerance, 1e-8 (1 + sup |u0|) at most
     assert 0.0 <= tel["steady_residual"] <= 2e-8
     table = "rate_curve" if name == "rate" else "report"

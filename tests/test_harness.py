@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlhj import harness
-from nlhj.errors import PreconditionError
+from nlhj.errors import NonConvergence, PreconditionError
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                                CoerciveSpec, ControlLaw)
@@ -289,6 +289,101 @@ def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
     header, got = res.tables["report"]
     assert header == ("t", "max_violation") and len(got) > 10
     assert repr(got) == repr(rows)
+
+
+def _seeded_pair(spec, seed, dom1, k05, cfg=SchemeConfig(h=2.0 ** -5)):
+    """Criterion 3's pair of ``seed`` for ``spec`` to T = 0.5."""
+    u0, v0, pa, pb = random_ordered_pair(seed, dom1)
+    return comparison_experiment(spec, dom1, k05, (u0, v0), (pa, pb), T=0.5,
+                                 cfg=cfg, r_max=4.0)
+
+
+# specs whose pairs a held bundle must start as a new one does: a field
+# that reads t (f, or a drift changing sign), and an initial viscosity that
+# reads each pair's own gradients (m = 2)
+HELD = {
+    "coercive-moving-f": lambda: CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                                              f=MOVING_F),
+    "coercive-m2": lambda: CoerciveSpec(m=2.0, a1=1.0, lam=0.5,
+                                        f="0.2*cos(3*x)"),
+    "bellman-moving-drift": lambda: BellmanSpec(
+        [ControlLaw(lam=0.5, b="cos(4*t)", f="0.2*x"),
+         ControlLaw(lam=0.3, b=0.5, f=0.0)]),
+}
+
+
+def test_pairs_on_one_spec_build_one_bundle(dom1, k05, monkeypatch):
+    # the pairs of one spec object on one plan share the bundle the first
+    # builds, each with a batch of its own; a pair on another spec object,
+    # even an equal one, builds its own
+    built = _count_bundles(monkeypatch)
+    states = []
+    real_init = harness.init_state
+    monkeypatch.setattr(harness, "init_state", lambda *a, **kw: states.append(
+        real_init(*a, **kw)) or states[-1])
+    spec = HELD["coercive-moving-f"]()
+    assert all(_seeded_pair(spec, seed, dom1, k05).passed
+               for seed in range(3))
+    assert len(built) == 1 and len(states) == 6
+    assert all(st.coeffs is built[0] for st in states)
+    assert len({id(st.batch) for st in states}) == 3
+    assert _seeded_pair(HELD["coercive-moving-f"](), 0, dom1, k05).passed
+    assert len(built) == 2 and states[-1].coeffs is built[1]
+
+
+@pytest.mark.parametrize("case", list(HELD))
+def test_held_pair_rows_equal_a_fresh_pair(dom1, k05, case):
+    # three pairs in a row on one spec object, whose bundle ends each pair
+    # at T (where a field reads t), report the rows and telemetry of pairs
+    # each on a spec object of its own
+    spec = HELD[case]()
+    held = [_seeded_pair(spec, seed, dom1, k05) for seed in range(3)]
+    fresh = [_seeded_pair(HELD[case](), seed, dom1, k05)
+             for seed in range(3)]
+    for a, b in zip(held, fresh):
+        assert a.passed and len(a.tables["report"][1]) > 10
+        assert repr(a.tables["report"]) == repr(b.tables["report"])
+        assert a.telemetry == b.telemetry
+
+
+def test_pair_after_a_failed_pair_equals_a_fresh_pair(dom1, k05,
+                                                      monkeypatch):
+    # a pair that passes max_steps leaves the held bundle part way to T;
+    # the next pair on the spec takes it back to t = 0
+    built = _count_bundles(monkeypatch)
+    spec = HELD["bellman-moving-drift"]()
+    with pytest.raises(NonConvergence):
+        _seeded_pair(spec, 0, dom1, k05,
+                     cfg=SchemeConfig(h=2.0 ** -5, max_steps=5))
+    assert len(built) == 1 and 0.0 < built[0].t < 0.5
+    after = _seeded_pair(spec, 1, dom1, k05)
+    assert len(built) == 1
+    fresh = _seeded_pair(HELD["bellman-moving-drift"](), 1, dom1, k05)
+    assert repr(after.tables["report"]) == repr(fresh.tables["report"])
+    assert after.telemetry == fresh.telemetry
+
+
+def test_rate_reports_the_snapshots_its_fit_reads(dom1, k05):
+    # criterion 4's nonlocal case: the fit reads the snapshots past T/2
+    # whose deviation lies above the steady reference's noise floor, some
+    # of which it leaves out; below three the exponent is NaN
+    spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
+    u0 = lambda p: 1.0 - p[:, 0] ** 2
+    res = rate_experiment(spec, dom1, k05, 0.0, 0.0, u0, T=5.0,
+                          cfg=SchemeConfig(h=2.0 ** -7, snapshot_dt=0.1))
+    times, devs = np.array([r[:2] for r in res.tables["rate_curve"][1]]).T
+    # the reference's tolerance is 1e-12 (1 + max |u0|), and max |u0| = 1
+    floor = 100.0 * 2e-12 / res.metrics["mu0"]
+    late = times >= 2.5
+    fit = res.metrics["fit_points"]
+    assert fit >= 3 and fit == int((late & (devs > floor)).sum())
+    assert fit < int(late.sum())
+    assert res.telemetry["fit_points"] == fit
+    assert np.isfinite(res.metrics["fitted_exponent"])
+    short = rate_experiment(spec, dom1, k05, 0.0, 0.0, u0, T=0.2,
+                            cfg=SchemeConfig(h=2.0 ** -5, snapshot_dt=0.1))
+    assert short.metrics["fit_points"] == 2
+    assert np.isnan(short.metrics["fitted_exponent"])
 
 
 def test_rate_degenerate_closed_form(dom1):

@@ -318,6 +318,33 @@ def test_sweep_writes_into_out_bit_for_bit(dim, h):
     assert plan.apply(E, centers, load, out=out) is out
 
 
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
+def test_plan_holds_one_workspace_per_stacked_count(dim, h):
+    # workspaces are scratch spent within one apply: the plan holds one per
+    # count of stacked blocks, apply without one sweeps in workspace(1), and
+    # a sweep in one workspace leaves the others' results unchanged
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    plan = SweepPlan(grid_for(dom, h, 2.0),
+                     build_quadrature(fractional_laplacian_kernel(0.5, dim),
+                                      h, 2.0))
+    assert plan.workspace(2) is plan.workspace(2)
+    assert plan.workspace() is plan.workspace(1)
+    assert not any(np.shares_memory(a, b) for a in plan.workspace(1)[2]
+                   for b in plan.workspace(2)[2] if a is not None)
+    n = len(plan.grid.core_flat)
+    E = np.random.default_rng(dim).normal(size=(2, n))
+    load = np.linspace(-1.0, 1.0, n)
+    alone = plan.apply(E[0], E[0] - 0.25, load)
+    with_one = plan.apply(E[0], E[0] - 0.25, load, work=plan.workspace(1))
+    assert with_one.tobytes() == alone.tobytes()
+    before = alone.tobytes()
+    plan.apply(E.reshape((2,) + plan.core_shape), (E - 0.25).ravel(),
+               np.tile(load, 2), work=plan.workspace(2))
+    plan.apply(E[1], E[1] - 0.25, load)
+    assert alone.tobytes() == before
+    assert plan.apply(E[0], E[0] - 0.25, load).tobytes() == before
+
+
 @pytest.mark.parametrize("h, n_fft", [(2.0 ** -3, 32), (2.0 ** -4, 64),
                                       (2.0 ** -5, 128)])
 def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
@@ -364,8 +391,9 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
             ref -= plan.diag * st.u
             assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
             step(st, cfg)
-    # the rows beyond the core block's of the forward array were never written
-    assert not plan._scratch[1][plan.core_shape[0]:].any()
+    # the rows beyond the core block's of the forward array were never
+    # written, by apply or by the states' steps, which share its workspace
+    assert not plan.workspace()[2][1][plan.core_shape[0]:].any()
 
 
 

@@ -921,7 +921,7 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
                 (u - st.block[bwd]) / g.h).tobytes()
             assert pp[:, a].tobytes() == (
                 (st.block[fwd] - u) / g.h).tobytes()
-        ref = plan._sweep(E, st.load, np.empty(len(st.u)))
+        ref = plan.workspace()[0](E, st.load, np.empty(len(st.u)))
         ref -= float(plan.diag) * st.u
         assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
         step(st, cfg)
