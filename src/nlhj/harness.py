@@ -217,18 +217,22 @@ def comparison_seeds(spec, dom: Domain, k: Kernel, seeds: int, T: float,
                      r_max: float | None = None) -> ExperimentResult:
     """:func:`comparison_experiment` on the :func:`random_ordered_pair` of
     each seed below ``seeds``, passed when every pair passes: the worst
-    violation, a ``seed, max_violation`` table, and the pairs' steps and
-    viscosity growths summed and largest shared ``sigma`` as telemetry."""
+    violation, a ``seed, max_violation, max_u_minus_v`` table, whose last
+    column is the largest of the pair's signed max(u - v) over its steps
+    (which reads every coefficient, where a violation of 0 does not), and
+    the pairs' steps and viscosity growths summed and largest shared
+    ``sigma`` as telemetry."""
     results = [comparison_experiment(spec, dom, k, pair[:2], pair[2:], T, cfg,
                                      r_max=r_max) for pair in
                (random_ordered_pair(s, dom) for s in range(seeds))]
     violations = [r.metrics["max_violation"] for r in results]
+    gaps = [max(v for _, v in r.tables["report"][1]) for r in results]
     tel = [r.telemetry for r in results]
     return ExperimentResult(
         all(r.passed for r in results),
         metrics={"max_violation": max(violations), "seeds": seeds},
-        tables={"report": (("seed", "max_violation"),
-                           list(enumerate(violations)))},
+        tables={"report": (("seed", "max_violation", "max_u_minus_v"),
+                           list(zip(range(seeds), violations, gaps)))},
         telemetry={"steps": sum(t["steps"] for t in tel),
                    "sigma": max((t["sigma"] for t in tel
                                  if t["sigma"] is not None), default=None),

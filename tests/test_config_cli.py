@@ -463,18 +463,23 @@ def test_comparison_manifest_reports_solver_telemetry(tmp_path, template):
     cfg = parse_config(write(tmp_path, text, "cmp.cfg"))
     assert execute(cfg) == 0
     m = json.loads((out / "manifest.json").read_text())
-    pairs = [harness.comparison_experiment(
+    results = [harness.comparison_experiment(
         cfg.spec, cfg.domain, cfg.kernel, pair[:2], pair[2:], cfg.scheme.T,
-        cfg.scheme, r_max=cfg.r_max).metrics
+        cfg.scheme, r_max=cfg.r_max)
         for pair in (harness.random_ordered_pair(s, cfg.domain)
                      for s in range(2))]
+    pairs = [r.metrics for r in results]
     assert m["telemetry"] == {
         "steps": pairs[0]["steps"] + pairs[1]["steps"],
         "sigma": 2.0 if template == "minimal" else None,   # 1 + a1 at m = 1
         "sigma_growth": 0}
     assert m["telemetry"]["steps"] > 0
+    # the last column is each pair's largest signed max(u - v) over its steps
+    gaps = [max(v for _, v in r.tables["report"][1]) for r in results]
+    assert all(g < 0 for g in gaps)
     assert (out / "report.tsv").read_text().splitlines() == [
-        "seed\tmax_violation", "0\t0", "1\t0"]
+        "seed\tmax_violation\tmax_u_minus_v",
+        "0\t0\t%.17g" % gaps[0], "1\t0\t%.17g" % gaps[1]]
 
 
 def test_comparison_telemetry_counts_viscosity_growths(tmp_path):

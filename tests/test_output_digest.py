@@ -20,8 +20,12 @@ def digest():
     return module
 
 
-def test_every_case_exits_0_and_writes_its_tables(digest, tmp_path):
-    runs = digest.run_cases(tmp_path)
+@pytest.fixture(scope="module")
+def runs(digest, tmp_path_factory):
+    return digest.run_cases(tmp_path_factory.mktemp("digest"))
+
+
+def test_every_case_exits_0_and_writes_its_tables(digest, runs):
     assert list(runs) == list(digest.CASES)
     for case, (status, outdir) in runs.items():
         assert status == 0, case
@@ -36,3 +40,11 @@ def test_every_case_exits_0_and_writes_its_tables(digest, tmp_path):
             # a steady run too: its one snapshot is the steady state
             assert {"report.tsv", "trace_gaps.tsv",
                     "field_t0000.tsv"} <= set(tables), case
+
+
+def test_a_comparison_table_reads_the_source_term(runs):
+    # the two cases differ only by f, which moves no ordering violation (0
+    # for both): the report's signed max(u - v) per seed must show it
+    coercive, moving = (runs[case][1] / "report.tsv" for case in
+                        ("comparison_seeds_coercive", "comparison_seeds_moving"))
+    assert coercive.read_bytes() != moving.read_bytes()
