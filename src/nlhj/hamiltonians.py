@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dfield
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -219,9 +218,8 @@ class Coefficients:
     ``stacked`` holds an array per coefficient over the terms, one per
     control (Bellman) or a single one (coercive): shape (K, N) for a scalar
     and (K, dim, N) for the drift ``b`` (absent for a coercive form without
-    drift).  ``terms`` holds one namespace per term whose arrays are views
-    of those, of shape (N,) and (N, dim) (``b`` None without drift; its
-    columns are contiguous, as are those of the solver's gradients).
+    drift), so that term k's drift ``stacked["b"][k].T``, of shape (N,
+    dim), has contiguous columns, as the solver's gradients do.
     Construction evaluates every field once and binds to the points each
     field whose own ``time_dependent`` flag is set (``moving`` names them),
     so that :meth:`at` evaluates only their parts that read t, in place.
@@ -231,8 +229,11 @@ class Coefficients:
     reads the gradients (``bound_reads_p``), and where it does not, holds
     that bound, the Lax-Friedrichs floor ``lf_floor`` (a float per axis;
     None otherwise), renewed with the bounds.  A Bellman bundle holds the
-    upwind mask ``upwind`` = (b > 0) of its drifts, stacked and per term,
-    for the flux; :meth:`at` renews it when b moves.
+    upwind mask ``upwind`` = (b > 0) of its stacked drifts for the flux;
+    :meth:`at` renews it when b moves.  ``flux`` is the flux bound to the
+    bundle and to its scratch (see :func:`flux_workspace`), made at its
+    first read: the scratch is spent within one call, so every batch and
+    every call on the bundle shares it.
     """
 
     def __init__(self, spec, pts: np.ndarray):
@@ -240,13 +241,11 @@ class Coefficients:
         self.t = 0.0
         self.n = len(pts)
         owners = [spec] if spec.family == "coercive" else spec.controls
-        self.terms = [SimpleNamespace() for _ in owners]
         self.stacked = {}
         self._moving = []  # (name, index into stacked[name], field, bound)
         for name in _TERMS[spec.family]:
             srcs = [getattr(owner, name) for owner in owners]
             if srcs[0] is None:  # a coercive form without drift
-                setattr(self.terms[0], name, None)
                 continue
             vector = isinstance(srcs[0], list)
             values = self.stacked[name] = np.empty(
@@ -260,25 +259,24 @@ class Coefficients:
                         values[at] = bound(0.0)
                     else:
                         values[at] = c(pts, 0.0)
-                setattr(self.terms[k], name, values[k].T)
         self.moving = frozenset(entry[0] for entry in self._moving)
         self._moves_bounds = bool(self.moving - {"f"})
         self._bound()
         if spec.family == "bellman":
             self.upwind = self.stacked["b"] > 0
-            for term, upwind in zip(self.terms, self.upwind):
-                term.upwind = upwind.T
+
+    @functools.cached_property
+    def flux(self):
+        return flux_workspace(self)
 
     def _bound(self):
-        terms = self.terms
-        self.lam_max = max(float(np.abs(v.lam).max()) for v in terms)
-        self.b_max = np.zeros(self.spec.dim)
-        for v in terms:
-            if v.b is not None:
-                self.b_max = np.maximum(self.b_max, np.abs(v.b).max(axis=0))
+        stacked = self.stacked
+        self.lam_max = float(np.abs(stacked["lam"]).max())
+        self.b_max = (np.abs(stacked["b"]).max(axis=(0, 2)) if "b" in stacked
+                      else np.zeros(self.spec.dim))
         if self.spec.family == "coercive":
-            a2 = terms[0].a2
-            self.a1_max = float(np.abs(terms[0].a1).max())
+            a2 = stacked["a2"][0]
+            self.a1_max = float(np.abs(stacked["a1"][0]).max())
             self.a2_max = float(np.abs(a2).max())
             self.a2_active = bool(np.any(a2 != 0.0))
             # |p|^(m-1) is 1 for every p at m = 1: the viscosity bound then
@@ -308,13 +306,14 @@ def _norms(p: np.ndarray) -> np.ndarray:
 
 def _coercive_values(c: Coefficients, r, p, pn) -> np.ndarray:
     """The coercive H over rows of p, whose norms ``pn`` the caller took."""
-    v, spec = c.terms[0], c.spec
-    out = v.a1 * pn ** spec.m
+    spec, stacked = c.spec, c.stacked
+    a1, a2, lam, f = (stacked[name][0] for name in ("a1", "a2", "lam", "f"))
+    out = a1 * pn ** spec.m
     if c.a2_active:
-        out += v.a2 * pn ** spec.l
-    if v.b is not None:
-        out += np.einsum("ij,ij->i", v.b, p)
-    return out + v.lam * np.asarray(r) - v.f
+        out += a2 * pn ** spec.l
+    if "b" in stacked:
+        out += np.einsum("ij,ij->i", stacked["b"][0].T, p)
+    return out + lam * np.asarray(r) - f
 
 
 def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
@@ -323,8 +322,8 @@ def hamiltonian_values(c: Coefficients, r, p) -> np.ndarray:
     if c.spec.family == "coercive":
         return _coercive_values(c, r, p, _norms(p))
     best = None
-    for v in c.terms:
-        val = v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p) - v.f
+    for lam, b, f in zip(*(c.stacked[name] for name in ("lam", "b", "f"))):
+        val = lam * np.asarray(r) - np.einsum("ij,ij->i", b.T, p) - f
         best = val if best is None else np.maximum(best, val)
     return best
 
@@ -409,8 +408,9 @@ def _upwind_flux(c: Coefficients):
 def _lax_friedrichs_flux(c: Coefficients):
     """The coercive flux: H at the mean gradient minus the viscosity term
     0.5 sum_a sigma_a (p+ - p-)."""
-    v, spec, n = c.terms[0], c.spec, c.n
-    a1, a2, lam, f, b = v.a1, v.a2, v.lam, v.f, v.b
+    spec, n = c.spec, c.n
+    a1, a2, lam, f = (c.stacked[name][0] for name in ("a1", "a2", "lam", "f"))
+    b = c.stacked["b"][0].T if "b" in c.stacked else None
     m, l, powered = spec.m, spec.l, spec.m != 1
     p = np.empty((spec.dim, n)).T
     col, *more = cols = [p[:, a] for a in range(spec.dim)]
@@ -476,7 +476,7 @@ def _lax_friedrichs_flux(c: Coefficients):
 
 
 def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
-                               sigma, out=None, work=None) -> np.ndarray:
+                               sigma, out=None) -> np.ndarray:
     """Monotone flux at the points of ``c``, vectorized: Lax-Friedrichs
     (coercive) or exact upwinding (Bellman).
 
@@ -485,15 +485,13 @@ def numerical_hamiltonian_many(c: Coefficients, r, p_minus, p_plus,
     gradients coincide.  The gradients are float arrays of shape (N, dim);
     ``sigma``, the Lax-Friedrichs viscosity per axis, is an array of shape
     (dim,) (a coercive form's state holds it; Bellman forms ignore it).
-    The flux is written into ``out`` by ``work``, the flux bound to ``c``
-    (see :func:`flux_workspace`), each made when not given; the allocating
-    form is what tests compare the solver's in-place calls against.
+    The flux is written into ``out``, made when not given, by the flux
+    bound to ``c`` (``c.flux``); the allocating form is what tests compare
+    the solver's in-place calls against.
     """
     if out is None:
         out = np.empty(len(p_minus))
-    if work is None:
-        work = flux_workspace(c)
-    return work(r, p_minus, p_plus, sigma, out)
+    return c.flux(r, p_minus, p_plus, sigma, out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import NonConvergence, PreconditionError
 from .geometry import Domain, Grid
 from .hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
                            CoerciveSpec, check_H2prime, check_superfractional,
-                           check_UE, flux_workspace)
+                           check_UE)
 from .kernels import Kernel, build_quadrature
 from . import operators
 from .operators import SweepPlan, envelope, row_prefixes, row_template
@@ -122,42 +122,40 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
 # comparison
 # ---------------------------------------------------------------------------
 
-def _require_ordered(plan: SweepPlan, u, v, phi_u, phi_v, T: float):
-    """Precondition of a comparison pair: u0 <= v0 at the core nodes and
-    phi_u <= phi_v outside the domain over the window [0, T]."""
-    if np.any(u > v + 1e-14):
+def _require_ordered(sa, sb, T: float):
+    """Precondition of a comparison pair of states: u0 <= v0 at the core
+    nodes and phi_u <= phi_v outside the domain, at t = 0, and at 5 times
+    of the window [0, T] where a datum reads t."""
+    if np.any(sa.u > sb.u + 1e-14):
         raise PreconditionError("initial data are not ordered u0 <= v0")
-    pa = CoefficientField(phi_u)
-    pb = CoefficientField(phi_v)
-    ext_pts = plan.exterior_sample(pa.varies_in_space or pb.varies_in_space)
-    times = np.linspace(0.0, T, 5)
-    for t in times if pa.time_dependent or pb.time_dependent else times[:1]:
+    pa, pb = sa.phi, sb.phi
+    ext_pts = sa.plan.exterior_sample(pa.varies_in_space or pb.varies_in_space)
+    moving = pa.time_dependent or pb.time_dependent
+    for t in np.linspace(0.0, T, 5) if moving else (0.0,):
         if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
             raise PreconditionError("exterior data are not ordered phi_u <= phi_v")
 
 
-# the last comparison pair's setup: its spec, plan, bundle and bound flux
-_held_pair = (None, None, None, None)
+# the last comparison pair's setup: its spec, plan and bundle
+_held_pair = (None, None, None)
 
 
-def _pair_setup(spec, plan: SweepPlan) -> tuple:
+def _pair_setup(spec, plan: SweepPlan) -> Coefficients:
     """The coefficient bundle of ``spec`` on both rows' core points of a
-    pair on ``plan`` (``np.tile`` of the core points, twice), at t = 0, and
-    the flux bound to it (see :func:`~nlhj.hamiltonians.flux_workspace`).
+    pair on ``plan`` (``np.tile`` of the core points, twice), at t = 0.
 
-    The last pair's are kept, keyed by the identity of the spec and the
-    plan, as :func:`discretize` keeps its last plan, so that the seeded
-    pairs of one problem build them once.  A kept bundle is moved back to
-    t = 0, which evaluates again only its fields that read t: the bytes of
-    a new one.  Each pair still has a batch of its own, whose rows and
-    viscosity are its own."""
+    The last pair's is kept, with the flux it binds, keyed by the identity
+    of the spec and the plan, as :func:`discretize` keeps its last plan, so
+    that the seeded pairs of one problem build it once.  A kept bundle is
+    moved back to t = 0, which evaluates again only its fields that read
+    t: the bytes of a new one.  Each pair still has a batch of its own,
+    whose rows and viscosity are its own."""
     global _held_pair
-    held_spec, held_plan, coeffs, flux = _held_pair
+    held_spec, held_plan, coeffs = _held_pair
     if spec is not held_spec or plan is not held_plan:
         coeffs = Coefficients(spec, np.tile(plan.grid.core_points, (2, 1)))
-        flux = flux_workspace(coeffs)
-        _held_pair = spec, plan, coeffs, flux
-    return coeffs.at(0.0), flux
+        _held_pair = spec, plan, coeffs
+    return coeffs.at(0.0)
 
 
 def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
@@ -170,29 +168,24 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     :class:`~nlhj.solver.StepBatch`): one coefficient bundle, one
     Lax-Friedrichs viscosity (coercive forms) and one step size, so that
     both take every step with one monotone scheme, otherwise exact ordering
-    could not be expected.  The bundle and its bound flux are the last
+    could not be expected.  The bundle, with the flux it binds, is the last
     pair's where it had the same spec and plan (see :func:`_pair_setup`).
     The viscosity starts as the per-axis larger of the two states' own,
-    the ones :func:`~nlhj.solver.init_state` sizes and a single run of
-    either data set starts with.  A step that finds it too small grows it
-    for both rows before either state moves (``sigma_growth``), so the
-    pair checks the scheme the solver runs.  A state passing
-    ``cfg.max_steps`` raises :class:`NonConvergence`.
+    the ones a single run of either data set starts with, which
+    :func:`~nlhj.solver.init_state` forms as each row joins the batch.  A
+    step that finds it too small grows it for both rows before either
+    state moves (``sigma_growth``), so the pair checks the scheme the
+    solver runs.  A state passing ``cfg.max_steps`` raises
+    :class:`NonConvergence`.
     Metrics: ``max_violation``, ``steps`` (per state), the final shared
     ``sigma`` (None for Bellman forms) and ``sigma_growth``, summed over
     the two states; the last three are also its telemetry.
     """
-    u0_a, u0_b = u0_pair
-    phi_a, phi_b = phi_pair
     plan = discretize(dom, k, cfg.h, r_max)
-    coeffs, flux = _pair_setup(spec, plan)
-    batch = StepBatch(plan, coeffs, 2, flux)
-    sa = init_state(plan, spec, phi_a, u0_a, batch)
-    own = sa.sigma  # sb's init_state sets the batch's viscosity to its own
-    sb = init_state(plan, spec, phi_b, u0_b, batch)
-    if spec.family == "coercive":
-        sa.sigma = np.maximum(own, sb.sigma)
-    _require_ordered(plan, sa.u, sb.u, phi_a, phi_b, T)
+    batch = StepBatch(plan, _pair_setup(spec, plan), 2)
+    sa, sb = (init_state(plan, spec, phi, u0, batch)
+              for u0, phi in zip(u0_pair, phi_pair))
+    _require_ordered(sa, sb, T)
     worst, rows, gap = 0.0, [], np.empty_like(sa.u)
     while sa.t < T - 1e-14:
         step(sa, cfg, T)

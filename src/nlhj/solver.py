@@ -41,8 +41,8 @@ import numpy as np
 from .errors import (BlowUp, NonConvergence, PreconditionError,
                      ValidationError, ViscosityUnderflow)
 from .geometry import Grid
-from .hamiltonians import (CoefficientField, Coefficients, flux_workspace,
-                           lf_viscosity_bound, numerical_hamiltonian_many)
+from .hamiltonians import (CoefficientField, Coefficients, lf_viscosity_bound,
+                           numerical_hamiltonian_many)
 from .operators import SweepPlan, bind_envelope
 
 
@@ -142,12 +142,13 @@ class SolveState:
 
 class StepBatch:
     """The workspace of ``rows`` states on the plan ``plan`` that share the
-    coefficient bundle ``coeffs`` and a viscosity, one row per state, in
-    the order they join: the states are evaluated together.  ``u``,
-    ``rhs``, ``flux``, ``load`` and ``phi_trace`` hold the rows one after
-    the other; ``block`` has shape (rows, *block_shape) and ``diffs`` (2,
-    dim, rows, *core_shape), so that each axis's differences of every row
-    are contiguous (no leading axis for a batch of one).  The bundle is
+    coefficient bundle ``coeffs`` and a viscosity, the per-axis largest of
+    their own (see :func:`init_state`), one row per state, in the order
+    they join: the states are evaluated together.  ``u``, ``rhs``,
+    ``flux``, ``load`` and ``phi_trace`` hold the rows one after the other;
+    ``block`` has shape (rows, *block_shape) and ``diffs`` (2, dim, rows,
+    *core_shape), so that each axis's differences of every row are
+    contiguous (no leading axis for a batch of one).  The bundle is
     evaluated on the rows' core points one after the other, as the
     workspace holds them (``np.tile`` of the core points, ``rows`` times).
 
@@ -159,16 +160,13 @@ class StepBatch:
     bound to the workspace by :meth:`bind`, at the first step:
     ``envelope()`` writes the envelope into the block and returns its
     interior (see :func:`~nlhj.operators.bind_envelope`), ``gradients()``
-    returns the differences (see :func:`_bind_gradients`), ``flux_work`` is
-    the flux bound to the bundle and its scratch (see
-    :func:`~nlhj.hamiltonians.flux_workspace`), bound there unless given
-    (a flux's scratch is spent within one call, so batches of one bundle
-    that step one after the other may share one), and ``sweep`` the
-    plan's sweep workspace for ``rows`` blocks (see
-    :meth:`~nlhj.operators.SweepPlan.workspace`)."""
+    returns the differences (see :func:`_bind_gradients`) and ``sweep`` is
+    the plan's sweep workspace for ``rows`` blocks (see
+    :meth:`~nlhj.operators.SweepPlan.workspace`); the flux is the bundle's
+    (``coeffs.flux``), which every batch on the bundle shares."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
-                 rows: int = 1, flux_work=None):
+                 rows: int = 1):
         grid = plan.grid
         self.n, self.m = len(grid.core_flat), len(grid.trace_pos)
         if coeffs.n != rows * self.n:
@@ -187,7 +185,6 @@ class StepBatch:
         self.block = np.zeros(lead + tuple(k + 2 for k in plan.core_shape))
         self.diffs = np.empty((2, grid.dim) + lead + plan.core_shape)
         self.envelope = self.gradients = self.sweep = None
-        self.flux_work = flux_work
 
     def join(self, st: SolveState):
         """Make ``st`` the next row, its values copied in and its arrays
@@ -219,7 +216,6 @@ class StepBatch:
                 plan.grid, self.u, self.phi_trace, self.block, plan.inner,
                 plan.trace_block_pos, self.rows)
             self.gradients = _bind_gradients(self)
-            self.flux_work = self.flux_work or flux_workspace(self.coeffs)
             self.sweep = plan.workspace(self.rows)
         return self
 
@@ -267,7 +263,8 @@ def init_state(plan: SweepPlan, spec, phi, u0,
 
     The state is the next row of ``batch``, whose bundle must be the
     spec's, and else a batch of one with the spec's bundle on the core
-    nodes; it sets the batch's viscosity (see :class:`StepBatch`)."""
+    nodes; a coercive state raises the batch's viscosity to its own on
+    each axis where that is larger (see :class:`StepBatch`)."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
@@ -276,7 +273,7 @@ def init_state(plan: SweepPlan, spec, phi, u0,
     st = SolveState(plan, spec, phi, u,
                     batch or StepBatch(plan, Coefficients(spec, pts)))
     coeffs = st.coeffs
-    a1_min = coeffs.terms[0].a1.min() if spec.family == "coercive" else 1.0
+    a1_min = coeffs.stacked["a1"].min() if spec.family == "coercive" else 1.0
     if a1_min < 1e-12:
         raise PreconditionError(f"a1 is not bounded below by a positive "
                                 f"constant (min {a1_min})")
@@ -294,14 +291,16 @@ def init_state(plan: SweepPlan, spec, phi, u0,
         raise ValidationError(bad)
     plan.exterior_load(ext, out=st.load)
     st.m_cap = 1e3 * (1.0 + st.sup_norm + float(np.abs(ext).max(initial=0.0)))
-    if spec.family == "coercive" and not coeffs.bound_reads_p:
-        st.sigma = 1.0 + np.array(coeffs.lf_floor)
-    elif spec.family == "coercive":
-        b = st.batch.bind()
-        b.envelope()
-        b.gradients()
-        scale = float(np.abs(st.diffs).max(initial=0.0))
-        st.sigma = 1.0 + np.array(lf_viscosity_bound(coeffs, scale))
+    if spec.family == "coercive":
+        own = coeffs.lf_floor
+        if coeffs.bound_reads_p:
+            b = st.batch.bind()
+            b.envelope()
+            b.gradients()
+            own = lf_viscosity_bound(
+                coeffs, float(np.abs(st.diffs).max(initial=0.0)))
+        own = 1.0 + np.array(own)
+        st.sigma = own if st.sigma is None else np.maximum(st.sigma, own)
     return st
 
 
@@ -397,12 +396,12 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
         pm, pp = b.gradients()
         try:
             numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
-                                       out=b.flux, work=b.flux_work)
+                                       out=b.flux)
         except ViscosityUnderflow as e:
             st.sigma = np.maximum(2.0 * b.sigma, 2.0 * e.required)
             st.sigma_growth += 1
             numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
-                                       out=b.flux, work=b.flux_work)
+                                       out=b.flux)
         b.stale = [False] * b.rows
     b.stale[st.row] = True
     dt, t = auto_dt(st, cfg), st.t

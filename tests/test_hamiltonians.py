@@ -265,7 +265,7 @@ def test_drift_components(dom2):
     assert not spec.time_dependent
     pts = Grid(dom2, 0.5, halo=1).core_points
     c = Coefficients(spec, pts)
-    assert np.array_equal(c.terms[0].b, np.zeros((len(pts), 2)))
+    assert np.array_equal(c.stacked["b"], np.zeros((1, 2, len(pts))))
     with pytest.raises(ValueError):
         CoerciveSpec(m=2, b=0.5, dim=2)
     with pytest.raises(ValueError):
@@ -354,21 +354,22 @@ def _flux_before_workspace(c, r, pm, pp, sigma):
     the reference the in-place kernel must equal bit for bit."""
     if c.spec.family == "bellman":
         best = None
-        for v in c.terms:
-            p_sel = np.where(v.b > 0, pp, pm)
-            val = (v.lam * np.asarray(r) - np.einsum("ij,ij->i", v.b, p_sel)
-                   - v.f)
+        for lam, b, f in zip(*(c.stacked[k] for k in ("lam", "b", "f"))):
+            p_sel = np.where(b.T > 0, pp, pm)
+            val = (lam * np.asarray(r) - np.einsum("ij,ij->i", b.T, p_sel)
+                   - f)
             best = val if best is None else np.maximum(best, val, out=best)
         return best
     mid = 0.5 * (pm + pp)
     pn = np.sqrt((mid * mid).sum(axis=1))
-    v, spec = c.terms[0], c.spec
-    out = v.a1 * pn ** spec.m
+    spec = c.spec
+    a1, a2, lam, f = (c.stacked[k][0] for k in ("a1", "a2", "lam", "f"))
+    out = a1 * pn ** spec.m
     if c.a2_active:
-        out += v.a2 * pn ** spec.l
-    if v.b is not None:
-        out += np.einsum("ij,ij->i", v.b, mid)
-    out = out + v.lam * np.asarray(r) - v.f
+        out += a2 * pn ** spec.l
+    if "b" in c.stacked:
+        out += np.einsum("ij,ij->i", c.stacked["b"][0].T, mid)
+    out = out + lam * np.asarray(r) - f
     out -= 0.5 * ((pp - pm) * sigma).sum(axis=1)
     return out
 
@@ -404,14 +405,13 @@ def test_flux_workspace_is_bit_identical(case):
     # the flux written into a workspace, or into fresh arrays, equals the
     # allocating form it replaced byte for byte (signed zeros included),
     # with the gradients laid out as the solver's or as plain rows
-    from nlhj.hamiltonians import flux_workspace
     spec = FLUX_CASES[case]()
     dim = spec.dim
     pts = core_pts(Domain((-1.0,) * dim, (1.0,) * dim),
                    2.0 ** -4 if dim == 1 else 0.25)
     n = len(pts)
     c = Coefficients(spec, pts)
-    work = flux_workspace(c)
+    work = c.flux  # bound at t = 0, before the bundle moves
     if spec.time_dependent:
         upwind = c.upwind.copy()
         c.at(0.5)
@@ -435,9 +435,9 @@ def test_flux_workspace_is_bit_identical(case):
     for _ in range(2):  # a reused workspace gives the same bytes
         got = [numerical_hamiltonian_many(c, r, grads[0], grads[1], sigma),
                numerical_hamiltonian_many(c, r, pm, pp, sigma),
-               numerical_hamiltonian_many(c, r, pm, pp, sigma, out=out,
-                                          work=work)]
-        assert got[2] is out
+               numerical_hamiltonian_many(c, r, pm, pp, sigma, out=out),
+               work(r, pm, pp, sigma, np.empty(n))]
+        assert got[2] is out and c.flux is work
         for g in got:
             assert g.tobytes() == ref.tobytes()
 

@@ -5,7 +5,8 @@ from nlhj import harness
 from nlhj.errors import NonConvergence, PreconditionError
 from nlhj.geometry import Domain, Grid
 from nlhj.hamiltonians import (BellmanSpec, CoefficientField, Coefficients,
-                               CoerciveSpec, ControlLaw)
+                               CoerciveSpec, ControlLaw,
+                               numerical_hamiltonian_many)
 from nlhj.kernels import fractional_laplacian_kernel, zero_kernel
 from nlhj.harness import (boundary_behavior_experiment, boundary_refinement,
                           coercive_loss_experiment, comparison_experiment,
@@ -73,6 +74,32 @@ def test_comparison_rejects_unordered(dom1, k05):
     with pytest.raises(PreconditionError, match="exterior data"):
         comparison_experiment(spec, dom1, k05, (0.0, 0.0), (1.0, 0.0),
                               T=0.1, cfg=SchemeConfig(h=2.0 ** -5), r_max=4.0)
+
+
+def test_comparison_reads_exterior_data_over_t_only_where_they_read_t(
+        dom1, k05):
+    # data ordered at t = 0 that cross within (0, T] are refused; data
+    # that do not read t are read at t = 0 only, by the states and the
+    # ordering check alike
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.0)
+    cfg = SchemeConfig(h=2.0 ** -5)
+    with pytest.raises(PreconditionError, match="exterior data"):
+        comparison_experiment(spec, dom1, k05, (0.0, 0.5), ("2*t", 0.5),
+                              T=0.5, cfg=cfg, r_max=4.0)
+    times = []
+
+    def datum(value):
+        def phi(pts, t):
+            times.append(t)
+            return np.full(len(pts), value)
+        phi.time_dependent = False
+        return phi
+
+    res = comparison_experiment(spec, dom1, k05, (0.0, 0.5),
+                                (datum(0.0), datum(0.5)), T=0.5, cfg=cfg,
+                                r_max=4.0)
+    assert res.passed and len(res.tables["report"][1]) > 10
+    assert len(times) >= 4 and set(times) == {0.0}
 
 
 def test_comparison_negation_symmetry(dom1, k05):
@@ -329,6 +356,27 @@ def test_pairs_on_one_spec_build_one_bundle(dom1, k05, monkeypatch):
     assert len({id(st.batch) for st in states}) == 3
     assert _seeded_pair(HELD["coercive-moving-f"](), 0, dom1, k05).passed
     assert len(built) == 2 and states[-1].coeffs is built[1]
+
+
+def test_pairs_and_calls_on_one_bundle_bind_one_flux(dom1, k05,
+                                                      monkeypatch):
+    # the held bundle binds its flux at its first read: the batches of its
+    # pairs and the allocating calls on it all share that one
+    from nlhj import hamiltonians
+    bound = []
+    real = hamiltonians.flux_workspace
+    monkeypatch.setattr(hamiltonians, "flux_workspace",
+                        lambda c: bound.append(c) or real(c))
+    spec = HELD["coercive-moving-f"]()
+    assert all(_seeded_pair(spec, seed, dom1, k05).passed
+               for seed in range(3))
+    c = harness._pair_setup(spec, discretize(dom1, k05, 2.0 ** -5, 4.0))
+    p = np.zeros((c.n, 1))
+    calls = [numerical_hamiltonian_many(c, np.zeros(c.n), p, p,
+                                        np.array([2.0])) for _ in range(2)]
+    assert calls[0] is not calls[1]
+    assert calls[0].tobytes() == calls[1].tobytes()
+    assert bound == [c]
 
 
 @pytest.mark.parametrize("case", list(HELD))

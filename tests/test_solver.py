@@ -525,7 +525,8 @@ def test_t_free_part_of_a_moving_field_is_evaluated_once_per_state(
     for _ in range(5):
         step(st, cfg)
     assert len(cos_calls) == 1
-    assert np.array_equal(st.coeffs.terms[0].f, spec.f(g.core_points, st.t))
+    assert np.array_equal(st.coeffs.stacked["f"][0],
+                          spec.f(g.core_points, st.t))
 
 
 def test_cfl_denominator_follows_a_viscosity_retry(dom1):
@@ -689,7 +690,7 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
         u, rhs = _fresh_rhs(st, spec)
         step(st, cfg)
         assert np.array_equal(st.u, u + st.last_dt * rhs)
-        upwind.add(bool(st.coeffs.terms[0].upwind.all()))
+        upwind.add(bool(st.coeffs.upwind[0].all()))
     assert upwind == {True, False}
 
 
@@ -726,6 +727,24 @@ def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
     assert states[1].u.base is batch.u and np.all(states[1].u == 1.0)
     with pytest.raises(ValueError, match="rows are taken"):
         init_state(plan, spec, 0.0, 2.0, batch)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_joining_row_widens_the_batch_viscosity(dom1, order):
+    # at m = 2 each state sizes its viscosity from its own gradients; the
+    # batch's is the per-axis larger of its rows' own, the viscosity each
+    # state starts with alone, in either join order
+    k = fractional_laplacian_kernel(0.5, 1)
+    spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
+    *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, 0.0, kernel=k)
+    plan = st.plan
+    data = [(0.0, 0.0), ("4*x", "4*x")]  # (phi, u0): flat and steep
+    alone = [init_state(plan, spec, *d).sigma for d in data]
+    assert alone[0][0] < alone[1][0]
+    batch = _pair_batch(plan, spec)
+    for i in order:
+        st = init_state(plan, spec, *data[i], batch)
+    assert np.array_equal(batch.sigma, np.maximum(*alone))
 
 
 def test_batch_whose_bundle_reads_t_refuses_a_row_out_of_turn(dom1):
