@@ -45,6 +45,6 @@ def test_every_case_exits_0_and_writes_its_tables(digest, runs):
 def test_a_comparison_table_reads_the_source_term(runs):
     # the two cases differ only by f, which moves no ordering violation (0
     # for both): the report's signed max(u - v) per seed must show it
-    coercive, moving = (runs[case][1] / "report.tsv" for case in
-                        ("comparison_seeds_coercive", "comparison_seeds_moving"))
+    coercive, moving = (runs[f"comparison_seeds_{case}"][1] / "report.tsv"
+                        for case in ("coercive", "moving"))
     assert coercive.read_bytes() != moving.read_bytes()

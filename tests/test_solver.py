@@ -743,7 +743,7 @@ def test_joining_row_widens_the_batch_viscosity(dom1, order):
     assert alone[0][0] < alone[1][0]
     batch = _pair_batch(plan, spec)
     for i in order:
-        st = init_state(plan, spec, *data[i], batch)
+        init_state(plan, spec, *data[i], batch)
     assert np.array_equal(batch.sigma, np.maximum(*alone))
 
 
