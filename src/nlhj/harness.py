@@ -179,7 +179,9 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     :class:`NonConvergence`.
     Metrics: ``max_violation``, ``steps`` (per state), the final shared
     ``sigma`` (None for Bellman forms) and ``sigma_growth``, summed over
-    the two states; the last three are also its telemetry.
+    the two states; the last three are also its telemetry.  The ``report``
+    table holds each step's ``t`` and signed ``max_u_minus_v``, whose
+    positive part is the violation.
     """
     plan = discretize(dom, k, cfg.h, r_max)
     batch = StepBatch(plan, _pair_setup(spec, plan), 2)
@@ -201,7 +203,7 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
                 "sigma_growth": sa.sigma_growth + sb.sigma_growth}
     return ExperimentResult(
         worst <= 1e-12, metrics={"max_violation": worst, **counters},
-        tables={"report": (("t", "max_violation"), rows)},
+        tables={"report": (("t", "max_u_minus_v"), rows)},
         telemetry=counters)
 
 

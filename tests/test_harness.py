@@ -314,7 +314,7 @@ def test_comparison_pair_rows_equal_two_states_stepped_alone(dom1, k05,
                       args["r_max"])
     rows = _lockstep_rows(plan, spec, data, args["T"], cfg)
     header, got = res.tables["report"]
-    assert header == ("t", "max_violation") and len(got) > 10
+    assert header == ("t", "max_u_minus_v") and len(got) > 10
     assert repr(got) == repr(rows)
 
 
