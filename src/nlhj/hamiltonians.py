@@ -8,6 +8,7 @@ or callables ``f(points, t) -> values`` with ``points`` of shape (N, dim).
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -407,7 +408,8 @@ def _upwind_flux(c: Coefficients):
 
 def _lax_friedrichs_flux(c: Coefficients):
     """The coercive flux: H at the mean gradient minus the viscosity term
-    0.5 sum_a sigma_a (p+ - p-)."""
+    0.5 sum_a sigma_a (p+ - p-), reading the bounds through a weak proxy
+    of the bundle, which holds it."""
     spec, n = c.spec, c.n
     a1, a2, lam, f = (c.stacked[name][0] for name in ("a1", "a2", "lam", "f"))
     b = c.stacked["b"][0].T if "b" in c.stacked else None
@@ -416,6 +418,7 @@ def _lax_friedrichs_flux(c: Coefficients):
     col, *more = cols = [p[:, a] for a in range(spec.dim)]
     acc, term = np.empty(n), np.empty(n)
     settled = None if "a2" in c.moving else (c.a2_active, c.bound_reads_p)
+    c = weakref.proxy(c)
     absolute, add, multiply, subtract = (np.absolute, np.add, np.multiply,
                                          np.subtract)
     max_reduce = np.maximum.reduce

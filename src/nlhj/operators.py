@@ -42,25 +42,20 @@ def envelope(grid: Grid, u: np.ndarray, phi_trace) -> np.ndarray:
     return E
 
 
-def bind_envelope(grid: Grid, u: np.ndarray, phi_trace: np.ndarray,
-                  block: np.ndarray, inner: tuple, at: np.ndarray,
-                  rows: int = 1):
+def bind_envelope(plan: "SweepPlan", u: np.ndarray, phi_trace: np.ndarray,
+                  block: np.ndarray):
     """:func:`envelope` of the arrays ``u`` and ``phi_trace`` as they hold
-    at each call of the function returned, written into the interior
-    ``inner`` of the padded ``block``, which it returns.  The trace values
-    are formed in scratch and written through their flat positions ``at``
-    in the block, as an indexed write into the strided 2-D interior takes
-    numpy scratch.  For ``rows`` > 1 the arrays stack that many states,
-    row after row: ``u`` and ``phi_trace`` flat, ``block`` along a leading
-    axis."""
-    E, flat = block[(Ellipsis,) + inner], block.reshape(-1)
+    at each call of the function returned, written into the interior of
+    the padded ``block``, which it returns.  The arrays stack the rows of a
+    batch on ``plan``: ``u`` and ``phi_trace`` flat, row after row, and
+    ``block`` along a leading axis.  The trace values are formed in the
+    plan's scratch and written through their flat positions in the block
+    (see :meth:`SweepPlan.workspace`), as an indexed write into the
+    strided 2-D interior takes numpy scratch."""
+    E, flat = block[(Ellipsis,) + plan.inner], block.reshape(-1)
     core = u.reshape(E.shape)
-    # the trace positions of each row, in u and in the block
-    trace_pos, at = (np.add.outer(np.arange(rows) * (size // rows),
-                                  pos).ravel()
-                     for size, pos in ((u.size, grid.trace_pos),
-                                       (block.size, at)))
-    top, maximum = np.empty(len(trace_pos)), np.maximum
+    trace_pos, at, top = plan.workspace(len(block))[3]
+    maximum = np.maximum
 
     def fill():
         E[...] = core
@@ -152,20 +147,19 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _transform_outputs(spectrum: tuple, shape: tuple,
-                       lead: tuple = ()) -> tuple:
+def _transform_outputs(spectrum: tuple, shape: tuple, rows: int) -> tuple:
     """Arrays for :func:`_correlation`'s transforms to ``shape`` whose half
     spectrum has the shape ``spectrum``: that spectrum; in 2-D a zero-filled
     array like it, the forward column transforms' input, and a second array
     like it, the inverse column transforms' output; and the inverse
-    transform's real output.  Each is prefixed by the batch axes ``lead``,
-    one set of transforms per batch row."""
+    transform's real output.  Each has a leading axis of ``rows``, one set
+    of transforms per batch row."""
     two = len(shape) == 2
-    spectrum = lead + tuple(spectrum)
+    spectrum = (rows,) + tuple(spectrum)
     return (np.empty(spectrum, dtype=complex),
             np.zeros(spectrum, dtype=complex) if two else None,
             np.empty(spectrum, dtype=complex) if two else None,
-            np.empty(lead + tuple(shape)))
+            np.empty((rows,) + tuple(shape)))
 
 
 # the gufuncs that np.fft.rfft, fft, ifft and irfft wrap (numpy >= 2.0),
@@ -186,6 +180,10 @@ def _wrapped(name: str, n_of_out):
 
     def call(a, fct, axes=_LAST, out=None):
         axis = axes[0][0]
+        # the gufunc broadcasts one row over the rows of out; the wrapper
+        # takes it with their axis
+        if a.ndim < out.ndim:
+            a = a[None]
         return wrapper(a, n_of_out(out.shape[axis]), axis, out=out)
     return call
 
@@ -207,18 +205,18 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     """The correlation with spectrum ``spec`` of an array of shape ``box``
     zero-padded to ``shape``, at the nodes selected by ``keep`` (slices), as
     a function ``correlate(a, add, out)``: it writes the correlation of
-    ``a`` (of shape ``box``, or its values in C order) plus ``add`` into
-    ``out``, one value per kept node in C order, and returns ``out``.  The
-    transforms run axis by axis, as np.fft.rfftn and irfftn do, into
-    ``work`` (see :func:`_transform_outputs`).  Where ``work`` has batch
-    axes, ``a`` stacks that many arrays along them, each correlated on its
-    own with the same transforms, and ``spec`` is stacked alike; ``add``
-    and ``out`` hold the rows one after the other.  What does not change
-    from call to call is settled here: the rfft gufunc for the length's
-    parity, the axes (the last one, the default, except for the 2-D column
+    ``a`` plus ``add`` into ``out``, one value per kept node in C order, and
+    returns ``out``.  The transforms run axis by axis, as np.fft.rfftn and
+    irfftn do, into ``work`` (see :func:`_transform_outputs`), whose leading
+    axis stacks the rows: ``a`` stacks that many arrays of shape ``box``
+    along it (one array may come without that axis), each correlated on its own
+    with the same transforms, ``spec`` is stacked alike, and ``add`` and
+    ``out`` hold the rows one after the other.  What does not change from
+    call to call is settled here: the rfft gufunc for the length's parity,
+    the axes (the last one, the default, except for the 2-D column
     transforms), the scale factors (as arrays, which a gufunc reads without
     converting a Python number on every call), the views of ``work`` and
-    the 1-D, batched 1-D or 2-D form.
+    the 1-D or 2-D form.
 
     In 2-D both passes are pruned, with the same transforms on the same
     numbers: the row transforms of ``a`` fill the first ``box[0]`` rows of
@@ -226,34 +224,32 @@ def _correlation(spec: np.ndarray, shape: tuple, box: tuple, keep: tuple,
     column transforms read it in full instead of padding each column; and
     the inverse row transforms run only on the rows ``keep`` selects."""
     spectrum, padded, spare, real = work
-    lead = real.shape[:-len(shape)]
     rfft = _pocketfft.rfft_n_odd if shape[-1] % 2 else _pocketfft.rfft_n_even
     irfft = _pocketfft.irfft
     one = np.array(1.0)
     if len(shape) == 1:
-        scale, kept = np.array(1 / shape[0]), real[..., keep[0]]
-
-        if not lead:
-            def correlate(a, add, out):
-                prod = rfft(a, one, out=spectrum)
-                prod *= spec
-                irfft(prod, scale, out=real)
-                return np.add(kept, add, out)
-            return correlate
+        scale, add_, copyto = np.array(1 / shape[0]), np.add, np.copyto
+        # the kept nodes of the rows, packed one after the other from those
+        # of the first row, which are in place: numpy sums contiguous arrays
+        # in place, where it would buffer strided rows
+        kept = [row[keep[0]] for row in real]
+        n, start = len(kept[0]), keep[0].start
+        packed = real.reshape(-1)[start:start + len(kept) * n]
+        moves = [(packed[r * n:(r + 1) * n], row)
+                 for r, row in enumerate(kept)][1:]
 
         def correlate(a, add, out):
             prod = rfft(a, one, out=spectrum)
             prod *= spec
             irfft(prod, scale, out=real)
-            # a copy, as numpy would buffer the strided rows in a sum
-            np.copyto(out.reshape(kept.shape), kept)
-            out += add
-            return out
+            for to, row in moves:
+                copyto(to, row)
+            return add_(packed, add, out)
         return correlate
 
     fft, ifft = _pocketfft.fft, _pocketfft.ifft
     col_scale, row_scale = np.array(1 / shape[0]), np.array(1 / shape[1])
-    rows, stacked = keep[0], lead + tuple(box)
+    rows, stacked = keep[0], (len(real),) + tuple(box)
     head, cols = padded[..., :box[0], :], spare[..., rows, :]
     real_rows = real[..., rows, :]
     kept = real_rows[..., keep[1]]
@@ -413,7 +409,7 @@ class SweepPlan:
         correlation into transform outputs of its own: held from the first
         datum that varies in space."""
         g = self.grid
-        work = _transform_outputs(self._full_spec.shape, self._full_fft)
+        work = _transform_outputs(self._full_spec.shape, self._full_fft, 1)
         return np.zeros(g.size), _correlation(self._full_spec, self._full_fft,
                                               g.shape, self.core_box, work)
 
@@ -440,24 +436,31 @@ class SweepPlan:
                          out)
 
     def workspace(self, rows: int = 1) -> tuple:
-        """The ``work`` of :meth:`apply` for ``rows`` core blocks stacked
-        along a leading axis (none for one block): a correlation into
-        transform outputs of its own, with the kernel spectrum stacked
-        alike, the part of its real output that apply may spend, and those
-        transform outputs (see :func:`_transform_outputs`).  It is scratch,
-        spent within one apply, so the plan holds one per ``rows``, which
-        every caller shares."""
+        """What a batch of ``rows`` core blocks stacked along a leading axis
+        binds, held per ``rows`` and shared by every caller: the ``work``
+        of :meth:`apply`, that is a correlation into transform outputs of
+        its own, with the kernel spectrum stacked alike, the part of its
+        real output that apply may spend, and those transform outputs (see
+        :func:`_transform_outputs`); then, for :func:`bind_envelope`, the
+        flat positions of every row's trace nodes in the rows' core values
+        and in their padded blocks, with scratch for the trace values.  The
+        scratch is spent within one call, and the positions never change."""
         work = self._workspaces.get(rows)
         if work is None:
-            lead = (rows,) if rows > 1 else ()
-            spec = (np.tile(self._core_spec, lead + (1,) * self.grid.dim)
-                    if lead else self._core_spec)
+            g, n = self.grid, len(self.grid.core_flat)
+            spec = np.tile(self._core_spec, (rows,) + (1,) * g.dim)
             out = _transform_outputs(self._core_spec.shape, self.core_fft,
-                                     lead)
+                                     rows)
+            # a block holds the core nodes and the ring
+            trace_pos, at = (np.add.outer(np.arange(rows) * size, pos).ravel()
+                             for size, pos in ((n, g.trace_pos),
+                                               (n + len(self.ring_pos),
+                                                self.trace_block_pos)))
             work = self._workspaces[rows] = (
                 _correlation(spec, self.core_fft, self.core_shape,
                              self._box_start, out),
-                out[3].reshape(-1)[:rows * len(self.grid.core_flat)], out)
+                out[3].reshape(-1)[:rows * n], out,
+                (trace_pos, at, np.empty(len(trace_pos))))
         return work
 
     def apply(self, E: np.ndarray, centers: np.ndarray, load: np.ndarray,
@@ -478,7 +481,7 @@ class SweepPlan:
         """
         if out is None:
             out = np.empty(centers.shape)
-        correlate, spent, _ = work or self.workspace()
+        correlate, spent, _, _ = work or self.workspace()
         correlate(E, load, out)
         # the inverse transform's output is spent: it takes diag * centers
         out -= np.multiply(self.diag, centers, spent)

@@ -27,8 +27,9 @@ allocates no array of the core's size.  The workspace belongs to a
 :class:`StepBatch` of states that share a plan, a coefficient bundle and a
 viscosity, one row per state: a batch is evaluated in one set of calls,
 which costs little more than one state's evaluation where a step's arrays
-are small, and each state's step then takes its own row.  A state starts
-in a batch of one; a comparison pair is stacked into a batch of two.
+are small, and each state's step then takes its own row.  A lone state is
+a batch of one, laid out as every batch is; a comparison pair is a batch
+of two.
 """
 
 from __future__ import annotations
@@ -148,21 +149,22 @@ class StepBatch:
     ``flux``, ``load`` and ``phi_trace`` hold the rows one after the other;
     ``block`` has shape (rows, *block_shape) and ``diffs`` (2, dim, rows,
     *core_shape), so that each axis's differences of every row are
-    contiguous (no leading axis for a batch of one).  The bundle is
-    evaluated on the rows' core points one after the other, as the
-    workspace holds them (``np.tile`` of the core points, ``rows`` times).
+    contiguous, for any number of rows.  The bundle is evaluated on the
+    rows' core points one after the other, as the workspace holds them
+    (``np.tile`` of the core points, ``rows`` times).
 
     A row whose ``stale`` flag is down holds the operator's values
     (``rhs``) and the ``flux`` of its state as it stands; :func:`step`
     evaluates every row when its state's row is stale and consumes that
     row's.  A bundle with fields that read t moves when every row has
     stepped, so its rows step in turn, at one time.  The evaluation is
-    bound to the workspace by :meth:`bind`, at the first step:
+    bound to the workspace when the batch is made, as views and closures:
     ``envelope()`` writes the envelope into the block and returns its
     interior (see :func:`~nlhj.operators.bind_envelope`), ``gradients()``
     returns the differences (see :func:`_bind_gradients`) and ``sweep`` is
     the plan's sweep workspace for ``rows`` blocks (see
-    :meth:`~nlhj.operators.SweepPlan.workspace`); the flux is the bundle's
+    :meth:`~nlhj.operators.SweepPlan.workspace`); the plan holds what
+    depends only on it and the row count, and the flux is the bundle's
     (``coeffs.flux``), which every batch on the bundle shares."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
@@ -172,7 +174,6 @@ class StepBatch:
         if coeffs.n != rows * self.n:
             raise ValueError(f"a batch of {rows} rows takes a bundle on "
                              f"{rows * self.n} points, not {coeffs.n}")
-        lead = (rows,) if rows > 1 else ()
         self.plan, self.coeffs, self.rows, self.joined = plan, coeffs, rows, 0
         self.sigma = self.den = None
         self.den_moves = bool(coeffs.moving & {"lam", "b"})
@@ -182,9 +183,11 @@ class StepBatch:
         self.u, self.rhs, self.flux, self.load = (np.zeros(rows * self.n)
                                                   for _ in range(4))
         self.phi_trace = np.zeros(rows * self.m)
-        self.block = np.zeros(lead + tuple(k + 2 for k in plan.core_shape))
-        self.diffs = np.empty((2, grid.dim) + lead + plan.core_shape)
-        self.envelope = self.gradients = self.sweep = None
+        self.block = np.zeros((rows,) + tuple(k + 2 for k in plan.core_shape))
+        self.diffs = np.empty((2, grid.dim, rows) + plan.core_shape)
+        self.envelope = bind_envelope(plan, self.u, self.phi_trace, self.block)
+        self.gradients = _bind_gradients(self)
+        self.sweep = plan.workspace(rows)
 
     def join(self, st: SolveState):
         """Make ``st`` the next row, its values copied in and its arrays
@@ -195,29 +198,15 @@ class StepBatch:
                              "spec of its bundle")
         if row == self.rows:
             raise ValueError(f"the batch's {self.rows} rows are taken")
-        n, m, one = self.n, self.m, self.rows == 1
+        n, m = self.n, self.m
         cut = slice(row * n, (row + 1) * n)
         self.u[cut] = st.u
         st.u, st.rhs, st.flux, st.load = (
-            a if one else a[cut] for a in (self.u, self.rhs, self.flux,
-                                           self.load))
-        st.phi_trace = (self.phi_trace if one
-                        else self.phi_trace[row * m:(row + 1) * m])
-        st.block = self.block if one else self.block[row]
-        st.diffs = self.diffs if one else self.diffs[:, :, row]
+            a[cut] for a in (self.u, self.rhs, self.flux, self.load))
+        st.phi_trace = self.phi_trace[row * m:(row + 1) * m]
+        st.block, st.diffs = self.block[row], self.diffs[:, :, row]
         st.batch, st.row, st._ring = self, row, st.block.reshape(-1)
         self.joined = row + 1
-
-    def bind(self) -> "StepBatch":
-        """Bind the evaluation to the workspace, where it is not bound."""
-        if self.envelope is None:
-            plan = self.plan
-            self.envelope = bind_envelope(
-                plan.grid, self.u, self.phi_trace, self.block, plan.inner,
-                plan.trace_block_pos, self.rows)
-            self.gradients = _bind_gradients(self)
-            self.sweep = plan.workspace(self.rows)
-        return self
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -294,9 +283,8 @@ def init_state(plan: SweepPlan, spec, phi, u0,
     if spec.family == "coercive":
         own = coeffs.lf_floor
         if coeffs.bound_reads_p:
-            b = st.batch.bind()
-            b.envelope()
-            b.gradients()
+            st.batch.envelope()
+            st.batch.gradients()
             own = lf_viscosity_bound(
                 coeffs, float(np.abs(st.diffs).max(initial=0.0)))
         own = 1.0 + np.array(own)
@@ -320,21 +308,23 @@ def _bind_gradients(b: StepBatch):
     shifts = [(block[(...,) + bwd], block[(...,) + fwd], diffs[0, a],
                diffs[1, a]) for a, (bwd, fwd) in enumerate(plan.shifts)]
     subtract, divide, copyto = np.subtract, np.divide, np.copyto
-    if dim == 1 and b.rows == 1:
-        [(bwd, fwd, d_bwd, d_fwd)] = shifts
+    if dim == 1:
+        # a row's shifted views are contiguous, which numpy subtracts in
+        # place; across the rows they are not, and numpy would buffer them
+        rows = list(zip(u, *shifts[0]))
 
         def gradients():
-            subtract(u, bwd, d_bwd)
-            subtract(fwd, u, d_fwd)
+            for u_row, bwd, fwd, d_bwd, d_fwd in rows:
+                subtract(u_row, bwd, d_bwd)
+                subtract(fwd, u_row, d_fwd)
             divide(diffs, h, diffs)
             return pm, pp
         return gradients
 
     def gradients():
         for bwd, fwd, d_bwd, d_fwd in shifts:
-            # numpy would buffer a shifted view that is not contiguous (in
-            # 2-D, or across the rows of a batch): copy it into the output
-            # and subtract there
+            # numpy would buffer a shifted view of the 2-D rows, which is
+            # not contiguous: copy it into the output and subtract there
             copyto(d_bwd, bwd)
             copyto(d_fwd, fwd)
             subtract(u, d_bwd, d_bwd)
@@ -389,8 +379,6 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
         if b.coeffs.moving and not all(b.stale):
             raise ValueError(f"row {st.row} steps out of turn: the batch's "
                              f"bundle reads t and moves with its last row")
-        if b.envelope is None:
-            b.bind()
         u = b.u
         b.plan.apply(b.envelope(), u, b.load, b.rhs, b.sweep)
         pm, pp = b.gradients()

@@ -483,3 +483,28 @@ def test_held_lf_floor_follows_the_bounds():
     assert c.lf_floor == [2.0]
     assert c.at(1.0).lf_floor == [3.0]
     assert Coefficients(CoerciveSpec(m=2.0), pts).lf_floor is None
+
+
+@pytest.mark.parametrize("spec", [
+    CoerciveSpec(m=2.0, a1="1 + x^2", lam=0.5, f="0.1*x"),
+    CoerciveSpec(m=2.0, a1=1.0, a2="0.5*t", l=1.0, lam=0.5),
+    BellmanSpec([ControlLaw(lam=0.5, b="-x", f=0.1),
+                 ControlLaw(lam=0.3, b="0.5*x", f=0.0)])],
+    ids=["coercive", "coercive-moving-a2", "bellman"])
+def test_bundle_with_a_read_flux_is_freed_with_its_last_reference(spec):
+    # the flux the bundle holds does not read the bundle through itself, so
+    # no reference cycle waits for the cyclic collector
+    import gc
+    import weakref
+    pts = np.linspace(-1.0, 1.0, 9)[:, None]
+    gc.disable()
+    try:
+        c = Coefficients(spec, pts)
+        out = c.flux(np.zeros(9), np.ones((9, 1)), np.ones((9, 1)),
+                     np.array([10.0]), np.empty(9))
+        held = weakref.ref(c)
+        del c
+        assert held() is None
+    finally:
+        gc.enable()
+    assert np.isfinite(out).all()

@@ -140,9 +140,9 @@ def test_field_envelope_policies(dom1, dom2):
         assert st.t > 0
         held = Field(g, st.u, st.phi, st.t).values[g.core_flat]
         assert np.array_equal(held, envelope(g, st.u, st.phi_trace))
-        # the state's block, written through flat positions, holds the same
+        # the batch's block, written through flat positions, holds the same
         inner = st.batch.envelope()
-        assert inner.base is st.block
+        assert inner.base is st.batch.block
         assert np.array_equal(inner.ravel(), envelope(g, st.u, st.phi_trace))
 
 
@@ -393,7 +393,7 @@ def test_pruned_2d_sweep_equals_rfftn_byte_for_byte(h, n_fft):
             step(st, cfg)
     # the rows beyond the core block's of the forward array were never
     # written, by apply or by the states' steps, which share its workspace
-    assert not plan.workspace()[2][1][plan.core_shape[0]:].any()
+    assert not plan.workspace()[2][1][:, plan.core_shape[0]:].any()
 
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -568,7 +570,7 @@ def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
     assert len(calls) == int(reads_p)
     # the gradient route: the bound at the largest one-sided difference of
     # the envelope
-    b = st.batch.bind()
+    b = st.batch
     b.envelope()
     pm, pp = b.gradients()
     scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
@@ -930,7 +932,7 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
     g, qt, cfg, st = make(dom, h, 2.0, spec, phi, u0, kernel=k)
     plan = st.plan
     assert plan.diag.shape == ()
-    b = st.batch.bind()
+    b = st.batch
     for _ in range(2):
         E = b.envelope()
         u = st.u.reshape(plan.core_shape)
@@ -944,3 +946,115 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
         ref -= float(plan.diag) * st.u
         assert plan.apply(E, st.u, st.load).tobytes() == ref.tobytes()
         step(st, cfg)
+
+
+@pytest.mark.parametrize("dim, h", [(1, 2.0 ** -5), (2, 0.125)])
+def test_one_row_and_two_row_batches_share_one_layout(dim, h):
+    # a lone state's batch stacks its one row on the leading axis, as a
+    # pair's batch stacks two
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    spec = BellmanSpec([ControlLaw(lam=0.5, b=(0.5,) * dim, f=0.0, dim=dim)],
+                       dim=dim)
+    k = fractional_laplacian_kernel(0.5, dim)
+    *_, st = make(dom, h, 2.0, spec, 0.0, 1.0, kernel=k)
+    pair = _pair_batch(st.plan, spec)
+    for b, rows in ((st.batch, 1), (pair, 2)):
+        assert b.block.shape[0] == rows and b.diffs.shape[2] == rows
+        assert b.block.ndim == dim + 1 and b.diffs.ndim == dim + 3
+    assert st.block.base is st.batch.block and st.u.base is st.batch.u
+
+
+def test_second_batch_reuses_the_plan_trace_positions(dom1, monkeypatch):
+    # the rows' trace positions depend only on the plan and the row count:
+    # the plan holds them, so a second batch of as many rows binds views of
+    # the same arrays and forms no positions of its own
+    from nlhj import operators
+    k = fractional_laplacian_kernel(0.5, 1)
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
+    *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
+    plan = st.plan
+    first = plan.workspace(2)[3]
+    _pair_batch(plan, spec)
+    calls = []
+    add = SimpleNamespace(outer=lambda *a: calls.append(a) or np.add.outer(*a))
+    monkeypatch.setattr(operators, "np", SimpleNamespace(**{**vars(np),
+                                                            "add": add}))
+    _pair_batch(plan, spec)
+    assert calls == []
+    assert all(a is b for a, b in zip(plan.workspace(2)[3], first))
+    g = plan.grid
+    assert np.array_equal(first[0], np.concatenate(
+        [g.trace_pos, g.trace_pos + len(g.core_flat)]))
+
+
+def _step_jacobian(plan, spec, phi, u0, cfg, eps=1e-7):
+    """The Jacobian of one step from ``u0``: one batch of N + 1 rows, where
+    row j is ``u0`` perturbed by ``eps`` at node j and the last row is
+    ``u0``, each stepped once, in turn; (U_j - U_N) / eps is column j."""
+    pts = plan.grid.core_points
+    n = len(pts)
+    base = solver.eval_initial(u0, pts)
+    batch = solver.StepBatch(
+        plan, Coefficients(spec, np.tile(pts, (n + 1, 1))), n + 1)
+    states = [init_state(plan, spec, phi,
+                         lambda p, j=j: base + eps * (np.arange(n) == j),
+                         batch) for j in range(n + 1)]
+    for st in states:
+        step(st, cfg)
+    U = np.array([st.u for st in states])
+    return (U[:-1] - U[-1]).T / eps
+
+
+MONOTONE_CASES = {
+    "coercive-m2-1d": (1, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.0),
+                       10.0, "1 - x^2"),
+    "coercive-m1.5-drift-1d": (
+        1, 1.5, CoerciveSpec(m=1.5, a1=1.0, lam=0.5, b=["x"], f="0.2*x"),
+        "0.3*x", "0.5*cos(2*x)"),
+    "bellman-1d": (1, 1.5, BellmanSpec(
+        [ControlLaw(lam=0.5, b="-x", f="0.1*sin(2*x)"),
+         ControlLaw(lam=0.3, b="0.5*x", f=0.0)]), 0.0, "0.5*cos(2*x)"),
+    "bellman-2d": (2, 0.5, BellmanSpec(
+        [ControlLaw(lam=1.0, b=("-x", "-y"), f=0.0, dim=2),
+         ControlLaw(lam=0.5, b=("0.5*x", "0.5*y"), f=0.0, dim=2)], dim=2),
+        1.0, "1 + 0.3*(1 - x^2)*(1 - y^2)*cos(x + 2*y)"),
+    "coercive-m2-2d": (2, 1.5, CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.0,
+                                            dim=2),
+                       0.0, "0.5*cos(x + 2*y)"),
+    # the large_time digest case's f and datum, which read t
+    "coercive-moving-1d": (
+        1, 0.5, CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
+                             f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"),
+        "0.5*exp(-t)", "0.5 + 0.2*sin(3*x)"),
+}
+
+
+def _monotone_case(case, theta=0.9):
+    dim, alpha, spec, phi, u0 = MONOTONE_CASES[case]
+    h = 2.0 ** -5 if dim == 1 else 0.125
+    dom = Domain((-1.0,) * dim, (1.0,) * dim)
+    plan = SweepPlan(grid_for(dom, h, 4.0),
+                     build_quadrature(fractional_laplacian_kernel(alpha, dim),
+                                      h, 4.0))
+    cfg = SchemeConfig(h=h)
+    cfg.theta = theta  # past SchemeConfig's refusal for the control
+    return _step_jacobian(plan, spec, phi, u0, cfg)
+
+
+@pytest.mark.parametrize("case", list(MONOTONE_CASES))
+def test_whole_step_is_monotone(case):
+    # a step's update is nondecreasing in every node value, and its
+    # diagonal stays at 1 - theta or more under the CFL bound: the
+    # property criterion 3's ordering follows from, measured on the whole
+    # step (sweep, envelope, differences, flux and update) at once
+    J = _monotone_case(case)
+    assert J.min() >= -1e-7
+    assert np.diag(J).min() >= 1.0 - 0.9 - 1e-7
+
+
+@pytest.mark.parametrize("case", ["coercive-m2-1d", "bellman-2d"])
+def test_step_past_the_cfl_bound_is_not_monotone(case):
+    # the control: theta = 1.3 steps past the CFL bound, and the diagonal
+    # turns negative at the worst node, far below the rounding at eps
+    J = _monotone_case(case, theta=1.3)
+    assert J.min() < -0.1
