@@ -99,7 +99,7 @@ class CoerciveSpec:
     """H = a1(x)|p|^m + a2(x)|p|^l + b(x).p + lam(x) r - f(x, t), l < m.
 
     The drift b is only admitted in the superlinear case m > 1; a1 must be
-    bounded below by a positive constant (``solver.init_state`` refuses it
+    bounded below by a positive constant (``solver.StepBatch`` refuses it
     otherwise).
     """
 

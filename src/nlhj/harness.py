@@ -170,13 +170,13 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
     both take every step with one monotone scheme, otherwise exact ordering
     could not be expected.  The bundle, with the flux it binds, is the last
     pair's where it had the same spec and plan (see :func:`_pair_setup`).
-    The viscosity starts as the per-axis larger of the two states' own,
-    the ones a single run of either data set starts with, which
-    :func:`~nlhj.solver.init_state` forms as each row joins the batch.  A
-    step that finds it too small grows it for both rows before either
-    state moves (``sigma_growth``), so the pair checks the scheme the
-    solver runs.  A state passing ``cfg.max_steps`` raises
-    :class:`NonConvergence`.
+    The batch refuses a coercive a1 not bounded below by a positive
+    constant before any step, and sizes its viscosity once both rows have
+    joined: the per-axis larger of the two states' own, the ones a single
+    run of either data set starts with.  A step that finds it too small
+    grows it for both rows before either state moves (``sigma_growth``),
+    so the pair checks the scheme the solver runs.  A state passing
+    ``cfg.max_steps`` raises :class:`NonConvergence`.
     Metrics: ``max_violation``, ``steps`` (per state), the final shared
     ``sigma`` (None for Bellman forms) and ``sigma_growth``, summed over
     the two states; the last three are also its telemetry.  The ``report``

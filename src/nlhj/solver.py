@@ -25,11 +25,9 @@ writes each of them in place (the sweep's output becomes the update, from
 which the flux is subtracted), so a step whose data do not depend on t
 allocates no array of the core's size.  The workspace belongs to a
 :class:`StepBatch` of states that share a plan, a coefficient bundle and a
-viscosity, one row per state: a batch is evaluated in one set of calls,
-which costs little more than one state's evaluation where a step's arrays
-are small, and each state's step then takes its own row.  A lone state is
-a batch of one, laid out as every batch is; a comparison pair is a batch
-of two.
+viscosity, one row per state (a lone state is a batch of one, a comparison
+pair a batch of two): a batch is evaluated in one set of calls, and each
+state's step then takes its own row.
 """
 
 from __future__ import annotations
@@ -120,8 +118,8 @@ class SolveState:
     @property
     def sigma(self) -> np.ndarray | None:
         """Lax-Friedrichs viscosity per axis (coercive forms only), the
-        batch's: setting it clears the CFL denominator and makes every row
-        of the batch stale."""
+        batch's once its last row has joined: setting it clears the CFL
+        denominator and makes every row of the batch stale."""
         return self.batch.sigma
 
     @sigma.setter
@@ -143,29 +141,26 @@ class SolveState:
 
 class StepBatch:
     """The workspace of ``rows`` states on the plan ``plan`` that share the
-    coefficient bundle ``coeffs`` and a viscosity, the per-axis largest of
-    their own (see :func:`init_state`), one row per state, in the order
-    they join: the states are evaluated together.  ``u``, ``rhs``,
-    ``flux``, ``load`` and ``phi_trace`` hold the rows one after the other;
-    ``block`` has shape (rows, *block_shape) and ``diffs`` (2, dim, rows,
-    *core_shape), so that each axis's differences of every row are
-    contiguous, for any number of rows.  The bundle is evaluated on the
-    rows' core points one after the other, as the workspace holds them
-    (``np.tile`` of the core points, ``rows`` times).
+    coefficient bundle ``coeffs`` and a viscosity, one row per state, in
+    the order they join, evaluated together.  What the rows share is set
+    up once: the batch refuses a coercive a1 not bounded below by a
+    positive constant (PreconditionError) when it is made, and sizes the
+    viscosity when its last row has joined (:meth:`size_viscosity`).
+    ``u``, ``rhs``, ``flux``, ``load`` and ``phi_trace`` hold the rows one
+    after the other, as the bundle's points do; ``block`` has shape (rows,
+    *block_shape) and ``diffs`` (2, dim, rows, *core_shape), so that each
+    axis's differences of every row are contiguous.
 
     A row whose ``stale`` flag is down holds the operator's values
     (``rhs``) and the ``flux`` of its state as it stands; :func:`step`
     evaluates every row when its state's row is stale and consumes that
     row's.  A bundle with fields that read t moves when every row has
-    stepped, so its rows step in turn, at one time.  The evaluation is
-    bound to the workspace when the batch is made, as views and closures:
-    ``envelope()`` writes the envelope into the block and returns its
-    interior (see :func:`~nlhj.operators.bind_envelope`), ``gradients()``
-    returns the differences (see :func:`_bind_gradients`) and ``sweep`` is
-    the plan's sweep workspace for ``rows`` blocks (see
-    :meth:`~nlhj.operators.SweepPlan.workspace`); the plan holds what
-    depends only on it and the row count, and the flux is the bundle's
-    (``coeffs.flux``), which every batch on the bundle shares."""
+    stepped, so its rows step in turn, at one time.  The batch binds its
+    evaluation when it is made, as views and closures: ``envelope()``
+    (see :func:`~nlhj.operators.bind_envelope`), ``gradients()`` (see
+    :func:`_bind_gradients`), ``sweep``, the plan's workspace for ``rows``
+    blocks (:meth:`~nlhj.operators.SweepPlan.workspace`), and the bundle's
+    flux (``coeffs.flux``), which every batch on the bundle shares."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
                  rows: int = 1):
@@ -174,12 +169,15 @@ class StepBatch:
         if coeffs.n != rows * self.n:
             raise ValueError(f"a batch of {rows} rows takes a bundle on "
                              f"{rows * self.n} points, not {coeffs.n}")
+        a1_min = (coeffs.stacked["a1"].min()
+                  if coeffs.spec.family == "coercive" else 1.0)
+        if a1_min < 1e-12:
+            raise PreconditionError(f"a1 is not bounded below by a positive "
+                                    f"constant (min {a1_min})")
         self.plan, self.coeffs, self.rows, self.joined = plan, coeffs, rows, 0
         self.sigma = self.den = None
         self.den_moves = bool(coeffs.moving & {"lam", "b"})
         self.stale = [True] * rows
-        # zeros in the rows no state has joined yet, which a state's
-        # initial viscosity evaluates with its own
         self.u, self.rhs, self.flux, self.load = (np.zeros(rows * self.n)
                                                   for _ in range(4))
         self.phi_trace = np.zeros(rows * self.m)
@@ -207,6 +205,22 @@ class StepBatch:
         st.block, st.diffs = self.block[row], self.diffs[:, :, row]
         st.batch, st.row, st._ring = self, row, st.block.reshape(-1)
         self.joined = row + 1
+
+    def size_viscosity(self):
+        """Size a coercive bundle's viscosity once every row has joined:
+        ``1 + `` the held floor, or the per-axis largest of each row's own,
+        ``1 + `` the bound at its largest difference, taken per row as for
+        m < 1 the bound falls as the difference grows."""
+        c = self.coeffs
+        if c.spec.family != "coercive":
+            return
+        own = [c.lf_floor]
+        if c.bound_reads_p:
+            self.envelope()
+            self.gradients()
+            per_row = np.abs(self.diffs).max((0, 1)).reshape(self.rows, -1)
+            own = [lf_viscosity_bound(c, s) for s in per_row.max(1).tolist()]
+        self.sigma = 1.0 + np.max(own, axis=0)
 
 
 def eval_initial(u0, pts: np.ndarray) -> np.ndarray:
@@ -246,14 +260,12 @@ def _read_datum(st: SolveState) -> np.ndarray:
 
 def init_state(plan: SweepPlan, spec, phi, u0,
                batch: StepBatch | None = None) -> SolveState:
-    """The state at t = 0 on the plan's grid.  Refuses data that are not
-    finite where a step reads them (ValidationError) and a coercive a1 not
-    bounded below by a positive constant (PreconditionError).
-
-    The state is the next row of ``batch``, whose bundle must be the
-    spec's, and else a batch of one with the spec's bundle on the core
-    nodes; a coercive state raises the batch's viscosity to its own on
-    each axis where that is larger (see :class:`StepBatch`)."""
+    """The state at t = 0 on the plan's grid: its row's values, datum,
+    exterior load and blow-up cap.  Refuses data that are not finite where
+    a step reads them (ValidationError).  The state is the next row of
+    ``batch``, whose bundle must be the spec's, and else a batch of one
+    with the spec's bundle on the core nodes (see :class:`StepBatch`); the
+    last row to join has the batch size its viscosity."""
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
@@ -261,11 +273,6 @@ def init_state(plan: SweepPlan, spec, phi, u0,
         u = eval_initial(u0, pts)
     st = SolveState(plan, spec, phi, u,
                     batch or StepBatch(plan, Coefficients(spec, pts)))
-    coeffs = st.coeffs
-    a1_min = coeffs.stacked["a1"].min() if spec.family == "coercive" else 1.0
-    if a1_min < 1e-12:
-        raise PreconditionError(f"a1 is not bounded below by a positive "
-                                f"constant (min {a1_min})")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         st.datum = _bind_datum(phi, plan)
         ext = _read_datum(st)
@@ -280,15 +287,8 @@ def init_state(plan: SweepPlan, spec, phi, u0,
         raise ValidationError(bad)
     plan.exterior_load(ext, out=st.load)
     st.m_cap = 1e3 * (1.0 + st.sup_norm + float(np.abs(ext).max(initial=0.0)))
-    if spec.family == "coercive":
-        own = coeffs.lf_floor
-        if coeffs.bound_reads_p:
-            st.batch.envelope()
-            st.batch.gradients()
-            own = lf_viscosity_bound(
-                coeffs, float(np.abs(st.diffs).max(initial=0.0)))
-        own = 1.0 + np.array(own)
-        st.sigma = own if st.sigma is None else np.maximum(st.sigma, own)
+    if st.batch.joined == st.batch.rows:
+        st.batch.size_viscosity()
     return st
 
 

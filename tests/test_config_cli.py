@@ -133,14 +133,32 @@ def test_execute_certificate_failure_exits_2(tmp_path):
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("a1", "-1", "PreconditionError"),        # no positive lower bound
 ])
-def test_refused_data_exit_2(tmp_path, key, value, error):
+def test_refused_data_exit_2(tmp_path, monkeypatch, key, value, error,
+                             name="run"):
+    # refused before any step, by `name`'s experiment
     out = tmp_path / "out"
     text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
                   MINIMAL.format(out=out))
     text = text.replace("h = 0.03125", "h = 0.0625\nr_max = 4")
+    if name != "run":
+        text = text.replace("name = run", f"name = {name}")
+        text = text.replace("snapshot_dt = 0.125\n", "")
+    for module in (solver, harness):
+        monkeypatch.setattr(module, "step", _no_step)
     assert main(["run", str(write(tmp_path, text))]) == 2
     m = json.loads((out / "manifest.json").read_text())
     assert m["error"].startswith(error) and key in m["error"]
+
+
+def _no_step(*args):
+    raise AssertionError("a step was taken")
+
+
+def test_refused_a1_exits_2_before_a_comparison_step(tmp_path, monkeypatch):
+    # a comparison pair's batch refuses a1 when it is made, as a lone
+    # state's does
+    test_refused_data_exit_2(tmp_path, monkeypatch, "a1", "-1",
+                             "PreconditionError", name="comparison")
 
 
 def test_execute_blowup_exits_1(tmp_path):

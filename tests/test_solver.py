@@ -662,7 +662,7 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
         alone.append(init_state(plan, spec, phi, u0))
         for _ in range(20):
             step(alone[-1], cfg)
-    batch = _pair_batch(plan, spec) if stacked else None
+    batch = _batch(plan, spec) if stacked else None
     paired = [init_state(plan, spec, phi, u0, batch) for phi, u0 in data]
     assert (paired[0].batch is paired[1].batch) is stacked
     for i in [0, 1] * 10 + [0] * 10 + [1] * 10:
@@ -696,16 +696,17 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
     assert upwind == {True, False}
 
 
-def _pair_batch(plan, spec):
-    """A batch of two rows with the spec's bundle on both rows' points."""
-    pts = np.tile(plan.grid.core_points, (2, 1))
-    return solver.StepBatch(plan, Coefficients(spec, pts), 2)
+def _batch(plan, spec, rows=2):
+    """A batch of ``rows`` rows with the spec's bundle on every row's
+    points."""
+    pts = np.tile(plan.grid.core_points, (rows, 1))
+    return solver.StepBatch(plan, Coefficients(spec, pts), rows)
 
 
 def _stacked_pair(st) -> list:
     """Two states in one batch on ``st``'s plan, spec and datum: one from
     ``st``'s values, one from others."""
-    batch = _pair_batch(st.plan, st.spec)
+    batch = _batch(st.plan, st.spec)
     return [init_state(st.plan, st.spec, st.phi, u0, batch)
             for u0 in (lambda p: st.u, lambda p: 0.5 - 0.2 * p.sum(axis=1))]
 
@@ -719,7 +720,7 @@ def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
     plan = st.plan
     with pytest.raises(ValueError, match="bundle on 130 points, not 65"):
         solver.StepBatch(plan, st.coeffs, 2)
-    batch = _pair_batch(plan, spec)
+    batch = _batch(plan, spec)
     other = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     with pytest.raises(ValueError, match="share one plan"):
         init_state(plan, other, 0.0, "0.5*x", batch)
@@ -731,22 +732,34 @@ def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
         init_state(plan, spec, 0.0, 2.0, batch)
 
 
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_joining_row_widens_the_batch_viscosity(dom1, order):
-    # at m = 2 each state sizes its viscosity from its own gradients; the
-    # batch's is the per-axis larger of its rows' own, the viscosity each
-    # state starts with alone, in either join order
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_joining_row_widens_the_batch_viscosity(dom1, monkeypatch, order):
+    # at m = 2 the bound reads each state's own gradients; a batch of three
+    # takes them in one evaluation once its last row has joined, and its
+    # viscosity is byte for byte the per-axis largest of its rows' own,
+    # the viscosity each state starts with alone, in either join order
     k = fractional_laplacian_kernel(0.5, 1)
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, 0.0, kernel=k)
     plan = st.plan
-    data = [(0.0, 0.0), ("4*x", "4*x")]  # (phi, u0): flat and steep
+    # (phi, u0): flat, steep and curved
+    data = [(0.0, 0.0), ("4*x", "4*x"), ("x^2", "x^2")]
     alone = [init_state(plan, spec, *d).sigma for d in data]
-    assert alone[0][0] < alone[1][0]
-    batch = _pair_batch(plan, spec)
+    assert alone[0][0] < alone[2][0] < alone[1][0]
+    calls = []
+    real = solver._bind_gradients
+
+    def counted(b):
+        gradients = real(b)
+        return lambda: calls.append(b) or gradients()
+
+    monkeypatch.setattr(solver, "_bind_gradients", counted)
+    batch = _batch(plan, spec, 3)
     for i in order:
         init_state(plan, spec, *data[i], batch)
-    assert np.array_equal(batch.sigma, np.maximum(*alone))
+        assert batch.sigma is None or batch.joined == 3
+    assert calls == [batch]
+    assert batch.sigma.tobytes() == np.maximum.reduce(alone).tobytes()
 
 
 def test_batch_whose_bundle_reads_t_refuses_a_row_out_of_turn(dom1):
@@ -957,7 +970,7 @@ def test_one_row_and_two_row_batches_share_one_layout(dim, h):
                        dim=dim)
     k = fractional_laplacian_kernel(0.5, dim)
     *_, st = make(dom, h, 2.0, spec, 0.0, 1.0, kernel=k)
-    pair = _pair_batch(st.plan, spec)
+    pair = _batch(st.plan, spec)
     for b, rows in ((st.batch, 1), (pair, 2)):
         assert b.block.shape[0] == rows and b.diffs.shape[2] == rows
         assert b.block.ndim == dim + 1 and b.diffs.ndim == dim + 3
@@ -974,12 +987,12 @@ def test_second_batch_reuses_the_plan_trace_positions(dom1, monkeypatch):
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
     plan = st.plan
     first = plan.workspace(2)[3]
-    _pair_batch(plan, spec)
+    _batch(plan, spec)
     calls = []
     add = SimpleNamespace(outer=lambda *a: calls.append(a) or np.add.outer(*a))
     monkeypatch.setattr(operators, "np", SimpleNamespace(**{**vars(np),
                                                             "add": add}))
-    _pair_batch(plan, spec)
+    _batch(plan, spec)
     assert calls == []
     assert all(a is b for a, b in zip(plan.workspace(2)[3], first))
     g = plan.grid
@@ -987,27 +1000,48 @@ def test_second_batch_reuses_the_plan_trace_positions(dom1, monkeypatch):
         [g.trace_pos, g.trace_pos + len(g.core_flat)]))
 
 
-def _step_jacobian(plan, spec, phi, u0, cfg, eps=1e-7):
-    """The Jacobian of one step from ``u0``: one batch of N + 1 rows, where
-    row j is ``u0`` perturbed by ``eps`` at node j and the last row is
-    ``u0``, each stepped once, in turn; (U_j - U_N) / eps is column j."""
+def _step_jacobian(plan, spec, phi, u0, cfg, cols=None, eps=1e-7):
+    """Columns ``cols`` (every node where None) of the Jacobian of one step
+    from ``u0``, with its diagonal entries: one batch of len(cols) + 1
+    rows, where row k is ``u0`` perturbed by ``eps`` at node cols[k] and
+    the last row is ``u0``, each stepped once, in turn; (U_k - U_last) /
+    eps is column k."""
     pts = plan.grid.core_points
     n = len(pts)
+    cols = np.arange(n) if cols is None else cols
     base = solver.eval_initial(u0, pts)
-    batch = solver.StepBatch(
-        plan, Coefficients(spec, np.tile(pts, (n + 1, 1))), n + 1)
+    batch = _batch(plan, spec, len(cols) + 1)
     states = [init_state(plan, spec, phi,
                          lambda p, j=j: base + eps * (np.arange(n) == j),
-                         batch) for j in range(n + 1)]
+                         batch) for j in [*cols, -1]]
     for st in states:
         step(st, cfg)
     U = np.array([st.u for st in states])
-    return (U[:-1] - U[-1]).T / eps
+    J = (U[:-1] - U[-1]).T / eps
+    return J, J[cols, np.arange(len(cols))]
+
+
+def _boundary_and_sample(plan, sample=32, seed=0):
+    """Every trace node, the ring of nodes just inside the trace, and
+    ``sample`` nodes of the rest, drawn with a fixed seed."""
+    box = np.unravel_index(np.arange(len(plan.grid.core_flat)),
+                           plan.core_shape)
+    depth = np.min([np.minimum(i, n - 1 - i)
+                    for i, n in zip(box, plan.core_shape)], axis=0)
+    rest = np.flatnonzero(depth > 1)
+    drawn = np.random.default_rng(seed).choice(rest, sample, replace=False)
+    return np.concatenate([np.flatnonzero(depth <= 1), np.sort(drawn)])
 
 
 MONOTONE_CASES = {
     "coercive-m2-1d": (1, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.0),
                        10.0, "1 - x^2"),
+    "coercive-m2-phi-varying-1d": (
+        1, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.0),
+        "0.3*sin(2*x)", "1 - x^2"),
+    # criterion 6's setup at the scale where the boundary condition is lost
+    "coercive-m2-lost-1d": (1, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=1.0,
+                                                 f=0.0), 100.0, 0.0),
     "coercive-m1.5-drift-1d": (
         1, 1.5, CoerciveSpec(m=1.5, a1=1.0, lam=0.5, b=["x"], f="0.2*x"),
         "0.3*x", "0.5*cos(2*x)"),
@@ -1026,35 +1060,60 @@ MONOTONE_CASES = {
         1, 0.5, CoerciveSpec(m=1.0, a1=1.0, lam=0.5,
                              f="0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"),
         "0.5*exp(-t)", "0.5 + 0.2*sin(3*x)"),
+    "coercive-m0.5-1d": (1, 0.5, CoerciveSpec(m=0.5, a1=1.0, lam=0.5,
+                                              f=0.0), 1.0, "0.5*cos(2*x)"),
 }
 
 
-def _monotone_case(case, theta=0.9):
+def _monotone_case(case, theta=0.9, h=None):
+    """The step's Jacobian columns and diagonal for ``case``: every column
+    at the default spacing, and at a given ``h`` the trace nodes, the ring
+    inside them and a sample of the rest (see :func:`_boundary_and_sample`)."""
     dim, alpha, spec, phi, u0 = MONOTONE_CASES[case]
-    h = 2.0 ** -5 if dim == 1 else 0.125
+    h_case = h or (2.0 ** -5 if dim == 1 else 0.125)
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
-    plan = SweepPlan(grid_for(dom, h, 4.0),
+    plan = SweepPlan(grid_for(dom, h_case, 4.0),
                      build_quadrature(fractional_laplacian_kernel(alpha, dim),
-                                      h, 4.0))
-    cfg = SchemeConfig(h=h)
+                                      h_case, 4.0))
+    cfg = SchemeConfig(h=h_case)
     cfg.theta = theta  # past SchemeConfig's refusal for the control
-    return _step_jacobian(plan, spec, phi, u0, cfg)
+    cols = None if h is None else _boundary_and_sample(plan)
+    return _step_jacobian(plan, spec, phi, u0, cfg, cols)
 
 
-@pytest.mark.parametrize("case", list(MONOTONE_CASES))
+# the gradient floor's bound does not cover |dH/dp| near p = 0 for m < 1
+# (see lf_viscosity_bound)
+BELOW_LINEAR = pytest.mark.xfail(
+    strict=True, reason="for m < 1 the Lax-Friedrichs bound at the gradient "
+    "floor does not cover |dH/dp| near p = 0")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(c, marks=BELOW_LINEAR) if c == "coercive-m0.5-1d" else c
+    for c in MONOTONE_CASES])
 def test_whole_step_is_monotone(case):
     # a step's update is nondecreasing in every node value, and its
     # diagonal stays at 1 - theta or more under the CFL bound: the
     # property criterion 3's ordering follows from, measured on the whole
     # step (sweep, envelope, differences, flux and update) at once
-    J = _monotone_case(case)
+    J, diag = _monotone_case(case)
     assert J.min() >= -1e-7
-    assert np.diag(J).min() >= 1.0 - 0.9 - 1e-7
+    assert diag.min() >= 1.0 - 0.9 - 1e-7
+
+
+@pytest.mark.parametrize("case", ["coercive-m2-2d", "bellman-2d"])
+def test_whole_2d_step_is_monotone_at_the_boundary_at_larger_n(case):
+    # at h = 2^-4 (1089 nodes) the columns of every trace node, of the
+    # ring just inside it and of 32 drawn interior nodes: 281 rows
+    J, diag = _monotone_case(case, h=2.0 ** -4)
+    assert J.shape == (1089, 280)
+    assert J.min() >= -1e-7
+    assert diag.min() >= 1.0 - 0.9 - 1e-7
 
 
 @pytest.mark.parametrize("case", ["coercive-m2-1d", "bellman-2d"])
 def test_step_past_the_cfl_bound_is_not_monotone(case):
     # the control: theta = 1.3 steps past the CFL bound, and the diagonal
     # turns negative at the worst node, far below the rounding at eps
-    J = _monotone_case(case, theta=1.3)
+    J, _ = _monotone_case(case, theta=1.3)
     assert J.min() < -0.1
