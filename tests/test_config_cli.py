@@ -124,24 +124,30 @@ def test_execute_certificate_failure_exits_2(tmp_path):
         assert "PreconditionError" in m["error"]
 
 
-@pytest.mark.parametrize("key, value, error", [
+@pytest.mark.parametrize("key, value, error, name", [
     # inf at the core node x = 0, refused without a RuntimeWarning
-    pytest.param("u0", "1/x", "ValidationError",
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("u0", "1/x", "ValidationError", "run",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+                 id="u0-1/x-ValidationError"),
     # inf at the exterior node x = 2, refused before the load's transform
-    pytest.param("phi", "1/(x - 2)", "ValidationError",
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    ("a1", "-1", "PreconditionError"),        # no positive lower bound
+    pytest.param("phi", "1/(x - 2)", "ValidationError", "run",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+                 id="phi-1/(x - 2)-ValidationError"),
+    # no positive lower bound, refused when a state's batch is made: a lone
+    # run's, and a comparison pair's
+    pytest.param("a1", "-1", "PreconditionError", "run",
+                 id="a1--1-PreconditionError"),
+    pytest.param("a1", "-1", "PreconditionError", "comparison",
+                 id="a1--1-PreconditionError-comparison"),
 ])
-def test_refused_data_exit_2(tmp_path, monkeypatch, key, value, error,
-                             name="run"):
-    # refused before any step, by `name`'s experiment
+def test_refused_data_exit_2(tmp_path, monkeypatch, key, value, error, name):
+    # refused before any step
     out = tmp_path / "out"
     text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
                   MINIMAL.format(out=out))
     text = text.replace("h = 0.03125", "h = 0.0625\nr_max = 4")
+    text = text.replace("name = run", f"name = {name}")
     if name != "run":
-        text = text.replace("name = run", f"name = {name}")
         text = text.replace("snapshot_dt = 0.125\n", "")
     for module in (solver, harness):
         monkeypatch.setattr(module, "step", _no_step)
@@ -152,13 +158,6 @@ def test_refused_data_exit_2(tmp_path, monkeypatch, key, value, error,
 
 def _no_step(*args):
     raise AssertionError("a step was taken")
-
-
-def test_refused_a1_exits_2_before_a_comparison_step(tmp_path, monkeypatch):
-    # a comparison pair's batch refuses a1 when it is made, as a lone
-    # state's does
-    test_refused_data_exit_2(tmp_path, monkeypatch, "a1", "-1",
-                             "PreconditionError", name="comparison")
 
 
 def test_execute_blowup_exits_1(tmp_path):

@@ -1081,11 +1081,9 @@ def _monotone_case(case, theta=0.9, h=None):
     return _step_jacobian(plan, spec, phi, u0, cfg, cols)
 
 
-# the gradient floor's bound does not cover |dH/dp| near p = 0 for m < 1
-# (see lf_viscosity_bound)
 BELOW_LINEAR = pytest.mark.xfail(
-    strict=True, reason="for m < 1 the Lax-Friedrichs bound at the gradient "
-    "floor does not cover |dH/dp| near p = 0")
+    strict=True, reason="for m < 1 the Lax-Friedrichs bound does not cover "
+    "|dH/dp| near p = 0 (see lf_viscosity_bound)")
 
 
 @pytest.mark.parametrize("case", [
