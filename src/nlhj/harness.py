@@ -114,7 +114,7 @@ def run_experiment(spec, dom: Domain, k: Kernel, phi, u0, cfg: SchemeConfig,
         telemetry={"steps": st.steps,
                    "dt_min": float(dts.min()) if len(dts) else None,
                    "dt_max": float(dts.max()) if len(dts) else None,
-                   "cfl_denominator": cfl_denominator(st),
+                   "cfl_denominator": cfl_denominator(st.batch),
                    "sigma_growth": st.sigma_growth})
 
 
@@ -129,7 +129,8 @@ def _require_ordered(sa, sb, T: float):
     if np.any(sa.u > sb.u + 1e-14):
         raise PreconditionError("initial data are not ordered u0 <= v0")
     pa, pb = sa.phi, sb.phi
-    ext_pts = sa.plan.exterior_sample(pa.varies_in_space or pb.varies_in_space)
+    ext_pts = sa.batch.plan.exterior_sample(pa.varies_in_space
+                                            or pb.varies_in_space)
     moving = pa.time_dependent or pb.time_dependent
     for t in np.linspace(0.0, T, 5) if moving else (0.0,):
         if np.any(pa(ext_pts, t) > pb(ext_pts, t) + 1e-14):
@@ -198,8 +199,9 @@ def comparison_experiment(spec, dom: Domain, k: Kernel, u0_pair, phi_pair,
         if sa.steps > cfg.max_steps:
             raise NonConvergence(f"comparison pair: exceeded "
                                  f"{cfg.max_steps} steps before T")
+    sigma = batch.sigma
     counters = {"steps": sa.steps,
-                "sigma": None if sa.sigma is None else float(np.max(sa.sigma)),
+                "sigma": None if sigma is None else float(np.max(sigma)),
                 "sigma_growth": sa.sigma_growth + sb.sigma_growth}
     return ExperimentResult(
         worst <= 1e-12, metrics={"max_violation": worst, **counters},
@@ -407,7 +409,7 @@ def coercive_loss_experiment(spec: CoerciveSpec, dom: Domain, k: Kernel,
         quotients.append(q)
         sup_norms.append(float(np.abs(u).max()))
         rows.append((c, q, sup_norms[-1], st.steps))
-        telemetry["sigma"].append(float(np.max(st.sigma)))
+        telemetry["sigma"].append(float(np.max(st.batch.sigma)))
         telemetry["sigma_growth"].append(st.sigma_growth)
     ratios = [quotients[i + 1] / quotients[i] if quotients[i] > 0 else np.inf
               for i in range(len(quotients) - 1)]

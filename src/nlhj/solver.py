@@ -26,8 +26,9 @@ which the flux is subtracted), so a step whose data do not depend on t
 allocates no array of the core's size.  The workspace belongs to a
 :class:`StepBatch` of states that share a plan, a coefficient bundle and a
 viscosity, one row per state (a lone state is a batch of one, a comparison
-pair a batch of two): a batch is evaluated in one set of calls, and each
-state's step then takes its own row.
+pair a batch of two): the rows step in turn, the first one's step evaluates
+the batch in one set of calls, and each state's step then takes its own
+row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import (BlowUp, NonConvergence, PreconditionError,
                      ValidationError, ViscosityUnderflow)
-from .geometry import Grid
 from .hamiltonians import (CoefficientField, Coefficients, lf_viscosity_bound,
                            numerical_hamiltonian_many)
 from .operators import SweepPlan, bind_envelope
@@ -78,15 +78,12 @@ class SolveState:
     (``datum``), and a step evaluates its parts that read t at the new
     time.
 
-    A state is row ``row`` of its ``batch`` (:class:`StepBatch`), which
-    holds the Hamiltonian's coefficients (``coeffs``), the workspace a step
-    writes into, the viscosity ``sigma`` and the CFL denominator ``den``:
-    ``u``, ``block``, ``phi_trace``, ``load``, the one-sided differences
-    ``diffs`` of shape (2, dim, *core_shape) (backward, forward), the
-    update ``rhs`` and the ``flux`` are views of that row."""
+    A state is row ``row`` of its ``batch`` (:class:`StepBatch`), from
+    which it reads what the rows share: the plan, the coefficient bundle,
+    the viscosity and the CFL denominator.  ``u``, ``block``,
+    ``phi_trace``, ``load``, the update ``rhs`` and the ``flux`` are views
+    of that row of the batch's workspace."""
 
-    plan: SweepPlan
-    spec: object
     phi: CoefficientField
     u: np.ndarray                    # core values, in grid.core_flat order
     batch: "StepBatch" = dfield(repr=False)
@@ -101,7 +98,6 @@ class SolveState:
     load: np.ndarray = dfield(init=False, repr=False)  # exterior load at t
     phi_trace: np.ndarray = dfield(init=False, repr=False)
     block: np.ndarray = dfield(init=False, repr=False)
-    diffs: np.ndarray = dfield(init=False, repr=False)
     rhs: np.ndarray = dfield(init=False, repr=False)
     flux: np.ndarray = dfield(init=False, repr=False)
     _ring: np.ndarray = dfield(init=False, repr=False)  # the block, flat
@@ -110,57 +106,31 @@ class SolveState:
         self.sup_norm = float(np.abs(self.u).max())
         self.batch.join(self)
 
-    @property
-    def coeffs(self) -> Coefficients:
-        """The batch's coefficient bundle, on the core nodes of every row."""
-        return self.batch.coeffs
-
-    @property
-    def sigma(self) -> np.ndarray | None:
-        """Lax-Friedrichs viscosity per axis (coercive forms only), the
-        batch's once its last row has joined: setting it clears the CFL
-        denominator and makes every row of the batch stale."""
-        return self.batch.sigma
-
-    @sigma.setter
-    def sigma(self, value):
-        b = self.batch
-        b.sigma, b.den, b.stale = value, None, [True] * b.rows
-
-    @property
-    def den(self) -> float | None:
-        """The batch's CFL denominator (see :func:`cfl_denominator`): None
-        until :func:`auto_dt` first reads it, and again after ``sigma`` is
-        set or a step moves lam or the drift."""
-        return self.batch.den
-
-    @property
-    def grid(self) -> Grid:
-        return self.plan.grid
-
 
 class StepBatch:
     """The workspace of ``rows`` states on the plan ``plan`` that share the
-    coefficient bundle ``coeffs`` and a viscosity, one row per state, in
-    the order they join, evaluated together.  What the rows share is set
-    up once: the batch refuses a coercive a1 not bounded below by a
-    positive constant (PreconditionError) when it is made, and sizes the
-    viscosity when its last row has joined (:meth:`size_viscosity`).
-    ``u``, ``rhs``, ``flux``, ``load`` and ``phi_trace`` hold the rows one
-    after the other, as the bundle's points do; ``block`` has shape (rows,
-    *block_shape) and ``diffs`` (2, dim, rows, *core_shape), so that each
-    axis's differences of every row are contiguous.
+    coefficient bundle ``coeffs``, one row per state, in the order they
+    join, evaluated together, and the one owner of what the rows share:
+    the plan, the bundle, the viscosity ``sigma`` (coercive forms only) and
+    the CFL denominator ``den`` (see :func:`cfl_denominator`).  What the
+    rows share is set up once: the batch refuses a coercive a1 not bounded
+    below by a positive constant (PreconditionError) when it is made, and
+    sizes the viscosity when its last row has joined
+    (:meth:`size_viscosity`).  ``u``, ``rhs``, ``flux``, ``load`` and
+    ``phi_trace`` hold the rows one after the other, as the bundle's points
+    do; ``block`` has shape (rows, *block_shape) and ``diffs`` (2, dim,
+    rows, *core_shape), so that each axis's differences of every row are
+    contiguous.
 
-    A row whose ``stale`` flag is down holds the operator's values
-    (``rhs``) and the ``flux`` of its state as it stands; :func:`step`
-    evaluates every row when its state's row is stale and consumes that
-    row's.  A bundle with fields that read t moves when every row has
-    stepped, so its rows step in turn, at one time.  The batch binds its
-    evaluation when it is made, as views and closures: ``envelope()``
-    (see :func:`~nlhj.operators.bind_envelope`), ``gradients()`` (see
-    :func:`_bind_gradients`), ``sweep``, the plan's workspace for ``rows``
-    blocks (:meth:`~nlhj.operators.SweepPlan.workspace`), and the bundle's
-    flux (``coeffs.flux``), which every batch on the bundle shares."""
+    The rows step in turn, at one time: ``turn`` is the row that steps
+    next (see :func:`step`).  Row 0's step evaluates every row, and the
+    last row's step moves a bundle with fields that read t.  The batch
+    binds its evaluation when it is made, as views and closures:
+    ``envelope()`` (see :func:`~nlhj.operators.bind_envelope`),
+    ``gradients()`` (see :func:`_bind_gradients`), ``sweep``, the plan's
+    workspace for ``rows`` blocks
+    (:meth:`~nlhj.operators.SweepPlan.workspace`), and the bundle's flux
+    (``coeffs.flux``), which every batch on the bundle shares."""
 
     def __init__(self, plan: SweepPlan, coeffs: Coefficients,
                  rows: int = 1):
@@ -174,10 +144,10 @@ class StepBatch:
         if a1_min < 1e-12:
             raise PreconditionError(f"a1 is not bounded below by a positive "
                                     f"constant (min {a1_min})")
-        self.plan, self.coeffs, self.rows, self.joined = plan, coeffs, rows, 0
+        self.plan, self.coeffs, self.rows = plan, coeffs, rows
+        self.joined = self.turn = 0
         self.sigma = self.den = None
         self.den_moves = bool(coeffs.moving & {"lam", "b"})
-        self.stale = [True] * rows
         self.u, self.rhs, self.flux, self.load = (np.zeros(rows * self.n)
                                                   for _ in range(4))
         self.phi_trace = np.zeros(rows * self.m)
@@ -189,11 +159,8 @@ class StepBatch:
 
     def join(self, st: SolveState):
         """Make ``st`` the next row, its values copied in and its arrays
-        views of the row.  It must have the batch's plan and spec."""
+        views of the row."""
         row = self.joined
-        if st.plan is not self.plan or st.spec is not self.coeffs.spec:
-            raise ValueError("a batch's states share one plan and the "
-                             "spec of its bundle")
         if row == self.rows:
             raise ValueError(f"the batch's {self.rows} rows are taken")
         n, m = self.n, self.m
@@ -202,8 +169,8 @@ class StepBatch:
         st.u, st.rhs, st.flux, st.load = (
             a[cut] for a in (self.u, self.rhs, self.flux, self.load))
         st.phi_trace = self.phi_trace[row * m:(row + 1) * m]
-        st.block, st.diffs = self.block[row], self.diffs[:, :, row]
-        st.batch, st.row, st._ring = self, row, st.block.reshape(-1)
+        st.block = self.block[row]
+        st.row, st._ring = row, st.block.reshape(-1)
         self.joined = row + 1
 
     def size_viscosity(self):
@@ -254,7 +221,7 @@ def _read_datum(st: SolveState) -> np.ndarray:
         st.phi_trace[:] = trace
     else:
         st.phi_trace[:] = ring = ext = st.datum[0](t)
-    st._ring.put(st.plan.ring_pos, ring)
+    st._ring.put(st.batch.plan.ring_pos, ring)
     return ext
 
 
@@ -263,16 +230,20 @@ def init_state(plan: SweepPlan, spec, phi, u0,
     """The state at t = 0 on the plan's grid: its row's values, datum,
     exterior load and blow-up cap.  Refuses data that are not finite where
     a step reads them (ValidationError).  The state is the next row of
-    ``batch``, whose bundle must be the spec's, and else a batch of one
-    with the spec's bundle on the core nodes (see :class:`StepBatch`); the
-    last row to join has the batch size its viscosity."""
+    ``batch``, whose plan must be ``plan`` and whose bundle the spec's
+    (ValueError), and else a batch of one with the spec's bundle on the
+    core nodes (see :class:`StepBatch`); the last row to join has the batch
+    size its viscosity."""
+    if batch is not None and (batch.plan is not plan
+                              or batch.coeffs.spec is not spec):
+        raise ValueError("a batch's states share one plan and the spec of "
+                         "its bundle")
     phi = phi if isinstance(phi, CoefficientField) else CoefficientField(phi)
     pts = plan.grid.core_points
     # data that are not finite somewhere are refused below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = eval_initial(u0, pts)
-    st = SolveState(plan, spec, phi, u,
-                    batch or StepBatch(plan, Coefficients(spec, pts)))
+    st = SolveState(phi, u, batch or StepBatch(plan, Coefficients(spec, pts)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         st.datum = _bind_datum(phi, plan)
         ext = _read_datum(st)
@@ -334,24 +305,24 @@ def _bind_gradients(b: StepBatch):
     return gradients
 
 
-def cfl_denominator(st: SolveState) -> float:
-    """Lambda + sum(drift)/h + max|lam| at the state's time, where the drift
+def cfl_denominator(b: StepBatch) -> float:
+    """Lambda + sum(drift)/h + max|lam| at the batch's time, where the drift
     bound is the viscosity (coercive) or max |b| per axis (Bellman).  The
-    state's batch holds it (``den``) from :func:`auto_dt`'s first read until
-    the viscosity or a t-dependent lam or drift changes."""
-    c = st.coeffs
-    drift = st.sigma if st.spec.family == "coercive" else c.b_max
-    return st.plan.qt.lam + sum(drift.tolist()) / st.grid.h + c.lam_max
+    batch holds it (``den``) from :func:`auto_dt`'s first read until a step
+    grows the viscosity or moves a t-dependent lam or drift."""
+    c = b.coeffs
+    drift = b.sigma if c.spec.family == "coercive" else c.b_max
+    return b.plan.qt.lam + sum(drift.tolist()) / b.plan.grid.h + c.lam_max
 
 
 def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
-    """The CFL-limited step theta / ``st.den``, which it computes where the
-    state's batch holds none; without a bound (den = 0), T / 100, or 0.01
-    without T."""
+    """The CFL-limited step theta / ``den`` of the state's batch, which it
+    computes where the batch holds none; without a bound (den = 0), T /
+    100, or 0.01 without T."""
     b = st.batch
     den = b.den
     if den is None:
-        den = b.den = cfl_denominator(st)
+        den = b.den = cfl_denominator(b)
     if den <= 0.0:
         return cfg.T / 100.0 if cfg.T else 0.01
     return cfg.theta / den
@@ -360,25 +331,25 @@ def auto_dt(st: SolveState, cfg: SchemeConfig) -> float:
 def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     """Advance one explicit step (in place) and return the state.
 
-    Where the state's row of its batch is stale, every row of the batch is
-    evaluated, in one set of calls: the sweep, the differences and the
-    flux.  The step then consumes its own row.  A bundle with fields that
-    read t moves to the new time once every row has stepped; a row whose
-    step would evaluate the batch before then raises ValueError.  On a
-    Lax-Friedrichs viscosity underflow the batch's viscosity grows to twice
-    the larger of itself and the required one (counted in
-    ``st.sigma_growth``), for every row before any state moves, and only
-    the flux is evaluated again: the sweep and the differences do not read
-    the viscosity, and the grown one covers the same differences.  The
-    step size, stored in ``st.last_dt``, is :func:`auto_dt` after the flux
-    (a grown viscosity tightens it), shortened to land on ``until`` where
-    that comes first: no step exceeds the bound.
+    The rows of the state's batch step in turn, at one time: a row other
+    than the batch's ``turn`` raises ValueError before it changes anything.
+    Row 0's step evaluates every row of the batch, in one set of calls:
+    the sweep, the differences and the flux; each row's step then takes
+    its own row, and the last row's moves a bundle with fields that read t
+    to the new time.  On a Lax-Friedrichs viscosity underflow the batch's
+    viscosity grows to twice the larger of itself and the required one
+    (counted in ``st.sigma_growth``), for every row before any state moves,
+    and only the flux is evaluated again: the sweep and the differences do
+    not read the viscosity, and the grown one covers the same differences.
+    The step size, stored in ``st.last_dt``, is :func:`auto_dt` after the
+    flux (a grown viscosity tightens it), shortened to land on ``until``
+    where that comes first: no step exceeds the bound.
     """
-    b = st.batch
-    if b.stale[st.row]:
-        if b.coeffs.moving and not all(b.stale):
-            raise ValueError(f"row {st.row} steps out of turn: the batch's "
-                             f"bundle reads t and moves with its last row")
+    b, row = st.batch, st.row
+    if row != b.turn:
+        raise ValueError(f"row {row} steps out of turn: row {b.turn} of its "
+                         f"batch steps next")
+    if row == 0:
         u = b.u
         b.plan.apply(b.envelope(), u, b.load, b.rhs, b.sweep)
         pm, pp = b.gradients()
@@ -386,12 +357,11 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
             numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
                                        out=b.flux)
         except ViscosityUnderflow as e:
-            st.sigma = np.maximum(2.0 * b.sigma, 2.0 * e.required)
+            b.sigma, b.den = np.maximum(2.0 * b.sigma, 2.0 * e.required), None
             st.sigma_growth += 1
             numerical_hamiltonian_many(b.coeffs, u, pm, pp, b.sigma,
                                        out=b.flux)
-        b.stale = [False] * b.rows
-    b.stale[st.row] = True
+    b.turn = (row + 1) % b.rows
     dt, t = auto_dt(st, cfg), st.t
     if until - t < dt:
         dt = until - t
@@ -402,8 +372,8 @@ def step(st: SolveState, cfg: SchemeConfig, until=np.inf) -> SolveState:
     st.t = t = t + dt
     st.last_dt = dt
     if st.datum is not None:  # the datum reads t
-        st.plan.exterior_load(_read_datum(st), out=st.load)
-    if b.coeffs.moving and all(b.stale):
+        b.plan.exterior_load(_read_datum(st), out=st.load)
+    if b.turn == 0 and b.coeffs.moving:
         b.coeffs.at(t)
         if b.den_moves:
             b.den = None
@@ -464,7 +434,7 @@ def run_to_steady(st: SolveState, cfg: SchemeConfig) -> tuple:
     report) with the residual history and the final state as its one
     snapshot.  Raises NonConvergence past max_steps.
     """
-    if st.spec.time_dependent or st.phi.time_dependent:
+    if st.batch.coeffs.spec.time_dependent or st.phi.time_dependent:
         raise PreconditionError("steady driver requires time-independent data")
     rep = RunReport()
     tol = cfg.steady_tol

@@ -134,7 +134,8 @@ def test_comparison_pair_steps_with_the_scheme_a_run_takes(dom1, k05):
     plan = discretize(dom1, k05, cfg.h, 4.0)
     sa = init_state(plan, spec, pa, u0)
     sb = init_state(plan, spec, pb, v0)
-    assert res.metrics["sigma"] == float(sa.sigma[0]) == float(sb.sigma[0])
+    assert (res.metrics["sigma"] == float(sa.batch.sigma[0])
+            == float(sb.batch.sigma[0]))
     run_to_time(sa, cfg, 1.0)
     assert res.metrics["steps"] == sa.steps
 
@@ -151,7 +152,7 @@ def test_comparison_pair_grows_its_viscosity_in_flight(dom1, k05,
 
     def recorded(st, *args):
         real_step(st, *args)
-        seen.append((st.row, st.t, st.last_dt, st.sigma.tolist()))
+        seen.append((st.row, st.t, st.last_dt, st.batch.sigma.tolist()))
         return st
 
     monkeypatch.setattr(harness, "step", recorded)
@@ -172,7 +173,7 @@ def test_comparison_pair_grows_its_viscosity_in_flight(dom1, k05,
                        "20*t + 0.1", v0)
     run_to_time(alone, cfg, 0.5)
     assert res.metrics["steps"] == alone.steps
-    assert res.metrics["sigma"] == float(alone.sigma.max())
+    assert res.metrics["sigma"] == float(alone.batch.sigma.max())
 
 
 MOVING_F = "0.2*cos(3*x) + 0.5*exp(-t)*sin(2*x)"
@@ -245,7 +246,7 @@ def test_comparison_pair_shares_one_bundle_when_no_field_reads_t(
         real_init(*a, **kw)) or states[-1])
     *_, res = _run_pair(case, dom1, k05)
     assert res.passed and len(built) == 1 and len(states) == 2
-    assert all(st.coeffs is built[0] for st in states)
+    assert all(st.batch.coeffs is built[0] for st in states)
     if case == "ramp-m2":
         assert res.metrics["sigma_growth"] >= 1
 
@@ -295,7 +296,9 @@ def _lockstep_rows(plan, spec, data, T, cfg):
     (u0, v0), (pa, pb) = data
     sa, sb = init_state(plan, spec, pa, u0), init_state(plan, spec, pb, v0)
     if spec.family == "coercive":
-        sa.sigma = sb.sigma = np.maximum(sa.sigma, sb.sigma)
+        sigma = np.maximum(sa.batch.sigma, sb.batch.sigma)
+        for st in (sa, sb):
+            st.batch.sigma = sigma
     rows = []
     while sa.t < T - 1e-14:
         step(sa, cfg, T)
@@ -352,10 +355,10 @@ def test_pairs_on_one_spec_build_one_bundle(dom1, k05, monkeypatch):
     assert all(_seeded_pair(spec, seed, dom1, k05).passed
                for seed in range(3))
     assert len(built) == 1 and len(states) == 6
-    assert all(st.coeffs is built[0] for st in states)
+    assert all(st.batch.coeffs is built[0] for st in states)
     assert len({id(st.batch) for st in states}) == 3
     assert _seeded_pair(HELD["coercive-moving-f"](), 0, dom1, k05).passed
-    assert len(built) == 2 and states[-1].coeffs is built[1]
+    assert len(built) == 2 and states[-1].batch.coeffs is built[1]
 
 
 def test_pairs_and_calls_on_one_bundle_bind_one_flux(dom1, k05,

@@ -204,14 +204,14 @@ def _sweep_matches_eval_operator(plan, varying):
                        dim=dim)
     cfg = SchemeConfig(h=h)
     st = init_state(plan, spec, phi, u0)
-    box = np.arange(g.size).reshape(g.shape)[st.plan.core_box].ravel()
+    box = np.arange(g.size).reshape(g.shape)[plan.core_box].ravel()
     assert np.array_equal(box, g.core_flat)
     strides = np.asarray(g.strides)
     for _ in range(3):
         f = Field(g, st.u, st.phi, st.t)
         E = f.values
         centers = st.u
-        got = st.plan.apply(E[g.core_flat], centers, st.load)
+        got = plan.apply(E[g.core_flat], centers, st.load)
         ref = np.empty_like(got)
         for i, (flat, x) in enumerate(zip(g.core_flat, g.points_at(g.core_flat))):
             p = (E[flat + strides] - E[flat - strides]) / (2.0 * h)

@@ -29,6 +29,12 @@ def make(dom, h, r_max, spec, phi, u0, **kw):
     return g, qt, cfg, init_state(SweepPlan(g, qt), spec, phi, u0)
 
 
+def set_sigma(st, sigma):
+    """Set the viscosity of the state's batch, which then holds no CFL
+    denominator until :func:`auto_dt` reads one again."""
+    st.batch.sigma, st.batch.den = sigma, None
+
+
 def test_no_dynamics_identity(dom1):
     spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 1.0, spec, 0.0, BUMP2)
@@ -151,10 +157,11 @@ def _record_steps(monkeypatch):
     real, steps = solver.step, []
 
     def recorded(st, cfg, until=np.inf):
-        grown, limit, den, t = st.sigma_growth, auto_dt(st, cfg), st.den, st.t
+        grown, limit, t = st.sigma_growth, auto_dt(st, cfg), st.t
+        den = st.batch.den
         real(st, cfg, until)
         if st.sigma_growth > grown:
-            limit, den = auto_dt(st, cfg), st.den
+            limit, den = auto_dt(st, cfg), st.batch.den
         steps.append((cfg.theta, den, limit, until, t, st.t, st.last_dt))
         return st
 
@@ -195,7 +202,7 @@ def test_every_step_keeps_the_cfl_bound(dom1, monkeypatch, case):
         spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
         *_, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2",
                            kernel=k)
-        st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+        set_sigma(st, 1e-3 * st.batch.sigma)  # below the viscosity bound
         solver.run_to_time(st, cfg, 0.05)
         assert st.sigma_growth >= 1
     else:   # zero kernel, lam = 0 and b = 0: T / 100 stands in for the limit
@@ -251,10 +258,10 @@ def test_viscosity_auto_enlarged(dom1):
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
     k = fractional_laplacian_kernel(0.5, 1)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 8.0, spec, "20*t", 0.0, kernel=k)
-    sigma0 = st.sigma.copy()
+    sigma0 = st.batch.sigma.copy()
     run_to_time(st, cfg, 0.5)
     assert st.sigma_growth >= 1
-    assert np.all(st.sigma >= sigma0)
+    assert np.all(st.batch.sigma >= sigma0)
 
 
 def test_viscosity_grows_with_a_moving_a1_at_m_1(dom1):
@@ -264,10 +271,11 @@ def test_viscosity_grows_with_a_moving_a1_at_m_1(dom1):
     k = fractional_laplacian_kernel(0.5, 1)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 0.0, "1 - x^2",
                           kernel=k)
-    assert st.sigma.tolist() == [2.0]
+    b = st.batch
+    assert b.sigma.tolist() == [2.0]
     run_to_time(st, cfg, 0.5)
     assert st.sigma_growth >= 1
-    assert np.all(st.sigma >= st.coeffs.a1_max)
+    assert np.all(b.sigma >= b.coeffs.a1_max)
 
 
 def test_linf_stability_under_h2prime(dom1):
@@ -382,7 +390,8 @@ def _fresh_rhs(st, spec):
     """The state's values and the right-hand side of its next step, rebuilt
     from the full-grid field, the plan's sweep and the allocating flux, with
     every datum and coefficient evaluated afresh at ``st.t``."""
-    g, plan, t = st.grid, st.plan, st.t
+    plan, t = st.batch.plan, st.t
+    g = plan.grid
     f = Field(g, st.u, st.phi, t)
     core, u = g.core_flat, st.u.copy()
     load = plan.exterior_load(st.phi(g.exterior_points, t))
@@ -390,22 +399,23 @@ def _fresh_rhs(st, spec):
     pm = np.column_stack([(u - f.values[core - s]) / g.h for s in g.strides])
     pp = np.column_stack([(f.values[core + s] - u) / g.h for s in g.strides])
     H = numerical_hamiltonian_many(Coefficients(spec, g.core_points).at(t),
-                                   u, pm, pp, st.sigma)
+                                   u, pm, pp, st.batch.sigma)
     return u, op - H
 
 
 def _fresh_cfl_denominator(st, spec, t):
     """Lambda + sum(drift)/h + max|lam| from the coefficients at t; the
     coercive drift is the state's viscosity."""
-    pts = st.grid.core_points
+    plan = st.batch.plan
+    pts = plan.grid.core_points
     if spec.family == "coercive":
-        drift, lams = st.sigma, [spec.lam]
+        drift, lams = st.batch.sigma, [spec.lam]
     else:
         drift = np.max([np.abs(np.column_stack([b(pts, t) for b in c.b]))
                         .max(axis=0) for c in spec.controls], axis=0)
         lams = [c.lam for c in spec.controls]
     lam = max(float(np.abs(f(pts, t)).max()) for f in lams)
-    return st.plan.qt.lam + float(np.sum(drift)) / st.grid.h + lam
+    return plan.qt.lam + float(np.sum(drift)) / plan.grid.h + lam
 
 
 @pytest.mark.parametrize("case", ["coercive-1d", "bellman-2d"])
@@ -503,7 +513,7 @@ def test_datum_constant_in_space_is_evaluated_once_per_step(dom1, monkeypatch):
         step(st, cfg)
         assert calls == [st.phi]
         ext = st.phi(g.exterior_points, st.t)
-        assert np.array_equal(st.load, st.plan.exterior_load(ext))
+        assert np.array_equal(st.load, st.batch.plan.exterior_load(ext))
         assert np.array_equal(st.phi_trace, st.phi(g.trace_points, st.t))
 
 
@@ -523,11 +533,11 @@ def test_t_free_part_of_a_moving_field_is_evaluated_once_per_state(
     k = fractional_laplacian_kernel(0.5, 1)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, "0.5*exp(-t)",
                           "1 - x^2", kernel=k)
-    assert st.coeffs.moving == {"f"}
+    assert st.batch.coeffs.moving == {"f"}
     for _ in range(5):
         step(st, cfg)
     assert len(cos_calls) == 1
-    assert np.array_equal(st.coeffs.stacked["f"][0],
+    assert np.array_equal(st.batch.coeffs.stacked["f"][0],
                           spec.f(g.core_points, st.t))
 
 
@@ -536,11 +546,11 @@ def test_cfl_denominator_follows_a_viscosity_retry(dom1):
     k = fractional_laplacian_kernel(0.5, 1)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
     step(st, cfg)                   # caches the denominator
-    st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+    set_sigma(st, 1e-3 * st.batch.sigma)  # below the viscosity bound
     step(st, cfg)
     assert st.sigma_growth == 1
     lam = float(np.abs(spec.lam(g.core_points, 0.0)).max())
-    den = qt.lam + float(np.sum(st.sigma)) / g.h + lam
+    den = qt.lam + float(np.sum(st.batch.sigma)) / g.h + lam
     assert st.last_dt == cfg.theta / den
 
 
@@ -566,7 +576,7 @@ def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
 
     monkeypatch.setattr(solver, "_bind_gradients", counted)
     st = init_state(plan, spec, "0.5*x", "1 - 3*x^2")
-    assert st.coeffs.bound_reads_p is reads_p
+    assert st.batch.coeffs.bound_reads_p is reads_p
     assert len(calls) == int(reads_p)
     # the gradient route: the bound at the largest one-sided difference of
     # the envelope
@@ -575,8 +585,8 @@ def test_initial_viscosity_takes_the_gradients_only_where_its_bound_does(
     pm, pp = b.gradients()
     scale = float(np.abs(np.concatenate([pm, pp])).max(initial=0.0))
     assert scale > 1.0
-    ref = 1.0 + np.array(lf_viscosity_bound(st.coeffs, scale))
-    assert st.sigma.tobytes() == ref.tobytes()
+    ref = 1.0 + np.array(lf_viscosity_bound(b.coeffs, scale))
+    assert b.sigma.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("family", ["coercive", "bellman"])
@@ -595,19 +605,20 @@ def test_cfl_denominator_keeps_the_bytes_of_a_numpy_sum(family, dim):
     h = 2.0 ** -4 if dim == 1 else 0.125
     k = fractional_laplacian_kernel(0.5, dim)
     *_, cfg, st = make(dom, h, 2.0, spec, 0.0, "0.5*x", kernel=k)
-    c = st.coeffs
-    drifts = [st.sigma if family == "coercive" else c.b_max]
+    b = st.batch
+    c = b.coeffs
+    drifts = [b.sigma if family == "coercive" else c.b_max]
     if family == "coercive":
         rng = np.random.default_rng(7)
         drifts += [rng.uniform(0.1, 10.0, dim) for _ in range(200)]
     for drift in drifts:
         if family == "coercive":
-            st.sigma = drift
-        ref = st.plan.qt.lam + float(np.sum(drift)) / h + c.lam_max
-        # the state holds none until auto_dt reads it
-        assert st.den is None
+            set_sigma(st, drift)
+        ref = b.plan.qt.lam + float(np.sum(drift)) / h + c.lam_max
+        # the batch holds none until auto_dt reads it
+        assert b.den is None
         assert auto_dt(st, cfg) == cfg.theta / ref
-        assert st.den == cfl_denominator(st) == ref
+        assert b.den == cfl_denominator(b) == ref
 
 
 def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
@@ -618,14 +629,14 @@ def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
     k = fractional_laplacian_kernel(0.5, 1)
     _, _, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
     *_, ref = make(dom1, 2.0 ** -5, 4.0, spec, 1.0, "1 - x^2", kernel=k)
-    st.sigma = 1e-3 * st.sigma      # below the viscosity bound
+    set_sigma(st, 1e-3 * st.batch.sigma)  # below the viscosity bound
     sweeps = []
     apply = SweepPlan.apply
     monkeypatch.setattr(SweepPlan, "apply",
                         lambda *a, **kw: sweeps.append(1) or apply(*a, **kw))
     step(st, cfg)
     assert st.sigma_growth == 1 and len(sweeps) == 1
-    ref.sigma = st.sigma
+    set_sigma(ref, st.batch.sigma)
     step(ref, cfg)
     assert ref.sigma_growth == 0 and ref.last_dt == st.last_dt
     assert np.array_equal(ref.u, st.u)
@@ -637,9 +648,9 @@ def test_viscosity_growth_evaluates_only_the_flux_again(dom1, monkeypatch):
 def test_states_sharing_a_plan_step_as_if_alone(case):
     # two states on one plan, each in its own batch or stacked in one
     # (sharing a bundle, a datum varying in space per row): stepped in
-    # turns and then one after the other, each takes the same values as
-    # when stepped alone, and an operator value the plan already returned
-    # survives a later sweep
+    # turns, and those in batches of their own then one after the other,
+    # each takes the same values as when stepped alone, and an operator
+    # value the plan already returned survives a later sweep
     stacked = case.endswith("stacked")
     dim = 2 if "2d" in case else 1
     dom = Domain((-1.0,) * dim, (1.0,) * dim)
@@ -665,7 +676,8 @@ def test_states_sharing_a_plan_step_as_if_alone(case):
     batch = _batch(plan, spec) if stacked else None
     paired = [init_state(plan, spec, phi, u0, batch) for phi, u0 in data]
     assert (paired[0].batch is paired[1].batch) is stacked
-    for i in [0, 1] * 10 + [0] * 10 + [1] * 10:
+    # a batch's rows step in turn; states of their own, in any order
+    for i in [0, 1] * 20 if stacked else [0, 1] * 10 + [0] * 10 + [1] * 10:
         step(paired[i], cfg)
     for a, b in zip(alone, paired):
         assert np.array_equal(a.u, b.u) and a.t == b.t
@@ -692,7 +704,7 @@ def test_upwind_mask_follows_a_drift_that_changes_sign(dom1):
         u, rhs = _fresh_rhs(st, spec)
         step(st, cfg)
         assert np.array_equal(st.u, u + st.last_dt * rhs)
-        upwind.add(bool(st.coeffs.upwind[0].all()))
+        upwind.add(bool(st.batch.coeffs.upwind[0].all()))
     assert upwind == {True, False}
 
 
@@ -706,8 +718,9 @@ def _batch(plan, spec, rows=2):
 def _stacked_pair(st) -> list:
     """Two states in one batch on ``st``'s plan, spec and datum: one from
     ``st``'s values, one from others."""
-    batch = _batch(st.plan, st.spec)
-    return [init_state(st.plan, st.spec, st.phi, u0, batch)
+    plan, spec = st.batch.plan, st.batch.coeffs.spec
+    batch = _batch(plan, spec)
+    return [init_state(plan, spec, st.phi, u0, batch)
             for u0 in (lambda p: st.u, lambda p: 0.5 - 0.2 * p.sum(axis=1))]
 
 
@@ -717,16 +730,16 @@ def test_batch_takes_states_that_share_its_plan_and_bundle(dom1):
     k = fractional_laplacian_kernel(0.5, 1)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
-    plan = st.plan
+    plan = st.batch.plan
     with pytest.raises(ValueError, match="bundle on 130 points, not 65"):
-        solver.StepBatch(plan, st.coeffs, 2)
+        solver.StepBatch(plan, st.batch.coeffs, 2)
     batch = _batch(plan, spec)
     other = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     with pytest.raises(ValueError, match="share one plan"):
         init_state(plan, other, 0.0, "0.5*x", batch)
     states = [init_state(plan, spec, 0.0, u0, batch) for u0 in (0, 1)]
     assert [s.row for s in states] == [0, 1]
-    assert all(s.coeffs is batch.coeffs for s in states)
+    assert all(s.batch is batch for s in states)
     assert states[1].u.base is batch.u and np.all(states[1].u == 1.0)
     with pytest.raises(ValueError, match="rows are taken"):
         init_state(plan, spec, 0.0, 2.0, batch)
@@ -741,10 +754,10 @@ def test_joining_row_widens_the_batch_viscosity(dom1, monkeypatch, order):
     k = fractional_laplacian_kernel(0.5, 1)
     spec = CoerciveSpec(m=2.0, a1=1.0, lam=1.0, f=0.0)
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, 0.0, kernel=k)
-    plan = st.plan
+    plan = st.batch.plan
     # (phi, u0): flat, steep and curved
     data = [(0.0, 0.0), ("4*x", "4*x"), ("x^2", "x^2")]
-    alone = [init_state(plan, spec, *d).sigma for d in data]
+    alone = [init_state(plan, spec, *d).batch.sigma for d in data]
     assert alone[0][0] < alone[2][0] < alone[1][0]
     calls = []
     real = solver._bind_gradients
@@ -762,27 +775,44 @@ def test_joining_row_widens_the_batch_viscosity(dom1, monkeypatch, order):
     assert batch.sigma.tobytes() == np.maximum.reduce(alone).tobytes()
 
 
-def test_batch_whose_bundle_reads_t_refuses_a_row_out_of_turn(dom1):
-    # a bundle that reads t moves to the new time once every row has
-    # stepped: a row stepping twice before the other would evaluate both
-    # rows at a time the bundle has not reached, and is refused before it
-    # changes anything
+@pytest.mark.parametrize("f", ["0.2*cos(3*x)", "0.2*cos(3*x)*exp(-t)"],
+                         ids=["fixed-bundle", "moving-bundle"])
+def test_batch_rows_step_in_turn(dom1, f):
+    # the rows of a batch step in turn, at one time, whether or not its
+    # bundle reads t: a row stepping out of turn is refused before it
+    # changes anything, and the last row's step moves a bundle that reads
+    # t to the new time
     k = fractional_laplacian_kernel(0.5, 1)
-    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f="0.2*cos(3*x)*exp(-t)")
+    spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=f)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x",
                           kernel=k)
     sa, sb = _stacked_pair(st)
-    step(sa, cfg)
-    step(sb, cfg)
-    assert sa.coeffs.t == sa.t == sb.t > 0.0
-    step(sa, cfg)
-    u = sa.u.copy()
-    with pytest.raises(ValueError, match="row 0 steps out of turn"):
+    b = sa.batch
+    moving = bool(b.coeffs.moving)
+    assert b.turn == 0 and moving is ("t" in f)
+
+    def held():
+        return ([a.copy() for a in (b.u, b.rhs, b.flux, b.load, b.block)]
+                + [b.turn, b.den, b.coeffs.t, sa.t, sb.t, sa.steps, sb.steps])
+
+    def refused(s):
+        before = held()
+        with pytest.raises(ValueError, match=f"row {s.row} steps out of "
+                                             f"turn: row {b.turn} of its"):
+            step(s, cfg)
+        after = held()
+        assert all(np.array_equal(x, y) for x, y in zip(before[:5], after))
+        assert before[5:] == after[5:]
+
+    for _ in range(2):
+        refused(sb)
         step(sa, cfg)
-    assert np.array_equal(sa.u, u) and sa.steps == 2
-    step(sb, cfg)
-    step(sa, cfg)
-    assert sa.steps == 3 and sa.coeffs.t == sb.t
+        assert b.turn == 1 and sa.t > sb.t
+        refused(sa)
+        step(sb, cfg)
+        assert b.turn == 0 and sa.t == sb.t
+        assert b.coeffs.t == (sa.t if moving else 0.0)
+    assert sa.steps == sb.steps == 2
 
 
 @pytest.mark.parametrize("case, h", [("coercive-1d", 2.0 ** -7),
@@ -831,7 +861,7 @@ def test_auto_dt_without_a_cfl_bound_takes_a_hundredth_of_T(dom1):
     # is T / 100 (0.01 without T)
     spec = BellmanSpec([ControlLaw(lam=0.0, b=0.0, f=0.0)])
     g, qt, cfg, st = make(dom1, 2.0 ** -4, 1.0, spec, 0.0, BUMP2, T=0.5)
-    assert solver.cfl_denominator(st) == 0.0
+    assert solver.cfl_denominator(st.batch) == 0.0
     assert auto_dt(st, cfg) == 0.005
     assert auto_dt(st, SchemeConfig(h=cfg.h)) == 0.01
     run_to_time(st, cfg, 0.5)
@@ -868,13 +898,13 @@ def test_viscosity_set_below_the_held_floor_grows_at_the_next_step(dom1):
     k = fractional_laplacian_kernel(0.5, 1)
     g, qt, cfg, st = make(dom1, 2.0 ** -5, 4.0, spec, 0.0, "1 - x^2",
                           kernel=k)
-    assert st.coeffs.lf_floor == [1.5]
+    assert st.batch.coeffs.lf_floor == [1.5]
     step(st, cfg)
     assert st.sigma_growth == 0
-    st.sigma = np.array([1.25])
+    set_sigma(st, np.array([1.25]))
     step(st, cfg)
     assert st.sigma_growth == 1
-    assert st.sigma.tolist() == [3.0]
+    assert st.batch.sigma.tolist() == [3.0]
 
 
 @pytest.mark.parametrize("case", ["coercive-1d", "bellman-1d", "bellman-2d",
@@ -943,7 +973,7 @@ def test_held_0d_operands_keep_the_bytes(dim, h):
     u0 = lambda p: 0.6 * np.cos(2.0 * p.sum(axis=1))
     k = fractional_laplacian_kernel(0.5, dim)
     g, qt, cfg, st = make(dom, h, 2.0, spec, phi, u0, kernel=k)
-    plan = st.plan
+    plan = st.batch.plan
     assert plan.diag.shape == ()
     b = st.batch
     for _ in range(2):
@@ -970,7 +1000,7 @@ def test_one_row_and_two_row_batches_share_one_layout(dim, h):
                        dim=dim)
     k = fractional_laplacian_kernel(0.5, dim)
     *_, st = make(dom, h, 2.0, spec, 0.0, 1.0, kernel=k)
-    pair = _batch(st.plan, spec)
+    pair = _batch(st.batch.plan, spec)
     for b, rows in ((st.batch, 1), (pair, 2)):
         assert b.block.shape[0] == rows and b.diffs.shape[2] == rows
         assert b.block.ndim == dim + 1 and b.diffs.ndim == dim + 3
@@ -985,7 +1015,7 @@ def test_second_batch_reuses_the_plan_trace_positions(dom1, monkeypatch):
     k = fractional_laplacian_kernel(0.5, 1)
     spec = CoerciveSpec(m=1.0, a1=1.0, lam=0.5, f=0.1)
     *_, st = make(dom1, 2.0 ** -5, 2.0, spec, 0.0, "0.5*x", kernel=k)
-    plan = st.plan
+    plan = st.batch.plan
     first = plan.workspace(2)[3]
     _batch(plan, spec)
     calls = []
