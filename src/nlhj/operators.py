@@ -423,10 +423,11 @@ class SweepPlan:
         """Per core node, the stencil terms whose jump leaves the core, plus
         the tail against the constant continuation, for the datum values
         ``ext`` at :meth:`exterior_sample`, written into ``out`` where
-        given.  It changes only when the datum does.  A datum that varies in
-        space is correlated over the full grid, in arrays the plan holds."""
-        if len(ext) == 1 or np.all(ext == ext[0]):
-            # a constant datum needs no transform (the common case)
+        given.  It changes only when the datum does.  A datum constant in
+        space is its one sampled value and needs no transform (the common
+        case); one that varies in space is correlated over the full grid,
+        in arrays the plan holds."""
+        if len(ext) == 1:
             return np.multiply(ext[0], self.exit_mass, out=out)
         if out is None:
             out = np.empty(len(self.exit_mass))

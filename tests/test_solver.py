@@ -512,8 +512,9 @@ def test_datum_constant_in_space_is_evaluated_once_per_step(dom1, monkeypatch):
         calls.clear()
         step(st, cfg)
         assert calls == [st.phi]
-        ext = st.phi(g.exterior_points, st.t)
-        assert np.array_equal(st.load, st.batch.plan.exterior_load(ext))
+        plan = st.batch.plan
+        ext = st.phi(plan.exterior_sample(False), st.t)
+        assert np.array_equal(st.load, plan.exterior_load(ext))
         assert np.array_equal(st.phi_trace, st.phi(g.trace_points, st.t))
 
 
