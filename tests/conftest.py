@@ -24,10 +24,12 @@ def pytest_report_header(config):
 
 @pytest.fixture(autouse=True)
 def fresh_discretization():
-    # harness.discretize keeps its last plan: start every test without it,
-    # so that no test reads a plan, or lazily built grid data, of another
+    # harness.discretize keeps its last plan, and a comparison pair its
+    # spec's bundle: start every test without them, so that no test reads
+    # a plan, lazily built grid data or a bundle of another
     from nlhj import harness
     harness._last_plan.cache_clear()
+    harness._held_pair = (None, None, None)
 
 
 @pytest.fixture

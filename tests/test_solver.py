@@ -869,16 +869,31 @@ def test_auto_dt_without_a_cfl_bound_takes_a_hundredth_of_T(dom1):
     assert st.steps == 100
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5])
-def test_steady_scheme_converges_to_the_ball_profile(dom1, alpha):
+LF_VISCOSITY = pytest.mark.xfail(
+    strict=True, reason="at m = 2 the Lax-Friedrichs viscosity is of order 1 "
+    "at every h, so the error does not fall (orders 0.05 and 0.02)")
+
+
+# (m, alpha): a Bellman spec where m is None
+@pytest.mark.parametrize("m, alpha", [
+    pytest.param(None, 0.5, id="0.5"), pytest.param(None, 1.5, id="1.5"),
+    pytest.param(1.0, 0.5, id="coercive-m1-0.5"),
+    pytest.param(2.0, 0.5, id="coercive-m2-0.5", marks=LF_VISCOSITY)])
+def test_steady_scheme_converges_to_the_ball_profile(m, alpha):
     # w = (1 - x^2)_+^(alpha/2) has I(w) = -kappa in the unit ball, so with
-    # phi = w and f = kappa + lam w - b w' it is the steady solution on
+    # phi = w and f = kappa + lam w - b w' (Bellman) or f = kappa + |w'|^m
+    # + w (coercive, a1 = lam = 1) it is the steady solution on
     # [-1/2, 1/2]; the scheme's sup error falls at order 1 or more
     dom = Domain((-0.5,), (0.5,))
     w = f"max(1 - x^2, 0)^{alpha / 2}"
     dw = f"-{alpha}*x*(1 - x^2)^{alpha / 2 - 1}"
-    spec = BellmanSpec([ControlLaw(
-        lam=1.0, b=0.3, f=f"{ball_kappa(alpha)!r} + {w} - 0.3*({dw})")])
+    kappa = repr(ball_kappa(alpha))
+    if m is None:
+        spec = BellmanSpec([ControlLaw(
+            lam=1.0, b=0.3, f=f"{kappa} + {w} - 0.3*({dw})")])
+    else:
+        spec = CoerciveSpec(m=m, a1=1.0, lam=1.0,
+                            f=f"{kappa} + abs({dw})^{m} + {w}")
     k = fractional_laplacian_kernel(alpha, 1)
     errs = []
     for h in (2.0 ** -4, 2.0 ** -5, 2.0 ** -6):
@@ -888,7 +903,7 @@ def test_steady_scheme_converges_to_the_ball_profile(dom1, alpha):
         x = g.core_points[:, 0]
         errs.append(np.abs(st.u - (1 - x ** 2) ** (alpha / 2)).max())
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
-    assert np.all(orders >= 1.0), orders
+    assert np.all(orders >= 1.0), (errs, orders)
 
 
 def test_viscosity_set_below_the_held_floor_grows_at_the_next_step(dom1):
@@ -1031,16 +1046,19 @@ def test_second_batch_reuses_the_plan_trace_positions(dom1, monkeypatch):
         [g.trace_pos, g.trace_pos + len(g.core_flat)]))
 
 
-def _step_jacobian(plan, spec, phi, u0, cfg, cols=None, eps=1e-7):
+def _step_jacobian(plan, spec, phi, u0, cfg, cols=None, rel=1e-7):
     """Columns ``cols`` (every node where None) of the Jacobian of one step
     from ``u0``, with its diagonal entries: one batch of len(cols) + 1
-    rows, where row k is ``u0`` perturbed by ``eps`` at node cols[k] and
-    the last row is ``u0``, each stepped once, in turn; (U_k - U_last) /
-    eps is column k."""
+    rows, where row k is ``u0`` perturbed by eps at node cols[k] and the
+    last row is ``u0``, each stepped once, in turn; (U_k - U_last) / eps is
+    column k.  eps is ``rel`` times the data's size (1 at least), as a
+    column's rounding is an ulp of the stepped values over eps."""
     pts = plan.grid.core_points
     n = len(pts)
     cols = np.arange(n) if cols is None else cols
     base = solver.eval_initial(u0, pts)
+    eps = rel * max(1.0, np.abs(base).max(),
+                    np.abs(CoefficientField(phi)(pts, 0.0)).max())
     batch = _batch(plan, spec, len(cols) + 1)
     states = [init_state(plan, spec, phi,
                          lambda p, j=j: base + eps * (np.arange(n) == j),
@@ -1093,6 +1111,32 @@ MONOTONE_CASES = {
         "0.5*exp(-t)", "0.5 + 0.2*sin(3*x)"),
     "coercive-m0.5-1d": (1, 0.5, CoerciveSpec(m=0.5, a1=1.0, lam=0.5,
                                               f=0.0), 1.0, "0.5*cos(2*x)"),
+    # an a2 |p|^l term of negative sign, below and above l = 1
+    "coercive-m2-a2-l1.5-1d": (
+        1, 0.5, CoerciveSpec(m=2.0, a1=1.0, a2=-0.5, l=1.5, lam=0.5, f=0.0),
+        "0.3*sin(2*x)", "1 - x^2"),
+    "coercive-m2-a2-l0.5-1d": (
+        1, 0.5, CoerciveSpec(m=2.0, a1=1.0, a2=-0.5, l=0.5, lam=0.5, f=0.0),
+        1.0, "0.5*cos(2*x)"),
+    # criterion 5's inflow, where the boundary condition is lost
+    "bellman-lost-1d": (1, 0.5, BellmanSpec([ControlLaw(lam=1.0, b="-x",
+                                                        f=0.0)]), 10.0, 10.0),
+    "bellman-phi-varying-1d": (1, 0.5, BellmanSpec(
+        [ControlLaw(lam=0.5, b="-x", f="0.1*sin(2*x)"),
+         ControlLaw(lam=0.3, b="0.5*x", f=0.0)]),
+        "0.3*sin(2*x)", "0.5*cos(2*x)"),
+    "bellman-phi-varying-2d": (2, 1.5, BellmanSpec(
+        [ControlLaw(lam=1.0, b=("-x", "-y"), f=0.0, dim=2),
+         ControlLaw(lam=0.5, b=("0.5*x", "0.5*y"), f=0.0, dim=2)], dim=2),
+        "0.3*sin(2*x + y)", "1 + 0.3*(1 - x^2)*(1 - y^2)*cos(x + 2*y)"),
+    "coercive-m2-phi-varying-2d": (
+        2, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=0.5, f=0.0, dim=2),
+        "0.3*sin(2*x + y)", "0.5*cos(x + 2*y)"),
+    "bellman-lost-2d": (2, 0.5, BellmanSpec(
+        [ControlLaw(lam=1.0, b=("-x", "-y"), f=0.0, dim=2)], dim=2),
+        10.0, 10.0),
+    "coercive-m2-lost-2d": (2, 0.5, CoerciveSpec(m=2.0, a1=1.0, lam=1.0,
+                                                 f=0.0, dim=2), 100.0, 0.0),
 }
 
 
